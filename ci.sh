@@ -10,6 +10,12 @@ cargo build --release
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
+echo "== tests (ada-mining, release) =="
+# The tree's column index is all offset arithmetic, which debug builds
+# (overflow checks on) and release builds (wrapping) check differently:
+# the tree-equivalence proptests must hold in both.
+cargo test -q --release -p ada-mining
+
 echo "== kmeans kernel perf gate (quick) =="
 # Fails on any kernel/pruning/threading mismatch or when the pruned
 # kernel regresses past 2x the seed reference on the reduced cohort.

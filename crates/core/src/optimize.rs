@@ -31,6 +31,15 @@
 //! loop over K, and every evaluation gets the *whole* budget at the row
 //! level instead.
 //!
+//! # The shared tree index
+//!
+//! Every candidate K cross-validates a decision tree on the *same*
+//! matrix — only the labels (the cluster assignments) change. With the
+//! paper's tree classifier the sweep therefore builds the matrix's
+//! [`ColumnIndex`] once, before any worker starts, and all
+//! `ks.len() × folds` fits grow over it by reference. The index is
+//! exact (see `ada_mining::tree`), so it changes no digit of the report.
+//!
 //! Determinism: the kernel reduces per-chunk partials in a fixed chunk
 //! order, so the report is byte-identical for every `thread_budget`
 //! value and for the serial fallback — the knob (like `parallel`
@@ -40,7 +49,7 @@ use ada_metrics::cluster;
 use ada_mining::bayes::GaussianNb;
 use ada_mining::kmeans::{KMeans, KMeansBackend};
 use ada_mining::knn::KnnClassifier;
-use ada_mining::tree::{DecisionTree, TreeConfig};
+use ada_mining::tree::{ColumnIndex, TreeConfig};
 use ada_mining::validate;
 use ada_vsm::DenseMatrix;
 use serde::{Deserialize, Serialize};
@@ -205,20 +214,34 @@ impl Optimizer {
         }
     }
 
+    /// The matrix's tree index when the robustness classifier is the
+    /// decision tree (the other classifiers have no use for it), with
+    /// the build reported to `control`'s observer.
+    fn tree_index(&self, matrix: &DenseMatrix, control: &RunControl) -> Option<ColumnIndex> {
+        matches!(self.classifier, RobustnessClassifier::DecisionTree(_)).then(|| {
+            control.counters(PipelineStage::Optimize, &[("cv_index_builds", 1)]);
+            ColumnIndex::build(matrix)
+        })
+    }
+
     /// Evaluates one K value with the full thread budget at the row
     /// level (a standalone evaluation has no sibling workers to share
     /// with).
     pub fn evaluate_k(&self, matrix: &DenseMatrix, k: usize) -> KEvaluation {
-        self.evaluate_k_with_threads(matrix, k, self.resolved_budget(), &RunControl::new())
+        let control = RunControl::new();
+        let index = self.tree_index(matrix, &control);
+        self.evaluate_k_with_threads(matrix, index.as_ref(), k, self.resolved_budget(), &control)
     }
 
     /// Evaluates one K value driving the Lloyd kernel with `row_threads`
-    /// worker threads (identical output for every value). Kernel
-    /// counters are forwarded to `control`'s observer, if any —
-    /// instrumentation only, never part of the result.
+    /// worker threads (identical output for every value); `index` is
+    /// [`Self::tree_index`] of `matrix`. Kernel and tree counters are
+    /// forwarded to `control`'s observer, if any — instrumentation only,
+    /// never part of the result.
     fn evaluate_k_with_threads(
         &self,
         matrix: &DenseMatrix,
+        index: Option<&ColumnIndex>,
         k: usize,
         row_threads: usize,
         control: &RunControl,
@@ -231,14 +254,18 @@ impl Optimizer {
         control.counters(PipelineStage::Optimize, &stats.as_pairs());
         let overall_similarity = cluster::overall_similarity(matrix, &result.assignments, k);
         let cm = match &self.classifier {
-            RobustnessClassifier::DecisionTree(config) => validate::cross_validate(
-                matrix,
-                &result.assignments,
-                k,
-                self.folds,
-                self.seed,
-                |tx, ty, sx| DecisionTree::fit(tx, ty, k, config).predict(sx),
-            ),
+            RobustnessClassifier::DecisionTree(config) => {
+                let (cm, tree_stats) = validate::cross_validate_tree_indexed(
+                    index.expect("tree_index is Some for the tree classifier"),
+                    &result.assignments,
+                    k,
+                    config,
+                    self.folds,
+                    self.seed,
+                );
+                control.counters(PipelineStage::Optimize, &tree_stats.as_pairs());
+                cm
+            }
             RobustnessClassifier::NaiveBayes => validate::cross_validate(
                 matrix,
                 &result.assignments,
@@ -297,8 +324,10 @@ impl Optimizer {
         control: &RunControl,
     ) -> Result<OptimizerReport, PipelineError> {
         assert!(!self.ks.is_empty(), "no K values to evaluate");
+        control.checkpoint(PipelineStage::Optimize)?;
+        let index = self.tree_index(matrix, control);
+        let index = index.as_ref();
         let evaluations: Vec<KEvaluation> = if self.parallel && self.ks.len() > 1 {
-            control.checkpoint(PipelineStage::Optimize)?;
             // Split the budget across the K-level workers; each worker
             // drives the row-parallel kernel with its share.
             let row_threads = (self.resolved_budget() / self.ks.len()).max(1);
@@ -318,7 +347,15 @@ impl Optimizer {
                             Some(control.span(
                                 PipelineStage::Optimize,
                                 &format!("sweep:k={k}"),
-                                || self.evaluate_k_with_threads(matrix, k, row_threads, control),
+                                || {
+                                    self.evaluate_k_with_threads(
+                                        matrix,
+                                        index,
+                                        k,
+                                        row_threads,
+                                        control,
+                                    )
+                                },
                             ))
                         })
                     })
@@ -347,7 +384,13 @@ impl Optimizer {
                     control.checkpoint(PipelineStage::Optimize)?;
                     Ok(
                         control.span(PipelineStage::Optimize, &format!("sweep:k={k}"), || {
-                            self.evaluate_k_with_threads(matrix, k, self.resolved_budget(), control)
+                            self.evaluate_k_with_threads(
+                                matrix,
+                                index,
+                                k,
+                                self.resolved_budget(),
+                                control,
+                            )
                         }),
                     )
                 })
@@ -492,6 +535,100 @@ mod tests {
         opt.parallel = true;
         let parallel = opt.run(&m);
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn quick_report_is_pinned() {
+        // Printed by the per-node-sort tree this sweep ran on before the
+        // shared column index; every digit must survive any change to
+        // how trees are grown.
+        let eval = |k, sse, accuracy, avg_precision, avg_recall, overall_similarity| KEvaluation {
+            k,
+            sse,
+            accuracy,
+            avg_precision,
+            avg_recall,
+            overall_similarity,
+        };
+        let golden = OptimizerReport {
+            evaluations: vec![
+                eval(
+                    3,
+                    8947.404010813192,
+                    88.75,
+                    89.26725220386545,
+                    87.7566295192909,
+                    0.4014391520944106,
+                ),
+                eval(
+                    5,
+                    7604.466314385323,
+                    80.75,
+                    82.71416325417601,
+                    82.32956102883453,
+                    0.4596142639647478,
+                ),
+                eval(
+                    7,
+                    7052.126738542458,
+                    77.0,
+                    77.6517819549065,
+                    73.55309169973813,
+                    0.5051905602686688,
+                ),
+            ],
+            selected_k: 7,
+            sse_window_start: 7,
+        };
+        assert_eq!(Optimizer::quick(vec![3, 5, 7]).run(&small_matrix()), golden);
+    }
+
+    #[test]
+    fn sweep_builds_one_tree_index_and_counts_repeat() {
+        use crate::control::PipelineObserver;
+        use std::collections::BTreeMap;
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Default)]
+        struct Totals(Mutex<BTreeMap<&'static str, u64>>);
+        impl PipelineObserver for Totals {
+            fn on_counters(&self, _: &str, _: PipelineStage, counters: &[(&'static str, u64)]) {
+                let mut totals = self.0.lock().unwrap();
+                for &(name, value) in counters {
+                    *totals.entry(name).or_default() += value;
+                }
+            }
+        }
+        let m = small_matrix();
+        let tree_totals = |opt: &Optimizer| {
+            let totals = Arc::new(Totals::default());
+            let control =
+                RunControl::new().with_observer(totals.clone() as Arc<dyn PipelineObserver>);
+            opt.run_with_control(&m, &control).unwrap();
+            let totals = totals.0.lock().unwrap();
+            [
+                "cv_index_builds",
+                "cv_tree_fits",
+                "cv_nodes",
+                "cv_entries_scanned",
+            ]
+            .map(|name| totals.get(name).copied().unwrap_or(0))
+        };
+        let mut opt = Optimizer::quick(vec![3, 5, 7]);
+        let serial = tree_totals(&opt);
+        let [builds, fits, nodes, scanned] = serial;
+        assert_eq!(builds, 1, "one index for the whole sweep");
+        assert_eq!(fits, 3 * 5, "ks × folds trees");
+        assert!(nodes > fits && scanned > 0, "{serial:?}");
+        opt.parallel = true;
+        assert_eq!(
+            tree_totals(&opt),
+            serial,
+            "counts are exact, not timing-dependent"
+        );
+
+        opt.classifier = RobustnessClassifier::NaiveBayes;
+        assert_eq!(tree_totals(&opt), [0; 4], "no index without the tree");
     }
 
     #[test]

@@ -11,6 +11,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::tree::{ColumnIndex, TreeConfig, TreeFitter, TreeStats};
+
 /// Builds `num_folds` stratified folds over `labels`; returns, for each
 /// fold, the indices of its *test* partition. Every index appears in
 /// exactly one fold.
@@ -101,24 +103,63 @@ where
     pooled
 }
 
+/// k-fold cross-validation of a CART decision tree over the shared
+/// [`ColumnIndex`] of a matrix: each fold's tree is grown on the rows
+/// outside the fold, as a filter of the index, and its test rows are
+/// predicted from the index's own copy of the values — no per-fold
+/// copies, and no sorting after the index build. Pools the per-fold
+/// confusion matrices exactly like [`cross_validate`] on that matrix with
+/// `DecisionTree::fit(..).predict(..)` as the classifier, and also
+/// returns what the fits did.
+///
+/// # Panics
+/// Panics on a label count mismatch or a label ≥ `num_classes`, and on
+/// degenerate fold configurations (see [`stratified_folds`]).
+pub fn cross_validate_tree_indexed(
+    index: &ColumnIndex,
+    labels: &[usize],
+    num_classes: usize,
+    config: &TreeConfig,
+    num_folds: usize,
+    seed: u64,
+) -> (ConfusionMatrix, TreeStats) {
+    assert_eq!(index.num_rows(), labels.len(), "label count mismatch");
+    let folds = stratified_folds(labels, num_folds, seed);
+    let mut pooled = ConfusionMatrix::new(num_classes);
+    let mut fitter = TreeFitter::new(index);
+    let mut held_out = vec![false; labels.len()];
+    for fold in &folds {
+        if fold.is_empty() || fold.len() == labels.len() {
+            continue; // single-fold CV: nothing to train on
+        }
+        for &i in fold {
+            held_out[i] = true;
+        }
+        let tree = fitter.fit_where(labels, |r| !held_out[r], num_classes, config);
+        for &i in fold {
+            pooled.record(labels[i], tree.predict_indexed(index, i));
+            held_out[i] = false;
+        }
+    }
+    (pooled, fitter.stats())
+}
+
 /// Convenience wrapper: 10-fold CV of a CART decision tree, the paper's
-/// Table I protocol.
+/// Table I protocol, on an index built for this call.
 pub fn cross_validate_tree(
     matrix: &DenseMatrix,
     labels: &[usize],
     num_classes: usize,
-    config: &crate::tree::TreeConfig,
+    config: &TreeConfig,
     seed: u64,
 ) -> ConfusionMatrix {
-    cross_validate(matrix, labels, num_classes, 10, seed, |tx, ty, sx| {
-        crate::tree::DecisionTree::fit(tx, ty, num_classes, config).predict(sx)
-    })
+    let index = ColumnIndex::build(matrix);
+    cross_validate_tree_indexed(&index, labels, num_classes, config, 10, seed).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeConfig;
 
     #[test]
     fn folds_partition_all_indices() {
@@ -165,6 +206,43 @@ mod tests {
         let cm = cross_validate_tree(&m, &labels, 2, &TreeConfig::default(), 3);
         assert_eq!(cm.total(), 60);
         assert!((cm.accuracy() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn indexed_tree_cv_equals_the_generic_path() {
+        use crate::tree::DecisionTree;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(9);
+        // Sparse, few distinct values, three noisy classes.
+        let rows: Vec<Vec<f64>> = (0..150)
+            .map(|i| {
+                (0..6)
+                    .map(|f| {
+                        if rng.gen_range(0..3) == 0 {
+                            f64::from(rng.gen_range(1..4)) + if f == i % 3 { 2.0 } else { 0.0 }
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let labels: Vec<usize> = (0..150).map(|i| i % 3).collect();
+        let m = DenseMatrix::from_rows(&rows);
+        let config = TreeConfig::default();
+        let index = ColumnIndex::build(&m);
+        for folds in [1, 4, 10] {
+            let generic = cross_validate(&m, &labels, 3, folds, 6, |tx, ty, sx| {
+                DecisionTree::fit(tx, ty, 3, &config).predict(sx)
+            });
+            let (indexed, stats) =
+                cross_validate_tree_indexed(&index, &labels, 3, &config, folds, 6);
+            assert_eq!(indexed, generic, "{folds} folds");
+            // A single fold has nothing to train on.
+            let fits = if folds == 1 { 0 } else { folds as u64 };
+            assert_eq!(stats.cv_tree_fits, fits);
+        }
     }
 
     #[test]

@@ -237,6 +237,9 @@ fn session_records_survive_crash_and_journal_replay() {
     let counters = ok_doc.get("counters").unwrap().as_doc().unwrap();
     assert!(counters.get("iterations").unwrap().as_i64().unwrap() > 0);
     assert!(counters.get("distance_evals").unwrap().as_i64().unwrap() > 0);
+    // ... and the tree CV's: one column index shared by the whole sweep.
+    assert_eq!(counters.get("cv_index_builds").unwrap().as_i64(), Some(1));
+    assert!(counters.get("cv_tree_fits").unwrap().as_i64().unwrap() > 0);
     assert!(span_names(&ok_doc).len() > PipelineStage::ALL.len());
 
     // The failed run recorded its retry and the reason.
