@@ -17,8 +17,9 @@ echo "== tests (ada-mining, release) =="
 cargo test -q --release -p ada-mining
 
 echo "== kmeans kernel perf gate (quick) =="
-# Fails on any kernel/pruning/threading mismatch or when the pruned
-# kernel regresses past 2x the seed reference on the reduced cohort.
+# Fails on any kernel/pruning/threading/row-storage mismatch, when the
+# pruned kernel regresses past 2x the seed reference on the reduced
+# cohort, or when sparse rows are slower there than dense rows.
 cargo run -q -p ada-bench --release --bin kmeans_perf -- --quick
 
 echo "== observability smoke gate =="

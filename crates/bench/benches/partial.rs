@@ -3,7 +3,9 @@
 //! "To avoid the expensive and resource-consuming procedure of mining
 //! the entire dataset when not necessary" — this bench quantifies the
 //! claim: clustering on the 20% / 40% exam-type subsets vs the full
-//! matrix, plus the full adaptive strategy's end-to-end cost.
+//! matrix — each of the three rung shapes over dense rows and over the
+//! non-zero view the miner actually passes — plus the full adaptive
+//! strategy's end-to-end cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -20,11 +22,24 @@ fn bench_subset_clustering(c: &mut Criterion) {
     group.sample_size(10);
     for fraction in [0.2f64, 0.4, 1.0] {
         let top = ((fraction * n_types as f64).ceil() as usize).min(n_types);
-        let pv = VsmBuilder::new().top_features(&log, top).build(&log);
+        // The miner's rung matrix: top-frequency features, unit rows.
+        let pv = VsmBuilder::new()
+            .normalize(true)
+            .top_features(&log, top)
+            .build(&log);
+        let rung = format!("{:.0}%", fraction * 100.0);
         group.bench_with_input(
-            BenchmarkId::new("kmeans8", format!("{:.0}%", fraction * 100.0)),
+            BenchmarkId::new("kmeans8-dense-rows", &rung),
             &pv,
             |b, pv| b.iter(|| black_box(KMeans::new(8).seed(1).fit(&pv.matrix))),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("kmeans8-sparse-rows", &rung),
+            &pv,
+            |b, pv| {
+                let rows = pv.matrix.sparse_rows();
+                b.iter(|| black_box(KMeans::new(8).seed(1).fit_rows(&rows)))
+            },
         );
     }
     group.finish();

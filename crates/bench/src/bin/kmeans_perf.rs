@@ -1,7 +1,7 @@
 //! K-means kernel performance gate and reproduction artifact.
 //!
 //! Times the Table I K sweep on the paper-scale cohort (6,380 patients ×
-//! 159 exam types) across four Lloyd variants sharing identical initial
+//! 159 exam types) across five Lloyd variants sharing identical initial
 //! centroids:
 //!
 //! * `reference` — the retained seed implementation (straight full-scan
@@ -10,11 +10,14 @@
 //!   over cached row norms, pruning off;
 //! * `serial_pruned` — the kernel with Hamerly bound pruning;
 //! * `parallel_pruned` — the kernel with pruning and one worker per
-//!   available core.
+//!   available core;
+//! * `sparse_pruned` — `serial_pruned` over the matrix's non-zero view
+//!   (`DenseMatrix::sparse_rows`), the rows the batch pipeline passes.
 //!
-//! The three kernel variants are checked pairwise **bit-identical**
-//! (assignments, centroids, SSE, iterations) before any timing is
-//! trusted; a mismatch exits non-zero. The reference variant is *not*
+//! The four kernel variants are checked pairwise **bit-identical**
+//! (assignments, centroids, SSE, iterations — and, dense against sparse
+//! rows, every kernel counter) before any timing is trusted; a mismatch
+//! exits non-zero. The reference variant is *not*
 //! compared bitwise: L2-normalized count vectors are riddled with
 //! real-arithmetic distance ties (duplicate patient profiles, exact
 //! `d² = 2` orthogonal pairs), and the reference's `(x − c)²` form
@@ -31,8 +34,9 @@
 //!   worker ladder (plus the core count when distinct), every point
 //!   verified bit-identical to the serial run;
 //! * `--quick`: reduced cohort and K set for CI — fails (non-zero exit)
-//!   on any kernel mismatch or when the pruned kernel regresses to more
-//!   than 2× the reference wall time. No JSON is written.
+//!   on any kernel mismatch, when the pruned kernel regresses to more
+//!   than 2× the reference wall time, or when sparse rows are slower
+//!   than dense rows. No JSON is written.
 //!
 //! Run: `cargo run -p ada-bench --release --bin kmeans_perf [-- --quick]`
 
@@ -55,6 +59,7 @@ struct KReport {
     serial_unpruned_ms: f64,
     serial_pruned_ms: f64,
     parallel_pruned_ms: f64,
+    sparse_pruned_ms: f64,
     distance_evals_unpruned: u64,
     distance_evals_pruned: u64,
     bound_skips: u64,
@@ -89,6 +94,11 @@ fn sweep_k(matrix: &DenseMatrix, k: usize, threads: usize, scaling: &[usize]) ->
     let (serial_unpruned_ms, (unpruned, unpruned_stats)) = variant(false, 1);
     let (serial_pruned_ms, (pruned, pruned_stats)) = variant(true, 1);
     let (parallel_pruned_ms, (parallel, _)) = variant(true, threads);
+    let (sparse_pruned_ms, sparse) = {
+        let rows = matrix.sparse_rows();
+        let config = KMeans::new(k);
+        best_of(REPS, || config.fit_rows(&rows))
+    };
 
     // Row-parallel scaling column (ROADMAP open item): the pruned
     // kernel at each explicit worker count, every point checked
@@ -105,6 +115,16 @@ fn sweep_k(matrix: &DenseMatrix, k: usize, threads: usize, scaling: &[usize]) ->
     // Correctness gates: the kernel variants must be bit-identical.
     assert_eq!(unpruned, pruned, "k = {k}: pruning changed the result");
     assert_eq!(pruned, parallel, "k = {k}: threading changed the result");
+    assert_eq!(
+        (&pruned, &pruned_stats),
+        (&sparse.0, &sparse.1),
+        "k = {k}: sparse rows changed the result"
+    );
+    assert_eq!(
+        pruned.fingerprint(),
+        sparse.0.fingerprint(),
+        "k = {k}: sparse rows changed a bit `==` cannot see"
+    );
     // The seed reference must agree on solution *quality*, not bitwise:
     // tie rounding differs between the distance forms (module docs), so
     // the two trajectories may settle in different local optima. A
@@ -126,6 +146,7 @@ fn sweep_k(matrix: &DenseMatrix, k: usize, threads: usize, scaling: &[usize]) ->
         serial_unpruned_ms,
         serial_pruned_ms,
         parallel_pruned_ms,
+        sparse_pruned_ms,
         distance_evals_unpruned: unpruned_stats.distance_evals,
         distance_evals_pruned: pruned_stats.distance_evals,
         bound_skips: pruned_stats.bound_skips,
@@ -168,17 +189,28 @@ fn main() {
     };
     let pv = VsmBuilder::new().normalize(true).build(&log);
     let matrix = &pv.matrix;
+    let cells = matrix.num_rows() * matrix.num_cols();
+    let zero_share = 1.0 - matrix.sparse_rows().nnz() as f64 / cells.max(1) as f64;
     println!(
-        "kmeans_perf ({} mode): {} x {} matrix, {} core(s), ks {:?}",
+        "kmeans_perf ({} mode): {} x {} matrix ({:.1}% zeros), {} core(s), ks {:?}",
         if quick { "quick" } else { "full" },
         matrix.num_rows(),
         matrix.num_cols(),
+        100.0 * zero_share,
         threads_available,
         ks
     );
     println!(
-        "{:>4} {:>6} {:>11} {:>11} {:>11} {:>11} {:>9} {:>8}",
-        "K", "iters", "ref ms", "serial ms", "pruned ms", "par ms", "dist-eval", "skip%"
+        "{:>4} {:>6} {:>11} {:>11} {:>11} {:>11} {:>11} {:>9} {:>8}",
+        "K",
+        "iters",
+        "ref ms",
+        "serial ms",
+        "pruned ms",
+        "par ms",
+        "sparse ms",
+        "dist-eval",
+        "skip%"
     );
 
     let reports: Vec<KReport> = ks
@@ -189,13 +221,14 @@ fn main() {
         let skip_pct =
             100.0 * r.bound_skips as f64 / (r.bound_skips + r.distance_evals_pruned).max(1) as f64;
         println!(
-            "{:>4} {:>6} {:>11.1} {:>11.1} {:>11.1} {:>11.1} {:>9} {:>8.1}",
+            "{:>4} {:>6} {:>11.1} {:>11.1} {:>11.1} {:>11.1} {:>11.1} {:>9} {:>8.1}",
             r.k,
             r.iterations,
             r.reference_ms,
             r.serial_unpruned_ms,
             r.serial_pruned_ms,
             r.parallel_pruned_ms,
+            r.sparse_pruned_ms,
             r.distance_evals_pruned,
             skip_pct
         );
@@ -213,12 +246,14 @@ fn main() {
     let reference_ms = total(|r| r.reference_ms);
     let serial_pruned_ms = total(|r| r.serial_pruned_ms);
     let parallel_pruned_ms = total(|r| r.parallel_pruned_ms);
+    let sparse_pruned_ms = total(|r| r.sparse_pruned_ms);
     let best_ms = serial_pruned_ms.min(parallel_pruned_ms);
     let speedup_serial = reference_ms / serial_pruned_ms;
     let speedup_best = reference_ms / best_ms;
     println!(
         "sweep totals: reference {reference_ms:.0} ms, pruned serial {serial_pruned_ms:.0} ms, \
-         pruned parallel {parallel_pruned_ms:.0} ms => {speedup_best:.2}x speedup"
+         pruned parallel {parallel_pruned_ms:.0} ms => {speedup_best:.2}x speedup; \
+         pruned serial over sparse rows {sparse_pruned_ms:.0} ms"
     );
 
     if quick {
@@ -231,7 +266,16 @@ fn main() {
             );
             std::process::exit(1);
         }
-        println!("quick gate passed (kernel exact, within 2x of reference).");
+        if sparse_pruned_ms > serial_pruned_ms {
+            eprintln!(
+                "FAIL: sparse rows are slower than dense rows: {sparse_pruned_ms:.0} ms vs \
+                 {serial_pruned_ms:.0} ms"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "quick gate passed (kernel exact, within 2x of reference, sparse rows faster than dense)."
+        );
         return;
     }
 
@@ -242,6 +286,7 @@ fn main() {
     let _ = writeln!(json, "  \"dataset\": \"paper-scale synthetic cohort\",");
     let _ = writeln!(json, "  \"rows\": {},", matrix.num_rows());
     let _ = writeln!(json, "  \"cols\": {},", matrix.num_cols());
+    let _ = writeln!(json, "  \"zero_share\": {zero_share:.4},");
     let _ = writeln!(json, "  \"threads_available\": {threads_available},");
     let _ = writeln!(json, "  \"timing_reps\": {REPS},");
     let _ = writeln!(json, "  \"per_k\": [");
@@ -252,7 +297,7 @@ fn main() {
             "    {{\"k\": {}, \"iterations\": {}, \"reference_iterations\": {}, \"sse\": {:.4}, \
              \"reference_ms\": {:.2}, \"serial_unpruned_ms\": {:.2}, \
              \"serial_pruned_ms\": {:.2}, \"parallel_pruned_ms\": {:.2}, \
-             \"distance_evals_unpruned\": {}, \"distance_evals_pruned\": {}, \
+             \"sparse_pruned_ms\": {:.2}, \"distance_evals_unpruned\": {}, \"distance_evals_pruned\": {}, \
              \"bound_skips\": {}, \"row_parallel_scaling\": [{}]}}{comma}",
             r.k,
             r.iterations,
@@ -262,6 +307,7 @@ fn main() {
             r.serial_unpruned_ms,
             r.serial_pruned_ms,
             r.parallel_pruned_ms,
+            r.sparse_pruned_ms,
             r.distance_evals_unpruned,
             r.distance_evals_pruned,
             r.bound_skips,
@@ -279,6 +325,7 @@ fn main() {
         json,
         "  \"total_parallel_pruned_ms\": {parallel_pruned_ms:.2},"
     );
+    let _ = writeln!(json, "  \"total_sparse_pruned_ms\": {sparse_pruned_ms:.2},");
     let _ = writeln!(json, "  \"speedup_serial_pruned\": {speedup_serial:.3},");
     let _ = writeln!(json, "  \"speedup_best\": {speedup_best:.3}");
     json.push_str("}\n");

@@ -246,11 +246,13 @@ impl Optimizer {
         row_threads: usize,
         control: &RunControl,
     ) -> KEvaluation {
+        // The sweep's matrix is fixed for its whole run: every K scans
+        // the one cached non-zero view.
         let (result, stats) = KMeans::new(k)
             .seed(self.seed)
             .backend(self.backend)
             .threads(row_threads)
-            .fit_with_stats(matrix);
+            .fit_rows(&matrix.sparse_rows());
         control.counters(PipelineStage::Optimize, &stats.as_pairs());
         let overall_similarity = cluster::overall_similarity(matrix, &result.assignments, k);
         let cm = match &self.classifier {

@@ -451,9 +451,10 @@ impl AdaHealth {
         let (clusters, mined_rules, items) =
             control.stage(&session, PipelineStage::KnowledgeExtraction, || {
                 // 5a. Final clustering at the selected K -> cluster knowledge.
+                // (Over the non-zero view the sweep already built.)
                 let (final_clustering, kernel_stats) = KMeans::new(k)
                     .seed(self.config.optimizer.seed)
-                    .fit_with_stats(&pv.matrix);
+                    .fit_rows(&pv.matrix.sparse_rows());
                 control.counters(
                     PipelineStage::KnowledgeExtraction,
                     &kernel_stats.as_pairs(),

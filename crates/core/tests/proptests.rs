@@ -153,3 +153,37 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn partial_miners_ignore_the_thread_count(cohort in 0u64..1_000, seed in 0u64..100) {
+        use ada_core::partial::{HorizontalPartialMiner, VerticalPartialMiner};
+        use ada_dataset::synthetic::{generate, SyntheticConfig};
+        // 400 patients: two kernel chunks, so row threads split real work.
+        let log = generate(&SyntheticConfig::small(), cohort);
+        let horizontal = |threads| HorizontalPartialMiner {
+            fractions: vec![0.4],
+            ks: vec![5],
+            restarts: 2,
+            seed,
+            threads,
+            ..Default::default()
+        }
+        .run(&log);
+        let vertical = |threads| VerticalPartialMiner {
+            fractions: vec![0.8],
+            ks: vec![5],
+            seed,
+            threads,
+            ..Default::default()
+        }
+        .run(&log);
+        let (serial_h, serial_v) = (horizontal(1), vertical(1));
+        for threads in [0usize, 2, 3, 7] {
+            prop_assert_eq!(&horizontal(threads), &serial_h, "horizontal, threads = {}", threads);
+            prop_assert_eq!(&vertical(threads), &serial_v, "vertical, threads = {}", threads);
+        }
+    }
+}

@@ -79,37 +79,42 @@ pub fn sse(matrix: &DenseMatrix, assignments: &[usize], centroids: &DenseMatrix)
 ///
 /// Returns 0.0 for an empty matrix. Zero rows contribute zero-similarity
 /// pairs, matching the convention `cos(0, ·) = 0`.
-#[allow(clippy::needless_range_loop)] // lockstep multi-array indexing
+///
+/// Rows are read through the matrix's cached non-zero view
+/// ([`DenseMatrix::sparse_rows`]): a zero cell adds exactly `+0.0` to
+/// the row norm and `±0.0` to the unit sum, so skipping it changes no
+/// bit of the result — and a partial-mining session scores 27
+/// partitions against one 93 %-zero matrix.
 pub fn overall_similarity(matrix: &DenseMatrix, assignments: &[usize], k: usize) -> f64 {
     assert_eq!(assignments.len(), matrix.num_rows(), "assignment length");
     let n = matrix.num_rows();
     if n == 0 {
         return 0.0;
     }
-    let dim = matrix.num_cols();
-    let mut unit_sums = DenseMatrix::zeros(k, dim);
+    let rows = matrix.sparse_rows();
+    let mut unit_sums = DenseMatrix::zeros(k, matrix.num_cols());
     let mut counts = vec![0usize; k];
     for (i, &c) in assignments.iter().enumerate() {
         assert!(c < k, "assignment {c} out of range for k = {k}");
         counts[c] += 1;
-        let row = matrix.row(i);
-        let norm = row.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let row = rows.row(i);
+        let norm = row.vals().iter().fold(0.0, |sum, v| sum + v * v).sqrt();
         if norm > 0.0 {
             let acc = unit_sums.row_mut(c);
-            for d in 0..dim {
-                acc[d] += row[d] / norm;
+            for (d, v) in row.iter() {
+                acc[d] += v / norm;
             }
         }
     }
     let mut total = 0.0;
-    for c in 0..k {
-        if counts[c] == 0 {
+    for (c, &count) in counts.iter().enumerate() {
+        if count == 0 {
             continue;
         }
         let s = unit_sums.row(c);
         let norm_sq: f64 = s.iter().map(|v| v * v).sum();
-        let cohesion = norm_sq / (counts[c] * counts[c]) as f64;
-        total += counts[c] as f64 / n as f64 * cohesion;
+        let cohesion = norm_sq / (count * count) as f64;
+        total += count as f64 / n as f64 * cohesion;
     }
     total
 }

@@ -22,7 +22,7 @@ use ada_vsm::dense::{distance_sq, DenseMatrix};
 use ada_vsm::kdtree::{KdTree, NodeId};
 
 use super::kernel;
-use super::{update_centroids, KMeansResult};
+use super::{update_centroids, KMeansResult, RowStore};
 
 /// True when candidate `z` is provably no closer than `z_star` for every
 /// point of the cell `[lo, hi]` (Kanungo's corner test).
@@ -130,14 +130,16 @@ fn filter_node(
 /// per-row); `threads` drives the kernel's chunked final SSE pass.
 /// When the loop settles with zero centroid movement the last in-loop
 /// assignment is already the argmin of the final centroids and no
-/// extra tree walk runs.
-pub(crate) fn run(
-    matrix: &DenseMatrix,
+/// extra tree walk runs. The kd-tree indexes dense cells; only the
+/// centroid accumulation reads `rows` as stored.
+pub(crate) fn run<R: RowStore>(
+    rows: &R,
     mut centroids: DenseMatrix,
     max_iters: usize,
     tol: f64,
     threads: usize,
 ) -> KMeansResult {
+    let matrix = rows.dense();
     let tree = KdTree::build(matrix);
     let mut assignments = vec![0usize; matrix.num_rows()];
     let mut converged = false;
@@ -145,7 +147,7 @@ pub(crate) fn run(
     let mut zero_movement = false;
     while iterations < max_iters {
         assign(&tree, &centroids, &mut assignments);
-        let movement = update_centroids(matrix, &mut assignments, &mut centroids);
+        let movement = update_centroids(rows, &mut assignments, &mut centroids);
         iterations += 1;
         if movement <= tol {
             converged = true;

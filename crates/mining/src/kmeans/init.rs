@@ -1,10 +1,12 @@
 //! Centroid initialization strategies.
 
-use ada_vsm::dense::{distance_sq, DenseMatrix};
+use ada_vsm::dense::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+
+use super::rows::{KernelRow, RowStore};
 
 /// How the initial centroids are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -19,22 +21,24 @@ pub enum KMeansInit {
     KMeansPlusPlus,
 }
 
-/// Produces `k` initial centroids from the rows of `matrix`.
+/// Produces `k` initial centroids from `rows` (a `&DenseMatrix`, or
+/// its sparse view — same centroids bit for bit, the random-partition
+/// sums and k-means++'s pairwise distances just skip the zero cells).
 ///
 /// # Panics
-/// Panics when `k == 0` or `k > matrix.num_rows()`.
-pub fn initial_centroids(
-    matrix: &DenseMatrix,
+/// Panics when `k == 0` or `k` exceeds the row count.
+pub fn initial_centroids<R: RowStore>(
+    rows: &R,
     k: usize,
     method: KMeansInit,
     seed: u64,
 ) -> DenseMatrix {
-    assert!(k > 0 && k <= matrix.num_rows(), "invalid k");
+    assert!(k > 0 && k <= rows.dense().num_rows(), "invalid k");
     let mut rng = StdRng::seed_from_u64(seed);
     match method {
-        KMeansInit::Forgy => forgy(matrix, k, &mut rng),
-        KMeansInit::RandomPartition => random_partition(matrix, k, &mut rng),
-        KMeansInit::KMeansPlusPlus => kmeans_plus_plus(matrix, k, &mut rng),
+        KMeansInit::Forgy => forgy(rows.dense(), k, &mut rng),
+        KMeansInit::RandomPartition => random_partition(rows, k, &mut rng),
+        KMeansInit::KMeansPlusPlus => kmeans_plus_plus(rows, k, &mut rng),
     }
 }
 
@@ -45,10 +49,9 @@ fn forgy(matrix: &DenseMatrix, k: usize, rng: &mut StdRng) -> DenseMatrix {
     matrix.select_rows(&indices)
 }
 
-#[allow(clippy::needless_range_loop)] // lockstep multi-array indexing
-fn random_partition(matrix: &DenseMatrix, k: usize, rng: &mut StdRng) -> DenseMatrix {
-    let n = matrix.num_rows();
-    let dim = matrix.num_cols();
+fn random_partition<R: RowStore>(rows: &R, k: usize, rng: &mut StdRng) -> DenseMatrix {
+    let n = rows.dense().num_rows();
+    let dim = rows.dense().num_cols();
     // Guarantee every cluster at least one member by dealing the first k
     // points to distinct clusters, then assigning the rest at random.
     let mut labels: Vec<usize> = (0..n)
@@ -59,14 +62,10 @@ fn random_partition(matrix: &DenseMatrix, k: usize, rng: &mut StdRng) -> DenseMa
     let mut counts = vec![0usize; k];
     for (i, &c) in labels.iter().enumerate() {
         counts[c] += 1;
-        let row = matrix.row(i);
-        let acc = sums.row_mut(c);
-        for d in 0..dim {
-            acc[d] += row[d];
-        }
+        rows.row(i).add_to(sums.row_mut(c));
     }
-    for c in 0..k {
-        let inv = 1.0 / counts[c].max(1) as f64;
+    for (c, &count) in counts.iter().enumerate() {
+        let inv = 1.0 / count.max(1) as f64;
         for v in sums.row_mut(c) {
             *v *= inv;
         }
@@ -74,14 +73,13 @@ fn random_partition(matrix: &DenseMatrix, k: usize, rng: &mut StdRng) -> DenseMa
     sums
 }
 
-#[allow(clippy::needless_range_loop)] // lockstep multi-array indexing
-fn kmeans_plus_plus(matrix: &DenseMatrix, k: usize, rng: &mut StdRng) -> DenseMatrix {
-    let n = matrix.num_rows();
+fn kmeans_plus_plus<R: RowStore>(rows: &R, k: usize, rng: &mut StdRng) -> DenseMatrix {
+    let n = rows.dense().num_rows();
     let mut chosen: Vec<usize> = Vec::with_capacity(k);
     chosen.push(rng.gen_range(0..n));
-    let mut best_dist: Vec<f64> = (0..n)
-        .map(|i| distance_sq(matrix.row(i), matrix.row(chosen[0])))
-        .collect();
+    let mut best_dist = vec![0.0; n];
+    rows.distances_to(chosen[0], &mut best_dist);
+    let mut dist = vec![0.0; n];
     while chosen.len() < k {
         let total: f64 = best_dist.iter().sum();
         let next = if total <= 0.0 {
@@ -101,20 +99,21 @@ fn kmeans_plus_plus(matrix: &DenseMatrix, k: usize, rng: &mut StdRng) -> DenseMa
             pick
         };
         chosen.push(next);
-        for i in 0..n {
-            let d = distance_sq(matrix.row(i), matrix.row(next));
-            if d < best_dist[i] {
-                best_dist[i] = d;
+        rows.distances_to(next, &mut dist);
+        for (best, &d) in best_dist.iter_mut().zip(&dist) {
+            if d < *best {
+                *best = d;
             }
         }
     }
-    matrix.select_rows(&chosen)
+    rows.dense().select_rows(&chosen)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kmeans::testutil::gaussian_blobs;
+    use ada_vsm::dense::distance_sq;
 
     #[test]
     fn forgy_picks_distinct_points() {

@@ -33,41 +33,25 @@
 //! from a straight left-to-right fold in the last ulp; the retained
 //! seed implementation ([`super::lloyd::run_reference`]) exists as the
 //! plain baseline for benchmarks and equivalence tests.
+//!
+//! # Row storage
+//!
+//! Every function that visits rows is generic over a
+//! [`RowStore`](super::rows::RowStore): there is one kernel body, and
+//! the caller's argument type picks how a row is read — all cells of a
+//! `DenseMatrix`, or only the non-zeros of its
+//! [`SparseRows`](ada_vsm::SparseRows) view. The assignment scan, the
+//! Hamerly tighten distance and the centroid accumulation are the
+//! `O(rows · k · cols)` part and go through the row; they return the
+//! same bits for either storage (see [`super::rows`]), so a fit does
+//! too. Everything off that path — per-point SSE, empty-cluster repair,
+//! the `O(k · cols)` centroid arithmetic — reads dense cells through
+//! [`RowStore::dense`](super::rows::RowStore::dense).
 
 use ada_vsm::dense::{distance_sq, dot, DenseMatrix};
 
+use super::rows::{KernelRow, RowStore};
 use super::KMeansResult;
-
-/// Eight-lane unrolled dot product for the assignment scan. Independent
-/// accumulators break the straight fold's add-latency chain (the scan
-/// is latency-bound at paper dimensionality: eight lanes cover FMA
-/// latency × issue width on current cores, where four left stalls) and
-/// vectorize cleanly across two 4-wide registers. The lane sums combine
-/// in the fixed tree `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))`, so the
-/// result is a pure function of the operands — deterministic across
-/// thread counts, prune modes, and call sites.
-#[inline]
-fn dot8(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut s = [0.0f64; 8];
-    let ca = a.chunks_exact(8);
-    let cb = b.chunks_exact(8);
-    let (ra, rb) = (ca.remainder(), cb.remainder());
-    for (x, y) in ca.zip(cb) {
-        s[0] += x[0] * y[0];
-        s[1] += x[1] * y[1];
-        s[2] += x[2] * y[2];
-        s[3] += x[3] * y[3];
-        s[4] += x[4] * y[4];
-        s[5] += x[5] * y[5];
-        s[6] += x[6] * y[6];
-        s[7] += x[7] * y[7];
-    }
-    for (j, (x, y)) in ra.iter().zip(rb).enumerate() {
-        s[j] += x * y;
-    }
-    ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-}
 
 /// Fixed row-chunk size of the deterministic reduction. Chunk
 /// boundaries — and therefore the floating-point reduction tree — are a
@@ -204,8 +188,8 @@ struct AssignPartial {
 /// centroid accumulation (per-chunk partial sums reduced in chunk
 /// order). Returns `(sums, counts)` — empty when `accumulate` is off.
 #[allow(clippy::too_many_arguments)]
-fn assign_step(
-    matrix: &DenseMatrix,
+fn assign_step<R: RowStore>(
+    rows: &R,
     xnorms: &[f64],
     centroids: &DenseMatrix,
     cnorms: &[f64],
@@ -219,7 +203,7 @@ fn assign_step(
     stats: &mut KernelStats,
 ) -> (Vec<f64>, Vec<usize>) {
     let k = centroids.num_rows();
-    let dim = matrix.num_cols();
+    let dim = centroids.num_cols();
 
     let mut tasks = Vec::with_capacity(assignments.len().div_ceil(CHUNK_ROWS));
     let mut start = 0;
@@ -250,7 +234,7 @@ fn assign_step(
         };
         for i in 0..chunk.assign.len() {
             let r = chunk.start + i;
-            let row = matrix.row(r);
+            let row = rows.row(r);
             // Hamerly test: the assignment cannot change while the
             // upper bound stays under the second-closest lower bound
             // (`<=`: its equality case is the last scan's own tie,
@@ -275,7 +259,7 @@ fn assign_step(
                     // Tighten the upper bound with one exact distance
                     // to the assigned centroid, then retest.
                     let a = chunk.assign[i];
-                    let d = (xnorms[r] - 2.0 * dot8(row, centroids.row(a)) + cnorms[a])
+                    let d = (xnorms[r] - 2.0 * row.dot8(centroids.row(a)) + cnorms[a])
                         .max(0.0)
                         .sqrt();
                     partial.distance_evals += 1;
@@ -292,18 +276,19 @@ fn assign_step(
                     // Full k-way scan tracking best and second-best
                     // (ties resolve to the lowest centroid index).
                     let mut best = 0usize;
-                    let mut best_d2 = xnorms[r] - 2.0 * dot8(row, centroids.row(0)) + cnorms[0];
+                    let mut best_d2 = f64::INFINITY;
                     let mut second_d2 = f64::INFINITY;
-                    for (c, &cn) in cnorms.iter().enumerate().skip(1) {
-                        let d2 = xnorms[r] - 2.0 * dot8(row, centroids.row(c)) + cn;
-                        if d2 < best_d2 {
+                    let xnorm = xnorms[r];
+                    row.for_each_dot(centroids, |c, dot| {
+                        let d2 = xnorm - 2.0 * dot + cnorms[c];
+                        if c == 0 || d2 < best_d2 {
                             second_d2 = best_d2;
                             best_d2 = d2;
                             best = c;
                         } else if d2 < second_d2 {
                             second_d2 = d2;
                         }
-                    }
+                    });
                     partial.distance_evals += k as u64;
                     partial.rows_scanned += 1;
                     chunk.assign[i] = best;
@@ -314,10 +299,7 @@ fn assign_step(
             if accumulate {
                 let a = chunk.assign[i];
                 partial.counts[a] += 1;
-                let acc = &mut partial.sums[a * dim..(a + 1) * dim];
-                for (s, v) in acc.iter_mut().zip(row) {
-                    *s += v;
-                }
+                row.add_to(&mut partial.sums[a * dim..(a + 1) * dim]);
             }
         }
         partial
@@ -347,12 +329,12 @@ fn assign_step(
 /// same reduction tree the parallel assign pass uses, so backends that
 /// accumulate outside the kernel (filtering) produce bit-identical
 /// centroids.
-pub(crate) fn accumulate(
-    matrix: &DenseMatrix,
+pub(crate) fn accumulate<R: RowStore>(
+    rows: &R,
     assignments: &[usize],
     k: usize,
 ) -> (Vec<f64>, Vec<usize>) {
-    let dim = matrix.num_cols();
+    let dim = rows.dense().num_cols();
     let mut sums = vec![0.0; k * dim];
     let mut counts = vec![0usize; k];
     for (chunk_idx, chunk) in assignments.chunks(CHUNK_ROWS).enumerate() {
@@ -361,11 +343,8 @@ pub(crate) fn accumulate(
         let start = chunk_idx * CHUNK_ROWS;
         for (i, &a) in chunk.iter().enumerate() {
             part_counts[a] += 1;
-            let row = matrix.row(start + i);
-            let acc = &mut part_sums[a * dim..(a + 1) * dim];
-            for (s, v) in acc.iter_mut().zip(row) {
-                *s += v;
-            }
+            rows.row(start + i)
+                .add_to(&mut part_sums[a * dim..(a + 1) * dim]);
         }
         for (s, p) in sums.iter_mut().zip(&part_sums) {
             *s += p;
@@ -531,13 +510,14 @@ pub(crate) fn sse_pass(
 /// final re-assignment pass runs — otherwise (non-zero converged
 /// movement, or the max-iters path) assignments are settled against the
 /// final centroids before the SSE pass.
-pub(crate) fn run(
-    matrix: &DenseMatrix,
+pub(crate) fn run<R: RowStore>(
+    rows: &R,
     mut centroids: DenseMatrix,
     max_iters: usize,
     tol: f64,
     opts: KernelOpts,
 ) -> (KMeansResult, KernelStats) {
+    let matrix = rows.dense();
     let n = matrix.num_rows();
     let k = centroids.num_rows();
     let threads = effective_threads(opts.threads, n);
@@ -565,7 +545,7 @@ pub(crate) fn run(
             vec![0.0; k]
         };
         let (mut sums, mut counts) = assign_step(
-            matrix,
+            rows,
             xnorms,
             &centroids,
             &cnorms,
@@ -615,7 +595,7 @@ pub(crate) fn run(
             vec![0.0; k]
         };
         assign_step(
-            matrix,
+            rows,
             xnorms,
             &centroids,
             &cnorms,

@@ -10,7 +10,7 @@
 use ada_vsm::dense::{distance_sq, DenseMatrix};
 
 use super::kernel::{self, KernelOpts, KernelStats};
-use super::{update_centroids, KMeansResult};
+use super::{update_centroids, KMeansResult, RowStore};
 
 /// Assigns every row to its nearest centroid (ties to the lowest centroid
 /// index) and returns the resulting SSE.
@@ -40,14 +40,14 @@ pub(crate) fn assign(
 
 /// Runs Lloyd iterations from the given initial centroids on the
 /// shared kernel (bound pruning and thread budget per `opts`).
-pub(crate) fn run(
-    matrix: &DenseMatrix,
+pub(crate) fn run<R: RowStore>(
+    rows: &R,
     centroids: DenseMatrix,
     max_iters: usize,
     tol: f64,
     opts: KernelOpts,
 ) -> (KMeansResult, KernelStats) {
-    kernel::run(matrix, centroids, max_iters, tol, opts)
+    kernel::run(rows, centroids, max_iters, tol, opts)
 }
 
 /// The seed full-scan Lloyd loop, kept as the plain reference

@@ -20,12 +20,20 @@
 //! ([`KMeans::prune`]), and a chunk-ordered parallel reduction
 //! ([`KMeans::threads`]) whose output is byte-identical to the serial
 //! path for every thread count.
+//!
+//! Kernel and seeding are generic over how a row is stored
+//! ([`RowStore`]): [`KMeans::fit`] and friends take a `&DenseMatrix` and
+//! scan every cell, [`KMeans::fit_rows`] takes whichever store the
+//! caller holds — in the batch pipeline the matrix's
+//! [`sparse_rows`](DenseMatrix::sparse_rows) view, which touches only
+//! non-zero cells and returns the same model bit for bit.
 
 pub mod bisecting;
 pub mod filtering;
 pub mod init;
 pub(crate) mod kernel;
 pub mod lloyd;
+pub(crate) mod rows;
 pub mod spherical;
 
 use ada_vsm::dense::DenseMatrix;
@@ -33,6 +41,7 @@ use serde::{Deserialize, Serialize};
 
 pub use init::KMeansInit;
 pub use kernel::KernelStats;
+pub use rows::RowStore;
 
 /// Which K-means backend executes the iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -134,22 +143,14 @@ impl KMeans {
         self
     }
 
-    /// Runs the configured backend on the rows of `matrix`.
+    /// Runs the configured backend on the rows of `matrix`, reading
+    /// every cell (the dense instantiation of [`KMeans::fit_rows`]).
     ///
     /// # Panics
     /// Panics when `k == 0`, the matrix is empty, or `k` exceeds the
     /// number of rows.
     pub fn fit(&self, matrix: &DenseMatrix) -> KMeansResult {
-        assert!(self.k > 0, "k must be positive");
-        assert!(matrix.num_rows() > 0, "cannot cluster an empty matrix");
-        assert!(
-            self.k <= matrix.num_rows(),
-            "k = {} exceeds {} points",
-            self.k,
-            matrix.num_rows()
-        );
-        let centroids = init::initial_centroids(matrix, self.k, self.init, self.seed);
-        self.fit_from(matrix, centroids)
+        self.fit_rows(matrix).0
     }
 
     /// Runs the configured backend from explicit initial centroids
@@ -158,30 +159,15 @@ impl KMeans {
     /// # Panics
     /// Panics on shape mismatch between `matrix` and `centroids`.
     pub fn fit_from(&self, matrix: &DenseMatrix, centroids: DenseMatrix) -> KMeansResult {
-        self.fit_from_with_stats(matrix, centroids).0
+        self.fit_rows_from(matrix, centroids).0
     }
 
-    /// Runs the configured backend and additionally reports the
-    /// kernel's instrumentation counters (distance evaluations, bound
-    /// skips). The filtering backend reports zeroed counters — its
-    /// pruning works on tree cells, not per-point bounds.
+    /// [`KMeans::fit`] plus the kernel's instrumentation counters.
     pub fn fit_with_stats(&self, matrix: &DenseMatrix) -> (KMeansResult, KernelStats) {
-        assert!(self.k > 0, "k must be positive");
-        assert!(matrix.num_rows() > 0, "cannot cluster an empty matrix");
-        assert!(
-            self.k <= matrix.num_rows(),
-            "k = {} exceeds {} points",
-            self.k,
-            matrix.num_rows()
-        );
-        let centroids = init::initial_centroids(matrix, self.k, self.init, self.seed);
-        self.fit_from_with_stats(matrix, centroids)
+        self.fit_rows(matrix)
     }
 
-    /// Runs the configured backend from explicit initial centroids and
-    /// additionally reports the kernel's instrumentation counters —
-    /// the warm-started form of [`KMeans::fit_with_stats`], used by the
-    /// partial-mining ladders to aggregate counters across rungs.
+    /// [`KMeans::fit_from`] plus the kernel's instrumentation counters.
     ///
     /// # Panics
     /// Panics on shape mismatch between `matrix` and `centroids`.
@@ -190,16 +176,54 @@ impl KMeans {
         matrix: &DenseMatrix,
         centroids: DenseMatrix,
     ) -> (KMeansResult, KernelStats) {
+        self.fit_rows_from(matrix, centroids)
+    }
+
+    /// Runs the configured backend over any row storage and reports the
+    /// kernel's instrumentation counters (distance evaluations, bound
+    /// skips) alongside the model. The filtering backend reports zeroed
+    /// counters — its pruning works on tree cells, not per-point bounds.
+    ///
+    /// Pass `&matrix.sparse_rows()` for a matrix that is mostly zeros
+    /// and not mutated between fits; model and counters equal the dense
+    /// fit's bit for bit.
+    ///
+    /// # Panics
+    /// Panics when `k == 0`, the matrix is empty, or `k` exceeds the
+    /// number of rows.
+    pub fn fit_rows<R: RowStore>(&self, rows: &R) -> (KMeansResult, KernelStats) {
+        let n = rows.dense().num_rows();
+        assert!(self.k > 0, "k must be positive");
+        assert!(n > 0, "cannot cluster an empty matrix");
+        assert!(self.k <= n, "k = {} exceeds {n} points", self.k);
+        let centroids = init::initial_centroids(rows, self.k, self.init, self.seed);
+        self.fit_rows_from(rows, centroids)
+    }
+
+    /// [`KMeans::fit_rows`] from explicit initial centroids — the
+    /// warm-started form the partial-mining ladders use.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch between `rows` and `centroids`.
+    pub fn fit_rows_from<R: RowStore>(
+        &self,
+        rows: &R,
+        centroids: DenseMatrix,
+    ) -> (KMeansResult, KernelStats) {
         assert_eq!(centroids.num_rows(), self.k, "centroid count");
-        assert_eq!(centroids.num_cols(), matrix.num_cols(), "dim mismatch");
+        assert_eq!(
+            centroids.num_cols(),
+            rows.dense().num_cols(),
+            "dim mismatch"
+        );
         let opts = kernel::KernelOpts {
             threads: self.threads,
             prune: self.prune,
         };
         match self.backend {
-            KMeansBackend::Lloyd => lloyd::run(matrix, centroids, self.max_iters, self.tol, opts),
+            KMeansBackend::Lloyd => lloyd::run(rows, centroids, self.max_iters, self.tol, opts),
             KMeansBackend::Filtering => (
-                filtering::run(matrix, centroids, self.max_iters, self.tol, self.threads),
+                filtering::run(rows, centroids, self.max_iters, self.tol, self.threads),
                 KernelStats::default(),
             ),
         }
@@ -298,13 +322,13 @@ pub fn pad_centroids(prev: &DenseMatrix, dim: usize) -> DenseMatrix {
 ///
 /// Returns the total squared movement of centroids (the convergence
 /// monitor both backends use).
-pub(crate) fn update_centroids(
-    matrix: &DenseMatrix,
+pub(crate) fn update_centroids<R: RowStore>(
+    rows: &R,
     assignments: &mut [usize],
     centroids: &mut DenseMatrix,
 ) -> f64 {
-    let (mut sums, mut counts) = kernel::accumulate(matrix, assignments, centroids.num_rows());
-    kernel::finalize_update(matrix, assignments, centroids, &mut sums, &mut counts).movement
+    let (mut sums, mut counts) = kernel::accumulate(rows, assignments, centroids.num_rows());
+    kernel::finalize_update(rows.dense(), assignments, centroids, &mut sums, &mut counts).movement
 }
 
 #[cfg(test)]

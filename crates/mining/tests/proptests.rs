@@ -270,3 +270,137 @@ proptest! {
         }
     }
 }
+
+/// A seeded matrix for the sparse ≡ dense properties: `zero_pct` % of
+/// the cells are zero (one in eight of those `-0.0`); the rest sit on a
+/// coarse signed grid, so distance ties and duplicate rows are common —
+/// on odd seeds with a little mantissa noise on top, so sums round.
+/// One row and one column are cleared outright and a few rows are
+/// copies of others. `all_same` makes every row the first one (the
+/// k-means++ "all points coincide" fallback).
+fn sparse_fixture(n: usize, dim: usize, zero_pct: u64, all_same: bool, seed: u64) -> DenseMatrix {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            (0..dim)
+                .map(|_| {
+                    if next() % 100 < zero_pct {
+                        if next() % 8 == 0 {
+                            -0.0
+                        } else {
+                            0.0
+                        }
+                    } else {
+                        let noise = (seed % 2 * (next() % 1_000)) as f64 * 1e-7;
+                        let magnitude = (1 + next() % 9) as f64 / 4.0 + noise;
+                        if next() % 3 == 0 {
+                            -magnitude
+                        } else {
+                            magnitude
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let cleared_col = next() as usize % dim;
+    let cleared_row = next() as usize % n;
+    for row in &mut rows {
+        row[cleared_col] = 0.0;
+    }
+    rows[cleared_row].fill(0.0);
+    for _ in 0..n / 5 {
+        let (from, to) = (next() as usize % n, next() as usize % n);
+        rows[to] = rows[from].clone();
+    }
+    if all_same {
+        let first = rows[0].clone();
+        rows.fill(first);
+    }
+    DenseMatrix::from_rows(&rows)
+}
+
+/// Shapes for the sparse ≡ dense properties: mostly small matrices,
+/// one in six large enough to span several 256-row kernel chunks (so
+/// row threads really split the work); widths on both sides of the
+/// 8-lane boundary; K anywhere from 1 to n (to 48 on the large ones —
+/// K = n = 600 would spend the suite's time in one case).
+fn sparse_case() -> impl Strategy<Value = (DenseMatrix, usize)> {
+    (
+        prop_oneof![5 => 1usize..70, 1 => 257usize..600],
+        prop_oneof![1usize..26, (1usize..4).prop_map(|m| m * 8)],
+        prop_oneof![4 => 0u64..101, 1 => 93u64..94, 1 => 0u64..1, 1 => 100u64..101],
+        0u64..16,
+        any::<u64>(),
+        prop_oneof![2 => 0.0f64..1.0, 1 => 0.0f64..0.1, 1 => 1.0f64..1.01],
+    )
+        .prop_map(|(n, dim, zero_pct, same, seed, k_share)| {
+            let m = sparse_fixture(n, dim, zero_pct, same == 0, seed);
+            let k = 1 + (k_share * n.min(48) as f64) as usize;
+            (m, k.min(n))
+        })
+}
+
+const INITS: [KMeansInit; 3] = [
+    KMeansInit::Forgy,
+    KMeansInit::RandomPartition,
+    KMeansInit::KMeansPlusPlus,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn sparse_rows_fit_equals_dense_rows_fit(
+        case in sparse_case(),
+        seed in 0u64..1000,
+        init_idx in 0usize..3,
+    ) {
+        let (m, k) = case;
+        let rows = m.sparse_rows();
+        let warm = init::initial_centroids(&m, k, KMeansInit::Forgy, seed ^ 1);
+        // Lloyd under every prune × threads combination; filtering once
+        // per thread count (it has no bounds to prune with).
+        let lloyd = [true, false].map(|prune| (KMeansBackend::Lloyd, prune));
+        for (backend, prune) in lloyd.into_iter().chain([(KMeansBackend::Filtering, true)]) {
+            for threads in [1usize, 2, 7] {
+                let config = KMeans::new(k)
+                    .seed(seed)
+                    .init(INITS[init_idx])
+                    .backend(backend)
+                    .prune(prune)
+                    .threads(threads);
+                // Whole results and whole counters, then the bits `==`
+                // would let through (±0.0 centroid cells).
+                let (dense, sparse) = (config.fit_with_stats(&m), config.fit_rows(&rows));
+                prop_assert_eq!(&dense, &sparse, "cold {:?} prune {} threads {}", backend, prune, threads);
+                prop_assert_eq!(dense.0.fingerprint(), sparse.0.fingerprint());
+                let (dense, sparse) = (
+                    config.fit_from_with_stats(&m, warm.clone()),
+                    config.fit_rows_from(&rows, warm.clone()),
+                );
+                prop_assert_eq!(&dense, &sparse, "warm {:?} prune {} threads {}", backend, prune, threads);
+                prop_assert_eq!(dense.0.fingerprint(), sparse.0.fingerprint());
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_rows_seed_equals_dense_rows_seed(case in sparse_case(), seed in 0u64..1000) {
+        let (m, k) = case;
+        let rows = m.sparse_rows();
+        for method in INITS {
+            let dense = init::initial_centroids(&m, k, method, seed);
+            let sparse = init::initial_centroids(&rows, k, method, seed);
+            let bits = |c: &DenseMatrix| c.as_flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&dense), bits(&sparse), "{:?}", method);
+        }
+    }
+}

@@ -10,6 +10,13 @@
 //! event a thread ever emits for a given tracer takes a lock, to
 //! register the new ring.
 //!
+//! A ring lives as long as its producer: when the producing thread
+//! exits, its thread-local registry entry marks the ring orphaned, and
+//! the next [`Tracer::drain`] takes what the ring still holds and then
+//! unregisters it. Short-lived producers (the optimizer's per-K sweep
+//! threads) therefore cost a ring only until the next drain, not for
+//! the life of the tracer.
+//!
 //! Rings are bounded: when a producer outruns the consumer the ring
 //! drops the *newest* event and counts it ([`Tracer::dropped`]) — the
 //! oldest events keep the span-tree roots intact, and a dropped-count
@@ -22,7 +29,7 @@
 
 use std::cell::{RefCell, UnsafeCell};
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,6 +110,11 @@ struct Ring {
     /// Consumer cursor.
     tail: AtomicUsize,
     dropped: AtomicU64,
+    /// Set (Release) when the producer's thread-local entry is dropped —
+    /// thread exit, or the tracer closed. No push follows it, so a
+    /// consumer that reads it (Acquire) *before* popping has seen the
+    /// ring's last event and may unregister the ring.
+    orphaned: AtomicBool,
 }
 
 // SAFETY: slot `i` is written only by the producing thread while
@@ -125,6 +137,7 @@ impl Ring {
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
+            orphaned: AtomicBool::new(false),
         }
     }
 
@@ -172,6 +185,8 @@ impl Drop for Ring {
 /// TLS registry entries that outlive it.
 struct TracerShared {
     rings: Mutex<Vec<Arc<Ring>>>,
+    /// Drop counts of rings already unregistered by `drain`.
+    dropped_retired: AtomicU64,
     closed: AtomicU64,
     ring_capacity: usize,
 }
@@ -180,8 +195,20 @@ struct TracerShared {
 /// tracers (tests, multiple services in one process).
 static TRACER_IDS: AtomicU64 = AtomicU64::new(1);
 
-/// One TLS registry entry: `(tracer id, tracer state, this thread's ring)`.
-type LocalRing = (u64, Arc<TracerShared>, Arc<Ring>);
+/// One TLS registry entry: this thread's ring for one tracer. Dropping
+/// it — at thread exit, or when pruned after its tracer closed — orphans
+/// the ring.
+struct LocalRing {
+    tracer: u64,
+    shared: Arc<TracerShared>,
+    ring: Arc<Ring>,
+}
+
+impl Drop for LocalRing {
+    fn drop(&mut self) {
+        self.ring.orphaned.store(true, Ordering::Release);
+    }
+}
 
 thread_local! {
     /// This thread's rings, keyed by tracer id. Entries for closed
@@ -213,6 +240,7 @@ impl Tracer {
             id: TRACER_IDS.fetch_add(1, Ordering::Relaxed),
             shared: Arc::new(TracerShared {
                 rings: Mutex::new(Vec::new()),
+                dropped_retired: AtomicU64::new(0),
                 closed: AtomicU64::new(0),
                 ring_capacity,
             }),
@@ -253,26 +281,39 @@ impl Tracer {
         LOCAL_RINGS.with(|cell| {
             let mut local = cell.borrow_mut();
             // Prune rings of dropped tracers while we're here.
-            local.retain(|(_, shared, _)| shared.closed.load(Ordering::Relaxed) == 0);
-            if let Some((_, _, ring)) = local.iter().find(|(id, _, _)| *id == self.id) {
-                ring.push(event);
+            local.retain(|entry| entry.shared.closed.load(Ordering::Relaxed) == 0);
+            if let Some(entry) = local.iter().find(|entry| entry.tracer == self.id) {
+                entry.ring.push(event);
                 return;
             }
             let ring = Arc::new(Ring::new(self.shared.ring_capacity));
             self.shared.rings.lock().push(Arc::clone(&ring));
             ring.push(event);
-            local.push((self.id, Arc::clone(&self.shared), ring));
+            local.push(LocalRing {
+                tracer: self.id,
+                shared: Arc::clone(&self.shared),
+                ring,
+            });
         });
     }
 
     /// Removes every currently visible event from every thread's ring
-    /// and returns them merged in sequence order.
+    /// and returns them merged in sequence order. Rings whose producer
+    /// has exited are unregistered once emptied.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let rings = self.shared.rings.lock();
+        let mut rings = self.shared.rings.lock();
         let mut out = Vec::new();
-        for ring in rings.iter() {
+        rings.retain(|ring| {
+            // Flag first, then pop: see `Ring::orphaned`.
+            let orphaned = ring.orphaned.load(Ordering::Acquire);
             ring.pop_all(&mut out);
-        }
+            if orphaned {
+                self.shared
+                    .dropped_retired
+                    .fetch_add(ring.dropped.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            !orphaned
+        });
         drop(rings);
         out.sort_unstable_by_key(|e| e.seq);
         out
@@ -280,12 +321,21 @@ impl Tracer {
 
     /// Total events dropped because a ring was full.
     pub fn dropped(&self) -> u64 {
-        self.shared
-            .rings
-            .lock()
+        // Under the registry lock, so a ring is counted exactly once
+        // while `drain` moves its count to `dropped_retired`.
+        let rings = self.shared.rings.lock();
+        let live: u64 = rings
             .iter()
             .map(|r| r.dropped.load(Ordering::Relaxed))
-            .sum()
+            .sum();
+        live + self.shared.dropped_retired.load(Ordering::Relaxed)
+    }
+
+    /// Rings currently registered: one per thread that has emitted and
+    /// not yet exited, plus exited threads' rings awaiting the next
+    /// [`drain`](Tracer::drain).
+    pub fn ring_count(&self) -> usize {
+        self.shared.rings.lock().len()
     }
 }
 
@@ -373,6 +423,43 @@ mod tests {
         // The oldest events survived (drop-newest policy keeps roots).
         assert_eq!(events[0].seq, 0);
         assert_eq!(events.last().unwrap().seq, 7);
+    }
+
+    #[test]
+    fn exited_thread_leaves_no_ring_and_loses_no_event() {
+        let tracer = Arc::new(Tracer::new(16));
+        let session = arc("s");
+        let name = arc("m");
+        tracer.emit(&session, None, &name, EventKind::Mark { dur_ns: 0 });
+        for round in 1..=3u64 {
+            let worker = {
+                let (tracer, session, name) = (Arc::clone(&tracer), session.clone(), name.clone());
+                std::thread::spawn(move || {
+                    // Overflow the ring too: the drop count must outlive it.
+                    for _ in 0..20 {
+                        tracer.emit(&session, None, &name, EventKind::Mark { dur_ns: round });
+                    }
+                })
+            };
+            worker.join().unwrap();
+            // The exited thread's ring is still registered, events intact…
+            assert_eq!(tracer.ring_count(), 2, "round {round}");
+            let events = tracer.drain();
+            let from_worker = events
+                .iter()
+                .filter(|e| e.kind == EventKind::Mark { dur_ns: round })
+                .count();
+            assert_eq!(from_worker, 16, "round {round}: the ring held 16 events");
+            // …and gone after the drain; this (live) thread's ring stays.
+            assert_eq!(tracer.ring_count(), 1, "round {round}");
+            assert_eq!(
+                tracer.dropped(),
+                4 * round,
+                "drop counts survive their ring"
+            );
+        }
+        tracer.emit(&session, None, &name, EventKind::Mark { dur_ns: 9 });
+        assert_eq!(tracer.drain().len(), 1, "the live ring still works");
     }
 
     #[test]

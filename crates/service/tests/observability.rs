@@ -303,3 +303,44 @@ fn snapshot_renders_json_and_prometheus_end_to_end() {
     assert!(prom.contains("ada_queue_wait_ns_count 1"));
     service.shutdown();
 }
+
+#[test]
+fn tracer_rings_stay_bounded_by_live_threads() {
+    // A parallel sweep spawns one short-lived thread per candidate K,
+    // and each emits its `sweep:k=…` span into a ring of its own. Those
+    // rings must go when their threads do: 50 sessions × 3 sweep
+    // threads would otherwise leave 150 of them behind.
+    const WORKERS: usize = 2;
+    let service = AnalysisService::with_kdb(
+        ServiceConfig {
+            workers: WORKERS,
+            ..ServiceConfig::default()
+        },
+        Kdb::in_memory(),
+    );
+    let log = Arc::new(generate(&cohort_cfg(), 78));
+    let ids: Vec<_> = (0..50)
+        .map(|i| {
+            let mut config = AdaHealthConfig::quick(format!("ring-{i}"));
+            config.optimizer.parallel = true;
+            service
+                .submit(JobSpec::new(config, Arc::clone(&log)))
+                .unwrap()
+        })
+        .collect();
+    for id in ids {
+        assert!(matches!(
+            service.wait(id).unwrap(),
+            SessionState::Completed(_)
+        ));
+    }
+    let recorder = service.recorder();
+    recorder.sync();
+    // Every sweep thread was joined before its session completed, so
+    // the drain above retired its ring: what is left belongs to the
+    // workers and to this (submitting) thread.
+    let rings = recorder.tracer().ring_count();
+    assert!(rings <= WORKERS + 1, "{rings} rings registered");
+    assert_eq!(recorder.dropped(), 0, "no event may be lost");
+    service.shutdown();
+}

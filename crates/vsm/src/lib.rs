@@ -11,8 +11,9 @@
 //! * [`sparse::SparseVec`] — sorted-pairs sparse vectors with the usual
 //!   algebra (dot, norms, cosine);
 //! * [`dense::DenseMatrix`] — a row-major dense matrix used as the
-//!   clustering working set (159 columns at paper scale is comfortably
-//!   dense);
+//!   clustering working set, with a cached non-zero view
+//!   ([`dense::SparseRows`]) for the loops that would otherwise multiply
+//!   through its 93 % zeros;
 //! * [`vsm::VsmBuilder`] — the ExamLog → patient×exam matrix
 //!   transformation under selectable weightings (count, binary, TF-IDF,
 //!   log-count) and feature filters (the horizontal partial-mining knob);
@@ -29,7 +30,7 @@ pub mod reduce;
 pub mod sparse;
 pub mod vsm;
 
-pub use dense::DenseMatrix;
+pub use dense::{DenseMatrix, SparseCells, SparseRows};
 pub use kdtree::KdTree;
 pub use reduce::{Pca, Standardizer};
 pub use sparse::SparseVec;
