@@ -42,7 +42,12 @@ cargo run -q -p ada-bench --release --bin signals_smoke -- --quick
 echo "== network front-end smoke gate (quick) =="
 # Loopback fleet over the ADAN1 wire: blocking + multiplexed async
 # clients, reads answered mid-fleet, then a drain audit (zero protocol
-# errors, accept/request counters matching the fleet).
+# errors, accept/request counters matching the fleet). Then the
+# read-scaling phase: a node queried at 40 and at 400 completed
+# sessions beside a live writer — a read may grow at most 2x as fast as
+# its answer: 2x for Status/Results/Health/StreamQuery, 2x the growth of
+# their bytes for the two answers that list sessions (PastSessions,
+# MetricsSnapshot).
 cargo run -q -p ada-bench --release --bin net_smoke -- --quick
 
 echo "== streaming ingestion smoke gate (quick) =="

@@ -32,7 +32,7 @@ use ada_kdb::{schema, DurabilityPolicy, Kdb, MemStorage, StoreOptions, Value};
 use ada_mining::kmeans::KMeans;
 use ada_net::proto::{CohortSpec, Request, Response, WireJobSpec};
 use ada_net::{Client, NetConfig, NetServer};
-use ada_obs::{document_to_json, past_sessions, FlightRecorder};
+use ada_obs::{document_to_json, past_sessions, FlightRecorder, Page};
 use ada_service::{AnalysisService, ServiceConfig, SessionState, DEFAULT_TRACE_SEED};
 use ada_vsm::VsmBuilder;
 
@@ -104,14 +104,14 @@ fn main() {
     recorder
         .persist(&mut db, "obs-smoke", "completed", "")
         .unwrap_or_else(|e| fail(&format!("session record rejected by schema: {e}")));
-    let past = past_sessions(&db);
+    let past = past_sessions(&db, Page::ALL);
     if past.len() != 1 {
         fail(&format!(
             "expected 1 persisted session, found {}",
             past.len()
         ));
     }
-    let doc = &past[0].1;
+    let doc = past[0];
     schema::validate_session_doc(doc)
         .unwrap_or_else(|e| fail(&format!("read-back record invalid: {e}")));
     let spans = doc

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -14,10 +15,14 @@ use crate::query::Filter;
 pub type DocId = u64;
 
 /// A named set of documents with optional secondary indexes.
+///
+/// Documents are stored behind `Arc` and never mutated in place
+/// (`update` swaps the `Arc`), so a clone of the collection — a snapshot
+/// image — shares every document with the original.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Collection {
     name: String,
-    docs: BTreeMap<DocId, Document>,
+    docs: BTreeMap<DocId, Arc<Document>>,
     next_id: DocId,
     indexes: BTreeMap<String, Index>,
 }
@@ -57,7 +62,7 @@ impl Collection {
         for index in self.indexes.values_mut() {
             index.add(id, &doc);
         }
-        self.docs.insert(id, doc);
+        self.docs.insert(id, Arc::new(doc));
         id
     }
 
@@ -75,12 +80,19 @@ impl Collection {
         for index in self.indexes.values_mut() {
             index.add(id, &doc);
         }
-        self.docs.insert(id, doc);
+        self.docs.insert(id, Arc::new(doc));
         Ok(())
     }
 
     /// The document with the given id.
     pub fn get(&self, id: DocId) -> Option<&Document> {
+        self.docs.get(&id).map(Arc::as_ref)
+    }
+
+    /// The shared allocation of the document with the given id: equal
+    /// pointers across two images mean the document was not rewritten
+    /// between them.
+    pub fn get_shared(&self, id: DocId) -> Option<&Arc<Document>> {
         self.docs.get(&id)
     }
 
@@ -90,17 +102,13 @@ impl Collection {
     /// # Errors
     /// Returns [`KdbError::UnknownDocument`] when the id is absent.
     pub fn update(&mut self, id: DocId, mut doc: Document) -> Result<(), KdbError> {
-        let old = self
-            .docs
-            .get(&id)
-            .ok_or(KdbError::UnknownDocument(id))?
-            .clone();
+        let old = Arc::clone(self.docs.get(&id).ok_or(KdbError::UnknownDocument(id))?);
         doc.set("_id", id as i64);
         for index in self.indexes.values_mut() {
             index.remove(id, &old);
             index.add(id, &doc);
         }
-        self.docs.insert(id, doc);
+        self.docs.insert(id, Arc::new(doc));
         Ok(())
     }
 
@@ -174,16 +182,11 @@ impl Collection {
                 ids.sort_unstable();
                 ids.dedup();
                 ids.into_iter()
-                    .filter_map(|id| self.docs.get(&id).map(|d| (id, d)))
+                    .filter_map(|id| self.get(id).map(|d| (id, d)))
                     .filter(|(_, d)| filter.matches(d))
                     .collect()
             }
-            None => self
-                .docs
-                .iter()
-                .filter(|(_, d)| filter.matches(d))
-                .map(|(&id, d)| (id, d))
-                .collect(),
+            None => self.iter().filter(|(_, d)| filter.matches(d)).collect(),
         }
     }
 
@@ -197,9 +200,18 @@ impl Collection {
         self.find(filter).into_iter().next()
     }
 
-    /// Iterates over all (id, document) pairs in id order.
+    /// Iterates over all (id, document) pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (DocId, &Document)> {
-        self.docs.iter().map(|(&id, d)| (id, d))
+        self.docs.iter().map(|(&id, d)| (id, d.as_ref()))
+    }
+
+    /// Iterates over the (id, document) pairs with id greater than
+    /// `after`, in ascending id order — a range scan, so a paged listing
+    /// pays for the page and not for the records before it.
+    pub fn iter_after(&self, after: DocId) -> impl Iterator<Item = (DocId, &Document)> {
+        self.docs
+            .range((Bound::Excluded(after), Bound::Unbounded))
+            .map(|(&id, d)| (id, d.as_ref()))
     }
 
     /// Candidate ids from an index, or `None` when no index applies.
@@ -375,5 +387,44 @@ mod tests {
         let (id, _) = c.find_one(&Filter::eq("kind", "a")).unwrap();
         assert_eq!(id, 1);
         assert!(c.find_one(&Filter::eq("kind", "zzz")).is_none());
+    }
+
+    #[test]
+    fn iter_is_id_ordered_whatever_the_insertion_order() {
+        // Listings (`past_sessions`, `past_traces`) rely on this instead
+        // of sorting what they collect.
+        let mut c = Collection::new("items");
+        for id in [9, 2, 40, 7] {
+            c.insert_with_id(id, item("a", id as f64)).unwrap();
+        }
+        c.insert(item("a", 41.0));
+        c.delete(7).unwrap();
+        c.update(2, item("b", 0.0)).unwrap();
+        let ids: Vec<DocId> = c.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![2, 9, 40, 41]);
+        let tail: Vec<DocId> = c.iter_after(9).map(|(id, _)| id).collect();
+        assert_eq!(tail, vec![40, 41]);
+        assert_eq!(c.iter_after(0).count(), 4);
+        assert_eq!(c.iter_after(41).count(), 0);
+    }
+
+    #[test]
+    fn a_clone_shares_documents_and_update_swaps_the_allocation() {
+        let mut c = Collection::new("items");
+        let kept = c.insert(item("a", 1.0));
+        let rewritten = c.insert(item("a", 2.0));
+        let image = c.clone();
+        c.update(rewritten, item("a", 3.0)).unwrap();
+        assert!(Arc::ptr_eq(
+            image.get_shared(kept).unwrap(),
+            c.get_shared(kept).unwrap()
+        ));
+        assert!(!Arc::ptr_eq(
+            image.get_shared(rewritten).unwrap(),
+            c.get_shared(rewritten).unwrap()
+        ));
+        let score = |coll: &Collection| coll.get(rewritten).unwrap().get("score").unwrap().as_f64();
+        assert_eq!(score(&image), Some(2.0), "the image kept the old document");
+        assert_eq!(score(&c), Some(3.0));
     }
 }

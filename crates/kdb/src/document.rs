@@ -128,17 +128,7 @@ impl Value {
                     item.encode_into(out);
                 }
             }
-            Value::Doc(doc) => {
-                out.push('O');
-                out.push_str(&doc.fields.len().to_string());
-                out.push(':');
-                for (k, v) in &doc.fields {
-                    out.push_str(&k.len().to_string());
-                    out.push(':');
-                    out.push_str(k);
-                    v.encode_into(out);
-                }
-            }
+            Value::Doc(doc) => doc.encode_into(out),
         }
     }
 
@@ -376,9 +366,25 @@ impl Document {
         self.fields.iter().map(|(k, v)| (k.as_str(), v))
     }
 
+    /// Appends the canonical encoding of this document (identical to
+    /// that of a [`Value::Doc`] holding it) to `out`.
+    pub fn encode_into(&self, out: &mut String) {
+        out.push('O');
+        out.push_str(&self.fields.len().to_string());
+        out.push(':');
+        for (k, v) in &self.fields {
+            out.push_str(&k.len().to_string());
+            out.push(':');
+            out.push_str(k);
+            v.encode_into(out);
+        }
+    }
+
     /// The canonical encoding of this document.
     pub fn encode(&self) -> String {
-        Value::Doc(self.clone()).encode()
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
     }
 
     /// Decodes a document from its canonical encoding.

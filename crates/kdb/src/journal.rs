@@ -79,8 +79,11 @@ pub enum DurabilityPolicy {
 // CRC32 (IEEE 802.3, the zlib/PNG polynomial).
 // ---------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight table lookups advance the register over eight input bytes.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -93,19 +96,49 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC32 (IEEE) of `bytes` — the v2 frame checksum.
+/// One byte through the classic table loop (the slicing loop's tail,
+/// and the reference the tests compare it against).
+fn crc32_step(c: u32, b: u8) -> u32 {
+    CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+}
+
+/// CRC32 (IEEE) of `bytes` — the v2 frame checksum, eight bytes per
+/// step (slicing-by-8; same polynomial and value as the bytewise loop).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][chunk[4] as usize]
+            ^ t[2][chunk[5] as usize]
+            ^ t[1][chunk[6] as usize]
+            ^ t[0][chunk[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = crc32_step(c, b);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -923,6 +956,44 @@ mod tests {
     fn crc32_matches_the_reference_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-table, one-byte-per-step CRC the sliced loop replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        bytes.iter().fold(0xFFFF_FFFF, |c, &b| crc32_step(c, b)) ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_bytewise_for_every_short_length() {
+        // Every length 0..=64 covers every chunk count × tail length
+        // around the 8-byte step, at every start alignment of the slice.
+        let pool: Vec<u8> = (0..80u32)
+            .map(|i| (i.wrapping_mul(167) >> 1) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let bytes = &pool[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "start {start} len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sliced_crc32_equals_bytewise_on_long_inputs_at_every_alignment(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 64..4096),
+        ) {
+            for start in 0..8 {
+                proptest::prop_assert_eq!(
+                    crc32(&bytes[start..]),
+                    crc32_bytewise(&bytes[start..])
+                );
+            }
+        }
     }
 
     #[test]

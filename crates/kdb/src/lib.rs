@@ -29,7 +29,8 @@
 //! lock: writers lock only the shard (collection) they touch, durability
 //! is settled by a shared group committer (one fsync covers every
 //! concurrently acked op), and [`SharedKdb::read`] hands back an
-//! immutable [`KdbSnapshot`] — epoch-cached `Arc` images that never
+//! immutable [`KdbSnapshot`] — per-collection images, taken on first
+//! access and sharing every document with the live store, that never
 //! block behind a committing writer. Exclusive single-threaded use can
 //! keep working with a plain [`Kdb`]; code generic over both goes
 //! through the [`KdbRead`]/[`KdbWrite`] traits.

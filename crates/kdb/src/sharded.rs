@@ -16,13 +16,18 @@
 //!   appended before it, and hands the result to all covered waiters
 //!   (the commit-waiter protocol). N writers therefore share ~1 fsync
 //!   per round instead of paying one each.
-//! * **Epoch/COW snapshot reads.** [`SharedKdb::read`] returns a
-//!   [`KdbSnapshot`] of `Arc`-shared collection images validated by a
-//!   per-shard epoch counter: an unchanged shard re-serves its cached
-//!   `Arc` without touching the shard lock, and a changed one is cloned
-//!   under a read lock writers only hold for in-memory work (µs — the
-//!   fsync happens outside every lock). Queries never block behind a
-//!   committing writer.
+//! * **Lazy shared-document snapshot reads.** [`SharedKdb::read`] copies
+//!   nothing: a [`KdbSnapshot`] images a collection the first time it is
+//!   asked for it, so a reader pays only for the collections it touches.
+//!   An image clones the shard's id map and indexes; its documents are
+//!   the shard's own `Arc<Document>`s — writers never mutate one in
+//!   place (`update` swaps the `Arc`) — so it shares every document with
+//!   the live shard and the image before it, and the last holder frees
+//!   it (plain reference counting). Each shard caches its latest image
+//!   under a write-epoch counter: unchanged, the cached `Arc` is served
+//!   without touching the shard lock; changed, the shard is re-imaged
+//!   under a read lock held only for the `Arc`-bump clone. Queries never
+//!   block behind a committing writer (fsync is outside every lock).
 //!
 //! Lock order (deadlock freedom): shard registry → shard(s, in name
 //! order when several) → journal mutex → commit state. The commit
@@ -34,13 +39,14 @@
 //! order of any single collection equals its apply order, and any
 //! journal prefix replays to a per-collection prefix of acknowledged
 //! ops — the invariant the multi-producer torture harness checks.
-//! Cross-collection snapshot reads are *per-collection* consistent (the
-//! shards are sampled without a global barrier).
+//! Cross-collection snapshot reads are *per-collection* consistent: each
+//! collection is pinned at the snapshot's first access to it, without a
+//! global barrier.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
@@ -409,14 +415,14 @@ impl GroupCommitSnapshot {
 // ---------------------------------------------------------------------
 
 /// One collection shard: the live collection, its write epoch, and the
-/// cached copy-on-write snapshot image.
+/// cached snapshot image.
 #[derive(Debug)]
 struct Shard {
     coll: RwLock<Collection>,
     /// Bumped under the shard write lock after every applied mutation;
     /// snapshot reads use it to validate the cached image.
     epoch: AtomicU64,
-    /// `(epoch, image)` of the last snapshot clone; re-served without
+    /// `(epoch, image)` of the last snapshot image; re-served without
     /// touching `coll` while the epoch still matches.
     cache: parking_lot::Mutex<Option<(u64, Arc<Collection>)>>,
 }
@@ -431,8 +437,10 @@ impl Shard {
     }
 
     /// The shard's current image, served from the epoch-validated cache
-    /// when possible (no shard lock), cloned under a read lock when the
-    /// shard changed since the last snapshot.
+    /// when possible (no shard lock), re-imaged when the shard changed
+    /// since the last snapshot. The read lock spans only the clone —
+    /// one `Arc` bump per document plus the index maps; allocating the
+    /// image and retiring the stale one happen outside it.
     fn image(&self) -> Arc<Collection> {
         let epoch = self.epoch.load(Ordering::Acquire);
         if let Some((cached_epoch, image)) = self.cache.lock().as_ref() {
@@ -440,13 +448,16 @@ impl Shard {
                 return Arc::clone(image);
             }
         }
-        let guard = self.coll.read();
-        // The epoch is stable while the read lock is held (writers bump
-        // it under the write lock), so image and epoch pair correctly.
-        let epoch = self.epoch.load(Ordering::Acquire);
-        let image = Arc::new(guard.clone());
-        drop(guard);
-        *self.cache.lock() = Some((epoch, Arc::clone(&image)));
+        let (epoch, coll) = {
+            let guard = self.coll.read();
+            // The epoch is stable while the read lock is held (writers
+            // bump it under the write lock), so image and epoch pair
+            // correctly.
+            (self.epoch.load(Ordering::Acquire), guard.clone())
+        };
+        let image = Arc::new(coll);
+        let stale = self.cache.lock().replace((epoch, Arc::clone(&image)));
+        drop(stale);
         image
     }
 }
@@ -507,7 +518,7 @@ struct SharedInner {
 }
 
 /// A concurrently shareable K-DB: per-collection shard locks, one
-/// group-committed journal, and epoch-cached snapshot reads. Cloning is
+/// group-committed journal, and lazily imaged snapshot reads. Cloning is
 /// cheap (an `Arc` bump) and every clone addresses the same store.
 ///
 /// ```
@@ -1164,16 +1175,15 @@ impl SharedKdb {
 
     // -- read path -----------------------------------------------------
 
-    /// A consistent-per-collection snapshot of every shard. Unchanged
-    /// shards re-serve their cached image without locking; changed ones
-    /// are cloned under a shard read lock (writers never hold the write
-    /// lock across an fsync, so the wait is in-memory-short).
+    /// A snapshot over the collections that exist now. Nothing is
+    /// copied here: each collection is imaged at the snapshot's first
+    /// access to it (see [`KdbSnapshot`]).
     pub fn read(&self) -> KdbSnapshot {
         let shards = self.inner.shards.read();
         KdbSnapshot {
-            collections: shards
+            shards: shards
                 .iter()
-                .map(|(name, shard)| (name.clone(), shard.image()))
+                .map(|(name, shard)| (name.clone(), (Arc::clone(shard), OnceLock::new())))
                 .collect(),
         }
     }
@@ -1335,24 +1345,38 @@ impl KdbWrite for KdbWriter<'_> {
 // Snapshot.
 // ---------------------------------------------------------------------
 
-/// An immutable point-in-time view of every collection, produced by
-/// [`SharedKdb::read`]. Each collection image is per-collection
-/// consistent; images of *different* collections may straddle
-/// concurrent commits (no global barrier). Cheap to clone (`Arc`s).
+/// An immutable view of the collections that existed at
+/// [`SharedKdb::read`]. A collection is imaged — pinned — the first time
+/// the snapshot is asked for it and never observes a later write; until
+/// then it costs nothing. Each image is per-collection consistent;
+/// images of *different* collections may straddle concurrent commits
+/// (no global barrier). [`KdbSnapshot::state_ops`] and
+/// [`KdbSnapshot::fingerprint`] touch every collection. Cheap to clone
+/// (`Arc`s).
 #[derive(Debug, Clone)]
 pub struct KdbSnapshot {
-    collections: BTreeMap<String, Arc<Collection>>,
+    shards: BTreeMap<String, (Arc<Shard>, OnceLock<Arc<Collection>>)>,
 }
 
 impl KdbSnapshot {
-    /// Borrows a collection image.
+    /// Borrows a collection image, taking it on first access.
     pub fn collection(&self, name: &str) -> Option<&Collection> {
-        self.collections.get(name).map(Arc::as_ref)
+        let (shard, image) = self.shards.get(name)?;
+        Some(image.get_or_init(|| shard.image()))
     }
 
     /// Collection names, sorted.
     pub fn collection_names(&self) -> Vec<&str> {
-        self.collections.keys().map(String::as_str).collect()
+        self.shards.keys().map(String::as_str).collect()
+    }
+
+    /// Names of the collections this snapshot has imaged so far, sorted.
+    pub fn imaged_collections(&self) -> Vec<&str> {
+        self.shards
+            .iter()
+            .filter(|(_, (_, image))| image.get().is_some())
+            .map(|(name, _)| name.as_str())
+            .collect()
     }
 
     /// Finds documents in a collection (cloned out).
@@ -1505,13 +1529,42 @@ mod tests {
         db.create_collection("hot").unwrap();
         db.create_collection("cold").unwrap();
         db.insert("cold", item("c", 1.0)).unwrap();
+        let image = |snap: &KdbSnapshot, name: &str| {
+            snap.collection(name).expect("collection exists");
+            Arc::clone(snap.shards[name].1.get().expect("just imaged"))
+        };
         let a = db.read();
         let b = db.read();
-        assert!(Arc::ptr_eq(&a.collections["cold"], &b.collections["cold"]));
+        assert!(Arc::ptr_eq(&image(&a, "cold"), &image(&b, "cold")));
+        let hot_before = image(&a, "hot");
         db.insert("hot", item("h", 1.0)).unwrap();
         let c = db.read();
-        assert!(Arc::ptr_eq(&a.collections["cold"], &c.collections["cold"]));
-        assert!(!Arc::ptr_eq(&a.collections["hot"], &c.collections["hot"]));
+        assert!(Arc::ptr_eq(&image(&a, "cold"), &image(&c, "cold")));
+        assert!(!Arc::ptr_eq(&hot_before, &image(&c, "hot")));
+    }
+
+    #[test]
+    fn snapshot_images_a_collection_at_first_access_only() {
+        let db = SharedKdb::in_memory();
+        db.create_collection("sessions").unwrap();
+        db.create_collection("other").unwrap();
+        db.insert("sessions", item("s", 1.0)).unwrap();
+        let snap = db.read();
+        assert!(
+            snap.imaged_collections().is_empty(),
+            "read() copies nothing"
+        );
+        assert_eq!(snap.collection("sessions").unwrap().len(), 1);
+        assert_eq!(snap.imaged_collections(), vec!["sessions"]);
+        // Pinned: a later write is never observed.
+        db.insert("sessions", item("s", 2.0)).unwrap();
+        assert_eq!(snap.collection("sessions").unwrap().len(), 1);
+        // A collection created after read() is not part of the snapshot.
+        db.create_collection("late").unwrap();
+        assert!(snap.collection("late").is_none());
+        // The whole-state walks touch everything.
+        snap.fingerprint();
+        assert_eq!(snap.imaged_collections(), vec!["other", "sessions"]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests: canonical encoding, query/index agreement, journal
-//! replay equivalence.
+//! replay equivalence, snapshot isolation and document sharing.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -7,7 +7,10 @@ use std::sync::Arc;
 use ada_kdb::journal::{
     replay, replay_bytes, DurabilityPolicy, Journal, JournalVersion, Op, RecoveryMode, V2_MAGIC,
 };
-use ada_kdb::{Collection, Document, Filter, Kdb, KdbError, MemStorage, StoreOptions, Value};
+use ada_kdb::{
+    Collection, Document, Filter, Kdb, KdbError, KdbSnapshot, KdbWrite, MemStorage, SharedKdb,
+    StoreOptions, Value,
+};
 use proptest::prelude::*;
 
 /// Recursive strategy for arbitrary document values.
@@ -310,5 +313,95 @@ proptest! {
 
         let reopened = Kdb::open_with(path, StoreOptions::with_storage(mem)).unwrap();
         prop_assert_eq!(reopened.fingerprint(), before);
+    }
+
+    // Random interleavings of writes and snapshots on the sharded
+    // store against a plain `Kdb` fed the same ops: a snapshot equals
+    // the replay of exactly the prefix before it — later writes never
+    // show — and two consecutive snapshots share the allocation of
+    // every document no write touched between them.
+    #[test]
+    fn snapshots_are_isolated_and_share_untouched_documents(
+        steps in prop::collection::vec(
+            (0u8..6, 0usize..3, any::<u64>(), document_strategy()),
+            1..60,
+        ),
+    ) {
+        const COLLS: [&str; 3] = ["a", "b", "sessions"];
+        let shared = SharedKdb::in_memory();
+        let mut model = Kdb::in_memory();
+        for name in COLLS {
+            shared.create_collection(name).unwrap();
+            model.create_collection(name).unwrap();
+        }
+        let live_id = |model: &Kdb, coll: &str, seed: u64| {
+            let ids: Vec<u64> = model.collection(coll).unwrap().iter().map(|(id, _)| id).collect();
+            (!ids.is_empty()).then(|| ids[seed as usize % ids.len()])
+        };
+        // Every snapshot with the model fingerprint of its prefix.
+        let mut taken: Vec<(KdbSnapshot, u64)> = Vec::new();
+        // (collection, id) written since the latest snapshot.
+        let mut touched: Vec<(&str, u64)> = Vec::new();
+        for (kind, coll, seed, doc) in steps {
+            let coll = COLLS[coll];
+            match kind {
+                0 | 1 => {
+                    let id = shared.insert(coll, doc.clone()).unwrap();
+                    prop_assert_eq!(KdbWrite::insert(&mut model, coll, doc).unwrap(), id);
+                    touched.push((coll, id));
+                }
+                2 => {
+                    if let Some(id) = live_id(&model, coll, seed) {
+                        shared.update(coll, id, doc.clone()).unwrap();
+                        model.update(coll, id, doc).unwrap();
+                        touched.push((coll, id));
+                    }
+                }
+                3 => {
+                    if let Some(id) = live_id(&model, coll, seed) {
+                        shared.delete(coll, id).unwrap();
+                        model.delete(coll, id).unwrap();
+                        touched.push((coll, id));
+                    }
+                }
+                4 => {
+                    let path = ["k", "score", "session"][seed as usize % 3];
+                    shared.ensure_index(coll, path).unwrap();
+                    model.ensure_index(coll, path).unwrap();
+                }
+                _ => {
+                    let snap = shared.read();
+                    // The whole-state walk images every collection now.
+                    prop_assert_eq!(snap.fingerprint(), model.fingerprint());
+                    if let Some((prev, _)) = taken.last() {
+                        for name in COLLS {
+                            let (old, new) =
+                                (prev.collection(name).unwrap(), snap.collection(name).unwrap());
+                            for (id, _) in new.iter() {
+                                let Some(before) = old.get_shared(id) else { continue };
+                                prop_assert_eq!(
+                                    Arc::ptr_eq(before, new.get_shared(id).unwrap()),
+                                    !touched.contains(&(name, id)),
+                                    "{}#{}", name, id
+                                );
+                            }
+                        }
+                    }
+                    touched.clear();
+                    taken.push((snap, model.fingerprint()));
+                }
+            }
+        }
+        for (snap, at_the_time) in &taken {
+            prop_assert_eq!(snap.fingerprint(), *at_the_time);
+        }
+        // A reader that asks for one collection images only that one,
+        // and pins it at that first access.
+        let lazy = shared.read();
+        let seen = lazy.collection("sessions").unwrap().len();
+        prop_assert_eq!(lazy.imaged_collections(), vec!["sessions"]);
+        shared.insert("sessions", Document::new().with("k", 1i64)).unwrap();
+        prop_assert_eq!(lazy.collection("sessions").unwrap().len(), seen);
+        prop_assert_eq!(shared.read().collection("sessions").unwrap().len(), seen + 1);
     }
 }

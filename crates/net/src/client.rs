@@ -13,6 +13,10 @@
 //!   to tickets by request id, so slow sessions never head-of-line
 //!   block fast status queries.
 //!
+//! Both flavours list persisted records through one paging helper
+//! (`past_sessions`, `traces`): `after`/`limit` pages until a short
+//! page, so a history too large for one frame is still listed whole.
+//!
 //! Both flavours share two observability features:
 //!
 //! * **Trace minting** — [`Client::with_sampling`] /
@@ -31,7 +35,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ada_obs::{Log2Histogram, TraceContext};
+use ada_kdb::{Document, Value};
+use ada_obs::{Log2Histogram, Page, TraceContext};
 
 use crate::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC};
 use crate::metrics::{kind_index, REQUEST_KINDS};
@@ -233,6 +238,59 @@ fn connection_fatal(response: Response) -> NetError {
     }
 }
 
+/// Records asked for per page by the listing helpers: at ≈ 4 KB a
+/// session record, frames of ≈ 2 MB against the 16 MiB cap.
+const LIST_PAGE: usize = 512;
+
+/// Pages a listing to completion: `request` builds the message for one
+/// page, `call` performs it; the cursor is the last record's `_id`, and
+/// a page shorter than its limit is the last one.
+fn list_all(
+    request: impl Fn(Page) -> Request,
+    mut call: impl FnMut(Request) -> Result<Response, NetError>,
+) -> Result<Vec<Document>, NetError> {
+    let mut all = Vec::new();
+    let mut page = Page {
+        after: 0,
+        limit: LIST_PAGE,
+    };
+    loop {
+        let docs = match call(request(page))? {
+            Response::PastSessions { sessions } => sessions,
+            Response::Traces { traces } => traces,
+            Response::Error { code, message } => return Err(NetError::Remote { code, message }),
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "expected a listing, got {}",
+                    other.kind()
+                )))
+            }
+        };
+        let Some(last) = docs.last() else {
+            return Ok(all);
+        };
+        page.after = last
+            .get("_id")
+            .and_then(Value::as_i64)
+            .and_then(|id| u64::try_from(id).ok())
+            .ok_or_else(|| NetError::Protocol("listed record without an `_id`".into()))?;
+        let last_page = docs.len() < page.limit;
+        all.extend(docs);
+        if last_page {
+            return Ok(all);
+        }
+    }
+}
+
+/// The page-request builder of a trace listing.
+fn trace_page(session: Option<&str>) -> impl Fn(Page) -> Request {
+    let session = session.map(str::to_owned);
+    move |page| Request::TracePage {
+        session: session.clone(),
+        page,
+    }
+}
+
 /// Blocking client: one request, one response, in order.
 pub struct Client {
     stream: TcpStream,
@@ -383,6 +441,23 @@ impl Client {
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
+    }
+
+    /// Every persisted session record, fetched page by page.
+    ///
+    /// # Errors
+    /// Any [`Client::call`] failure, or the server's typed error.
+    pub fn past_sessions(&mut self) -> Result<Vec<Document>, NetError> {
+        list_all(Request::PastSessionsPage, |request| self.call(request))
+    }
+
+    /// Every persisted trace record (of one session, or all), fetched
+    /// page by page.
+    ///
+    /// # Errors
+    /// Any [`Client::call`] failure, or the server's typed error.
+    pub fn traces(&mut self, session: Option<&str>) -> Result<Vec<Document>, NetError> {
+        list_all(trace_page(session), |request| self.call(request))
     }
 
     /// Polls `Status` until the session reaches a terminal state,
@@ -576,6 +651,30 @@ impl AsyncClient {
                 other => return Ok(other),
             }
         }
+    }
+
+    /// Every persisted session record, fetched page by page; `deadline`
+    /// bounds each page's exchange.
+    ///
+    /// # Errors
+    /// Any [`AsyncClient::call`] failure, or the server's typed error.
+    pub fn past_sessions(&self, deadline: Duration) -> Result<Vec<Document>, NetError> {
+        list_all(Request::PastSessionsPage, |request| {
+            self.call(request, deadline)
+        })
+    }
+
+    /// Every persisted trace record (of one session, or all), fetched
+    /// page by page; `deadline` bounds each page's exchange.
+    ///
+    /// # Errors
+    /// Any [`AsyncClient::call`] failure, or the server's typed error.
+    pub fn traces(
+        &self,
+        session: Option<&str>,
+        deadline: Duration,
+    ) -> Result<Vec<Document>, NetError> {
+        list_all(trace_page(session), |request| self.call(request, deadline))
     }
 }
 

@@ -30,8 +30,10 @@ use ada_kdb::journal::crc32;
 pub const MAGIC: &[u8] = b"ADAN1\n";
 
 /// Hard upper bound on one frame's payload, defending the decoder
-/// against adversarial length fields. 16 MiB comfortably holds the
-/// largest response this protocol produces (a `PastSessions` sweep).
+/// against adversarial length fields. The server holds its own answers
+/// to it too: a response that would exceed it (an unpaged
+/// `PastSessions` over a few thousand records) is replaced by a typed
+/// `response_too_large` error, and listings page under it.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// A framing violation that must terminate the connection.

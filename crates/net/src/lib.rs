@@ -49,7 +49,9 @@ pub mod server;
 pub use client::{
     AsyncClient, BusyRetry, Client, ClientKindLatency, ClientMetrics, NetError, Pending,
 };
-pub use frame::{encode_frame, frame_bytes, Decoded, FrameDecoder, FrameError, MAGIC};
+pub use frame::{
+    encode_frame, frame_bytes, Decoded, FrameDecoder, FrameError, MAGIC, MAX_FRAME_LEN,
+};
 pub use metrics::{NetMetrics, NetMetricsSnapshot};
 pub use proto::{CohortSpec, Preset, ProtoError, Request, Response, WireJobSpec, CONNECTION_ID};
 pub use server::{NetConfig, NetServer};

@@ -11,6 +11,17 @@
 //! Request id 0 is reserved for *connection-level* notifications the
 //! server sends unsolicited (today: `error{code="pool_full"}` when the
 //! connection cap rejects the connection before any request was read).
+//!
+//! Responses are encoded without building that message document:
+//! [`Response::encode`] streams the envelope's fields in key order from
+//! borrowed payloads (the bytes are those of the built document — see
+//! the golden tests), [`Response::encode_past_sessions`] /
+//! [`Response::encode_traces`] encode listings straight out of a store
+//! image, and decoding moves each payload out of the parsed message.
+//!
+//! Listings page: `past_sessions` / `trace_query` requests may carry
+//! `after` (an `_id` cursor) and `limit`; without them the request is
+//! the unpaged one and the answer is everything.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,7 +30,7 @@ use ada_core::AdaHealthConfig;
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_dataset::{Date, ExamRecord, ExamTypeId, PatientId};
 use ada_kdb::{Document, Value};
-use ada_obs::TraceContext;
+use ada_obs::{Page, TraceContext};
 use ada_service::{JobSpec, Priority, Workload};
 use ada_signals::SignalConfig;
 use ada_stream::StreamMiningSpec;
@@ -249,20 +260,18 @@ impl WireJobSpec {
         doc
     }
 
-    fn from_doc(doc: &Document) -> Result<Self, ProtoError> {
-        let cohort = doc
-            .get("cohort")
-            .and_then(Value::as_doc)
-            .ok_or_else(|| err("spec missing cohort"))?;
+    fn from_doc(mut doc: Document) -> Result<Self, ProtoError> {
+        let cohort = take_doc(&mut doc, "cohort")?;
+        let doc = &mut doc;
         Ok(Self {
             session: take_str(doc, "session")?,
             preset: Preset::parse(&take_str(doc, "preset")?)?,
             seed: take_i64(doc, "seed")? as u64,
             cohort: CohortSpec {
-                patients: take_usize(cohort, "patients")?,
-                exam_types: take_usize(cohort, "exam_types")?,
-                records: take_usize(cohort, "records")?,
-                seed: take_i64(cohort, "seed")? as u64,
+                patients: take_usize(&cohort, "patients")?,
+                exam_types: take_usize(&cohort, "exam_types")?,
+                records: take_usize(&cohort, "records")?,
+                seed: take_i64(&cohort, "seed")? as u64,
             },
             priority: parse_priority(&take_str(doc, "priority")?)?,
             timeout: match doc.get("timeout_ms") {
@@ -312,6 +321,17 @@ pub enum Request {
         /// Session name to filter on (`None` = every trace).
         session: Option<String>,
     },
+    /// One page of [`Request::PastSessions`]: the same `past_sessions`
+    /// message with `after`/`limit` fields, answered by a range scan.
+    PastSessionsPage(Page),
+    /// One page of [`Request::TraceQuery`] (`trace_query` with
+    /// `after`/`limit` fields); the limit counts matching traces.
+    TracePage {
+        /// Session name to filter on (`None` = every trace).
+        session: Option<String>,
+        /// The slice of the listing to return.
+        page: Page,
+    },
     /// The service health probe document.
     Health,
     /// The combined service + net metrics snapshot.
@@ -347,22 +367,28 @@ pub enum Request {
 }
 
 impl Request {
+    /// The flight-recorder mark a served request is recorded under:
+    /// `net_req:<kind>`, one static string per kind.
+    pub fn mark(&self) -> &'static str {
+        match self {
+            Request::Submit(_) => "net_req:submit",
+            Request::Status { .. } => "net_req:status",
+            Request::Cancel { .. } => "net_req:cancel",
+            Request::Results { .. } => "net_req:results",
+            Request::PastSessions | Request::PastSessionsPage(_) => "net_req:past_sessions",
+            Request::TraceQuery { .. } | Request::TracePage { .. } => "net_req:trace_query",
+            Request::Health => "net_req:health",
+            Request::MetricsSnapshot => "net_req:metrics",
+            Request::StreamOpen { .. } => "net_req:stream_open",
+            Request::Ingest { .. } => "net_req:ingest",
+            Request::StreamQuery { .. } => "net_req:stream_query",
+            Request::StreamSeal { .. } => "net_req:stream_seal",
+        }
+    }
+
     /// The request's kind tag (also the per-kind metrics label).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Submit(_) => "submit",
-            Request::Status { .. } => "status",
-            Request::Cancel { .. } => "cancel",
-            Request::Results { .. } => "results",
-            Request::PastSessions => "past_sessions",
-            Request::TraceQuery { .. } => "trace_query",
-            Request::Health => "health",
-            Request::MetricsSnapshot => "metrics",
-            Request::StreamOpen { .. } => "stream_open",
-            Request::Ingest { .. } => "ingest",
-            Request::StreamQuery { .. } => "stream_query",
-            Request::StreamSeal { .. } => "stream_seal",
-        }
+        &self.mark()["net_req:".len()..]
     }
 
     /// Encodes the request (under logical id `id`) into frame payload
@@ -376,7 +402,7 @@ impl Request {
             Request::Status { session }
             | Request::Cancel { session }
             | Request::Results { session } => doc.set("session", *session as i64),
-            Request::TraceQuery { session } => doc.set(
+            Request::TraceQuery { session } | Request::TracePage { session, .. } => doc.set(
                 "session",
                 session
                     .as_ref()
@@ -399,7 +425,14 @@ impl Request {
             Request::StreamQuery { stream } | Request::StreamSeal { stream } => {
                 doc.set("stream", stream.as_str());
             }
-            Request::PastSessions | Request::Health | Request::MetricsSnapshot => {}
+            Request::PastSessions
+            | Request::PastSessionsPage(_)
+            | Request::Health
+            | Request::MetricsSnapshot => {}
+        }
+        if let Request::PastSessionsPage(page) | Request::TracePage { page, .. } = self {
+            doc.set("after", to_i64(page.after as usize));
+            doc.set("limit", to_i64(page.limit));
         }
         Value::Doc(doc).encode().into_bytes()
     }
@@ -409,17 +442,11 @@ impl Request {
     /// # Errors
     /// [`ProtoError`] when the payload is not a well-formed request.
     pub fn decode(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
-        let doc = decode_message(payload)?;
+        let mut doc = decode_message(payload)?;
         let id = take_i64(&doc, "id")? as u64;
-        let kind = take_str(&doc, "kind")?;
+        let kind = take_str(&mut doc, "kind")?;
         let request = match kind.as_str() {
-            "submit" => {
-                let spec = doc
-                    .get("spec")
-                    .and_then(Value::as_doc)
-                    .ok_or_else(|| err("submit missing spec"))?;
-                Request::Submit(WireJobSpec::from_doc(spec)?)
-            }
+            "submit" => Request::Submit(WireJobSpec::from_doc(take_doc(&mut doc, "spec")?)?),
             "status" => Request::Status {
                 session: take_i64(&doc, "session")? as u64,
             },
@@ -429,26 +456,27 @@ impl Request {
             "results" => Request::Results {
                 session: take_i64(&doc, "session")? as u64,
             },
-            "past_sessions" => Request::PastSessions,
-            "trace_query" => Request::TraceQuery {
-                session: match doc.get("session") {
-                    None | Some(Value::Null) => None,
-                    Some(Value::Str(s)) => Some(s.clone()),
-                    Some(other) => return Err(err(format!("bad trace_query session {other:?}"))),
-                },
+            "past_sessions" => match take_page(&doc)? {
+                None => Request::PastSessions,
+                Some(page) => Request::PastSessionsPage(page),
             },
-            "health" => Request::Health,
-            "metrics" => Request::MetricsSnapshot,
-            "stream_open" => {
-                let spec = doc
-                    .get("spec")
-                    .and_then(Value::as_doc)
-                    .ok_or_else(|| err("stream_open missing spec"))?;
-                Request::StreamOpen {
-                    stream: take_str(&doc, "stream")?,
-                    spec: stream_spec_from_doc(spec)?,
+            "trace_query" => {
+                let session = match doc.remove("session") {
+                    None | Some(Value::Null) => None,
+                    Some(Value::Str(s)) => Some(s),
+                    Some(other) => return Err(err(format!("bad trace_query session {other:?}"))),
+                };
+                match take_page(&doc)? {
+                    None => Request::TraceQuery { session },
+                    Some(page) => Request::TracePage { session, page },
                 }
             }
+            "health" => Request::Health,
+            "metrics" => Request::MetricsSnapshot,
+            "stream_open" => Request::StreamOpen {
+                spec: stream_spec_from_doc(&take_doc(&mut doc, "spec")?)?,
+                stream: take_str(&mut doc, "stream")?,
+            },
             "ingest" => {
                 let flat = doc
                     .get("records")
@@ -472,15 +500,15 @@ impl Request {
                     records.push(ExamRecord::new(PatientId(patient), ExamTypeId(exam), date));
                 }
                 Request::Ingest {
-                    stream: take_str(&doc, "stream")?,
+                    stream: take_str(&mut doc, "stream")?,
                     records,
                 }
             }
             "stream_query" => Request::StreamQuery {
-                stream: take_str(&doc, "stream")?,
+                stream: take_str(&mut doc, "stream")?,
             },
             "stream_seal" => Request::StreamSeal {
-                stream: take_str(&doc, "stream")?,
+                stream: take_str(&mut doc, "stream")?,
             },
             other => return Err(err(format!("unknown request kind {other:?}"))),
         };
@@ -566,7 +594,7 @@ pub enum Response {
     Error {
         /// Machine-readable code (`unknown_session`, `shutting_down`,
         /// `bad_request`, `pool_full`, `unknown_stream`,
-        /// `stream_fault`).
+        /// `stream_fault`, `response_too_large`).
         code: String,
         /// Human-readable message.
         message: String,
@@ -619,68 +647,73 @@ impl Response {
     /// Encodes the response (echoing logical id `id`) into frame
     /// payload bytes.
     pub fn encode(&self, id: u64) -> Vec<u8> {
-        let mut doc = Document::new()
-            .with("id", to_i64(id as usize))
-            .with("kind", self.kind());
-        match self {
-            Response::Submitted { session } => doc.set("session", *session as i64),
+        use Field::{Doc, Int, Str};
+        let count = |v: u64| Int(to_i64(v as usize));
+        let fields: Vec<(&str, Field<'_>)> = match self {
+            Response::Submitted { session } | Response::Cancelled { session } => {
+                vec![("session", Int(*session as i64))]
+            }
             Response::State {
                 session,
                 state,
                 reason,
-            } => {
-                doc.set("session", *session as i64);
-                doc.set("state", state.as_str());
-                doc.set("reason", reason.as_str());
-            }
-            Response::Cancelled { session } => doc.set("session", *session as i64),
+            } => vec![
+                ("session", Int(*session as i64)),
+                ("state", Str(state)),
+                ("reason", Str(reason)),
+            ],
             Response::ResultSummary {
                 session,
                 state,
                 summary,
-            } => {
-                doc.set("session", *session as i64);
-                doc.set("state", state.as_str());
-                doc.set("summary", Value::Doc(summary.clone()));
+            } => vec![
+                ("session", Int(*session as i64)),
+                ("state", Str(state)),
+                ("summary", Doc(summary)),
+            ],
+            Response::PastSessions { sessions } => {
+                return Self::encode_past_sessions(id, &sessions.iter().collect::<Vec<_>>())
             }
-            Response::PastSessions { sessions } => doc.set(
-                "sessions",
-                Value::Array(sessions.iter().cloned().map(Value::Doc).collect()),
-            ),
-            Response::Traces { traces } => doc.set(
-                "traces",
-                Value::Array(traces.iter().cloned().map(Value::Doc).collect()),
-            ),
-            Response::Health { doc: health } => doc.set("doc", Value::Doc(health.clone())),
-            Response::Metrics {
-                doc: snap,
-                prometheus,
-            } => {
-                doc.set("doc", Value::Doc(snap.clone()));
-                doc.set("prometheus", prometheus.as_str());
+            Response::Traces { traces } => {
+                return Self::encode_traces(id, &traces.iter().collect::<Vec<_>>())
+            }
+            Response::Health { doc } | Response::StreamState { doc } => vec![("doc", Doc(doc))],
+            Response::Metrics { doc, prometheus } => {
+                vec![("doc", Doc(doc)), ("prometheus", Str(prometheus))]
             }
             Response::Busy { retry_after } => {
-                doc.set("retry_after_ms", to_i64(retry_after.as_millis() as usize));
+                vec![("retry_after_ms", count(retry_after.as_millis() as u64))]
             }
-            Response::Degraded { detail } => doc.set("detail", detail.as_str()),
+            Response::Degraded { detail } => vec![("detail", Str(detail))],
             Response::Error { code, message } => {
-                doc.set("code", code.as_str());
-                doc.set("message", message.as_str());
+                vec![("code", Str(code)), ("message", Str(message))]
             }
             Response::StreamOpened {
                 stream,
                 resumed_windows,
-            } => {
-                doc.set("stream", stream.as_str());
-                doc.set("resumed_windows", to_i64(*resumed_windows as usize));
-            }
+            } => vec![
+                ("stream", Str(stream)),
+                ("resumed_windows", count(*resumed_windows)),
+            ],
             Response::Ingested { accepted, pending } => {
-                doc.set("accepted", to_i64(*accepted as usize));
-                doc.set("pending", to_i64(*pending as usize));
+                vec![("accepted", count(*accepted)), ("pending", count(*pending))]
             }
-            Response::StreamState { doc: state } => doc.set("doc", Value::Doc(state.clone())),
-        }
-        Value::Doc(doc).encode().into_bytes()
+        };
+        encode_message(id, self.kind(), fields)
+    }
+
+    /// The encoding of [`Response::PastSessions`] over borrowed records.
+    pub fn encode_past_sessions(id: u64, sessions: &[&Document]) -> Vec<u8> {
+        encode_message(
+            id,
+            "past_sessions",
+            vec![("sessions", Field::Docs(sessions))],
+        )
+    }
+
+    /// The encoding of [`Response::Traces`] over borrowed records.
+    pub fn encode_traces(id: u64, traces: &[&Document]) -> Vec<u8> {
+        encode_message(id, "traces", vec![("traces", Field::Docs(traces))])
     }
 
     /// Decodes a frame payload into `(id, response)`.
@@ -688,85 +721,62 @@ impl Response {
     /// # Errors
     /// [`ProtoError`] when the payload is not a well-formed response.
     pub fn decode(payload: &[u8]) -> Result<(u64, Response), ProtoError> {
-        let doc = decode_message(payload)?;
+        let mut doc = decode_message(payload)?;
         let id = take_i64(&doc, "id")? as u64;
-        let kind = take_str(&doc, "kind")?;
+        let kind = take_str(&mut doc, "kind")?;
+        let doc = &mut doc;
         let response = match kind.as_str() {
             "submitted" => Response::Submitted {
-                session: take_i64(&doc, "session")? as u64,
+                session: take_i64(doc, "session")? as u64,
             },
             "state" => Response::State {
-                session: take_i64(&doc, "session")? as u64,
-                state: take_str(&doc, "state")?,
-                reason: take_str(&doc, "reason")?,
+                session: take_i64(doc, "session")? as u64,
+                state: take_str(doc, "state")?,
+                reason: take_str(doc, "reason")?,
             },
             "cancelled" => Response::Cancelled {
-                session: take_i64(&doc, "session")? as u64,
+                session: take_i64(doc, "session")? as u64,
             },
             "result" => Response::ResultSummary {
-                session: take_i64(&doc, "session")? as u64,
-                state: take_str(&doc, "state")?,
-                summary: take_doc(&doc, "summary")?,
+                session: take_i64(doc, "session")? as u64,
+                state: take_str(doc, "state")?,
+                summary: take_doc(doc, "summary")?,
             },
-            "past_sessions" => {
-                let items = doc
-                    .get("sessions")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| err("past_sessions missing sessions"))?;
-                let mut sessions = Vec::with_capacity(items.len());
-                for item in items {
-                    sessions.push(
-                        item.as_doc()
-                            .cloned()
-                            .ok_or_else(|| err("past_sessions item not a document"))?,
-                    );
-                }
-                Response::PastSessions { sessions }
-            }
-            "traces" => {
-                let items = doc
-                    .get("traces")
-                    .and_then(Value::as_array)
-                    .ok_or_else(|| err("traces missing traces"))?;
-                let mut traces = Vec::with_capacity(items.len());
-                for item in items {
-                    traces.push(
-                        item.as_doc()
-                            .cloned()
-                            .ok_or_else(|| err("traces item not a document"))?,
-                    );
-                }
-                Response::Traces { traces }
-            }
+            "past_sessions" => Response::PastSessions {
+                sessions: take_docs(doc, "sessions")?,
+            },
+            "traces" => Response::Traces {
+                traces: take_docs(doc, "traces")?,
+            },
             "health" => Response::Health {
-                doc: take_doc(&doc, "doc")?,
+                doc: take_doc(doc, "doc")?,
             },
             "metrics" => Response::Metrics {
-                doc: take_doc(&doc, "doc")?,
-                prometheus: take_str(&doc, "prometheus")?,
+                doc: take_doc(doc, "doc")?,
+                prometheus: take_str(doc, "prometheus")?,
             },
             "busy" => Response::Busy {
                 retry_after: Duration::from_millis(
-                    take_i64(&doc, "retry_after_ms")?.clamp(0, MAX_RETRY_AFTER_MS) as u64,
+                    take_i64(doc, "retry_after_ms")?.clamp(0, MAX_RETRY_AFTER_MS) as u64,
                 ),
             },
             "degraded" => Response::Degraded {
-                detail: take_str(&doc, "detail")?,
+                detail: take_str(doc, "detail")?,
             },
             "error" => Response::Error {
-                code: take_str(&doc, "code")?,
-                message: take_str(&doc, "message")?,
+                code: take_str(doc, "code")?,
+                message: take_str(doc, "message")?,
             },
             "stream_opened" => Response::StreamOpened {
-                stream: take_str(&doc, "stream")?,
-                resumed_windows: take_i64(&doc, "resumed_windows")?.max(0) as u64,
+                stream: take_str(doc, "stream")?,
+                resumed_windows: take_i64(doc, "resumed_windows")?.max(0) as u64,
             },
             "ingested" => Response::Ingested {
-                accepted: take_i64(&doc, "accepted")?.max(0) as u64,
-                pending: take_i64(&doc, "pending")?.max(0) as u64,
+                accepted: take_i64(doc, "accepted")?.max(0) as u64,
+                pending: take_i64(doc, "pending")?.max(0) as u64,
             },
             "stream_state" => Response::StreamState {
-                doc: take_doc(&doc, "doc")?,
+                doc: take_doc(doc, "doc")?,
             },
             other => return Err(err(format!("unknown response kind {other:?}"))),
         };
@@ -850,11 +860,74 @@ fn decode_message(payload: &[u8]) -> Result<Document, ProtoError> {
     }
 }
 
-fn take_str(doc: &Document, key: &str) -> Result<String, ProtoError> {
-    doc.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| err(format!("missing string field {key:?}")))
+/// One field of a message envelope, borrowed from whoever holds it.
+enum Field<'a> {
+    Int(i64),
+    Str(&'a str),
+    Doc(&'a Document),
+    Docs(&'a [&'a Document]),
+}
+
+/// Streams the canonical encoding of the message document
+/// `{id, kind, fields…}` without building it: fields are written in key
+/// order — the order a `Document` keeps them in — and every payload is
+/// encoded in place from its borrow.
+fn encode_message<'a>(id: u64, kind: &'a str, mut fields: Vec<(&'a str, Field<'a>)>) -> Vec<u8> {
+    fields.push(("id", Field::Int(to_i64(id as usize))));
+    fields.push(("kind", Field::Str(kind)));
+    fields.sort_unstable_by_key(|(key, _)| *key);
+    let put_len = |out: &mut String, tag: char, len: usize| {
+        out.push(tag);
+        out.push_str(&len.to_string());
+        out.push(':');
+    };
+    let mut out = String::new();
+    put_len(&mut out, 'O', fields.len());
+    for (key, field) in fields {
+        out.push_str(&key.len().to_string());
+        out.push(':');
+        out.push_str(key);
+        match field {
+            Field::Int(v) => Value::I64(v).encode_into(&mut out),
+            Field::Str(text) => {
+                put_len(&mut out, 'S', text.len());
+                out.push_str(text);
+            }
+            Field::Doc(doc) => doc.encode_into(&mut out),
+            Field::Docs(docs) => {
+                put_len(&mut out, 'A', docs.len());
+                for doc in docs {
+                    doc.encode_into(&mut out);
+                }
+            }
+        }
+    }
+    out.into_bytes()
+}
+
+/// The optional paging fields of a listing request: `None` when neither
+/// is present (the unpaged request), else the page they describe with
+/// an absent field at its [`Page::ALL`] value.
+fn take_page(doc: &Document) -> Result<Option<Page>, ProtoError> {
+    let field = |key: &str| match doc.get(key) {
+        None => Ok(None),
+        Some(Value::I64(v)) if *v >= 0 => Ok(Some(*v as u64)),
+        Some(other) => Err(err(format!("bad paging field {key:?}: {other:?}"))),
+    };
+    let (after, limit) = (field("after")?, field("limit")?);
+    Ok((after.is_some() || limit.is_some()).then(|| Page {
+        after: after.unwrap_or(Page::ALL.after),
+        limit: limit.map_or(Page::ALL.limit, |l| {
+            usize::try_from(l).unwrap_or(usize::MAX)
+        }),
+    }))
+}
+
+fn take_str(doc: &mut Document, key: &str) -> Result<String, ProtoError> {
+    match doc.remove(key) {
+        Some(Value::Str(s)) => Ok(s),
+        _ => Err(err(format!("missing string field {key:?}"))),
+    }
 }
 
 fn take_i64(doc: &Document, key: &str) -> Result<i64, ProtoError> {
@@ -871,11 +944,24 @@ fn take_usize(doc: &Document, key: &str) -> Result<usize, ProtoError> {
     usize::try_from(take_i64(doc, key)?).map_err(|_| err(format!("field {key:?} out of range")))
 }
 
-fn take_doc(doc: &Document, key: &str) -> Result<Document, ProtoError> {
-    doc.get(key)
-        .and_then(Value::as_doc)
-        .cloned()
-        .ok_or_else(|| err(format!("missing document field {key:?}")))
+fn take_doc(doc: &mut Document, key: &str) -> Result<Document, ProtoError> {
+    match doc.remove(key) {
+        Some(Value::Doc(d)) => Ok(d),
+        _ => Err(err(format!("missing document field {key:?}"))),
+    }
+}
+
+fn take_docs(doc: &mut Document, key: &str) -> Result<Vec<Document>, ProtoError> {
+    let Some(Value::Array(items)) = doc.remove(key) else {
+        return Err(err(format!("missing array field {key:?}")));
+    };
+    items
+        .into_iter()
+        .map(|item| match item {
+            Value::Doc(d) => Ok(d),
+            other => Err(err(format!("{key} holds a {}", other.type_name()))),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -897,6 +983,17 @@ mod tests {
             Request::TraceQuery { session: None },
             Request::TraceQuery {
                 session: Some("s-2".into()),
+            },
+            Request::PastSessionsPage(Page {
+                after: 0,
+                limit: 512,
+            }),
+            Request::TracePage {
+                session: Some("s-2".into()),
+                page: Page {
+                    after: 40,
+                    limit: 1,
+                },
             },
             Request::Health,
             Request::MetricsSnapshot,
@@ -956,6 +1053,167 @@ mod tests {
             let (id, back) = Response::decode(&bytes).unwrap();
             assert_eq!(id, 42);
             assert_eq!(back, resp);
+        }
+    }
+
+    #[test]
+    fn paging_fields_are_optional_on_the_wire() {
+        // No field: the unpaged request, byte-for-byte what it always was.
+        assert_eq!(
+            Request::PastSessions.encode(3),
+            b"O2:2:idI3;4:kindS13:past_sessions"
+        );
+        let listing = |fields: &[(&str, i64)]| {
+            let mut doc = Document::new()
+                .with("id", 1i64)
+                .with("kind", "past_sessions");
+            for (key, v) in fields {
+                doc.set(*key, *v);
+            }
+            Request::decode(Value::Doc(doc).encode().as_bytes()).map(|(_, r)| r)
+        };
+        assert_eq!(listing(&[]), Ok(Request::PastSessions));
+        // One field present: the other takes its `Page::ALL` value.
+        assert_eq!(
+            listing(&[("limit", 10)]),
+            Ok(Request::PastSessionsPage(Page {
+                after: 0,
+                limit: 10
+            }))
+        );
+        assert_eq!(
+            listing(&[("after", 7)]),
+            Ok(Request::PastSessionsPage(Page {
+                after: 7,
+                ..Page::ALL
+            }))
+        );
+        assert!(listing(&[("after", -1)]).is_err());
+        // A page request is the listing's own kind plus the two fields.
+        let page = Request::TracePage {
+            session: None,
+            page: Page { after: 2, limit: 5 },
+        };
+        assert_eq!(page.kind(), "trace_query");
+        assert_eq!(page.mark(), "net_req:trace_query");
+        assert_eq!(
+            page.encode(1),
+            b"O5:5:afterI2;2:idI1;4:kindS11:trace_query5:limitI5;7:sessionN"
+        );
+    }
+
+    /// A record shaped like a persisted session: nested documents,
+    /// arrays, floats, null, punctuation the format must not escape.
+    fn golden_record(name: &str, id: i64) -> Document {
+        Document::new()
+            .with("_id", id)
+            .with("session", name)
+            .with("state", "completed")
+            .with("wall_ms", 12.5f64)
+            .with(
+                "spans",
+                Value::Array(vec![
+                    Value::Doc(Document::new().with("name", "root").with("parent", -1i64)),
+                    Value::Doc(
+                        Document::new()
+                            .with("name", "transform: a;b")
+                            .with("parent", 0i64)
+                            .with("attrs", Document::new().with("rows", 60i64)),
+                    ),
+                ]),
+            )
+            .with("counters", Document::new().with("distance_evals", 1_234i64))
+            .with("sampled", true)
+            .with("outcome", Value::Null)
+    }
+
+    #[test]
+    fn payload_responses_encode_to_the_golden_bytes() {
+        // Captured from the encoder that built the envelope `Document`
+        // (cloning every payload into it) before this one streamed it.
+        const RECORD: &str = "8:countersO1:14:distance_evalsI1234;7:outcomeN7:sampledT";
+        const SPANS: &str = "5:spansA2:O2:4:nameS4:root6:parentI-1;O3:5:attrsO1:4:rowsI60;\
+                             4:nameS14:transform: a;b6:parentI0;5:stateS9:completed7:wall_msF12.5;";
+        let record = |id: i64, session: &str| {
+            format!(
+                "O8:3:_idI{id};{RECORD}7:sessionS{}:{session}{SPANS}",
+                session.len()
+            )
+        };
+        let cases = [
+            (
+                Response::PastSessions {
+                    sessions: vec![golden_record("s-1", 1), golden_record("s-2 \u{2192} é", 2)],
+                },
+                format!(
+                    "O3:2:idI42;4:kindS13:past_sessions8:sessionsA2:{}{}",
+                    record(1, "s-1"),
+                    record(2, "s-2 \u{2192} é")
+                ),
+            ),
+            (
+                Response::PastSessions { sessions: vec![] },
+                "O3:2:idI42;4:kindS13:past_sessions8:sessionsA0:".to_owned(),
+            ),
+            (
+                Response::Traces {
+                    traces: vec![golden_record("t-1", 7)],
+                },
+                format!("O3:2:idI42;4:kindS6:traces6:tracesA1:{}", record(7, "t-1")),
+            ),
+            (
+                Response::ResultSummary {
+                    session: 9,
+                    state: "completed".into(),
+                    summary: golden_record("r", 3),
+                },
+                format!(
+                    "O5:2:idI42;4:kindS6:result7:sessionI9;5:stateS9:completed7:summary{}",
+                    record(3, "r")
+                ),
+            ),
+            (
+                Response::Health {
+                    doc: Document::new()
+                        .with("status", "ok")
+                        .with("accepting_writes", true)
+                        .with("journal_faults", 0i64),
+                },
+                "O3:3:docO3:16:accepting_writesT14:journal_faultsI0;6:statusS2:ok\
+                 2:idI42;4:kindS6:health"
+                    .to_owned(),
+            ),
+            (
+                Response::Metrics {
+                    doc: Document::new().with("past_sessions", 2i64).with(
+                        "sessions",
+                        Value::Array(vec![Value::Doc(golden_record("m", 4))]),
+                    ),
+                    prometheus: "ada_service_degraded 0\n# HELP x y\n".into(),
+                },
+                format!(
+                    "O4:3:docO2:13:past_sessionsI2;8:sessionsA1:{}2:idI42;4:kindS7:metrics\
+                     10:prometheusS34:ada_service_degraded 0\n# HELP x y\n",
+                    record(4, "m")
+                ),
+            ),
+        ];
+        for (response, golden) in cases {
+            let bytes = response.encode(42);
+            assert_eq!(String::from_utf8(bytes.clone()).unwrap(), golden);
+            // And the borrowed entry points are the same encoder.
+            match &response {
+                Response::PastSessions { sessions } => assert_eq!(
+                    Response::encode_past_sessions(42, &sessions.iter().collect::<Vec<_>>()),
+                    bytes
+                ),
+                Response::Traces { traces } => assert_eq!(
+                    Response::encode_traces(42, &traces.iter().collect::<Vec<_>>()),
+                    bytes
+                ),
+                _ => {}
+            }
+            assert_eq!(Response::decode(&bytes).unwrap(), (42, response));
         }
     }
 
@@ -1043,7 +1301,7 @@ mod tests {
         let mut mangled = doc.get("trace").unwrap().as_doc().unwrap().clone();
         mangled.remove("lo");
         doc.set("trace", Value::Doc(mangled));
-        let back = WireJobSpec::from_doc(&doc).unwrap();
+        let back = WireJobSpec::from_doc(doc).unwrap();
         assert_eq!(back.trace, None);
         assert_eq!(back.session, traced.session);
     }

@@ -15,6 +15,11 @@
 //!   the service's retry hint — never a hang;
 //! * sticky degraded mode maps to [`Response::Degraded`] while
 //!   `Status`/`Results`/`PastSessions`/`Health` keep answering;
+//! * listings (`PastSessions`, `TraceQuery`) are encoded straight out of
+//!   a K-DB image — borrowed records, no copy — whole or one
+//!   `after`/`limit` page at a time; an answer past [`MAX_FRAME_LEN`]
+//!   becomes `error{code="response_too_large"}`, not a frame the peer
+//!   must reject;
 //! * `Cancel` reaches the session's `RunControl` checkpoint exactly as
 //!   an in-process cancel does, and per-attempt deadlines ride in on
 //!   the submitted spec;
@@ -30,9 +35,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ada_kdb::{Document, Value};
+use ada_obs::{past_sessions, past_traces, Page};
 use ada_service::{AnalysisService, ServiceError, SessionId, SessionOutcome, SessionState};
 
-use crate::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC};
+use crate::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC, MAX_FRAME_LEN};
 use crate::metrics::NetMetrics;
 use crate::proto::{Request, Response, CONNECTION_ID};
 
@@ -443,26 +449,46 @@ fn handle_frame(
         }
     };
     let decode_latency = started.elapsed();
-    let kind = request.kind();
-    let response = serve_request(shared, request, payload.len(), decode_latency);
+    let (kind, mark) = (request.kind(), request.mark());
+    let mut answer = serve_request(shared, request, id, payload.len(), decode_latency);
     let elapsed = started.elapsed();
     shared.metrics.request(kind, elapsed);
-    shared
-        .service
-        .recorder()
-        .mark(NET_SESSION, &format!("net_req:{kind}"), elapsed);
-    write_frame(shared, stream, &response.encode(id), seq)
+    shared.service.recorder().mark(NET_SESSION, mark, elapsed);
+    if answer.len() > MAX_FRAME_LEN {
+        // The peer's decoder would kill the connection on this frame.
+        answer = Response::Error {
+            code: "response_too_large".to_owned(),
+            message: format!(
+                "{kind} answer of {} bytes exceeds the {MAX_FRAME_LEN}-byte frame cap; \
+                 page it with `after`/`limit`",
+                answer.len()
+            ),
+        }
+        .encode(id);
+    }
+    write_frame(shared, stream, &answer, seq)
 }
 
-/// Maps one request onto the analysis service.
+/// Maps one request onto the analysis service and encodes the answer
+/// (under logical id `id`) — here rather than in the caller because a
+/// listing's records are only borrowed from a store image.
 fn serve_request(
     shared: &ServerShared,
     request: Request,
+    id: u64,
     frame_bytes: usize,
     decode_latency: Duration,
-) -> Response {
+) -> Vec<u8> {
     let service = &shared.service;
-    match request {
+    let past_sessions_page = |page: Page| {
+        let image = service.kdb().read();
+        Response::encode_past_sessions(id, &past_sessions(&image, page))
+    };
+    let trace_page = |session: Option<String>, page: Page| {
+        let image = service.kdb().read();
+        Response::encode_traces(id, &past_traces(&image, session.as_deref(), page))
+    };
+    let response = match request {
         Request::Submit(spec) => {
             // A sampled context that crossed the wire gets its decode
             // recorded as a span; the annotation folds into the trace
@@ -516,12 +542,10 @@ fn serve_request(
             },
             Err(err) => service_error_response(&err),
         },
-        Request::PastSessions => Response::PastSessions {
-            sessions: service.past_sessions(),
-        },
-        Request::TraceQuery { session } => Response::Traces {
-            traces: service.past_traces(session.as_deref()),
-        },
+        Request::PastSessions => return past_sessions_page(Page::ALL),
+        Request::PastSessionsPage(page) => return past_sessions_page(page),
+        Request::TraceQuery { session } => return trace_page(session, Page::ALL),
+        Request::TracePage { session, page } => return trace_page(session, page),
         Request::Health => {
             let doc = service
                 .health()
@@ -567,7 +591,8 @@ fn serve_request(
             Ok(doc) => Response::StreamState { doc },
             Err(err) => service_error_response(&err),
         },
-    }
+    };
+    response.encode(id)
 }
 
 /// The wire image of a [`ServiceError`]: backpressure and degraded

@@ -8,6 +8,8 @@
 //!   client ever hangs on them.
 //! - The combined Prometheus exposition keeps the service's stable
 //!   series names and adds the `ada_net_*` family.
+//! - A history too large for one frame is refused typed when asked for
+//!   whole and listed completely page by page.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,7 +22,8 @@ use ada_kdb::{
     DurabilityPolicy, FaultKind, FaultyStorage, Kdb, MemStorage, SharedKdb, StoreOptions, Value,
 };
 use ada_net::proto::{CohortSpec, Request, Response, WireJobSpec};
-use ada_net::{AsyncClient, Client, NetConfig, NetError, NetServer};
+use ada_net::{AsyncClient, Client, NetConfig, NetError, NetServer, MAX_FRAME_LEN};
+use ada_obs::Page;
 use ada_service::{AnalysisService, ServiceConfig, DEFAULT_TRACE_SEED};
 
 /// Overall deadline for any single wait in these tests: generous, but
@@ -73,6 +76,84 @@ fn session_outcomes(docs: &[ada_kdb::Document]) -> Vec<(String, String)> {
         .collect();
     rows.sort();
     rows
+}
+
+#[test]
+fn oversized_listing_is_refused_typed_and_pages_to_completion() {
+    const RECORDS: usize = 5_000;
+    let kdb = SharedKdb::in_memory();
+    for name in ["sessions", "traces"] {
+        kdb.create_collection(name).unwrap();
+    }
+    // Synthetic session records of a real record's size (≈ 4 KB).
+    for i in 0..RECORDS {
+        let record = ada_kdb::Document::new()
+            .with("session", format!("synth-{i}"))
+            .with("state", "completed")
+            .with("pad", "x".repeat(3_600));
+        kdb.insert("sessions", record).unwrap();
+    }
+    for i in 0..10 {
+        let session = if i % 2 == 0 { "even" } else { "odd" };
+        let trace = ada_kdb::Document::new().with("session", session);
+        kdb.insert("traces", trace).unwrap();
+    }
+    let service = Arc::new(AnalysisService::new(ServiceConfig::default(), kdb));
+    let local = service.past_sessions();
+    let whole: usize = local.iter().map(|d| d.encode().len()).sum();
+    assert!(whole > MAX_FRAME_LEN, "the history must not fit one frame");
+    let server = NetServer::start(Arc::clone(&service), NetConfig::default()).unwrap();
+
+    // Asked for whole: a typed error, and the connection lives on.
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    match client.call(Request::PastSessions).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, "response_too_large");
+            assert!(message.contains("after"), "{message}");
+        }
+        other => panic!("expected response_too_large, got {}", other.kind()),
+    }
+    assert!(matches!(
+        client.call(Request::Health).unwrap(),
+        Response::Health { .. }
+    ));
+
+    // Page by page: everything, in order, from both clients.
+    assert_eq!(client.past_sessions().unwrap(), local);
+    let async_client = AsyncClient::connect(server.local_addr()).unwrap();
+    assert_eq!(async_client.past_sessions(DEADLINE).unwrap(), local);
+
+    // One explicit page is a range scan from the cursor.
+    let tail = Page {
+        after: RECORDS as u64 - 10,
+        limit: 100,
+    };
+    match client.call(Request::PastSessionsPage(tail)).unwrap() {
+        Response::PastSessions { sessions } => assert_eq!(sessions, local[RECORDS - 10..]),
+        other => panic!("expected a page, got {}", other.kind()),
+    }
+
+    // Trace pages count matching traces; the helper follows the cursor
+    // across the records the filter skips.
+    assert_eq!(client.traces(None).unwrap().len(), 10);
+    let even = async_client.traces(Some("even"), DEADLINE).unwrap();
+    let ids = |docs: &[ada_kdb::Document]| -> Vec<i64> {
+        docs.iter()
+            .map(|d| d.get("_id").and_then(Value::as_i64).unwrap())
+            .collect()
+    };
+    assert_eq!(ids(&even), vec![1, 3, 5, 7, 9]);
+    let page = Request::TracePage {
+        session: Some("even".into()),
+        page: Page { after: 3, limit: 2 },
+    };
+    match client.call(page).unwrap() {
+        Response::Traces { traces } => assert_eq!(ids(&traces), vec![5, 7]),
+        other => panic!("expected a trace page, got {}", other.kind()),
+    }
+
+    drop((client, async_client));
+    assert_eq!(server.shutdown().protocol_errors, 0);
 }
 
 #[test]

@@ -8,7 +8,7 @@ use std::time::Duration;
 use ada_kdb::{Document, Value};
 use ada_net::proto::{CohortSpec, Preset, Request, Response, WireJobSpec};
 use ada_net::{frame_bytes, Decoded, FrameDecoder, FrameError};
-use ada_obs::TraceContext;
+use ada_obs::{Page, TraceContext};
 use ada_service::Priority;
 use proptest::prelude::*;
 
@@ -85,6 +85,12 @@ fn spec_strategy() -> impl Strategy<Value = WireJobSpec> {
         )
 }
 
+/// Pages as they ride the wire: both fields are I64 there.
+fn page_strategy() -> impl Strategy<Value = Page> {
+    (0u64..=i64::MAX as u64, 0usize..=i64::MAX as usize)
+        .prop_map(|(after, limit)| Page { after, limit })
+}
+
 fn request_strategy() -> impl Strategy<Value = Request> {
     prop_oneof![
         spec_strategy().prop_map(Request::Submit),
@@ -94,6 +100,12 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         Just(Request::PastSessions),
         prop_oneof![Just(None), "[a-z0-9-]{1,16}".prop_map(Some)]
             .prop_map(|session| Request::TraceQuery { session }),
+        page_strategy().prop_map(Request::PastSessionsPage),
+        (
+            prop_oneof![Just(None), "[a-z0-9-]{1,16}".prop_map(Some)],
+            page_strategy()
+        )
+            .prop_map(|(session, page)| Request::TracePage { session, page }),
         Just(Request::Health),
         Just(Request::MetricsSnapshot),
     ]
@@ -273,6 +285,11 @@ proptest! {
             Decoded::Frame(p) => p,
             Decoded::NeedMore => panic!("complete frame did not decode"),
         };
+        // The streamed envelope is the canonical encoding of a message
+        // document: parsing it and encoding the parsed value (keys
+        // sorted, counts recomputed) gives the same bytes back.
+        let text = std::str::from_utf8(&payload).unwrap();
+        prop_assert_eq!(Value::decode(text).unwrap().encode(), text);
         let (got_id, got) = Response::decode(&payload).unwrap();
         prop_assert_eq!(got_id, id);
         prop_assert_eq!(got, resp);

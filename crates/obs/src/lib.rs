@@ -50,9 +50,9 @@ pub use context::{current_trace, TraceContext, TraceScope};
 pub use export::{document_to_json, value_to_json};
 pub use hist::{HistogramSnapshot, Log2Histogram, NUM_BUCKETS};
 pub use recorder::{
-    past_sessions, past_traces, FlightRecorder, MARK_CANCELLED, MARK_DEGRADED, MARK_PERSIST_FAIL,
-    MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_REPL_APPLY, MARK_REPL_RESET, MARK_RETRY,
-    MARK_SLOW_SESSION,
+    past_sessions, past_traces, FlightRecorder, Page, MARK_CANCELLED, MARK_DEGRADED,
+    MARK_PERSIST_FAIL, MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_REPL_APPLY, MARK_REPL_RESET,
+    MARK_RETRY, MARK_SLOW_SESSION,
 };
 pub use repl::{FleetMetrics, FleetMetricsSnapshot, ReplMetrics, ReplMetricsSnapshot};
 pub use stream::{StreamMetrics, StreamMetricsSnapshot};

@@ -404,33 +404,61 @@ impl FlightRecorder {
     }
 }
 
-/// All session records currently persisted in `db`, in insertion order.
-/// This is how a restarted service answers queries about past runs.
-pub fn past_sessions<R: KdbRead + ?Sized>(db: &R) -> Vec<(DocId, Document)> {
-    let Some(coll) = db.collection(schema::names::SESSIONS) else {
-        return Vec::new();
-    };
-    let mut rows: Vec<(DocId, Document)> = coll.iter().map(|(id, d)| (id, d.clone())).collect();
-    rows.sort_by_key(|(id, _)| *id);
-    rows
+/// Which slice of a persisted listing to read: the records whose `_id`
+/// is greater than `after`, at most `limit` of them. Ids start at 1, so
+/// [`Page::ALL`] is the whole listing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Page {
+    /// Cursor: the `_id` of the last record already seen (0 = none).
+    pub after: DocId,
+    /// Upper bound on the records returned.
+    pub limit: usize,
 }
 
-/// Trace records persisted in `db`, in insertion order, optionally
-/// filtered to one session. Backs the `TraceQuery` wire message.
-pub fn past_traces<R: KdbRead + ?Sized>(db: &R, session: Option<&str>) -> Vec<(DocId, Document)> {
-    let Some(coll) = db.collection(schema::names::TRACES) else {
+impl Page {
+    /// Every record, from the beginning.
+    pub const ALL: Page = Page {
+        after: 0,
+        limit: usize::MAX,
+    };
+}
+
+/// The session records persisted in `db`, in insertion (`_id`) order,
+/// borrowed from `db`. This is how a restarted service answers queries
+/// about past runs.
+pub fn past_sessions<R: KdbRead + ?Sized>(db: &R, page: Page) -> Vec<&Document> {
+    listing(db, schema::names::SESSIONS, page, |_| true)
+}
+
+/// Trace records persisted in `db`, in insertion (`_id`) order,
+/// optionally filtered to one session. Backs the `TraceQuery` wire
+/// message.
+pub fn past_traces<'a, R: KdbRead + ?Sized>(
+    db: &'a R,
+    session: Option<&str>,
+    page: Page,
+) -> Vec<&'a Document> {
+    listing(db, schema::names::TRACES, page, |doc| {
+        session.is_none_or(|wanted| doc.get("session").and_then(Value::as_str) == Some(wanted))
+    })
+}
+
+/// One range scan of a collection image (`Collection::iter_after` is
+/// id-ordered): nothing before the cursor is visited, nothing is cloned.
+fn listing<'a, R: KdbRead + ?Sized>(
+    db: &'a R,
+    collection: &str,
+    page: Page,
+    keep: impl Fn(&Document) -> bool,
+) -> Vec<&'a Document> {
+    let Some(coll) = db.collection(collection) else {
         return Vec::new();
     };
-    let mut rows: Vec<(DocId, Document)> = coll
-        .iter()
-        .filter(|(_, d)| match session {
-            Some(wanted) => d.get("session").and_then(|v| v.as_str()) == Some(wanted),
-            None => true,
-        })
-        .map(|(id, d)| (id, d.clone()))
-        .collect();
-    rows.sort_by_key(|(id, _)| *id);
-    rows
+    coll.iter_after(page.after)
+        .map(|(_, doc)| doc)
+        .filter(|doc| keep(doc))
+        .take(page.limit)
+        .collect()
 }
 
 /// Folds a session's reconstructed spans into the deterministic
@@ -803,14 +831,24 @@ mod tests {
         rec.persist(&mut db, "a", "completed", "").unwrap();
         rec.persist(&mut db, "b", "failed", "deadline").unwrap();
 
-        let past = past_sessions(&db);
+        let past = past_sessions(&db, Page::ALL);
         assert_eq!(past.len(), 2);
         let states: Vec<&str> = past
             .iter()
-            .map(|(_, d)| d.get("state").unwrap().as_str().unwrap())
+            .map(|d| d.get("state").unwrap().as_str().unwrap())
             .collect();
         assert_eq!(states, vec!["completed", "failed"]);
-        assert_eq!(past[1].1.get("outcome").unwrap().as_str(), Some("deadline"));
+        assert_eq!(past[1].get("outcome").unwrap().as_str(), Some("deadline"));
+
+        // Pages: a cursor skips what was seen, a limit bounds the rest.
+        let first = past_sessions(&db, Page { after: 0, limit: 1 });
+        assert_eq!(first, past[..1]);
+        let cursor = first[0].get("_id").unwrap().as_i64().unwrap() as DocId;
+        let rest = Page {
+            after: cursor,
+            ..Page::ALL
+        };
+        assert_eq!(past_sessions(&db, rest), past[1..]);
     }
 
     #[test]
@@ -935,10 +973,10 @@ mod tests {
         rec.persist(&mut db, "a", "completed", "").unwrap();
         rec.persist(&mut db, "b", "failed", "deadline").unwrap();
 
-        let all = past_traces(&db, None);
+        let all = past_traces(&db, None, Page::ALL);
         assert_eq!(all.len(), 1, "only the sampled session left a trace");
-        assert_eq!(all[0].1.get("session").unwrap().as_str(), Some("a"));
-        assert_eq!(past_traces(&db, Some("a")).len(), 1);
-        assert!(past_traces(&db, Some("b")).is_empty());
+        assert_eq!(all[0].get("session").unwrap().as_str(), Some("a"));
+        assert_eq!(past_traces(&db, Some("a"), Page::ALL).len(), 1);
+        assert!(past_traces(&db, Some("b"), Page::ALL).is_empty());
     }
 }

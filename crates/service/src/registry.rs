@@ -1,8 +1,14 @@
 //! The session registry: lifecycle state for every submitted session.
+//!
+//! One mutex guards every entry; workers' transitions, every `Status`
+//! poll and the metrics snapshot all take it, so nothing under it may
+//! copy a report. Reports sit behind `Arc`: [`SessionRegistry::state`]
+//! and [`SessionRegistry::sessions`] bump a count, and
+//! [`SessionRegistry::labels`] does not touch reports at all.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use ada_core::SessionReport;
 use ada_signals::SignalSessionReport;
@@ -23,15 +29,16 @@ impl fmt::Display for SessionId {
 
 /// What a completed session produced, by workload. Either variant is
 /// the same value a serial run of the same spec produces — concurrency
-/// changes wall-clock, never results.
+/// changes wall-clock, never results. Reports are shared: cloning an
+/// outcome bumps a reference count.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionOutcome {
     /// A full seven-stage pipeline run.
-    Pipeline(Box<SessionReport>),
+    Pipeline(Arc<SessionReport>),
     /// A safety-signal mining run.
-    Signals(Box<SignalSessionReport>),
+    Signals(Arc<SignalSessionReport>),
     /// A streaming ingestion + incremental mining run.
-    Stream(Box<StreamReport>),
+    Stream(Arc<StreamReport>),
 }
 
 impl SessionOutcome {
@@ -212,12 +219,23 @@ impl SessionRegistry {
             .map(|(id, e)| (*id, e.name.clone(), e.state.clone()))
             .collect()
     }
+
+    /// Every session as `(id, session name, state label)`, id-ordered —
+    /// the metrics snapshot's listing, which needs no report.
+    pub fn labels(&self) -> Vec<(SessionId, String, &'static str)> {
+        let inner = self.inner.lock().expect("registry lock");
+        inner
+            .entries
+            .iter()
+            .map(|(id, e)| (*id, e.name.clone(), e.state.label()))
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use ada_stream::{StreamConfig, StreamEngine};
 
     #[test]
     fn lifecycle_transitions_and_sticky_terminals() {
@@ -274,5 +292,36 @@ mod tests {
         assert_eq!(reg.sessions().len(), 2);
         reg.remove(a);
         assert_eq!(reg.sessions().len(), 1);
+    }
+
+    #[test]
+    fn reads_of_a_completed_session_share_one_report_allocation() {
+        let reg = SessionRegistry::new();
+        let report = || StreamReport::from_engine(&StreamEngine::new(StreamConfig::new("idle")));
+        let ids: Vec<SessionId> = (0..1_000)
+            .map(|i| {
+                let id = reg.register(format!("s-{i}"), CancelToken::new());
+                let outcome = SessionOutcome::Stream(Arc::new(report()));
+                reg.transition(id, SessionState::Completed(outcome));
+                id
+            })
+            .collect();
+        let shared = |state: &SessionState| match state {
+            SessionState::Completed(SessionOutcome::Stream(report)) => Arc::clone(report),
+            other => panic!("expected a completed stream session, got {other:?}"),
+        };
+        // Two state() reads: the same allocation, not two copies.
+        let (a, b) = (reg.state(ids[7]).unwrap(), reg.state(ids[7]).unwrap());
+        assert!(Arc::ptr_eq(&shared(&a), &shared(&b)));
+        // sessions() over 1,000 completed sessions clones no report.
+        let first = reg.sessions();
+        let second = reg.sessions();
+        assert_eq!(first.len(), 1_000);
+        for ((_, _, x), (_, _, y)) in first.iter().zip(&second) {
+            assert!(Arc::ptr_eq(&shared(x), &shared(y)));
+        }
+        let labels = reg.labels();
+        assert_eq!(labels.len(), 1_000);
+        assert_eq!(labels[7], (ids[7], "s-7".to_owned(), "completed"));
     }
 }

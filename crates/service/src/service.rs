@@ -16,9 +16,9 @@ use ada_kdb::{
     schema, CommitObserver, CommitRole, Document, DurabilityPolicy, Kdb, SharedKdb, Value,
 };
 use ada_obs::{
-    current_trace, document_to_json, past_sessions, past_traces, FlightRecorder, StreamMetrics,
-    TraceContext, TraceScope, MARK_CANCELLED, MARK_DEGRADED, MARK_PERSIST_FAIL, MARK_PROMOTED,
-    MARK_QUEUE_WAIT, MARK_RETRY, MARK_SLOW_SESSION,
+    current_trace, document_to_json, past_sessions, past_traces, FlightRecorder, Page,
+    StreamMetrics, TraceContext, TraceScope, MARK_CANCELLED, MARK_DEGRADED, MARK_PERSIST_FAIL,
+    MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_RETRY, MARK_SLOW_SESSION,
 };
 use ada_stream::{
     IngestAck, IngestRejected, StreamConfig, StreamEngine, StreamHandle, StreamMiningSpec,
@@ -440,10 +440,14 @@ impl AnalysisService {
     /// collection — including by previous service processes over the
     /// same journal, which is how a restarted service answers queries
     /// about past runs.
+    ///
+    /// Copies each record out of the store image; a caller that only
+    /// needs to look (the wire front-end) borrows them instead, via
+    /// [`ada_obs::past_sessions`] over [`AnalysisService::kdb`]`.read()`.
     pub fn past_sessions(&self) -> Vec<Document> {
-        past_sessions(&self.inner.kdb.read())
+        past_sessions(&self.inner.kdb.read(), Page::ALL)
             .into_iter()
-            .map(|(_, doc)| doc)
+            .cloned()
             .collect()
     }
 
@@ -451,9 +455,9 @@ impl AnalysisService {
     /// collection, optionally filtered to one session — the local face
     /// of the `TraceQuery` wire message.
     pub fn past_traces(&self, session: Option<&str>) -> Vec<Document> {
-        past_traces(&self.inner.kdb.read(), session)
+        past_traces(&self.inner.kdb.read(), session, Page::ALL)
             .into_iter()
-            .map(|(_, doc)| doc)
+            .cloned()
             .collect()
     }
 
@@ -462,18 +466,25 @@ impl AnalysisService {
     /// state, and the count of persisted past sessions.
     pub fn snapshot(&self) -> Document {
         let sessions = self
-            .sessions()
+            .inner
+            .registry
+            .labels()
             .into_iter()
-            .map(|(id, name, state)| {
+            .map(|(id, name, label)| {
                 Value::Doc(
                     Document::new()
                         .with("id", i64::try_from(id.0).unwrap_or(i64::MAX))
                         .with("name", name)
-                        .with("state", state.label()),
+                        .with("state", label),
                 )
             })
             .collect();
-        let past = past_sessions(&self.inner.kdb.read()).len();
+        let past = self
+            .inner
+            .kdb
+            .read()
+            .collection(schema::names::SESSIONS)
+            .map_or(0, ada_kdb::Collection::len);
         Document::new()
             .with("health", Value::Doc(self.health()))
             .with("metrics", Value::Doc(self.metrics().to_document()))
@@ -856,7 +867,7 @@ fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instan
                         AdaHealth::with_shared_kdb_isolated(spec.config.clone(), inner.kdb.clone());
                     pipeline
                         .run_controlled(&spec.log, &control)
-                        .map(|report| SessionOutcome::Pipeline(Box::new(report)))
+                        .map(|report| SessionOutcome::Pipeline(Arc::new(report)))
                 }
                 Workload::SafetySignals(signal_config) => ada_signals::run_session(
                     &session,
@@ -865,10 +876,10 @@ fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instan
                     &inner.kdb,
                     &control,
                 )
-                .map(|report| SessionOutcome::Signals(Box::new(report))),
+                .map(|report| SessionOutcome::Signals(Arc::new(report))),
                 Workload::StreamMining(stream_spec) => {
                     run_stream_session(inner, &session, stream_spec, &spec.log, &control)
-                        .map(|report| SessionOutcome::Stream(Box::new(report)))
+                        .map(|report| SessionOutcome::Stream(Arc::new(report)))
                 }
             }
         }));

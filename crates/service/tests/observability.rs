@@ -204,9 +204,9 @@ fn session_records_survive_crash_and_journal_replay() {
 
     // "Restart": rebuild the store purely from the journal.
     let reopened = Kdb::open(&path).unwrap();
-    let after: Vec<Document> = ada_obs::past_sessions(&reopened)
+    let after: Vec<Document> = ada_obs::past_sessions(&reopened, ada_obs::Page::ALL)
         .into_iter()
-        .map(|(_, doc)| doc)
+        .cloned()
         .collect();
     assert_eq!(after.len(), 3);
 

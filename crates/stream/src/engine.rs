@@ -30,7 +30,7 @@
 //! watermark.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ada_dataset::ExamRecord;
@@ -68,6 +68,8 @@ pub struct StreamEngine {
     schema_ready: bool,
     vsm: IncrementalVsm,
     model: Option<KMeansResult>,
+    /// Memoised fingerprint of `model`, reset by [`Self::set_model`].
+    model_fp: OnceLock<u64>,
     /// SSE per row at the last full fit (the drift baseline).
     baseline: f64,
     last_drift: f64,
@@ -97,6 +99,7 @@ impl StreamEngine {
             schema_ready: false,
             vsm: IncrementalVsm::new(),
             model: None,
+            model_fp: OnceLock::new(),
             baseline: 0.0,
             last_drift: 0.0,
             windows_closed: 0,
@@ -235,10 +238,17 @@ impl StreamEngine {
         }
         let result = self.cold_config().fit(self.vsm.matrix());
         self.baseline = result.sse / self.vsm.rows() as f64;
-        self.model = Some(result);
+        self.set_model(result);
         self.forced_refits += 1;
         self.metrics.refit();
         true
+    }
+
+    /// The only assignment to `model`: installs it and drops the
+    /// memoised model fingerprint.
+    fn set_model(&mut self, model: KMeansResult) {
+        self.model = Some(model);
+        self.model_fp = OnceLock::new();
     }
 
     fn cold_config(&self) -> KMeans {
@@ -330,7 +340,7 @@ impl StreamEngine {
                 // equivalent of the batch pipeline's mining step.
                 let result = self.cold_config().fit(self.vsm.matrix());
                 self.baseline = result.sse / rows as f64;
-                self.model = Some(result);
+                self.set_model(result);
                 self.refits += 1;
                 self.metrics.refit();
                 (true, self.last_drift)
@@ -357,12 +367,12 @@ impl StreamEngine {
                     // to a cold fit, which is the determinism gate.
                     let result = self.cold_config().fit(self.vsm.matrix());
                     self.baseline = result.sse / rows as f64;
-                    self.model = Some(result);
+                    self.set_model(result);
                     self.refits += 1;
                     self.metrics.refit();
                     (true, drift)
                 } else {
-                    self.model = Some(warm);
+                    self.set_model(warm);
                     (false, drift)
                 }
             }
@@ -411,9 +421,7 @@ impl StreamEngine {
             .with("vsm_fp", format_fp(self.vsm.fingerprint()))
             .with(
                 "model_fp",
-                self.model
-                    .as_ref()
-                    .map_or(String::new(), |m| format_fp(m.fingerprint())),
+                self.model_fingerprint().map_or(String::new(), format_fp),
             );
         schema::insert_stream_window(&mut kdb.write(), doc)?;
         Ok(())
@@ -454,10 +462,7 @@ impl StreamEngine {
             ));
         }
         let stored_model = doc.get("model_fp").and_then(Value::as_str).unwrap_or("");
-        let replayed_model = self
-            .model
-            .as_ref()
-            .map_or(String::new(), |m| format_fp(m.fingerprint()));
+        let replayed_model = self.model_fingerprint().map_or(String::new(), format_fp);
         if stored_model != replayed_model {
             return Err(corrupt(
                 "model fingerprint diverged on replay (config mismatch or corruption)",
@@ -496,9 +501,11 @@ impl StreamEngine {
         self.vsm.fingerprint()
     }
 
-    /// FNV-1a fingerprint of the model, when one exists.
+    /// FNV-1a fingerprint of the model, when one exists (memoised until
+    /// the model is replaced).
     pub fn model_fingerprint(&self) -> Option<u64> {
-        self.model.as_ref().map(KMeansResult::fingerprint)
+        let model = self.model.as_ref()?;
+        Some(*self.model_fp.get_or_init(|| model.fingerprint()))
     }
 
     /// Windows closed so far (checkpointed count).
@@ -529,18 +536,19 @@ impl StreamEngine {
     }
 
     /// The stream's full status as one document (served over the wire
-    /// by `StreamQuery`).
+    /// by `StreamQuery`). Both fingerprints come from their memos, so a
+    /// stream nothing was folded into since the last call re-hashes
+    /// nothing.
     pub fn status_document(&self) -> Document {
         let count = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        let model = match &self.model {
-            None => Value::Null,
-            Some(m) => Value::Doc(
+        let model = match (&self.model, self.model_fingerprint()) {
+            (Some(m), Some(fp)) => Value::Doc(
                 Document::new()
                     .with("k", count(m.k() as u64))
                     .with("sse", m.sse)
                     .with("iterations", count(m.iterations as u64))
                     .with("converged", m.converged)
-                    .with("fingerprint", format_fp(m.fingerprint()))
+                    .with("fingerprint", format_fp(fp))
                     .with(
                         "cluster_sizes",
                         Value::Array(
@@ -551,6 +559,7 @@ impl StreamEngine {
                         ),
                     ),
             ),
+            _ => Value::Null,
         };
         Document::new()
             .with("stream", self.config.name.as_str())
@@ -715,5 +724,61 @@ mod tests {
         e.ingest(&[rec(1, 0, 2, 20)]).unwrap();
         assert_eq!(e.windows_closed(), 1, "only the non-empty window closed");
         assert!(e.watermark().unwrap() > 7, "bound advanced past the gap");
+    }
+
+    #[test]
+    fn every_mutator_invalidates_the_status_fingerprints() {
+        // A seeded feed with bounded disorder, status queried after
+        // every batch: the memoised fingerprints in the document must
+        // equal a from-scratch hash at every step, and each `&mut self`
+        // entry point that replaces the model must drop its memo.
+        let shape = ada_dataset::synthetic::SyntheticConfig {
+            num_patients: 40,
+            num_exam_types: 12,
+            target_records: 600,
+            ..ada_dataset::synthetic::SyntheticConfig::small()
+        };
+        let log = ada_dataset::synthetic::generate(&shape, 5);
+        let feed: Vec<ExamRecord> = ada_dataset::StreamOrder::new(&log, 9, 6).collect();
+        let mut e = StreamEngine::new(tiny_config().window_days(30).lateness_days(10));
+        let check = |e: &StreamEngine| {
+            let status = e.status_document();
+            assert_eq!(
+                status.get("vsm_fp").unwrap().as_str().unwrap(),
+                format_fp(e.vsm.compute_fingerprint())
+            );
+            match (status.get("model").unwrap(), e.model()) {
+                (Value::Null, None) => {}
+                (Value::Doc(doc), Some(model)) => {
+                    assert_eq!(
+                        doc.get("fingerprint").unwrap().as_str().unwrap(),
+                        format_fp(model.fingerprint())
+                    );
+                    assert!(e.model_fp.get().is_some(), "memoised by the query");
+                }
+                other => panic!("status and engine disagree about the model: {other:?}"),
+            }
+            assert_eq!(e.status_document(), status, "a repeat query is identical");
+        };
+        let mut closes = 0;
+        for batch in feed.chunks(37) {
+            let before = e.windows_closed();
+            e.ingest(batch).unwrap();
+            if e.windows_closed() > before && e.model().is_some() {
+                closes += 1;
+                assert!(
+                    e.model_fp.get().is_none(),
+                    "a window close replaced the model"
+                );
+            }
+            check(&e);
+        }
+        assert!(closes >= 3, "the feed closed windows under a live model");
+        e.seal().unwrap();
+        assert!(e.model_fp.get().is_none(), "seal closed the last windows");
+        check(&e);
+        assert!(e.force_refit());
+        assert!(e.model_fp.get().is_none(), "force_refit replaced the model");
+        check(&e);
     }
 }

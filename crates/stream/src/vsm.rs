@@ -7,9 +7,17 @@
 //! canonical fold sequence, which makes the layout a pure function of
 //! the folded record multiset: any delivery order that folds the same
 //! windows produces a byte-identical matrix.
+//!
+//! The state fingerprint hashes every cell, so it is memoised the way
+//! `DenseMatrix` memoises its row norms: computed on first request,
+//! reset by the one private `invalidate()` every mutator calls. A sealed
+//! or idle stream answers status queries without re-hashing the matrix;
+//! a stream under feed recomputes once per closed window, which its
+//! checkpoint needs anyway.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 use ada_dataset::{ExamTypeId, PatientId};
 use ada_vsm::DenseMatrix;
@@ -55,6 +63,8 @@ pub struct IncrementalVsm {
     col_of: IdMap,
     features: Vec<ExamTypeId>,
     version: u64,
+    /// Memoised [`IncrementalVsm::fingerprint`].
+    fingerprint: OnceLock<u64>,
 }
 
 impl Default for IncrementalVsm {
@@ -73,7 +83,13 @@ impl IncrementalVsm {
             col_of: IdMap::default(),
             features: Vec::new(),
             version: 0,
+            fingerprint: OnceLock::new(),
         }
+    }
+
+    /// Drops the memoised fingerprint; every mutator calls this first.
+    fn invalidate(&mut self) {
+        self.fingerprint = OnceLock::new();
     }
 
     /// Folds one closed window's entries (canonical order) into the
@@ -81,6 +97,7 @@ impl IncrementalVsm {
     /// version bumps once per growth event — and new patients append
     /// zero rows before their counts land.
     pub fn fold(&mut self, entries: &[FoldEntry]) {
+        self.invalidate();
         // Vocabulary growth first, one restride for the whole window.
         let mut grew = false;
         for &(_, _, exam, _) in entries {
@@ -138,8 +155,13 @@ impl IncrementalVsm {
     }
 
     /// FNV-1a over the whole state: shape, version, row/column orders,
-    /// and every cell's exact bit pattern.
+    /// and every cell's exact bit pattern. Memoised until the next fold.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.compute_fingerprint())
+    }
+
+    /// The fingerprint hashed from scratch.
+    pub(crate) fn compute_fingerprint(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(self.patients.len() as u64);
         h.write_u64(self.features.len() as u64);
@@ -202,5 +224,28 @@ mod tests {
         // differs; here it does not.
         a.fold(&[]);
         assert_eq!(c.rows(), a.rows());
+    }
+
+    #[test]
+    fn every_mutator_invalidates_the_fingerprint() {
+        // `fold` is the only `&mut self` method; a fold that grows rows,
+        // grows columns, or only bumps a cell must each drop the memo.
+        let mut vsm = IncrementalVsm::new();
+        for entries in [
+            &[(1, 0, 0, 1)][..],
+            &[(2, 1, 0, 1)],
+            &[(3, 0, 1, 1)],
+            &[(4, 0, 0, 5)],
+        ] {
+            let before = vsm.fingerprint();
+            assert_eq!(vsm.fingerprint.get(), Some(&before), "memoised");
+            vsm.fold(entries);
+            assert_eq!(vsm.fingerprint.get(), None, "fold dropped the memo");
+            assert_ne!(vsm.fingerprint(), before);
+            assert_eq!(vsm.fingerprint(), vsm.compute_fingerprint());
+        }
+        // A clone carries the memo of the state it copied.
+        let copy = vsm.clone();
+        assert_eq!(copy.fingerprint(), vsm.compute_fingerprint());
     }
 }
