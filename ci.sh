@@ -9,6 +9,9 @@ cargo build --release
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
+# The tracked number of ROADMAP aim 2, as a table: non-test lines per
+# crate against the ceilings in tests/line_budget.rs.
+cargo test -q --test line_budget -- --nocapture
 
 echo "== tests (ada-mining, release) =="
 # The tree's column index is all offset arithmetic, which debug builds

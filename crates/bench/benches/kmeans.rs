@@ -1,17 +1,15 @@
 //! Ablation bench: K-means backends.
 //!
 //! Compares the classic Lloyd iteration against Kanungo et al.'s kd-tree
-//! filtering algorithm (the paper's reference \[3\]) and bisecting
-//! K-means, across the K values of the optimizer's inner loop. The
-//! filtering algorithm's advantage grows with cluster separation and
-//! shrinks with dimensionality — this bench documents where it pays off
-//! on VSM data.
+//! filtering algorithm (the paper's reference \[3\]) across the K
+//! values of the optimizer's inner loop. The filtering algorithm's
+//! advantage grows with cluster separation and shrinks with
+//! dimensionality — this bench documents where it pays off on VSM data.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ada_bench::bench_log;
-use ada_mining::kmeans::bisecting::Bisecting;
 use ada_mining::kmeans::{KMeans, KMeansBackend};
 use ada_vsm::VsmBuilder;
 
@@ -42,9 +40,6 @@ fn bench_backends(c: &mut Criterion) {
                         .fit(&pv.matrix),
                 )
             })
-        });
-        group.bench_with_input(BenchmarkId::new("bisecting", k), &k, |b, &k| {
-            b.iter(|| black_box(Bisecting::new(k).seed(1).fit(&pv.matrix)))
         });
     }
     group.finish();

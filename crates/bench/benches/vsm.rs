@@ -1,15 +1,13 @@
 //! VSM bench: the data-transformation block.
 //!
 //! Measures the ExamLog → matrix build under each candidate weighting
-//! (the transformation selector runs all of them), plus the sparse vs
-//! dense dot-product trade-off that decides which representation the
-//! similarity metrics use.
+//! (the transformation selector runs all of them).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ada_bench::bench_log;
-use ada_vsm::{SparseVec, VsmBuilder, Weighting};
+use ada_vsm::{VsmBuilder, Weighting};
 
 fn bench_build(c: &mut Criterion) {
     let log = bench_log();
@@ -28,37 +26,5 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_dot(c: &mut Criterion) {
-    let log = bench_log();
-    let pv = VsmBuilder::new().build(&log);
-    let rows: Vec<SparseVec> = (0..200).map(|i| pv.sparse_row(i)).collect();
-    let dense: Vec<Vec<f64>> = (0..200).map(|i| pv.matrix.row(i).to_vec()).collect();
-
-    let mut group = c.benchmark_group("vsm-dot");
-    group.bench_function("sparse-pairwise-200", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for x in &rows {
-                for y in &rows {
-                    acc += x.dot(y);
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.bench_function("dense-pairwise-200", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for x in &dense {
-                for y in &dense {
-                    acc += ada_vsm::dense::dot(x, y);
-                }
-            }
-            black_box(acc)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_build, bench_dot);
+criterion_group!(benches, bench_build);
 criterion_main!(benches);

@@ -11,11 +11,9 @@
 //! * `partial_mining` — the Section IV-B experiment: overall similarity
 //!   at 20% / 40% / 100% of exam types and the ε = 5% subset selection;
 //! * `pipeline_e2e` — Figure 1: runs every architecture box in order and
-//!   prints the component trace;
-//! * `calibrate` — developer aid: prints the generator's realized
-//!   marginals for a parameter combination.
+//!   prints the component trace.
 //!
-//! Criterion benches: `kmeans` (Lloyd vs filtering vs bisecting),
+//! Criterion benches: `kmeans` (Lloyd vs filtering),
 //! `patterns` (Apriori vs FP-growth), `kdb` (insert/query/index/replay),
 //! `vsm` (build + weighting variants), `partial` (subset-mining speedup).
 

@@ -224,15 +224,6 @@ impl Optimizer {
         })
     }
 
-    /// Evaluates one K value with the full thread budget at the row
-    /// level (a standalone evaluation has no sibling workers to share
-    /// with).
-    pub fn evaluate_k(&self, matrix: &DenseMatrix, k: usize) -> KEvaluation {
-        let control = RunControl::new();
-        let index = self.tree_index(matrix, &control);
-        self.evaluate_k_with_threads(matrix, index.as_ref(), k, self.resolved_budget(), &control)
-    }
-
     /// Evaluates one K value driving the Lloyd kernel with `row_threads`
     /// worker threads (identical output for every value); `index` is
     /// [`Self::tree_index`] of `matrix`. Kernel and tree counters are

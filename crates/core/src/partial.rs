@@ -12,26 +12,12 @@
 //!
 //! The paper also names a second axis ("partial mining can reduce the
 //! dataset along any dimension (vertical mining)"): the
-//! [`VerticalPartialMiner`] grows a *patient* sample instead.
+//! [`VerticalPartialMiner`] grows a *patient* sample instead (the
+//! `partial_mining` bin's "Extension" table in EXPERIMENTS.md).
 //!
-//! Both miners can run their steps as a **warm-started ladder**
-//! (`warm_start: true`): the growth steps are nested (feature prefixes
-//! horizontally, patient-sample prefixes vertically), so each
-//! `(K, restart)` chain seeds the next step's K-means from the previous
-//! step's settled centroids — zero-padded into the wider feature space
-//! on the horizontal axis — instead of re-initializing from scratch.
-//! The full-data run becomes the last rung of the chain, and the total
-//! Lloyd iterations typically drop substantially (the cheap subsets
-//! pre-position the centroids).
-//!
-//! Warm starting is **off by default**: chaining initializations
-//! correlates consecutive rungs' partitions, which biases the
-//! similarity-vs-full estimate slightly upward and can admit a subset
-//! that an *independent* clustering would reject. The cold default
-//! reproduces the paper's experiment faithfully; enable `warm_start`
-//! when throughput matters and validate that the selection is
-//! unchanged (the `warm_start` integration tests assert exactly this
-//! property).
+//! Every rung is clustered from a fresh initialization: seeding a rung
+//! from the previous rung's centroids would correlate their partitions
+//! and bias the similarity-vs-full estimate the ε rule compares.
 //!
 //! Every K-means run scans the rung matrix's non-zero view
 //! (`DenseMatrix::sparse_rows` — the matrices are built once per rung,
@@ -44,8 +30,8 @@
 
 use ada_dataset::ExamLog;
 use ada_metrics::cluster;
-use ada_mining::kmeans::{pad_centroids, KMeans, KernelStats};
-use ada_vsm::{DenseMatrix, VsmBuilder, Weighting};
+use ada_mining::kmeans::{KMeans, KernelStats};
+use ada_vsm::{VsmBuilder, Weighting};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -71,7 +57,7 @@ pub struct StepResult {
     /// vertical miner's samples have incomparable supports).
     pub agreement_vs_full: Vec<(usize, f64)>,
     /// Total K-means iterations spent on this step, summed over every
-    /// `(K, restart)` run — the cost side of the warm-start ledger.
+    /// `(K, restart)` run.
     pub kmeans_iterations: usize,
 }
 
@@ -164,12 +150,6 @@ pub struct HorizontalPartialMiner {
     pub restarts: usize,
     /// Clustering seed.
     pub seed: u64,
-    /// Seed each step's K-means from the previous step's settled
-    /// centroids (zero-padded into the wider feature space) instead of
-    /// re-initializing; the full-data run becomes the last rung of the
-    /// chain. Off by default — see the module docs for the estimator
-    /// bias this trades away.
-    pub warm_start: bool,
     /// Row-level worker threads for every K-means run (default 1;
     /// 0 = one per available core); output is byte-identical for every
     /// value.
@@ -186,7 +166,6 @@ impl Default for HorizontalPartialMiner {
             normalize: true,
             restarts: 3,
             seed: 0,
-            warm_start: false,
             threads: 1,
         }
     }
@@ -242,16 +221,10 @@ impl HorizontalPartialMiner {
             .normalize(self.normalize)
             .build(log);
 
-        // The ladder: steps run in ascending-fraction order. With warm
-        // starting, each (K, restart) chain seeds the next step from the
-        // previous step's settled centroids — feature subsets are
-        // frequency-order prefixes of one another, so prior centroid
-        // coordinates keep their columns and newly added exam types
-        // enter at zero. Assignments are collected per step so
-        // agreement can be scored against the full-data partition once
-        // the ladder tops out.
+        // The ladder: steps run in ascending-fraction order.
+        // Assignments are collected per step so agreement can be scored
+        // against the full-data partition once the ladder tops out.
         let restarts = self.restarts.max(1);
-        let mut carried: Vec<Vec<Option<DenseMatrix>>> = vec![vec![None; restarts]; self.ks.len()];
         struct RawStep {
             fraction: f64,
             included: usize,
@@ -276,14 +249,9 @@ impl HorizontalPartialMiner {
                     let included = ((fraction * n_types as f64).ceil() as usize).clamp(1, n_types);
                     let features = order[..included].to_vec();
                     let covered: usize = features.iter().map(|e| freq[e.index()]).sum();
-                    let is_full = included == n_types;
-                    // A cold full step reuses the id-order reference
-                    // matrix; a warm chain needs the frequency-order
-                    // build so the carried centroids stay column-aligned.
-                    // Similarity scoring is column-permutation invariant
-                    // either way.
+                    // The full step reuses the id-order reference matrix.
                     let owned_pv;
-                    let matrix: &DenseMatrix = if is_full && !self.warm_start {
+                    let matrix = if included == n_types {
                         &full.matrix
                     } else {
                         owned_pv = VsmBuilder::new()
@@ -298,25 +266,20 @@ impl HorizontalPartialMiner {
                     let mut partitions = Vec::with_capacity(self.ks.len());
                     let mut kmeans_iterations = 0usize;
                     let mut rung_stats = KernelStats::default();
-                    for (ki, &k) in self.ks.iter().enumerate() {
+                    for &k in &self.ks {
                         let mut sim_acc = 0.0;
                         let mut k_parts = Vec::with_capacity(restarts);
                         for r in 0..restarts {
                             control.checkpoint(PipelineStage::PartialMining)?;
                             let seed = self.seed.wrapping_add(1_000 * r as u64);
-                            let config = KMeans::new(k).seed(seed).threads(self.threads);
-                            let (result, stats) = match carried[ki][r].take() {
-                                Some(prev) => config
-                                    .fit_rows_from(&rows, pad_centroids(&prev, matrix.num_cols())),
-                                None => config.fit_rows(&rows),
-                            };
+                            let (result, stats) = KMeans::new(k)
+                                .seed(seed)
+                                .threads(self.threads)
+                                .fit_rows(&rows);
                             rung_stats.merge(&stats);
                             kmeans_iterations += result.iterations;
                             sim_acc +=
                                 cluster::overall_similarity(&full.matrix, &result.assignments, k);
-                            if self.warm_start {
-                                carried[ki][r] = Some(result.centroids);
-                            }
                             k_parts.push(result.assignments);
                         }
                         per_k.push((k, sim_acc / restarts as f64));
@@ -392,11 +355,6 @@ pub struct VerticalPartialMiner {
     pub weighting: Weighting,
     /// Sampling + clustering seed.
     pub seed: u64,
-    /// Seed each step's K-means from the previous step's settled
-    /// centroids (the feature space is constant along the patient axis,
-    /// so no padding is needed). Off by default — see the module docs
-    /// for the estimator bias this trades away.
-    pub warm_start: bool,
     /// Row-level worker threads for every K-means run (default 1;
     /// 0 = one per available core); output is byte-identical for every
     /// value.
@@ -411,7 +369,6 @@ impl Default for VerticalPartialMiner {
             epsilon: 0.05,
             weighting: Weighting::Count,
             seed: 0,
-            warm_start: false,
             threads: 1,
         }
     }
@@ -448,10 +405,6 @@ impl VerticalPartialMiner {
             _ => log.num_records() as f64,
         };
 
-        // Warm-start carry per probed K: samples are nested prefixes of
-        // one permutation, so a smaller sample's centroids pre-position
-        // the next rung (the feature space never changes on this axis).
-        let mut carried: Vec<Option<DenseMatrix>> = vec![None; self.ks.len()];
         let steps: Vec<StepResult> = fractions
             .iter()
             .map(|&fraction| {
@@ -471,19 +424,14 @@ impl VerticalPartialMiner {
                 let per_k = self
                     .ks
                     .iter()
-                    .enumerate()
-                    .filter(|&(_, &k)| k <= matrix.num_rows())
-                    .map(|(ki, &k)| {
-                        let config = KMeans::new(k).seed(self.seed).threads(self.threads);
-                        let (result, _) = match carried[ki].take() {
-                            Some(prev) => config.fit_rows_from(&rows, prev),
-                            None => config.fit_rows(&rows),
-                        };
+                    .filter(|&&k| k <= matrix.num_rows())
+                    .map(|&k| {
+                        let (result, _) = KMeans::new(k)
+                            .seed(self.seed)
+                            .threads(self.threads)
+                            .fit_rows(&rows);
                         kmeans_iterations += result.iterations;
                         let sim = cluster::overall_similarity(&matrix, &result.assignments, k);
-                        if self.warm_start {
-                            carried[ki] = Some(result.centroids);
-                        }
                         (k, sim)
                     })
                     .collect();

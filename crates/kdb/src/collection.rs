@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::document::{Document, Value};
+use crate::document::Document;
 use crate::error::KdbError;
 use crate::index::Index;
 use crate::query::Filter;
@@ -246,15 +246,10 @@ impl Collection {
     }
 }
 
-/// Borrow-free equality helper re-exported for the store's tests.
-#[allow(unused)]
-pub(crate) fn value_i64(v: i64) -> Value {
-    Value::I64(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::document::Value;
 
     fn item(kind: &str, score: f64) -> Document {
         Document::new().with("kind", kind).with("score", score)
@@ -290,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn find_without_index_scans() {
+    fn unindexed_find_scans() {
         let mut c = Collection::new("items");
         c.insert(item("cluster", 0.9));
         c.insert(item("pattern", 0.5));
@@ -303,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn find_with_index_matches_scan() {
+    fn indexed_find_matches_scan() {
         let mut c = Collection::new("items");
         for i in 0..50 {
             c.insert(item(

@@ -14,6 +14,9 @@
 //!   CRC, sequence, or payload is wrong — reported with byte offset and
 //!   record index, or salvaged under [`RecoveryMode::Salvage`]).
 //!
+//! The frame codec ([`encode_frame`], [`decode_frame`]) is shared: the
+//! ADAN1 wire (`ada_net::frame`) is the same code under tag `F`, capped.
+//!
 //! v1 journals stay readable and are upgraded to v2 by the next
 //! snapshot compaction ([`Journal::rewrite`] always writes v2). All I/O
 //! flows through the [`crate::storage::Storage`] traits so disk faults
@@ -284,12 +287,16 @@ impl Op {
 }
 
 // ---------------------------------------------------------------------
-// v2 frames.
+// The CRC frame codec: `<tag><len>:<seq>:<crc32-hex>:<payload>`.
 // ---------------------------------------------------------------------
 
-/// Appends the v2 frame for `payload` (an encoded op) to `out`.
-fn encode_frame(payload: &[u8], seq: u64, out: &mut Vec<u8>) {
-    out.push(b'R');
+/// The tag byte opening a v2 journal record frame.
+const RECORD_TAG: u8 = b'R';
+
+/// Appends the frame for `payload` under `tag` (sequence `seq`) to
+/// `out`: a journal record, or an ADAN1 wire message under tag `F`.
+pub fn encode_frame(tag: u8, payload: &[u8], seq: u64, out: &mut Vec<u8>) {
+    out.push(tag);
     out.extend_from_slice(payload.len().to_string().as_bytes());
     out.push(b':');
     out.extend_from_slice(seq.to_string().as_bytes());
@@ -300,14 +307,39 @@ fn encode_frame(payload: &[u8], seq: u64, out: &mut Vec<u8>) {
 }
 
 /// Why a frame failed to decode: the input ended mid-frame (a torn
-/// write — truncate), a complete-looking frame is wrong (corruption —
-/// report), or an otherwise-valid frame carries the wrong sequence
-/// number (a gap — report, kept distinct so a replication stream can
-/// tell a dropped frame from a flipped bit).
-enum FrameFail {
+/// write — truncate, or wait for more bytes), a complete-looking frame
+/// is wrong (corruption — report), or an otherwise-valid frame carries
+/// the wrong sequence number (a gap — report, kept distinct so a
+/// replication stream can tell a dropped frame from a flipped bit).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameFail {
+    /// The bytes end before the frame does.
     Torn,
-    Corrupt(String),
-    Gap { stored: u64, expected: u64 },
+    /// A malformed header, an over-cap length or a CRC mismatch: the
+    /// offending field's offset from the frame's first byte, and why.
+    Corrupt(usize, String),
+    /// A verified frame with the wrong sequence number.
+    Gap {
+        /// The sequence number the frame carries.
+        stored: u64,
+        /// The sequence number the stream expected.
+        expected: u64,
+    },
+}
+
+impl FrameFail {
+    /// Offset within the frame and description of a corrupt or gapped
+    /// frame; `None` when the frame is merely torn.
+    pub fn violation(self) -> Option<(usize, String)> {
+        match self {
+            FrameFail::Torn => None,
+            FrameFail::Corrupt(at, reason) => Some((at, reason)),
+            FrameFail::Gap { stored, expected } => Some((
+                0,
+                format!("sequence gap (stored {stored}, expected {expected})"),
+            )),
+        }
+    }
 }
 
 /// Reads decimal digits up to a `:` separator. EOF while scanning is a
@@ -321,47 +353,62 @@ fn take_frame_number(bytes: &[u8], pos: &mut usize, what: &str) -> Result<u64, F
         return Err(FrameFail::Torn);
     }
     if bytes[*pos] != b':' || *pos == start || *pos - start > 19 {
-        return Err(FrameFail::Corrupt(format!("malformed {what} field")));
+        return Err(FrameFail::Corrupt(start, format!("malformed {what} field")));
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
     let n = text
         .parse::<u64>()
-        .map_err(|_| FrameFail::Corrupt(format!("{what} out of range")))?;
+        .map_err(|_| FrameFail::Corrupt(start, format!("{what} out of range")))?;
     *pos += 1; // consume ':'
     Ok(n)
 }
 
-/// Decodes one v2 frame at `*pos`, checking length, sequence and CRC.
-fn decode_frame(bytes: &[u8], pos: &mut usize, expect_seq: u64) -> Result<Op, FrameFail> {
-    if bytes[*pos] != b'R' {
-        return Err(FrameFail::Corrupt(format!(
-            "bad frame tag {:?}",
-            bytes[*pos] as char
-        )));
+/// Decodes the frame at the front of `bytes`: tag, length (refused over
+/// `max_len` before any payload byte is looked at; `usize::MAX` for no
+/// cap), sequence, CRC32. Returns where the verified payload lies in
+/// `bytes`; the frame ends where the payload does.
+///
+/// # Errors
+/// Returns how the frame failed; see [`FrameFail`].
+pub fn decode_frame(
+    tag: u8,
+    max_len: usize,
+    bytes: &[u8],
+    expect_seq: u64,
+) -> Result<std::ops::Range<usize>, FrameFail> {
+    let corrupt = FrameFail::Corrupt;
+    let Some(&found) = bytes.first() else {
+        return Err(FrameFail::Torn);
+    };
+    if found != tag {
+        return Err(corrupt(0, format!("bad frame tag {:?}", found as char)));
     }
-    *pos += 1;
-    let len = take_frame_number(bytes, pos, "length")? as usize;
-    let seq = take_frame_number(bytes, pos, "sequence")?;
-    if *pos + 9 > bytes.len() {
+    let mut pos = 1usize;
+    let len = take_frame_number(bytes, &mut pos, "length")? as usize;
+    if len > max_len {
+        return Err(corrupt(0, format!("length {len} exceeds cap {max_len}")));
+    }
+    let seq = take_frame_number(bytes, &mut pos, "sequence")?;
+    if pos + 9 > bytes.len() {
         return Err(FrameFail::Torn);
     }
-    let crc_text = std::str::from_utf8(&bytes[*pos..*pos + 8])
-        .map_err(|_| FrameFail::Corrupt("non-UTF-8 checksum".into()))?;
+    let crc_text = std::str::from_utf8(&bytes[pos..pos + 8])
+        .map_err(|_| corrupt(pos, "non-UTF-8 checksum".into()))?;
     let stored_crc = u32::from_str_radix(crc_text, 16)
-        .map_err(|_| FrameFail::Corrupt(format!("bad checksum {crc_text:?}")))?;
-    if bytes[*pos + 8] != b':' {
-        return Err(FrameFail::Corrupt("missing checksum separator".into()));
+        .map_err(|_| corrupt(pos, format!("bad checksum {crc_text:?}")))?;
+    if bytes[pos + 8] != b':' {
+        return Err(corrupt(pos + 8, "missing checksum separator".into()));
     }
-    *pos += 9;
+    pos += 9;
     let Some(end) = pos.checked_add(len).filter(|&e| e <= bytes.len()) else {
         return Err(FrameFail::Torn);
     };
-    let payload = &bytes[*pos..end];
-    let computed = crc32(payload);
+    let computed = crc32(&bytes[pos..end]);
     if computed != stored_crc {
-        return Err(FrameFail::Corrupt(format!(
-            "crc mismatch (stored {stored_crc:08x}, computed {computed:08x})"
-        )));
+        return Err(corrupt(
+            0,
+            format!("crc mismatch (stored {stored_crc:08x}, computed {computed:08x})"),
+        ));
     }
     if seq != expect_seq {
         return Err(FrameFail::Gap {
@@ -369,14 +416,22 @@ fn decode_frame(bytes: &[u8], pos: &mut usize, expect_seq: u64) -> Result<Op, Fr
             expected: expect_seq,
         });
     }
+    Ok(pos..end)
+}
+
+/// Decodes the v2 record frame at the front of `frame` — the checks of
+/// [`decode_frame`], then the payload as exactly one [`Op`] — and
+/// returns the op with the frame's byte length.
+fn decode_record(frame: &[u8], expect_seq: u64) -> Result<(Op, usize), FrameFail> {
+    let payload_at = decode_frame(RECORD_TAG, usize::MAX, frame, expect_seq)?;
+    let payload = &frame[payload_at.clone()];
     let mut inner = 0usize;
     let op = Op::decode_prefix(payload, &mut inner)
-        .map_err(|e| FrameFail::Corrupt(format!("payload invalid despite crc: {e}")))?;
+        .map_err(|e| FrameFail::Corrupt(0, format!("payload invalid despite crc: {e}")))?;
     if inner != payload.len() {
-        return Err(FrameFail::Corrupt("payload has trailing bytes".into()));
+        return Err(FrameFail::Corrupt(0, "payload has trailing bytes".into()));
     }
-    *pos = end;
-    Ok(op)
+    Ok((op, payload_at.end))
 }
 
 /// A mid-file corruption localized by v2 replay.
@@ -419,89 +474,63 @@ pub fn replay_bytes(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError
     }
     // v1: unframed op stream; any decode failure is treated as a torn
     // tail (v1 cannot localize corruption — that is why v2 exists).
-    let mut ops = Vec::new();
+    let mut replay = Replay {
+        ops: Vec::new(),
+        valid_len: 0,
+        truncated: false,
+        version: JournalVersion::V1,
+        corruption: None,
+    };
     let mut pos = 0usize;
-    loop {
-        if pos >= bytes.len() {
-            return Ok(Replay {
-                ops,
-                valid_len: pos as u64,
-                truncated: false,
-                version: JournalVersion::V1,
-                corruption: None,
-            });
-        }
-        let mark = pos;
+    while pos < bytes.len() && !replay.truncated {
         match Op::decode_prefix(bytes, &mut pos) {
-            Ok(op) => ops.push(op),
-            Err(_) => {
-                return Ok(Replay {
-                    ops,
-                    valid_len: mark as u64,
-                    truncated: true,
-                    version: JournalVersion::V1,
-                    corruption: None,
-                });
+            Ok(op) => {
+                replay.ops.push(op);
+                replay.valid_len = pos as u64;
             }
+            Err(_) => replay.truncated = true,
         }
     }
+    Ok(replay)
 }
 
 fn replay_v2(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
-    let mut ops = Vec::new();
-    let mut pos = V2_MAGIC.len();
-    loop {
-        if pos >= bytes.len() {
-            return Ok(Replay {
-                ops,
-                valid_len: pos as u64,
-                truncated: false,
-                version: JournalVersion::V2,
-                corruption: None,
-            });
-        }
-        let mark = pos;
-        match decode_frame(bytes, &mut pos, ops.len() as u64) {
-            Ok(op) => ops.push(op),
-            Err(FrameFail::Torn) => {
-                return Ok(Replay {
-                    valid_len: mark as u64,
-                    truncated: true,
-                    version: JournalVersion::V2,
-                    corruption: None,
-                    ops,
-                });
+    let mut replay = Replay {
+        ops: Vec::new(),
+        valid_len: V2_MAGIC.len() as u64,
+        truncated: false,
+        version: JournalVersion::V2,
+        corruption: None,
+    };
+    while (replay.valid_len as usize) < bytes.len() {
+        let record = replay.ops.len();
+        match decode_record(&bytes[replay.valid_len as usize..], record as u64) {
+            Ok((op, len)) => {
+                replay.ops.push(op);
+                replay.valid_len += len as u64;
             }
             Err(fail) => {
-                let reason = match fail {
-                    FrameFail::Corrupt(reason) => reason,
-                    FrameFail::Gap { stored, expected } => {
-                        format!("sequence gap (stored {stored}, expected {expected})")
-                    }
-                    FrameFail::Torn => unreachable!("handled above"),
-                };
-                let record = ops.len();
-                return match mode {
-                    RecoveryMode::Strict => Err(KdbError::Corrupt {
-                        offset: mark as u64,
-                        record,
-                        reason,
-                    }),
-                    RecoveryMode::Salvage => Ok(Replay {
-                        valid_len: mark as u64,
-                        truncated: true,
-                        version: JournalVersion::V2,
-                        corruption: Some(CorruptionReport {
-                            offset: mark as u64,
+                replay.truncated = true;
+                if let Some((_, reason)) = fail.violation() {
+                    let offset = replay.valid_len;
+                    if mode == RecoveryMode::Strict {
+                        return Err(KdbError::Corrupt {
+                            offset,
                             record,
                             reason,
-                        }),
-                        ops,
-                    }),
-                };
+                        });
+                    }
+                    replay.corruption = Some(CorruptionReport {
+                        offset,
+                        record,
+                        reason,
+                    });
+                }
+                break;
             }
         }
     }
+    Ok(replay)
 }
 
 /// The outcome of decoding one v2 frame from an incremental byte
@@ -543,15 +572,11 @@ pub enum FrameStep {
 /// trailing bytes — but incremental: a torn tail is [`FrameStep::NeedMore`]
 /// rather than an error, so callers can buffer partial network reads.
 pub fn decode_stream_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> FrameStep {
-    if pos >= bytes.len() {
-        return FrameStep::NeedMore;
-    }
-    let mut cursor = pos;
-    match decode_frame(bytes, &mut cursor, expect_seq) {
-        Ok(op) => FrameStep::Op { op, end: cursor },
+    match decode_record(bytes.get(pos..).unwrap_or_default(), expect_seq) {
+        Ok((op, len)) => FrameStep::Op { op, end: pos + len },
         Err(FrameFail::Torn) => FrameStep::NeedMore,
         Err(FrameFail::Gap { stored, expected }) => FrameStep::Gap { stored, expected },
-        Err(FrameFail::Corrupt(reason)) => FrameStep::Corrupt { reason },
+        Err(FrameFail::Corrupt(_, reason)) => FrameStep::Corrupt { reason },
     }
 }
 
@@ -788,7 +813,7 @@ impl Journal {
             JournalVersion::V1 => self.file.append(payload.as_bytes()),
             JournalVersion::V2 => {
                 let mut frame = Vec::with_capacity(payload.len() + 40);
-                encode_frame(payload.as_bytes(), self.next_seq, &mut frame);
+                encode_frame(RECORD_TAG, payload.as_bytes(), self.next_seq, &mut frame);
                 let res = self.file.append(&frame);
                 framed = Some(frame);
                 res
@@ -886,7 +911,7 @@ impl Journal {
             for (seq, op) in ops.iter().enumerate() {
                 payload.clear();
                 op.encode_into(&mut payload);
-                encode_frame(payload.as_bytes(), seq as u64, &mut frame);
+                encode_frame(RECORD_TAG, payload.as_bytes(), seq as u64, &mut frame);
                 if frame.len() >= 1 << 16 {
                     w.append(&frame)?;
                     frame.clear();
@@ -994,6 +1019,119 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The system's two framed streams: journal records (uncapped) and
+    /// ADAN1 wire messages (16 MiB cap). One codec, so one suite.
+    const CODECS: [(u8, usize); 2] = [(b'R', usize::MAX), (b'F', 16 << 20)];
+
+    fn frame(tag: u8, payload: &[u8], seq: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame(tag, payload, seq, &mut out);
+        out
+    }
+
+    fn payloads() -> [Vec<u8>; 4] {
+        let kb5 = (0..5000u32).map(|i| (i * 31 % 251) as u8).collect();
+        [
+            Vec::new(),
+            b"x".to_vec(),
+            b"forty bytes of payload, more or less ...".to_vec(),
+            kb5,
+        ]
+    }
+
+    #[test]
+    fn frame_bytes_equal_the_golden_ones() {
+        // Headers captured from the last commit that had two encoders;
+        // the CRC in each pins its payload.
+        let [empty, one, _, kb5] = payloads();
+        let golden: [(&[u8], u64, &str); 5] = [
+            (&empty, 0, "0:0:00000000:"),
+            (&one, 0, "1:0:8cdc1683:"),
+            (&one, u64::MAX, "1:18446744073709551615:8cdc1683:"),
+            (&kb5, 7, "5000:7:510c4bc5:"),
+            (&empty, u64::MAX, "0:18446744073709551615:00000000:"),
+        ];
+        for (tag, _) in CODECS {
+            for (payload, seq, header) in golden {
+                let want = [&[tag][..], header.as_bytes(), payload].concat();
+                assert_eq!(frame(tag, payload, seq), want, "{} {header}", tag as char);
+            }
+        }
+    }
+
+    #[test]
+    fn a_whole_frame_decodes_and_every_byte_cut_of_it_is_torn() {
+        for (tag, cap) in CODECS {
+            for payload in payloads() {
+                let bytes = frame(tag, &payload, 3);
+                let at = decode_frame(tag, cap, &bytes, 3).expect("whole frame");
+                assert_eq!((&bytes[at.clone()], at.end), (&payload[..], bytes.len()));
+                for cut in 0..bytes.len() {
+                    let got = decode_frame(tag, cap, &bytes[..cut], 3);
+                    assert_eq!(got, Err(FrameFail::Torn), "{} cut {cut}", tag as char);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_corrupt_or_a_gap_never_another_payload() {
+        for (tag, cap) in CODECS {
+            for payload in &payloads()[..3] {
+                let clean = frame(tag, payload, 0);
+                // Filler behind the frame, so a flipped length digit
+                // that claims more bytes finds them (and fails its CRC)
+                // instead of reading as a torn tail.
+                let stream = [&clean[..], &[b'~'; 128]].concat();
+                let seq_field = clean.iter().position(|&b| b == b':').unwrap() + 1;
+                for bit in 0..clean.len() * 8 {
+                    let mut bytes = stream.clone();
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                    match decode_frame(tag, cap, &bytes, 0) {
+                        Err(FrameFail::Corrupt(..)) => {}
+                        // Only a sequence digit flipped into another
+                        // digit leaves a frame that verifies.
+                        Err(FrameFail::Gap { expected: 0, .. }) if bit / 8 == seq_field => {}
+                        // The checksum is parsed as hex of either case,
+                        // so one flip spells the same value: 'c' -> 'C'.
+                        Ok(at) if bytes[bit / 8].is_ascii_uppercase() => {
+                            assert_eq!(&bytes[at], &payload[..]);
+                        }
+                        other => panic!("{} bit {bit}: {other:?}", tag as char),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_sequence_number_is_a_gap_not_corruption() {
+        for (tag, cap) in CODECS {
+            let got = decode_frame(tag, cap, &frame(tag, b"payload", 9), 8);
+            let gap = FrameFail::Gap {
+                stored: 9,
+                expected: 8,
+            };
+            assert_eq!(got, Err(gap.clone()));
+            let reason = "sequence gap (stored 9, expected 8)".to_string();
+            assert_eq!(gap.violation(), Some((0, reason)));
+        }
+    }
+
+    #[test]
+    fn a_length_over_the_cap_fails_before_any_payload_arrives() {
+        let header = b"F16777217:";
+        let got = decode_frame(b'F', 16 << 20, header, 0);
+        assert!(
+            matches!(&got, Err(FrameFail::Corrupt(0, reason)) if reason.contains("exceeds cap")),
+            "{got:?}"
+        );
+        assert_eq!(
+            decode_frame(b'F', usize::MAX, header, 0),
+            Err(FrameFail::Torn)
+        );
     }
 
     #[test]

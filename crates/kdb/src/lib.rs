@@ -39,7 +39,6 @@
 
 pub mod collection;
 pub mod document;
-pub mod find;
 pub mod index;
 pub mod journal;
 pub mod query;
@@ -53,7 +52,6 @@ mod error;
 pub use collection::{Collection, DocId};
 pub use document::{Document, Value};
 pub use error::KdbError;
-pub use find::{count_by, find_with, FindOptions, Order};
 pub use journal::{CorruptionReport, DurabilityPolicy, JournalTap, JournalVersion, RecoveryMode};
 pub use query::Filter;
 pub use sharded::{

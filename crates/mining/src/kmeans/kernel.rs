@@ -7,9 +7,9 @@
 //!
 //! 1. **Dot-product distances.** `d²(x, c) = ‖x‖² − 2·x·c + ‖c‖²`,
 //!    with `‖x‖²` served from [`DenseMatrix::row_norms_sq`]'s
-//!    once-per-matrix cache (shared across a whole K sweep and every
-//!    warm-started partial-mining subset) and `‖c‖²` recomputed once
-//!    per iteration. The inner loop degenerates to one dot product.
+//!    once-per-matrix cache (shared across a whole K sweep) and
+//!    `‖c‖²` recomputed once per iteration. The inner loop degenerates
+//!    to one dot product.
 //! 2. **Hamerly bounds.** Every point tracks an upper bound `u` on the
 //!    distance to its assigned centroid and a lower bound `l` on the
 //!    distance to the second-closest one. After a centroid update the

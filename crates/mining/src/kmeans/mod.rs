@@ -28,13 +28,11 @@
 //! [`sparse_rows`](DenseMatrix::sparse_rows) view, which touches only
 //! non-zero cells and returns the same model bit for bit.
 
-pub mod bisecting;
 pub mod filtering;
 pub mod init;
 pub(crate) mod kernel;
 pub mod lloyd;
 pub(crate) mod rows;
-pub mod spherical;
 
 use ada_vsm::dense::DenseMatrix;
 use serde::{Deserialize, Serialize};
@@ -154,7 +152,7 @@ impl KMeans {
     }
 
     /// Runs the configured backend from explicit initial centroids
-    /// (used by tests and by bisecting K-means).
+    /// (used by tests and by `ada-stream`'s per-window warm fit).
     ///
     /// # Panics
     /// Panics on shape mismatch between `matrix` and `centroids`.
@@ -200,8 +198,7 @@ impl KMeans {
         self.fit_rows_from(rows, centroids)
     }
 
-    /// [`KMeans::fit_rows`] from explicit initial centroids — the
-    /// warm-started form the partial-mining ladders use.
+    /// [`KMeans::fit_rows`] from explicit initial centroids.
     ///
     /// # Panics
     /// Panics on shape mismatch between `rows` and `centroids`.
@@ -292,11 +289,10 @@ impl KMeansResult {
 /// carried centroid coordinates keep their columns and newly added
 /// feature columns start at zero.
 ///
-/// This is the warm-start seam shared by the partial-mining ladders
-/// (whose horizontal feature sets are frequency-order prefixes of one
-/// another) and the streaming miner (whose vocabulary grows as new exam
-/// types appear): both re-seed [`KMeans::fit_from`] with a previous
-/// model whose feature space has since widened.
+/// This is the streaming miner's warm-start seam: its vocabulary grows
+/// as new exam types appear, and each window re-seeds
+/// [`KMeans::fit_from`] with the previous window's model, whose feature
+/// space has since widened.
 ///
 /// # Panics
 /// Panics in debug builds when `dim` is smaller than `prev`'s width.

@@ -201,29 +201,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn hierarchical_cut_yields_exactly_k_clusters(
-        rows in prop::collection::vec(
-            prop::collection::vec((-40i32..40).prop_map(|v| f64::from(v) / 4.0), 2),
-            2..25,
-        ),
-        k in 1usize..6,
-    ) {
-        use ada_mining::hierarchical::{agglomerative, Linkage};
-        prop_assume!(k <= rows.len());
-        let m = DenseMatrix::from_rows(&rows);
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            let labels = agglomerative(&m, linkage).cut(k);
-            prop_assert_eq!(labels.len(), rows.len());
-            let mut distinct = labels.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            prop_assert_eq!(distinct.len(), k, "{:?}", linkage);
-            // Labels are dense 0..k.
-            prop_assert_eq!(distinct, (0..k).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn sequence_mining_respects_support(
         timelines in prop::collection::vec(
             prop::collection::vec(

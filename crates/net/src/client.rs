@@ -39,8 +39,7 @@ use ada_kdb::{Document, Value};
 use ada_obs::{Log2Histogram, Page, TraceContext};
 
 use crate::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC};
-use crate::metrics::{kind_index, REQUEST_KINDS};
-use crate::proto::{Request, Response, CONNECTION_ID};
+use crate::proto::{kind_index, Request, Response, CONNECTION_ID, REQUEST_KINDS};
 
 /// Client-side request-latency histograms, one per request kind.
 ///

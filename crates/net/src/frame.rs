@@ -1,8 +1,9 @@
 //! The ADAN1 wire framing: length-prefixed, CRC32-checked frames.
 //!
-//! The codec reuses the ADAJ2 framing discipline of the K-DB journal
-//! (`ada_kdb::journal`): a connection opens with the [`MAGIC`] preamble
-//! in each direction, and every message travels as one frame
+//! The codec *is* the K-DB journal's ([`ada_kdb::journal::encode_frame`],
+//! [`ada_kdb::journal::decode_frame`]) under its own tag byte and with a
+//! length cap: a connection opens with the [`MAGIC`] preamble in each
+//! direction, and every message travels as one frame
 //!
 //! ```text
 //! F<len>:<seq>:<crc32-hex>:<payload>
@@ -11,18 +12,18 @@
 //! — an ASCII-decimal payload byte length, a per-direction monotonic
 //! sequence number (detects dropped or replayed frames the moment they
 //! happen, exactly as the journal's record index does), an 8-hex-digit
-//! CRC32 (IEEE, the journal polynomial via [`ada_kdb::journal::crc32`])
-//! of the payload, and the payload bytes themselves.
+//! CRC32 (IEEE) of the payload, and the payload bytes themselves.
 //!
-//! [`FrameDecoder`] is a push-based incremental parser: feed it
-//! whatever the socket produced, take complete payloads out. Malformed
+//! [`FrameDecoder`] adds what is the wire's own — buffering, stream
+//! offsets, a sticky failure — as a push-based incremental parser: feed
+//! it whatever the socket produced, take complete payloads out. Malformed
 //! input is classified the same way journal replay classifies it — a
 //! frame that merely *ends early* is "torn" (more bytes may still
 //! arrive; on a socket that only becomes an error at EOF or deadline),
 //! while a complete-looking frame that fails its length, CRC or
 //! sequence check is a hard [`FrameError`] and the connection must die.
 
-use ada_kdb::journal::crc32;
+use ada_kdb::journal::{self, FrameFail};
 
 /// Connection preamble, sent once in each direction before any frame.
 /// `ADAN` ≠ `ADAJ`: a journal file can never be mistaken for a socket
@@ -55,16 +56,12 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// The tag byte opening an ADAN1 frame.
+const FRAME_TAG: u8 = b'F';
+
 /// Appends the ADAN1 frame for `payload` (sequence `seq`) to `out`.
 pub fn encode_frame(payload: &[u8], seq: u64, out: &mut Vec<u8>) {
-    out.push(b'F');
-    out.extend_from_slice(payload.len().to_string().as_bytes());
-    out.push(b':');
-    out.extend_from_slice(seq.to_string().as_bytes());
-    out.push(b':');
-    out.extend_from_slice(format!("{:08x}", crc32(payload)).as_bytes());
-    out.push(b':');
-    out.extend_from_slice(payload);
+    journal::encode_frame(FRAME_TAG, payload, seq, out);
 }
 
 /// The encoded frame as a fresh buffer.
@@ -121,16 +118,9 @@ impl FrameDecoder {
         self.expect_seq
     }
 
-    fn fail(&mut self, at: usize, reason: String) -> FrameError {
-        let err = FrameError {
-            offset: self.consumed + at as u64,
-            reason,
-        };
-        self.failed = Some(err.clone());
-        err
-    }
-
-    /// Attempts to decode the next frame from the buffered bytes.
+    /// Attempts to decode the next frame from the buffered bytes. Bytes
+    /// that end mid-frame are [`Decoded::NeedMore`] (torn — not yet an
+    /// error on a live socket).
     ///
     /// # Errors
     /// Returns the (sticky) [`FrameError`] once the stream violates the
@@ -140,91 +130,26 @@ impl FrameDecoder {
         if let Some(err) = &self.failed {
             return Err(err.clone());
         }
-        match self.parse() {
-            Ok(Some((payload, end))) => {
-                self.buf.drain(..end);
-                self.consumed += end as u64;
+        let decoded = journal::decode_frame(FRAME_TAG, MAX_FRAME_LEN, &self.buf, self.expect_seq);
+        match decoded.map_err(FrameFail::violation) {
+            Ok(payload_at) => {
+                let payload = self.buf[payload_at.clone()].to_vec();
+                self.buf.drain(..payload_at.end);
+                self.consumed += payload_at.end as u64;
                 self.expect_seq += 1;
                 Ok(Decoded::Frame(payload))
             }
-            Ok(None) => Ok(Decoded::NeedMore),
-            Err((at, reason)) => Err(self.fail(at, reason)),
+            Err(None) => Ok(Decoded::NeedMore),
+            Err(Some((at, reason))) => {
+                let err = FrameError {
+                    offset: self.consumed + at as u64,
+                    reason,
+                };
+                self.failed = Some(err.clone());
+                Err(err)
+            }
         }
     }
-
-    /// Parses one frame from the front of `buf`. `Ok(None)` means the
-    /// bytes end mid-frame (torn — not yet an error on a live socket).
-    #[allow(clippy::type_complexity)]
-    fn parse(&self) -> Result<Option<(Vec<u8>, usize)>, (usize, String)> {
-        let bytes = &self.buf;
-        if bytes.is_empty() {
-            return Ok(None);
-        }
-        if bytes[0] != b'F' {
-            return Err((0, format!("bad frame tag {:?}", bytes[0] as char)));
-        }
-        let mut pos = 1usize;
-        let Some(len) = take_number(bytes, &mut pos, "length")? else {
-            return Ok(None);
-        };
-        let len = len as usize;
-        if len > MAX_FRAME_LEN {
-            return Err((0, format!("length {len} exceeds cap {MAX_FRAME_LEN}")));
-        }
-        let Some(seq) = take_number(bytes, &mut pos, "sequence")? else {
-            return Ok(None);
-        };
-        if pos + 9 > bytes.len() {
-            return Ok(None);
-        }
-        let crc_text = std::str::from_utf8(&bytes[pos..pos + 8])
-            .map_err(|_| (pos, "non-UTF-8 checksum".to_string()))?;
-        let stored_crc = u32::from_str_radix(crc_text, 16)
-            .map_err(|_| (pos, format!("bad checksum {crc_text:?}")))?;
-        if bytes[pos + 8] != b':' {
-            return Err((pos + 8, "missing checksum separator".to_string()));
-        }
-        pos += 9;
-        let Some(end) = pos.checked_add(len).filter(|&e| e <= bytes.len()) else {
-            return Ok(None);
-        };
-        let payload = &bytes[pos..end];
-        let computed = crc32(payload);
-        if computed != stored_crc {
-            return Err((
-                0,
-                format!("crc mismatch (stored {stored_crc:08x}, computed {computed:08x})"),
-            ));
-        }
-        if seq != self.expect_seq {
-            return Err((
-                0,
-                format!("sequence gap (stored {seq}, expected {})", self.expect_seq),
-            ));
-        }
-        Ok(Some((payload.to_vec(), end)))
-    }
-}
-
-/// Reads decimal digits up to a `:`. `Ok(None)` when the buffer ends
-/// while still scanning (torn); `Err` on anything malformed.
-fn take_number(bytes: &[u8], pos: &mut usize, what: &str) -> Result<Option<u64>, (usize, String)> {
-    let start = *pos;
-    while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    if *pos >= bytes.len() {
-        return Ok(None);
-    }
-    if bytes[*pos] != b':' || *pos == start || *pos - start > 19 {
-        return Err((start, format!("malformed {what} field")));
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("ascii digits");
-    let n = text
-        .parse::<u64>()
-        .map_err(|_| (start, format!("{what} out of range")))?;
-    *pos += 1; // consume ':'
-    Ok(Some(n))
 }
 
 #[cfg(test)]
@@ -264,38 +189,38 @@ mod tests {
     }
 
     #[test]
-    fn crc_mismatch_is_sticky() {
-        let mut stream = Vec::new();
-        encode_frame(b"payload", 0, &mut stream);
-        let n = stream.len();
-        stream[n - 1] ^= 0x01; // corrupt last payload byte
-        let mut dec = FrameDecoder::new();
-        dec.push(&stream);
-        let err = dec.next_frame().unwrap_err();
-        assert!(err.reason.contains("crc mismatch"), "{err}");
-        // Poisoned: even pushing a pristine frame cannot recover.
-        let mut clean = Vec::new();
-        encode_frame(b"next", 1, &mut clean);
-        dec.push(&clean);
-        assert!(dec.next_frame().is_err());
+    fn the_wire_tag_is_f() {
+        assert_eq!(frame_bytes(b"x", 0), b"F1:0:8cdc1683:x");
+    }
+
+    // What a violation *is* — every bit flip, every byte cut, both tags —
+    // is `ada_kdb::journal`'s codec suite; here, what the decoder adds.
+    #[test]
+    fn a_violation_is_sticky_and_reports_its_frame_start_in_the_stream() {
+        let mut flipped = frame_bytes(b"b", 1);
+        *flipped.last_mut().unwrap() ^= 0x01;
+        for (bad, reason) in [
+            (frame_bytes(b"b", 2), "sequence gap (stored 2, expected 1)"),
+            (flipped, "crc mismatch"),
+        ] {
+            let first = frame_bytes(b"a", 0);
+            let mut dec = FrameDecoder::new();
+            dec.push(&first);
+            dec.push(&bad);
+            assert_eq!(dec.next_frame().unwrap(), Decoded::Frame(b"a".to_vec()));
+            let err = dec.next_frame().unwrap_err();
+            assert_eq!(err.offset, first.len() as u64);
+            assert!(err.reason.contains(reason), "{err}");
+            // Poisoned: even pushing a pristine frame cannot recover.
+            dec.push(&frame_bytes(b"next", 1));
+            assert_eq!(dec.next_frame().unwrap_err(), err);
+        }
     }
 
     #[test]
-    fn sequence_gap_is_detected() {
-        let mut stream = Vec::new();
-        encode_frame(b"a", 0, &mut stream);
-        encode_frame(b"b", 2, &mut stream); // skips seq 1
+    fn oversized_length_is_refused_before_its_payload_is_buffered() {
         let mut dec = FrameDecoder::new();
-        dec.push(&stream);
-        assert_eq!(dec.next_frame().unwrap(), Decoded::Frame(b"a".to_vec()));
-        let err = dec.next_frame().unwrap_err();
-        assert!(err.reason.contains("sequence gap"), "{err}");
-    }
-
-    #[test]
-    fn oversized_length_is_refused_without_allocating() {
-        let mut dec = FrameDecoder::new();
-        dec.push(format!("F{}:0:00000000:", MAX_FRAME_LEN + 1).as_bytes());
+        dec.push(format!("F{}:", MAX_FRAME_LEN + 1).as_bytes());
         let err = dec.next_frame().unwrap_err();
         assert!(err.reason.contains("exceeds cap"), "{err}");
     }

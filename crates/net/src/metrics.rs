@@ -11,22 +11,7 @@ use std::time::Duration;
 use ada_kdb::Document;
 use ada_obs::Log2Histogram;
 
-/// Request kinds tracked per-kind, aligned with
-/// [`Request::kind`](crate::proto::Request::kind) labels.
-pub(crate) const REQUEST_KINDS: [&str; 8] = [
-    "submit",
-    "status",
-    "cancel",
-    "results",
-    "past_sessions",
-    "trace_query",
-    "health",
-    "metrics",
-];
-
-pub(crate) fn kind_index(kind: &str) -> Option<usize> {
-    REQUEST_KINDS.iter().position(|k| *k == kind)
-}
+use crate::proto::{kind_index, REQUEST_KINDS};
 
 /// Lock-free counters and histograms for the net front-end.
 #[derive(Debug, Default)]

@@ -366,6 +366,30 @@ pub enum Request {
     },
 }
 
+/// Every request kind, in the protocol's stable order: the labels of
+/// [`Request::kind`], and what the per-kind server and client metrics
+/// are sized and indexed by. A kind added to [`Request::mark`] is added
+/// here (a test walks every variant).
+pub(crate) const REQUEST_KINDS: [&str; 12] = [
+    "submit",
+    "status",
+    "cancel",
+    "results",
+    "past_sessions",
+    "trace_query",
+    "health",
+    "metrics",
+    "stream_open",
+    "ingest",
+    "stream_query",
+    "stream_seal",
+];
+
+/// Position of `kind` in [`REQUEST_KINDS`].
+pub(crate) fn kind_index(kind: &str) -> Option<usize> {
+    REQUEST_KINDS.iter().position(|k| *k == kind)
+}
+
 impl Request {
     /// The flight-recorder mark a served request is recorded under:
     /// `net_req:<kind>`, one static string per kind.
@@ -997,13 +1021,37 @@ mod tests {
             },
             Request::Health,
             Request::MetricsSnapshot,
+            Request::StreamOpen {
+                stream: "feed".into(),
+                spec: StreamMiningSpec::quick(),
+            },
+            Request::Ingest {
+                stream: "feed".into(),
+                records: vec![ExamRecord::new(
+                    PatientId(1),
+                    ExamTypeId(2),
+                    Date::from_days_since_epoch(3).unwrap(),
+                )],
+            },
+            Request::StreamQuery {
+                stream: "feed".into(),
+            },
+            Request::StreamSeal {
+                stream: "feed".into(),
+            },
         ];
+        // One value of every variant: each kind must have a per-kind
+        // metrics slot, and every slot a variant.
+        let mut counted = [false; REQUEST_KINDS.len()];
         for (i, req) in reqs.into_iter().enumerate() {
             let bytes = req.encode(i as u64 + 1);
             let (id, back) = Request::decode(&bytes).unwrap();
             assert_eq!(id, i as u64 + 1);
             assert_eq!(back, req);
+            let slot = kind_index(req.kind());
+            counted[slot.unwrap_or_else(|| panic!("{} has no slot", req.kind()))] = true;
         }
+        assert_eq!(counted, [true; REQUEST_KINDS.len()]);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ada_core::{PipelineObserver, PipelineStage};
+use ada_dataset::{ExamRecord, ExamTypeId, PatientId};
 use ada_kdb::journal::Op;
 use ada_kdb::{
     DurabilityPolicy, FaultKind, FaultyStorage, Kdb, MemStorage, SharedKdb, StoreOptions, Value,
@@ -25,6 +26,7 @@ use ada_net::proto::{CohortSpec, Request, Response, WireJobSpec};
 use ada_net::{AsyncClient, Client, NetConfig, NetError, NetServer, MAX_FRAME_LEN};
 use ada_obs::Page;
 use ada_service::{AnalysisService, ServiceConfig, DEFAULT_TRACE_SEED};
+use ada_stream::StreamMiningSpec;
 
 /// Overall deadline for any single wait in these tests: generous, but
 /// finite — a hang is a failure, not a timeout of the harness.
@@ -859,6 +861,34 @@ fn prometheus_exposition_keeps_stable_names_and_adds_net_series() {
         other => panic!("expected Traces, got {other:?}"),
     }
 
+    // A stream exchange beside the session: the four stream kinds must
+    // be counted like the eight session kinds.
+    let stream = || "feed".to_owned();
+    let day = |d| ada_dataset::Date::from_days_since_epoch(d).unwrap();
+    let records = (0..20u32)
+        .map(|i| ExamRecord::new(PatientId(i % 5), ExamTypeId(i % 3), day(i64::from(i))))
+        .collect();
+    for (request, answer) in [
+        (
+            Request::StreamOpen {
+                stream: stream(),
+                spec: StreamMiningSpec::quick(),
+            },
+            "stream_opened",
+        ),
+        (
+            Request::Ingest {
+                stream: stream(),
+                records,
+            },
+            "ingested",
+        ),
+        (Request::StreamQuery { stream: stream() }, "stream_state"),
+        (Request::StreamSeal { stream: stream() }, "stream_state"),
+    ] {
+        assert_eq!(client.call(request).unwrap().kind(), answer);
+    }
+
     // Both surfaces must agree: the server-side accessor and the
     // MetricsSnapshot response carry the same combined exposition.
     let direct = server.snapshot_prometheus();
@@ -945,11 +975,20 @@ fn prometheus_exposition_keeps_stable_names_and_adds_net_series() {
                 "missing request-kind series {kind}"
             );
         }
+        for kind in ["stream_open", "ingest", "stream_query", "stream_seal"] {
+            assert!(
+                exposition.contains(&format!("ada_net_requests_total{{kind=\"{kind}\"}} 1\n")),
+                "stream request kind {kind} not counted"
+            );
+        }
         assert!(exposition.contains("ada_net_request_latency_ns{quantile=\"0.5\"}"));
         assert!(exposition.contains("ada_net_bytes_total{dir=\"in\"}"));
         assert!(exposition.contains("ada_net_bytes_total{dir=\"out\"}"));
         assert!(exposition.contains("ada_net_protocol_errors_total 0\n"));
     }
+    // No request is served without landing in a per-kind counter.
+    let net = server.metrics();
+    assert_eq!(net.requests_total(), net.request_count);
 
     // A fleet node appends the replication and fleet families after the
     // service + net set (`FleetNode::exposition`'s composition). Pin the

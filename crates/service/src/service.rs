@@ -382,13 +382,6 @@ impl AnalysisService {
         self.inner.follower.load(Ordering::Acquire)
     }
 
-    /// Flips the follower flag at runtime (the fleet layer sets it when
-    /// a node starts tailing a primary). Prefer
-    /// [`ServiceConfig::follower`] for nodes born as standbys.
-    pub fn set_follower(&self, on: bool) {
-        self.inner.follower.store(on, Ordering::Release);
-    }
-
     /// Promotes a follower to primary: clears the read-only follower
     /// flag so subsequent submissions are accepted, and marks the
     /// transition in the flight recorder. Idempotent; returns whether

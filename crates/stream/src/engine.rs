@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use ada_dataset::ExamRecord;
 use ada_kdb::schema::{self, names};
-use ada_kdb::{Document, Filter, KdbError, SharedKdb, Value};
+use ada_kdb::{Document, Filter, SharedKdb, Value};
 use ada_mining::kmeans::pad_centroids;
 use ada_mining::{KMeans, KMeansResult};
 use ada_obs::{FlightRecorder, StreamMetrics};
@@ -581,18 +581,6 @@ impl StreamEngine {
             .with("drift", self.last_drift)
             .with("vsm_fp", format_fp(self.vsm.fingerprint()))
             .with("model", model)
-    }
-}
-
-/// Maps a [`StreamError`] store failure back onto [`KdbError`] when
-/// callers need the underlying kind.
-impl StreamError {
-    /// The wrapped store error, when this is one.
-    pub fn as_kdb(&self) -> Option<&KdbError> {
-        match self {
-            StreamError::Kdb(e) => Some(e),
-            StreamError::Corrupt(_) => None,
-        }
     }
 }
 

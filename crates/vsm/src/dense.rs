@@ -407,10 +407,9 @@ impl DenseMatrix {
     /// Per-row squared L2 norms, computed once per matrix and cached.
     ///
     /// This is the precomputation behind the K-means kernel's
-    /// dot-product distance form: every backend, every K of a sweep,
-    /// and every warm-started partial-mining step evaluating distances
-    /// against the same matrix shares one norm vector. The cache is
-    /// invalidated by every mutating accessor.
+    /// dot-product distance form: every backend and every K of a sweep
+    /// evaluating distances against the same matrix shares one norm
+    /// vector. The cache is invalidated by every mutating accessor.
     pub fn row_norms_sq(&self) -> &[f64] {
         self.norms_sq
             .get_or_init(|| self.rows_iter().map(|row| dot(row, row)).collect())

@@ -8,8 +8,6 @@
 //! patient, counting how many times the patient underwent each exam type.
 //! This crate provides:
 //!
-//! * [`sparse::SparseVec`] — sorted-pairs sparse vectors with the usual
-//!   algebra (dot, norms, cosine);
 //! * [`dense::DenseMatrix`] — a row-major dense matrix used as the
 //!   clustering working set, with a cached non-zero view
 //!   ([`dense::SparseRows`]) for the loops that would otherwise multiply
@@ -27,11 +25,9 @@
 pub mod dense;
 pub mod kdtree;
 pub mod reduce;
-pub mod sparse;
 pub mod vsm;
 
 pub use dense::{DenseMatrix, SparseCells, SparseRows};
 pub use kdtree::KdTree;
 pub use reduce::{Pca, Standardizer};
-pub use sparse::SparseVec;
 pub use vsm::{PatientVectors, VsmBuilder, Weighting};

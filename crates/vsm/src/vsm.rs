@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 use ada_dataset::{ExamLog, ExamTypeId, PatientId};
 
 use crate::dense::DenseMatrix;
-use crate::sparse::SparseVec;
 
 /// Cell weighting schemes for the patient × exam matrix.
 ///
@@ -74,18 +73,6 @@ pub struct PatientVectors {
 }
 
 impl PatientVectors {
-    /// Row `r` as a sparse vector (useful for similarity-heavy metrics).
-    pub fn sparse_row(&self, r: usize) -> SparseVec {
-        SparseVec::from_dense(self.matrix.row(r))
-    }
-
-    /// All rows as sparse vectors.
-    pub fn sparse_rows(&self) -> Vec<SparseVec> {
-        (0..self.matrix.num_rows())
-            .map(|r| self.sparse_row(r))
-            .collect()
-    }
-
     /// Fraction of zero cells.
     pub fn sparsity(&self) -> f64 {
         let cells = self.matrix.num_rows() * self.matrix.num_cols();
@@ -318,14 +305,6 @@ mod tests {
             let n = crate::dense::norm(pv.matrix.row(r));
             assert!((n - 1.0).abs() < 1e-12, "row {r} norm {n}");
         }
-    }
-
-    #[test]
-    fn sparse_rows_match_dense() {
-        let pv = VsmBuilder::new().build(&tiny_log());
-        let s = pv.sparse_row(0);
-        assert_eq!(s.to_dense(), pv.matrix.row(0).to_vec());
-        assert_eq!(pv.sparse_rows().len(), 3);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Property tests: sparse-vector algebra laws and kd-tree correctness.
+//! Property tests: dense-vector algebra laws and kd-tree correctness.
 
 #![allow(clippy::needless_range_loop)] // lockstep index checks
 
-use ada_vsm::dense::{cosine, distance_sq, dot, DenseMatrix};
-use ada_vsm::{KdTree, SparseVec};
+use ada_vsm::dense::{cosine, distance_sq, DenseMatrix};
+use ada_vsm::KdTree;
 use proptest::prelude::*;
 
 /// A dense vector with small magnitudes and plenty of exact zeros (the
@@ -20,54 +20,9 @@ fn dense_vec(dim: usize) -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #[test]
-    fn sparse_round_trip(v in dense_vec(24)) {
-        let s = SparseVec::from_dense(&v);
-        prop_assert_eq!(s.to_dense(), v);
-    }
-
-    #[test]
-    fn sparse_dot_symmetric_and_matches_dense(a in dense_vec(16), b in dense_vec(16)) {
-        let sa = SparseVec::from_dense(&a);
-        let sb = SparseVec::from_dense(&b);
-        let d1 = sa.dot(&sb);
-        let d2 = sb.dot(&sa);
-        prop_assert!((d1 - d2).abs() < 1e-9);
-        prop_assert!((d1 - dot(&a, &b)).abs() < 1e-9);
-        prop_assert!((sa.dot_dense(&b) - d1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn distance_identity(a in dense_vec(16), b in dense_vec(16)) {
-        // ||a-b||² == ||a||² + ||b||² - 2a·b
-        let sa = SparseVec::from_dense(&a);
-        let sb = SparseVec::from_dense(&b);
-        let lhs = sa.distance_sq(&sb);
-        let rhs = sa.norm_sq() + sb.norm_sq() - 2.0 * sa.dot(&sb);
-        prop_assert!((lhs - rhs).abs() < 1e-6 * (1.0 + lhs.abs()));
-        prop_assert!(lhs >= -1e-12);
-        // Matches the dense helper.
-        prop_assert!((lhs - distance_sq(&a, &b)).abs() < 1e-9);
-    }
-
-    #[test]
     fn cauchy_schwarz_bounds_cosine(a in dense_vec(16), b in dense_vec(16)) {
         let c = cosine(&a, &b);
         prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&c));
-        let sc = SparseVec::from_dense(&a).cosine(&SparseVec::from_dense(&b));
-        prop_assert!((c - sc).abs() < 1e-9);
-    }
-
-    #[test]
-    fn normalization_is_unit_or_zero(a in dense_vec(16)) {
-        let n = SparseVec::from_dense(&a).normalized().norm();
-        prop_assert!(n.abs() < 1e-9 || (n - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn addition_commutes(a in dense_vec(12), b in dense_vec(12)) {
-        let sa = SparseVec::from_dense(&a);
-        let sb = SparseVec::from_dense(&b);
-        prop_assert_eq!(sa.add(&sb), sb.add(&sa));
     }
 
     #[test]
