@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use ada_kdb::SharedKdb;
 use ada_net::{NetConfig, NetMetricsSnapshot, NetServer};
-use ada_obs::{FleetMetrics, ReplMetrics};
+use ada_obs::{FleetMetrics, Metrics, ReplMetrics};
 use ada_service::{AnalysisService, ServiceConfig};
 
 use crate::ship::{ReplFollower, ReplListener};

@@ -414,3 +414,100 @@ fn fleet_node_pair_replicates_sessions_and_promotes() {
     assert!(exposition.contains("# TYPE ada_fleet_promotions_total counter"));
     standby.shutdown();
 }
+
+#[test]
+fn promoted_follower_resumes_a_stream_from_the_last_durable_watermark() {
+    use ada_dataset::synthetic::{generate, SyntheticConfig};
+    use ada_dataset::{ExamRecord, StreamOrder};
+    use ada_net::NetConfig;
+    use ada_service::{AnalysisService, ServiceConfig, ServiceError};
+    use ada_stream::StreamConfig;
+
+    let stream = || {
+        StreamConfig::new("ward-7")
+            .window_days(7)
+            .lateness_days(7)
+            .k(3)
+            .min_rows(8)
+            .update_iters(3)
+            .refit_iters(30)
+    };
+    let log = generate(
+        &SyntheticConfig {
+            num_patients: 60,
+            num_exam_types: 20,
+            target_records: 900,
+            ..SyntheticConfig::small()
+        },
+        7,
+    );
+    let feed: Vec<ExamRecord> = StreamOrder::new(&log, 7, 5).collect();
+    let ingest = |service: &AnalysisService, records: &[ExamRecord]| {
+        for batch in records.chunks(17) {
+            while let Err(err) = service.stream_ingest("ward-7", batch.to_vec()) {
+                assert!(matches!(err, ServiceError::Busy { .. }), "{err}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    };
+    let fingerprints = |status: &Document| {
+        let model = status.get("model").and_then(Value::as_doc).unwrap();
+        (
+            status.get("vsm_fp").cloned(),
+            model.get("fingerprint").cloned(),
+            status.get("windows_closed").cloned(),
+        )
+    };
+
+    // Reference: the whole feed on one node.
+    let single = AnalysisService::new(ServiceConfig::default(), SharedKdb::in_memory());
+    assert_eq!(single.stream_open(stream()).unwrap(), 0);
+    ingest(&single, &feed);
+    let expected = fingerprints(&single.stream_seal("ward-7").unwrap());
+    single.shutdown();
+
+    let primary = FleetNode::start_primary(
+        "alpha",
+        ServiceConfig::default(),
+        mem_kdb("fleet_stream_p.journal"),
+        NetConfig::default(),
+    )
+    .unwrap();
+    let mut standby = FleetNode::start_follower(
+        "beta",
+        ServiceConfig::default(),
+        mem_kdb("fleet_stream_f.journal"),
+        NetConfig::default(),
+        primary.repl_addr().unwrap(),
+    )
+    .unwrap();
+
+    // The primary folds half the feed; every closed window is a
+    // checkpoint the standby acknowledges before the primary dies.
+    assert_eq!(primary.service().stream_open(stream()).unwrap(), 0);
+    ingest(primary.service(), &feed[..feed.len() / 2]);
+    let status = primary.service().stream_query("ward-7").unwrap();
+    let closed = status
+        .get("windows_closed")
+        .and_then(Value::as_i64)
+        .unwrap();
+    assert!(closed > 0, "some windows closed on the primary");
+    let kdb = primary.service().kdb();
+    kdb.sync().unwrap();
+    let durable = kdb.journal_acked_ops();
+    wait_for("the standby to ack the journal", || {
+        standby.acked_ops() >= durable
+    });
+    primary.shutdown();
+
+    // The promoted standby replays the checkpoints, and the source
+    // re-delivers its feed: the folded prefix drops as late, the rest
+    // folds exactly once.
+    assert!(standby.promote().unwrap());
+    let resumed = standby.service().stream_open(stream()).unwrap();
+    assert_eq!(resumed, closed as u64, "every closed window replayed");
+    ingest(standby.service(), &feed);
+    let sealed = standby.service().stream_seal("ward-7").unwrap();
+    assert_eq!(fingerprints(&sealed), expected);
+    standby.shutdown();
+}

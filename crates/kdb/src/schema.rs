@@ -39,13 +39,6 @@ pub mod names {
     /// odds ratio with CI, shrunken estimate, combined rank score).
     /// A seventh knowledge collection beyond the paper's six.
     pub const SIGNAL_KNOWLEDGE: &str = "signal_knowledge";
-    /// Operational: persisted end-to-end request traces — one document
-    /// per *sampled* terminal session, holding the full span tree
-    /// (client submit → server decode → queue wait → pipeline stages →
-    /// group-commit fsync rounds) in deterministic pre-order, keyed by
-    /// a 128-bit wire-propagated trace id. Served remotely via the
-    /// `TraceQuery` wire message.
-    pub const TRACES: &str = "traces";
     /// Operational: durable streaming-ingestion checkpoints — one
     /// document per *closed* stream window, holding the window's folded
     /// records in canonical order plus the watermark, drift score and
@@ -53,8 +46,7 @@ pub mod names {
     /// replication follower) replays this collection to rebuild its
     /// incremental VSM and model byte-identically, then resumes from
     /// the last durable watermark. Created lazily by
-    /// [`init_stream_schema`](super::init_stream_schema), like
-    /// [`TRACES`].
+    /// [`init_stream_schema`](super::init_stream_schema).
     pub const STREAM_WINDOWS: &str = "stream_windows";
 
     /// All six, in paper order.
@@ -69,13 +61,11 @@ pub mod names {
 
     /// Every collection [`init_schema`](super::init_schema) manages:
     /// the paper's six plus the signal-knowledge and session-history
-    /// operational collections. [`TRACES`] and [`STREAM_WINDOWS`] are
-    /// deliberately absent — each is created lazily
-    /// ([`init_trace_schema`](super::init_trace_schema),
-    /// [`init_stream_schema`](super::init_stream_schema)) only when a
-    /// writer is about to use it, so journals from services that never
-    /// trace or never stream stay byte-identical to the older write
-    /// paths.
+    /// operational collections. [`STREAM_WINDOWS`] is deliberately
+    /// absent — it is created lazily
+    /// ([`init_stream_schema`](super::init_stream_schema)) only when a
+    /// stream is about to close a window, so journals from services that
+    /// never stream stay byte-identical to the older write paths.
     pub const ALL_WITH_OPS: [&str; 8] = [
         RAW_DATA,
         TRANSFORMED_DATA,
@@ -167,28 +157,12 @@ pub fn init_schema<W: KdbWrite + ?Sized>(db: &mut W) -> Result<(), KdbError> {
     Ok(())
 }
 
-/// Creates the `traces` collection and its `session`/`trace_id`
-/// indexes (idempotent). Kept out of [`init_schema`] on purpose: the
-/// trace store must only come into existence when a sampled session is
-/// about to write into it, so a service running with tracing disabled
-/// produces a journal byte-identical to one that predates tracing.
-///
-/// # Errors
-/// Returns journal I/O errors.
-pub fn init_trace_schema<W: KdbWrite + ?Sized>(db: &mut W) -> Result<(), KdbError> {
-    db.ensure_collection(names::TRACES)?;
-    for path in ["session", "trace_id"] {
-        db.ensure_index(names::TRACES, path)?;
-    }
-    Ok(())
-}
-
 /// Creates the `stream_windows` collection and its `stream`/`window`
-/// indexes (idempotent). Kept out of [`init_schema`] for the same
-/// reason as [`init_trace_schema`]: the checkpoint store must only come
-/// into existence when a stream is about to close its first window, so
-/// a service that never ingests a stream produces a journal
-/// byte-identical to one that predates streaming.
+/// indexes (idempotent). Kept out of [`init_schema`] on purpose: the
+/// checkpoint store must only come into existence when a stream is
+/// about to close its first window, so a service that never ingests a
+/// stream produces a journal byte-identical to one that predates
+/// streaming.
 ///
 /// # Errors
 /// Returns journal I/O errors.
@@ -218,7 +192,12 @@ pub const SESSION_TERMINAL_STATES: [&str; 3] = ["completed", "failed", "cancelle
 ///   string `stage` and non-negative integers `count`, `p50_ns`,
 ///   `p90_ns`, `p99_ns`;
 /// * `counters` — nested document whose values are all non-negative
-///   integers (the kernel counters).
+///   integers (the kernel counters);
+/// * `trace_id` and `forced` — both or neither: a sampled session's
+///   128-bit wire-propagated trace id as exactly 32 lowercase hex
+///   digits, and whether the slow-session log forced sampling
+///   retroactively (vs. the seeded head decision). Spans may then carry
+///   an `attrs` sub-document of non-negative integers.
 ///
 /// # Errors
 /// Returns [`KdbError::Schema`] naming the first violated rule.
@@ -236,7 +215,17 @@ pub fn validate_session_doc(doc: &Document) -> Result<(), KdbError> {
             ))
         }
     }
-    validate_span_array("sessions", doc)?;
+    match (doc.get("trace_id"), doc.get("forced")) {
+        (None, None) => {}
+        (Some(Value::Str(id)), Some(Value::Bool(_))) if is_lower_hex(id, 32) => {}
+        (id, forced) => {
+            return bad(format!(
+                "sessions: `trace_id` (32 lowercase hex digits) and `forced` (boolean) \
+                 must be both present or both absent, got {id:?} / {forced:?}"
+            ))
+        }
+    }
+    validate_span_array(doc)?;
     let Some(stages) = doc.get("stages").and_then(Value::as_array) else {
         return bad("sessions: `stages` must be an array".into());
     };
@@ -278,27 +267,25 @@ pub fn validate_session_doc(doc: &Document) -> Result<(), KdbError> {
 /// always point at earlier indexes (−1 for the root), with non-negative
 /// timings and, optionally, an `attrs` sub-document of non-negative
 /// integer attributes (batch sizes, role flags, wait/fsync splits).
-/// Shared by the `sessions` and `traces` validators; `coll` labels the
-/// error messages.
-fn validate_span_array(coll: &str, doc: &Document) -> Result<(), KdbError> {
+fn validate_span_array(doc: &Document) -> Result<(), KdbError> {
     let bad = |reason: String| Err(KdbError::Schema(reason));
     let Some(spans) = doc.get("spans").and_then(Value::as_array) else {
-        return bad(format!("{coll}: `spans` must be an array"));
+        return bad("sessions: `spans` must be an array".into());
     };
     for (i, span) in spans.iter().enumerate() {
         let Some(span) = span.as_doc() else {
-            return bad(format!("{coll}: spans[{i}] must be a document"));
+            return bad(format!("sessions: spans[{i}] must be a document"));
         };
         match span.get("name").and_then(Value::as_str) {
             Some(n) if !n.is_empty() => {}
-            _ => return bad(format!("{coll}: spans[{i}].name must be non-empty")),
+            _ => return bad(format!("sessions: spans[{i}].name must be non-empty")),
         }
         match span.get("parent").and_then(Value::as_i64) {
             Some(-1) => {}
             Some(p) if p >= 0 && (p as usize) < i => {}
             other => {
                 return bad(format!(
-                    "{coll}: spans[{i}].parent must be -1 or an earlier index, got {other:?}"
+                    "sessions: spans[{i}].parent must be -1 or an earlier index, got {other:?}"
                 ))
             }
         }
@@ -307,21 +294,21 @@ fn validate_span_array(coll: &str, doc: &Document) -> Result<(), KdbError> {
                 Some(v) if v >= 0 => {}
                 _ => {
                     return bad(format!(
-                        "{coll}: spans[{i}].{key} must be a non-negative integer"
+                        "sessions: spans[{i}].{key} must be a non-negative integer"
                     ))
                 }
             }
         }
         if let Some(attrs) = span.get("attrs") {
             let Some(attrs) = attrs.as_doc() else {
-                return bad(format!("{coll}: spans[{i}].attrs must be a document"));
+                return bad(format!("sessions: spans[{i}].attrs must be a document"));
             };
             for (key, value) in attrs.iter() {
                 match value.as_i64() {
                     Some(v) if v >= 0 => {}
                     _ => {
                         return bad(format!(
-                            "{coll}: spans[{i}].attrs.{key} must be a non-negative integer"
+                            "sessions: spans[{i}].attrs.{key} must be a non-negative integer"
                         ))
                     }
                 }
@@ -344,76 +331,9 @@ pub fn insert_session_record<W: KdbWrite + ?Sized>(
     db.insert(names::SESSIONS, record)
 }
 
-/// Validates a persisted request trace against the `traces` collection
-/// schema.
-///
-/// Required shape (see DESIGN.md §14):
-///
-/// * `session` — non-empty string;
-/// * `trace_id` — exactly 32 lowercase hex digits (the 128-bit
-///   wire-propagated trace id);
-/// * `state` — one of [`SESSION_TERMINAL_STATES`];
-/// * `forced` — boolean: whether the slow-session log forced sampling
-///   retroactively (vs. the seeded head decision);
-/// * `spans` — the same pre-ordered span array the `sessions` schema
-///   uses, with optional non-negative integer `attrs` per span;
-/// * `events_dropped` — non-negative integer (0 certifies the span
-///   tree is complete).
-///
-/// # Errors
-/// Returns [`KdbError::Schema`] naming the first violated rule.
-pub fn validate_trace_doc(doc: &Document) -> Result<(), KdbError> {
-    let bad = |reason: String| Err(KdbError::Schema(reason));
-    match doc.get("session").and_then(Value::as_str) {
-        Some(s) if !s.is_empty() => {}
-        _ => return bad("traces: `session` must be a non-empty string".into()),
-    }
-    match doc.get("trace_id").and_then(Value::as_str) {
-        Some(id)
-            if id.len() == 32
-                && id
-                    .bytes()
-                    .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()) => {}
-        other => {
-            return bad(format!(
-                "traces: `trace_id` must be 32 lowercase hex digits, got {other:?}"
-            ))
-        }
-    }
-    match doc.get("state").and_then(Value::as_str) {
-        Some(s) if SESSION_TERMINAL_STATES.contains(&s) => {}
-        other => {
-            return bad(format!(
-                "traces: `state` must be one of {SESSION_TERMINAL_STATES:?}, got {other:?}"
-            ))
-        }
-    }
-    if doc.get("forced").and_then(Value::as_bool).is_none() {
-        return bad("traces: `forced` must be a boolean".into());
-    }
-    validate_span_array("traces", doc)?;
-    match doc.get("events_dropped").and_then(Value::as_i64) {
-        Some(v) if v >= 0 => Ok(()),
-        _ => bad("traces: `events_dropped` must be a non-negative integer".into()),
-    }
-}
-
-/// Validates and inserts a terminal request trace.
-///
-/// # Errors
-/// Returns [`KdbError::Schema`] on a malformed trace, otherwise store
-/// errors (missing collection / journal I/O).
-pub fn insert_trace_record<W: KdbWrite + ?Sized>(
-    db: &mut W,
-    record: Document,
-) -> Result<DocId, KdbError> {
-    validate_trace_doc(&record)?;
-    db.insert(names::TRACES, record)
-}
-
-/// Checks a 16-lowercase-hex-digit fingerprint string.
-fn is_fp16(s: &str) -> bool {
-    s.len() == 16
+/// Checks for exactly `digits` lowercase hex digits.
+fn is_lower_hex(s: &str, digits: usize) -> bool {
+    s.len() == digits
         && s.bytes()
             .all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
 }
@@ -512,7 +432,7 @@ pub fn validate_stream_window_doc(doc: &Document) -> Result<(), KdbError> {
         _ => return bad("stream_windows: `drift` must be a non-negative float".into()),
     }
     match doc.get("vsm_fp").and_then(Value::as_str) {
-        Some(fp) if is_fp16(fp) => {}
+        Some(fp) if is_lower_hex(fp, 16) => {}
         other => {
             return bad(format!(
                 "stream_windows: `vsm_fp` must be 16 lowercase hex digits, got {other:?}"
@@ -521,7 +441,7 @@ pub fn validate_stream_window_doc(doc: &Document) -> Result<(), KdbError> {
     }
     match doc.get("model_fp").and_then(Value::as_str) {
         Some("") => Ok(()),
-        Some(fp) if is_fp16(fp) => Ok(()),
+        Some(fp) if is_lower_hex(fp, 16) => Ok(()),
         other => bad(format!(
             "stream_windows: `model_fp` must be empty or 16 lowercase hex digits, got {other:?}"
         )),
@@ -896,16 +816,9 @@ mod tests {
         assert_eq!(db.collection(names::SESSIONS).unwrap().len(), 0);
     }
 
-    fn sample_trace_doc() -> Document {
-        let span = |name: &str, parent: i64, start: i64, dur: i64| {
-            Value::Doc(
-                Document::new()
-                    .with("name", name)
-                    .with("parent", parent)
-                    .with("start_ns", start)
-                    .with("dur_ns", dur),
-            )
-        };
+    /// A sampled session record: trace id, forced flag and an
+    /// attributed fsync-round span on top of the plain record.
+    fn sample_traced_doc() -> Document {
         let fsync = Value::Doc(
             Document::new()
                 .with("name", "fsync_round")
@@ -923,81 +836,60 @@ mod tests {
                     ),
                 ),
         );
-        Document::new()
-            .with("session", "s1")
+        let mut doc = sample_session_doc()
             .with("trace_id", "00112233445566778899aabbccddeeff")
-            .with("state", "completed")
-            .with("forced", false)
-            .with("events_dropped", 0i64)
-            .with(
-                "spans",
-                Value::Array(vec![
-                    span("session", -1, 0, 500),
-                    span("queue_wait", 0, 5, 40),
-                    span("optimize", 0, 50, 200),
-                    fsync,
-                ]),
-            )
+            .with("forced", false);
+        let Some(Value::Array(spans)) = doc.remove("spans") else {
+            unreachable!("the sample record has spans");
+        };
+        doc.with("spans", Value::Array([spans, vec![fsync]].concat()))
     }
 
     #[test]
-    fn trace_records_validate_and_round_trip() {
+    fn sampled_session_records_validate_and_round_trip() {
         let mut db = Kdb::in_memory();
         init_schema(&mut db).unwrap();
-        // The base schema must NOT create the trace store: it only
-        // appears once a sampled session is about to persist.
-        assert!(db.collection(names::TRACES).is_none());
-        init_trace_schema(&mut db).unwrap();
-        let coll = db.collection(names::TRACES).unwrap();
-        assert!(coll.has_index("session"));
-        assert!(coll.has_index("trace_id"));
-        let id = insert_trace_record(&mut db, sample_trace_doc()).unwrap();
+        let id = insert_session_record(&mut db, sample_traced_doc()).unwrap();
         let found = db
-            .find(names::TRACES, &Filter::eq("session", "s1"))
+            .find(names::SESSIONS, &Filter::eq("session", "s1"))
             .unwrap();
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].0, id);
-        validate_trace_doc(&found[0].1).unwrap();
+        validate_session_doc(&found[0].1).unwrap();
     }
 
     #[test]
-    fn trace_validation_rejects_malformed_records() {
+    fn sampled_session_validation_rejects_malformed_trace_fields() {
         let rejects = |doc: Document, what: &str| {
             let mut db = Kdb::in_memory();
-            init_trace_schema(&mut db).unwrap();
+            init_schema(&mut db).unwrap();
             assert!(
-                matches!(insert_trace_record(&mut db, doc), Err(KdbError::Schema(_))),
+                matches!(
+                    insert_session_record(&mut db, doc),
+                    Err(KdbError::Schema(_))
+                ),
                 "expected rejection: {what}"
             );
-            assert_eq!(db.collection(names::TRACES).unwrap().len(), 0);
+            assert_eq!(db.collection(names::SESSIONS).unwrap().len(), 0);
         };
-        rejects(sample_trace_doc().with("session", ""), "empty session");
-        rejects(sample_trace_doc().with("trace_id", "xyz"), "short trace id");
+        let without = |key: &str| {
+            let mut doc = sample_traced_doc();
+            doc.remove(key);
+            doc
+        };
+        rejects(without("forced"), "trace id without forced flag");
+        rejects(without("trace_id"), "forced flag without trace id");
         rejects(
-            sample_trace_doc().with("trace_id", "00112233445566778899AABBCCDDEEFF"),
+            sample_traced_doc().with("trace_id", "xyz"),
+            "short trace id",
+        );
+        rejects(
+            sample_traced_doc().with("trace_id", "00112233445566778899AABBCCDDEEFF"),
             "uppercase trace id",
         );
-        rejects(sample_trace_doc().with("state", "running"), "non-terminal");
-        rejects(sample_trace_doc().with("forced", 1i64), "non-bool forced");
+        rejects(sample_traced_doc().with("forced", 1i64), "non-bool forced");
         rejects(
-            sample_trace_doc().with("events_dropped", -1i64),
-            "negative drop count",
-        );
-        rejects(
-            sample_trace_doc().with(
-                "spans",
-                Value::Array(vec![Value::Doc(
-                    Document::new()
-                        .with("name", "x")
-                        .with("parent", 3i64)
-                        .with("start_ns", 0i64)
-                        .with("dur_ns", 0i64),
-                )]),
-            ),
-            "forward parent reference",
-        );
-        rejects(
-            sample_trace_doc().with(
+            sample_traced_doc().with(
                 "spans",
                 Value::Array(vec![Value::Doc(
                     Document::new()
@@ -1043,8 +935,8 @@ mod tests {
     fn stream_window_records_validate_and_round_trip() {
         let mut db = Kdb::in_memory();
         init_schema(&mut db).unwrap();
-        // Like the trace store, the checkpoint store must only appear
-        // once a stream actually closes a window.
+        // The checkpoint store must only appear once a stream actually
+        // closes a window.
         assert!(db.collection(names::STREAM_WINDOWS).is_none());
         init_stream_schema(&mut db).unwrap();
         let coll = db.collection(names::STREAM_WINDOWS).unwrap();

@@ -22,7 +22,7 @@
 //!   [`TraceContext`](ada_obs::TraceContext) as an optional envelope
 //!   field — absent on the wire means unsampled, so untraced traffic
 //!   is byte-identical to the pre-tracing protocol — and `TraceQuery`
-//!   reads the persisted span trees back from the `traces` collection.
+//!   lists the sampled session records (those carrying a `trace_id`).
 //! - [`server`]: [`NetServer`], a bounded-accept pool with
 //!   per-connection deadlines and graceful drain. Queue-full
 //!   backpressure crosses the wire as [`Response::Busy`] carrying the

@@ -1,5 +1,5 @@
 //! Net-layer metrics: connection and request counters on `ada-obs`
-//! log2 histograms, rendered as `ada_net_*` Prometheus series.
+//! log2 histograms, declared once as the `ada_net_*` family table.
 //!
 //! Everything on the recording path is lock-free (relaxed atomics and
 //! fixed-bucket histograms), matching the service-side
@@ -8,8 +8,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
-use ada_kdb::Document;
-use ada_obs::Log2Histogram;
+use ada_obs::{Log2Histogram, Metrics, Num, Reading, Series, Summary};
 
 use crate::proto::{kind_index, REQUEST_KINDS};
 
@@ -122,72 +121,46 @@ impl NetMetricsSnapshot {
     pub fn requests_total(&self) -> u64 {
         self.requests.iter().map(|(_, n)| n).sum()
     }
+}
 
-    /// The snapshot as one K-DB document.
-    pub fn to_document(&self) -> Document {
-        let count = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        let mut requests = Document::new();
-        for (kind, n) in &self.requests {
-            requests.set(*kind, count(*n));
-        }
-        Document::new()
-            .with("accepts", count(self.accepts))
-            .with("rejects", count(self.rejects))
-            .with("protocol_errors", count(self.protocol_errors))
-            .with("in_flight", self.in_flight)
-            .with("requests", ada_kdb::Value::Doc(requests))
-            .with("frames_in", count(self.frames_in))
-            .with("frames_out", count(self.frames_out))
-            .with("bytes_in", count(self.bytes_in))
-            .with("bytes_out", count(self.bytes_out))
-    }
+type Row = Series<NetMetricsSnapshot>;
 
-    /// The snapshot as Prometheus text exposition (`ada_net_*` series).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("# TYPE ada_net_accepts_total counter\n");
-        out.push_str(&format!("ada_net_accepts_total {}\n", self.accepts));
-        out.push_str("# TYPE ada_net_rejects_total counter\n");
-        out.push_str(&format!("ada_net_rejects_total {}\n", self.rejects));
-        out.push_str("# TYPE ada_net_protocol_errors_total counter\n");
-        out.push_str(&format!(
-            "ada_net_protocol_errors_total {}\n",
-            self.protocol_errors
-        ));
-        out.push_str("# TYPE ada_net_connections_in_flight gauge\n");
-        out.push_str(&format!(
-            "ada_net_connections_in_flight {}\n",
-            self.in_flight
-        ));
-        out.push_str("# TYPE ada_net_requests_total counter\n");
-        for (kind, n) in &self.requests {
-            out.push_str(&format!("ada_net_requests_total{{kind=\"{kind}\"}} {n}\n"));
-        }
-        out.push_str("# TYPE ada_net_request_latency_ns summary\n");
-        for (q, v) in [
-            ("0.5", self.request_latency_p50),
-            ("0.99", self.request_latency_p99),
-        ] {
-            out.push_str(&format!(
-                "ada_net_request_latency_ns{{quantile=\"{q}\"}} {}\n",
-                v.as_nanos()
-            ));
-        }
-        out.push_str(&format!(
-            "ada_net_request_latency_ns_count {}\n",
-            self.request_count
-        ));
-        out.push_str("# TYPE ada_net_bytes_total counter\n");
-        out.push_str(&format!(
-            "ada_net_bytes_total{{dir=\"in\"}} {}\n",
-            self.bytes_in
-        ));
-        out.push_str(&format!(
-            "ada_net_bytes_total{{dir=\"out\"}} {}\n",
-            self.bytes_out
-        ));
-        out
-    }
+impl Metrics for NetMetricsSnapshot {
+    const SERIES: &'static [Row] = &[
+        Row::counter("ada_net_accepts_total", |s| s.accepts.into()).key("accepts"),
+        Row::counter("ada_net_rejects_total", |s| s.rejects.into()).key("rejects"),
+        Row::counter("ada_net_protocol_errors_total", |s| {
+            s.protocol_errors.into()
+        })
+        .key("protocol_errors"),
+        Row::gauge("ada_net_connections_in_flight", |s| s.in_flight.into()).key("in_flight"),
+        Row::counter("ada_net_requests_total", |s| {
+            Reading::Each(
+                "kind",
+                s.requests
+                    .iter()
+                    .map(|&(kind, n)| (kind, n.into()))
+                    .collect(),
+            )
+        })
+        .key("requests"),
+        Row::summary("ada_net_request_latency_ns", |s| {
+            let ns = |d: Duration| Some(Num::U(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)));
+            Reading::Summary(Summary {
+                quantiles: [ns(s.request_latency_p50), None, ns(s.request_latency_p99)],
+                sum: None,
+                count: s.request_count,
+            })
+        }),
+        Row::counter("ada_net_bytes_total", |s| s.bytes_in.into())
+            .label("dir", "in")
+            .key("bytes_in"),
+        Row::counter("ada_net_bytes_total", |s| s.bytes_out.into())
+            .label("dir", "out")
+            .key("bytes_out"),
+        Row::field("frames_in", |s| s.frames_in.into()),
+        Row::field("frames_out", |s| s.frames_out.into()),
+    ];
 }
 
 #[cfg(test)]

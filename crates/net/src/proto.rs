@@ -315,8 +315,9 @@ pub enum Request {
     /// Terminal session records persisted in the K-DB `sessions`
     /// collection — including by previous server processes.
     PastSessions,
-    /// Terminal trace records persisted in the K-DB `traces`
-    /// collection, optionally filtered to one session name.
+    /// The sampled terminal session records (those carrying a
+    /// `trace_id`) in the K-DB `sessions` collection, optionally
+    /// filtered to one session name.
     TraceQuery {
         /// Session name to filter on (`None` = every trace).
         session: Option<String>,
@@ -582,10 +583,11 @@ pub enum Response {
         /// One record per past session, as stored in the K-DB.
         sessions: Vec<Document>,
     },
-    /// Persisted terminal trace records.
+    /// Persisted sampled session records.
     Traces {
-        /// One record per trace, as stored in the K-DB `traces`
-        /// collection (deterministic pre-order span arrays).
+        /// One session record per sampled session, as stored in the
+        /// K-DB `sessions` collection (`trace_id`, `forced` and a
+        /// deterministic pre-order span array among its fields).
         traces: Vec<Document>,
     },
     /// The health probe document.

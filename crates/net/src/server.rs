@@ -35,7 +35,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ada_kdb::{Document, Value};
-use ada_obs::{past_sessions, past_traces, Page};
+use ada_obs::{past_sessions, past_traces, Metrics, Page};
 use ada_service::{AnalysisService, ServiceError, SessionId, SessionOutcome, SessionState};
 
 use crate::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC, MAX_FRAME_LEN};

@@ -24,7 +24,7 @@ use ada_kdb::{
 };
 use ada_net::proto::{CohortSpec, Request, Response, WireJobSpec};
 use ada_net::{AsyncClient, Client, NetConfig, NetError, NetServer, MAX_FRAME_LEN};
-use ada_obs::Page;
+use ada_obs::{Metrics, Page};
 use ada_service::{AnalysisService, ServiceConfig, DEFAULT_TRACE_SEED};
 use ada_stream::StreamMiningSpec;
 
@@ -84,9 +84,7 @@ fn session_outcomes(docs: &[ada_kdb::Document]) -> Vec<(String, String)> {
 fn oversized_listing_is_refused_typed_and_pages_to_completion() {
     const RECORDS: usize = 5_000;
     let kdb = SharedKdb::in_memory();
-    for name in ["sessions", "traces"] {
-        kdb.create_collection(name).unwrap();
-    }
+    kdb.create_collection("sessions").unwrap();
     // Synthetic session records of a real record's size (≈ 4 KB).
     for i in 0..RECORDS {
         let record = ada_kdb::Document::new()
@@ -95,10 +93,16 @@ fn oversized_listing_is_refused_typed_and_pages_to_completion() {
             .with("pad", "x".repeat(3_600));
         kdb.insert("sessions", record).unwrap();
     }
+    // Ten sampled records after them: a trace is a session record
+    // carrying a `trace_id`.
     for i in 0..10 {
         let session = if i % 2 == 0 { "even" } else { "odd" };
-        let trace = ada_kdb::Document::new().with("session", session);
-        kdb.insert("traces", trace).unwrap();
+        let trace = ada_kdb::Document::new()
+            .with("session", session)
+            .with("state", "completed")
+            .with("trace_id", format!("{i:032x}"))
+            .with("forced", false);
+        kdb.insert("sessions", trace).unwrap();
     }
     let service = Arc::new(AnalysisService::new(ServiceConfig::default(), kdb));
     let local = service.past_sessions();
@@ -144,13 +148,17 @@ fn oversized_listing_is_refused_typed_and_pages_to_completion() {
             .map(|d| d.get("_id").and_then(Value::as_i64).unwrap())
             .collect()
     };
-    assert_eq!(ids(&even), vec![1, 3, 5, 7, 9]);
+    let first = RECORDS as i64;
+    assert_eq!(ids(&even), [1, 3, 5, 7, 9].map(|i| first + i).to_vec());
     let page = Request::TracePage {
         session: Some("even".into()),
-        page: Page { after: 3, limit: 2 },
+        page: Page {
+            after: RECORDS as u64 + 3,
+            limit: 2,
+        },
     };
     match client.call(page).unwrap() {
-        Response::Traces { traces } => assert_eq!(ids(&traces), vec![5, 7]),
+        Response::Traces { traces } => assert_eq!(ids(&traces), vec![first + 5, first + 7]),
         other => panic!("expected a trace page, got {}", other.kind()),
     }
 
@@ -778,6 +786,17 @@ fn remote_sampled_session_persists_a_linked_trace() {
         assert!(attrs.get("wait_ns").and_then(Value::as_i64).is_some());
         assert!(attrs.get("fsync_ns").and_then(Value::as_i64).is_some());
     }
+    // The trace is the session record: the `PastSessions` listing holds
+    // the very same document.
+    let sessions = match client.call(Request::PastSessions).unwrap() {
+        Response::PastSessions { sessions } => sessions,
+        other => panic!("expected PastSessions, got {other:?}"),
+    };
+    let record: Vec<&ada_kdb::Document> = sessions
+        .iter()
+        .filter(|d| d.get("session").and_then(Value::as_str) == Some("loop-0"))
+        .collect();
+    assert_eq!(record, vec![trace], "trace and session record differ");
     // The server's trace counters agree.
     let service_metrics = service.metrics();
     assert_eq!(service_metrics.traces_persisted, 1);
@@ -819,26 +838,38 @@ fn sampling_rate_zero_vs_one_differs_only_in_trace_records() {
     let zero = run(0.0);
     let one = run(1.0);
 
-    // Outside session and trace records, sampling must not perturb a
-    // single byte of knowledge state.
-    assert_eq!(
-        fingerprint_excluding(&zero, &["sessions", "traces"]),
-        fingerprint_excluding(&one, &["sessions", "traces"]),
-        "sampling changed non-trace K-DB state"
-    );
-    // Rate 0 writes no trace ops at all: excluding the traces
-    // collection removes nothing.
+    // A trace is a field of its session record: no rate creates a
+    // separate trace store.
+    for kdb in [&zero, &one] {
+        assert!(kdb.read().collection("traces").is_none());
+    }
+    // Outside session records, sampling must not perturb a single byte
+    // of knowledge state.
     assert_eq!(
         fingerprint_excluding(&zero, &["sessions"]),
-        fingerprint_excluding(&zero, &["sessions", "traces"]),
-        "rate 0 must not touch the traces collection"
-    );
-    // Rate 1 does write them.
-    assert_ne!(
         fingerprint_excluding(&one, &["sessions"]),
-        fingerprint_excluding(&one, &["sessions", "traces"]),
-        "rate 1 should have persisted trace records"
+        "sampling changed K-DB state outside the session records"
     );
+    // Every rate-1 record carries a valid trace id; no rate-0 record
+    // carries one.
+    let records = |kdb: &SharedKdb| -> Vec<ada_kdb::Document> {
+        ada_obs::past_sessions(&kdb.read(), Page::ALL)
+            .into_iter()
+            .cloned()
+            .collect()
+    };
+    let (plain, sampled) = (records(&zero), records(&one));
+    assert_eq!((plain.len(), sampled.len()), (3, 3));
+    for (plain, sampled) in plain.iter().zip(&sampled) {
+        assert!(plain.get("trace_id").is_none() && plain.get("forced").is_none());
+        let id = sampled.get("trace_id").and_then(Value::as_str).unwrap();
+        assert!(
+            id.len() == 32 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')),
+            "bad trace id {id:?}"
+        );
+        assert_eq!(sampled.get("forced"), Some(&Value::Bool(false)));
+        ada_kdb::schema::validate_session_doc(sampled).unwrap();
+    }
 }
 
 #[test]

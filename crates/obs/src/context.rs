@@ -24,7 +24,7 @@
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use ada_kdb::{Document, Value};
+use ada_kdb::Document;
 
 /// SplitMix64 finalizer: a bijective avalanche mix.
 fn mix(mut z: u64) -> u64 {
@@ -104,14 +104,6 @@ impl TraceContext {
         format!("{:016x}{:016x}", self.trace_hi, self.trace_lo)
     }
 
-    /// The same trace viewed from a new span (identity and sampling
-    /// unchanged).
-    #[must_use]
-    pub fn child(mut self, span_id: u64) -> Self {
-        self.span_id = span_id;
-        self
-    }
-
     /// Encodes the context as a K-DB sub-document (the ADAN1 envelope
     /// field). `u64` halves travel as bit-cast `i64`s.
     pub fn to_doc(&self) -> Document {
@@ -129,10 +121,7 @@ impl TraceContext {
         let hi = doc.get("hi")?.as_i64()? as u64;
         let lo = doc.get("lo")?.as_i64()? as u64;
         let span = doc.get("span")?.as_i64()? as u64;
-        let sampled = match doc.get("sampled")? {
-            Value::Bool(b) => *b,
-            _ => return None,
-        };
+        let sampled = doc.get("sampled")?.as_bool()?;
         Some(Self {
             trace_hi: hi,
             trace_lo: lo,
@@ -237,7 +226,10 @@ mod tests {
 
     #[test]
     fn doc_round_trip_and_malformed_decode() {
-        let ctx = TraceContext::forced(42, "s").child(9);
+        let ctx = TraceContext {
+            span_id: 9,
+            ..TraceContext::forced(42, "s")
+        };
         assert_eq!(TraceContext::from_doc(&ctx.to_doc()), Some(ctx));
         // Missing or mistyped fields degrade to None, never to a
         // different-but-valid context.

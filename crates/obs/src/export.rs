@@ -19,13 +19,6 @@ pub fn document_to_json(doc: &Document) -> String {
     out
 }
 
-/// Renders a standalone value as JSON.
-pub fn value_to_json(value: &Value) -> String {
-    let mut out = String::with_capacity(64);
-    write_value(value, &mut out);
-    out
-}
-
 fn write_doc(doc: &Document, out: &mut String) {
     out.push('{');
     let mut first = true;
@@ -126,7 +119,8 @@ mod tests {
 
     #[test]
     fn control_characters_escape() {
-        assert_eq!(value_to_json(&Value::Str("\u{1}".into())), "\"\\u0001\"");
+        let doc = Document::new().with("c", "\u{1}");
+        assert_eq!(document_to_json(&doc), r#"{"c":"\u0001"}"#);
     }
 
     #[test]

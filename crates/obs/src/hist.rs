@@ -135,30 +135,6 @@ impl HistogramSnapshot {
         }
         bucket_mid(NUM_BUCKETS - 1)
     }
-
-    /// Median (p50).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// Arithmetic mean of the recorded values (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -186,11 +162,13 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 1000);
         // The 500th smallest of 1..=1000 is 500, bucket 8 ([256, 512)).
-        assert_eq!(snap.p50(), bucket_mid(8));
+        assert_eq!(snap.quantile(0.5), bucket_mid(8));
         // The 900th is 900, bucket 9 ([512, 1024)).
-        assert_eq!(snap.p90(), bucket_mid(9));
-        assert_eq!(snap.p99(), bucket_mid(9));
-        assert!(snap.p50() <= snap.p90() && snap.p90() <= snap.p99());
+        assert_eq!(snap.quantile(0.9), bucket_mid(9));
+        assert_eq!(snap.quantile(0.99), bucket_mid(9));
+        assert!(
+            snap.quantile(0.5) <= snap.quantile(0.9) && snap.quantile(0.9) <= snap.quantile(0.99)
+        );
     }
 
     #[test]
@@ -198,9 +176,9 @@ mod tests {
         let h = Log2Histogram::new();
         let snap = h.snapshot();
         assert_eq!(snap.count, 0);
-        assert_eq!(snap.p50(), 0);
-        assert_eq!(snap.p99(), 0);
-        assert_eq!(snap.mean(), 0.0);
+        assert_eq!(snap.quantile(0.5), 0);
+        assert_eq!(snap.quantile(0.99), 0);
+        assert_eq!(snap.sum, 0);
     }
 
     #[test]
@@ -209,8 +187,8 @@ mod tests {
         h.record(5_000);
         let snap = h.snapshot();
         let expected = bucket_mid(bucket_of(5_000));
-        assert_eq!(snap.p50(), expected);
-        assert_eq!(snap.p99(), expected);
+        assert_eq!(snap.quantile(0.5), expected);
+        assert_eq!(snap.quantile(0.99), expected);
         assert_eq!(snap.sum, 5_000);
     }
 

@@ -27,6 +27,8 @@
 //!   runs.
 //! * [`export`] — deterministic JSON rendering of K-DB documents for
 //!   the service `snapshot()` endpoint and the CI smoke gate.
+//! * [`metrics`] — the one exposition writer and document builder:
+//!   each collector declares its families once, in a [`Series`] table.
 //! * [`repl`] — lock-free `ada_repl_*`/`ada_fleet_*` collectors for
 //!   journal replication and fleet routing (`ada-fleet` populates
 //!   them; the families are pinned with every other exposition).
@@ -41,18 +43,19 @@
 pub mod context;
 pub mod export;
 pub mod hist;
+pub mod metrics;
 pub mod recorder;
 pub mod repl;
 pub mod stream;
 pub mod trace;
 
 pub use context::{current_trace, TraceContext, TraceScope};
-pub use export::{document_to_json, value_to_json};
+pub use export::document_to_json;
 pub use hist::{HistogramSnapshot, Log2Histogram, NUM_BUCKETS};
+pub use metrics::{Metrics, Num, Reading, Series, Summary};
 pub use recorder::{
     past_sessions, past_traces, FlightRecorder, Page, MARK_CANCELLED, MARK_DEGRADED,
-    MARK_PERSIST_FAIL, MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_REPL_APPLY, MARK_REPL_RESET,
-    MARK_RETRY, MARK_SLOW_SESSION,
+    MARK_PERSIST_FAIL, MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_RETRY, MARK_SLOW_SESSION,
 };
 pub use repl::{FleetMetrics, FleetMetricsSnapshot, ReplMetrics, ReplMetricsSnapshot};
 pub use stream::{StreamMetrics, StreamMetricsSnapshot};

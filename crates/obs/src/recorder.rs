@@ -18,6 +18,9 @@
 //! always at earlier indexes), a `stages` array of histogram quantiles,
 //! and a `counters` sub-document. The document is stable across runs
 //! modulo timestamps, so a restarted service can diff past sessions.
+//! A sampled session's record also carries its `trace_id` and `forced`
+//! flag, and its span tree then holds the wire and commit spans too:
+//! the trace is the session record, listed by [`past_traces`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -48,12 +51,6 @@ pub const MARK_DEGRADED: &str = "degraded";
 /// Mark name for a session whose wall time crossed the slow-session
 /// threshold (p99-derived); its trace is forced retroactively.
 pub const MARK_SLOW_SESSION: &str = "slow_session";
-/// Mark name for a batch of replicated journal frames applied by a
-/// follower (the duration covers verify + apply + local journaling).
-pub const MARK_REPL_APPLY: &str = "repl_apply";
-/// Mark name for a replication stream reset (bootstrap or
-/// post-compaction full-image transfer).
-pub const MARK_REPL_RESET: &str = "repl_reset";
 /// Mark name for a follower promoted to primary at its acked
 /// watermark.
 pub const MARK_PROMOTED: &str = "promoted";
@@ -76,6 +73,7 @@ struct SpanRec {
 }
 
 /// Everything folded so far for one session.
+#[derive(Default)]
 struct SessionRec {
     events: VecDeque<TraceEvent>,
     spans: BTreeMap<u64, SpanRec>,
@@ -89,21 +87,6 @@ struct SessionRec {
     retries: u64,
 }
 
-impl Default for SessionRec {
-    fn default() -> Self {
-        Self {
-            events: VecDeque::new(),
-            spans: BTreeMap::new(),
-            span_attrs: BTreeMap::new(),
-            root: None,
-            stage_hist: std::array::from_fn(|_| Log2Histogram::new()),
-            counters: BTreeMap::new(),
-            queue_wait_ns: 0,
-            retries: 0,
-        }
-    }
-}
-
 /// The session flight recorder (see the module docs).
 pub struct FlightRecorder {
     tracer: Tracer,
@@ -115,12 +98,6 @@ pub struct FlightRecorder {
     folded: Mutex<HashMap<String, SessionRec>>,
     /// Registered trace contexts by session: `(context, forced)`.
     traces: Mutex<HashMap<String, (TraceContext, bool)>>,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new(512)
-    }
 }
 
 impl FlightRecorder {
@@ -153,15 +130,12 @@ impl FlightRecorder {
     /// [`MARK_QUEUE_WAIT`] (with the wait as the duration),
     /// [`MARK_RETRY`], [`MARK_CANCELLED`].
     pub fn mark(&self, session: &str, name: &str, duration: Duration) {
-        let label: Arc<str> = Arc::from(session);
-        let name: Arc<str> = Arc::from(name);
+        let dur_ns = nanos(duration);
         self.tracer.emit(
-            &label,
+            &Arc::from(session),
             None,
-            &name,
-            EventKind::Mark {
-                dur_ns: u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX),
-            },
+            &Arc::from(name),
+            EventKind::Mark { dur_ns },
         );
     }
 
@@ -192,11 +166,6 @@ impl FlightRecorder {
         self.traces.lock().contains_key(session)
     }
 
-    /// The registered `(context, forced)` pair for `session`, if any.
-    pub fn trace(&self, session: &str) -> Option<(TraceContext, bool)> {
-        self.traces.lock().get(session).copied()
-    }
-
     /// Records a root-parented span for `session` with attached
     /// attributes — the group committer's fsync rounds and the net
     /// server's decode step report through here. The span is stamped at
@@ -209,43 +178,31 @@ impl FlightRecorder {
         duration: Duration,
         attrs: &[(&'static str, u64)],
     ) {
-        let mut live = self.live.lock();
-        let entry = self.live_entry(&mut live, session);
-        let span = self.tracer.next_span_id();
-        let root = entry.root;
-        let label = Arc::clone(&entry.label);
-        drop(live);
         let name: Arc<str> = Arc::from(name);
-        self.tracer
-            .emit(&label, None, &name, EventKind::Start { span, parent: root });
+        let (label, span) = self.start_span(session, None, &name, |entry, _| entry.root);
         if !attrs.is_empty() {
-            self.tracer.emit(
-                &label,
-                None,
-                &name,
-                EventKind::Annotate {
-                    span,
-                    pairs: attrs.to_vec(),
-                },
-            );
+            let pairs = attrs.to_vec();
+            let annotate = EventKind::Annotate { span, pairs };
+            self.tracer.emit(&label, None, &name, annotate);
         }
-        self.tracer.emit(
-            &label,
-            None,
-            &name,
-            EventKind::End {
-                span,
-                dur_ns: u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX),
-            },
-        );
+        let dur_ns = nanos(duration);
+        self.tracer
+            .emit(&label, None, &name, EventKind::End { span, dur_ns });
     }
 
-    fn live_entry<'a>(
+    /// Opens a span named `name` for `session` and returns the session
+    /// label and the span id. `attach` records the span in the live
+    /// entry (under the bookkeeping lock) and returns its parent.
+    fn start_span(
         &self,
-        map: &'a mut HashMap<String, LiveSession>,
         session: &str,
-    ) -> &'a mut LiveSession {
-        if !map.contains_key(session) {
+        stage: Option<PipelineStage>,
+        name: &Arc<str>,
+        attach: impl FnOnce(&mut LiveSession, u64) -> u64,
+    ) -> (Arc<str>, u64) {
+        let mut live = self.live.lock();
+        if !live.contains_key(session) {
+            // The session's first span: open its root.
             let label: Arc<str> = Arc::from(session);
             let root = self.tracer.next_span_id();
             self.tracer.emit(
@@ -257,8 +214,8 @@ impl FlightRecorder {
                     parent: PARENT_NONE,
                 },
             );
-            map.insert(
-                session.to_string(),
+            live.insert(
+                session.to_owned(),
                 LiveSession {
                     label,
                     root,
@@ -267,7 +224,37 @@ impl FlightRecorder {
                 },
             );
         }
-        map.get_mut(session).expect("just inserted")
+        let entry = live.get_mut(session).expect("inserted above");
+        let span = self.tracer.next_span_id();
+        let parent = attach(entry, span);
+        let label = Arc::clone(&entry.label);
+        drop(live);
+        self.tracer
+            .emit(&label, stage, name, EventKind::Start { span, parent });
+        (label, span)
+    }
+
+    /// Closes, after `elapsed`, the span of `session` that `detach`
+    /// removes from the live entry (under the bookkeeping lock) and
+    /// returns as `(name, span id)`; nothing when it returns `None`.
+    fn end_span(
+        &self,
+        session: &str,
+        stage: PipelineStage,
+        elapsed: Duration,
+        detach: impl FnOnce(&mut LiveSession) -> Option<(Arc<str>, u64)>,
+    ) {
+        let mut live = self.live.lock();
+        let Some((label, (name, span))) = live
+            .get_mut(session)
+            .and_then(|entry| Some((Arc::clone(&entry.label), detach(entry)?)))
+        else {
+            return;
+        };
+        drop(live);
+        let dur_ns = nanos(elapsed);
+        self.tracer
+            .emit(&label, Some(stage), &name, EventKind::End { span, dur_ns });
     }
 
     /// Drains the tracer and folds every drained event into the
@@ -339,51 +326,29 @@ impl FlightRecorder {
             .unwrap_or_default()
     }
 
-    /// The folded kernel counters for `session` so far.
-    pub fn session_counters(&self, session: &str) -> BTreeMap<&'static str, u64> {
-        self.sync();
-        self.folded
-            .lock()
-            .get(session)
-            .map(|rec| rec.counters.clone())
-            .unwrap_or_default()
-    }
-
     /// Folds everything recorded for `session` into its terminal K-DB
     /// document and forgets the session. `state` must be one of
     /// [`schema::SESSION_TERMINAL_STATES`] for the document to pass
     /// validation; `outcome` is a free-form detail string (empty to
-    /// omit).
+    /// omit). When a sampled [`TraceContext`] was registered for
+    /// `session`, the document also carries its `trace_id` and `forced`
+    /// flag: a sampled session's trace *is* its session record.
     pub fn finalize(&self, session: &str, state: &str, outcome: &str) -> Document {
-        self.finalize_with_trace(session, state, outcome).0
-    }
-
-    /// [`FlightRecorder::finalize`], also yielding the terminal *trace*
-    /// document when a sampled [`TraceContext`] was registered for
-    /// `session` (matching [`ada_kdb::schema::validate_trace_doc`]).
-    /// The session is forgotten either way.
-    pub fn finalize_with_trace(
-        &self,
-        session: &str,
-        state: &str,
-        outcome: &str,
-    ) -> (Document, Option<Document>) {
         self.sync();
         self.live.lock().remove(session);
         let rec = self.folded.lock().remove(session).unwrap_or_default();
         let trace = self.traces.lock().remove(session);
-        let dropped = self.tracer.dropped();
-        let session_doc = build_session_doc(session, state, outcome, &rec, dropped);
-        let trace_doc = trace
-            .filter(|(ctx, _)| ctx.sampled)
-            .map(|(ctx, forced)| build_trace_doc(session, state, &ctx, forced, &rec, dropped));
-        (session_doc, trace_doc)
+        let doc = build_session_doc(session, state, outcome, &rec, self.tracer.dropped());
+        match trace.filter(|(ctx, _)| ctx.sampled) {
+            Some((ctx, forced)) => doc
+                .with("trace_id", ctx.trace_id_hex().as_str())
+                .with("forced", forced),
+            None => doc,
+        }
     }
 
     /// [`FlightRecorder::finalize`] + validated insert into the
-    /// `sessions` collection — and, when a sampled trace context was
-    /// registered, into the `traces` collection too. Returns the
-    /// session document id and the session document.
+    /// `sessions` collection. Returns the document id.
     ///
     /// # Errors
     /// Returns [`KdbError::Schema`] on a malformed record, otherwise
@@ -394,13 +359,8 @@ impl FlightRecorder {
         session: &str,
         state: &str,
         outcome: &str,
-    ) -> Result<(DocId, Document), KdbError> {
-        let (doc, trace_doc) = self.finalize_with_trace(session, state, outcome);
-        let id = schema::insert_session_record(db, doc.clone())?;
-        if let Some(trace) = trace_doc {
-            schema::insert_trace_record(db, trace)?;
-        }
-        Ok((id, doc))
+    ) -> Result<DocId, KdbError> {
+        schema::insert_session_record(db, self.finalize(session, state, outcome))
     }
 }
 
@@ -430,16 +390,18 @@ pub fn past_sessions<R: KdbRead + ?Sized>(db: &R, page: Page) -> Vec<&Document> 
     listing(db, schema::names::SESSIONS, page, |_| true)
 }
 
-/// Trace records persisted in `db`, in insertion (`_id`) order,
-/// optionally filtered to one session. Backs the `TraceQuery` wire
-/// message.
+/// The sampled session records in `db` (those carrying a `trace_id`),
+/// in insertion (`_id`) order, optionally filtered to one session.
+/// Backs the `TraceQuery` wire message.
 pub fn past_traces<'a, R: KdbRead + ?Sized>(
     db: &'a R,
     session: Option<&str>,
     page: Page,
 ) -> Vec<&'a Document> {
-    listing(db, schema::names::TRACES, page, |doc| {
-        session.is_none_or(|wanted| doc.get("session").and_then(Value::as_str) == Some(wanted))
+    listing(db, schema::names::SESSIONS, page, |doc| {
+        doc.get("trace_id").is_some()
+            && session
+                .is_none_or(|wanted| doc.get("session").and_then(Value::as_str) == Some(wanted))
     })
 }
 
@@ -461,8 +423,18 @@ fn listing<'a, R: KdbRead + ?Sized>(
         .collect()
 }
 
+/// A duration in nanoseconds, saturating at `u64::MAX`.
+fn nanos(duration: Duration) -> u64 {
+    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// A document integer, saturating at `i64::MAX`.
+fn as_i64(v: u64) -> i64 {
+    i64::try_from(v).unwrap_or(i64::MAX)
+}
+
 /// Folds a session's reconstructed spans into the deterministic
-/// `spans` array shared by session and trace documents: pre-order DFS
+/// `spans` array of its session document: pre-order DFS
 /// from the root with children sorted by `(name, seq)`, so parent
 /// indexes always point at earlier array positions. Spans that were
 /// annotated carry an `attrs` sub-document.
@@ -508,15 +480,12 @@ fn build_span_array(rec: &SessionRec) -> Vec<Value> {
         let mut span_doc = Document::new()
             .with("name", &*span.name)
             .with("parent", parent_idx)
-            .with(
-                "start_ns",
-                i64::try_from(span.start_ns.saturating_sub(base)).unwrap_or(i64::MAX),
-            )
-            .with("dur_ns", i64::try_from(dur).unwrap_or(i64::MAX));
+            .with("start_ns", as_i64(span.start_ns.saturating_sub(base)))
+            .with("dur_ns", as_i64(dur));
         if let Some(attrs) = rec.span_attrs.get(&id) {
             let mut attr_doc = Document::new();
             for (&key, &value) in attrs {
-                attr_doc.set(key, i64::try_from(value).unwrap_or(i64::MAX));
+                attr_doc.set(key, as_i64(value));
             }
             span_doc = span_doc.with("attrs", Value::Doc(attr_doc));
         }
@@ -548,24 +517,22 @@ fn build_session_doc(
         if snap.count == 0 {
             continue;
         }
-        let as_i64 = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
         stages.push(Value::Doc(
             Document::new()
                 .with("stage", stage.name())
                 .with("count", as_i64(snap.count))
                 .with("sum_ns", as_i64(snap.sum))
-                .with("p50_ns", as_i64(snap.p50()))
-                .with("p90_ns", as_i64(snap.p90()))
-                .with("p99_ns", as_i64(snap.p99())),
+                .with("p50_ns", as_i64(snap.quantile(0.5)))
+                .with("p90_ns", as_i64(snap.quantile(0.9)))
+                .with("p99_ns", as_i64(snap.quantile(0.99))),
         ));
     }
 
     let mut counters = Document::new();
     for (&key, &value) in &rec.counters {
-        counters.set(key, i64::try_from(value).unwrap_or(i64::MAX));
+        counters.set(key, as_i64(value));
     }
 
-    let as_i64 = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
     let mut doc = Document::new()
         .with("session", session)
         .with("state", state)
@@ -581,112 +548,45 @@ fn build_session_doc(
     doc
 }
 
-/// Builds the terminal trace document for a sampled session (matching
-/// [`ada_kdb::schema::validate_trace_doc`]): the same deterministic
-/// span tree as the session document, keyed by the 128-bit trace id.
-fn build_trace_doc(
-    session: &str,
-    state: &str,
-    ctx: &TraceContext,
-    forced: bool,
-    rec: &SessionRec,
-    dropped: u64,
-) -> Document {
-    Document::new()
-        .with("session", session)
-        .with("trace_id", ctx.trace_id_hex().as_str())
-        .with("state", state)
-        .with("forced", forced)
-        .with("events_dropped", i64::try_from(dropped).unwrap_or(i64::MAX))
-        .with("spans", Value::Array(build_span_array(rec)))
-}
-
 impl PipelineObserver for FlightRecorder {
     fn on_stage_start(&self, session: &str, stage: PipelineStage) {
-        let mut live = self.live.lock();
-        let entry = self.live_entry(&mut live, session);
-        let span = self.tracer.next_span_id();
-        let root = entry.root;
-        let label = Arc::clone(&entry.label);
-        entry.stage = Some((stage, span));
-        drop(live);
-        self.tracer.emit(
-            &label,
-            Some(stage),
-            &Arc::from(stage.name()),
-            EventKind::Start { span, parent: root },
-        );
+        let name = Arc::from(stage.name());
+        self.start_span(session, Some(stage), &name, |entry, span| {
+            entry.stage = Some((stage, span));
+            entry.root
+        });
     }
 
     fn on_stage_end(&self, session: &str, stage: PipelineStage, elapsed: Duration) {
-        let mut live = self.live.lock();
-        let Some(entry) = live.get_mut(session) else {
-            return;
-        };
-        if !matches!(entry.stage, Some((s, _)) if s == stage) {
-            return;
-        }
-        let (_, span) = entry.stage.take().expect("matched above");
-        let label = Arc::clone(&entry.label);
-        drop(live);
-        self.tracer.emit(
-            &label,
-            Some(stage),
-            &Arc::from(stage.name()),
-            EventKind::End {
-                span,
-                dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            },
-        );
+        self.end_span(session, stage, elapsed, |entry| {
+            let (_, span) = entry.stage.take_if(|(s, _)| *s == stage)?;
+            Some((Arc::from(stage.name()), span))
+        });
     }
 
     fn on_span_start(&self, session: &str, stage: PipelineStage, name: &str) {
-        let mut live = self.live.lock();
-        let entry = self.live_entry(&mut live, session);
-        let parent = match entry.stage {
-            Some((s, span)) if s == stage => span,
-            _ => entry.root,
-        };
-        let span = self.tracer.next_span_id();
         let name: Arc<str> = Arc::from(name);
-        entry.open.push((stage, Arc::clone(&name), span));
-        let label = Arc::clone(&entry.label);
-        drop(live);
-        self.tracer.emit(
-            &label,
-            Some(stage),
-            &name,
-            EventKind::Start { span, parent },
-        );
+        self.start_span(session, Some(stage), &name, |entry, span| {
+            entry.open.push((stage, Arc::clone(&name), span));
+            match entry.stage {
+                Some((s, id)) if s == stage => id,
+                _ => entry.root,
+            }
+        });
     }
 
     fn on_span_end(&self, session: &str, stage: PipelineStage, name: &str, elapsed: Duration) {
-        let mut live = self.live.lock();
-        let Some(entry) = live.get_mut(session) else {
-            return;
-        };
-        // Open sub-span names of one session are distinct at any
-        // instant (the observer contract), so last-match pairing is
-        // exact.
-        let Some(pos) = entry
-            .open
-            .iter()
-            .rposition(|(s, n, _)| *s == stage && **n == *name)
-        else {
-            return;
-        };
-        let (_, name, span) = entry.open.remove(pos);
-        let label = Arc::clone(&entry.label);
-        drop(live);
-        self.tracer.emit(
-            &label,
-            Some(stage),
-            &name,
-            EventKind::End {
-                span,
-                dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            },
-        );
+        self.end_span(session, stage, elapsed, |entry| {
+            // Open sub-span names of one session are distinct at any
+            // instant (the observer contract), so last-match pairing is
+            // exact.
+            let pos = entry
+                .open
+                .iter()
+                .rposition(|(s, n, _)| *s == stage && **n == *name)?;
+            let (_, name, span) = entry.open.remove(pos);
+            Some((name, span))
+        });
     }
 
     fn on_counters(&self, session: &str, stage: PipelineStage, counters: &[(&'static str, u64)]) {
@@ -863,7 +763,12 @@ mod tests {
         }
         assert_eq!(rec.recent_events("s").len(), 4, "log capped at capacity");
         let total: u64 = (0..50).sum();
-        assert_eq!(rec.session_counters("s")["rows_scanned"], total);
+        let doc = rec.finalize("s", "completed", "");
+        let counters = doc.get("counters").and_then(Value::as_doc).unwrap();
+        assert_eq!(
+            counters.get("rows_scanned"),
+            Some(&Value::I64(total as i64))
+        );
     }
 
     #[test]
@@ -882,9 +787,12 @@ mod tests {
     }
 
     #[test]
-    fn sampled_trace_folds_into_a_valid_trace_document() {
+    fn sampled_trace_folds_into_a_valid_session_document() {
         let rec = FlightRecorder::new(128);
-        let ctx = TraceContext::forced(7, "t1").child(42);
+        let ctx = TraceContext {
+            span_id: 42,
+            ..TraceContext::forced(7, "t1")
+        };
         rec.set_trace("t1", ctx, false);
         drive_one_session(&rec, "t1");
         rec.trace_annotation(
@@ -898,10 +806,8 @@ mod tests {
                 ("fsync_ns", 60),
             ],
         );
-        let (session_doc, trace_doc) = rec.finalize_with_trace("t1", "completed", "ok");
-        schema::validate_session_doc(&session_doc).unwrap();
-        let trace_doc = trace_doc.expect("sampled context yields a trace doc");
-        schema::validate_trace_doc(&trace_doc).unwrap();
+        let trace_doc = rec.finalize("t1", "completed", "ok");
+        schema::validate_session_doc(&trace_doc).unwrap();
 
         assert_eq!(
             trace_doc.get("trace_id").unwrap().as_str(),
@@ -933,11 +839,11 @@ mod tests {
 
     #[test]
     fn unregistered_or_forced_sessions_behave() {
-        // No registered context: no trace document.
+        // No registered context: no trace fields.
         let rec = FlightRecorder::new(64);
         drive_one_session(&rec, "plain");
-        let (_, trace) = rec.finalize_with_trace("plain", "completed", "");
-        assert!(trace.is_none());
+        let plain = rec.finalize("plain", "completed", "");
+        assert!(plain.get("trace_id").is_none() && plain.get("forced").is_none());
 
         // Forced retroactively (slow-session log): the buffered spans
         // are all still there, and no client_submit span is invented.
@@ -945,9 +851,8 @@ mod tests {
         drive_one_session(&rec, "slow");
         rec.mark("slow", MARK_SLOW_SESSION, Duration::from_millis(900));
         rec.set_trace("slow", TraceContext::forced(5, "slow"), true);
-        let (_, trace) = rec.finalize_with_trace("slow", "completed", "");
-        let trace = trace.expect("forced context yields a trace doc");
-        schema::validate_trace_doc(&trace).unwrap();
+        let trace = rec.finalize("slow", "completed", "");
+        schema::validate_session_doc(&trace).unwrap();
         assert_eq!(trace.get("forced").unwrap(), &Value::Bool(true));
         let names: Vec<&str> = trace
             .get("spans")
@@ -965,7 +870,6 @@ mod tests {
     fn persist_writes_and_queries_trace_records() {
         let mut db = Kdb::in_memory();
         schema::init_schema(&mut db).unwrap();
-        schema::init_trace_schema(&mut db).unwrap();
         let rec = FlightRecorder::new(128);
         drive_one_session(&rec, "a");
         rec.set_trace("a", TraceContext::forced(1, "a"), false);
@@ -978,5 +882,11 @@ mod tests {
         assert_eq!(all[0].get("session").unwrap().as_str(), Some("a"));
         assert_eq!(past_traces(&db, Some("a"), Page::ALL).len(), 1);
         assert!(past_traces(&db, Some("b"), Page::ALL).is_empty());
+        // The trace is the session record itself: one store, one record.
+        assert_eq!(past_sessions(&db, Page::ALL).len(), 2);
+        assert_eq!(
+            past_traces(&db, None, Page::ALL)[0],
+            past_sessions(&db, Page::ALL)[0]
+        );
     }
 }

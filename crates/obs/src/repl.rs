@@ -5,7 +5,7 @@
 //! the observability half of that subsystem, kept here (rather than in
 //! `ada-fleet`) so the family names are pinned alongside every other
 //! exposition the system emits — the net-layer exposition test asserts
-//! the exact combined `# TYPE` line set.
+//! the exact combined, ordered family list.
 //!
 //! Recording follows the established discipline: relaxed atomics only,
 //! nothing on the hot path blocks. The repl tap records from inside
@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ada_kdb::Document;
+use crate::metrics::{Metrics, Series};
 
 /// Lock-free counters for one replication link (primary→follower).
 ///
@@ -127,65 +127,22 @@ impl ReplMetricsSnapshot {
     pub fn rejects_total(&self) -> u64 {
         self.rejects_gap + self.rejects_corrupt
     }
+}
 
-    /// The snapshot as one K-DB document.
-    pub fn to_document(&self) -> Document {
-        let count = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        Document::new()
-            .with("frames_shipped", count(self.frames_shipped))
-            .with("bytes_shipped", count(self.bytes_shipped))
-            .with("snapshots", count(self.snapshots))
-            .with("frames_applied", count(self.frames_applied))
-            .with("rejects_gap", count(self.rejects_gap))
-            .with("rejects_corrupt", count(self.rejects_corrupt))
-            .with("source_durable", count(self.source_durable))
-            .with("follower_acked", count(self.follower_acked))
-            .with("lag", count(self.lag))
-    }
-
-    /// The snapshot as Prometheus text exposition (`ada_repl_*`).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("# TYPE ada_repl_frames_shipped_total counter\n");
-        out.push_str(&format!(
-            "ada_repl_frames_shipped_total {}\n",
-            self.frames_shipped
-        ));
-        out.push_str("# TYPE ada_repl_bytes_shipped_total counter\n");
-        out.push_str(&format!(
-            "ada_repl_bytes_shipped_total {}\n",
-            self.bytes_shipped
-        ));
-        out.push_str("# TYPE ada_repl_snapshots_total counter\n");
-        out.push_str(&format!("ada_repl_snapshots_total {}\n", self.snapshots));
-        out.push_str("# TYPE ada_repl_frames_applied_total counter\n");
-        out.push_str(&format!(
-            "ada_repl_frames_applied_total {}\n",
-            self.frames_applied
-        ));
-        out.push_str("# TYPE ada_repl_rejects_total counter\n");
-        out.push_str(&format!(
-            "ada_repl_rejects_total{{reason=\"gap\"}} {}\n",
-            self.rejects_gap
-        ));
-        out.push_str(&format!(
-            "ada_repl_rejects_total{{reason=\"corrupt\"}} {}\n",
-            self.rejects_corrupt
-        ));
-        out.push_str("# TYPE ada_repl_source_durable_ops gauge\n");
-        out.push_str(&format!(
-            "ada_repl_source_durable_ops {}\n",
-            self.source_durable
-        ));
-        out.push_str("# TYPE ada_repl_follower_acked_ops gauge\n");
-        out.push_str(&format!(
-            "ada_repl_follower_acked_ops {}\n",
-            self.follower_acked
-        ));
-        out.push_str("# TYPE ada_repl_lag_ops gauge\n");
-        out.push_str(&format!("ada_repl_lag_ops {}\n", self.lag));
-        out
-    }
+impl Metrics for ReplMetricsSnapshot {
+    const SERIES: &'static [Series<Self>] = &[
+        Series::counter("ada_repl_frames_shipped_total", |s| s.frames_shipped.into()),
+        Series::counter("ada_repl_bytes_shipped_total", |s| s.bytes_shipped.into()),
+        Series::counter("ada_repl_snapshots_total", |s| s.snapshots.into()),
+        Series::counter("ada_repl_frames_applied_total", |s| s.frames_applied.into()),
+        Series::<Self>::counter("ada_repl_rejects_total", |s| s.rejects_gap.into())
+            .label("reason", "gap"),
+        Series::<Self>::counter("ada_repl_rejects_total", |s| s.rejects_corrupt.into())
+            .label("reason", "corrupt"),
+        Series::gauge("ada_repl_source_durable_ops", |s| s.source_durable.into()),
+        Series::gauge("ada_repl_follower_acked_ops", |s| s.follower_acked.into()),
+        Series::gauge("ada_repl_lag_ops", |s| s.lag.into()),
+    ];
 }
 
 /// Lock-free counters for the fleet router (session placement, health,
@@ -275,53 +232,22 @@ pub struct FleetMetricsSnapshot {
     pub promotions: u64,
 }
 
-impl FleetMetricsSnapshot {
-    /// The snapshot as one K-DB document.
-    pub fn to_document(&self) -> Document {
-        let count = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        Document::new()
-            .with("members", count(self.members))
-            .with("routed_primary", count(self.routed_primary))
-            .with("routed_follower", count(self.routed_follower))
-            .with("busy_deferrals", count(self.busy_deferrals))
-            .with("health_checks", count(self.health_checks))
-            .with("health_failures", count(self.health_failures))
-            .with("promotions", count(self.promotions))
-    }
-
-    /// The snapshot as Prometheus text exposition (`ada_fleet_*`).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("# TYPE ada_fleet_members gauge\n");
-        out.push_str(&format!("ada_fleet_members {}\n", self.members));
-        out.push_str("# TYPE ada_fleet_routed_total counter\n");
-        out.push_str(&format!(
-            "ada_fleet_routed_total{{role=\"primary\"}} {}\n",
-            self.routed_primary
-        ));
-        out.push_str(&format!(
-            "ada_fleet_routed_total{{role=\"follower\"}} {}\n",
-            self.routed_follower
-        ));
-        out.push_str("# TYPE ada_fleet_busy_deferrals_total counter\n");
-        out.push_str(&format!(
-            "ada_fleet_busy_deferrals_total {}\n",
-            self.busy_deferrals
-        ));
-        out.push_str("# TYPE ada_fleet_health_checks_total counter\n");
-        out.push_str(&format!(
-            "ada_fleet_health_checks_total {}\n",
-            self.health_checks
-        ));
-        out.push_str("# TYPE ada_fleet_health_failures_total counter\n");
-        out.push_str(&format!(
-            "ada_fleet_health_failures_total {}\n",
-            self.health_failures
-        ));
-        out.push_str("# TYPE ada_fleet_promotions_total counter\n");
-        out.push_str(&format!("ada_fleet_promotions_total {}\n", self.promotions));
-        out
-    }
+impl Metrics for FleetMetricsSnapshot {
+    const SERIES: &'static [Series<Self>] = &[
+        Series::gauge("ada_fleet_members", |s| s.members.into()),
+        Series::<Self>::counter("ada_fleet_routed_total", |s| s.routed_primary.into())
+            .label("role", "primary"),
+        Series::<Self>::counter("ada_fleet_routed_total", |s| s.routed_follower.into())
+            .label("role", "follower"),
+        Series::counter("ada_fleet_busy_deferrals_total", |s| {
+            s.busy_deferrals.into()
+        }),
+        Series::counter("ada_fleet_health_checks_total", |s| s.health_checks.into()),
+        Series::counter("ada_fleet_health_failures_total", |s| {
+            s.health_failures.into()
+        }),
+        Series::counter("ada_fleet_promotions_total", |s| s.promotions.into()),
+    ];
 }
 
 #[cfg(test)]
@@ -355,12 +281,6 @@ mod tests {
         assert!(prom.contains("ada_repl_frames_shipped_total 2"));
         assert!(prom.contains("ada_repl_rejects_total{reason=\"gap\"} 1"));
         assert!(prom.contains("ada_repl_lag_ops 1"));
-        assert_eq!(
-            snap.to_document()
-                .get("follower_acked")
-                .and_then(|v| v.as_i64()),
-            Some(5)
-        );
     }
 
     #[test]
@@ -384,11 +304,5 @@ mod tests {
         assert!(prom.contains("ada_fleet_members 2"));
         assert!(prom.contains("ada_fleet_routed_total{role=\"primary\"} 2"));
         assert!(prom.contains("ada_fleet_promotions_total 1"));
-        assert_eq!(
-            snap.to_document()
-                .get("health_checks")
-                .and_then(|v| v.as_i64()),
-            Some(1)
-        );
     }
 }

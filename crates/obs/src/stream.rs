@@ -4,8 +4,8 @@
 //! mini-batch miner; this collector is the observability half of that
 //! subsystem, kept here (rather than in `ada-stream`) so the family
 //! names are pinned alongside every other exposition the system emits —
-//! the net-layer exposition test asserts the exact combined `# TYPE`
-//! line set.
+//! the net-layer exposition test asserts the exact combined, ordered
+//! family list.
 //!
 //! Recording follows the established discipline: relaxed atomics only,
 //! nothing on the ingest hot path blocks. One collector typically
@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ada_kdb::Document;
+use crate::metrics::{Metrics, Series};
 
 /// Lock-free counters for streaming ingestion and incremental mining.
 #[derive(Debug, Default)]
@@ -99,35 +99,17 @@ pub struct StreamMetricsSnapshot {
     pub drift_score: f64,
 }
 
-impl StreamMetricsSnapshot {
-    /// The snapshot as one K-DB document.
-    pub fn to_document(&self) -> Document {
-        let count = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        Document::new()
-            .with("ingested", count(self.ingested))
-            .with("reordered", count(self.reordered))
-            .with("dropped", count(self.dropped))
-            .with("windows_closed", count(self.windows_closed))
-            .with("refits", count(self.refits))
-            .with("drift_score", self.drift_score)
-    }
-
-    /// The snapshot as Prometheus text exposition (`ada_stream_*`).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(512);
-        for (metric, value) in [
-            ("ada_stream_ingested_total", self.ingested),
-            ("ada_stream_reordered_total", self.reordered),
-            ("ada_stream_dropped_total", self.dropped),
-            ("ada_stream_windows_closed_total", self.windows_closed),
-            ("ada_stream_refits_total", self.refits),
-        ] {
-            out.push_str(&format!("# TYPE {metric} counter\n{metric} {value}\n"));
-        }
-        out.push_str("# TYPE ada_stream_drift_score gauge\n");
-        out.push_str(&format!("ada_stream_drift_score {}\n", self.drift_score));
-        out
-    }
+impl Metrics for StreamMetricsSnapshot {
+    const SERIES: &'static [Series<Self>] = &[
+        Series::counter("ada_stream_ingested_total", |s| s.ingested.into()),
+        Series::counter("ada_stream_reordered_total", |s| s.reordered.into()),
+        Series::counter("ada_stream_dropped_total", |s| s.dropped.into()),
+        Series::counter("ada_stream_windows_closed_total", |s| {
+            s.windows_closed.into()
+        }),
+        Series::counter("ada_stream_refits_total", |s| s.refits.into()),
+        Series::gauge("ada_stream_drift_score", |s| s.drift_score.into()),
+    ];
 }
 
 #[cfg(test)]
@@ -155,14 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn renders_document_and_pinned_families() {
+    fn renders_pinned_families() {
         let m = StreamMetrics::new();
         m.ingested(3);
         m.set_drift_score(0.5);
         let snap = m.snapshot();
-        let doc = snap.to_document();
-        assert_eq!(doc.get("ingested").unwrap().as_i64(), Some(3));
-        assert_eq!(doc.get("drift_score").unwrap().as_f64(), Some(0.5));
         let prom = snap.to_prometheus();
         for family in [
             "# TYPE ada_stream_ingested_total counter",

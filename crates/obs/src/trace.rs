@@ -226,12 +226,6 @@ pub struct Tracer {
     epoch: Instant,
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::new(1024)
-    }
-}
-
 impl Tracer {
     /// A tracer whose per-thread rings hold `ring_capacity` events
     /// (rounded up to a power of two, minimum 2).
@@ -255,11 +249,6 @@ impl Tracer {
         self.span_ids.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Nanoseconds since the tracer's epoch (monotonic).
-    pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
     /// Emits one event from the calling thread (wait-free after the
     /// thread's first emit for this tracer).
     pub fn emit(
@@ -272,7 +261,7 @@ impl Tracer {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let event = TraceEvent {
             seq,
-            t_ns: self.now_ns(),
+            t_ns: u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
             session: Arc::clone(session),
             stage,
             name: Arc::clone(name),

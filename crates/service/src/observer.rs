@@ -13,9 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ada_core::{PipelineObserver, PipelineStage};
-use ada_kdb::{Document, GroupCommitSnapshot, Value};
+use ada_kdb::GroupCommitSnapshot;
 use ada_obs::hist::HistogramSnapshot;
-use ada_obs::{document_to_json, Log2Histogram};
+use ada_obs::{Log2Histogram, Metrics, Num, Reading, Series, Summary};
 
 /// Aggregates service-level counters and per-stage latency histograms.
 ///
@@ -222,21 +222,20 @@ impl StageMetrics {
             runs: snap.count,
             total: Duration::from_nanos(snap.sum),
             mean,
-            p50: Duration::from_nanos(snap.p50()),
-            p90: Duration::from_nanos(snap.p90()),
-            p99: Duration::from_nanos(snap.p99()),
+            p50: Duration::from_nanos(snap.quantile(0.5)),
+            p90: Duration::from_nanos(snap.quantile(0.9)),
+            p99: Duration::from_nanos(snap.quantile(0.99)),
         }
     }
 
-    fn to_document(self) -> Document {
-        let ns = |d: Duration| i64::try_from(d.as_nanos()).unwrap_or(i64::MAX);
-        Document::new()
-            .with("runs", i64::try_from(self.runs).unwrap_or(i64::MAX))
-            .with("total_ns", ns(self.total))
-            .with("mean_ns", ns(self.mean))
-            .with("p50_ns", ns(self.p50))
-            .with("p90_ns", ns(self.p90))
-            .with("p99_ns", ns(self.p99))
+    /// The statistics as an exposition summary (nanoseconds).
+    fn summary(self) -> Reading {
+        let ns = |d: Duration| Some(Num::U(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)));
+        Reading::Summary(Summary {
+            quantiles: [ns(self.p50), ns(self.p90), ns(self.p99)],
+            sum: u64::try_from(self.total.as_nanos()).ok(),
+            count: self.runs,
+        })
     }
 }
 
@@ -272,7 +271,8 @@ pub struct ServiceMetrics {
     pub signals_shrinkage_iterations: u64,
     /// Ranked safety signals emitted (post-truncation).
     pub signals_emitted: u64,
-    /// Terminal trace documents persisted to the `traces` collection.
+    /// Sampled session records persisted (records carrying a
+    /// `trace_id` in the `sessions` collection).
     pub traces_persisted: u64,
     /// Traces forced retroactively by the slow-session log.
     pub traces_forced: u64,
@@ -300,201 +300,104 @@ impl ServiceMetrics {
     pub fn degraded(&self) -> bool {
         self.degraded_transitions > 0
     }
-
-    /// The snapshot as one K-DB document (deterministically ordered).
-    pub fn to_document(&self) -> Document {
-        let count = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        let jobs = Document::new()
-            .with("submitted", count(self.submitted))
-            .with("completed", count(self.completed))
-            .with("failed", count(self.failed))
-            .with("cancelled", count(self.cancelled))
-            .with("retried", count(self.retried))
-            .with("rejected", count(self.rejected));
-        let mut stages = Document::new();
-        for (name, stat) in &self.stages {
-            stages.set(*name, Value::Doc(stat.to_document()));
-        }
-        let reliability = Document::new()
-            .with("persist_failures", count(self.persist_failures))
-            .with("journal_faults", count(self.journal_faults))
-            .with("degraded_transitions", count(self.degraded_transitions))
-            .with("degraded", self.degraded());
-        let signals = Document::new()
-            .with("tables_built", count(self.signals_tables_built))
-            .with(
-                "zero_cell_corrections",
-                count(self.signals_zero_cell_corrections),
-            )
-            .with(
-                "shrinkage_iterations",
-                count(self.signals_shrinkage_iterations),
-            )
-            .with("emitted", count(self.signals_emitted));
-        let tracing = Document::new()
-            .with("dropped_spans", count(self.events_dropped))
-            .with("persisted", count(self.traces_persisted))
-            .with("forced", count(self.traces_forced));
-        Document::new()
-            .with("jobs", Value::Doc(jobs))
-            .with("reliability", Value::Doc(reliability))
-            .with("signals", Value::Doc(signals))
-            .with("tracing", Value::Doc(tracing))
-            .with(
-                "max_queue_depth",
-                i64::try_from(self.max_queue_depth).unwrap_or(i64::MAX),
-            )
-            .with("queue_wait", Value::Doc(self.queue_wait.to_document()))
-            .with(
-                "session_latency",
-                Value::Doc(self.session_latency.to_document()),
-            )
-            .with("stages", Value::Doc(stages))
-            .with(
-                "kdb",
-                Value::Doc(
-                    Document::new()
-                        .with("acked_ops", count(self.kdb.acked_ops))
-                        .with("durable_ops", count(self.kdb.durable_ops))
-                        .with("group_commits", count(self.kdb.commits))
-                        .with("group_commit_failures", count(self.kdb.failures))
-                        .with("group_commit_mean_batch", self.kdb.mean_batch()),
-                ),
-            )
-    }
-
-    /// The snapshot as a JSON object.
-    pub fn to_json(&self) -> String {
-        document_to_json(&self.to_document())
-    }
-
-    /// The snapshot as Prometheus text exposition (counters plus one
-    /// summary per stage).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("# TYPE ada_jobs_total counter\n");
-        for (outcome, value) in [
-            ("submitted", self.submitted),
-            ("completed", self.completed),
-            ("failed", self.failed),
-            ("cancelled", self.cancelled),
-            ("retried", self.retried),
-            ("rejected", self.rejected),
-        ] {
-            out.push_str(&format!(
-                "ada_jobs_total{{outcome=\"{outcome}\"}} {value}\n"
-            ));
-        }
-        out.push_str("# TYPE ada_persist_failures_total counter\n");
-        out.push_str(&format!(
-            "ada_persist_failures_total {}\n",
-            self.persist_failures
-        ));
-        out.push_str("# TYPE ada_journal_faults_total counter\n");
-        out.push_str(&format!(
-            "ada_journal_faults_total {}\n",
-            self.journal_faults
-        ));
-        for (metric, value) in [
-            ("ada_signals_tables_built_total", self.signals_tables_built),
-            (
-                "ada_signals_zero_cell_corrections_total",
-                self.signals_zero_cell_corrections,
-            ),
-            (
-                "ada_signals_shrinkage_iterations_total",
-                self.signals_shrinkage_iterations,
-            ),
-            ("ada_signals_emitted_total", self.signals_emitted),
-        ] {
-            out.push_str(&format!("# TYPE {metric} counter\n{metric} {value}\n"));
-        }
-        out.push_str("# TYPE ada_service_degraded gauge\n");
-        out.push_str(&format!(
-            "ada_service_degraded {}\n",
-            u8::from(self.degraded())
-        ));
-        for (metric, value) in [
-            ("ada_kdb_journal_acked_ops_total", self.kdb.acked_ops),
-            ("ada_kdb_journal_durable_ops_total", self.kdb.durable_ops),
-            ("ada_kdb_group_commits_total", self.kdb.commits),
-            ("ada_kdb_group_commit_failures_total", self.kdb.failures),
-        ] {
-            out.push_str(&format!("# TYPE {metric} counter\n{metric} {value}\n"));
-        }
-        out.push_str("# TYPE ada_kdb_group_commit_batch_size summary\n");
-        write_kdb_summary(
-            &mut out,
-            "ada_kdb_group_commit_batch_size",
-            &self.kdb.batch_hist,
-            self.kdb.ops,
-            self.kdb.commits,
-        );
-        out.push_str("# TYPE ada_kdb_group_commit_flush_ns summary\n");
-        write_kdb_summary(
-            &mut out,
-            "ada_kdb_group_commit_flush_ns",
-            &self.kdb.flush_hist,
-            self.kdb.flush_ns,
-            self.kdb.commits,
-        );
-        out.push_str("# TYPE ada_queue_depth_max gauge\n");
-        out.push_str(&format!("ada_queue_depth_max {}\n", self.max_queue_depth));
-        out.push_str("# TYPE ada_queue_wait_ns summary\n");
-        write_summary(&mut out, "ada_queue_wait_ns", "", &self.queue_wait);
-        out.push_str("# TYPE ada_session_latency_ns summary\n");
-        write_summary(
-            &mut out,
-            "ada_session_latency_ns",
-            "",
-            &self.session_latency,
-        );
-        out.push_str("# TYPE ada_stage_latency_ns summary\n");
-        for (name, stat) in &self.stages {
-            write_summary(
-                &mut out,
-                "ada_stage_latency_ns",
-                &format!("stage=\"{name}\","),
-                stat,
-            );
-        }
-        for (metric, value) in [
-            ("ada_obs_dropped_spans_total", self.events_dropped),
-            ("ada_obs_traces_persisted_total", self.traces_persisted),
-            ("ada_obs_traces_forced_total", self.traces_forced),
-        ] {
-            out.push_str(&format!("# TYPE {metric} counter\n{metric} {value}\n"));
-        }
-        out
-    }
 }
 
-/// Renders one group-commit log2 histogram as a Prometheus summary:
-/// approximate quantiles (geometric bucket midpoints), exact sum/count.
-fn write_kdb_summary(out: &mut String, metric: &str, hist: &[u64], sum: u64, count: u64) {
-    for q in ["0.5", "0.9", "0.99"] {
-        let v = GroupCommitSnapshot::quantile(hist, q.parse().expect("literal"));
-        out.push_str(&format!("{metric}{{quantile=\"{q}\"}} {v:.1}\n"));
-    }
-    out.push_str(&format!("{metric}_sum {sum}\n"));
-    out.push_str(&format!("{metric}_count {count}\n"));
+/// A group-commit log2 histogram as a summary: approximate quantiles
+/// (geometric bucket midpoints), exact sum and count.
+fn kdb_summary(hist: &[u64], sum: u64, count: u64) -> Reading {
+    let q = |q| Some(Num::F1(GroupCommitSnapshot::quantile(hist, q)));
+    Reading::Summary(Summary {
+        quantiles: [q(0.5), q(0.9), q(0.99)],
+        sum: Some(sum),
+        count,
+    })
 }
 
-fn write_summary(out: &mut String, metric: &str, label_prefix: &str, stat: &StageMetrics) {
-    for (q, v) in [("0.5", stat.p50), ("0.9", stat.p90), ("0.99", stat.p99)] {
-        out.push_str(&format!(
-            "{metric}{{{label_prefix}quantile=\"{q}\"}} {}\n",
-            v.as_nanos()
-        ));
-    }
-    let bare = label_prefix.trim_end_matches(',');
-    let braces = if bare.is_empty() {
-        String::new()
-    } else {
-        format!("{{{bare}}}")
-    };
-    out.push_str(&format!("{metric}_sum{braces} {}\n", stat.total.as_nanos()));
-    out.push_str(&format!("{metric}_count{braces} {}\n", stat.runs));
+type Row = Series<ServiceMetrics>;
+
+impl Metrics for ServiceMetrics {
+    const SERIES: &'static [Row] = &[
+        Row::counter("ada_jobs_total", |m| {
+            Reading::Each(
+                "outcome",
+                vec![
+                    ("submitted", m.submitted.into()),
+                    ("completed", m.completed.into()),
+                    ("failed", m.failed.into()),
+                    ("cancelled", m.cancelled.into()),
+                    ("retried", m.retried.into()),
+                    ("rejected", m.rejected.into()),
+                ],
+            )
+        })
+        .key("jobs"),
+        Row::counter("ada_persist_failures_total", |m| m.persist_failures.into())
+            .key("reliability.persist_failures"),
+        Row::counter("ada_journal_faults_total", |m| m.journal_faults.into())
+            .key("reliability.journal_faults"),
+        Row::counter("ada_signals_tables_built_total", |m| {
+            m.signals_tables_built.into()
+        })
+        .key("signals.tables_built"),
+        Row::counter("ada_signals_zero_cell_corrections_total", |m| {
+            m.signals_zero_cell_corrections.into()
+        })
+        .key("signals.zero_cell_corrections"),
+        Row::counter("ada_signals_shrinkage_iterations_total", |m| {
+            m.signals_shrinkage_iterations.into()
+        })
+        .key("signals.shrinkage_iterations"),
+        Row::counter("ada_signals_emitted_total", |m| m.signals_emitted.into())
+            .key("signals.emitted"),
+        Row::gauge("ada_service_degraded", |m| m.degraded().into()).key("reliability.degraded"),
+        Row::field("reliability.degraded_transitions", |m| {
+            m.degraded_transitions.into()
+        }),
+        Row::counter("ada_kdb_journal_acked_ops_total", |m| {
+            m.kdb.acked_ops.into()
+        })
+        .key("kdb.acked_ops"),
+        Row::counter("ada_kdb_journal_durable_ops_total", |m| {
+            m.kdb.durable_ops.into()
+        })
+        .key("kdb.durable_ops"),
+        Row::counter("ada_kdb_group_commits_total", |m| m.kdb.commits.into())
+            .key("kdb.group_commits"),
+        Row::counter("ada_kdb_group_commit_failures_total", |m| {
+            m.kdb.failures.into()
+        })
+        .key("kdb.group_commit_failures"),
+        Row::field("kdb.group_commit_mean_batch", |m| m.kdb.mean_batch().into()),
+        Row::summary("ada_kdb_group_commit_batch_size", |m| {
+            kdb_summary(&m.kdb.batch_hist, m.kdb.ops, m.kdb.commits)
+        }),
+        Row::summary("ada_kdb_group_commit_flush_ns", |m| {
+            kdb_summary(&m.kdb.flush_hist, m.kdb.flush_ns, m.kdb.commits)
+        }),
+        Row::gauge("ada_queue_depth_max", |m| (m.max_queue_depth as u64).into())
+            .key("max_queue_depth"),
+        Row::summary("ada_queue_wait_ns", |m| m.queue_wait.summary()).key("queue_wait"),
+        Row::summary("ada_session_latency_ns", |m| m.session_latency.summary())
+            .key("session_latency"),
+        Row::summary("ada_stage_latency_ns", |m| {
+            Reading::Each(
+                "stage",
+                m.stages
+                    .iter()
+                    .map(|(name, s)| (*name, s.summary()))
+                    .collect(),
+            )
+        })
+        .key("stages"),
+        Row::counter("ada_obs_dropped_spans_total", |m| m.events_dropped.into())
+            .key("tracing.dropped_spans"),
+        Row::counter("ada_obs_traces_persisted_total", |m| {
+            m.traces_persisted.into()
+        })
+        .key("tracing.persisted"),
+        Row::counter("ada_obs_traces_forced_total", |m| m.traces_forced.into())
+            .key("tracing.forced"),
+    ];
 }
 
 /// Forwards pipeline events to several observers in order.
@@ -611,7 +514,6 @@ mod tests {
         let prom = snap.to_prometheus();
         assert!(prom.contains("ada_signals_tables_built_total 30"));
         assert!(prom.contains("ada_signals_emitted_total 15"));
-        assert!(snap.to_json().contains("\"signals\":{"));
     }
 
     #[test]
@@ -625,20 +527,24 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_json_and_prometheus() {
+    fn snapshot_renders_document_and_prometheus() {
         let m = MetricsObserver::new();
         m.job_submitted();
         m.job_completed();
         m.on_stage_end("s", PipelineStage::Optimize, Duration::from_millis(7));
         let snap = m.snapshot();
 
-        let json = snap.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"jobs\":{"), "json: {json}");
-        assert!(json.contains("\"optimize\":{"), "json: {json}");
-        assert!(json.contains("\"p99_ns\":"), "json: {json}");
-        // Deterministic rendering.
-        assert_eq!(json, snap.to_json());
+        let doc = snap.to_document();
+        assert_eq!(
+            doc.get_path("jobs.submitted").and_then(|v| v.as_i64()),
+            Some(1)
+        );
+        assert_eq!(
+            doc.get_path("stages.optimize.runs")
+                .and_then(|v| v.as_i64()),
+            Some(1)
+        );
+        assert!(doc.get_path("stages.optimize.p99_ns").is_some());
 
         let prom = snap.to_prometheus();
         assert!(prom.contains("ada_jobs_total{outcome=\"submitted\"} 1"));

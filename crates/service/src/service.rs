@@ -16,7 +16,7 @@ use ada_kdb::{
     schema, CommitObserver, CommitRole, Document, DurabilityPolicy, Kdb, SharedKdb, Value,
 };
 use ada_obs::{
-    current_trace, document_to_json, past_sessions, past_traces, FlightRecorder, Page,
+    current_trace, document_to_json, past_sessions, past_traces, FlightRecorder, Metrics, Page,
     StreamMetrics, TraceContext, TraceScope, MARK_CANCELLED, MARK_DEGRADED, MARK_PERSIST_FAIL,
     MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_RETRY, MARK_SLOW_SESSION,
 };
@@ -444,8 +444,8 @@ impl AnalysisService {
             .collect()
     }
 
-    /// Terminal trace records persisted to the K-DB `traces`
-    /// collection, optionally filtered to one session — the local face
+    /// The sampled terminal session records (those carrying a
+    /// `trace_id`), optionally filtered to one session — the local face
     /// of the `TraceQuery` wire message.
     pub fn past_traces(&self, session: Option<&str>) -> Vec<Document> {
         past_traces(&self.inner.kdb.read(), session, Page::ALL)
@@ -752,20 +752,10 @@ fn worker_loop(inner: &ServiceInner) {
 /// violation is a bug (not an environmental fault), so debug builds
 /// still assert on that case.
 fn persist_session(inner: &ServiceInner, session: &str, state: &str, outcome: &str) {
-    // The `traces` collection is only ensured when this session will
-    // actually write into it, so an untraced service's journal stays
-    // byte-identical to the pre-tracing write path.
     let has_trace = inner.recorder.has_trace(session);
     let result = inner
         .kdb
         .ensure_collection(schema::names::SESSIONS)
-        .and_then(|()| {
-            if has_trace {
-                schema::init_trace_schema(&mut inner.kdb.write())
-            } else {
-                Ok(())
-            }
-        })
         .and_then(|()| {
             inner
                 .recorder
@@ -877,44 +867,21 @@ fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instan
             }
         }));
 
+        let finish = |state, detail: &str| finish_run(inner, id, &session, started, state, detail);
         match outcome {
-            Ok(Ok(report)) => {
-                let elapsed = started.elapsed();
-                inner.metrics.observe_session_latency(elapsed);
-                maybe_force_slow_trace(inner, &session, elapsed);
-                persist_session(inner, &session, "completed", "");
-                inner.metrics.job_completed();
-                inner
-                    .registry
-                    .transition(id, SessionState::Completed(report));
-                return;
-            }
+            Ok(Ok(report)) => return finish(SessionState::Completed(report), ""),
             Ok(Err(err @ PipelineError::Cancelled { .. })) => {
-                let elapsed = started.elapsed();
-                inner.metrics.observe_session_latency(elapsed);
-                maybe_force_slow_trace(inner, &session, elapsed);
-                inner
-                    .recorder
-                    .mark(&session, MARK_CANCELLED, Duration::ZERO);
-                persist_session(inner, &session, "cancelled", &err.to_string());
-                inner.metrics.job_cancelled();
-                inner.registry.transition(id, SessionState::Cancelled);
-                return;
+                return finish(SessionState::Cancelled, &err.to_string())
             }
             Ok(Err(err @ PipelineError::DeadlineExceeded { .. })) => {
                 // A blown deadline would blow it again on retry.
-                let elapsed = started.elapsed();
-                inner.metrics.observe_session_latency(elapsed);
-                maybe_force_slow_trace(inner, &session, elapsed);
-                persist_session(inner, &session, "failed", &err.to_string());
-                inner.metrics.job_failed();
-                inner.registry.transition(
-                    id,
+                let reason = err.to_string();
+                return finish(
                     SessionState::Failed {
-                        reason: err.to_string(),
+                        reason: reason.clone(),
                     },
+                    &reason,
                 );
-                return;
             }
             Err(panic) => {
                 if attempt < spec.max_retries {
@@ -930,19 +897,43 @@ fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instan
                         .or_else(|| panic.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "attempt panicked".to_string());
                     let reason = format!("failed after {} attempts: {reason}", attempt + 1);
-                    let elapsed = started.elapsed();
-                    inner.metrics.observe_session_latency(elapsed);
-                    maybe_force_slow_trace(inner, &session, elapsed);
-                    persist_session(inner, &session, "failed", &reason);
-                    inner.metrics.job_failed();
-                    inner
-                        .registry
-                        .transition(id, SessionState::Failed { reason });
-                    return;
+                    return finish(
+                        SessionState::Failed {
+                            reason: reason.clone(),
+                        },
+                        &reason,
+                    );
                 }
             }
         }
     }
+}
+
+/// The terminal path of a session that ran: observe its execution
+/// latency, force its trace if it was slow, persist its record, count
+/// the outcome, and publish the terminal `state` (`detail` is the
+/// persisted outcome string).
+fn finish_run(
+    inner: &ServiceInner,
+    id: SessionId,
+    session: &str,
+    started: Instant,
+    state: SessionState,
+    detail: &str,
+) {
+    let elapsed = started.elapsed();
+    inner.metrics.observe_session_latency(elapsed);
+    maybe_force_slow_trace(inner, session, elapsed);
+    if matches!(state, SessionState::Cancelled) {
+        inner.recorder.mark(session, MARK_CANCELLED, Duration::ZERO);
+    }
+    persist_session(inner, session, state.label(), detail);
+    match state {
+        SessionState::Completed(_) => inner.metrics.job_completed(),
+        SessionState::Cancelled => inner.metrics.job_cancelled(),
+        _ => inner.metrics.job_failed(),
+    }
+    inner.registry.transition(id, state);
 }
 
 /// The `StreamMining` workload: replay the session's cohort in

@@ -344,3 +344,81 @@ fn tracer_rings_stay_bounded_by_live_threads() {
     assert_eq!(recorder.dropped(), 0, "no event may be lost");
     service.shutdown();
 }
+
+#[test]
+fn a_sampled_session_costs_one_journal_op() {
+    // The same two sessions on a fresh journal at rate 0 and at rate 1:
+    // a sampled session's trace rides in its session record, so each
+    // session costs the same ops either way — no trace insert, and no
+    // schema ops for a trace store on first use.
+    let ops_per_session = |rate: f64| -> Vec<u64> {
+        let mem = ada_kdb::MemStorage::new();
+        let kdb = Kdb::open_with(
+            std::path::Path::new("count.journal"),
+            ada_kdb::StoreOptions::with_storage(Arc::new(mem)),
+        )
+        .unwrap();
+        let service = AnalysisService::with_kdb(
+            ServiceConfig {
+                workers: 1,
+                sample_rate: rate,
+                ..ServiceConfig::default()
+            },
+            kdb,
+        );
+        let log = Arc::new(generate(&cohort_cfg(), 79));
+        let shared = service.kdb();
+        let mut ops = Vec::new();
+        for i in 0..2 {
+            let before = shared.journal_acked_ops();
+            let id = service
+                .submit(JobSpec::new(
+                    AdaHealthConfig::quick(format!("count-{i}")),
+                    Arc::clone(&log),
+                ))
+                .unwrap();
+            assert!(matches!(
+                service.wait(id).unwrap(),
+                SessionState::Completed(_)
+            ));
+            ops.push(shared.journal_acked_ops() - before);
+        }
+        assert_eq!(service.metrics().traces_persisted, 2 * rate as u64);
+        service.shutdown();
+        ops
+    };
+    assert_eq!(ops_per_session(1.0), ops_per_session(0.0));
+}
+
+#[test]
+fn a_store_holding_a_legacy_traces_collection_still_replays() {
+    // Journals written before traces moved into session records hold a
+    // separate `traces` collection. It replays as generic state; the
+    // trace listing reads only `sessions`.
+    let path = journal_path("legacy_traces");
+    let fingerprint = {
+        let mut db = Kdb::open(&path).unwrap();
+        schema::init_schema(&mut db).unwrap();
+        db.create_collection("traces").unwrap();
+        for index in ["session", "trace_id"] {
+            db.ensure_index("traces", index).unwrap();
+        }
+        db.insert(
+            "traces",
+            Document::new()
+                .with("session", "old")
+                .with("trace_id", "00112233445566778899aabbccddeeff")
+                .with("state", "completed")
+                .with("forced", false)
+                .with("events_dropped", 0i64)
+                .with("spans", Value::Array(Vec::new())),
+        )
+        .unwrap();
+        db.fingerprint()
+    };
+    let reopened = Kdb::open(&path).unwrap();
+    assert_eq!(reopened.fingerprint(), fingerprint);
+    assert_eq!(reopened.collection("traces").unwrap().len(), 1);
+    assert!(ada_obs::past_traces(&reopened, None, ada_obs::Page::ALL).is_empty());
+    std::fs::remove_file(&path).ok();
+}

@@ -162,3 +162,61 @@ fn module_paths_named_in_the_docs_resolve() {
     }
     assert!(stale.is_empty(), "no such module path: {stale:#?}");
 }
+
+/// `ada_net_requests_total`, `ada_queue_wait_ns_count`, `ada_repl_*`:
+/// every metric family, series or `ada_<subsystem>_` prefix the docs
+/// name must be in a fleet node's combined exposition. Crate names
+/// (`ada_obs`) and module paths (`ada_obs::metrics`) are not metrics.
+#[test]
+fn metric_names_in_the_docs_are_exposed() {
+    use ada_health::fleet::FleetNode;
+    use ada_health::kdb::SharedKdb;
+    use ada_health::net::NetConfig;
+    use ada_health::service::ServiceConfig;
+
+    let node = FleetNode::start_primary(
+        "docs",
+        ServiceConfig::default(),
+        SharedKdb::in_memory(),
+        NetConfig::default(),
+    )
+    .unwrap();
+    let exposition = node.exposition();
+    node.shutdown();
+    let series: Vec<&str> = exposition
+        .lines()
+        .filter_map(|line| match line.strip_prefix("# TYPE ") {
+            Some(family) => family.split(' ').next(),
+            None => line.split(['{', ' ']).next(),
+        })
+        .collect();
+    let crates: Vec<String> = std::fs::read_dir(root().join("crates"))
+        .unwrap()
+        .map(|entry| format!("ada_{}", entry.unwrap().file_name().to_str().unwrap()))
+        .collect();
+    let mut stale = Vec::new();
+    for (doc, text) in docs() {
+        for written in tokens(&text, |c| is_ident(c) || c == ':') {
+            let name = written.trim_matches(':');
+            if !name.starts_with("ada_") || name.contains("::") || written.ends_with("::") {
+                continue; // a word, or a module path
+            }
+            if name == "ada_health" || crates.iter().any(|c| c == name) {
+                continue; // a crate
+            }
+            let family = ["_sum", "_count"]
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix))
+                .unwrap_or(name);
+            let exposed = if name.ends_with('_') {
+                series.iter().any(|s| s.starts_with(name))
+            } else {
+                series.contains(&name) || series.contains(&family)
+            };
+            if !exposed {
+                stale.push(format!("{doc}: {name}"));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "not in the exposition: {stale:#?}");
+}

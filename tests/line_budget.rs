@@ -14,13 +14,13 @@ const CEILINGS: [(&str, u64); 12] = [
     ("vsm", 1_149),
     ("metrics", 656),
     ("mining", 3_462),
-    ("kdb", 4_800),
+    ("kdb", 4_723),
     ("core", 3_259),
     ("signals", 784),
     ("obs", 1_843),
     ("stream", 1_376),
-    ("service", 2_057),
-    ("net", 2_736),
+    ("service", 1_952),
+    ("net", 2_711),
     ("fleet", 1_771),
 ];
 
