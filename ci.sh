@@ -19,6 +19,12 @@ echo "== tests (ada-mining, release) =="
 # the tree-equivalence proptests must hold in both.
 cargo test -q --release -p ada-mining
 
+echo "== tests (ada-stream, release) =="
+# The golden stream fingerprints and the zero-skipping hash proptests
+# must hold under release floating-point codegen too, where the window
+# closes' fits and hashes actually run.
+cargo test -q --release -p ada-stream
+
 echo "== kmeans kernel perf gate (quick) =="
 # Fails on any kernel/pruning/threading/row-storage mismatch, when the
 # pruned kernel regresses past 2x the seed reference on the reduced

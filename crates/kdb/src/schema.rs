@@ -347,9 +347,10 @@ fn is_lower_hex(s: &str, digits: usize) -> bool {
 /// * `start_day` / `end_day` — the window's day span, `start < end`;
 /// * `watermark` — integer day bound; every record folded so far has
 ///   `day < watermark`, and `watermark >= end_day`;
-/// * `records` — non-empty flat integer array of `(day, patient, exam,
-///   count)` quads in canonical order, each with `start_day <= day <
-///   end_day`, non-negative ids and `count >= 1`;
+/// * `records` — the window's `(day, patient, exam, count)` quads in
+///   canonical order, non-empty, each with `start_day <= day <
+///   end_day`, non-negative ids and `count >= 1`; stored in either shape
+///   [`stream_window_records`] reads;
 /// * `folded` / `refits` — cumulative non-negative counters *after*
 ///   this window;
 /// * `refit` — whether this window escalated to a full re-fit;
@@ -386,32 +387,18 @@ pub fn validate_stream_window_doc(doc: &Document) -> Result<(), KdbError> {
         Some(w) if w >= end => {}
         _ => return bad("stream_windows: `watermark` must be an integer >= `end_day`".into()),
     }
-    match doc.get("records").and_then(Value::as_array) {
-        Some(vals) if !vals.is_empty() && vals.len() % 4 == 0 => {
-            for quad in vals.chunks_exact(4) {
-                let nums: Vec<i64> = quad.iter().filter_map(Value::as_i64).collect();
-                if nums.len() != 4 {
-                    return bad("stream_windows: `records` must hold only integers".into());
-                }
-                let (day, patient, exam, count) = (nums[0], nums[1], nums[2], nums[3]);
-                if day < start || day >= end {
-                    return bad(format!(
-                        "stream_windows: record day {day} outside window [{start}, {end})"
-                    ));
-                }
-                if patient < 0 || exam < 0 || count < 1 {
-                    return bad(
-                        "stream_windows: record ids must be non-negative and count >= 1".into(),
-                    );
-                }
-            }
+    let quads = stream_window_records(doc)?;
+    if quads.is_empty() {
+        return bad("stream_windows: `records` must not be empty".into());
+    }
+    for [day, patient, exam, count] in quads {
+        if day < start || day >= end {
+            return bad(format!(
+                "stream_windows: record day {day} outside window [{start}, {end})"
+            ));
         }
-        _ => {
-            return bad(
-                "stream_windows: `records` must be a non-empty array of (day, patient, exam, \
-                 count) quads"
-                    .into(),
-            )
+        if patient < 0 || exam < 0 || count < 1 {
+            return bad("stream_windows: record ids must be non-negative and count >= 1".into());
         }
     }
     for field in ["folded", "refits", "rows", "vocab", "vocab_version"] {
@@ -446,6 +433,41 @@ pub fn validate_stream_window_doc(doc: &Document) -> Result<(), KdbError> {
             "stream_windows: `model_fp` must be empty or 16 lowercase hex digits, got {other:?}"
         )),
     }
+}
+
+/// The `(day, patient, exam, count)` quads of a `stream_windows`
+/// checkpoint's `records`, in stored order. Checkpoints store them
+/// packed: one string of decimal integers separated by single spaces,
+/// ≈ 17 bytes per quad held in one [`Value`]. Checkpoints written before
+/// that hold a flat array of [`Value::I64`], four per quad; both shapes
+/// read back as the same quads.
+///
+/// # Errors
+/// [`KdbError::Schema`] when `records` is missing or of another type,
+/// holds a token or item that is not an integer, or holds a number of
+/// integers that is not a multiple of four.
+pub fn stream_window_records(doc: &Document) -> Result<Vec<[i64; 4]>, KdbError> {
+    let bad = |what: &str| KdbError::Schema(format!("stream_windows: `records` {what}"));
+    let flat: Vec<i64> = match doc.get("records") {
+        Some(Value::Str(packed)) => packed
+            .split(' ')
+            .map(str::parse)
+            .collect::<Result<_, _>>()
+            .map_err(|_| bad("must hold only integers separated by single spaces"))?,
+        Some(Value::Array(items)) => items
+            .iter()
+            .map(Value::as_i64)
+            .collect::<Option<_>>()
+            .ok_or_else(|| bad("must hold only integers"))?,
+        _ => return Err(bad("must be a packed string or an integer array")),
+    };
+    if !flat.len().is_multiple_of(4) {
+        return Err(bad("must hold (day, patient, exam, count) quads"));
+    }
+    Ok(flat
+        .chunks_exact(4)
+        .map(|q| [q[0], q[1], q[2], q[3]])
+        .collect())
 }
 
 /// Validates and inserts a streaming window checkpoint.
@@ -911,15 +933,7 @@ mod tests {
             .with("start_day", 16632i64)
             .with("end_day", 16639i64)
             .with("watermark", 16639i64)
-            .with(
-                "records",
-                Value::Array(
-                    [16632i64, 4, 11, 2, 16633, 0, 3, 1]
-                        .into_iter()
-                        .map(Value::I64)
-                        .collect(),
-                ),
-            )
+            .with("records", "16632 4 11 2 16633 0 3 1")
             .with("folded", 3i64)
             .with("refits", 1i64)
             .with("refit", false)
@@ -945,10 +959,25 @@ mod tests {
         let id = insert_stream_window(&mut db, sample_window_doc()).unwrap();
         // A model-less early window is also valid.
         insert_stream_window(&mut db, sample_window_doc().with("model_fp", "")).unwrap();
+        // So is the array shape checkpoints were stored in before the
+        // packed string, and it reads back as the same quads.
+        let legacy = sample_window_doc().with(
+            "records",
+            Value::Array(
+                [16632i64, 4, 11, 2, 16633, 0, 3, 1]
+                    .into_iter()
+                    .map(Value::I64)
+                    .collect(),
+            ),
+        );
+        insert_stream_window(&mut db, legacy.clone()).unwrap();
+        let quads = vec![[16632, 4, 11, 2], [16633, 0, 3, 1]];
+        assert_eq!(stream_window_records(&legacy).unwrap(), quads);
+        assert_eq!(stream_window_records(&sample_window_doc()).unwrap(), quads);
         let found = db
             .find(names::STREAM_WINDOWS, &Filter::eq("stream", "feed-1"))
             .unwrap();
-        assert_eq!(found.len(), 2);
+        assert_eq!(found.len(), 3);
         assert_eq!(found[0].0, id);
         validate_stream_window_doc(&found[0].1).unwrap();
     }
@@ -974,31 +1003,55 @@ mod tests {
             sample_window_doc().with("watermark", 16638i64),
             "watermark behind window end",
         );
+        let array = |quads: &[i64]| Value::Array(quads.iter().copied().map(Value::I64).collect());
         rejects(
             sample_window_doc().with("records", Value::Array(vec![])),
             "empty records",
         );
         rejects(
-            sample_window_doc().with(
-                "records",
-                Value::Array(vec![Value::I64(16632), Value::I64(1)]),
-            ),
+            sample_window_doc().with("records", array(&[16632, 1])),
             "ragged quads",
         );
         rejects(
-            sample_window_doc().with(
-                "records",
-                Value::Array([16700i64, 1, 1, 1].into_iter().map(Value::I64).collect()),
-            ),
+            sample_window_doc().with("records", array(&[16700, 1, 1, 1])),
             "record outside window",
+        );
+        rejects(
+            sample_window_doc().with("records", array(&[16632, 1, 1, 0])),
+            "zero count",
         );
         rejects(
             sample_window_doc().with(
                 "records",
-                Value::Array([16632i64, 1, 1, 0].into_iter().map(Value::I64).collect()),
+                Value::Array(vec![
+                    Value::I64(16632),
+                    Value::I64(1),
+                    "1".into(),
+                    Value::I64(1),
+                ]),
             ),
-            "zero count",
+            "non-integer item",
         );
+        rejects(
+            sample_window_doc().with("records", 16632i64),
+            "records not a sequence",
+        );
+        for (packed, what) in [
+            ("", "empty packed records"),
+            ("16632 4 eleven 2", "non-integer token"),
+            ("16632 4 1.5 2", "fractional token"),
+            ("16632  4 11 2", "double space"),
+            ("16632 4 11 2 ", "trailing space"),
+            ("16632 4 11", "token count not a multiple of four"),
+            ("16632 4 11 2 16633 0", "ragged packed quads"),
+            ("16639 4 11 2", "day at the window end"),
+            ("16631 4 11 2", "day before the window"),
+            ("16632 -4 11 2", "negative patient"),
+            ("16632 4 -11 2", "negative exam"),
+            ("16632 4 11 0", "zero count"),
+        ] {
+            rejects(sample_window_doc().with("records", packed), what);
+        }
         rejects(sample_window_doc().with("folded", -1i64), "negative folded");
         rejects(sample_window_doc().with("refit", 1i64), "non-bool refit");
         rejects(sample_window_doc().with("drift", -0.5f64), "negative drift");

@@ -151,30 +151,9 @@ impl KMeans {
         self.fit_rows(matrix).0
     }
 
-    /// Runs the configured backend from explicit initial centroids
-    /// (used by tests and by `ada-stream`'s per-window warm fit).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch between `matrix` and `centroids`.
-    pub fn fit_from(&self, matrix: &DenseMatrix, centroids: DenseMatrix) -> KMeansResult {
-        self.fit_rows_from(matrix, centroids).0
-    }
-
     /// [`KMeans::fit`] plus the kernel's instrumentation counters.
     pub fn fit_with_stats(&self, matrix: &DenseMatrix) -> (KMeansResult, KernelStats) {
         self.fit_rows(matrix)
-    }
-
-    /// [`KMeans::fit_from`] plus the kernel's instrumentation counters.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch between `matrix` and `centroids`.
-    pub fn fit_from_with_stats(
-        &self,
-        matrix: &DenseMatrix,
-        centroids: DenseMatrix,
-    ) -> (KMeansResult, KernelStats) {
-        self.fit_rows_from(matrix, centroids)
     }
 
     /// Runs the configured backend over any row storage and reports the
@@ -198,7 +177,9 @@ impl KMeans {
         self.fit_rows_from(rows, centroids)
     }
 
-    /// [`KMeans::fit_rows`] from explicit initial centroids.
+    /// [`KMeans::fit_rows`] from explicit initial centroids (used by
+    /// `ada-stream`'s per-window warm fit, over its matrix's non-zero
+    /// view).
     ///
     /// # Panics
     /// Panics on shape mismatch between `rows` and `centroids`.
@@ -291,8 +272,8 @@ impl KMeansResult {
 ///
 /// This is the streaming miner's warm-start seam: its vocabulary grows
 /// as new exam types appear, and each window re-seeds
-/// [`KMeans::fit_from`] with the previous window's model, whose feature
-/// space has since widened.
+/// [`KMeans::fit_rows_from`] with the previous window's model, whose
+/// feature space has since widened.
 ///
 /// # Panics
 /// Panics in debug builds when `dim` is smaller than `prev`'s width.
@@ -394,10 +375,11 @@ mod tests {
     fn backends_agree_from_same_start() {
         let m = gaussian_blobs(5, 40, 4, 7);
         let start = init::initial_centroids(&m, 5, KMeansInit::KMeansPlusPlus, 11);
-        let lloyd = KMeans::new(5).fit_from(&m, start.clone());
+        let lloyd = KMeans::new(5).fit_rows_from(&m, start.clone()).0;
         let filtering = KMeans::new(5)
             .backend(KMeansBackend::Filtering)
-            .fit_from(&m, start);
+            .fit_rows_from(&m, start)
+            .0;
         assert_eq!(lloyd.assignments, filtering.assignments);
         assert!((lloyd.sse - filtering.sse).abs() < 1e-6 * (1.0 + lloyd.sse));
         assert_eq!(lloyd.iterations, filtering.iterations);
@@ -423,7 +405,7 @@ mod tests {
         // clusters will start empty and must be repaired.
         let m = DenseMatrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0], vec![100.0]]);
         let start = DenseMatrix::from_rows(&[vec![0.0], vec![0.0], vec![0.0]]);
-        let result = KMeans::new(3).fit_from(&m, start);
+        let result = KMeans::new(3).fit_rows_from(&m, start).0;
         let sizes = result.cluster_sizes();
         assert!(sizes.iter().all(|&s| s > 0), "sizes = {sizes:?}");
     }

@@ -16,8 +16,11 @@
 //!   decision tree under 10-fold cross validation; [`tree`] is a CART
 //!   implementation and [`validate`] the stratified k-fold driver.
 //!
-//! A module is here because something runs it. Beyond the three
-//! families above: [`kmeans::filtering`] is a [`KMeansBackend`] the
+//! A module is here because something runs it, and so is a method:
+//! [`KMeans::fit_rows`] and [`KMeans::fit_rows_from`] over a matrix's
+//! non-zero view are the fits the batch pipeline and `ada-stream`'s
+//! window closes run. Beyond the three families above:
+//! [`kmeans::filtering`] is a [`KMeansBackend`] the
 //! Table-I bin reports; [`patterns::apriori`] is the reference
 //! `tests/miner_agreement.rs` checks FP-growth against; [`bayes`],
 //! [`knn`] and [`forest`] are EXPERIMENTS.md's classifier ablations

@@ -74,10 +74,11 @@ proptest! {
         prop_assume!(k <= rows.len());
         let m = DenseMatrix::from_rows(&rows);
         let start = init::initial_centroids(&m, k, KMeansInit::Forgy, seed);
-        let lloyd = KMeans::new(k).fit_from(&m, start.clone());
+        let lloyd = KMeans::new(k).fit_rows_from(&m, start.clone()).0;
         let filtering = KMeans::new(k)
             .backend(KMeansBackend::Filtering)
-            .fit_from(&m, start);
+            .fit_rows_from(&m, start)
+            .0;
         prop_assert_eq!(&lloyd.assignments, &filtering.assignments);
         prop_assert!((lloyd.sse - filtering.sse).abs() < 1e-6 * (1.0 + lloyd.sse));
     }
@@ -100,12 +101,14 @@ proptest! {
         // Plain serial Lloyd: no pruning, one thread.
         let plain = KMeans::new(k)
             .prune(false)
-            .fit_from(&m, start.clone());
+            .fit_rows_from(&m, start.clone())
+            .0;
         // Bound-pruned parallel kernel.
         let fast = KMeans::new(k)
             .prune(true)
             .threads(threads)
-            .fit_from(&m, start.clone());
+            .fit_rows_from(&m, start.clone())
+            .0;
         // Assignments, centroids, SSE, and iteration count must be
         // bit-identical (KMeansResult's PartialEq compares exactly).
         // The seed reference loop is NOT part of this property: on
@@ -360,7 +363,7 @@ proptest! {
                 prop_assert_eq!(&dense, &sparse, "cold {:?} prune {} threads {}", backend, prune, threads);
                 prop_assert_eq!(dense.0.fingerprint(), sparse.0.fingerprint());
                 let (dense, sparse) = (
-                    config.fit_from_with_stats(&m, warm.clone()),
+                    config.fit_rows_from(&m, warm.clone()),
                     config.fit_rows_from(&rows, warm.clone()),
                 );
                 prop_assert_eq!(&dense, &sparse, "warm {:?} prune {} threads {}", backend, prune, threads);

@@ -21,8 +21,8 @@ use ada_obs::{
     MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_RETRY, MARK_SLOW_SESSION,
 };
 use ada_stream::{
-    IngestAck, IngestRejected, StreamConfig, StreamEngine, StreamHandle, StreamMiningSpec,
-    StreamReport,
+    IngestAck, IngestRejected, StreamConfig, StreamEngine, StreamError, StreamHandle,
+    StreamMiningSpec, StreamReport,
 };
 
 use crate::cancel::CancelToken;
@@ -575,7 +575,13 @@ impl AnalysisService {
 
     /// Seals an open stream — closes every buffered window regardless
     /// of the watermark (end of feed) — and returns its final status.
+    /// Like ingestion, a seal refuses with `ShuttingDown` once the
+    /// service is stopping, including one whose handle was closed under
+    /// it.
     pub fn stream_seal(&self, stream: &str) -> Result<Document, ServiceError> {
+        if self.inner.shutting_down.load(Ordering::Acquire) {
+            return Err(ServiceError::ShuttingDown);
+        }
         if self.inner.degraded.load(Ordering::Acquire) {
             return Err(ServiceError::Degraded);
         }
@@ -583,9 +589,10 @@ impl AnalysisService {
             return Err(ServiceError::Follower);
         }
         let handle = self.stream_handle(stream)?;
-        handle
-            .seal()
-            .map_err(|e| ServiceError::StreamFault(e.to_string()))?;
+        handle.seal().map_err(|e| match e {
+            StreamError::Closed => ServiceError::ShuttingDown,
+            e => ServiceError::StreamFault(e.to_string()),
+        })?;
         handle
             .status()
             .map_err(|e| ServiceError::StreamFault(e.to_string()))
@@ -991,5 +998,35 @@ mod tests {
         let late = policy.backoff(SessionId(1), 12);
         assert!(late <= policy.cap + policy.base);
         assert!(policy.backoff(SessionId(1), 5) >= policy.base);
+    }
+
+    #[test]
+    fn stream_seal_during_shutdown_answers_shutting_down() {
+        let service = AnalysisService::with_kdb(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            Kdb::in_memory(),
+        );
+        service.stream_open(StreamConfig::new("s")).unwrap();
+        // A seal that fetched its handle just before `stop()` closed it.
+        service.stream_handle("s").unwrap().close();
+        assert!(matches!(
+            service.stream_seal("s"),
+            Err(ServiceError::ShuttingDown)
+        ));
+        // Once `stop()` has begun, the gate answers first.
+        service.inner.shutting_down.store(true, Ordering::Release);
+        assert!(matches!(
+            service.stream_seal("s"),
+            Err(ServiceError::ShuttingDown)
+        ));
+        assert!(matches!(
+            service.stream_ingest("s", Vec::new()),
+            Err(ServiceError::ShuttingDown)
+        ));
+        // Let the drop run the real `stop()`.
+        service.inner.shutting_down.store(false, Ordering::Release);
     }
 }

@@ -169,12 +169,13 @@ impl StreamHandle {
     /// watermark (end of feed).
     ///
     /// # Errors
-    /// Worker faults and checkpoint persistence failures.
+    /// [`StreamError::Closed`] once [`StreamHandle::close`] has run;
+    /// worker faults and checkpoint persistence failures.
     pub fn seal(&self) -> Result<(), StreamError> {
         {
             let guard = self.sender.lock().unwrap();
             let Some(sender) = guard.as_ref() else {
-                return Err(StreamError::Corrupt("stream closed".into()));
+                return Err(StreamError::Closed);
             };
             // Never block inside `send` while holding the `pending`
             // mutex: the worker needs it to finish an op (and free
@@ -192,7 +193,7 @@ impl StreamHandle {
                     }
                     Err(TrySendError::Disconnected(_)) => {
                         *pending -= 1;
-                        return Err(StreamError::Corrupt("stream worker gone".into()));
+                        return Err(StreamError::Closed);
                     }
                 }
             }
@@ -361,5 +362,6 @@ mod tests {
             handle.try_ingest(vec![rec(2, 0, 1, 4)]),
             Err(IngestRejected::Closed)
         );
+        assert!(matches!(handle.seal(), Err(StreamError::Closed)));
     }
 }

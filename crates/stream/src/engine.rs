@@ -16,6 +16,13 @@
 //! persists one `stream_windows` checkpoint. Arrivals behind the
 //! closed bound are *late*: counted, dropped, never folded.
 //!
+//! A close costs what the matrix's non-zeros and the window's records
+//! cost, not the matrix's cells: every fit (first, warm, drift re-fit,
+//! `force_refit`) reads the matrix's non-zero view, rebuilt once per
+//! window since the fold mutates the matrix; the VSM fingerprint hashes
+//! zero runs in one step; and the checkpoint stores the folded entries
+//! as one packed string. The dense path's bits are kept exactly.
+//!
 //! ## Determinism argument
 //!
 //! Every fold consumes a window's records in canonical `(day, patient,
@@ -30,6 +37,7 @@
 //! watermark.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -223,9 +231,8 @@ impl StreamEngine {
     }
 
     /// Runs a full cold re-fit on the accumulated cohort right now —
-    /// byte-identical to `KMeans::fit` over [`Self::matrix`], by
-    /// construction. Returns whether a fit ran (needs at least `k`
-    /// active rows).
+    /// byte-identical to `KMeans::fit` over [`Self::matrix`]. Returns
+    /// whether a fit ran (needs at least `k` active rows).
     ///
     /// This is an operator/diagnostic action outside the checkpointed
     /// history: call it at end of feed (after [`Self::seal`]) or on a
@@ -236,7 +243,7 @@ impl StreamEngine {
         if self.vsm.rows() < self.config.k.max(1) {
             return false;
         }
-        let result = self.cold_config().fit(self.vsm.matrix());
+        let result = self.cold_fit();
         self.baseline = result.sse / self.vsm.rows() as f64;
         self.set_model(result);
         self.forced_refits += 1;
@@ -255,6 +262,14 @@ impl StreamEngine {
         KMeans::new(self.config.k)
             .seed(self.config.seed)
             .max_iters(self.config.refit_iters)
+    }
+
+    /// A cold fit over the accumulated cohort's non-zero view, equal bit
+    /// for bit to `KMeans::fit` over the dense matrix.
+    fn cold_fit(&self) -> KMeansResult {
+        self.cold_config()
+            .fit_rows(&self.vsm.matrix().sparse_rows())
+            .0
     }
 
     /// Closes every window whose end the watermark has passed, oldest
@@ -338,7 +353,7 @@ impl StreamEngine {
             None => {
                 // First fit: cold, full budget — the streaming
                 // equivalent of the batch pipeline's mining step.
-                let result = self.cold_config().fit(self.vsm.matrix());
+                let result = self.cold_fit();
                 self.baseline = result.sse / rows as f64;
                 self.set_model(result);
                 self.refits += 1;
@@ -350,7 +365,8 @@ impl StreamEngine {
                 let warm = self
                     .cold_config()
                     .max_iters(self.config.update_iters)
-                    .fit_from(self.vsm.matrix(), warm_seed);
+                    .fit_rows_from(&self.vsm.matrix().sparse_rows(), warm_seed)
+                    .0;
                 let warm_rate = warm.sse / rows as f64;
                 let drift = if self.baseline > 0.0 {
                     warm_rate / self.baseline
@@ -365,7 +381,7 @@ impl StreamEngine {
                     // Stale: the warm model no longer explains the
                     // accumulated cohort. Full re-fit — byte-identical
                     // to a cold fit, which is the determinism gate.
-                    let result = self.cold_config().fit(self.vsm.matrix());
+                    let result = self.cold_fit();
                     self.baseline = result.sse / rows as f64;
                     self.set_model(result);
                     self.refits += 1;
@@ -396,13 +412,13 @@ impl StreamEngine {
             schema::init_stream_schema(&mut kdb.write())?;
             self.schema_ready = true;
         }
-        let mut flat = Vec::with_capacity(entries.len() * 4);
+        // ≈ 17 bytes an entry; four `Value::I64`s would be 128.
+        let mut records = String::with_capacity(entries.len() * 20);
         for &(day, patient, exam, count) in entries {
-            flat.push(Value::I64(day));
-            flat.push(Value::I64(i64::from(patient)));
-            flat.push(Value::I64(i64::from(exam)));
-            flat.push(Value::I64(count));
+            let sep = if records.is_empty() { "" } else { " " };
+            let _ = write!(records, "{sep}{day} {patient} {exam} {count}");
         }
+        records.shrink_to_fit();
         let count = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
         let doc = Document::new()
             .with("stream", self.config.name.as_str())
@@ -410,7 +426,7 @@ impl StreamEngine {
             .with("start_day", start)
             .with("end_day", end)
             .with("watermark", end)
-            .with("records", Value::Array(flat))
+            .with("records", records)
             .with("folded", count(self.folded))
             .with("refits", count(self.refits))
             .with("refit", refit)
@@ -437,22 +453,13 @@ impl StreamEngine {
                 .ok_or_else(|| corrupt(&format!("missing integer `{field}`")))
         };
         let end = geti("end_day")?;
-        let quads = doc
-            .get("records")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("missing `records`"))?;
-        if quads.len() % 4 != 0 {
-            return Err(corrupt("ragged `records`"));
-        }
-        let mut entries = Vec::with_capacity(quads.len() / 4);
-        for quad in quads.chunks_exact(4) {
-            let nums: Vec<i64> = quad.iter().filter_map(Value::as_i64).collect();
-            if nums.len() != 4 {
-                return Err(corrupt("non-integer `records`"));
-            }
-            let patient = u32::try_from(nums[1]).map_err(|_| corrupt("patient id out of range"))?;
-            let exam = u32::try_from(nums[2]).map_err(|_| corrupt("exam id out of range"))?;
-            entries.push((nums[0], patient, exam, nums[3]));
+        // Packed or (written before packing) array-form: the same quads.
+        let quads = schema::stream_window_records(doc).map_err(|e| corrupt(&e.to_string()))?;
+        let mut entries = Vec::with_capacity(quads.len());
+        for [day, patient, exam, count] in quads {
+            let patient = u32::try_from(patient).map_err(|_| corrupt("patient id out of range"))?;
+            let exam = u32::try_from(exam).map_err(|_| corrupt("exam id out of range"))?;
+            entries.push((day, patient, exam, count));
         }
         self.fold_and_update(end, &entries);
         let stored_vsm = doc.get("vsm_fp").and_then(Value::as_str).unwrap_or("");

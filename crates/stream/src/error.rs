@@ -12,6 +12,9 @@ pub enum StreamError {
     /// behind our back). Resuming would silently fork history, so the
     /// open is refused instead.
     Corrupt(String),
+    /// The stream's handle was closed (the service is stopping) before
+    /// the operation could be queued.
+    Closed,
 }
 
 impl std::fmt::Display for StreamError {
@@ -19,6 +22,7 @@ impl std::fmt::Display for StreamError {
         match self {
             StreamError::Kdb(e) => write!(f, "stream checkpoint store error: {e}"),
             StreamError::Corrupt(msg) => write!(f, "stream checkpoint corrupt: {msg}"),
+            StreamError::Closed => write!(f, "stream closed"),
         }
     }
 }
@@ -27,7 +31,7 @@ impl std::error::Error for StreamError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StreamError::Kdb(e) => Some(e),
-            StreamError::Corrupt(_) => None,
+            StreamError::Corrupt(_) | StreamError::Closed => None,
         }
     }
 }

@@ -426,8 +426,8 @@ impl DenseMatrix {
     /// [`push_zero_row`](DenseMatrix::push_zero_row),
     /// [`grow_cols`](DenseMatrix::grow_cols) and
     /// [`normalize_rows`](DenseMatrix::normalize_rows) — so a matrix
-    /// that is mutated between scans (the streaming builder's) should
-    /// keep scanning dense rows instead of rebuilding the view.
+    /// mutated between scans rebuilds it once per mutation round, as
+    /// the streaming builder's does once per closed window.
     ///
     /// # Panics
     /// Panics when the matrix has more than `u32::MAX` rows or columns.

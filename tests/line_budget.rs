@@ -13,13 +13,13 @@ const CEILINGS: [(&str, u64); 12] = [
     ("dataset", 1_981),
     ("vsm", 1_149),
     ("metrics", 656),
-    ("mining", 3_462),
-    ("kdb", 4_723),
+    ("mining", 3_448),
+    ("kdb", 4_744),
     ("core", 3_259),
     ("signals", 784),
     ("obs", 1_843),
-    ("stream", 1_376),
-    ("service", 1_952),
+    ("stream", 1_424),
+    ("service", 1_959),
     ("net", 2_711),
     ("fleet", 1_771),
 ];

@@ -42,10 +42,11 @@ fn filtering_kmeans_matches_lloyd_on_vsm_data() {
     let pv = VsmBuilder::new().build(&log);
     for k in [4usize, 8, 12] {
         let start = init::initial_centroids(&pv.matrix, k, KMeansInit::KMeansPlusPlus, 5);
-        let lloyd = KMeans::new(k).fit_from(&pv.matrix, start.clone());
+        let lloyd = KMeans::new(k).fit_rows_from(&pv.matrix, start.clone()).0;
         let filtering = KMeans::new(k)
             .backend(KMeansBackend::Filtering)
-            .fit_from(&pv.matrix, start);
+            .fit_rows_from(&pv.matrix, start)
+            .0;
         assert_eq!(
             lloyd.assignments, filtering.assignments,
             "backends diverged at k = {k}"
