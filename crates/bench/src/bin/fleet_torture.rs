@@ -145,7 +145,7 @@ fn prefix_fp(ops: &[Op], k: usize, memo: &mut HashMap<usize, u64>, seed: u64) ->
     }
     let db = mem_kdb("prefix", DurabilityPolicy::default());
     for op in &ops[..k] {
-        db.apply_replicated(op)
+        db.apply_replicated(op.clone())
             .unwrap_or_else(|e| fail(seed, &format!("golden prefix op failed to apply: {e}")));
     }
     let fp = db.read().fingerprint();

@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_dataset::{ExamRecord, StreamOrder};
-use ada_kdb::{Kdb, Value};
+use ada_kdb::{SharedKdb, Value};
 use ada_net::proto::{CohortSpec, Request, Response, WireJobSpec};
 use ada_net::{AsyncClient, Client, NetConfig, NetServer};
 use ada_service::{AnalysisService, ServiceConfig};
@@ -153,12 +153,12 @@ fn time_reads(addr: SocketAddr, session: u64, writer_base: usize) -> Vec<(f64, u
 /// Check 4: what a read costs must follow what it returns, not how many
 /// sessions the node has served.
 fn read_scaling() {
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     ));
     let server = NetServer::start(Arc::clone(&service), NetConfig::default())
         .unwrap_or_else(|e| fail(&format!("scaling server failed to bind: {e}")));
@@ -234,13 +234,13 @@ fn main() {
     let (blocking_jobs, async_jobs) = if quick { (2, 2) } else { (4, 8) };
     let started = Instant::now();
 
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 2,
             queue_capacity: blocking_jobs + async_jobs + 2,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     ));
     let server = NetServer::start(Arc::clone(&service), NetConfig::default())
         .unwrap_or_else(|e| fail(&format!("server failed to bind: {e}")));

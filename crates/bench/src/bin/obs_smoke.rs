@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use ada_bench::bench_log;
 use ada_core::{AdaHealth, AdaHealthConfig, PipelineStage, RunControl};
-use ada_kdb::{schema, DurabilityPolicy, Kdb, MemStorage, StoreOptions, Value};
+use ada_kdb::{schema, DurabilityPolicy, MemStorage, SharedKdb, StoreOptions, Value};
 use ada_mining::kmeans::KMeans;
 use ada_net::proto::{CohortSpec, Request, Response, WireJobSpec};
 use ada_net::{Client, NetConfig, NetServer};
@@ -80,12 +80,12 @@ fn main() {
 
     // 1. Observer on vs off: the reports must match field-for-field.
     let config = AdaHealthConfig::quick("obs-smoke");
-    let report_off = AdaHealth::with_kdb(config.clone(), Kdb::in_memory())
+    let report_off = AdaHealth::new(config.clone())
         .run_controlled(&log, &RunControl::new())
         .unwrap_or_else(|e| fail(&format!("unobserved run failed: {e}")));
     let recorder = Arc::new(FlightRecorder::new(1024));
     let control = RunControl::new().with_observer(recorder.clone());
-    let report_on = AdaHealth::with_kdb(config, Kdb::in_memory())
+    let report_on = AdaHealth::new(config)
         .run_controlled(&log, &control)
         .unwrap_or_else(|e| fail(&format!("observed run failed: {e}")));
     if report_off != report_on {
@@ -99,11 +99,12 @@ fn main() {
     // 2. Terminal session record: schema-validated persist + read-back
     // + JSON export. `persist` runs `validate_session_doc` internally;
     // a malformed document fails here.
-    let mut db = Kdb::in_memory();
-    schema::init_schema(&mut db).unwrap_or_else(|e| fail(&format!("schema init failed: {e}")));
+    let db = SharedKdb::in_memory();
+    schema::init_schema(&db).unwrap_or_else(|e| fail(&format!("schema init failed: {e}")));
     recorder
-        .persist(&mut db, "obs-smoke", "completed", "")
+        .persist(&db, "obs-smoke", "completed", "")
         .unwrap_or_else(|e| fail(&format!("session record rejected by schema: {e}")));
+    let db = db.read();
     let past = past_sessions(&db, Page::ALL);
     if past.len() != 1 {
         fail(&format!(
@@ -179,12 +180,12 @@ fn main() {
     // the span tree. The persisted trace must link the whole request
     // path with valid pre-order parent indexes.
     let mem: Arc<MemStorage> = Arc::new(MemStorage::new());
-    let kdb = Kdb::open_with(
+    let kdb = SharedKdb::open_with(
         Path::new("obs_trace.journal"),
         StoreOptions::with_storage(mem).durability(DurabilityPolicy::Always),
     )
     .unwrap_or_else(|e| fail(&format!("durable kdb open failed: {e}")));
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 1,
             sample_rate: 1.0,
@@ -281,13 +282,13 @@ fn main() {
     // 5. Sampling overhead: full service sessions at rate 1 vs rate 0,
     // paired minima, the same 5% budget the kernel path gets.
     let make = |rate: f64| {
-        AnalysisService::with_kdb(
+        AnalysisService::new(
             ServiceConfig {
                 workers: 1,
                 sample_rate: rate,
                 ..ServiceConfig::default()
             },
-            Kdb::in_memory(),
+            SharedKdb::in_memory(),
         )
     };
     let base_service = make(0.0);

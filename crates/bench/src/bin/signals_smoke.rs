@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use ada_bench::{bench_log, paper_log};
 use ada_core::RunControl;
-use ada_kdb::Kdb;
+use ada_kdb::SharedKdb;
 use ada_obs::FlightRecorder;
 use ada_service::{AnalysisService, JobSpec, ServiceConfig, SessionState, Workload};
 use ada_signals::{mine_signals, SignalConfig};
@@ -128,12 +128,12 @@ fn main() {
 
     // 3. Service exposition pin: the four ada_signals_* counter
     // families must be present and live after one signals session.
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
     let spec = JobSpec::new(
         ada_core::AdaHealthConfig::quick("signals-smoke"),

@@ -27,7 +27,7 @@ use std::time::Instant;
 
 use ada_bench::{bench_log, paper_log};
 use ada_dataset::{ExamRecord, StreamOrder};
-use ada_kdb::{Kdb, SharedKdb, Value};
+use ada_kdb::{SharedKdb, Value};
 use ada_mining::KMeans;
 use ada_obs::StreamMetrics;
 use ada_service::{AnalysisService, JobSpec, ServiceConfig, ServiceError, SessionState, Workload};
@@ -207,12 +207,12 @@ fn main() {
 
     // 4. Service exposition: the six pinned ada_stream_* families must
     // be present and live, and a StreamMining session must complete.
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
     service
         .stream_open(config(true).channel_capacity(8))

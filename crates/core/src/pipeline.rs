@@ -21,7 +21,7 @@
 use ada_dataset::taxonomy::ConditionGroup;
 use ada_dataset::ExamLog;
 use ada_kdb::schema::{self, names};
-use ada_kdb::{Document, Kdb, KdbRead, KdbSnapshot, SharedKdb};
+use ada_kdb::{Document, KdbSnapshot, SharedKdb};
 use ada_metrics::cluster;
 use ada_mining::kmeans::KMeans;
 use ada_mining::patterns::rules::{format_rule, Rule};
@@ -161,19 +161,11 @@ impl AdaHealth {
     /// # Panics
     /// Panics when schema initialization fails (impossible in memory).
     pub fn new(config: AdaHealthConfig) -> Self {
-        Self::with_kdb(config, Kdb::in_memory())
+        Self::with_shared_kdb(config, SharedKdb::in_memory())
     }
 
     /// Creates an engine over an existing (possibly persistent) K-DB,
-    /// taking sole ownership of it.
-    ///
-    /// # Panics
-    /// Panics when the schema cannot be initialized (journal I/O).
-    pub fn with_kdb(config: AdaHealthConfig, kdb: Kdb) -> Self {
-        Self::with_shared_kdb(config, SharedKdb::new(kdb))
-    }
-
-    /// Creates an engine over a K-DB shared with other engines or
+    /// absorbing its history, and possibly shared with other engines or
     /// readers (the multi-session service case). Every K-DB operation
     /// the engine performs locks only the collection shard it touches,
     /// so concurrent engines on different collections never contend and
@@ -182,7 +174,7 @@ impl AdaHealth {
     /// # Panics
     /// Panics when the schema cannot be initialized (journal I/O).
     pub fn with_shared_kdb(config: AdaHealthConfig, kdb: SharedKdb) -> Self {
-        schema::init_schema(&mut kdb.write()).expect("K-DB schema initialization failed");
+        schema::init_schema(&kdb).expect("K-DB schema initialization failed");
         // Reload past-session interactions: every descriptor document
         // carrying both a feature vector and a chosen goal becomes a
         // training example for the end-goal interest model.
@@ -231,7 +223,7 @@ impl AdaHealth {
     /// # Panics
     /// Panics when the schema cannot be initialized (journal I/O).
     pub fn with_shared_kdb_isolated(config: AdaHealthConfig, kdb: SharedKdb) -> Self {
-        schema::init_schema(&mut kdb.write()).expect("K-DB schema initialization failed");
+        schema::init_schema(&kdb).expect("K-DB schema initialization failed");
         Self {
             config,
             kdb,
@@ -246,7 +238,7 @@ impl AdaHealth {
     /// ranking features are reconstructed, and the (item, label) pair is
     /// replayed ("based on previous interactions … the algorithm
     /// dynamically adjusts the … order").
-    fn rebuild_ranker<R: KdbRead>(kdb: &R) -> KnowledgeRanker {
+    fn rebuild_ranker(kdb: &KdbSnapshot) -> KnowledgeRanker {
         use ada_kdb::schema::Interestingness;
         let mut ranker = KnowledgeRanker::new();
         let Some(feedback) = kdb.collection(names::FEEDBACK) else {
@@ -386,9 +378,8 @@ impl AdaHealth {
                 let descriptor_doc = descriptor
                     .to_document()
                     .with("features", descriptor.feature_vector());
-                let descriptor_id =
-                    schema::insert_descriptors(&mut self.kdb.write(), &session, descriptor_doc)
-                        .expect("K-DB insert failed");
+                let descriptor_id = schema::insert_descriptors(&self.kdb, &session, descriptor_doc)
+                    .expect("K-DB insert failed");
                 self.kdb
                     .insert(
                         names::RAW_DATA,
@@ -501,7 +492,7 @@ impl AdaHealth {
                             .join(", ")
                     );
                     let doc_id = schema::insert_cluster_item(
-                        &mut self.kdb.write(),
+                        &self.kdb,
                         &session,
                         k,
                         cluster_idx,
@@ -550,7 +541,7 @@ impl AdaHealth {
                         .copied()
                         .collect();
                     let doc_id = schema::insert_pattern_item(
-                        &mut self.kdb.write(),
+                        &self.kdb,
                         &session,
                         &items_flat,
                         rule.support(),
@@ -657,7 +648,7 @@ impl AdaHealth {
                         crate::rank::ItemKind::Pattern => names::PATTERN_KNOWLEDGE,
                         crate::rank::ItemKind::Signal => names::SIGNAL_KNOWLEDGE,
                     };
-                    schema::insert_feedback(&mut self.kdb.write(), &session, coll, item.id, label)
+                    schema::insert_feedback(&self.kdb, &session, coll, item.id, label)
                         .expect("K-DB insert failed");
                     ranker.record_feedback(item, label);
                     feedback_recorded += 1;

@@ -9,8 +9,8 @@
 //! post-compaction image, whose op indexes live in a restarted
 //! sequence space, installs correctly no matter what the follower held
 //! before. Live frames go through [`SharedKdb::apply_replicated`] — the
-//! normal shard + group-commit machinery — so the follower journals the
-//! stream locally with the same rollback discipline as a primary, and a
+//! normal check → append → apply write path — so the follower journals
+//! the stream locally exactly as a primary journals its writes, and a
 //! clean replicated journal is byte-identical to the source's.
 //!
 //! The engine is deliberately transport-agnostic: `fleet_torture`
@@ -216,7 +216,7 @@ impl ReplicaEngine {
         loop {
             match self.stream.next_op() {
                 Ok(Some(op)) => {
-                    self.kdb.apply_replicated(&op).map_err(ReplError::Apply)?;
+                    self.kdb.apply_replicated(op).map_err(ReplError::Apply)?;
                     self.applied += 1;
                     applied += 1;
                     self.metrics.frame_applied();

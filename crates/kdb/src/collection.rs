@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::document::Document;
 use crate::error::KdbError;
 use crate::index::Index;
+use crate::journal::Op;
 use crate::query::Filter;
 
 /// Document identifier within a collection.
@@ -17,7 +18,7 @@ pub type DocId = u64;
 /// A named set of documents with optional secondary indexes.
 ///
 /// Documents are stored behind `Arc` and never mutated in place
-/// (`update` swaps the `Arc`), so a clone of the collection — a snapshot
+/// (an update swaps the `Arc`), so a clone of the collection — a snapshot
 /// image — shares every document with the original.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Collection {
@@ -53,35 +54,86 @@ impl Collection {
         self.docs.is_empty()
     }
 
+    /// The id the next [`Collection::insert`] assigns.
+    pub(crate) fn next_id(&self) -> DocId {
+        self.next_id
+    }
+
     /// Inserts a document, assigning the next id and materializing it
     /// into the document's `_id` field. Returns the id.
-    pub fn insert(&mut self, mut doc: Document) -> DocId {
+    pub fn insert(&mut self, doc: Document) -> DocId {
         let id = self.next_id;
         self.next_id += 1;
-        doc.set("_id", id as i64);
-        for index in self.indexes.values_mut() {
-            index.add(id, &doc);
-        }
-        self.docs.insert(id, Arc::new(doc));
+        self.put(id, doc);
         id
     }
 
-    /// Inserts a document under an explicit id (journal replay).
+    /// Whether `op`, which names this collection, applies to it. The
+    /// only fallible step of a write: every store checks an op, then
+    /// journals it, then [`Collection::apply`]s it.
     ///
     /// # Errors
-    /// Returns [`KdbError::UnknownDocument`] when the id is already
-    /// taken (re-used ids would corrupt the journal semantics).
-    pub fn insert_with_id(&mut self, id: DocId, mut doc: Document) -> Result<(), KdbError> {
-        if self.docs.contains_key(&id) {
-            return Err(KdbError::UnknownDocument(id));
+    /// [`KdbError::CollectionExists`] for a `CreateCollection` (this
+    /// one exists), [`KdbError::IndexExists`] for an indexed path,
+    /// [`KdbError::DuplicateDocument`] for an insert under a taken id,
+    /// and [`KdbError::UnknownDocument`] for an update or delete of an
+    /// absent id.
+    pub fn check(&self, op: &Op) -> Result<(), KdbError> {
+        match op {
+            Op::CreateCollection { name } => Err(KdbError::CollectionExists(name.clone())),
+            Op::CreateIndex { path, .. } if self.indexes.contains_key(path) => {
+                Err(KdbError::IndexExists(path.clone()))
+            }
+            Op::Insert { id, .. } if self.docs.contains_key(id) => {
+                Err(KdbError::DuplicateDocument(*id))
+            }
+            Op::Update { id, .. } | Op::Delete { id, .. } if !self.docs.contains_key(id) => {
+                Err(KdbError::UnknownDocument(*id))
+            }
+            _ => Ok(()),
         }
+    }
+
+    /// Applies an op that passed [`Collection::check`], keeping every
+    /// index in step. Stored documents get their `_id` field set.
+    pub fn apply(&mut self, op: Op) {
+        match op {
+            // The store creates collections; `check` refuses this one.
+            Op::CreateCollection { .. } => {}
+            Op::CreateIndex { path, .. } => {
+                let mut index = Index::new(path.clone());
+                for (&id, doc) in &self.docs {
+                    index.add(id, doc);
+                }
+                self.indexes.insert(path, index);
+            }
+            Op::Insert { id, doc, .. } => {
+                self.next_id = self.next_id.max(id.saturating_add(1));
+                self.put(id, doc);
+            }
+            Op::Update { id, doc, .. } => self.put(id, doc),
+            Op::Delete { id, .. } => {
+                if let Some(old) = self.docs.remove(&id) {
+                    for index in self.indexes.values_mut() {
+                        index.remove(id, &old);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stores `doc` under `id` with its `_id` field set, replacing (and
+    /// unindexing) whatever the id held.
+    fn put(&mut self, id: DocId, mut doc: Document) {
         doc.set("_id", id as i64);
-        self.next_id = self.next_id.max(id + 1);
+        let doc = Arc::new(doc);
+        let old = self.docs.insert(id, Arc::clone(&doc));
         for index in self.indexes.values_mut() {
+            if let Some(old) = &old {
+                index.remove(id, old);
+            }
             index.add(id, &doc);
         }
-        self.docs.insert(id, Arc::new(doc));
-        Ok(())
     }
 
     /// The document with the given id.
@@ -94,72 +146,6 @@ impl Collection {
     /// between them.
     pub fn get_shared(&self, id: DocId) -> Option<&Arc<Document>> {
         self.docs.get(&id)
-    }
-
-    /// Replaces the document with the given id (its `_id` field is
-    /// restored), updating indexes.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::UnknownDocument`] when the id is absent.
-    pub fn update(&mut self, id: DocId, mut doc: Document) -> Result<(), KdbError> {
-        let old = Arc::clone(self.docs.get(&id).ok_or(KdbError::UnknownDocument(id))?);
-        doc.set("_id", id as i64);
-        for index in self.indexes.values_mut() {
-            index.remove(id, &old);
-            index.add(id, &doc);
-        }
-        self.docs.insert(id, Arc::new(doc));
-        Ok(())
-    }
-
-    /// Deletes the document with the given id, updating indexes.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::UnknownDocument`] when the id is absent.
-    pub fn delete(&mut self, id: DocId) -> Result<(), KdbError> {
-        let old = self.docs.remove(&id).ok_or(KdbError::UnknownDocument(id))?;
-        for index in self.indexes.values_mut() {
-            index.remove(id, &old);
-        }
-        Ok(())
-    }
-
-    /// Creates a secondary index on a dotted path, indexing existing
-    /// documents.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::IndexExists`] when the path is already
-    /// indexed.
-    pub fn create_index(&mut self, path: impl Into<String>) -> Result<(), KdbError> {
-        let path = path.into();
-        if self.indexes.contains_key(&path) {
-            return Err(KdbError::IndexExists(path));
-        }
-        let mut index = Index::new(path.clone());
-        for (&id, doc) in &self.docs {
-            index.add(id, doc);
-        }
-        self.indexes.insert(path, index);
-        Ok(())
-    }
-
-    /// Removes a secondary index (used to roll back a `CreateIndex`
-    /// whose journal append failed). Returns whether it existed.
-    pub fn drop_index(&mut self, path: &str) -> bool {
-        self.indexes.remove(path).is_some()
-    }
-
-    /// Undoes the most recent [`Collection::insert`]: removes the
-    /// document and returns the id counter so the next insert re-uses
-    /// the same id. Only valid for the id just handed out.
-    pub(crate) fn uninsert(&mut self, id: DocId) {
-        debug_assert_eq!(id + 1, self.next_id, "uninsert must undo the last insert");
-        if let Some(old) = self.docs.remove(&id) {
-            for index in self.indexes.values_mut() {
-                index.remove(id, &old);
-            }
-        }
-        self.next_id = id;
     }
 
     /// True when a dotted path is indexed.
@@ -255,6 +241,43 @@ mod tests {
         Document::new().with("kind", kind).with("score", score)
     }
 
+    /// Checks then applies `op`, as a store does around its journal.
+    fn run(c: &mut Collection, op: Op) -> Result<(), KdbError> {
+        c.check(&op)?;
+        c.apply(op);
+        Ok(())
+    }
+
+    fn index(path: &str) -> Op {
+        Op::CreateIndex {
+            name: "items".into(),
+            path: path.into(),
+        }
+    }
+
+    fn insert_at(id: DocId, doc: Document) -> Op {
+        Op::Insert {
+            name: "items".into(),
+            id,
+            doc,
+        }
+    }
+
+    fn update(id: DocId, doc: Document) -> Op {
+        Op::Update {
+            name: "items".into(),
+            id,
+            doc,
+        }
+    }
+
+    fn delete(id: DocId) -> Op {
+        Op::Delete {
+            name: "items".into(),
+            id,
+        }
+    }
+
     #[test]
     fn insert_assigns_sequential_ids_and_sets_id_field() {
         let mut c = Collection::new("items");
@@ -269,19 +292,19 @@ mod tests {
     fn update_and_delete() {
         let mut c = Collection::new("items");
         let id = c.insert(item("cluster", 0.9));
-        c.update(id, item("cluster", 0.1)).unwrap();
+        run(&mut c, update(id, item("cluster", 0.1))).unwrap();
         assert_eq!(c.get(id).unwrap().get("score").unwrap().as_f64(), Some(0.1));
         assert_eq!(
             c.get(id).unwrap().get("_id").unwrap().as_i64(),
             Some(id as i64)
         );
-        c.delete(id).unwrap();
+        run(&mut c, delete(id)).unwrap();
         assert!(c.get(id).is_none());
         assert_eq!(
-            c.update(id, item("x", 0.0)),
+            run(&mut c, update(id, item("x", 0.0))),
             Err(KdbError::UnknownDocument(id))
         );
-        assert_eq!(c.delete(id), Err(KdbError::UnknownDocument(id)));
+        assert_eq!(run(&mut c, delete(id)), Err(KdbError::UnknownDocument(id)));
     }
 
     #[test]
@@ -311,7 +334,7 @@ mod tests {
             .into_iter()
             .map(|(id, _)| id)
             .collect();
-        c.create_index("kind").unwrap();
+        run(&mut c, index("kind")).unwrap();
         let indexed: Vec<DocId> = c
             .find(&Filter::eq("kind", "cluster"))
             .into_iter()
@@ -320,7 +343,7 @@ mod tests {
         assert_eq!(scan, indexed);
         assert!(c.has_index("kind"));
         assert_eq!(
-            c.create_index("kind"),
+            run(&mut c, index("kind")),
             Err(KdbError::IndexExists("kind".into()))
         );
     }
@@ -331,7 +354,7 @@ mod tests {
         for i in 0..20 {
             c.insert(item("x", i as f64));
         }
-        c.create_index("score").unwrap();
+        run(&mut c, index("score")).unwrap();
         let gt = c.find(&Filter::Gt("score".into(), Value::F64(16.5)));
         assert_eq!(gt.len(), 3);
         let lte = c.find(&Filter::Lte("score".into(), Value::I64(2)));
@@ -342,11 +365,11 @@ mod tests {
     fn index_survives_updates_and_deletes() {
         let mut c = Collection::new("items");
         let id = c.insert(item("cluster", 1.0));
-        c.create_index("kind").unwrap();
-        c.update(id, item("pattern", 1.0)).unwrap();
+        run(&mut c, index("kind")).unwrap();
+        run(&mut c, update(id, item("pattern", 1.0))).unwrap();
         assert!(c.find(&Filter::eq("kind", "cluster")).is_empty());
         assert_eq!(c.find(&Filter::eq("kind", "pattern")).len(), 1);
-        c.delete(id).unwrap();
+        run(&mut c, delete(id)).unwrap();
         assert!(c.find(&Filter::eq("kind", "pattern")).is_empty());
     }
 
@@ -356,7 +379,7 @@ mod tests {
         for i in 0..30 {
             c.insert(item(if i < 10 { "a" } else { "b" }, i as f64));
         }
-        c.create_index("kind").unwrap();
+        run(&mut c, index("kind")).unwrap();
         let f = Filter::and([
             Filter::eq("kind", "a"),
             Filter::Gt("score".into(), Value::F64(5.0)),
@@ -366,12 +389,50 @@ mod tests {
     }
 
     #[test]
-    fn insert_with_id_respects_sequence() {
+    fn insert_under_an_id_respects_sequence() {
         let mut c = Collection::new("items");
-        c.insert_with_id(10, item("a", 1.0)).unwrap();
-        assert!(c.insert_with_id(10, item("b", 1.0)).is_err());
+        run(&mut c, insert_at(10, item("a", 1.0))).unwrap();
+        assert_eq!(c.next_id(), 11);
         let next = c.insert(item("c", 1.0));
         assert_eq!(next, 11);
+    }
+
+    #[test]
+    fn a_taken_id_is_a_duplicate_not_a_missing_document() {
+        let mut c = Collection::new("items");
+        run(&mut c, insert_at(10, item("a", 1.0))).unwrap();
+        let refused = run(&mut c, insert_at(10, item("b", 2.0)));
+        assert_eq!(refused, Err(KdbError::DuplicateDocument(10)));
+        assert_eq!(
+            refused.unwrap_err().to_string(),
+            "document id 10 already exists"
+        );
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.get(10).unwrap().get("kind").unwrap().as_str(), Some("a"));
+        assert_eq!(
+            c.next_id(),
+            11,
+            "a refused insert does not move the id counter"
+        );
+    }
+
+    #[test]
+    fn check_refuses_what_does_not_apply() {
+        let c = Collection::new("items");
+        let create = Op::CreateCollection {
+            name: "items".into(),
+        };
+        assert_eq!(
+            c.check(&create),
+            Err(KdbError::CollectionExists("items".into()))
+        );
+        assert_eq!(
+            c.check(&update(1, item("a", 1.0))),
+            Err(KdbError::UnknownDocument(1))
+        );
+        assert_eq!(c.check(&delete(1)), Err(KdbError::UnknownDocument(1)));
+        assert_eq!(c.check(&index("kind")), Ok(()));
+        assert_eq!(c.check(&insert_at(1, item("a", 1.0))), Ok(()));
     }
 
     #[test]
@@ -390,11 +451,11 @@ mod tests {
         // of sorting what they collect.
         let mut c = Collection::new("items");
         for id in [9, 2, 40, 7] {
-            c.insert_with_id(id, item("a", id as f64)).unwrap();
+            run(&mut c, insert_at(id, item("a", id as f64))).unwrap();
         }
         c.insert(item("a", 41.0));
-        c.delete(7).unwrap();
-        c.update(2, item("b", 0.0)).unwrap();
+        run(&mut c, delete(7)).unwrap();
+        run(&mut c, update(2, item("b", 0.0))).unwrap();
         let ids: Vec<DocId> = c.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![2, 9, 40, 41]);
         let tail: Vec<DocId> = c.iter_after(9).map(|(id, _)| id).collect();
@@ -409,7 +470,7 @@ mod tests {
         let kept = c.insert(item("a", 1.0));
         let rewritten = c.insert(item("a", 2.0));
         let image = c.clone();
-        c.update(rewritten, item("a", 3.0)).unwrap();
+        run(&mut c, update(rewritten, item("a", 3.0))).unwrap();
         assert!(Arc::ptr_eq(
             image.get_shared(kept).unwrap(),
             c.get_shared(kept).unwrap()

@@ -11,6 +11,8 @@ pub enum KdbError {
     CollectionExists(String),
     /// No document with the given id.
     UnknownDocument(u64),
+    /// A document with the given id already exists.
+    DuplicateDocument(u64),
     /// An index on this path already exists.
     IndexExists(String),
     /// Malformed canonical encoding: (byte offset, reason).
@@ -38,6 +40,7 @@ impl fmt::Display for KdbError {
             Self::UnknownCollection(name) => write!(f, "unknown collection {name:?}"),
             Self::CollectionExists(name) => write!(f, "collection {name:?} already exists"),
             Self::UnknownDocument(id) => write!(f, "unknown document id {id}"),
+            Self::DuplicateDocument(id) => write!(f, "document id {id} already exists"),
             Self::IndexExists(path) => write!(f, "index on {path:?} already exists"),
             Self::Decode(offset, reason) => {
                 write!(f, "decode error at byte {offset}: {reason}")

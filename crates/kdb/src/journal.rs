@@ -189,6 +189,17 @@ pub enum Op {
 }
 
 impl Op {
+    /// The collection the op names.
+    pub fn collection(&self) -> &str {
+        match self {
+            Op::CreateCollection { name }
+            | Op::CreateIndex { name, .. }
+            | Op::Insert { name, .. }
+            | Op::Update { name, .. }
+            | Op::Delete { name, .. } => name,
+        }
+    }
+
     /// Appends the encoded op to `out`.
     pub fn encode_into(&self, out: &mut String) {
         let push_str = |out: &mut String, s: &str| Value::Str(s.to_owned()).encode_into(out);
@@ -207,13 +218,13 @@ impl Op {
                 out.push('I');
                 push_str(out, name);
                 push_id(out, *id);
-                Value::Doc(doc.clone()).encode_into(out);
+                doc.encode_into(out);
             }
             Op::Update { name, id, doc } => {
                 out.push('U');
                 push_str(out, name);
                 push_id(out, *id);
-                Value::Doc(doc.clone()).encode_into(out);
+                doc.encode_into(out);
             }
             Op::Delete { name, id } => {
                 out.push('D');

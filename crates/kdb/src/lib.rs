@@ -32,8 +32,11 @@
 //! immutable [`KdbSnapshot`] — per-collection images, taken on first
 //! access and sharing every document with the live store, that never
 //! block behind a committing writer. Exclusive single-threaded use can
-//! keep working with a plain [`Kdb`]; code generic over both goes
-//! through the [`KdbRead`]/[`KdbWrite`] traits.
+//! keep working with a plain [`Kdb`].
+//!
+//! Both stores write one way: a [`journal::Op`] is checked against the
+//! [`Collection`] it names, appended to the journal, then applied, so a
+//! refused append never touches memory.
 
 #![warn(missing_docs)]
 
@@ -54,9 +57,6 @@ pub use document::{Document, Value};
 pub use error::KdbError;
 pub use journal::{CorruptionReport, DurabilityPolicy, JournalTap, JournalVersion, RecoveryMode};
 pub use query::Filter;
-pub use sharded::{
-    CommitObserver, CommitRole, GroupCommitSnapshot, KdbRead, KdbSnapshot, KdbWrite, KdbWriter,
-    SharedKdb,
-};
+pub use sharded::{CommitObserver, CommitRole, GroupCommitSnapshot, KdbSnapshot, SharedKdb};
 pub use storage::{FaultHandle, FaultKind, FaultyStorage, FileStorage, MemStorage, Storage};
 pub use store::{fingerprint_ops, Kdb, StoreOptions};

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use crate::collection::DocId;
 use crate::document::{Document, Value};
 use crate::error::KdbError;
-use crate::sharded::KdbWrite;
+use crate::sharded::SharedKdb;
 
 /// Canonical collection names.
 pub mod names {
@@ -127,15 +127,12 @@ impl std::fmt::Display for Interestingness {
 
 /// Creates the six collections (idempotent) and the indexes the engine
 /// queries against (`session` everywhere; `score` on knowledge items).
-/// Generic over [`KdbWrite`], so it serves both an exclusive
-/// [`Kdb`](crate::store::Kdb) and the sharded
-/// [`SharedKdb`](crate::sharded::SharedKdb) facade — where the
-/// ensure-style helpers make concurrent initialization race-safe (a
+/// The ensure-style helpers make concurrent initialization race-safe (a
 /// racing creator winning counts as done).
 ///
 /// # Errors
 /// Returns journal I/O errors.
-pub fn init_schema<W: KdbWrite + ?Sized>(db: &mut W) -> Result<(), KdbError> {
+pub fn init_schema(db: &SharedKdb) -> Result<(), KdbError> {
     for name in names::ALL_WITH_OPS {
         db.ensure_collection(name)?;
     }
@@ -166,7 +163,7 @@ pub fn init_schema<W: KdbWrite + ?Sized>(db: &mut W) -> Result<(), KdbError> {
 ///
 /// # Errors
 /// Returns journal I/O errors.
-pub fn init_stream_schema<W: KdbWrite + ?Sized>(db: &mut W) -> Result<(), KdbError> {
+pub fn init_stream_schema(db: &SharedKdb) -> Result<(), KdbError> {
     db.ensure_collection(names::STREAM_WINDOWS)?;
     for path in ["stream", "window"] {
         db.ensure_index(names::STREAM_WINDOWS, path)?;
@@ -323,10 +320,7 @@ fn validate_span_array(doc: &Document) -> Result<(), KdbError> {
 /// # Errors
 /// Returns [`KdbError::Schema`] on a malformed record, otherwise store
 /// errors (missing collection / journal I/O).
-pub fn insert_session_record<W: KdbWrite + ?Sized>(
-    db: &mut W,
-    record: Document,
-) -> Result<DocId, KdbError> {
+pub fn insert_session_record(db: &SharedKdb, record: Document) -> Result<DocId, KdbError> {
     validate_session_doc(&record)?;
     db.insert(names::SESSIONS, record)
 }
@@ -475,10 +469,7 @@ pub fn stream_window_records(doc: &Document) -> Result<Vec<[i64; 4]>, KdbError> 
 /// # Errors
 /// Returns [`KdbError::Schema`] on a malformed checkpoint, otherwise
 /// store errors (missing collection / journal I/O).
-pub fn insert_stream_window<W: KdbWrite + ?Sized>(
-    db: &mut W,
-    record: Document,
-) -> Result<DocId, KdbError> {
+pub fn insert_stream_window(db: &SharedKdb, record: Document) -> Result<DocId, KdbError> {
     validate_stream_window_doc(&record)?;
     db.insert(names::STREAM_WINDOWS, record)
 }
@@ -487,8 +478,8 @@ pub fn insert_stream_window<W: KdbWrite + ?Sized>(
 ///
 /// # Errors
 /// Returns store errors (missing collection / journal I/O).
-pub fn insert_cluster_item<W: KdbWrite + ?Sized>(
-    db: &mut W,
+pub fn insert_cluster_item(
+    db: &SharedKdb,
     session: &str,
     k: usize,
     cluster: usize,
@@ -513,8 +504,8 @@ pub fn insert_cluster_item<W: KdbWrite + ?Sized>(
 ///
 /// # Errors
 /// Returns store errors (missing collection / journal I/O).
-pub fn insert_pattern_item<W: KdbWrite + ?Sized>(
-    db: &mut W,
+pub fn insert_pattern_item(
+    db: &SharedKdb,
     session: &str,
     items: &[u32],
     support: f64,
@@ -632,10 +623,7 @@ pub fn validate_signal_doc(doc: &Document) -> Result<(), KdbError> {
 /// # Errors
 /// Returns [`KdbError::Schema`] on a malformed item, otherwise store
 /// errors (missing collection / journal I/O).
-pub fn insert_signal_item<W: KdbWrite + ?Sized>(
-    db: &mut W,
-    item: Document,
-) -> Result<DocId, KdbError> {
+pub fn insert_signal_item(db: &SharedKdb, item: Document) -> Result<DocId, KdbError> {
     validate_signal_doc(&item)?;
     db.insert(names::SIGNAL_KNOWLEDGE, item)
 }
@@ -644,8 +632,8 @@ pub fn insert_signal_item<W: KdbWrite + ?Sized>(
 ///
 /// # Errors
 /// Returns store errors (missing collection / journal I/O).
-pub fn insert_feedback<W: KdbWrite + ?Sized>(
-    db: &mut W,
+pub fn insert_feedback(
+    db: &SharedKdb,
     session: &str,
     item_collection: &str,
     item_id: DocId,
@@ -665,8 +653,8 @@ pub fn insert_feedback<W: KdbWrite + ?Sized>(
 ///
 /// # Errors
 /// Returns store errors (missing collection / journal I/O).
-pub fn insert_descriptors<W: KdbWrite + ?Sized>(
-    db: &mut W,
+pub fn insert_descriptors(
+    db: &SharedKdb,
     session: &str,
     descriptors: Document,
 ) -> Result<DocId, KdbError> {
@@ -677,32 +665,32 @@ pub fn insert_descriptors<W: KdbWrite + ?Sized>(
 mod tests {
     use super::*;
     use crate::query::Filter;
-    use crate::store::Kdb;
 
     #[test]
     fn init_creates_all_six_collections() {
-        let mut db = Kdb::in_memory();
-        init_schema(&mut db).unwrap();
+        let db = SharedKdb::in_memory();
+        init_schema(&db).unwrap();
         for name in names::ALL {
-            assert!(db.collection(name).is_some(), "missing {name}");
+            assert!(db.read().collection(name).is_some(), "missing {name}");
         }
         assert!(db
+            .read()
             .collection(names::CLUSTER_KNOWLEDGE)
             .unwrap()
             .has_index("score"));
         // Idempotent.
-        init_schema(&mut db).unwrap();
+        init_schema(&db).unwrap();
     }
 
     #[test]
     fn knowledge_items_round_trip() {
-        let mut db = Kdb::in_memory();
-        init_schema(&mut db).unwrap();
-        let cid = insert_cluster_item(&mut db, "s1", 8, 2, 512, 0.73, "cluster 2 of 8").unwrap();
-        let pid = insert_pattern_item(&mut db, "s1", &[3, 17], 0.21, 0.88, 2.4, "HbA1c => glucose")
-            .unwrap();
+        let db = SharedKdb::in_memory();
+        init_schema(&db).unwrap();
+        let cid = insert_cluster_item(&db, "s1", 8, 2, 512, 0.73, "cluster 2 of 8").unwrap();
+        let pid =
+            insert_pattern_item(&db, "s1", &[3, 17], 0.21, 0.88, 2.4, "HbA1c => glucose").unwrap();
         insert_feedback(
-            &mut db,
+            &db,
             "s1",
             names::CLUSTER_KNOWLEDGE,
             cid,
@@ -711,12 +699,14 @@ mod tests {
         .unwrap();
 
         let clusters = db
+            .read()
             .find(names::CLUSTER_KNOWLEDGE, &Filter::eq("session", "s1"))
             .unwrap();
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0].1.get("k").unwrap().as_i64(), Some(8));
 
         let patterns = db
+            .read()
             .find(names::PATTERN_KNOWLEDGE, &Filter::eq("session", "s1"))
             .unwrap();
         assert_eq!(
@@ -732,6 +722,7 @@ mod tests {
         assert_eq!(patterns[0].0, pid);
 
         let feedback = db
+            .read()
             .find(names::FEEDBACK, &Filter::eq("session", "s1"))
             .unwrap();
         assert_eq!(
@@ -778,11 +769,16 @@ mod tests {
 
     #[test]
     fn session_records_validate_and_round_trip() {
-        let mut db = Kdb::in_memory();
-        init_schema(&mut db).unwrap();
-        assert!(db.collection(names::SESSIONS).unwrap().has_index("state"));
-        let id = insert_session_record(&mut db, sample_session_doc()).unwrap();
+        let db = SharedKdb::in_memory();
+        init_schema(&db).unwrap();
+        assert!(db
+            .read()
+            .collection(names::SESSIONS)
+            .unwrap()
+            .has_index("state"));
+        let id = insert_session_record(&db, sample_session_doc()).unwrap();
         let found = db
+            .read()
             .find(names::SESSIONS, &Filter::eq("session", "s1"))
             .unwrap();
         assert_eq!(found.len(), 1);
@@ -792,16 +788,13 @@ mod tests {
 
     #[test]
     fn session_validation_rejects_malformed_records() {
-        let mut db = Kdb::in_memory();
-        init_schema(&mut db).unwrap();
+        let db = SharedKdb::in_memory();
+        init_schema(&db).unwrap();
         let rejects = |doc: Document, what: &str| {
-            let mut db2 = Kdb::in_memory();
-            init_schema(&mut db2).unwrap();
+            let db2 = SharedKdb::in_memory();
+            init_schema(&db2).unwrap();
             assert!(
-                matches!(
-                    insert_session_record(&mut db2, doc),
-                    Err(KdbError::Schema(_))
-                ),
+                matches!(insert_session_record(&db2, doc), Err(KdbError::Schema(_))),
                 "expected rejection: {what}"
             );
         };
@@ -835,7 +828,7 @@ mod tests {
             "negative counter",
         );
         // The rejected inserts must not have left documents behind.
-        assert_eq!(db.collection(names::SESSIONS).unwrap().len(), 0);
+        assert_eq!(db.read().collection(names::SESSIONS).unwrap().len(), 0);
     }
 
     /// A sampled session record: trace id, forced flag and an
@@ -869,10 +862,11 @@ mod tests {
 
     #[test]
     fn sampled_session_records_validate_and_round_trip() {
-        let mut db = Kdb::in_memory();
-        init_schema(&mut db).unwrap();
-        let id = insert_session_record(&mut db, sample_traced_doc()).unwrap();
+        let db = SharedKdb::in_memory();
+        init_schema(&db).unwrap();
+        let id = insert_session_record(&db, sample_traced_doc()).unwrap();
         let found = db
+            .read()
             .find(names::SESSIONS, &Filter::eq("session", "s1"))
             .unwrap();
         assert_eq!(found.len(), 1);
@@ -883,16 +877,13 @@ mod tests {
     #[test]
     fn sampled_session_validation_rejects_malformed_trace_fields() {
         let rejects = |doc: Document, what: &str| {
-            let mut db = Kdb::in_memory();
-            init_schema(&mut db).unwrap();
+            let db = SharedKdb::in_memory();
+            init_schema(&db).unwrap();
             assert!(
-                matches!(
-                    insert_session_record(&mut db, doc),
-                    Err(KdbError::Schema(_))
-                ),
+                matches!(insert_session_record(&db, doc), Err(KdbError::Schema(_))),
                 "expected rejection: {what}"
             );
-            assert_eq!(db.collection(names::SESSIONS).unwrap().len(), 0);
+            assert_eq!(db.read().collection(names::SESSIONS).unwrap().len(), 0);
         };
         let without = |key: &str| {
             let mut doc = sample_traced_doc();
@@ -947,18 +938,19 @@ mod tests {
 
     #[test]
     fn stream_window_records_validate_and_round_trip() {
-        let mut db = Kdb::in_memory();
-        init_schema(&mut db).unwrap();
+        let db = SharedKdb::in_memory();
+        init_schema(&db).unwrap();
         // The checkpoint store must only appear once a stream actually
         // closes a window.
-        assert!(db.collection(names::STREAM_WINDOWS).is_none());
-        init_stream_schema(&mut db).unwrap();
-        let coll = db.collection(names::STREAM_WINDOWS).unwrap();
+        assert!(db.read().collection(names::STREAM_WINDOWS).is_none());
+        init_stream_schema(&db).unwrap();
+        let snap = db.read();
+        let coll = snap.collection(names::STREAM_WINDOWS).unwrap();
         assert!(coll.has_index("stream"));
         assert!(coll.has_index("window"));
-        let id = insert_stream_window(&mut db, sample_window_doc()).unwrap();
+        let id = insert_stream_window(&db, sample_window_doc()).unwrap();
         // A model-less early window is also valid.
-        insert_stream_window(&mut db, sample_window_doc().with("model_fp", "")).unwrap();
+        insert_stream_window(&db, sample_window_doc().with("model_fp", "")).unwrap();
         // So is the array shape checkpoints were stored in before the
         // packed string, and it reads back as the same quads.
         let legacy = sample_window_doc().with(
@@ -970,11 +962,12 @@ mod tests {
                     .collect(),
             ),
         );
-        insert_stream_window(&mut db, legacy.clone()).unwrap();
+        insert_stream_window(&db, legacy.clone()).unwrap();
         let quads = vec![[16632, 4, 11, 2], [16633, 0, 3, 1]];
         assert_eq!(stream_window_records(&legacy).unwrap(), quads);
         assert_eq!(stream_window_records(&sample_window_doc()).unwrap(), quads);
         let found = db
+            .read()
             .find(names::STREAM_WINDOWS, &Filter::eq("stream", "feed-1"))
             .unwrap();
         assert_eq!(found.len(), 3);
@@ -985,13 +978,16 @@ mod tests {
     #[test]
     fn stream_window_validation_rejects_malformed_records() {
         let rejects = |doc: Document, what: &str| {
-            let mut db = Kdb::in_memory();
-            init_stream_schema(&mut db).unwrap();
+            let db = SharedKdb::in_memory();
+            init_stream_schema(&db).unwrap();
             assert!(
-                matches!(insert_stream_window(&mut db, doc), Err(KdbError::Schema(_))),
+                matches!(insert_stream_window(&db, doc), Err(KdbError::Schema(_))),
                 "expected rejection: {what}"
             );
-            assert_eq!(db.collection(names::STREAM_WINDOWS).unwrap().len(), 0);
+            assert_eq!(
+                db.read().collection(names::STREAM_WINDOWS).unwrap().len(),
+                0
+            );
         };
         rejects(sample_window_doc().with("stream", ""), "empty stream");
         rejects(sample_window_doc().with("window", "x"), "non-int window");
@@ -1085,13 +1081,15 @@ mod tests {
 
     #[test]
     fn signal_items_validate_and_round_trip() {
-        let mut db = Kdb::in_memory();
-        init_schema(&mut db).unwrap();
-        let coll = db.collection(names::SIGNAL_KNOWLEDGE).unwrap();
+        let db = SharedKdb::in_memory();
+        init_schema(&db).unwrap();
+        let snap = db.read();
+        let coll = snap.collection(names::SIGNAL_KNOWLEDGE).unwrap();
         assert!(coll.has_index("session"));
         assert!(coll.has_index("score"));
-        let id = insert_signal_item(&mut db, sample_signal_doc()).unwrap();
+        let id = insert_signal_item(&db, sample_signal_doc()).unwrap();
         let found = db
+            .read()
             .find(names::SIGNAL_KNOWLEDGE, &Filter::eq("session", "sig-1"))
             .unwrap();
         assert_eq!(found.len(), 1);
@@ -1102,13 +1100,16 @@ mod tests {
     #[test]
     fn signal_validation_rejects_malformed_items() {
         let rejects = |doc: Document, what: &str| {
-            let mut db = Kdb::in_memory();
-            init_schema(&mut db).unwrap();
+            let db = SharedKdb::in_memory();
+            init_schema(&db).unwrap();
             assert!(
-                matches!(insert_signal_item(&mut db, doc), Err(KdbError::Schema(_))),
+                matches!(insert_signal_item(&db, doc), Err(KdbError::Schema(_))),
                 "expected rejection: {what}"
             );
-            assert_eq!(db.collection(names::SIGNAL_KNOWLEDGE).unwrap().len(), 0);
+            assert_eq!(
+                db.read().collection(names::SIGNAL_KNOWLEDGE).unwrap().len(),
+                0
+            );
         };
         rejects(sample_signal_doc().with("session", ""), "empty session");
         rejects(sample_signal_doc().with("kind", "pattern"), "wrong kind");
@@ -1146,10 +1147,10 @@ mod tests {
 
     #[test]
     fn descriptors_tagged_with_session() {
-        let mut db = Kdb::in_memory();
-        init_schema(&mut db).unwrap();
+        let db = SharedKdb::in_memory();
+        init_schema(&db).unwrap();
         insert_descriptors(
-            &mut db,
+            &db,
             "s2",
             Document::new()
                 .with("sparsity", 0.91)
@@ -1157,6 +1158,7 @@ mod tests {
         )
         .unwrap();
         let found = db
+            .read()
             .find(names::DESCRIPTORS, &Filter::eq("session", "s2"))
             .unwrap();
         assert_eq!(found.len(), 1);

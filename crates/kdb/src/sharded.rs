@@ -35,8 +35,9 @@
 //! the journal → commit edge is the only one that exists while both are
 //! held.
 //!
-//! Consistency: a shard write lock spans apply + append, so the journal
-//! order of any single collection equals its apply order, and any
+//! Consistency: a shard write lock spans check + append + apply, so the
+//! journal order of any single collection equals its apply order, an op
+//! whose append fails is never applied, and any
 //! journal prefix replays to a per-collection prefix of acknowledged
 //! ops — the invariant the multi-producer torture harness checks.
 //! Cross-collection snapshot reads are *per-collection* consistent: each
@@ -56,165 +57,7 @@ use crate::document::Document;
 use crate::error::KdbError;
 use crate::journal::{CorruptionReport, DurabilityPolicy, Journal, JournalTap, Op};
 use crate::query::Filter;
-use crate::store::{fingerprint_ops, Kdb, StoreOptions};
-
-// ---------------------------------------------------------------------
-// Read / write access traits.
-// ---------------------------------------------------------------------
-
-/// Write access to a K-DB: implemented by the plain [`Kdb`] (exclusive
-/// `&mut` access) and by [`KdbWriter`] (the sharded facade's per-op
-/// locking). Schema helpers and persistence sinks are generic over this
-/// trait so one code path serves both sharing models.
-pub trait KdbWrite {
-    /// Creates a collection.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::CollectionExists`] or a journal I/O error.
-    fn create_collection(&mut self, name: &str) -> Result<(), KdbError>;
-
-    /// Creates a collection if it does not already exist (race-safe on
-    /// the sharded facade: a concurrent creator winning is success).
-    ///
-    /// # Errors
-    /// Returns journal I/O errors.
-    fn ensure_collection(&mut self, name: &str) -> Result<(), KdbError>;
-
-    /// Creates a secondary index.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::UnknownCollection`], [`KdbError::IndexExists`]
-    /// or a journal I/O error.
-    fn create_index(&mut self, collection: &str, path: &str) -> Result<(), KdbError>;
-
-    /// Creates a secondary index if the path is not already indexed.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::UnknownCollection`] or a journal I/O error.
-    fn ensure_index(&mut self, collection: &str, path: &str) -> Result<(), KdbError>;
-
-    /// Inserts a document, returning its id.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::UnknownCollection`] or a journal I/O error.
-    fn insert(&mut self, collection: &str, doc: Document) -> Result<DocId, KdbError>;
-
-    /// Replaces a document.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::UnknownCollection`],
-    /// [`KdbError::UnknownDocument`] or a journal I/O error.
-    fn update(&mut self, collection: &str, id: DocId, doc: Document) -> Result<(), KdbError>;
-
-    /// Deletes a document.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::UnknownCollection`],
-    /// [`KdbError::UnknownDocument`] or a journal I/O error.
-    fn delete(&mut self, collection: &str, id: DocId) -> Result<(), KdbError>;
-}
-
-impl KdbWrite for Kdb {
-    fn create_collection(&mut self, name: &str) -> Result<(), KdbError> {
-        Kdb::create_collection(self, name)
-    }
-
-    fn ensure_collection(&mut self, name: &str) -> Result<(), KdbError> {
-        Kdb::ensure_collection(self, name)
-    }
-
-    fn create_index(&mut self, collection: &str, path: &str) -> Result<(), KdbError> {
-        Kdb::create_index(self, collection, path)
-    }
-
-    fn ensure_index(&mut self, collection: &str, path: &str) -> Result<(), KdbError> {
-        Kdb::ensure_index(self, collection, path)
-    }
-
-    fn insert(&mut self, collection: &str, doc: Document) -> Result<DocId, KdbError> {
-        Kdb::insert(self, collection, doc)
-    }
-
-    fn update(&mut self, collection: &str, id: DocId, doc: Document) -> Result<(), KdbError> {
-        Kdb::update(self, collection, id, doc)
-    }
-
-    fn delete(&mut self, collection: &str, id: DocId) -> Result<(), KdbError> {
-        Kdb::delete(self, collection, id)
-    }
-}
-
-/// Read access to a K-DB state image: implemented by the plain [`Kdb`]
-/// and by [`KdbSnapshot`]. Query helpers are generic over this trait.
-pub trait KdbRead {
-    /// Borrows a collection for reads.
-    fn collection(&self, name: &str) -> Option<&Collection>;
-
-    /// Collection names, sorted.
-    fn collection_names(&self) -> Vec<&str>;
-
-    /// Finds documents in a collection (cloned out).
-    ///
-    /// # Errors
-    /// Returns [`KdbError::UnknownCollection`].
-    fn find(&self, collection: &str, filter: &Filter) -> Result<Vec<(DocId, Document)>, KdbError> {
-        let coll = self
-            .collection(collection)
-            .ok_or_else(|| KdbError::UnknownCollection(collection.to_owned()))?;
-        Ok(coll
-            .find(filter)
-            .into_iter()
-            .map(|(id, d)| (id, d.clone()))
-            .collect())
-    }
-
-    /// The minimal op sequence reconstructing the current state, in
-    /// deterministic (collection name, doc id) order.
-    fn state_ops(&self) -> Vec<Op> {
-        let mut ops = Vec::new();
-        for name in self.collection_names() {
-            let coll = self.collection(name).expect("listed collection");
-            collection_state_ops(name, coll, &mut ops);
-        }
-        ops
-    }
-
-    /// FNV-1a digest of the canonical state encoding (see
-    /// [`Kdb::fingerprint`]).
-    fn fingerprint(&self) -> u64 {
-        fingerprint_ops(&self.state_ops())
-    }
-}
-
-impl KdbRead for Kdb {
-    fn collection(&self, name: &str) -> Option<&Collection> {
-        Kdb::collection(self, name)
-    }
-
-    fn collection_names(&self) -> Vec<&str> {
-        Kdb::collection_names(self)
-    }
-}
-
-/// Appends the canonical state ops of one collection to `ops`.
-fn collection_state_ops(name: &str, coll: &Collection, ops: &mut Vec<Op>) {
-    ops.push(Op::CreateCollection {
-        name: name.to_owned(),
-    });
-    for path in coll.index_paths() {
-        ops.push(Op::CreateIndex {
-            name: name.to_owned(),
-            path: path.to_owned(),
-        });
-    }
-    for (id, doc) in coll.iter() {
-        ops.push(Op::Insert {
-            name: name.to_owned(),
-            id,
-            doc: doc.clone(),
-        });
-    }
-}
+use crate::store::{collection_state_ops, find_cloned, fingerprint_ops, Kdb, StoreOptions};
 
 // ---------------------------------------------------------------------
 // Group-commit instrumentation.
@@ -505,7 +348,7 @@ struct SharedInner {
     policy: parking_lot::Mutex<DurabilityPolicy>,
     commit: Mutex<CommitState>,
     commit_cv: Condvar,
-    /// Append failures rolled back by the mutators (seeded with any
+    /// Failed appends, whose ops were never applied (seeded with any
     /// carried over from the decomposed [`Kdb`]).
     log_failures: AtomicU64,
     /// Fsync failures observed by the group committer.
@@ -605,7 +448,7 @@ impl SharedKdb {
     /// only — no fsync) and decides how durability will be settled.
     /// Called with the target shard write-locked, so per-collection
     /// journal order equals apply order. A failure means the op is not
-    /// persisted: the caller must roll back its in-memory effect.
+    /// persisted, and the caller must not apply it.
     fn log(&self, op: &Op) -> Result<Ticket, KdbError> {
         let Some(journal_mx) = &self.inner.journal else {
             return Ok(Ticket::None);
@@ -782,25 +625,55 @@ impl SharedKdb {
         }
     }
 
-    /// Creates a collection. The registry write lock spans apply +
-    /// append so the `CreateCollection` frame precedes every op on the
-    /// new collection in the journal.
+    /// The one per-shard write path: under the shard's write lock,
+    /// `build` derives the op (and a value to return) from the current
+    /// collection; the op is checked, appended, then applied, and the
+    /// shard's epoch bumped. A refused op or a failed append returns
+    /// before the collection is touched. Durability is settled after the
+    /// lock drops; the receipt says whether the op is fsync-covered.
+    fn commit<T>(
+        &self,
+        shard: Arc<Shard>,
+        build: impl FnOnce(&Collection) -> Result<(Op, T), KdbError>,
+    ) -> Result<(T, bool), KdbError> {
+        let (value, ticket) = {
+            let mut coll = shard.coll.write();
+            let (op, value) = build(&coll)?;
+            coll.check(&op)?;
+            let ticket = self.log(&op)?;
+            coll.apply(op);
+            shard.epoch.fetch_add(1, Ordering::Release);
+            (value, ticket)
+        };
+        Ok((value, self.settle(ticket)))
+    }
+
+    /// [`SharedKdb::commit`] of an op built without looking at the
+    /// collection, on the shard it names.
+    fn commit_op(&self, op: Op) -> Result<bool, KdbError> {
+        let shard = self.shard(op.collection())?;
+        self.commit(shard, |_| Ok((op, ())))
+            .map(|((), durable)| durable)
+    }
+
+    /// Creates a collection. The registry write lock spans the check,
+    /// the append and the new shard, so the `CreateCollection` frame
+    /// precedes every op on the new collection in the journal.
     ///
     /// # Errors
     /// Returns [`KdbError::CollectionExists`] or a journal I/O error.
     pub fn create_collection(&self, name: &str) -> Result<(), KdbError> {
-        let ticket;
-        {
+        let ticket = {
             let mut shards = self.inner.shards.write();
             if shards.contains_key(name) {
                 return Err(KdbError::CollectionExists(name.to_owned()));
             }
-            let op = Op::CreateCollection {
+            let ticket = self.log(&Op::CreateCollection {
                 name: name.to_owned(),
-            };
-            ticket = self.log(&op)?;
+            })?;
             shards.insert(name.to_owned(), Arc::new(Shard::new(Collection::new(name))));
-        }
+            ticket
+        };
         self.settle(ticket);
         Ok(())
     }
@@ -826,26 +699,11 @@ impl SharedKdb {
     /// Returns [`KdbError::UnknownCollection`], [`KdbError::IndexExists`]
     /// or a journal I/O error.
     pub fn create_index(&self, collection: &str, path: &str) -> Result<(), KdbError> {
-        let shard = self.shard(collection)?;
-        let ticket;
-        {
-            let mut coll = shard.coll.write();
-            coll.create_index(path.to_owned())?;
-            let op = Op::CreateIndex {
-                name: collection.to_owned(),
-                path: path.to_owned(),
-            };
-            match self.log(&op) {
-                Ok(t) => ticket = t,
-                Err(e) => {
-                    coll.drop_index(path);
-                    return Err(e);
-                }
-            }
-            shard.epoch.fetch_add(1, Ordering::Release);
-        }
-        self.settle(ticket);
-        Ok(())
+        self.commit_op(Op::CreateIndex {
+            name: collection.to_owned(),
+            path: path.to_owned(),
+        })
+        .map(|_| ())
     }
 
     /// Creates a secondary index if the path is not already indexed.
@@ -870,38 +728,22 @@ impl SharedKdb {
     /// [`SharedKdb::insert`] with a commit receipt: the second element
     /// reports whether the op is already covered by a successful fsync
     /// (`false` under `Batch`/`SnapshotOnly` acked-non-durable acks or
-    /// after a failed group fsync).
+    /// after a failed group fsync). The journaled document carries its
+    /// `_id`.
     ///
     /// # Errors
     /// Returns [`KdbError::UnknownCollection`] or a journal I/O error.
     pub fn insert_committed(
         &self,
         collection: &str,
-        doc: Document,
+        mut doc: Document,
     ) -> Result<(DocId, bool), KdbError> {
-        let shard = self.shard(collection)?;
-        let (id, ticket) = {
-            let mut coll = shard.coll.write();
-            let id = coll.insert(doc);
-            let stored = coll.get(id).expect("just inserted").clone();
-            let op = Op::Insert {
-                name: collection.to_owned(),
-                id,
-                doc: stored,
-            };
-            match self.log(&op) {
-                Ok(ticket) => {
-                    shard.epoch.fetch_add(1, Ordering::Release);
-                    (id, ticket)
-                }
-                Err(e) => {
-                    coll.uninsert(id);
-                    return Err(e);
-                }
-            }
-        };
-        let durable = self.settle(ticket);
-        Ok((id, durable))
+        self.commit(self.shard(collection)?, |coll| {
+            let id = coll.next_id();
+            doc.set("_id", id as i64);
+            let name = collection.to_owned();
+            Ok((Op::Insert { name, id, doc }, id))
+        })
     }
 
     /// Replaces a document.
@@ -924,7 +766,11 @@ impl SharedKdb {
         id: DocId,
         doc: Document,
     ) -> Result<bool, KdbError> {
-        self.mutate_doc(collection, id, move |_| doc)
+        self.commit_op(Op::Update {
+            name: collection.to_owned(),
+            id,
+            doc,
+        })
     }
 
     /// Atomic read-modify-write: applies `f` to the current document
@@ -938,36 +784,12 @@ impl SharedKdb {
     where
         F: FnOnce(&Document) -> Document,
     {
-        self.mutate_doc(collection, id, f)
-    }
-
-    fn mutate_doc<F>(&self, collection: &str, id: DocId, f: F) -> Result<bool, KdbError>
-    where
-        F: FnOnce(&Document) -> Document,
-    {
-        let shard = self.shard(collection)?;
-        let ticket = {
-            let mut coll = shard.coll.write();
-            let prior = coll.get(id).cloned().ok_or(KdbError::UnknownDocument(id))?;
-            let doc = f(&prior);
-            coll.update(id, doc.clone())?;
-            let op = Op::Update {
-                name: collection.to_owned(),
-                id,
-                doc,
-            };
-            match self.log(&op) {
-                Ok(ticket) => {
-                    shard.epoch.fetch_add(1, Ordering::Release);
-                    ticket
-                }
-                Err(e) => {
-                    coll.update(id, prior).expect("rollback of applied update");
-                    return Err(e);
-                }
-            }
-        };
-        Ok(self.settle(ticket))
+        self.commit(self.shard(collection)?, |coll| {
+            let doc = f(coll.get(id).ok_or(KdbError::UnknownDocument(id))?);
+            let name = collection.to_owned();
+            Ok((Op::Update { name, id, doc }, ()))
+        })
+        .map(|((), durable)| durable)
     }
 
     /// Deletes a document.
@@ -985,46 +807,19 @@ impl SharedKdb {
     /// # Errors
     /// As [`SharedKdb::delete`].
     pub fn delete_committed(&self, collection: &str, id: DocId) -> Result<bool, KdbError> {
-        let shard = self.shard(collection)?;
-        let ticket = {
-            let mut coll = shard.coll.write();
-            let prior = coll.get(id).cloned().ok_or(KdbError::UnknownDocument(id))?;
-            coll.delete(id)?;
-            let op = Op::Delete {
-                name: collection.to_owned(),
-                id,
-            };
-            match self.log(&op) {
-                Ok(ticket) => {
-                    shard.epoch.fetch_add(1, Ordering::Release);
-                    ticket
-                }
-                Err(e) => {
-                    coll.insert_with_id(id, prior)
-                        .expect("rollback of applied delete");
-                    return Err(e);
-                }
-            }
-        };
-        Ok(self.settle(ticket))
-    }
-
-    /// A write handle implementing [`KdbWrite`] for `&mut`-shaped call
-    /// sites (schema helpers, persistence sinks). Holds no lock — every
-    /// method locks per op.
-    pub fn write(&self) -> KdbWriter<'_> {
-        KdbWriter { db: self }
+        self.commit_op(Op::Delete {
+            name: collection.to_owned(),
+            id,
+        })
     }
 
     // -- replication ---------------------------------------------------
 
     /// Applies one replicated op — exactly as decoded from a primary's
     /// journal frame, preserving assigned document ids — through the
-    /// shard and group-commit machinery, so the op is journaled locally
-    /// with the same rollback discipline as a native write. Returns the
-    /// commit receipt (whether the op is already fsync-covered; schema
-    /// ops report `false`, the conservative floor, like
-    /// [`SharedKdb::insert_committed`]'s receipt convention).
+    /// native write path: checked, journaled exactly as received, then
+    /// applied. Returns the commit receipt (`false` for a
+    /// `CreateCollection`, like [`SharedKdb::create_collection`]).
     ///
     /// A clean replicated stream applied here produces a local journal
     /// byte-identical to the primary's (frame encoding is deterministic
@@ -1032,47 +827,14 @@ impl SharedKdb {
     ///
     /// # Errors
     /// Any native-write error: an op that does not apply (unknown
-    /// collection/document, duplicate id) means the stream diverged
-    /// from this replica's state and must not be papered over.
-    pub fn apply_replicated(&self, op: &Op) -> Result<bool, KdbError> {
-        match op {
+    /// collection or document, [`KdbError::DuplicateDocument`]) means
+    /// the stream diverged from this replica's state and must not be
+    /// papered over.
+    pub fn apply_replicated(&self, op: Op) -> Result<bool, KdbError> {
+        match &op {
             Op::CreateCollection { name } => self.create_collection(name).map(|()| false),
-            Op::CreateIndex { name, path } => self.create_index(name, path).map(|()| false),
-            Op::Insert { name, id, doc } => self.insert_replicated(name, *id, doc.clone()),
-            Op::Update { name, id, doc } => self.update_committed(name, *id, doc.clone()),
-            Op::Delete { name, id } => self.delete_committed(name, *id),
+            _ => self.commit_op(op),
         }
-    }
-
-    /// Insert under a primary-assigned id (the replicated counterpart
-    /// of [`SharedKdb::insert_committed`]).
-    fn insert_replicated(
-        &self,
-        collection: &str,
-        id: DocId,
-        doc: Document,
-    ) -> Result<bool, KdbError> {
-        let shard = self.shard(collection)?;
-        let ticket = {
-            let mut coll = shard.coll.write();
-            coll.insert_with_id(id, doc.clone())?;
-            let op = Op::Insert {
-                name: collection.to_owned(),
-                id,
-                doc,
-            };
-            match self.log(&op) {
-                Ok(ticket) => {
-                    shard.epoch.fetch_add(1, Ordering::Release);
-                    ticket
-                }
-                Err(e) => {
-                    coll.uninsert(id);
-                    return Err(e);
-                }
-            }
-        };
-        Ok(self.settle(ticket))
     }
 
     /// Installs (or removes) the [`JournalTap`] observing this store's
@@ -1123,35 +885,9 @@ impl SharedKdb {
     /// but the journal may be poisoned — as for any failed rewrite).
     pub fn reset_replica(&self, ops: &[Op]) -> Result<(), KdbError> {
         // 1. Validate by building the replacement state off to the side.
-        fn coll_mut<'a>(
-            map: &'a mut BTreeMap<String, Collection>,
-            name: &str,
-        ) -> Result<&'a mut Collection, KdbError> {
-            map.get_mut(name)
-                .ok_or_else(|| KdbError::UnknownCollection(name.to_owned()))
-        }
-        let mut collections: BTreeMap<String, Collection> = BTreeMap::new();
+        let mut replica = Kdb::in_memory();
         for op in ops {
-            match op {
-                Op::CreateCollection { name } => {
-                    if collections.contains_key(name) {
-                        return Err(KdbError::CollectionExists(name.clone()));
-                    }
-                    collections.insert(name.clone(), Collection::new(name.clone()));
-                }
-                Op::CreateIndex { name, path } => {
-                    coll_mut(&mut collections, name)?.create_index(path.clone())?;
-                }
-                Op::Insert { name, id, doc } => {
-                    coll_mut(&mut collections, name)?.insert_with_id(*id, doc.clone())?;
-                }
-                Op::Update { name, id, doc } => {
-                    coll_mut(&mut collections, name)?.update(*id, doc.clone())?;
-                }
-                Op::Delete { name, id } => {
-                    coll_mut(&mut collections, name)?.delete(*id)?;
-                }
-            }
+            replica.commit(op.clone())?;
         }
         // 2. Install the journal first (atomic rename, fsynced) …
         if let Some(journal_mx) = &self.inner.journal {
@@ -1159,7 +895,9 @@ impl SharedKdb {
         }
         // 3. … then swap the shard registry and restart the commit
         //    watermarks at the installed (all-durable) op count.
-        let shards = collections
+        let shards = replica
+            .into_parts()
+            .0
             .into_iter()
             .map(|(name, coll)| (name, Arc::new(Shard::new(coll))))
             .collect();
@@ -1212,13 +950,11 @@ impl SharedKdb {
     /// Returns journal I/O errors.
     pub fn snapshot(&self) -> Result<(), KdbError> {
         let shards = self.inner.shards.read();
-        let guards: Vec<(&String, parking_lot::RwLockWriteGuard<'_, Collection>)> = shards
-            .iter()
-            .map(|(name, shard)| (name, shard.coll.write()))
-            .collect();
+        let guards: Vec<parking_lot::RwLockWriteGuard<'_, Collection>> =
+            shards.values().map(|shard| shard.coll.write()).collect();
         let mut ops = Vec::new();
-        for (name, coll) in &guards {
-            collection_state_ops(name, coll, &mut ops);
+        for coll in &guards {
+            collection_state_ops(coll, &mut ops);
         }
         let Some(journal_mx) = &self.inner.journal else {
             return Ok(());
@@ -1254,8 +990,8 @@ impl SharedKdb {
         *self.inner.policy.lock()
     }
 
-    /// Journal faults observed since open: append failures rolled back
-    /// plus group-fsync rounds that failed (each counted once however
+    /// Journal faults observed since open: failed appends (their ops
+    /// were refused) plus group-fsync rounds that failed (each counted once however
     /// many ops it covered). The service watches this to degrade.
     pub fn journal_fault_count(&self) -> u64 {
         self.inner.log_failures.load(Ordering::Relaxed)
@@ -1301,47 +1037,6 @@ fn lock(mutex: &Mutex<CommitState>) -> std::sync::MutexGuard<'_, CommitState> {
 }
 
 // ---------------------------------------------------------------------
-// Writer handle.
-// ---------------------------------------------------------------------
-
-/// A lockless write handle over a [`SharedKdb`] implementing
-/// [`KdbWrite`]; every method delegates to the facade's per-op locking.
-#[derive(Debug)]
-pub struct KdbWriter<'a> {
-    db: &'a SharedKdb,
-}
-
-impl KdbWrite for KdbWriter<'_> {
-    fn create_collection(&mut self, name: &str) -> Result<(), KdbError> {
-        self.db.create_collection(name)
-    }
-
-    fn ensure_collection(&mut self, name: &str) -> Result<(), KdbError> {
-        self.db.ensure_collection(name)
-    }
-
-    fn create_index(&mut self, collection: &str, path: &str) -> Result<(), KdbError> {
-        self.db.create_index(collection, path)
-    }
-
-    fn ensure_index(&mut self, collection: &str, path: &str) -> Result<(), KdbError> {
-        self.db.ensure_index(collection, path)
-    }
-
-    fn insert(&mut self, collection: &str, doc: Document) -> Result<DocId, KdbError> {
-        self.db.insert(collection, doc)
-    }
-
-    fn update(&mut self, collection: &str, id: DocId, doc: Document) -> Result<(), KdbError> {
-        self.db.update(collection, id, doc)
-    }
-
-    fn delete(&mut self, collection: &str, id: DocId) -> Result<(), KdbError> {
-        self.db.delete(collection, id)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Snapshot.
 // ---------------------------------------------------------------------
 
@@ -1365,11 +1060,6 @@ impl KdbSnapshot {
         Some(image.get_or_init(|| shard.image()))
     }
 
-    /// Collection names, sorted.
-    pub fn collection_names(&self) -> Vec<&str> {
-        self.shards.keys().map(String::as_str).collect()
-    }
-
     /// Names of the collections this snapshot has imaged so far, sorted.
     pub fn imaged_collections(&self) -> Vec<&str> {
         self.shards
@@ -1388,28 +1078,22 @@ impl KdbSnapshot {
         collection: &str,
         filter: &Filter,
     ) -> Result<Vec<(DocId, Document)>, KdbError> {
-        KdbRead::find(self, collection, filter)
+        find_cloned(collection, self.collection(collection), filter)
     }
 
     /// The canonical op sequence of this snapshot (see
     /// [`Kdb::state_ops`]).
     pub fn state_ops(&self) -> Vec<Op> {
-        KdbRead::state_ops(self)
+        let mut ops = Vec::new();
+        for name in self.shards.keys() {
+            collection_state_ops(self.collection(name).expect("listed"), &mut ops);
+        }
+        ops
     }
 
     /// FNV-1a digest of the snapshot state (see [`Kdb::fingerprint`]).
     pub fn fingerprint(&self) -> u64 {
-        KdbRead::fingerprint(self)
-    }
-}
-
-impl KdbRead for KdbSnapshot {
-    fn collection(&self, name: &str) -> Option<&Collection> {
-        KdbSnapshot::collection(self, name)
-    }
-
-    fn collection_names(&self) -> Vec<&str> {
-        KdbSnapshot::collection_names(self)
+        fingerprint_ops(&self.state_ops())
     }
 }
 
@@ -1449,21 +1133,24 @@ mod tests {
 
     #[test]
     fn facade_state_matches_plain_kdb_fingerprint() {
-        let build = |db: &mut dyn KdbWrite| {
-            db.create_collection("a").unwrap();
-            db.ensure_index("a", "kind").unwrap();
-            db.create_collection("b").unwrap();
-            for i in 0..5 {
-                db.insert("a", item("x", f64::from(i))).unwrap();
-                db.insert("b", item("y", f64::from(i))).unwrap();
-            }
-            db.delete("a", 2).unwrap();
-        };
+        macro_rules! build {
+            ($db:expr) => {{
+                $db.create_collection("a").unwrap();
+                $db.ensure_index("a", "kind").unwrap();
+                $db.create_collection("b").unwrap();
+                for i in 0..5 {
+                    $db.insert("a", item("x", f64::from(i))).unwrap();
+                    $db.insert("b", item("y", f64::from(i))).unwrap();
+                }
+                $db.delete("a", 2).unwrap();
+            }};
+        }
         let mut plain = Kdb::in_memory();
-        build(&mut plain);
+        build!(plain);
         let sharded = SharedKdb::in_memory();
-        build(&mut sharded.write());
+        build!(sharded);
         assert_eq!(plain.fingerprint(), sharded.read().fingerprint());
+        assert_eq!(plain.state_ops(), sharded.read().state_ops());
     }
 
     #[test]
@@ -1617,26 +1304,130 @@ mod tests {
         }
     }
 
+    /// Opens a store over storage that `FaultHandle` can make refuse
+    /// appends, holding collection `items` (indexed on `kind`) with
+    /// documents 1 and 2.
+    fn faulty<T>(
+        open: impl FnOnce(StoreOptions) -> T,
+        seed: impl FnOnce(&mut T),
+    ) -> (T, crate::storage::FaultHandle) {
+        let (storage, handle) =
+            FaultyStorage::wrap(Arc::new(MemStorage::new()) as Arc<dyn Storage>);
+        let mut db = open(StoreOptions::with_storage(storage).durability(DurabilityPolicy::Always));
+        seed(&mut db);
+        (db, handle)
+    }
+
+    fn index_set(coll: Option<&Collection>) -> Vec<String> {
+        coll.unwrap()
+            .index_paths()
+            .into_iter()
+            .map(str::to_owned)
+            .collect()
+    }
+
     #[test]
-    fn failed_append_rolls_back_and_counts_fault() {
-        let mem = MemStorage::new();
-        let (storage, handle) = FaultyStorage::wrap(Arc::new(mem) as Arc<dyn Storage>);
-        let db = SharedKdb::open_with(
-            Path::new("j"),
-            StoreOptions::with_storage(storage).durability(DurabilityPolicy::Always),
-        )
-        .unwrap();
+    fn a_refused_append_leaves_kdb_untouched() {
+        type Case = fn(&mut Kdb) -> Result<(), KdbError>;
+        let cases: [(&str, Case); 5] = [
+            ("create_collection", |db| db.create_collection("new")),
+            ("create_index", |db| db.create_index("items", "score")),
+            ("insert", |db| {
+                db.insert("items", item("c", 3.0)).map(|_| ())
+            }),
+            ("update", |db| db.update("items", 1, item("a", 9.0))),
+            ("delete", |db| db.delete("items", 2)),
+        ];
+        for (name, case) in cases {
+            let (mut db, handle) = faulty(
+                |options| Kdb::open_with(Path::new("j"), options).unwrap(),
+                |db| {
+                    db.create_collection("items").unwrap();
+                    db.create_index("items", "kind").unwrap();
+                    db.insert("items", item("a", 1.0)).unwrap();
+                    db.insert("items", item("b", 2.0)).unwrap();
+                },
+            );
+            let before = (db.fingerprint(), index_set(db.collection("items")));
+            let faults = db.journal_fault_count();
+            handle.fail_persistently(FaultKind::NoSpace);
+            assert!(matches!(case(&mut db), Err(KdbError::Io(_))), "{name}");
+            let after = (db.fingerprint(), index_set(db.collection("items")));
+            assert_eq!(after, before, "{name} touched memory");
+            assert_eq!(db.journal_fault_count(), faults + 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_refused_append_leaves_shared_kdb_untouched() {
+        type Case = fn(&SharedKdb) -> Result<(), KdbError>;
+        let cases: [(&str, Case); 7] = [
+            ("create_collection", |db| db.create_collection("new")),
+            ("create_index", |db| db.create_index("items", "score")),
+            ("insert", |db| {
+                db.insert("items", item("c", 3.0)).map(|_| ())
+            }),
+            ("update", |db| db.update("items", 1, item("a", 9.0))),
+            ("update_with", |db| {
+                db.update_with("items", 1, |doc| doc.clone().with("score", 9.0))
+                    .map(|_| ())
+            }),
+            ("delete", |db| db.delete("items", 2)),
+            ("replicated insert", |db| {
+                db.apply_replicated(Op::Insert {
+                    name: "items".into(),
+                    id: 3,
+                    doc: item("c", 3.0).with("_id", 3i64),
+                })
+                .map(|_| ())
+            }),
+        ];
+        for (name, case) in cases {
+            let (db, handle) = faulty(
+                |options| SharedKdb::open_with(Path::new("j"), options).unwrap(),
+                |db| {
+                    db.create_collection("items").unwrap();
+                    db.create_index("items", "kind").unwrap();
+                    db.insert("items", item("a", 1.0)).unwrap();
+                    db.insert("items", item("b", 2.0)).unwrap();
+                },
+            );
+            let state = |db: &SharedKdb| {
+                let snap = db.read();
+                (snap.fingerprint(), index_set(snap.collection("items")))
+            };
+            let before = state(&db);
+            let faults = db.journal_fault_count();
+            handle.fail_persistently(FaultKind::NoSpace);
+            assert!(matches!(case(&db), Err(KdbError::Io(_))), "{name}");
+            assert_eq!(state(&db), before, "{name} touched memory");
+            assert_eq!(db.journal_fault_count(), faults + 1, "{name}");
+            // The journal stays poisoned after the refused write.
+            handle.clear();
+            assert!(
+                db.insert("items", item("d", 4.0)).is_err(),
+                "{name}: poisoned"
+            );
+        }
+    }
+
+    #[test]
+    fn a_duplicate_replicated_insert_is_refused_untouched() {
+        let (db, _) = mem_store(DurabilityPolicy::Always);
         db.create_collection("items").unwrap();
-        db.insert("items", item("a", 1.0)).unwrap();
-        handle.fail_persistently(FaultKind::NoSpace);
-        let err = db.insert("items", item("b", 2.0)).unwrap_err();
-        assert!(matches!(err, KdbError::Io(_)));
-        assert_eq!(db.journal_fault_count(), 1);
-        // Memory rolled back: the second insert left no trace, and the
-        // next insert (after the journal is poisoned) also fails.
-        assert_eq!(db.read().collection("items").unwrap().len(), 1);
-        handle.clear();
-        assert!(db.insert("items", item("c", 3.0)).is_err(), "poisoned");
+        let id = db.insert("items", item("a", 1.0)).unwrap();
+        let (fp, acked) = (db.read().fingerprint(), db.journal_acked_ops());
+        let duplicate = Op::Insert {
+            name: "items".into(),
+            id,
+            doc: item("b", 2.0).with("_id", id as i64),
+        };
+        assert_eq!(
+            db.apply_replicated(duplicate),
+            Err(KdbError::DuplicateDocument(id))
+        );
+        assert_eq!(db.read().fingerprint(), fp);
+        assert_eq!(db.journal_acked_ops(), acked);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl StoreOptions {
 pub struct Kdb {
     collections: BTreeMap<String, Collection>,
     journal: Option<Journal>,
-    /// Journal append failures rolled back by the mutators.
+    /// Journal appends that failed (their ops were never applied).
     log_failures: u64,
     /// Corruption salvaged at open (quarantined remainder), if any.
     salvaged: Option<CorruptionReport>,
@@ -130,7 +130,7 @@ impl Kdb {
             let replayed = replay_bytes(&bytes, recovery)?;
             for (line, op) in replayed.ops.into_iter().enumerate() {
                 store
-                    .apply(&op)
+                    .commit(op)
                     .map_err(|e| KdbError::Journal(line + 1, e.to_string()))?;
             }
             if let Some(report) = replayed.corruption {
@@ -156,42 +156,32 @@ impl Kdb {
         self.salvaged.as_ref()
     }
 
-    /// Applies an op to in-memory state (no journaling).
-    fn apply(&mut self, op: &Op) -> Result<(), KdbError> {
+    /// The one write path: checks `op` against the state, appends it to
+    /// the journal, then applies it. A refused op or a failed append
+    /// (counted towards [`Kdb::journal_fault_count`]) returns before any
+    /// collection is touched, so memory never runs ahead of the journal.
+    pub(crate) fn commit(&mut self, op: Op) -> Result<(), KdbError> {
+        match (self.collections.get(op.collection()), &op) {
+            (Some(coll), _) => coll.check(&op)?,
+            (None, Op::CreateCollection { .. }) => {}
+            (None, _) => return Err(KdbError::UnknownCollection(op.collection().to_owned())),
+        }
+        if let Some(journal) = &mut self.journal {
+            journal
+                .append(&op)
+                .inspect_err(|_| self.log_failures += 1)?;
+        }
         match op {
             Op::CreateCollection { name } => {
-                if self.collections.contains_key(name) {
-                    return Err(KdbError::CollectionExists(name.clone()));
-                }
-                self.collections
-                    .insert(name.clone(), Collection::new(name.clone()));
-                Ok(())
+                self.collections.insert(name.clone(), Collection::new(name));
             }
-            Op::CreateIndex { name, path } => self.coll_mut(name)?.create_index(path.clone()),
-            Op::Insert { name, id, doc } => self.coll_mut(name)?.insert_with_id(*id, doc.clone()),
-            Op::Update { name, id, doc } => self.coll_mut(name)?.update(*id, doc.clone()),
-            Op::Delete { name, id } => self.coll_mut(name)?.delete(*id),
-        }
-    }
-
-    /// Appends an op to the journal. A failure here means the op was
-    /// **not** persisted: the caller must undo its in-memory effect so
-    /// memory never runs ahead of the journal. The failure is counted
-    /// towards [`Kdb::journal_fault_count`].
-    fn log(&mut self, op: &Op) -> Result<(), KdbError> {
-        if let Some(journal) = &mut self.journal {
-            if let Err(e) = journal.append(op) {
-                self.log_failures += 1;
-                return Err(e);
-            }
+            op => self
+                .collections
+                .get_mut(op.collection())
+                .expect("checked: the collection exists")
+                .apply(op),
         }
         Ok(())
-    }
-
-    fn coll_mut(&mut self, name: &str) -> Result<&mut Collection, KdbError> {
-        self.collections
-            .get_mut(name)
-            .ok_or_else(|| KdbError::UnknownCollection(name.to_owned()))
     }
 
     /// Creates a collection.
@@ -200,12 +190,7 @@ impl Kdb {
     /// Returns [`KdbError::CollectionExists`] for duplicates, or an I/O
     /// error from the journal.
     pub fn create_collection(&mut self, name: impl Into<String>) -> Result<(), KdbError> {
-        let name = name.into();
-        let op = Op::CreateCollection { name: name.clone() };
-        self.apply(&op)?;
-        self.log(&op).inspect_err(|_| {
-            self.collections.remove(&name);
-        })
+        self.commit(Op::CreateCollection { name: name.into() })
     }
 
     /// Creates a collection if it does not already exist.
@@ -241,39 +226,27 @@ impl Kdb {
         collection: &str,
         path: impl Into<String>,
     ) -> Result<(), KdbError> {
-        let path = path.into();
-        let op = Op::CreateIndex {
+        self.commit(Op::CreateIndex {
             name: collection.to_owned(),
-            path: path.clone(),
-        };
-        self.apply(&op)?;
-        self.log(&op).inspect_err(|_| {
-            if let Some(coll) = self.collections.get_mut(collection) {
-                coll.drop_index(&path);
-            }
+            path: path.into(),
         })
     }
 
-    /// Inserts a document, returning its id.
+    /// Inserts a document, returning its id. The journaled document
+    /// carries its `_id`.
     ///
     /// # Errors
     /// Returns [`KdbError::UnknownCollection`] or a journal I/O error.
-    pub fn insert(&mut self, collection: &str, doc: Document) -> Result<DocId, KdbError> {
-        let id = self.coll_mut(collection)?.insert(doc);
-        // Journal the document as stored (with _id materialized).
-        let stored = self.collections[collection]
-            .get(id)
-            .expect("just inserted")
-            .clone();
-        self.log(&Op::Insert {
+    pub fn insert(&mut self, collection: &str, mut doc: Document) -> Result<DocId, KdbError> {
+        let id = self
+            .collection(collection)
+            .ok_or_else(|| KdbError::UnknownCollection(collection.to_owned()))?
+            .next_id();
+        doc.set("_id", id as i64);
+        self.commit(Op::Insert {
             name: collection.to_owned(),
             id,
-            doc: stored,
-        })
-        .inspect_err(|_| {
-            if let Some(coll) = self.collections.get_mut(collection) {
-                coll.uninsert(id);
-            }
+            doc,
         })?;
         Ok(id)
     }
@@ -284,17 +257,10 @@ impl Kdb {
     /// Returns [`KdbError::UnknownCollection`],
     /// [`KdbError::UnknownDocument`] or a journal I/O error.
     pub fn update(&mut self, collection: &str, id: DocId, doc: Document) -> Result<(), KdbError> {
-        let prior = self.collection(collection).and_then(|c| c.get(id)).cloned();
-        let op = Op::Update {
+        self.commit(Op::Update {
             name: collection.to_owned(),
             id,
             doc,
-        };
-        self.apply(&op)?;
-        self.log(&op).inspect_err(|_| {
-            if let (Some(coll), Some(old)) = (self.collections.get_mut(collection), prior) {
-                coll.update(id, old).expect("rollback of an applied update");
-            }
         })
     }
 
@@ -304,28 +270,15 @@ impl Kdb {
     /// Returns [`KdbError::UnknownCollection`],
     /// [`KdbError::UnknownDocument`] or a journal I/O error.
     pub fn delete(&mut self, collection: &str, id: DocId) -> Result<(), KdbError> {
-        let prior = self.collection(collection).and_then(|c| c.get(id)).cloned();
-        let op = Op::Delete {
+        self.commit(Op::Delete {
             name: collection.to_owned(),
             id,
-        };
-        self.apply(&op)?;
-        self.log(&op).inspect_err(|_| {
-            if let (Some(coll), Some(old)) = (self.collections.get_mut(collection), prior) {
-                coll.insert_with_id(id, old)
-                    .expect("rollback of an applied delete");
-            }
         })
     }
 
     /// Borrows a collection for reads.
     pub fn collection(&self, name: &str) -> Option<&Collection> {
         self.collections.get(name)
-    }
-
-    /// Collection names, sorted.
-    pub fn collection_names(&self) -> Vec<&str> {
-        self.collections.keys().map(String::as_str).collect()
     }
 
     /// Finds documents in a collection (cloned out for ownership
@@ -338,15 +291,7 @@ impl Kdb {
         collection: &str,
         filter: &Filter,
     ) -> Result<Vec<(DocId, Document)>, KdbError> {
-        let coll = self
-            .collections
-            .get(collection)
-            .ok_or_else(|| KdbError::UnknownCollection(collection.to_owned()))?;
-        Ok(coll
-            .find(filter)
-            .into_iter()
-            .map(|(id, d)| (id, d.clone()))
-            .collect())
+        find_cloned(collection, self.collection(collection), filter)
     }
 
     /// The minimal op sequence that reconstructs the current state, in
@@ -354,21 +299,8 @@ impl Kdb {
     /// snapshot-compaction content and the basis of [`Kdb::fingerprint`].
     pub fn state_ops(&self) -> Vec<Op> {
         let mut ops = Vec::new();
-        for (name, coll) in &self.collections {
-            ops.push(Op::CreateCollection { name: name.clone() });
-            for path in coll.index_paths() {
-                ops.push(Op::CreateIndex {
-                    name: name.clone(),
-                    path: path.to_owned(),
-                });
-            }
-            for (id, doc) in coll.iter() {
-                ops.push(Op::Insert {
-                    name: name.clone(),
-                    id,
-                    doc: doc.clone(),
-                });
-            }
+        for coll in self.collections.values() {
+            collection_state_ops(coll, &mut ops);
         }
         ops
     }
@@ -435,8 +367,8 @@ impl Kdb {
         }
     }
 
-    /// Journal faults observed since open: append failures that were
-    /// rolled back plus fsync failures swallowed as non-durable acks.
+    /// Journal faults observed since open: failed appends (their ops
+    /// were refused) plus fsync failures swallowed as non-durable acks.
     /// The service watches this to decide when to degrade.
     pub fn journal_fault_count(&self) -> u64 {
         self.log_failures + self.journal.as_ref().map_or(0, Journal::sync_faults)
@@ -450,6 +382,43 @@ impl Kdb {
     /// Ops known fsync-durable since open (0 when in-memory).
     pub fn journal_durable_ops(&self) -> u64 {
         self.journal.as_ref().map_or(0, Journal::durable_ops)
+    }
+}
+
+/// The matches of `filter` in `coll` (the collection named
+/// `collection`, `None` when absent), cloned out.
+pub(crate) fn find_cloned(
+    collection: &str,
+    coll: Option<&Collection>,
+    filter: &Filter,
+) -> Result<Vec<(DocId, Document)>, KdbError> {
+    let coll = coll.ok_or_else(|| KdbError::UnknownCollection(collection.to_owned()))?;
+    Ok(coll
+        .find(filter)
+        .into_iter()
+        .map(|(id, d)| (id, d.clone()))
+        .collect())
+}
+
+/// Appends the canonical state ops of one collection to `ops`: its
+/// creation, its indexes, then its documents in id order.
+pub(crate) fn collection_state_ops(coll: &Collection, ops: &mut Vec<Op>) {
+    let name = coll.name();
+    ops.push(Op::CreateCollection {
+        name: name.to_owned(),
+    });
+    for path in coll.index_paths() {
+        ops.push(Op::CreateIndex {
+            name: name.to_owned(),
+            path: path.to_owned(),
+        });
+    }
+    for (id, doc) in coll.iter() {
+        ops.push(Op::Insert {
+            name: name.to_owned(),
+            id,
+            doc: doc.clone(),
+        });
     }
 }
 

@@ -192,7 +192,7 @@ fn service_cancellation_mid_run_leaves_replayable_store() {
     std::fs::remove_file(&path).ok();
 
     let token = CancelToken::new();
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 2,
             observer: Some(Arc::new(CancelOnFirstStage {
@@ -201,7 +201,7 @@ fn service_cancellation_mid_run_leaves_replayable_store() {
             })),
             ..ServiceConfig::default()
         },
-        Kdb::open(&path).unwrap(),
+        SharedKdb::new(Kdb::open(&path).unwrap()),
     );
     let log = Arc::new(generate(
         &SyntheticConfig {

@@ -8,8 +8,8 @@ use ada_kdb::journal::{
     replay, replay_bytes, DurabilityPolicy, Journal, JournalVersion, Op, RecoveryMode, V2_MAGIC,
 };
 use ada_kdb::{
-    Collection, Document, Filter, Kdb, KdbError, KdbSnapshot, KdbWrite, MemStorage, SharedKdb,
-    StoreOptions, Value,
+    Collection, Document, Filter, Kdb, KdbError, KdbSnapshot, MemStorage, SharedKdb, StoreOptions,
+    Value,
 };
 use proptest::prelude::*;
 
@@ -88,7 +88,7 @@ proptest! {
     ) {
         let mut plain = Collection::new("plain");
         let mut indexed = Collection::new("indexed");
-        indexed.create_index("score").unwrap();
+        indexed.apply(Op::CreateIndex { name: "indexed".into(), path: "score".into() });
         for &s in &scores {
             let doc = Document::new().with("score", s);
             plain.insert(doc.clone());
@@ -347,7 +347,7 @@ proptest! {
             match kind {
                 0 | 1 => {
                     let id = shared.insert(coll, doc.clone()).unwrap();
-                    prop_assert_eq!(KdbWrite::insert(&mut model, coll, doc).unwrap(), id);
+                    prop_assert_eq!(model.insert(coll, doc).unwrap(), id);
                     touched.push((coll, id));
                 }
                 2 => {

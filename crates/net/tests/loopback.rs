@@ -20,7 +20,7 @@ use ada_core::{PipelineObserver, PipelineStage};
 use ada_dataset::{ExamRecord, ExamTypeId, PatientId};
 use ada_kdb::journal::Op;
 use ada_kdb::{
-    DurabilityPolicy, FaultKind, FaultyStorage, Kdb, MemStorage, SharedKdb, StoreOptions, Value,
+    DurabilityPolicy, FaultKind, FaultyStorage, MemStorage, SharedKdb, StoreOptions, Value,
 };
 use ada_net::proto::{CohortSpec, Request, Response, WireJobSpec};
 use ada_net::{AsyncClient, Client, NetConfig, NetError, NetServer, MAX_FRAME_LEN};
@@ -178,7 +178,7 @@ fn remote_fleet_matches_in_process_fleet() {
     };
 
     // Remote arm: eight clients, one connection each.
-    let remote_service = Arc::new(AnalysisService::with_kdb(config(), Kdb::in_memory()));
+    let remote_service = Arc::new(AnalysisService::new(config(), SharedKdb::in_memory()));
     let server = NetServer::start(Arc::clone(&remote_service), NetConfig::default()).unwrap();
     let addr = server.local_addr();
     let mut remote_sessions = Vec::new();
@@ -215,7 +215,7 @@ fn remote_fleet_matches_in_process_fleet() {
     let remote_kdb = remote_service.kdb();
 
     // In-process arm: the same specs, materialized by the same code.
-    let local_service = AnalysisService::with_kdb(config(), Kdb::in_memory());
+    let local_service = AnalysisService::new(config(), SharedKdb::in_memory());
     let ids: Vec<_> = (0..8)
         .map(|i| local_service.submit(quick_spec(i).materialize()).unwrap())
         .collect();
@@ -281,14 +281,14 @@ impl PipelineObserver for GateObserver {
 #[test]
 fn busy_cancel_and_unknown_session_cross_the_wire_typed() {
     let gate = Arc::new(GateObserver::default());
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 1,
             queue_capacity: 1,
             observer: Some(gate.clone()),
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     ));
     let server = NetServer::start(Arc::clone(&service), NetConfig::default()).unwrap();
     // Retry disabled: this test asserts the *raw* Busy backpressure
@@ -384,14 +384,14 @@ fn busy_cancel_and_unknown_session_cross_the_wire_typed() {
 #[test]
 fn busy_auto_retry_rides_through_transient_backpressure() {
     let gate = Arc::new(GateObserver::default());
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 1,
             queue_capacity: 1,
             observer: Some(gate.clone()),
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     ));
     let server = NetServer::start(Arc::clone(&service), NetConfig::default()).unwrap();
     let client = AsyncClient::connect(server.local_addr())
@@ -465,9 +465,9 @@ fn busy_auto_retry_rides_through_transient_backpressure() {
 
 #[test]
 fn pool_capacity_rejection_is_a_typed_notification() {
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig::default(),
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     ));
     let server = NetServer::start(
         Arc::clone(&service),
@@ -520,12 +520,12 @@ fn pool_capacity_rejection_is_a_typed_notification() {
 fn degraded_service_keeps_serving_reads_over_the_wire() {
     let mem: Arc<MemStorage> = Arc::new(MemStorage::new());
     let (storage, faults) = FaultyStorage::wrap(mem);
-    let kdb = Kdb::open_with(
+    let kdb = SharedKdb::open_with(
         Path::new("net_degraded.journal"),
         StoreOptions::with_storage(storage),
     )
     .unwrap();
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 2,
             degrade_after: 2,
@@ -679,12 +679,12 @@ fn remote_sampled_session_persists_a_linked_trace() {
     // Group-committed durable writes so fsync rounds actually happen
     // while the worker holds the session's trace scope.
     let mem: Arc<MemStorage> = Arc::new(MemStorage::new());
-    let kdb = Kdb::open_with(
+    let kdb = SharedKdb::open_with(
         Path::new("net_trace.journal"),
         StoreOptions::with_storage(mem).durability(DurabilityPolicy::Always),
     )
     .unwrap();
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 1,
             sample_rate: 1.0,
@@ -810,13 +810,13 @@ fn remote_sampled_session_persists_a_linked_trace() {
 #[test]
 fn sampling_rate_zero_vs_one_differs_only_in_trace_records() {
     let run = |rate: f64| {
-        let service = Arc::new(AnalysisService::with_kdb(
+        let service = Arc::new(AnalysisService::new(
             ServiceConfig {
                 workers: 1,
                 sample_rate: rate,
                 ..ServiceConfig::default()
             },
-            Kdb::in_memory(),
+            SharedKdb::in_memory(),
         ));
         let server = NetServer::start(Arc::clone(&service), NetConfig::default()).unwrap();
         let mut client = Client::connect(server.local_addr())
@@ -874,9 +874,9 @@ fn sampling_rate_zero_vs_one_differs_only_in_trace_records() {
 
 #[test]
 fn prometheus_exposition_keeps_stable_names_and_adds_net_series() {
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig::default(),
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     ));
     let server = NetServer::start(Arc::clone(&service), NetConfig::default()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();

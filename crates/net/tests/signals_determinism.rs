@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use ada_kdb::journal::Op;
 use ada_kdb::schema::names;
-use ada_kdb::{Filter, Kdb, SharedKdb, Value};
+use ada_kdb::{Filter, SharedKdb, Value};
 use ada_net::proto::{CohortSpec, Preset, Request, Response, WireJobSpec};
 use ada_net::{Client, NetConfig, NetServer};
 use ada_service::{AnalysisService, ServiceConfig, SessionState};
@@ -104,7 +104,7 @@ fn signal_state_fingerprint(kdb: &SharedKdb) -> u64 {
 }
 
 fn run_in_process(workers: usize) -> SharedKdb {
-    let service = AnalysisService::with_kdb(config(workers), Kdb::in_memory());
+    let service = AnalysisService::new(config(workers), SharedKdb::in_memory());
     let ids: Vec<_> = (0..FLEET)
         .map(|i| service.submit(signal_spec(i).materialize()).unwrap())
         .collect();
@@ -126,7 +126,7 @@ fn run_in_process(workers: usize) -> SharedKdb {
 #[test]
 fn signal_state_is_identical_serial_concurrent_and_remote() {
     // Remote arm: one worker server-side, six wire clients.
-    let remote_service = Arc::new(AnalysisService::with_kdb(config(1), Kdb::in_memory()));
+    let remote_service = Arc::new(AnalysisService::new(config(1), SharedKdb::in_memory()));
     let server = NetServer::start(Arc::clone(&remote_service), NetConfig::default()).unwrap();
     let addr = server.local_addr();
     let mut sessions = Vec::new();

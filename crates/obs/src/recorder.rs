@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use ada_core::control::{PipelineObserver, PipelineStage};
 use ada_kdb::schema;
-use ada_kdb::{DocId, Document, KdbError, KdbRead, KdbWrite, Value};
+use ada_kdb::{DocId, Document, KdbError, KdbSnapshot, SharedKdb, Value};
 use parking_lot::Mutex;
 
 use crate::context::TraceContext;
@@ -353,9 +353,9 @@ impl FlightRecorder {
     /// # Errors
     /// Returns [`KdbError::Schema`] on a malformed record, otherwise
     /// store errors.
-    pub fn persist<W: KdbWrite + ?Sized>(
+    pub fn persist(
         &self,
-        db: &mut W,
+        db: &SharedKdb,
         session: &str,
         state: &str,
         outcome: &str,
@@ -386,15 +386,15 @@ impl Page {
 /// The session records persisted in `db`, in insertion (`_id`) order,
 /// borrowed from `db`. This is how a restarted service answers queries
 /// about past runs.
-pub fn past_sessions<R: KdbRead + ?Sized>(db: &R, page: Page) -> Vec<&Document> {
+pub fn past_sessions(db: &KdbSnapshot, page: Page) -> Vec<&Document> {
     listing(db, schema::names::SESSIONS, page, |_| true)
 }
 
 /// The sampled session records in `db` (those carrying a `trace_id`),
 /// in insertion (`_id`) order, optionally filtered to one session.
 /// Backs the `TraceQuery` wire message.
-pub fn past_traces<'a, R: KdbRead + ?Sized>(
-    db: &'a R,
+pub fn past_traces<'a>(
+    db: &'a KdbSnapshot,
     session: Option<&str>,
     page: Page,
 ) -> Vec<&'a Document> {
@@ -407,8 +407,8 @@ pub fn past_traces<'a, R: KdbRead + ?Sized>(
 
 /// One range scan of a collection image (`Collection::iter_after` is
 /// id-ordered): nothing before the cursor is visited, nothing is cloned.
-fn listing<'a, R: KdbRead + ?Sized>(
-    db: &'a R,
+fn listing<'a>(
+    db: &'a KdbSnapshot,
     collection: &str,
     page: Page,
     keep: impl Fn(&Document) -> bool,
@@ -605,7 +605,6 @@ impl PipelineObserver for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ada_kdb::Kdb;
 
     fn drive_one_session(rec: &FlightRecorder, session: &str) {
         rec.mark(session, MARK_QUEUE_WAIT, Duration::from_micros(150));
@@ -723,13 +722,14 @@ mod tests {
 
     #[test]
     fn persist_and_query_past_sessions() {
-        let mut db = Kdb::in_memory();
-        schema::init_schema(&mut db).unwrap();
+        let db = SharedKdb::in_memory();
+        schema::init_schema(&db).unwrap();
         let rec = FlightRecorder::new(128);
         drive_one_session(&rec, "a");
         drive_one_session(&rec, "b");
-        rec.persist(&mut db, "a", "completed", "").unwrap();
-        rec.persist(&mut db, "b", "failed", "deadline").unwrap();
+        rec.persist(&db, "a", "completed", "").unwrap();
+        rec.persist(&db, "b", "failed", "deadline").unwrap();
+        let db = db.read();
 
         let past = past_sessions(&db, Page::ALL);
         assert_eq!(past.len(), 2);
@@ -868,14 +868,15 @@ mod tests {
 
     #[test]
     fn persist_writes_and_queries_trace_records() {
-        let mut db = Kdb::in_memory();
-        schema::init_schema(&mut db).unwrap();
+        let db = SharedKdb::in_memory();
+        schema::init_schema(&db).unwrap();
         let rec = FlightRecorder::new(128);
         drive_one_session(&rec, "a");
         rec.set_trace("a", TraceContext::forced(1, "a"), false);
         drive_one_session(&rec, "b");
-        rec.persist(&mut db, "a", "completed", "").unwrap();
-        rec.persist(&mut db, "b", "failed", "deadline").unwrap();
+        rec.persist(&db, "a", "completed", "").unwrap();
+        rec.persist(&db, "b", "failed", "deadline").unwrap();
+        let db = db.read();
 
         let all = past_traces(&db, None, Page::ALL);
         assert_eq!(all.len(), 1, "only the sampled session left a trace");

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use ada_core::{AdaHealth, AdaHealthConfig, RunControl};
 use ada_dataset::synthetic::{generate, SyntheticConfig};
-use ada_kdb::Kdb;
 use ada_mining::kmeans::KMeans;
 use ada_obs::FlightRecorder;
 use ada_vsm::VsmBuilder;
@@ -53,13 +52,13 @@ proptest! {
         let log = cohort(60, 16, 800, seed);
         let config = AdaHealthConfig::quick(format!("det-{seed}"));
 
-        let report_off = AdaHealth::with_kdb(config.clone(), Kdb::in_memory())
+        let report_off = AdaHealth::new(config.clone())
             .run_controlled(&log, &RunControl::new())
             .expect("unobserved run completes");
 
         let recorder = Arc::new(FlightRecorder::new(256));
         let control = RunControl::new().with_observer(recorder.clone());
-        let report_on = AdaHealth::with_kdb(config, Kdb::in_memory())
+        let report_on = AdaHealth::new(config)
             .run_controlled(&log, &control)
             .expect("observed run completes");
 

@@ -12,9 +12,7 @@ use ada_core::{
     AdaHealth, PipelineError, PipelineObserver, PipelineStage, RunControl, TraceHandle,
 };
 use ada_dataset::{ExamLog, ExamRecord, StreamOrder};
-use ada_kdb::{
-    schema, CommitObserver, CommitRole, Document, DurabilityPolicy, Kdb, SharedKdb, Value,
-};
+use ada_kdb::{schema, CommitObserver, CommitRole, Document, DurabilityPolicy, SharedKdb, Value};
 use ada_obs::{
     current_trace, document_to_json, past_sessions, past_traces, FlightRecorder, Metrics, Page,
     StreamMetrics, TraceContext, TraceScope, MARK_CANCELLED, MARK_DEGRADED, MARK_PERSIST_FAIL,
@@ -212,8 +210,7 @@ pub struct AnalysisService {
 }
 
 impl AnalysisService {
-    /// Starts the worker pool over `kdb` (wrap an owned [`Kdb`] with
-    /// [`AnalysisService::with_kdb`]).
+    /// Starts the worker pool over `kdb`.
     pub fn new(config: ServiceConfig, kdb: SharedKdb) -> Self {
         let workers = config.workers.max(1);
         if let Some(policy) = config.durability {
@@ -261,11 +258,6 @@ impl AnalysisService {
             inner,
             workers: handles,
         }
-    }
-
-    /// Convenience: takes ownership of a `Kdb` and shares it.
-    pub fn with_kdb(config: ServiceConfig, kdb: Kdb) -> Self {
-        Self::new(config, SharedKdb::new(kdb))
     }
 
     /// The shared K-DB handle all sessions write into.
@@ -763,11 +755,7 @@ fn persist_session(inner: &ServiceInner, session: &str, state: &str, outcome: &s
     let result = inner
         .kdb
         .ensure_collection(schema::names::SESSIONS)
-        .and_then(|()| {
-            inner
-                .recorder
-                .persist(&mut inner.kdb.write(), session, state, outcome)
-        });
+        .and_then(|()| inner.recorder.persist(&inner.kdb, session, state, outcome));
     if result.is_ok() && has_trace {
         inner.metrics.trace_persisted();
     }
@@ -1002,12 +990,12 @@ mod tests {
 
     #[test]
     fn stream_seal_during_shutdown_answers_shutting_down() {
-        let service = AnalysisService::with_kdb(
+        let service = AnalysisService::new(
             ServiceConfig {
                 workers: 1,
                 ..ServiceConfig::default()
             },
-            Kdb::in_memory(),
+            SharedKdb::in_memory(),
         );
         service.stream_open(StreamConfig::new("s")).unwrap();
         // A seal that fetched its handle just before `stop()` closed it.

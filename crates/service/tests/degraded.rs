@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use ada_core::AdaHealthConfig;
 use ada_dataset::synthetic::{generate, SyntheticConfig};
-use ada_kdb::{FaultKind, FaultyStorage, Kdb, MemStorage, StoreOptions, Value};
+use ada_kdb::{FaultKind, FaultyStorage, MemStorage, SharedKdb, StoreOptions, Value};
 use ada_service::{AnalysisService, JobSpec, ServiceConfig, ServiceError, SessionState};
 
 fn cohort_cfg() -> SyntheticConfig {
@@ -24,12 +24,12 @@ fn cohort_cfg() -> SyntheticConfig {
 fn persistent_journal_faults_degrade_service_to_read_only() {
     let mem: Arc<MemStorage> = Arc::new(MemStorage::new());
     let (storage, faults) = FaultyStorage::wrap(mem);
-    let kdb = Kdb::open_with(
+    let kdb = SharedKdb::open_with(
         Path::new("svc_degraded.journal"),
         StoreOptions::with_storage(storage),
     )
     .unwrap();
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 2,
             degrade_after: 2,
@@ -117,12 +117,12 @@ fn persistent_journal_faults_degrade_service_to_read_only() {
 
 #[test]
 fn follower_refuses_writes_until_promoted() {
-    let kdb = Kdb::open_with(
+    let kdb = SharedKdb::open_with(
         Path::new("svc_follower.journal"),
         StoreOptions::with_storage(Arc::new(MemStorage::new())),
     )
     .unwrap();
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 1,
             follower: true,

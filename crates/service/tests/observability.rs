@@ -8,7 +8,7 @@ use std::sync::Arc;
 use ada_core::{AdaHealthConfig, PipelineStage};
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_kdb::schema::{self, names};
-use ada_kdb::{Document, Kdb, Value};
+use ada_kdb::{Document, Kdb, SharedKdb, Value};
 use ada_obs::{EventKind, FlightRecorder};
 use ada_service::{AnalysisService, JobSpec, ServiceConfig, SessionState};
 
@@ -51,13 +51,13 @@ fn observer_fanout_under_eight_concurrent_sessions() {
     // the service's internal recorder persists-and-forgets sessions at
     // terminal state, while this one keeps its events for inspection.
     let probe = Arc::new(FlightRecorder::new(4096));
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 4,
             observer: Some(probe.clone()),
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
 
     let sessions: Vec<String> = (0..8).map(|i| format!("fan-{i}")).collect();
@@ -154,12 +154,12 @@ fn session_records_survive_crash_and_journal_replay() {
     let path = journal_path("replay");
     let before: Vec<Document>;
     {
-        let service = AnalysisService::with_kdb(
+        let service = AnalysisService::new(
             ServiceConfig {
                 workers: 2,
                 ..ServiceConfig::default()
             },
-            Kdb::open(&path).unwrap(),
+            SharedKdb::new(Kdb::open(&path).unwrap()),
         );
         let log = Arc::new(generate(&cohort_cfg(), 42));
 
@@ -203,7 +203,7 @@ fn session_records_survive_crash_and_journal_replay() {
     }
 
     // "Restart": rebuild the store purely from the journal.
-    let reopened = Kdb::open(&path).unwrap();
+    let reopened = SharedKdb::new(Kdb::open(&path).unwrap()).read();
     let after: Vec<Document> = ada_obs::past_sessions(&reopened, ada_obs::Page::ALL)
         .into_iter()
         .cloned()
@@ -262,12 +262,12 @@ fn session_records_survive_crash_and_journal_replay() {
 
 #[test]
 fn snapshot_renders_json_and_prometheus_end_to_end() {
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
     let log = Arc::new(generate(&cohort_cfg(), 77));
     let id = service
@@ -311,12 +311,12 @@ fn tracer_rings_stay_bounded_by_live_threads() {
     // rings must go when their threads do: 50 sessions × 3 sweep
     // threads would otherwise leave 150 of them behind.
     const WORKERS: usize = 2;
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: WORKERS,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
     let log = Arc::new(generate(&cohort_cfg(), 78));
     let ids: Vec<_> = (0..50)
@@ -353,12 +353,12 @@ fn a_sampled_session_costs_one_journal_op() {
     // schema ops for a trace store on first use.
     let ops_per_session = |rate: f64| -> Vec<u64> {
         let mem = ada_kdb::MemStorage::new();
-        let kdb = Kdb::open_with(
+        let kdb = SharedKdb::open_with(
             std::path::Path::new("count.journal"),
             ada_kdb::StoreOptions::with_storage(Arc::new(mem)),
         )
         .unwrap();
-        let service = AnalysisService::with_kdb(
+        let service = AnalysisService::new(
             ServiceConfig {
                 workers: 1,
                 sample_rate: rate,
@@ -397,8 +397,8 @@ fn a_store_holding_a_legacy_traces_collection_still_replays() {
     // trace listing reads only `sessions`.
     let path = journal_path("legacy_traces");
     let fingerprint = {
-        let mut db = Kdb::open(&path).unwrap();
-        schema::init_schema(&mut db).unwrap();
+        let db = SharedKdb::new(Kdb::open(&path).unwrap());
+        schema::init_schema(&db).unwrap();
         db.create_collection("traces").unwrap();
         for index in ["session", "trace_id"] {
             db.ensure_index("traces", index).unwrap();
@@ -414,9 +414,9 @@ fn a_store_holding_a_legacy_traces_collection_still_replays() {
                 .with("spans", Value::Array(Vec::new())),
         )
         .unwrap();
-        db.fingerprint()
+        db.read().fingerprint()
     };
-    let reopened = Kdb::open(&path).unwrap();
+    let reopened = SharedKdb::new(Kdb::open(&path).unwrap()).read();
     assert_eq!(reopened.fingerprint(), fingerprint);
     assert_eq!(reopened.collection("traces").unwrap().len(), 1);
     assert!(ada_obs::past_traces(&reopened, None, ada_obs::Page::ALL).is_empty());

@@ -10,7 +10,7 @@ use std::time::Duration;
 use ada_core::{AdaHealth, AdaHealthConfig, PipelineObserver, PipelineStage, SessionReport};
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_dataset::ExamLog;
-use ada_kdb::Kdb;
+use ada_kdb::{Kdb, SharedKdb};
 use ada_service::{AnalysisService, CancelToken, JobSpec, Priority, ServiceConfig, SessionState};
 
 fn cohort_cfg() -> SyntheticConfig {
@@ -30,19 +30,19 @@ fn journal_path(tag: &str) -> PathBuf {
 
 /// What a serial, single-threaded run on a fresh store produces.
 fn serial_report(config: &AdaHealthConfig, log: &ExamLog) -> SessionReport {
-    let mut engine = AdaHealth::with_kdb(config.clone(), Kdb::in_memory());
+    let mut engine = AdaHealth::new(config.clone());
     engine.run(log)
 }
 
 #[test]
 fn eight_concurrent_sessions_match_serial_runs() {
     let path = journal_path("fleet");
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 4,
             ..ServiceConfig::default()
         },
-        Kdb::open(&path).unwrap(),
+        SharedKdb::new(Kdb::open(&path).unwrap()),
     );
 
     let priorities = [
@@ -128,13 +128,13 @@ fn mid_run_cancel_yields_cancelled_state_and_replayable_journal() {
         target: "cancel-me".into(),
         token: token.clone(),
     });
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 2,
             observer: Some(observer),
             ..ServiceConfig::default()
         },
-        Kdb::open(&path).unwrap(),
+        SharedKdb::new(Kdb::open(&path).unwrap()),
     );
 
     let log = Arc::new(generate(&cohort_cfg(), 7));
@@ -176,12 +176,12 @@ fn mid_run_cancel_yields_cancelled_state_and_replayable_journal() {
 
 #[test]
 fn injected_failures_are_retried_until_success() {
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
     let log = Arc::new(generate(&cohort_cfg(), 11));
     let id = service
@@ -203,12 +203,12 @@ fn injected_failures_are_retried_until_success() {
 
 #[test]
 fn exhausted_retries_fail_the_session() {
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
     let log = Arc::new(generate(&cohort_cfg(), 12));
     let id = service
@@ -232,7 +232,7 @@ fn exhausted_retries_fail_the_session() {
 
 #[test]
 fn an_expired_deadline_fails_without_retry() {
-    let service = AnalysisService::with_kdb(ServiceConfig::default(), Kdb::in_memory());
+    let service = AnalysisService::new(ServiceConfig::default(), SharedKdb::in_memory());
     let log = Arc::new(generate(&cohort_cfg(), 13));
     let id = service
         .submit(JobSpec::new(AdaHealthConfig::quick("late"), log).timeout(Duration::ZERO))
@@ -285,14 +285,14 @@ impl PipelineObserver for GateObserver {
 #[test]
 fn a_full_queue_applies_backpressure_and_a_queued_job_can_be_cancelled() {
     let gate = Arc::new(GateObserver::default());
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 1,
             queue_capacity: 1,
             observer: Some(gate.clone()),
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
     let log = Arc::new(generate(&cohort_cfg(), 21));
 
@@ -351,12 +351,12 @@ fn a_full_queue_applies_backpressure_and_a_queued_job_can_be_cancelled() {
 
 #[test]
 fn shutdown_drains_already_accepted_jobs() {
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
     let log = Arc::new(generate(&cohort_cfg(), 31));
     for i in 0..4 {
@@ -379,7 +379,7 @@ fn stream_mining_session_matches_a_direct_engine_run() {
     use ada_service::Workload;
     use ada_stream::{StreamEngine, StreamMiningSpec};
 
-    let service = AnalysisService::with_kdb(ServiceConfig::default(), Kdb::in_memory());
+    let service = AnalysisService::new(ServiceConfig::default(), SharedKdb::in_memory());
     let log = Arc::new(generate(&cohort_cfg(), 55));
     let spec = StreamMiningSpec::quick().seed(55);
 
@@ -434,7 +434,10 @@ fn open_ingest_query_seal_round_trip_and_restart_resume() {
         .update_iters(3)
         .refit_iters(30);
 
-    let service = AnalysisService::with_kdb(ServiceConfig::default(), Kdb::open(&path).unwrap());
+    let service = AnalysisService::new(
+        ServiceConfig::default(),
+        SharedKdb::new(Kdb::open(&path).unwrap()),
+    );
     assert_eq!(service.stream_open(config.clone()).unwrap(), 0);
     // Re-opening the same name is an idempotent no-op.
     assert_eq!(service.stream_open(config.clone()).unwrap(), 0);
@@ -463,7 +466,10 @@ fn open_ingest_query_seal_round_trip_and_restart_resume() {
 
     // A new service over the same journal resumes the stream from its
     // durable checkpoints, byte-identically.
-    let service = AnalysisService::with_kdb(ServiceConfig::default(), Kdb::open(&path).unwrap());
+    let service = AnalysisService::new(
+        ServiceConfig::default(),
+        SharedKdb::new(Kdb::open(&path).unwrap()),
+    );
     let resumed = service.stream_open(config).unwrap();
     assert_eq!(resumed, windows as u64);
     let status = service.stream_query("icu-feed").unwrap();

@@ -310,21 +310,18 @@ pub fn run_session(
     kdb: &SharedKdb,
     control: &RunControl,
 ) -> Result<SignalSessionReport, PipelineError> {
-    schema::init_schema(&mut kdb.write()).expect("K-DB schema init failed");
+    schema::init_schema(kdb).expect("K-DB schema init failed");
     let control = control.clone().with_session(session);
     control.stage(session, PipelineStage::SignalMining, || {
         let mined = mine_signals(log, config, &control)?;
 
-        // Persist in ranked order under one write lock; document ids
-        // are interleaving-dependent, so they stay out of the report.
+        // Persist in ranked order; document ids are
+        // interleaving-dependent, so they stay out of the report.
         let mut doc_ids = Vec::with_capacity(mined.signals.len());
-        {
-            let mut db = kdb.write();
-            for signal in &mined.signals {
-                let id = schema::insert_signal_item(&mut db, signal.to_doc(session))
-                    .expect("K-DB insert failed");
-                doc_ids.push(id);
-            }
+        for signal in &mined.signals {
+            let id = schema::insert_signal_item(kdb, signal.to_doc(session))
+                .expect("K-DB insert failed");
+            doc_ids.push(id);
         }
 
         // The feedback loop ranks session-local ordinal ids (index into
@@ -358,7 +355,7 @@ pub fn run_session(
                 &[signal.outcome],
             );
             schema::insert_feedback(
-                &mut kdb.write(),
+                kdb,
                 session,
                 names::SIGNAL_KNOWLEDGE,
                 doc_ids[ordinal],

@@ -409,7 +409,7 @@ impl StreamEngine {
             return Ok(());
         };
         if !self.schema_ready {
-            schema::init_stream_schema(&mut kdb.write())?;
+            schema::init_stream_schema(&kdb)?;
             self.schema_ready = true;
         }
         // ≈ 17 bytes an entry; four `Value::I64`s would be 128.
@@ -439,7 +439,7 @@ impl StreamEngine {
                 "model_fp",
                 self.model_fingerprint().map_or(String::new(), format_fp),
             );
-        schema::insert_stream_window(&mut kdb.write(), doc)?;
+        schema::insert_stream_window(&kdb, doc)?;
         Ok(())
     }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_dataset::{Date, ExamRecord, ExamTypeId, PatientId, StreamOrder};
 use ada_kdb::schema::{self, names};
-use ada_kdb::{Document, Filter, Kdb, SharedKdb, Value};
+use ada_kdb::{Document, Filter, SharedKdb, Value};
 use ada_obs::StreamMetrics;
 use ada_stream::{StreamConfig, StreamEngine};
 
@@ -83,14 +83,14 @@ fn as_array_form(doc: &Document) -> Document {
     doc.clone().with("records", Value::Array(flat))
 }
 
-/// A store holding `docs` verbatim, inserted through `Kdb::insert`.
+/// A store holding `docs` verbatim, inserted without validation.
 fn store_of(docs: impl IntoIterator<Item = Document>) -> SharedKdb {
-    let mut kdb = Kdb::in_memory();
-    schema::init_stream_schema(&mut kdb).unwrap();
+    let kdb = SharedKdb::in_memory();
+    schema::init_stream_schema(&kdb).unwrap();
     for doc in docs {
         kdb.insert(names::STREAM_WINDOWS, doc).unwrap();
     }
-    SharedKdb::new(kdb)
+    kdb
 }
 
 /// One uninterrupted run: its final state and its (packed) checkpoints.

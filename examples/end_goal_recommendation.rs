@@ -16,7 +16,7 @@
 use ada_health::dataset::synthetic::{generate, SyntheticConfig};
 use ada_health::engine::pipeline::{AdaHealth, AdaHealthConfig};
 use ada_health::kdb::schema::names;
-use ada_health::kdb::Kdb;
+use ada_health::kdb::{Kdb, SharedKdb};
 
 fn main() {
     let kdb_path = std::env::temp_dir().join("ada_health_example_kdb.journal");
@@ -36,7 +36,8 @@ fn main() {
     ];
 
     let db = Kdb::open(&kdb_path).expect("open journaled K-DB");
-    let mut engine = AdaHealth::with_kdb(AdaHealthConfig::quick("session-0"), db);
+    let mut engine =
+        AdaHealth::with_shared_kdb(AdaHealthConfig::quick("session-0"), SharedKdb::new(db));
     for (i, &(patients, types, records)) in cohorts.iter().enumerate() {
         let cfg = SyntheticConfig {
             num_patients: patients,

@@ -16,20 +16,20 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ada_health::kdb::{Kdb, Value};
+use ada_health::kdb::{SharedKdb, Value};
 use ada_health::net::proto::{CohortSpec, Request, Response, WireJobSpec};
 use ada_health::net::{AsyncClient, Client, NetConfig, NetServer};
 use ada_health::service::{AnalysisService, ServiceConfig};
 
 fn main() {
     // The "installation": a service on a shared K-DB, served over TCP.
-    let service = Arc::new(AnalysisService::with_kdb(
+    let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 4,
             queue_capacity: 32,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     ));
     let server =
         NetServer::start(Arc::clone(&service), NetConfig::default()).expect("bind loopback");

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use ada_health::dataset::synthetic::{generate, SyntheticConfig};
 use ada_health::engine::{AdaHealthConfig, RunControl};
 use ada_health::kdb::schema::names;
-use ada_health::kdb::{Filter, Kdb};
+use ada_health::kdb::{Filter, SharedKdb};
 use ada_health::service::{AnalysisService, JobSpec, ServiceConfig, SessionState, Workload};
 use ada_health::signals::{mine_signals, SignalConfig};
 
@@ -62,7 +62,7 @@ fn main() {
 
     // As a service workload: same statistics, plus K-DB persistence,
     // the seeded physician feedback loop, and service-level counters.
-    let service = AnalysisService::with_kdb(ServiceConfig::default(), Kdb::in_memory());
+    let service = AnalysisService::new(ServiceConfig::default(), SharedKdb::in_memory());
     let spec = JobSpec::new(AdaHealthConfig::quick("signal-study"), Arc::new(log))
         .workload(Workload::SafetySignals(config));
     let id = service.submit(spec).expect("submit");

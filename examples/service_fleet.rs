@@ -16,19 +16,19 @@ use std::sync::Arc;
 
 use ada_health::dataset::synthetic::{generate, SyntheticConfig};
 use ada_health::engine::pipeline::AdaHealthConfig;
-use ada_health::kdb::Kdb;
+use ada_health::kdb::SharedKdb;
 use ada_health::service::{
     AnalysisService, CancelToken, JobSpec, Priority, ServiceConfig, SessionState,
 };
 
 fn main() {
-    let service = AnalysisService::with_kdb(
+    let service = AnalysisService::new(
         ServiceConfig {
             workers: 4,
             queue_capacity: 32,
             ..ServiceConfig::default()
         },
-        Kdb::in_memory(),
+        SharedKdb::in_memory(),
     );
 
     let cohort = SyntheticConfig {

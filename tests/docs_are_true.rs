@@ -163,6 +163,61 @@ fn module_paths_named_in_the_docs_resolve() {
     assert!(stale.is_empty(), "no such module path: {stale:#?}");
 }
 
+/// `§10`, `§13.2`: every section README, DESIGN, EXPERIMENTS, ROADMAP or
+/// a crate's source cites must be a `## 10.` / `### 13.2` heading of
+/// DESIGN.md. CHANGES.md is history and may cite sections since moved.
+#[test]
+fn section_references_resolve() {
+    let design = std::fs::read_to_string(root().join("DESIGN.md")).unwrap();
+    let is_number = |n: &str| !n.is_empty() && n.split('.').all(|p| p.parse::<u32>().is_ok());
+    let headings: Vec<&str> = design
+        .lines()
+        .filter_map(|line| {
+            let (level, rest) = match line.strip_prefix("### ") {
+                Some(rest) => (3, rest),
+                None => (2, line.strip_prefix("## ")?),
+            };
+            let number = rest.split_whitespace().next()?;
+            let number = if level == 2 {
+                number.strip_suffix('.').filter(|n| !n.contains('.'))?
+            } else {
+                number.split_once('.').map(|_| number)?
+            };
+            is_number(number).then_some(number)
+        })
+        .collect();
+    let mut sources: Vec<(String, String)> =
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"]
+            .iter()
+            .map(|doc| {
+                (
+                    doc.to_string(),
+                    std::fs::read_to_string(root().join(doc)).unwrap(),
+                )
+            })
+            .collect();
+    for file in rust_files() {
+        if file.starts_with("crates/") && file.contains("/src/") {
+            let text = std::fs::read_to_string(root().join(&file)).unwrap();
+            sources.push((file, text));
+        }
+    }
+    let mut stale = Vec::new();
+    for (source, text) in &sources {
+        for after in text.split('§').skip(1) {
+            let end = after
+                .find(|c: char| !c.is_ascii_digit() && c != '.')
+                .unwrap_or(after.len());
+            let cited = after[..end].trim_end_matches('.');
+            if !cited.is_empty() && !headings.contains(&cited) {
+                stale.push(format!("{source}: §{cited}"));
+            }
+        }
+    }
+    assert!(headings.contains(&"13.2"), "DESIGN.md headings not parsed");
+    assert!(stale.is_empty(), "no such DESIGN.md section: {stale:#?}");
+}
+
 /// `ada_net_requests_total`, `ada_queue_wait_ns_count`, `ada_repl_*`:
 /// every metric family, series or `ada_<subsystem>_` prefix the docs
 /// name must be in a fleet node's combined exposition. Crate names

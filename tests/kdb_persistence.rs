@@ -3,7 +3,7 @@
 use ada_health::dataset::synthetic::{generate, SyntheticConfig};
 use ada_health::engine::pipeline::{AdaHealth, AdaHealthConfig};
 use ada_health::kdb::schema::names;
-use ada_health::kdb::{Filter, Kdb};
+use ada_health::kdb::{Filter, Kdb, SharedKdb};
 
 fn cfg() -> SyntheticConfig {
     SyntheticConfig {
@@ -22,7 +22,8 @@ fn session_artifacts_survive_reopen() {
     let (clusters, patterns, feedback);
     {
         let db = Kdb::open(&path).unwrap();
-        let mut engine = AdaHealth::with_kdb(AdaHealthConfig::quick("persist"), db);
+        let mut engine =
+            AdaHealth::with_shared_kdb(AdaHealthConfig::quick("persist"), SharedKdb::new(db));
         let report = engine.run(&generate(&cfg(), 3));
         clusters = report.clusters.len();
         // Pattern knowledge = association rules + compliance items.
@@ -58,7 +59,8 @@ fn multiple_sessions_accumulate_and_compact() {
 
     {
         let db = Kdb::open(&path).unwrap();
-        let mut engine = AdaHealth::with_kdb(AdaHealthConfig::quick("s-a"), db);
+        let mut engine =
+            AdaHealth::with_shared_kdb(AdaHealthConfig::quick("s-a"), SharedKdb::new(db));
         engine.run(&generate(&cfg(), 5));
         engine.run(&generate(&cfg(), 6));
     }
@@ -101,7 +103,8 @@ fn torn_journal_tail_recovers_previous_sessions() {
     std::fs::remove_file(&path).ok();
     {
         let db = Kdb::open(&path).unwrap();
-        let mut engine = AdaHealth::with_kdb(AdaHealthConfig::quick("torn"), db);
+        let mut engine =
+            AdaHealth::with_shared_kdb(AdaHealthConfig::quick("torn"), SharedKdb::new(db));
         engine.run(&generate(&cfg(), 8));
     }
     // Simulate a crash mid-write.
@@ -125,7 +128,8 @@ fn goal_history_reloads_from_reopened_kdb() {
     // Run enough sessions to train the goal-interest model.
     {
         let db = Kdb::open(&path).unwrap();
-        let mut engine = AdaHealth::with_kdb(AdaHealthConfig::quick("hist"), db);
+        let mut engine =
+            AdaHealth::with_shared_kdb(AdaHealthConfig::quick("hist"), SharedKdb::new(db));
         for seed in 0..9 {
             engine.run(&generate(&cfg(), 50 + seed));
         }
@@ -135,7 +139,8 @@ fn goal_history_reloads_from_reopened_kdb() {
     // A fresh engine over the reopened store inherits the history — the
     // model is trained before any new session runs.
     let reopened = Kdb::open(&path).unwrap();
-    let engine = AdaHealth::with_kdb(AdaHealthConfig::quick("hist2"), reopened);
+    let engine =
+        AdaHealth::with_shared_kdb(AdaHealthConfig::quick("hist2"), SharedKdb::new(reopened));
     assert!(
         engine.goal_model_active(),
         "goal model must retrain from persisted session descriptors"
@@ -151,14 +156,16 @@ fn ranker_feedback_reloads_from_reopened_kdb() {
     let recorded;
     {
         let db = Kdb::open(&path).unwrap();
-        let mut engine = AdaHealth::with_kdb(AdaHealthConfig::quick("rank"), db);
+        let mut engine =
+            AdaHealth::with_shared_kdb(AdaHealthConfig::quick("rank"), SharedKdb::new(db));
         let report = engine.run(&generate(&cfg(), 17));
         recorded = report.feedback_recorded;
         assert_eq!(engine.ranker_feedback_count(), recorded);
     }
 
     let reopened = Kdb::open(&path).unwrap();
-    let engine = AdaHealth::with_kdb(AdaHealthConfig::quick("rank2"), reopened);
+    let engine =
+        AdaHealth::with_shared_kdb(AdaHealthConfig::quick("rank2"), SharedKdb::new(reopened));
     assert_eq!(
         engine.ranker_feedback_count(),
         recorded,

@@ -14,12 +14,12 @@ const CEILINGS: [(&str, u64); 12] = [
     ("vsm", 1_149),
     ("metrics", 656),
     ("mining", 3_448),
-    ("kdb", 4_744),
-    ("core", 3_259),
-    ("signals", 784),
+    ("kdb", 4_423),
+    ("core", 3_251),
+    ("signals", 781),
     ("obs", 1_843),
     ("stream", 1_424),
-    ("service", 1_959),
+    ("service", 1_948),
     ("net", 2_711),
     ("fleet", 1_771),
 ];
