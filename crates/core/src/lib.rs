@@ -15,8 +15,7 @@
 //!   ≤ ε% overall-similarity stopping rule;
 //! * [`optimize`] — *data analytics optimization*: the parallel K sweep
 //!   scoring each cluster set with SSE plus a cross-validated classifier
-//!   robustness check, reproducing Table I and its automatic K = 8
-//!   selection;
+//!   robustness check, reproducing Table I and its automatic K = 8 pick;
 //! * [`goals`] — *identification of viable end-goals*: rule-based
 //!   viability over descriptors plus an interest model trained on K-DB
 //!   session history;
@@ -28,6 +27,7 @@
 //!   stage-level observability for long-running sessions;
 //! * [`pipeline`] — the end-to-end orchestrator ([`AdaHealth`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod annotator;

@@ -24,14 +24,14 @@
 //! ```
 //! use ada_dataset::synthetic::{SyntheticConfig, generate};
 //!
-//! // Small dataset for doc-test speed; `SyntheticConfig::paper()` yields
-//! // the full paper-scale dataset.
+//! // Small for doc-test speed; `SyntheticConfig::paper()` is paper scale.
 //! let cfg = SyntheticConfig::small();
 //! let log = generate(&cfg, 42);
 //! assert_eq!(log.num_patients(), cfg.num_patients);
 //! assert!(log.num_records() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dataset;

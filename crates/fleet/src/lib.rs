@@ -35,8 +35,7 @@
 //!   drives this directly.
 //! * [`ship`] — [`ReplListener`] / [`ReplFollower`], the TCP endpoints
 //!   that move the same messages over real sockets with reconnect,
-//!   re-bootstrap, suffix catch-up, and visible rejection of surplus
-//!   followers.
+//!   re-bootstrap, suffix catch-up, and rejection of surplus followers.
 //! * [`router`] — [`Router`], consistent-hash session placement with
 //!   `Busy.retry_after` load feedback, health probes, and deterministic
 //!   primary failover.
@@ -49,6 +48,7 @@
 //! document ids, byte-identical journal, equal state fingerprint — and
 //! a corrupt or gapped stream is always detected and never applied.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

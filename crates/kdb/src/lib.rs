@@ -20,8 +20,7 @@
 //! * [`store`] — a named-collection database with append-only
 //!   [`journal`] persistence, snapshot compaction and crash recovery;
 //! * [`sharded`] — the concurrent face of the store: [`SharedKdb`]
-//!   shards the write path per collection and group-commits the
-//!   journal so independent sessions fsync together;
+//!   shards the write path per collection and group-commits the journal;
 //! * [`schema`] — the six ADA-HEALTH collections with typed helpers.
 //!
 //! Thread safety: wrap a [`Kdb`] in [`SharedKdb::new`] when sharing
@@ -38,6 +37,7 @@
 //! [`Collection`] it names, appended to the journal, then applied, so a
 //! refused append never touches memory.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collection;

@@ -9,13 +9,13 @@
 //!   the quality of discovered clusters") and the **overall similarity**
 //!   interestingness metric ("the internal pairwise similarity of
 //!   patients within each cluster, … the weighted sum over the whole
-//!   cluster set"), plus silhouette and Davies–Bouldin as additional
-//!   indices;
+//!   cluster set"), plus silhouette and Davies–Bouldin indices;
 //! * [`classify`] — accuracy and macro-averaged precision/recall, the
 //!   metrics Table I reports for the decision-tree *robustness* check;
 //! * [`interest`] — support/confidence/lift-style measures that score
 //!   pattern-based knowledge items.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod classify;

@@ -20,18 +20,18 @@
 //! [`KMeans::fit_rows`] and [`KMeans::fit_rows_from`] over a matrix's
 //! non-zero view are the fits the batch pipeline and `ada-stream`'s
 //! window closes run. Beyond the three families above:
-//! [`kmeans::filtering`] is a [`KMeansBackend`] the
-//! Table-I bin reports; [`patterns::apriori`] is the reference
-//! `tests/miner_agreement.rs` checks FP-growth against; [`bayes`],
-//! [`knn`] and [`forest`] are EXPERIMENTS.md's classifier ablations
-//! (`table1 -- bayes|knn|forest`); [`sequences`] serves the
-//! treatment-compliance end-goal (`examples/compliance_audit.rs`);
-//! [`patterns::condense`] belongs to the pattern-mining workload
-//! ROADMAP.md parks. An algorithm with no such caller lives in git
-//! history, not here.
+//! [`kmeans::filtering`] is a [`KMeansBackend`] the Table-I bin reports;
+//! [`patterns::apriori`] is the reference `tests/miner_agreement.rs`
+//! checks FP-growth against; [`bayes`], [`knn`] and [`forest`] are
+//! EXPERIMENTS.md's classifier ablations (`table1 -- bayes|knn|forest`);
+//! [`sequences`] serves the treatment-compliance end-goal
+//! (`examples/compliance_audit.rs`); [`patterns::condense`] belongs to
+//! the pattern-mining workload ROADMAP.md parks. An algorithm with no
+//! such caller lives in git history, not here.
 //!
 //! All algorithms are deterministic given their seeds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bayes;

@@ -35,9 +35,9 @@
 //! Everything is observable: accepts, rejects, protocol errors,
 //! per-kind request counts, and log2 latency/byte histograms through
 //! [`NetMetrics`], exported alongside the service's series by
-//! [`NetServer::snapshot_prometheus`], plus flight-recorder marks for
-//! every network event.
+//! [`NetServer::snapshot_prometheus`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

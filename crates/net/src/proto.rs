@@ -369,7 +369,7 @@ pub enum Request {
 
 /// Every request kind, in the protocol's stable order: the labels of
 /// [`Request::kind`], and what the per-kind server and client metrics
-/// are sized and indexed by. A kind added to [`Request::mark`] is added
+/// are sized and indexed by. A kind added to [`Request::kind`] is added
 /// here (a test walks every variant).
 pub(crate) const REQUEST_KINDS: [&str; 12] = [
     "submit",
@@ -392,28 +392,22 @@ pub(crate) fn kind_index(kind: &str) -> Option<usize> {
 }
 
 impl Request {
-    /// The flight-recorder mark a served request is recorded under:
-    /// `net_req:<kind>`, one static string per kind.
-    pub fn mark(&self) -> &'static str {
-        match self {
-            Request::Submit(_) => "net_req:submit",
-            Request::Status { .. } => "net_req:status",
-            Request::Cancel { .. } => "net_req:cancel",
-            Request::Results { .. } => "net_req:results",
-            Request::PastSessions | Request::PastSessionsPage(_) => "net_req:past_sessions",
-            Request::TraceQuery { .. } | Request::TracePage { .. } => "net_req:trace_query",
-            Request::Health => "net_req:health",
-            Request::MetricsSnapshot => "net_req:metrics",
-            Request::StreamOpen { .. } => "net_req:stream_open",
-            Request::Ingest { .. } => "net_req:ingest",
-            Request::StreamQuery { .. } => "net_req:stream_query",
-            Request::StreamSeal { .. } => "net_req:stream_seal",
-        }
-    }
-
     /// The request's kind tag (also the per-kind metrics label).
     pub fn kind(&self) -> &'static str {
-        &self.mark()["net_req:".len()..]
+        match self {
+            Request::Submit(_) => "submit",
+            Request::Status { .. } => "status",
+            Request::Cancel { .. } => "cancel",
+            Request::Results { .. } => "results",
+            Request::PastSessions | Request::PastSessionsPage(_) => "past_sessions",
+            Request::TraceQuery { .. } | Request::TracePage { .. } => "trace_query",
+            Request::Health => "health",
+            Request::MetricsSnapshot => "metrics",
+            Request::StreamOpen { .. } => "stream_open",
+            Request::Ingest { .. } => "ingest",
+            Request::StreamQuery { .. } => "stream_query",
+            Request::StreamSeal { .. } => "stream_seal",
+        }
     }
 
     /// Encodes the request (under logical id `id`) into frame payload
@@ -1145,7 +1139,6 @@ mod tests {
             page: Page { after: 2, limit: 5 },
         };
         assert_eq!(page.kind(), "trace_query");
-        assert_eq!(page.mark(), "net_req:trace_query");
         assert_eq!(
             page.encode(1),
             b"O5:5:afterI2;2:idI1;4:kindS11:trace_query5:limitI5;7:sessionN"

@@ -24,8 +24,7 @@
 //!   an in-process cancel does, and per-attempt deadlines ride in on
 //!   the submitted spec;
 //! * every accept, reject, protocol error and request is visible
-//!   through [`NetMetrics`] and marked in the service's `ada-obs`
-//!   flight recorder.
+//!   through [`NetMetrics`].
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,16 +40,6 @@ use ada_service::{AnalysisService, ServiceError, SessionId, SessionOutcome, Sess
 use crate::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC, MAX_FRAME_LEN};
 use crate::metrics::NetMetrics;
 use crate::proto::{Request, Response, CONNECTION_ID};
-
-/// Obs mark: a connection was accepted into the pool.
-pub const MARK_NET_ACCEPT: &str = "net_accept";
-/// Obs mark: a connection was rejected (pool full).
-pub const MARK_NET_REJECT: &str = "net_reject";
-/// Obs mark: a framing/protocol violation closed a connection.
-pub const MARK_NET_PROTO_ERR: &str = "net_protocol_error";
-
-/// Session label net marks are recorded under in the flight recorder.
-const NET_SESSION: &str = "net";
 
 /// Tuning knobs for [`NetServer`].
 #[derive(Debug, Clone)]
@@ -214,10 +203,6 @@ fn accept_loop(
         }
         shared.live_connections.fetch_add(1, Ordering::AcqRel);
         shared.metrics.connection_accepted();
-        shared
-            .service
-            .recorder()
-            .mark(NET_SESSION, MARK_NET_ACCEPT, Duration::ZERO);
         let conn_shared = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("ada-net-conn".to_owned())
@@ -247,10 +232,6 @@ fn accept_loop(
 /// connection id, and close.
 fn reject_connection(shared: &ServerShared, mut stream: TcpStream) {
     shared.metrics.connection_rejected();
-    shared
-        .service
-        .recorder()
-        .mark(NET_SESSION, MARK_NET_REJECT, Duration::ZERO);
     let _ = stream.set_write_timeout(Some(shared.config.io_deadline));
     let _ = stream.write_all(MAGIC);
     let payload = Response::Error {
@@ -395,10 +376,6 @@ fn read_magic(shared: &ServerShared, stream: &mut TcpStream) -> bool {
     }
     if got != MAGIC {
         shared.metrics.protocol_error();
-        shared
-            .service
-            .recorder()
-            .mark(NET_SESSION, MARK_NET_PROTO_ERR, Duration::ZERO);
         return false;
     }
     true
@@ -408,10 +385,6 @@ fn read_magic(shared: &ServerShared, stream: &mut TcpStream) -> bool {
 /// before the connection dies.
 fn protocol_error(shared: &ServerShared, stream: &mut TcpStream, seq: &mut u64, detail: &str) {
     shared.metrics.protocol_error();
-    shared
-        .service
-        .recorder()
-        .mark(NET_SESSION, MARK_NET_PROTO_ERR, Duration::ZERO);
     let payload = Response::Error {
         code: "protocol".to_owned(),
         message: detail.to_owned(),
@@ -449,11 +422,9 @@ fn handle_frame(
         }
     };
     let decode_latency = started.elapsed();
-    let (kind, mark) = (request.kind(), request.mark());
+    let kind = request.kind();
     let mut answer = serve_request(shared, request, id, payload.len(), decode_latency);
-    let elapsed = started.elapsed();
-    shared.metrics.request(kind, elapsed);
-    shared.service.recorder().mark(NET_SESSION, mark, elapsed);
+    shared.metrics.request(kind, started.elapsed());
     if answer.len() > MAX_FRAME_LEN {
         // The peer's decoder would kill the connection on this frame.
         answer = Response::Error {

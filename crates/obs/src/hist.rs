@@ -7,7 +7,8 @@
 //! point — so the histogram can sit on hot paths and be shared across
 //! threads behind a plain `&`. Quantiles (p50/p90/p99) come from a
 //! cumulative walk over a snapshot of the buckets and report the
-//! geometric midpoint of the bucket the target count falls in, so they
+//! arithmetic midpoint (1.5·2^i) of the bucket the target count falls
+//! in, so they
 //! carry the bucket's ~2× resolution (exactly what a latency SLO
 //! needs, and the price of never allocating).
 
@@ -118,8 +119,9 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// The representative value at quantile `q` in `[0, 1]`: the
-    /// geometric midpoint of the bucket holding the `ceil(q·count)`-th
-    /// smallest sample. Returns 0 for an empty histogram.
+    /// arithmetic midpoint (1.5·2^i) of the bucket holding the
+    /// `ceil(q·count)`-th smallest sample. Returns 0 for an empty
+    /// histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         let total: u64 = self.buckets.iter().sum();
         if total == 0 {

@@ -7,12 +7,8 @@
 //! service needs to be answerable for what it did — which stages ran,
 //! how long each took, how hard the mining kernels worked, and what
 //! happened to a session that finished yesterday. This crate is that
-//! answerability layer, in three pieces:
+//! answerability layer:
 //!
-//! * [`trace`] — a lock-free span/event tracer: per-thread ring
-//!   buffers, a global atomic sequence for total ordering, monotonic
-//!   timestamps, and parent/child span ids. Cheap enough to stay on
-//!   during mining.
 //! * [`context`] — request-scoped [`TraceContext`] identity
 //!   (128-bit trace id + seeded-deterministic sampling) that crosses
 //!   the ADAN1 wire and is published per worker thread via
@@ -20,11 +16,11 @@
 //!   fsync rounds to the right session.
 //! * [`hist`] — fixed-bucket log2 latency histograms giving p50/p90/p99
 //!   without allocation, replacing total/count pair metrics.
-//! * [`recorder`] — a bounded flight recorder that folds traces into
-//!   per-session span trees, histograms and kernel counters, and on
-//!   terminal state persists one document to the K-DB `sessions`
-//!   collection so a restarted service can answer queries about past
-//!   runs.
+//! * [`recorder`] — the flight recorder: each observer callback folds,
+//!   under one lock, straight into its session's span tree, stage
+//!   histograms and kernel counters (never inside kernel loops), and on
+//!   terminal state one document goes to the K-DB `sessions` collection
+//!   so a restarted service can answer queries about past runs.
 //! * [`export`] — deterministic JSON rendering of K-DB documents for
 //!   the service `snapshot()` endpoint and the CI smoke gate.
 //! * [`metrics`] — the one exposition writer and document builder:
@@ -38,6 +34,7 @@
 //! back into it, so clustering output is byte-identical with the
 //! recorder on or off (property-tested in `tests/determinism.rs`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod context;
@@ -47,16 +44,11 @@ pub mod metrics;
 pub mod recorder;
 pub mod repl;
 pub mod stream;
-pub mod trace;
 
 pub use context::{current_trace, TraceContext, TraceScope};
 pub use export::document_to_json;
 pub use hist::{HistogramSnapshot, Log2Histogram, NUM_BUCKETS};
 pub use metrics::{Metrics, Num, Reading, Series, Summary};
-pub use recorder::{
-    past_sessions, past_traces, FlightRecorder, Page, MARK_CANCELLED, MARK_DEGRADED,
-    MARK_PERSIST_FAIL, MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_RETRY, MARK_SLOW_SESSION,
-};
+pub use recorder::{past_sessions, past_traces, FlightRecorder, Page};
 pub use repl::{FleetMetrics, FleetMetricsSnapshot, ReplMetrics, ReplMetricsSnapshot};
 pub use stream::{StreamMetrics, StreamMetricsSnapshot};
-pub use trace::{EventKind, TraceEvent, Tracer, PARENT_NONE};

@@ -1,30 +1,30 @@
-//! The bounded flight recorder: session-scoped span trees, per-stage
-//! latency histograms, kernel counters, and a capped recent-event log,
-//! persisted to the K-DB `sessions` collection on terminal state.
+//! The flight recorder: session-scoped span trees, per-stage latency
+//! histograms and kernel counters, persisted to the K-DB `sessions`
+//! collection on terminal state.
 //!
 //! A [`FlightRecorder`] sits behind the [`PipelineObserver`] seam of
 //! `ada-core`: stage events become children of a per-session root span,
 //! sub-span events (partial-mining rungs, optimizer sweep points)
 //! become children of the current stage span, and counter events
-//! accumulate into a per-session counter table. Transport is the
-//! lock-free [`Tracer`] — observer callbacks only take the recorder's
-//! bookkeeping mutex at stage/rung granularity, never inside kernel
-//! loops.
+//! accumulate into a per-session counter table. Each callback folds
+//! straight into its session's one record under the recorder's lock —
+//! taken once per stage, rung, sweep point or counter batch, never
+//! inside kernel loops.
 //!
-//! On a session's terminal state, [`FlightRecorder::finalize`] folds
-//! everything into one K-DB [`Document`] matching
+//! On a session's terminal state, [`FlightRecorder::finalize`] removes
+//! the record and folds it into one K-DB [`Document`] matching
 //! [`ada_kdb::schema::validate_session_doc`]: a `spans` array in
-//! deterministic pre-order (children sorted by `(name, seq)`, parents
-//! always at earlier indexes), a `stages` array of histogram quantiles,
-//! and a `counters` sub-document. The document is stable across runs
-//! modulo timestamps, so a restarted service can diff past sessions.
-//! A sampled session's record also carries its `trace_id` and `forced`
-//! flag, and its span tree then holds the wire and commit spans too:
-//! the trace is the session record, listed by [`past_traces`].
+//! deterministic pre-order (children sorted by `(name, start order)`,
+//! parents always at earlier indexes), a `stages` array of histogram
+//! quantiles, and a `counters` sub-document. The document is stable
+//! across runs modulo timestamps, so a restarted service can diff past
+//! sessions. A sampled session's record also carries its `trace_id`
+//! and `forced` flag, and its span tree then holds the wire and commit
+//! spans too: the trace is the session record, listed by
+//! [`past_traces`].
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::{BTreeMap, HashMap};
+use std::time::{Duration, Instant};
 
 use ada_core::control::{PipelineObserver, PipelineStage};
 use ada_kdb::schema;
@@ -33,110 +33,130 @@ use parking_lot::Mutex;
 
 use crate::context::TraceContext;
 use crate::hist::Log2Histogram;
-use crate::trace::{EventKind, TraceEvent, Tracer, PARENT_NONE};
 
-/// Mark name for time a job spent queued before a worker picked it up.
-pub const MARK_QUEUE_WAIT: &str = "queue_wait";
-/// Mark name for a retry of a failed run.
-pub const MARK_RETRY: &str = "retry";
-/// Mark name for an observed cancellation request.
-pub const MARK_CANCELLED: &str = "cancel_requested";
-/// Mark name for a terminal session record that failed to persist to
-/// the K-DB (best-effort write lost — the flight recorder is then the
-/// only trace of the session).
-pub const MARK_PERSIST_FAIL: &str = "persist_fail";
-/// Mark name for the service entering degraded read-only mode after
-/// repeated journal faults.
-pub const MARK_DEGRADED: &str = "degraded";
-/// Mark name for a session whose wall time crossed the slow-session
-/// threshold (p99-derived); its trace is forced retroactively.
-pub const MARK_SLOW_SESSION: &str = "slow_session";
-/// Mark name for a follower promoted to primary at its acked
-/// watermark.
-pub const MARK_PROMOTED: &str = "promoted";
+/// The index of a session's root span in [`Session::spans`].
+const ROOT: usize = 0;
 
-/// Producer-side parentage bookkeeping for one in-flight session.
-struct LiveSession {
-    label: Arc<str>,
-    root: u64,
-    stage: Option<(PipelineStage, u64)>,
-    open: Vec<(PipelineStage, Arc<str>, u64)>,
-}
-
-/// One span reconstructed from Start/End events.
-struct SpanRec {
-    name: Arc<str>,
-    parent: u64,
-    seq: u64,
+/// One span of a session's tree. Its id is its index in
+/// [`Session::spans`], which is also its start order.
+struct Span {
+    name: String,
+    parent: usize,
     start_ns: u64,
     dur_ns: Option<u64>,
+    /// Attributes from [`FlightRecorder::trace_annotation`] (fsync batch
+    /// sizes, leader role, wire span ids); a repeated key keeps its last
+    /// value.
+    attrs: Vec<(&'static str, u64)>,
 }
 
-/// Everything folded so far for one session.
+/// Everything recorded for one in-flight session.
 #[derive(Default)]
-struct SessionRec {
-    events: VecDeque<TraceEvent>,
-    spans: BTreeMap<u64, SpanRec>,
-    /// Per-span attributes from [`EventKind::Annotate`] events (fsync
-    /// batch sizes, leader role, wire span ids). Replace semantics.
-    span_attrs: BTreeMap<u64, BTreeMap<&'static str, u64>>,
-    root: Option<u64>,
+struct Session {
+    /// The span tree; the root is opened with the first span.
+    spans: Vec<Span>,
+    /// The open stage span.
+    stage: Option<(PipelineStage, usize)>,
+    /// Open sub-spans (rungs, sweep points).
+    open: Vec<(PipelineStage, usize)>,
     stage_hist: [Log2Histogram; PipelineStage::ALL.len()],
     counters: BTreeMap<&'static str, u64>,
     queue_wait_ns: u64,
     retries: u64,
+    /// The registered trace context and whether it was forced.
+    trace: Option<(TraceContext, bool)>,
+}
+
+impl Session {
+    /// Opens a span under `parent` at `now`, opening the root first on
+    /// the session's first span. Returns the span id.
+    fn start(&mut self, name: &str, parent: usize, now: u64) -> usize {
+        if self.spans.is_empty() {
+            self.spans.push(Span::new("session", ROOT, now));
+        }
+        self.spans.push(Span::new(name, parent, now));
+        self.spans.len() - 1
+    }
+
+    /// Closes span `id` after `dur_ns`, recording the duration in
+    /// `stage`'s histogram when it has one.
+    fn end(&mut self, id: usize, stage: Option<PipelineStage>, dur_ns: u64) {
+        self.spans[id].dur_ns = Some(dur_ns);
+        if let Some(stage) = stage {
+            self.stage_hist[stage.index()].record(dur_ns);
+        }
+    }
+
+    /// Records a closed root-parented span with attributes.
+    fn annotate(&mut self, name: &str, now: u64, dur: Duration, attrs: &[(&'static str, u64)]) {
+        let id = self.start(name, ROOT, now);
+        self.spans[id].attrs = attrs.to_vec();
+        self.end(id, None, nanos(dur));
+    }
+}
+
+impl Span {
+    fn new(name: &str, parent: usize, start_ns: u64) -> Self {
+        Self {
+            name: name.to_owned(),
+            parent,
+            start_ns,
+            dur_ns: None,
+            attrs: Vec::new(),
+        }
+    }
 }
 
 /// The session flight recorder (see the module docs).
 pub struct FlightRecorder {
-    tracer: Tracer,
-    /// Last-N cap on the per-session recent-event log.
-    capacity: usize,
-    root_name: Arc<str>,
-    counters_name: Arc<str>,
-    live: Mutex<HashMap<String, LiveSession>>,
-    folded: Mutex<HashMap<String, SessionRec>>,
-    /// Registered trace contexts by session: `(context, forced)`.
-    traces: Mutex<HashMap<String, (TraceContext, bool)>>,
+    /// Span timestamps are nanoseconds since this instant.
+    epoch: Instant,
+    sessions: Mutex<HashMap<String, Session>>,
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FlightRecorder {
-    /// A recorder keeping the last `capacity` events per session (the
-    /// span tree, histograms, and counters are folded from *all*
-    /// events; only the raw recent-event log is capped).
-    pub fn new(capacity: usize) -> Self {
+    /// An empty recorder.
+    pub fn new() -> Self {
         Self {
-            tracer: Tracer::new(8192),
-            capacity: capacity.max(1),
-            root_name: Arc::from("session"),
-            counters_name: Arc::from("counters"),
-            live: Mutex::new(HashMap::new()),
-            folded: Mutex::new(HashMap::new()),
-            traces: Mutex::new(HashMap::new()),
+            epoch: Instant::now(),
+            sessions: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The underlying tracer (tests and the service snapshot use it).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    /// Runs `fold` on `session`'s record (created if absent) under the
+    /// lock, with the current time in nanoseconds since the epoch.
+    fn with(&self, session: &str, fold: impl FnOnce(&mut Session, u64)) {
+        let mut sessions = self.sessions.lock();
+        if !sessions.contains_key(session) {
+            sessions.insert(session.to_owned(), Session::default());
+        }
+        let now = nanos(self.epoch.elapsed());
+        fold(sessions.get_mut(session).expect("inserted above"), now)
     }
 
-    /// Total events lost to ring overflow so far.
-    pub fn dropped(&self) -> u64 {
-        self.tracer.dropped()
+    /// Runs `fold` on `session`'s record under the lock; nothing when
+    /// the session has no record.
+    fn with_existing(&self, session: &str, fold: impl FnOnce(&mut Session)) {
+        if let Some(rec) = self.sessions.lock().get_mut(session) {
+            fold(rec);
+        }
     }
 
-    /// Records a service-level point event for `session` —
-    /// [`MARK_QUEUE_WAIT`] (with the wait as the duration),
-    /// [`MARK_RETRY`], [`MARK_CANCELLED`].
-    pub fn mark(&self, session: &str, name: &str, duration: Duration) {
-        let dur_ns = nanos(duration);
-        self.tracer.emit(
-            &Arc::from(session),
-            None,
-            &Arc::from(name),
-            EventKind::Mark { dur_ns },
-        );
+    /// Adds `wait` to the time `session` spent queued before a worker
+    /// picked it up.
+    pub fn queue_wait(&self, session: &str, wait: Duration) {
+        self.with(session, |rec, _| rec.queue_wait_ns += nanos(wait));
+    }
+
+    /// Counts one retry of a failed run of `session`.
+    pub fn retry(&self, session: &str) {
+        self.with(session, |rec, _| rec.retries += 1);
     }
 
     /// Registers the [`TraceContext`] under which `session` runs. A
@@ -146,24 +166,21 @@ impl FlightRecorder {
     /// the span that minted the context on the client. Re-registering
     /// an already-known session only updates the context.
     pub fn set_trace(&self, session: &str, ctx: TraceContext, forced: bool) {
-        let fresh = self
-            .traces
-            .lock()
-            .insert(session.to_string(), (ctx, forced))
-            .is_none();
-        if fresh && ctx.sampled && !forced {
-            self.trace_annotation(
-                session,
-                "client_submit",
-                Duration::ZERO,
-                &[("wire_span_id", ctx.span_id)],
-            );
-        }
+        self.with(session, |rec, now| {
+            let fresh = rec.trace.replace((ctx, forced)).is_none();
+            if fresh && ctx.sampled && !forced {
+                let attrs = [("wire_span_id", ctx.span_id)];
+                rec.annotate("client_submit", now, Duration::ZERO, &attrs);
+            }
+        });
     }
 
     /// Whether a trace context is registered for `session`.
     pub fn has_trace(&self, session: &str) -> bool {
-        self.traces.lock().contains_key(session)
+        self.sessions
+            .lock()
+            .get(session)
+            .is_some_and(|rec| rec.trace.is_some())
     }
 
     /// Records a root-parented span for `session` with attached
@@ -178,168 +195,20 @@ impl FlightRecorder {
         duration: Duration,
         attrs: &[(&'static str, u64)],
     ) {
-        let name: Arc<str> = Arc::from(name);
-        let (label, span) = self.start_span(session, None, &name, |entry, _| entry.root);
-        if !attrs.is_empty() {
-            let pairs = attrs.to_vec();
-            let annotate = EventKind::Annotate { span, pairs };
-            self.tracer.emit(&label, None, &name, annotate);
-        }
-        let dur_ns = nanos(duration);
-        self.tracer
-            .emit(&label, None, &name, EventKind::End { span, dur_ns });
+        self.with(session, |rec, now| rec.annotate(name, now, duration, attrs));
     }
 
-    /// Opens a span named `name` for `session` and returns the session
-    /// label and the span id. `attach` records the span in the live
-    /// entry (under the bookkeeping lock) and returns its parent.
-    fn start_span(
-        &self,
-        session: &str,
-        stage: Option<PipelineStage>,
-        name: &Arc<str>,
-        attach: impl FnOnce(&mut LiveSession, u64) -> u64,
-    ) -> (Arc<str>, u64) {
-        let mut live = self.live.lock();
-        if !live.contains_key(session) {
-            // The session's first span: open its root.
-            let label: Arc<str> = Arc::from(session);
-            let root = self.tracer.next_span_id();
-            self.tracer.emit(
-                &label,
-                None,
-                &self.root_name,
-                EventKind::Start {
-                    span: root,
-                    parent: PARENT_NONE,
-                },
-            );
-            live.insert(
-                session.to_owned(),
-                LiveSession {
-                    label,
-                    root,
-                    stage: None,
-                    open: Vec::new(),
-                },
-            );
-        }
-        let entry = live.get_mut(session).expect("inserted above");
-        let span = self.tracer.next_span_id();
-        let parent = attach(entry, span);
-        let label = Arc::clone(&entry.label);
-        drop(live);
-        self.tracer
-            .emit(&label, stage, name, EventKind::Start { span, parent });
-        (label, span)
-    }
-
-    /// Closes, after `elapsed`, the span of `session` that `detach`
-    /// removes from the live entry (under the bookkeeping lock) and
-    /// returns as `(name, span id)`; nothing when it returns `None`.
-    fn end_span(
-        &self,
-        session: &str,
-        stage: PipelineStage,
-        elapsed: Duration,
-        detach: impl FnOnce(&mut LiveSession) -> Option<(Arc<str>, u64)>,
-    ) {
-        let mut live = self.live.lock();
-        let Some((label, (name, span))) = live
-            .get_mut(session)
-            .and_then(|entry| Some((Arc::clone(&entry.label), detach(entry)?)))
-        else {
-            return;
-        };
-        drop(live);
-        let dur_ns = nanos(elapsed);
-        self.tracer
-            .emit(&label, Some(stage), &name, EventKind::End { span, dur_ns });
-    }
-
-    /// Drains the tracer and folds every drained event into the
-    /// per-session records. Cheap when nothing is pending; called by
-    /// the accessors and by [`FlightRecorder::finalize`].
-    pub fn sync(&self) {
-        let drained = self.tracer.drain();
-        if drained.is_empty() {
-            return;
-        }
-        let mut folded = self.folded.lock();
-        for event in drained {
-            let rec = folded.entry(event.session.to_string()).or_default();
-            match &event.kind {
-                EventKind::Start { span, parent } => {
-                    if *parent == PARENT_NONE {
-                        rec.root = Some(*span);
-                    }
-                    rec.spans.insert(
-                        *span,
-                        SpanRec {
-                            name: Arc::clone(&event.name),
-                            parent: *parent,
-                            seq: event.seq,
-                            start_ns: event.t_ns,
-                            dur_ns: None,
-                        },
-                    );
-                }
-                EventKind::End { span, dur_ns } => {
-                    if let Some(span) = rec.spans.get_mut(span) {
-                        span.dur_ns = Some(*dur_ns);
-                    }
-                    if let Some(stage) = event.stage {
-                        rec.stage_hist[stage.index()].record(*dur_ns);
-                    }
-                }
-                EventKind::Mark { dur_ns } => match &*event.name {
-                    MARK_QUEUE_WAIT => rec.queue_wait_ns += dur_ns,
-                    MARK_RETRY => rec.retries += 1,
-                    _ => {}
-                },
-                EventKind::Counters { pairs } => {
-                    for (key, value) in pairs {
-                        *rec.counters.entry(key).or_default() += value;
-                    }
-                }
-                EventKind::Annotate { span, pairs } => {
-                    let attrs = rec.span_attrs.entry(*span).or_default();
-                    for (key, value) in pairs {
-                        attrs.insert(key, *value);
-                    }
-                }
-            }
-            rec.events.push_back(event);
-            while rec.events.len() > self.capacity {
-                rec.events.pop_front();
-            }
-        }
-    }
-
-    /// The capped recent-event log for `session`, in sequence order.
-    pub fn recent_events(&self, session: &str) -> Vec<TraceEvent> {
-        self.sync();
-        self.folded
-            .lock()
-            .get(session)
-            .map(|rec| rec.events.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Folds everything recorded for `session` into its terminal K-DB
-    /// document and forgets the session. `state` must be one of
+    /// Removes everything recorded for `session` and folds it into its
+    /// terminal K-DB document. `state` must be one of
     /// [`schema::SESSION_TERMINAL_STATES`] for the document to pass
     /// validation; `outcome` is a free-form detail string (empty to
     /// omit). When a sampled [`TraceContext`] was registered for
     /// `session`, the document also carries its `trace_id` and `forced`
     /// flag: a sampled session's trace *is* its session record.
     pub fn finalize(&self, session: &str, state: &str, outcome: &str) -> Document {
-        self.sync();
-        self.live.lock().remove(session);
-        let rec = self.folded.lock().remove(session).unwrap_or_default();
-        let trace = self.traces.lock().remove(session);
-        let doc = build_session_doc(session, state, outcome, &rec, self.tracer.dropped());
-        match trace.filter(|(ctx, _)| ctx.sampled) {
+        let rec = self.sessions.lock().remove(session).unwrap_or_default();
+        let doc = build_session_doc(session, state, outcome, &rec);
+        match rec.trace.filter(|(ctx, _)| ctx.sampled) {
             Some((ctx, forced)) => doc
                 .with("trace_id", ctx.trace_id_hex().as_str())
                 .with("forced", forced),
@@ -433,83 +302,64 @@ fn as_i64(v: u64) -> i64 {
     i64::try_from(v).unwrap_or(i64::MAX)
 }
 
-/// Folds a session's reconstructed spans into the deterministic
-/// `spans` array of its session document: pre-order DFS
-/// from the root with children sorted by `(name, seq)`, so parent
-/// indexes always point at earlier array positions. Spans that were
-/// annotated carry an `attrs` sub-document.
-fn build_span_array(rec: &SessionRec) -> Vec<Value> {
-    let mut spans = Vec::new();
-    let Some(root) = rec.root else {
-        return spans;
+/// Folds a session's spans into the deterministic `spans` array of its
+/// session document: pre-order DFS from the root with children sorted
+/// by `(name, start order)`, so parent indexes always point at earlier
+/// array positions. Spans that were annotated carry an `attrs`
+/// sub-document.
+fn build_span_array(spans: &[Span]) -> Vec<Value> {
+    let Some(root) = spans.first() else {
+        return Vec::new();
     };
-    let base = rec.spans.get(&root).map(|s| s.start_ns).unwrap_or(0);
+    let base = root.start_ns;
     // The root closes at finalize: its duration is the extent of
     // its deepest-reaching descendant.
-    let extent = rec
-        .spans
-        .values()
-        .map(|s| (s.start_ns.saturating_sub(base)) + s.dur_ns.unwrap_or(0))
+    let extent = spans
+        .iter()
+        .map(|s| s.start_ns.saturating_sub(base) + s.dur_ns.unwrap_or(0))
         .max()
         .unwrap_or(0);
-    // Child spans grouped by parent id as `(name, seq, span id)`.
-    type ChildIndex<'a> = BTreeMap<u64, Vec<(&'a Arc<str>, u64, u64)>>;
-    let mut children: ChildIndex<'_> = BTreeMap::new();
-    for (&id, span) in &rec.spans {
-        if id != root {
-            children
-                .entry(span.parent)
-                .or_default()
-                .push((&span.name, span.seq, id));
-        }
+    // Child ids by parent, in start order; the stable sort by name
+    // keeps start order among equal names.
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
+    for (id, span) in spans.iter().enumerate().skip(1) {
+        children[span.parent].push(id);
     }
-    for list in children.values_mut() {
-        list.sort_by(|a, b| a.0.cmp(b.0).then(a.1.cmp(&b.1)));
+    for list in &mut children {
+        list.sort_by(|&a, &b| spans[a].name.cmp(&spans[b].name));
     }
-    let mut stack: Vec<(u64, i64)> = vec![(root, -1)];
+    let mut out = Vec::with_capacity(spans.len());
+    let mut stack: Vec<(usize, i64)> = vec![(ROOT, -1)];
     while let Some((id, parent_idx)) = stack.pop() {
-        let Some(span) = rec.spans.get(&id) else {
-            continue;
-        };
-        let idx = spans.len() as i64;
-        let dur = if id == root {
-            span.dur_ns.unwrap_or(extent)
-        } else {
-            span.dur_ns.unwrap_or(0)
-        };
+        let span = &spans[id];
+        let idx = out.len() as i64;
+        let dur = span.dur_ns.unwrap_or(if id == ROOT { extent } else { 0 });
         let mut span_doc = Document::new()
-            .with("name", &*span.name)
+            .with("name", span.name.as_str())
             .with("parent", parent_idx)
             .with("start_ns", as_i64(span.start_ns.saturating_sub(base)))
             .with("dur_ns", as_i64(dur));
-        if let Some(attrs) = rec.span_attrs.get(&id) {
+        if !span.attrs.is_empty() {
             let mut attr_doc = Document::new();
-            for (&key, &value) in attrs {
+            for &(key, value) in &span.attrs {
                 attr_doc.set(key, as_i64(value));
             }
             span_doc = span_doc.with("attrs", Value::Doc(attr_doc));
         }
-        spans.push(Value::Doc(span_doc));
-        if let Some(kids) = children.get(&id) {
-            // Reversed so the (name, seq)-smallest child pops first.
-            for &(_, _, kid) in kids.iter().rev() {
-                stack.push((kid, idx));
-            }
+        out.push(Value::Doc(span_doc));
+        // Reversed so the (name, start)-smallest child pops first.
+        for &kid in children[id].iter().rev() {
+            stack.push((kid, idx));
         }
     }
-    spans
+    out
 }
 
 /// Builds the terminal session document (see the module docs for the
-/// shape).
-fn build_session_doc(
-    session: &str,
-    state: &str,
-    outcome: &str,
-    rec: &SessionRec,
-    dropped: u64,
-) -> Document {
-    let spans = build_span_array(rec);
+/// shape). `events_dropped` is kept for readers of older records and
+/// always reads 0: the recorder loses no event.
+fn build_session_doc(session: &str, state: &str, outcome: &str, rec: &Session) -> Document {
+    let spans = build_span_array(&rec.spans);
 
     let mut stages = Vec::new();
     for stage in PipelineStage::ALL {
@@ -538,7 +388,7 @@ fn build_session_doc(
         .with("state", state)
         .with("queue_wait_ns", as_i64(rec.queue_wait_ns))
         .with("retries", as_i64(rec.retries))
-        .with("events_dropped", as_i64(dropped))
+        .with("events_dropped", 0i64)
         .with("spans", Value::Array(spans))
         .with("stages", Value::Array(stages))
         .with("counters", Value::Doc(counters));
@@ -550,55 +400,54 @@ fn build_session_doc(
 
 impl PipelineObserver for FlightRecorder {
     fn on_stage_start(&self, session: &str, stage: PipelineStage) {
-        let name = Arc::from(stage.name());
-        self.start_span(session, Some(stage), &name, |entry, span| {
-            entry.stage = Some((stage, span));
-            entry.root
+        self.with(session, |rec, now| {
+            let id = rec.start(stage.name(), ROOT, now);
+            rec.stage = Some((stage, id));
         });
     }
 
     fn on_stage_end(&self, session: &str, stage: PipelineStage, elapsed: Duration) {
-        self.end_span(session, stage, elapsed, |entry| {
-            let (_, span) = entry.stage.take_if(|(s, _)| *s == stage)?;
-            Some((Arc::from(stage.name()), span))
-        });
-    }
-
-    fn on_span_start(&self, session: &str, stage: PipelineStage, name: &str) {
-        let name: Arc<str> = Arc::from(name);
-        self.start_span(session, Some(stage), &name, |entry, span| {
-            entry.open.push((stage, Arc::clone(&name), span));
-            match entry.stage {
-                Some((s, id)) if s == stage => id,
-                _ => entry.root,
+        self.with_existing(session, |rec| {
+            if let Some((_, id)) = rec.stage.take_if(|(s, _)| *s == stage) {
+                rec.end(id, Some(stage), nanos(elapsed));
             }
         });
     }
 
-    fn on_span_end(&self, session: &str, stage: PipelineStage, name: &str, elapsed: Duration) {
-        self.end_span(session, stage, elapsed, |entry| {
-            // Open sub-span names of one session are distinct at any
-            // instant (the observer contract), so last-match pairing is
-            // exact.
-            let pos = entry
-                .open
-                .iter()
-                .rposition(|(s, n, _)| *s == stage && **n == *name)?;
-            let (_, name, span) = entry.open.remove(pos);
-            Some((name, span))
+    fn on_span_start(&self, session: &str, stage: PipelineStage, name: &str) {
+        self.with(session, |rec, now| {
+            let parent = match rec.stage {
+                Some((s, id)) if s == stage => id,
+                _ => ROOT,
+            };
+            let id = rec.start(name, parent, now);
+            rec.open.push((stage, id));
         });
     }
 
-    fn on_counters(&self, session: &str, stage: PipelineStage, counters: &[(&'static str, u64)]) {
-        let label: Arc<str> = Arc::from(session);
-        self.tracer.emit(
-            &label,
-            Some(stage),
-            &self.counters_name,
-            EventKind::Counters {
-                pairs: counters.to_vec(),
-            },
-        );
+    fn on_span_end(&self, session: &str, stage: PipelineStage, name: &str, elapsed: Duration) {
+        self.with_existing(session, |rec| {
+            // Open sub-span names of one session are distinct at any
+            // instant (the observer contract), so last-match pairing is
+            // exact.
+            let spans = &rec.spans;
+            let pos = rec
+                .open
+                .iter()
+                .rposition(|&(s, id)| s == stage && spans[id].name == name);
+            if let Some(pos) = pos {
+                let (_, id) = rec.open.remove(pos);
+                rec.end(id, Some(stage), nanos(elapsed));
+            }
+        });
+    }
+
+    fn on_counters(&self, session: &str, _stage: PipelineStage, counters: &[(&'static str, u64)]) {
+        self.with(session, |rec, _| {
+            for &(key, value) in counters {
+                *rec.counters.entry(key).or_default() += value;
+            }
+        });
     }
 }
 
@@ -607,7 +456,7 @@ mod tests {
     use super::*;
 
     fn drive_one_session(rec: &FlightRecorder, session: &str) {
-        rec.mark(session, MARK_QUEUE_WAIT, Duration::from_micros(150));
+        rec.queue_wait(session, Duration::from_micros(150));
         rec.on_stage_start(session, PipelineStage::Characterize);
         rec.on_stage_end(
             session,
@@ -635,7 +484,7 @@ mod tests {
 
     #[test]
     fn session_folds_into_a_valid_document() {
-        let rec = FlightRecorder::new(128);
+        let rec = FlightRecorder::new();
         drive_one_session(&rec, "s1");
         let doc = rec.finalize("s1", "completed", "ok");
         schema::validate_session_doc(&doc).unwrap();
@@ -668,7 +517,7 @@ mod tests {
         assert_eq!(
             doc.get("queue_wait_ns").unwrap().as_i64(),
             Some(150_000),
-            "queue-wait mark folds into the document"
+            "queue wait folds into the document"
         );
 
         let stages = doc.get("stages").unwrap().as_array().unwrap();
@@ -708,12 +557,12 @@ mod tests {
             out
         };
         let doc_a = {
-            let rec = FlightRecorder::new(128);
+            let rec = FlightRecorder::new();
             drive_one_session(&rec, "s");
             rec.finalize("s", "completed", "")
         };
         let doc_b = {
-            let rec = FlightRecorder::new(128);
+            let rec = FlightRecorder::new();
             drive_one_session(&rec, "s");
             rec.finalize("s", "completed", "")
         };
@@ -724,7 +573,7 @@ mod tests {
     fn persist_and_query_past_sessions() {
         let db = SharedKdb::in_memory();
         schema::init_schema(&db).unwrap();
-        let rec = FlightRecorder::new(128);
+        let rec = FlightRecorder::new();
         drive_one_session(&rec, "a");
         drive_one_session(&rec, "b");
         rec.persist(&db, "a", "completed", "").unwrap();
@@ -752,8 +601,8 @@ mod tests {
     }
 
     #[test]
-    fn event_log_is_capped_but_aggregates_are_not() {
-        let rec = FlightRecorder::new(4);
+    fn counters_fold_every_event() {
+        let rec = FlightRecorder::new();
         for i in 0..50 {
             rec.on_counters(
                 "s",
@@ -761,7 +610,6 @@ mod tests {
                 &[("rows_scanned", i as u64)],
             );
         }
-        assert_eq!(rec.recent_events("s").len(), 4, "log capped at capacity");
         let total: u64 = (0..50).sum();
         let doc = rec.finalize("s", "completed", "");
         let counters = doc.get("counters").and_then(Value::as_doc).unwrap();
@@ -772,8 +620,36 @@ mod tests {
     }
 
     #[test]
+    fn short_lived_threads_leave_no_state_once_finalized() {
+        // A parallel sweep reports each `sweep:k=…` span from a thread of
+        // its own that exits before the session ends. Once a session is
+        // finalized the recorder holds nothing for it, however many
+        // threads reported into it.
+        let rec = FlightRecorder::new();
+        for i in 0..20 {
+            let session = format!("s{i}");
+            rec.on_stage_start(&session, PipelineStage::Optimize);
+            std::thread::scope(|scope| {
+                for k in [2, 4, 8] {
+                    let (rec, session) = (&rec, session.as_str());
+                    scope.spawn(move || {
+                        let name = format!("sweep:k={k}");
+                        rec.on_span_start(session, PipelineStage::Optimize, &name);
+                        rec.on_counters(session, PipelineStage::Optimize, &[("iterations", k)]);
+                        rec.on_span_end(session, PipelineStage::Optimize, &name, Duration::ZERO);
+                    });
+                }
+            });
+            rec.on_stage_end(&session, PipelineStage::Optimize, Duration::ZERO);
+            let doc = rec.finalize(&session, "completed", "");
+            assert_eq!(doc.get("spans").unwrap().as_array().unwrap().len(), 5);
+            assert!(rec.sessions.lock().is_empty(), "session {i} left state");
+        }
+    }
+
+    #[test]
     fn empty_session_still_yields_a_valid_terminal_document() {
-        let rec = FlightRecorder::new(8);
+        let rec = FlightRecorder::new();
         let doc = rec.finalize("ghost", "cancelled", "cancelled before start");
         schema::validate_session_doc(&doc).unwrap();
         assert!(doc.get("spans").unwrap().as_array().unwrap().is_empty());
@@ -781,14 +657,14 @@ mod tests {
 
     #[test]
     fn unmatched_stage_end_is_ignored() {
-        let rec = FlightRecorder::new(8);
+        let rec = FlightRecorder::new();
         rec.on_stage_end("s", PipelineStage::Navigation, Duration::from_nanos(5));
-        assert!(rec.recent_events("s").is_empty());
+        assert!(rec.sessions.lock().is_empty());
     }
 
     #[test]
     fn sampled_trace_folds_into_a_valid_session_document() {
-        let rec = FlightRecorder::new(128);
+        let rec = FlightRecorder::new();
         let ctx = TraceContext {
             span_id: 42,
             ..TraceContext::forced(7, "t1")
@@ -840,16 +716,15 @@ mod tests {
     #[test]
     fn unregistered_or_forced_sessions_behave() {
         // No registered context: no trace fields.
-        let rec = FlightRecorder::new(64);
+        let rec = FlightRecorder::new();
         drive_one_session(&rec, "plain");
         let plain = rec.finalize("plain", "completed", "");
         assert!(plain.get("trace_id").is_none() && plain.get("forced").is_none());
 
-        // Forced retroactively (slow-session log): the buffered spans
+        // Forced retroactively (slow-session log): the recorded spans
         // are all still there, and no client_submit span is invented.
-        let rec = FlightRecorder::new(64);
+        let rec = FlightRecorder::new();
         drive_one_session(&rec, "slow");
-        rec.mark("slow", MARK_SLOW_SESSION, Duration::from_millis(900));
         rec.set_trace("slow", TraceContext::forced(5, "slow"), true);
         let trace = rec.finalize("slow", "completed", "");
         schema::validate_session_doc(&trace).unwrap();
@@ -862,7 +737,7 @@ mod tests {
             .iter()
             .map(|s| s.as_doc().unwrap().get("name").unwrap().as_str().unwrap())
             .collect();
-        assert!(names.contains(&"optimize"), "buffered spans survive");
+        assert!(names.contains(&"optimize"), "recorded spans survive");
         assert!(!names.contains(&"client_submit"));
     }
 
@@ -870,7 +745,7 @@ mod tests {
     fn persist_writes_and_queries_trace_records() {
         let db = SharedKdb::in_memory();
         schema::init_schema(&db).unwrap();
-        let rec = FlightRecorder::new(128);
+        let rec = FlightRecorder::new();
         drive_one_session(&rec, "a");
         rec.set_trace("a", TraceContext::forced(1, "a"), false);
         drive_one_session(&rec, "b");

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use ada_core::{AdaHealth, AdaHealthConfig, RunControl};
+use ada_core::{AdaHealth, AdaHealthConfig, PipelineStage, RunControl};
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_mining::kmeans::KMeans;
 use ada_obs::FlightRecorder;
@@ -56,16 +56,23 @@ proptest! {
             .run_controlled(&log, &RunControl::new())
             .expect("unobserved run completes");
 
-        let recorder = Arc::new(FlightRecorder::new(256));
+        let recorder = Arc::new(FlightRecorder::new());
         let control = RunControl::new().with_observer(recorder.clone());
         let report_on = AdaHealth::new(config)
             .run_controlled(&log, &control)
             .expect("observed run completes");
 
         prop_assert_eq!(&report_off, &report_on);
-        // And the recorder actually saw the run.
-        let events = recorder.recent_events(&format!("det-{seed}"));
-        prop_assert!(!events.is_empty(), "recorder saw no events");
-        prop_assert_eq!(recorder.dropped(), 0);
+        // And the recorder actually saw the run: its record holds a
+        // span for each of the seven stages.
+        let doc = recorder.finalize(&format!("det-{seed}"), "completed", "");
+        let spans = doc.get("spans").and_then(ada_kdb::Value::as_array).unwrap();
+        for stage in PipelineStage::PIPELINE {
+            let named = |s: &&ada_kdb::Value| {
+                s.as_doc().and_then(|d| d.get("name")).and_then(ada_kdb::Value::as_str)
+                    == Some(stage.name())
+            };
+            prop_assert_eq!(spans.iter().filter(named).count(), 1, "{} span", stage);
+        }
     }
 }

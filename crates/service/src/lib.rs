@@ -28,6 +28,7 @@
 //! of the same configuration and seed — concurrency changes wall-clock,
 //! never results.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cancel;

@@ -276,9 +276,9 @@ pub struct ServiceMetrics {
     pub traces_persisted: u64,
     /// Traces forced retroactively by the slow-session log.
     pub traces_forced: u64,
-    /// Span events lost to flight-recorder ring overflow. Filled in by
-    /// `AnalysisService::metrics`; zero when the observer is
-    /// snapshotted directly.
+    /// Span events the flight recorder lost: always 0, since every
+    /// event folds into its session's record under the recorder's lock.
+    /// Kept for the `ada_obs_dropped_spans_total` family.
     pub events_dropped: u64,
     /// Latency jobs spent queued before a worker picked them up.
     pub queue_wait: StageMetrics,

@@ -15,8 +15,7 @@ use ada_dataset::{ExamLog, ExamRecord, StreamOrder};
 use ada_kdb::{schema, CommitObserver, CommitRole, Document, DurabilityPolicy, SharedKdb, Value};
 use ada_obs::{
     current_trace, document_to_json, past_sessions, past_traces, FlightRecorder, Metrics, Page,
-    StreamMetrics, TraceContext, TraceScope, MARK_CANCELLED, MARK_DEGRADED, MARK_PERSIST_FAIL,
-    MARK_PROMOTED, MARK_QUEUE_WAIT, MARK_RETRY, MARK_SLOW_SESSION,
+    StreamMetrics, TraceContext, TraceScope,
 };
 use ada_stream::{
     IngestAck, IngestRejected, StreamConfig, StreamEngine, StreamError, StreamHandle,
@@ -87,9 +86,6 @@ pub struct ServiceConfig {
     /// Optional extra observer receiving every stage event in addition
     /// to the built-in metrics collector and flight recorder.
     pub observer: Option<Arc<dyn PipelineObserver>>,
-    /// Last-N cap on the flight recorder's per-session event log (span
-    /// trees, histograms and counters are folded from all events).
-    pub recorder_capacity: usize,
     /// Journal faults tolerated before the service flips to degraded
     /// read-only mode (clamped to at least 1).
     pub degrade_after: u32,
@@ -127,7 +123,6 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             retry: RetryPolicy::default(),
             observer: None,
-            recorder_capacity: 512,
             degrade_after: 3,
             durability: None,
             sync_on_shutdown: true,
@@ -187,13 +182,12 @@ impl ServiceInner {
     }
 
     /// Re-reads the fault counter and performs the degraded transition
-    /// when the threshold is crossed. `session` labels the obs mark.
-    fn check_degraded(&self, session: &str) {
+    /// when the threshold is crossed.
+    fn check_degraded(&self) {
         let delta = self.journal_fault_delta();
         self.metrics.set_journal_faults(delta);
         if delta >= self.degrade_after && !self.degraded.swap(true, Ordering::AcqRel) {
             self.metrics.degraded_transition();
-            self.recorder.mark(session, MARK_DEGRADED, Duration::ZERO);
         }
     }
 }
@@ -217,7 +211,7 @@ impl AnalysisService {
             kdb.set_durability(policy);
         }
         let initial_faults = kdb.journal_fault_count();
-        let recorder = Arc::new(FlightRecorder::new(config.recorder_capacity));
+        let recorder = Arc::new(FlightRecorder::new());
         if config.sample_rate > 0.0 {
             // Only a tracing service hooks the group committer: at rate
             // 0 the commit path stays exactly as it was (the
@@ -337,7 +331,6 @@ impl AnalysisService {
     pub fn metrics(&self) -> ServiceMetrics {
         let mut metrics = self.inner.metrics.snapshot();
         metrics.kdb = self.inner.kdb.group_commit_stats();
-        metrics.events_dropped = self.inner.recorder.dropped();
         metrics
     }
 
@@ -375,17 +368,10 @@ impl AnalysisService {
     }
 
     /// Promotes a follower to primary: clears the read-only follower
-    /// flag so subsequent submissions are accepted, and marks the
-    /// transition in the flight recorder. Idempotent; returns whether
-    /// this call performed the transition.
+    /// flag so subsequent submissions are accepted. Idempotent; returns
+    /// whether this call performed the transition.
     pub fn promote(&self) -> bool {
-        let was = self.inner.follower.swap(false, Ordering::AcqRel);
-        if was {
-            self.inner
-                .recorder
-                .mark("fleet", MARK_PROMOTED, Duration::ZERO);
-        }
-        was
+        self.inner.follower.swap(false, Ordering::AcqRel)
     }
 
     /// A health probe document: overall status (`"ok"`, `"follower"` or
@@ -415,8 +401,9 @@ impl AnalysisService {
             )
     }
 
-    /// The session flight recorder (trace drain, recent events,
-    /// per-session counters).
+    /// The session flight recorder: the in-flight sessions' span trees,
+    /// stage histograms and counters, folded into each session's record
+    /// at its terminal state.
     pub fn recorder(&self) -> Arc<FlightRecorder> {
         Arc::clone(&self.inner.recorder)
     }
@@ -475,10 +462,7 @@ impl AnalysisService {
             .with("metrics", Value::Doc(self.metrics().to_document()))
             .with("sessions", Value::Array(sessions))
             .with("past_sessions", i64::try_from(past).unwrap_or(i64::MAX))
-            .with(
-                "events_dropped",
-                i64::try_from(self.inner.recorder.dropped()).unwrap_or(i64::MAX),
-            )
+            .with("events_dropped", 0i64)
     }
 
     /// [`AnalysisService::snapshot`] rendered as a JSON object.
@@ -520,7 +504,7 @@ impl AnalysisService {
             config,
             Some(self.inner.kdb.clone()),
             Arc::clone(&self.inner.stream_metrics),
-            Some(Arc::clone(&self.inner.recorder)),
+            None,
         )
         .map_err(|e| ServiceError::StreamFault(e.to_string()))?;
         streams.insert(name, StreamHandle::spawn(engine));
@@ -723,7 +707,6 @@ fn maybe_force_slow_trace(inner: &ServiceInner, session: &str, elapsed: Duration
         return;
     }
     inner.metrics.trace_forced();
-    inner.recorder.mark(session, MARK_SLOW_SESSION, elapsed);
     inner.recorder.set_trace(
         session,
         TraceContext::forced(inner.trace_seed, session),
@@ -746,8 +729,8 @@ fn worker_loop(inner: &ServiceInner) {
 
 /// Best-effort persistence of a terminal session record: the service
 /// must stay up even if the `sessions` collection write fails — but the
-/// failure is no longer silent: it is counted, marked in the flight
-/// recorder, and feeds the degraded-mode fault check. A *schema*
+/// failure is no longer silent: it is counted and feeds the
+/// degraded-mode fault check. A *schema*
 /// violation is a bug (not an environmental fault), so debug builds
 /// still assert on that case.
 fn persist_session(inner: &ServiceInner, session: &str, state: &str, outcome: &str) {
@@ -765,11 +748,8 @@ fn persist_session(inner: &ServiceInner, session: &str, state: &str, outcome: &s
             "session record for {session} violated the schema: {err}"
         );
         inner.metrics.persist_failed();
-        inner
-            .recorder
-            .mark(session, MARK_PERSIST_FAIL, Duration::ZERO);
     }
-    inner.check_degraded(session);
+    inner.check_degraded();
 }
 
 fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instant) {
@@ -780,7 +760,7 @@ fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instan
     }
     let wait = queued_at.elapsed();
     inner.metrics.observe_queue_wait(wait);
-    inner.recorder.mark(&session, MARK_QUEUE_WAIT, wait);
+    inner.recorder.queue_wait(&session, wait);
     if trace_ctx.is_some() {
         inner
             .recorder
@@ -792,9 +772,6 @@ fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instan
         .cancel_token(id)
         .unwrap_or_else(|_| CancelToken::new());
     if token.is_cancelled() {
-        inner
-            .recorder
-            .mark(&session, MARK_CANCELLED, Duration::ZERO);
         persist_session(inner, &session, "cancelled", "cancelled while queued");
         inner.metrics.job_cancelled();
         inner.registry.transition(id, SessionState::Cancelled);
@@ -883,7 +860,7 @@ fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instan
                     attempt += 1;
                     inner.metrics.job_retried();
                     let backoff = inner.retry.backoff(id, attempt);
-                    inner.recorder.mark(&session, MARK_RETRY, backoff);
+                    inner.recorder.retry(&session);
                     std::thread::sleep(backoff);
                 } else {
                     let reason = panic
@@ -919,9 +896,6 @@ fn finish_run(
     let elapsed = started.elapsed();
     inner.metrics.observe_session_latency(elapsed);
     maybe_force_slow_trace(inner, session, elapsed);
-    if matches!(state, SessionState::Cancelled) {
-        inner.recorder.mark(session, MARK_CANCELLED, Duration::ZERO);
-    }
     persist_session(inner, session, state.label(), detail);
     match state {
         SessionState::Completed(_) => inner.metrics.job_completed(),
@@ -952,7 +926,7 @@ fn run_stream_session(
             spec.to_config(session),
             Some(inner.kdb.clone()),
             Arc::clone(&inner.stream_metrics),
-            Some(Arc::clone(&inner.recorder)),
+            None,
         )
         .unwrap_or_else(|e| panic!("stream session could not open its checkpoint store: {e}"));
         let records: Vec<ExamRecord> = StreamOrder::new(log, spec.seed, spec.disorder).collect();

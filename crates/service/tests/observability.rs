@@ -9,7 +9,7 @@ use ada_core::{AdaHealthConfig, PipelineStage};
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_kdb::schema::{self, names};
 use ada_kdb::{Document, Kdb, SharedKdb, Value};
-use ada_obs::{EventKind, FlightRecorder};
+use ada_obs::FlightRecorder;
 use ada_service::{AnalysisService, JobSpec, ServiceConfig, SessionState};
 
 fn cohort_cfg() -> SyntheticConfig {
@@ -49,8 +49,8 @@ fn span_names(doc: &Document) -> Vec<(String, i64)> {
 fn observer_fanout_under_eight_concurrent_sessions() {
     // A second, test-owned recorder rides along as the extra observer:
     // the service's internal recorder persists-and-forgets sessions at
-    // terminal state, while this one keeps its events for inspection.
-    let probe = Arc::new(FlightRecorder::new(4096));
+    // terminal state, while this one keeps them for inspection.
+    let probe = Arc::new(FlightRecorder::new());
     let service = AnalysisService::new(
         ServiceConfig {
             workers: 4,
@@ -78,33 +78,7 @@ fn observer_fanout_under_eight_concurrent_sessions() {
         ));
     }
 
-    assert_eq!(probe.dropped(), 0, "no events may be lost");
     for name in &sessions {
-        let events = probe.recent_events(name);
-        assert!(!events.is_empty(), "{name}: no events recorded");
-
-        // Per-session drain order is monotonic in the global sequence
-        // and in time.
-        for pair in events.windows(2) {
-            assert!(pair[0].seq < pair[1].seq, "{name}: seq order broken");
-            assert!(pair[0].t_ns <= pair[1].t_ns, "{name}: time went backwards");
-        }
-
-        // Exactly-once stage events: each of the seven stages opens
-        // once and closes once, despite 4 workers running 8 sessions.
-        for stage in PipelineStage::PIPELINE {
-            let starts = events
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::Start { .. }) && *e.name == *stage.name())
-                .count();
-            let ends = events
-                .iter()
-                .filter(|e| matches!(e.kind, EventKind::End { .. }) && *e.name == *stage.name())
-                .count();
-            assert_eq!(starts, 1, "{name}: stage {stage} started {starts} times");
-            assert_eq!(ends, 1, "{name}: stage {stage} ended {ends} times");
-        }
-
         // Correct span nesting, from the folded document: the root is
         // first, stage spans parent to it, and every rung/sweep span
         // parents to its stage span.
@@ -112,15 +86,29 @@ fn observer_fanout_under_eight_concurrent_sessions() {
         schema::validate_session_doc(&doc).unwrap();
         let spans = span_names(&doc);
         assert_eq!(spans[0], ("session".to_string(), -1));
+        let time = |idx: usize, key: &str| {
+            let span = &doc.get("spans").and_then(Value::as_array).unwrap()[idx];
+            span.as_doc().unwrap().get(key).unwrap().as_i64().unwrap()
+        };
+        // Every child starts no earlier than its parent.
+        for (idx, &(_, parent)) in spans.iter().enumerate().skip(1) {
+            let parent_start = time(parent as usize, "start_ns");
+            assert!(time(idx, "start_ns") >= parent_start, "{name}: span {idx}");
+        }
+        // Exactly-once stage spans: each of the seven stages ran once,
+        // under the root, and took time, despite 4 workers running 8
+        // sessions.
         let stage_idx = |stage: PipelineStage| {
-            spans
-                .iter()
-                .position(|(n, _)| n == stage.name())
-                .unwrap_or_else(|| panic!("{name}: no {stage} span")) as i64
+            let at: Vec<usize> = (0..spans.len())
+                .filter(|&i| spans[i].0 == stage.name())
+                .collect();
+            assert_eq!(at.len(), 1, "{name}: {stage} spans at {at:?}");
+            at[0] as i64
         };
         for stage in PipelineStage::PIPELINE {
             let idx = stage_idx(stage) as usize;
             assert_eq!(spans[idx].1, 0, "{name}: {stage} span must parent to root");
+            assert!(time(idx, "dur_ns") > 0, "{name}: {stage} span took no time");
         }
         let mining = stage_idx(PipelineStage::PartialMining);
         let optimize = stage_idx(PipelineStage::Optimize);
@@ -301,47 +289,6 @@ fn snapshot_renders_json_and_prometheus_end_to_end() {
     assert!(prom.contains("ada_jobs_total{outcome=\"completed\"} 1"));
     assert!(prom.contains("ada_stage_latency_ns{stage=\"optimize\",quantile=\"0.99\"}"));
     assert!(prom.contains("ada_queue_wait_ns_count 1"));
-    service.shutdown();
-}
-
-#[test]
-fn tracer_rings_stay_bounded_by_live_threads() {
-    // A parallel sweep spawns one short-lived thread per candidate K,
-    // and each emits its `sweep:k=…` span into a ring of its own. Those
-    // rings must go when their threads do: 50 sessions × 3 sweep
-    // threads would otherwise leave 150 of them behind.
-    const WORKERS: usize = 2;
-    let service = AnalysisService::new(
-        ServiceConfig {
-            workers: WORKERS,
-            ..ServiceConfig::default()
-        },
-        SharedKdb::in_memory(),
-    );
-    let log = Arc::new(generate(&cohort_cfg(), 78));
-    let ids: Vec<_> = (0..50)
-        .map(|i| {
-            let mut config = AdaHealthConfig::quick(format!("ring-{i}"));
-            config.optimizer.parallel = true;
-            service
-                .submit(JobSpec::new(config, Arc::clone(&log)))
-                .unwrap()
-        })
-        .collect();
-    for id in ids {
-        assert!(matches!(
-            service.wait(id).unwrap(),
-            SessionState::Completed(_)
-        ));
-    }
-    let recorder = service.recorder();
-    recorder.sync();
-    // Every sweep thread was joined before its session completed, so
-    // the drain above retired its ring: what is left belongs to the
-    // workers and to this (submitting) thread.
-    let rings = recorder.tracer().ring_count();
-    assert!(rings <= WORKERS + 1, "{rings} rings registered");
-    assert_eq!(recorder.dropped(), 0, "no event may be lost");
     service.shutdown();
 }
 

@@ -19,9 +19,8 @@
 //!   physician feedback loop.
 //!
 //! Determinism is a hard contract: identical seed + config produce
-//! byte-identical signal collections whether the session runs
-//! serially, chunk-parallel, or remotely (see the determinism argument
-//! in [`session`]).
+//! byte-identical signal collections whether the session runs serially,
+//! chunk-parallel, or remotely (the argument is in [`session`]).
 //!
 //! ```
 //! use ada_core::RunControl;
@@ -37,6 +36,7 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ror;

@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 /// stream with a *different* config is refused as corruption.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamConfig {
-    /// Stream name: tags every `stream_windows` checkpoint, every
-    /// flight-recorder mark, and the service registry entry.
+    /// Stream name: tags every `stream_windows` checkpoint and the
+    /// service registry entry.
     pub name: String,
     /// Window length in days. Windows are aligned to the epoch
     /// (`day.div_euclid(window_days)`), not to the first record, so

@@ -39,7 +39,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use ada_dataset::ExamRecord;
 use ada_kdb::schema::{self, names};
@@ -63,7 +62,6 @@ pub struct StreamEngine {
     config: StreamConfig,
     kdb: Option<SharedKdb>,
     metrics: Arc<StreamMetrics>,
-    recorder: Option<Arc<FlightRecorder>>,
     /// Buffered (not yet folded) records, grouped by window id in
     /// arrival order; sorted into canonical order at close.
     buffer: BTreeMap<i64, Vec<Rec>>,
@@ -99,7 +97,6 @@ impl StreamEngine {
             config,
             kdb: None,
             metrics: Arc::new(StreamMetrics::new()),
-            recorder: None,
             buffer: BTreeMap::new(),
             buffered_records: 0,
             max_day: None,
@@ -130,6 +127,7 @@ impl StreamEngine {
     /// The configuration must equal the one that wrote the
     /// checkpoints; a mismatch surfaces as a fingerprint divergence
     /// ([`StreamError::Corrupt`]) rather than a silent history fork.
+    /// The recorder argument is ignored: window closes are not traced.
     ///
     /// # Errors
     /// [`StreamError::Kdb`] on store errors, [`StreamError::Corrupt`]
@@ -138,11 +136,10 @@ impl StreamEngine {
         config: StreamConfig,
         kdb: Option<SharedKdb>,
         metrics: Arc<StreamMetrics>,
-        recorder: Option<Arc<FlightRecorder>>,
+        _recorder: Option<Arc<FlightRecorder>>,
     ) -> Result<(Self, u64), StreamError> {
         let mut engine = Self::new(config);
         engine.metrics = metrics;
-        engine.recorder = recorder;
         let Some(kdb) = kdb else {
             return Ok((engine, 0));
         };
@@ -292,7 +289,6 @@ impl StreamEngine {
     /// Folds window `wid`'s buffered records, updates the model, and
     /// persists the checkpoint.
     fn close_window(&mut self, wid: i64) -> Result<(), StreamError> {
-        let started = Instant::now();
         let start = wid * self.config.window_days;
         let end = start + self.config.window_days;
         let mut window = self.buffer.remove(&wid).unwrap_or_default();
@@ -318,11 +314,7 @@ impl StreamEngine {
         }
         let (refit, drift) = self.fold_and_update(end, &entries);
         self.metrics.window_closed();
-        self.persist_checkpoint(wid, start, end, &entries, refit, drift)?;
-        if let Some(recorder) = &self.recorder {
-            recorder.mark(&self.config.name, "stream_window", started.elapsed());
-        }
-        Ok(())
+        self.persist_checkpoint(wid, start, end, &entries, refit, drift)
     }
 
     /// The deterministic half of a window close, shared by the live

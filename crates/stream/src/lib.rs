@@ -36,6 +36,8 @@
 //! re-fit equals a cold [`ada_mining::KMeans::fit`] over the same
 //! accumulated cohort, by construction (it *is* one).
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod config;
 pub mod engine;

@@ -8,10 +8,9 @@
 //! patient, counting how many times the patient underwent each exam type.
 //! This crate provides:
 //!
-//! * [`dense::DenseMatrix`] — a row-major dense matrix used as the
-//!   clustering working set, with a cached non-zero view
-//!   ([`dense::SparseRows`]) for the loops that would otherwise multiply
-//!   through its 93 % zeros;
+//! * [`dense::DenseMatrix`] — the row-major clustering working set, with
+//!   a cached non-zero view ([`dense::SparseRows`]) for the loops that
+//!   would otherwise multiply through its 93 % zeros;
 //! * [`vsm::VsmBuilder`] — the ExamLog → patient×exam matrix
 //!   transformation under selectable weightings (count, binary, TF-IDF,
 //!   log-count) and feature filters (the horizontal partial-mining knob);
@@ -20,6 +19,7 @@
 //!   structure Kanungo et al.'s *filtering* K-means (the paper's
 //!   reference \[3\]) traverses.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dense;

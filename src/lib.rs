@@ -4,8 +4,8 @@
 //! the [`dataset`] substrate, the [`vsm`] linear-algebra layer, the
 //! [`metrics`] and [`mining`] algorithm crates, the [`kdb`] document
 //! store, the [`engine`] (the paper's contribution) that wires them
-//! together, the [`obs`] observability layer (lock-free tracing,
-//! latency histograms, the session flight recorder), and the
+//! together, the [`obs`] observability layer (trace contexts, latency
+//! histograms, the session flight recorder), and the
 //! [`service`] layer that runs many concurrent analysis sessions over
 //! one shared K-DB, the [`signals`] safety-signal mining workload
 //! (disproportionality statistics with Bayesian shrinkage), the
@@ -47,6 +47,8 @@
 //! See the repository README for a quickstart, `DESIGN.md` for the
 //! architecture and per-experiment index, and `EXPERIMENTS.md` for the
 //! paper-vs-measured record.
+
+#![forbid(unsafe_code)]
 
 pub use ada_core as engine;
 pub use ada_dataset as dataset;

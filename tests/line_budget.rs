@@ -17,10 +17,10 @@ const CEILINGS: [(&str, u64); 12] = [
     ("kdb", 4_423),
     ("core", 3_251),
     ("signals", 781),
-    ("obs", 1_843),
-    ("stream", 1_424),
-    ("service", 1_948),
-    ("net", 2_711),
+    ("obs", 1_374),
+    ("stream", 1_417),
+    ("service", 1_923),
+    ("net", 2_679),
     ("fleet", 1_771),
 ];
 
