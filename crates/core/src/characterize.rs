@@ -15,10 +15,9 @@ use ada_dataset::taxonomy::ConditionGroup;
 use ada_dataset::ExamLog;
 use ada_kdb::Document;
 use ada_mining::patterns::fpgrowth;
-use serde::{Deserialize, Serialize};
 
 /// Statistical descriptors of one dataset, as stored in the K-DB.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetDescriptor {
     /// Classic scale and distribution summary.
     pub summary: LogSummary,

@@ -12,10 +12,9 @@
 use ada_dataset::taxonomy::ConditionGroup;
 use ada_dataset::timeline::{timelines, Timeline};
 use ada_dataset::{ExamLog, ExamTypeId, PatientId};
-use serde::{Deserialize, Serialize};
 
 /// What a guideline monitors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GuidelineTarget {
     /// A specific examination type.
     Exam(ExamTypeId),
@@ -24,7 +23,7 @@ pub enum GuidelineTarget {
 }
 
 /// A minimal clinical follow-up guideline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Guideline {
     /// Human-readable name, e.g. `"HbA1c at least twice a year"`.
     pub name: String,
@@ -70,7 +69,7 @@ impl Guideline {
 }
 
 /// One patient's verdict under one guideline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Guideline does not apply (age out of range).
     NotApplicable,
@@ -89,7 +88,7 @@ pub enum Verdict {
 }
 
 /// Aggregated result for one guideline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GuidelineResult {
     /// The guideline name.
     pub name: String,
@@ -115,7 +114,7 @@ impl GuidelineResult {
 }
 
 /// The whole compliance report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComplianceReport {
     /// One result per guideline, in input order.
     pub results: Vec<GuidelineResult>,

@@ -52,12 +52,11 @@ use ada_mining::knn::KnnClassifier;
 use ada_mining::tree::{ColumnIndex, TreeConfig};
 use ada_mining::validate;
 use ada_vsm::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 use crate::control::{PipelineError, PipelineStage, RunControl};
 
 /// Which classifier scores clustering robustness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RobustnessClassifier {
     /// CART decision tree (the paper's choice).
     DecisionTree(TreeConfig),
@@ -71,7 +70,7 @@ pub enum RobustnessClassifier {
 }
 
 /// The score card of one K value — one row of Table I.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KEvaluation {
     /// The number of clusters.
     pub k: usize,
@@ -97,7 +96,7 @@ impl KEvaluation {
 }
 
 /// The optimizer's full report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerReport {
     /// One evaluation per probed K, in the probed order.
     pub evaluations: Vec<KEvaluation>,
@@ -146,7 +145,7 @@ impl OptimizerReport {
 }
 
 /// The K-sweep optimizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Optimizer {
     /// K values to evaluate (paper Table I: 6,7,8,9,10,12,15,20).
     pub ks: Vec<usize>,
@@ -325,12 +324,12 @@ impl Optimizer {
             // drives the row-parallel kernel with its share.
             let row_threads = (self.resolved_budget() / self.ks.len()).max(1);
             let mut slots: Vec<Option<KEvaluation>> = vec![None; self.ks.len()];
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .ks
                     .iter()
                     .map(|&k| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             if control.is_cancelled() {
                                 return None;
                             }
@@ -356,8 +355,7 @@ impl Optimizer {
                 for (slot, handle) in slots.iter_mut().zip(handles) {
                     *slot = handle.join().expect("worker panicked");
                 }
-            })
-            .expect("scope panicked");
+            });
             control.checkpoint(PipelineStage::Optimize)?;
             slots
                 .into_iter()

@@ -14,10 +14,9 @@ use ada_dataset::ExamLog;
 use ada_metrics::cluster;
 use ada_mining::kmeans::KMeans;
 use ada_vsm::{Pca, VsmBuilder, Weighting};
-use serde::{Deserialize, Serialize};
 
 /// The score card of one candidate transformation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformScore {
     /// The candidate weighting.
     pub weighting: Weighting,
@@ -38,7 +37,7 @@ impl TransformScore {
 }
 
 /// The transformation-selection report: all candidates, ranked.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformReport {
     /// Candidates, best first.
     pub ranked: Vec<TransformScore>,
@@ -55,7 +54,7 @@ impl TransformReport {
 }
 
 /// Configuration of the transformation selector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformSelector {
     /// Candidate weightings to score.
     pub candidates: Vec<Weighting>,

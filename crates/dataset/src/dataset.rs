@@ -4,8 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::date::Date;
 use crate::error::DatasetError;
 use crate::record::{ExamRecord, ExamType, ExamTypeId, Patient, PatientId};
@@ -18,7 +16,7 @@ use crate::taxonomy::Taxonomy;
 /// every record must reference a registered patient and a cataloged exam
 /// type. Ids are dense (patient `k` has id `k`), which lets downstream
 /// code use plain arrays for per-patient and per-exam aggregates.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExamLog {
     patients: Vec<Patient>,
     catalog: Vec<ExamType>,
@@ -261,7 +259,7 @@ impl ExamLog {
 }
 
 /// All distinct exams one patient underwent on one calendar day.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Visit {
     /// The patient.
     pub patient: PatientId,

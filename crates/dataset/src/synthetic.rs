@@ -27,7 +27,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::ExamLog;
 use crate::date::Date;
@@ -36,7 +35,7 @@ use crate::sampling::{normal, poisson, AliasTable};
 use crate::taxonomy::ConditionGroup;
 
 /// A latent patient condition profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Human-readable profile name.
     pub name: String,
@@ -100,7 +99,7 @@ pub fn default_profiles() -> Vec<Profile> {
 }
 
 /// Configuration of the synthetic cohort generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Number of patients (paper: 6,380).
     pub num_patients: usize,

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ada_kdb::journal::{decode_stream_frame, FrameStep, V2_MAGIC};
+use ada_kdb::journal::{decode_record, V2_MAGIC};
 use ada_kdb::SharedKdb;
 use ada_net::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC};
 use ada_obs::ReplMetrics;
@@ -201,10 +201,7 @@ fn suffix_at(image: &[u8], have_ops: u64) -> Option<usize> {
     }
     let mut pos = V2_MAGIC.len();
     for seq in 0..have_ops {
-        match decode_stream_frame(image, pos, seq) {
-            FrameStep::Op { end, .. } => pos = end,
-            _ => return None,
-        }
+        pos += decode_record(&image[pos..], seq).ok()?.1;
     }
     Some(pos)
 }

@@ -19,7 +19,7 @@
 //! way forward is [`ReplStream::reset`] after a fresh bootstrap — the
 //! same rule the wire's `FrameDecoder` applies to transport framing.
 
-use ada_kdb::journal::{decode_stream_frame, FrameStep, Op};
+use ada_kdb::journal::{decode_record, FrameFail, Op};
 
 /// Why a replicated stream can never be applied further. Carries the
 /// absolute byte offset (bytes consumed since the stream began) of the
@@ -126,38 +126,38 @@ impl ReplStream {
                 return Err(fault.clone());
             }
             let offset = self.drained + self.pos as u64;
-            match decode_stream_frame(&self.buf, self.pos, self.expect_seq) {
-                FrameStep::Op { op, end } => {
-                    self.pos = end;
+            match decode_record(&self.buf[self.pos..], self.expect_seq) {
+                Ok((op, len)) => {
+                    self.pos += len;
                     self.expect_seq += 1;
                     self.compact();
                     return Ok(Some(op));
                 }
-                FrameStep::NeedMore => return Ok(None),
-                FrameStep::Gap { stored, expected } if stored < expected => {
+                Err(FrameFail::Torn) => return Ok(None),
+                Err(FrameFail::Gap { stored, expected }) if stored < expected => {
                     // A verified duplicate of an already-applied frame
                     // (snapshot/tap overlap): skip it. Re-decode with
                     // the frame's own seq so the CRC check still runs.
-                    match decode_stream_frame(&self.buf, self.pos, stored) {
-                        FrameStep::Op { end, .. } => {
-                            self.pos = end;
+                    match decode_record(&self.buf[self.pos..], stored) {
+                        Ok((_, len)) => {
+                            self.pos += len;
                             self.compact();
                         }
-                        FrameStep::NeedMore => return Ok(None),
-                        FrameStep::Gap { .. } => unreachable!("seq matched"),
-                        FrameStep::Corrupt { reason } => {
+                        Err(FrameFail::Torn) => return Ok(None),
+                        Err(FrameFail::Gap { .. }) => unreachable!("seq matched"),
+                        Err(FrameFail::Corrupt(_, reason)) => {
                             self.fault = Some(StreamFault::Corrupt { reason, offset });
                         }
                     }
                 }
-                FrameStep::Gap { stored, expected } => {
+                Err(FrameFail::Gap { stored, expected }) => {
                     self.fault = Some(StreamFault::Gap {
                         stored,
                         expected,
                         offset,
                     });
                 }
-                FrameStep::Corrupt { reason } => {
+                Err(FrameFail::Corrupt(_, reason)) => {
                     self.fault = Some(StreamFault::Corrupt { reason, offset });
                 }
             }

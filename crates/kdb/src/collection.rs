@@ -4,8 +4,6 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::document::Document;
 use crate::error::KdbError;
 use crate::index::Index;
@@ -20,7 +18,7 @@ pub type DocId = u64;
 /// Documents are stored behind `Arc` and never mutated in place
 /// (an update swaps the `Arc`), so a clone of the collection — a snapshot
 /// image — shares every document with the original.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Collection {
     name: String,
     docs: BTreeMap<DocId, Arc<Document>>,

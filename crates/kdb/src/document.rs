@@ -10,12 +10,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::KdbError;
 
 /// A dynamic document value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Absent/unknown.
     Null,
@@ -304,7 +302,7 @@ impl From<Document> for Value {
 }
 
 /// An ordered string-keyed document.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Document {
     fields: BTreeMap<String, Value>,
 }

@@ -11,13 +11,11 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
-use serde::{Deserialize, Serialize};
-
 use crate::collection::DocId;
 use crate::document::{Document, Value};
 
 /// An `f64` with the IEEE total order, usable as a BTreeMap key.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrderedF64(pub f64);
 
 impl Eq for OrderedF64 {}
@@ -38,7 +36,7 @@ impl Ord for OrderedF64 {
 /// cross-type ordering; within `Other`, composite values order by their
 /// canonical encoding (total, if arbitrary — only equality matters
 /// there).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum IndexKey {
     /// Null values.
     Null,
@@ -68,7 +66,7 @@ impl IndexKey {
 }
 
 /// A secondary index over one dotted path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Index {
     path: String,
     entries: BTreeMap<IndexKey, BTreeSet<DocId>>,

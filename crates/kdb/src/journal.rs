@@ -432,8 +432,14 @@ pub fn decode_frame(
 
 /// Decodes the v2 record frame at the front of `frame` — the checks of
 /// [`decode_frame`], then the payload as exactly one [`Op`] — and
-/// returns the op with the frame's byte length.
-fn decode_record(frame: &[u8], expect_seq: u64) -> Result<(Op, usize), FrameFail> {
+/// returns the op with the frame's byte length. Journal replay and
+/// journal replication (`ada-fleet`, which receives the framed bytes a
+/// chunk at a time) share it: a [`FrameFail::Torn`] tail there means
+/// "feed more bytes and retry from the same position".
+///
+/// # Errors
+/// Returns how the frame failed; see [`FrameFail`].
+pub fn decode_record(frame: &[u8], expect_seq: u64) -> Result<(Op, usize), FrameFail> {
     let payload_at = decode_frame(RECORD_TAG, usize::MAX, frame, expect_seq)?;
     let payload = &frame[payload_at.clone()];
     let mut inner = 0usize;
@@ -542,53 +548,6 @@ fn replay_v2(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
         }
     }
     Ok(replay)
-}
-
-/// The outcome of decoding one v2 frame from an incremental byte
-/// stream — the journal's frame discipline exposed for consumers that
-/// receive frames a chunk at a time (journal replication ships the
-/// framed bytes verbatim; see `ada-fleet`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FrameStep {
-    /// A verified frame: the decoded op and the stream position just
-    /// past it.
-    Op {
-        /// The frame's operation.
-        op: Op,
-        /// Byte position immediately after the frame.
-        end: usize,
-    },
-    /// The bytes end mid-frame — feed more input and retry from the
-    /// same position.
-    NeedMore,
-    /// A structurally valid frame carrying the wrong sequence number:
-    /// a dropped or reordered record, never applicable.
-    Gap {
-        /// The sequence number the frame carries.
-        stored: u64,
-        /// The sequence number the stream expected.
-        expected: u64,
-    },
-    /// A complete-looking frame that fails its length, CRC, or payload
-    /// checks.
-    Corrupt {
-        /// What was wrong.
-        reason: String,
-    },
-}
-
-/// Decodes the v2 frame starting at `pos` in `bytes`, expecting
-/// sequence number `expect_seq`. Exactly the verification journal
-/// replay performs — length, sequence, CRC32, payload decode, no
-/// trailing bytes — but incremental: a torn tail is [`FrameStep::NeedMore`]
-/// rather than an error, so callers can buffer partial network reads.
-pub fn decode_stream_frame(bytes: &[u8], pos: usize, expect_seq: u64) -> FrameStep {
-    match decode_record(bytes.get(pos..).unwrap_or_default(), expect_seq) {
-        Ok((op, len)) => FrameStep::Op { op, end: pos + len },
-        Err(FrameFail::Torn) => FrameStep::NeedMore,
-        Err(FrameFail::Gap { stored, expected }) => FrameStep::Gap { stored, expected },
-        Err(FrameFail::Corrupt(_, reason)) => FrameStep::Corrupt { reason },
-    }
 }
 
 /// Observer of journal appends, fsyncs, and compactions — the seam

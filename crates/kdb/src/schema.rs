@@ -8,8 +8,6 @@
 //! interaction feedbacks", with knowledge items enriched by a physician
 //! with a degree of interestingness in {high, medium, low}.
 
-use serde::{Deserialize, Serialize};
-
 use crate::collection::DocId;
 use crate::document::{Document, Value};
 use crate::error::KdbError;
@@ -79,7 +77,7 @@ pub mod names {
 }
 
 /// The physician-assigned degree of interestingness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Interestingness {
     /// Low interest.
     Low,

@@ -9,12 +9,11 @@
 use ada_vsm::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::tree::{Criterion, DecisionTree, TreeConfig};
 
 /// Random-forest hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForestConfig {
     /// Number of trees.
     pub num_trees: usize,
@@ -44,7 +43,7 @@ impl Default for ForestConfig {
 }
 
 /// A fitted random forest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
     /// One (feature subset, tree) pair per member. Trees are trained on
     /// the column-sliced bootstrap sample, so prediction re-slices the

@@ -4,12 +4,11 @@ use ada_vsm::dense::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use super::rows::{KernelRow, RowStore};
 
 /// How the initial centroids are chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KMeansInit {
     /// Forgy: k distinct points picked uniformly at random.
     Forgy,

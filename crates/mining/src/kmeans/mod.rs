@@ -35,14 +35,13 @@ pub mod lloyd;
 pub(crate) mod rows;
 
 use ada_vsm::dense::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 pub use init::KMeansInit;
 pub use kernel::KernelStats;
 pub use rows::RowStore;
 
 /// Which K-means backend executes the iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KMeansBackend {
     /// Classic Lloyd: every iteration scans every point.
     Lloyd,
@@ -64,7 +63,7 @@ pub enum KMeansBackend {
 /// assert_eq!(result.assignments[0], result.assignments[1]);
 /// assert_ne!(result.assignments[0], result.assignments[2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeans {
     /// Number of clusters.
     pub k: usize,
@@ -209,7 +208,7 @@ impl KMeans {
 }
 
 /// The output of a K-means run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KMeansResult {
     /// Cluster index of every input row.
     pub assignments: Vec<usize>,

@@ -15,8 +15,6 @@ pub mod fpgrowth;
 pub mod rules;
 pub mod taxonomy_mine;
 
-use serde::{Deserialize, Serialize};
-
 /// An item (exam-type id, or a generalized taxonomy node id in
 /// multi-level mining).
 pub type Item = u32;
@@ -29,7 +27,7 @@ pub type Itemset = Vec<Item>;
 pub type Transaction = Vec<Item>;
 
 /// A frequent itemset together with its absolute support count.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequentItemset {
     /// The sorted items.
     pub items: Itemset,

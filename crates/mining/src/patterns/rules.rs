@@ -9,12 +9,11 @@
 use std::collections::HashMap;
 
 use ada_metrics::interest::RuleCounts;
-use serde::{Deserialize, Serialize};
 
 use super::{FrequentItemset, Item, Itemset};
 
 /// An association rule with its contingency counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rule {
     /// Antecedent itemset (sorted, non-empty).
     pub antecedent: Itemset,

@@ -30,7 +30,7 @@
 //!   [`Client::client_metrics`] / [`AsyncClient::client_metrics`].
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -100,7 +100,7 @@ pub struct ClientKindLatency {
 /// fresh id) after sleeping `max(retry_after, base·2^(attempt−1))`,
 /// capped at [`BusyRetry::cap`], plus deterministic SplitMix64 jitter
 /// in `[0, base)` derived from `(seed, request id, attempt)` — the same
-/// de-synchronization scheme the service's own `RetryPolicy` uses, so
+/// de-synchronization scheme the service's own retry backoff uses, so
 /// a thundering herd of refused clients spreads out instead of
 /// re-colliding. After [`BusyRetry::attempts`] retries the final
 /// `Busy` is returned raw so the caller still sees honest
@@ -429,10 +429,7 @@ impl Client {
             match self.stream.read(&mut buf) {
                 Ok(0) => return Err(NetError::Closed("server closed the connection".into())),
                 Ok(n) => self.decoder.push(&buf[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     if Instant::now() >= deadline {
                         return Err(NetError::Timeout);
                     }

@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use ada_core::AdaHealthConfig;
 use ada_dataset::synthetic::{generate, SyntheticConfig};
-use ada_dataset::{Date, ExamRecord, ExamTypeId, PatientId};
+use ada_dataset::{ConditionGroup, Date, ExamRecord, ExamTypeId, PatientId};
 use ada_kdb::{Document, Value};
 use ada_obs::{Page, TraceContext};
 use ada_service::{JobSpec, Priority, Workload};
@@ -262,17 +262,23 @@ impl WireJobSpec {
 
     fn from_doc(mut doc: Document) -> Result<Self, ProtoError> {
         let cohort = take_doc(&mut doc, "cohort")?;
+        let cohort = CohortSpec {
+            patients: take_usize(&cohort, "patients")?,
+            exam_types: take_usize(&cohort, "exam_types")?,
+            records: take_usize(&cohort, "records")?,
+            seed: take_i64(&cohort, "seed")? as u64,
+        };
+        // The generator's documented preconditions: `materialize` panics
+        // on a cohort that breaks them.
+        if cohort.patients == 0 || cohort.exam_types < ConditionGroup::ALL.len() {
+            return Err(err(format!("degenerate cohort {cohort:?}")));
+        }
         let doc = &mut doc;
         Ok(Self {
             session: take_str(doc, "session")?,
             preset: Preset::parse(&take_str(doc, "preset")?)?,
             seed: take_i64(doc, "seed")? as u64,
-            cohort: CohortSpec {
-                patients: take_usize(&cohort, "patients")?,
-                exam_types: take_usize(&cohort, "exam_types")?,
-                records: take_usize(&cohort, "records")?,
-                seed: take_i64(&cohort, "seed")? as u64,
-            },
+            cohort,
             priority: parse_priority(&take_str(doc, "priority")?)?,
             timeout: match doc.get("timeout_ms") {
                 None | Some(Value::Null) => None,
@@ -828,10 +834,15 @@ fn stream_spec_from_doc(doc: &Document) -> Result<StreamMiningSpec, ProtoError> 
     if !(drift.is_finite() && drift >= 0.0) {
         return Err(err(format!("bad drift_threshold {drift}")));
     }
+    // `k == 0` would panic the stream's worker at its first window close.
+    let k = take_usize(doc, "k")?;
+    if k == 0 {
+        return Err(err("stream spec k must be at least 1"));
+    }
     Ok(StreamMiningSpec {
         window_days: take_i64(doc, "window_days")?.max(1),
         lateness_days: take_i64(doc, "lateness_days")?.max(0),
-        k: take_usize(doc, "k")?,
+        k,
         seed: take_i64(doc, "seed")? as u64,
         update_iters: take_usize(doc, "update_iters")?,
         refit_iters: take_usize(doc, "refit_iters")?,

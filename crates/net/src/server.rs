@@ -26,7 +26,7 @@
 //! * every accept, reject, protocol error and request is visible
 //!   through [`NetMetrics`].
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,14 +50,6 @@ pub struct NetConfig {
     /// Connections served concurrently; beyond this, accepts are
     /// rejected with a `pool_full` notification.
     pub max_connections: usize,
-    /// Per-connection deadline for finishing a started frame and for
-    /// writing a response. Idle gaps *between* frames are not bounded
-    /// by this (clients may poll slowly); a torn frame that stops
-    /// mid-byte-stream is.
-    pub io_deadline: Duration,
-    /// How long a connection may sit idle (no new frame started)
-    /// before the server closes it.
-    pub idle_timeout: Duration,
 }
 
 impl Default for NetConfig {
@@ -65,11 +57,16 @@ impl Default for NetConfig {
         Self {
             addr: "127.0.0.1:0".to_owned(),
             max_connections: 32,
-            io_deadline: Duration::from_secs(5),
-            idle_timeout: Duration::from_secs(60),
         }
     }
 }
+
+/// Deadline for finishing a started frame and for writing a response;
+/// idle gaps *between* frames are bounded by [`IDLE_TIMEOUT`] instead.
+const IO_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long a connection may sit idle before the server closes it.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
 
 struct ServerShared {
     service: Arc<AnalysisService>,
@@ -232,7 +229,7 @@ fn accept_loop(
 /// connection id, and close.
 fn reject_connection(shared: &ServerShared, mut stream: TcpStream) {
     shared.metrics.connection_rejected();
-    let _ = stream.set_write_timeout(Some(shared.config.io_deadline));
+    let _ = stream.set_write_timeout(Some(IO_DEADLINE));
     let _ = stream.write_all(MAGIC);
     let payload = Response::Error {
         code: "pool_full".to_owned(),
@@ -256,10 +253,7 @@ fn reject_connection(shared: &ServerShared, mut stream: TcpStream) {
         match stream.read(&mut sink) {
             Ok(0) => return,
             Ok(_) => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if Instant::now() >= deadline || shared.shutting_down.load(Ordering::Acquire) {
                     return;
                 }
@@ -276,7 +270,7 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 fn serve_connection(shared: &ServerShared, mut stream: TcpStream) {
     if stream
         .set_read_timeout(Some(POLL_INTERVAL))
-        .and(stream.set_write_timeout(Some(shared.config.io_deadline)))
+        .and(stream.set_write_timeout(Some(IO_DEADLINE)))
         .is_err()
     {
         return;
@@ -323,14 +317,11 @@ fn serve_connection(shared: &ServerShared, mut stream: TcpStream) {
             Ok(n) => {
                 if decoder.buffered() == 0 {
                     // First bytes of a new frame arm its deadline.
-                    frame_deadline = Some(Instant::now() + shared.config.io_deadline);
+                    frame_deadline = Some(Instant::now() + IO_DEADLINE);
                 }
                 decoder.push(&buf[..n]);
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.shutting_down.load(Ordering::Acquire) {
                     return;
                 }
@@ -344,7 +335,7 @@ fn serve_connection(shared: &ServerShared, mut stream: TcpStream) {
                         );
                         return;
                     }
-                } else if last_activity.elapsed() >= shared.config.idle_timeout {
+                } else if last_activity.elapsed() >= IDLE_TIMEOUT {
                     return;
                 }
             }
@@ -358,15 +349,12 @@ fn serve_connection(shared: &ServerShared, mut stream: TcpStream) {
 fn read_magic(shared: &ServerShared, stream: &mut TcpStream) -> bool {
     let mut got = [0u8; 6];
     let mut filled = 0usize;
-    let deadline = Instant::now() + shared.config.io_deadline;
+    let deadline = Instant::now() + IO_DEADLINE;
     while filled < got.len() {
         match stream.read(&mut got[filled..]) {
             Ok(0) => return false,
             Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.shutting_down.load(Ordering::Acquire) || Instant::now() >= deadline {
                     return false;
                 }

@@ -10,6 +10,9 @@
 //!   series names and adds the `ada_net_*` family.
 //! - A history too large for one frame is refused typed when asked for
 //!   whole and listed completely page by page.
+//! - A spec the server could not run (a degenerate cohort, a stream
+//!   with `k == 0`) is refused typed at decode, before it can panic a
+//!   connection thread or a stream worker.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -17,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ada_core::{PipelineObserver, PipelineStage};
-use ada_dataset::{ExamRecord, ExamTypeId, PatientId};
+use ada_dataset::{ConditionGroup, ExamRecord, ExamTypeId, PatientId};
 use ada_kdb::journal::Op;
 use ada_kdb::{
     DurabilityPolicy, FaultKind, FaultyStorage, MemStorage, SharedKdb, StoreOptions, Value,
@@ -1075,4 +1078,133 @@ fn prometheus_exposition_keeps_stable_names_and_adds_net_series() {
 
     server.shutdown();
     drop(service);
+}
+
+#[test]
+fn degenerate_cohorts_are_refused_typed_and_free_their_pool_slots() {
+    let service = Arc::new(AnalysisService::new(
+        ServiceConfig::default(),
+        SharedKdb::in_memory(),
+    ));
+    let server = NetServer::start(
+        Arc::clone(&service),
+        NetConfig {
+            max_connections: 2,
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // One more degenerate submit than the pool has slots: a refusal
+    // that leaked its slot would turn the last into `pool_full`.
+    let degenerate = [
+        CohortSpec {
+            patients: 0,
+            ..CohortSpec::small(1)
+        },
+        CohortSpec {
+            exam_types: 0,
+            ..CohortSpec::small(2)
+        },
+        CohortSpec {
+            exam_types: ConditionGroup::ALL.len() - 1,
+            ..CohortSpec::small(3)
+        },
+    ];
+    for (i, cohort) in degenerate.into_iter().enumerate() {
+        let mut client = Client::connect(addr).unwrap();
+        let spec = WireJobSpec::quick(format!("degenerate-{i}"), cohort);
+        match client.call(Request::Submit(spec)) {
+            Err(NetError::Remote { code, .. }) => assert_eq!(code, "protocol"),
+            other => panic!("expected a typed refusal of cohort {cohort:?}, got {other:?}"),
+        }
+    }
+
+    // Each refused connection closes and gives its slot back.
+    let deadline = std::time::Instant::now() + DEADLINE;
+    while server.metrics().in_flight != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "pool slots never freed"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut client = Client::connect(addr).unwrap();
+    assert!(matches!(
+        client.call(Request::Health).unwrap(),
+        Response::Health { .. }
+    ));
+    drop(client);
+
+    let net = server.shutdown();
+    assert_eq!(net.protocol_errors, 3);
+    assert_eq!(net.in_flight, 0);
+    assert!(service.past_sessions().is_empty());
+}
+
+#[test]
+fn stream_open_with_zero_k_is_refused_and_opens_nothing() {
+    let service = Arc::new(AnalysisService::new(
+        ServiceConfig::default(),
+        SharedKdb::in_memory(),
+    ));
+    let server = NetServer::start(Arc::clone(&service), NetConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    let mut client = Client::connect(addr).unwrap();
+    let bad = Request::StreamOpen {
+        stream: "bad".to_owned(),
+        spec: StreamMiningSpec {
+            k: 0,
+            ..StreamMiningSpec::quick()
+        },
+    };
+    match client.call(bad) {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, "protocol"),
+        other => panic!("expected a typed refusal of k = 0, got {other:?}"),
+    }
+    assert!(service.stream_names().is_empty());
+
+    // A well-formed stream on the same server closes windows and
+    // answers its reads.
+    let mut client = Client::connect(addr).unwrap();
+    match client
+        .call(Request::StreamQuery {
+            stream: "bad".to_owned(),
+        })
+        .unwrap()
+    {
+        Response::Error { code, .. } => assert_eq!(code, "unknown_stream"),
+        other => panic!("expected unknown_stream, got {other:?}"),
+    }
+    let good = || "good".to_owned();
+    let day = |d| ada_dataset::Date::from_days_since_epoch(d).unwrap();
+    let records = (0..60u32)
+        .map(|i| ExamRecord::new(PatientId(i % 10), ExamTypeId(i % 4), day(i64::from(i))))
+        .collect();
+    for (request, answer) in [
+        (
+            Request::StreamOpen {
+                stream: good(),
+                spec: StreamMiningSpec::quick(),
+            },
+            "stream_opened",
+        ),
+        (
+            Request::Ingest {
+                stream: good(),
+                records,
+            },
+            "ingested",
+        ),
+        (Request::StreamQuery { stream: good() }, "stream_state"),
+    ] {
+        assert_eq!(client.call(request).unwrap().kind(), answer);
+    }
+    assert_eq!(service.stream_names(), vec![good()]);
+
+    drop(client);
+    let net = server.shutdown();
+    assert_eq!(net.protocol_errors, 1);
 }

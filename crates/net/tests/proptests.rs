@@ -5,6 +5,7 @@
 
 use std::time::Duration;
 
+use ada_dataset::ConditionGroup;
 use ada_kdb::{Document, Value};
 use ada_net::proto::{CohortSpec, Preset, Request, Response, WireJobSpec};
 use ada_net::{frame_bytes, Decoded, FrameDecoder, FrameError};
@@ -23,15 +24,21 @@ fn drain(dec: &mut FrameDecoder) -> Result<Vec<Vec<u8>>, FrameError> {
     }
 }
 
+/// Cohorts the server can generate: at least one exam type per
+/// condition group (smaller catalogs are refused at decode).
 fn cohort_strategy() -> impl Strategy<Value = CohortSpec> {
-    (10usize..200, 2usize..30, 50usize..2000, any::<u64>()).prop_map(
-        |(patients, exam_types, records, seed)| CohortSpec {
+    (
+        10usize..200,
+        ConditionGroup::ALL.len()..30,
+        50usize..2000,
+        any::<u64>(),
+    )
+        .prop_map(|(patients, exam_types, records, seed)| CohortSpec {
             patients,
             exam_types,
             records,
             seed,
-        },
-    )
+        })
 }
 
 fn trace_strategy() -> impl Strategy<Value = TraceContext> {
@@ -293,6 +300,23 @@ proptest! {
         let (got_id, got) = Response::decode(&payload).unwrap();
         prop_assert_eq!(got_id, id);
         prop_assert_eq!(got, resp);
+    }
+
+    // A cohort the generator would panic on (no patients, or fewer exam
+    // types than condition groups) is a typed decode error.
+    #[test]
+    fn degenerate_cohorts_are_typed_decode_errors(
+        spec in spec_strategy(),
+        no_patients in any::<bool>(),
+        exam_types in 0usize..ConditionGroup::ALL.len(),
+    ) {
+        let mut spec = spec;
+        if no_patients {
+            spec.cohort.patients = 0;
+        } else {
+            spec.cohort.exam_types = exam_types;
+        }
+        prop_assert!(Request::decode(&Request::Submit(spec).encode(1)).is_err());
     }
 
     // Arbitrary bytes fed to the message decoders are typed errors,

@@ -15,8 +15,8 @@
 //!   `Queued → Running → Completed | Failed | Cancelled`, with blocking
 //!   [`AnalysisService::wait`] and cooperative [`CancelToken`]s that the
 //!   pipeline polls at stage boundaries.
-//! - Retry with capped, seeded exponential backoff ([`RetryPolicy`]) for
-//!   attempts that panic, and per-session deadlines.
+//! - Retry with capped, seeded exponential backoff for attempts that
+//!   panic, and per-session deadlines.
 //! - Observability: [`MetricsObserver`] aggregates queue depth,
 //!   per-stage latency, and outcome counters into [`ServiceMetrics`];
 //!   callers can fan events out to their own
@@ -44,4 +44,4 @@ pub use error::ServiceError;
 pub use job::{JobSpec, Priority, Workload};
 pub use observer::{FanoutObserver, MetricsObserver, ServiceMetrics, StageMetrics};
 pub use registry::{SessionId, SessionOutcome, SessionRegistry, SessionState};
-pub use service::{AnalysisService, RetryPolicy, ServiceConfig, DEFAULT_TRACE_SEED};
+pub use service::{AnalysisService, ServiceConfig, DEFAULT_TRACE_SEED};

@@ -1,27 +1,16 @@
 //! The bounded, prioritized job queue feeding the worker pool.
 //!
-//! Storage is a binary heap ordered by `(priority, submission order)`;
-//! a crossbeam channel carries wake-up tokens so workers block cheaply
-//! instead of spinning. The channel is strictly FIFO, which gives
-//! graceful shutdown for free: shutdown tokens sent after the last job
-//! token are only seen once every queued job has been drained.
+//! Storage is a binary heap ordered by `(priority, submission order)`
+//! behind one mutex. Idle workers park on a condition variable of that
+//! same mutex, so a push wakes one of them and nothing spins. Closing
+//! the queue wakes them all; each keeps popping until the heap is
+//! empty, so graceful shutdown drains the backlog before workers exit.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::{Condvar, Mutex};
 
 use crate::job::Priority;
-
-/// What a worker wakes up to do.
-#[derive(Debug)]
-pub(crate) enum Token {
-    /// One job is available in the heap.
-    Job,
-    /// Stop after draining: the sender guarantees no Job token follows.
-    Shutdown,
-}
 
 struct QueuedJob<T> {
     priority: Priority,
@@ -50,30 +39,29 @@ impl<T> Ord for QueuedJob<T> {
     }
 }
 
-/// A bounded priority queue with channel-based worker wake-up.
+/// A bounded priority queue whose workers block in [`JobQueue::pop`].
 pub(crate) struct JobQueue<T> {
     heap: Mutex<Heap<T>>,
+    ready: Condvar,
     capacity: usize,
-    wake_tx: Sender<Token>,
-    wake_rx: Receiver<Token>,
 }
 
 struct Heap<T> {
     jobs: BinaryHeap<QueuedJob<T>>,
     next_seq: u64,
+    closed: bool,
 }
 
 impl<T> JobQueue<T> {
     pub(crate) fn bounded(capacity: usize) -> Self {
-        let (wake_tx, wake_rx) = unbounded();
         Self {
             heap: Mutex::new(Heap {
                 jobs: BinaryHeap::new(),
                 next_seq: 0,
+                closed: false,
             }),
+            ready: Condvar::new(),
             capacity,
-            wake_tx,
-            wake_rx,
         }
     }
 
@@ -93,14 +81,23 @@ impl<T> JobQueue<T> {
             payload,
         });
         drop(heap);
-        self.wake_tx.send(Token::Job).expect("wake channel closed");
+        self.ready.notify_one();
         Ok(())
     }
 
-    /// Pops the highest-priority job, if any.
+    /// Blocks until a job is queued and pops the highest-priority one;
+    /// `None` once the queue is closed and empty.
     pub(crate) fn pop(&self) -> Option<T> {
         let mut heap = self.heap.lock().expect("queue lock");
-        heap.jobs.pop().map(|j| j.payload)
+        loop {
+            if let Some(job) = heap.jobs.pop() {
+                return Some(job.payload);
+            }
+            if heap.closed {
+                return None;
+            }
+            heap = self.ready.wait(heap).expect("queue lock");
+        }
     }
 
     /// Current queue depth.
@@ -108,24 +105,18 @@ impl<T> JobQueue<T> {
         self.heap.lock().expect("queue lock").jobs.len()
     }
 
-    /// Blocks until a wake-up token arrives.
-    pub(crate) fn recv(&self) -> Token {
-        // The sender half lives in the same struct, so recv can only
-        // fail if the queue itself is being dropped mid-recv.
-        self.wake_rx.recv().unwrap_or(Token::Shutdown)
-    }
-
-    /// Tells `workers` workers to stop once the queue is drained.
-    pub(crate) fn send_shutdown(&self, workers: usize) {
-        for _ in 0..workers {
-            let _ = self.wake_tx.send(Token::Shutdown);
-        }
+    /// Wakes every parked worker to drain what is queued and stop.
+    pub(crate) fn close(&self) {
+        self.heap.lock().expect("queue lock").closed = true;
+        self.ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn orders_by_priority_then_fifo() {
@@ -134,6 +125,7 @@ mod tests {
         q.push(Priority::High, "high-1").unwrap();
         q.push(Priority::Normal, "norm-1").unwrap();
         q.push(Priority::High, "high-2").unwrap();
+        q.close();
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec!["high-1", "high-2", "norm-1", "low-1"]);
     }
@@ -150,11 +142,39 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_tokens_arrive_after_job_tokens() {
-        let q = JobQueue::bounded(4);
-        q.push(Priority::Normal, ()).unwrap();
-        q.send_shutdown(1);
-        assert!(matches!(q.recv(), Token::Job));
-        assert!(matches!(q.recv(), Token::Shutdown));
+    fn a_parked_worker_wakes_for_a_push_and_for_close() {
+        let q = Arc::new(JobQueue::bounded(4));
+        let worker = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || (q.pop(), q.pop()))
+        };
+        // Give the worker time to park on the empty queue first.
+        std::thread::sleep(Duration::from_millis(50));
+        q.push(Priority::Normal, 7).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        q.close();
+        assert_eq!(worker.join().unwrap(), (Some(7), None));
+    }
+
+    #[test]
+    fn close_drains_queued_jobs_before_workers_exit() {
+        let q = Arc::new(JobQueue::bounded(8));
+        for i in 0..6 {
+            q.push(Priority::Normal, i).unwrap();
+        }
+        q.close();
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || std::iter::from_fn(|| q.pop()).collect::<Vec<_>>())
+            })
+            .collect();
+        let mut drained: Vec<i32> = workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect();
+        drained.sort_unstable();
+        assert_eq!(drained, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(q.len(), 0);
     }
 }

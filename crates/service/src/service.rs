@@ -26,29 +26,25 @@ use crate::cancel::CancelToken;
 use crate::error::ServiceError;
 use crate::job::{JobSpec, Workload};
 use crate::observer::{FanoutObserver, MetricsObserver, ServiceMetrics};
-use crate::queue::{JobQueue, Token};
+use crate::queue::JobQueue;
 use crate::registry::{SessionId, SessionOutcome, SessionRegistry, SessionState};
 
 /// Deterministic capped exponential backoff for retried attempts.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
+struct RetryPolicy {
     /// Delay before the first retry.
-    pub base: Duration,
+    base: Duration,
     /// Upper bound on any single delay.
-    pub cap: Duration,
+    cap: Duration,
     /// Seed for the jitter mix — same seed, same schedule.
-    pub seed: u64,
+    seed: u64,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(200),
-            seed: 0x5eed_0fad_a0c1_d0c5,
-        }
-    }
-}
+/// The backoff every retried attempt waits out.
+const RETRY: RetryPolicy = RetryPolicy {
+    base: Duration::from_millis(10),
+    cap: Duration::from_millis(200),
+    seed: 0x5eed_0fad_a0c1_d0c5,
+};
 
 impl RetryPolicy {
     /// The delay before retry number `attempt` (1-based) of `session`.
@@ -57,7 +53,7 @@ impl RetryPolicy {
     /// jitter in `[0, base)` derived from `(seed, session, attempt)` via
     /// a SplitMix64 mix so concurrent retries de-synchronize without a
     /// shared RNG.
-    pub fn backoff(&self, session: SessionId, attempt: u32) -> Duration {
+    fn backoff(&self, session: SessionId, attempt: u32) -> Duration {
         let exp = self
             .base
             .saturating_mul(1u32 << attempt.min(16).saturating_sub(1));
@@ -81,8 +77,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Bounded queue capacity; submissions beyond it get `Busy`.
     pub queue_capacity: usize,
-    /// Retry schedule for panicking attempts.
-    pub retry: RetryPolicy,
     /// Optional extra observer receiving every stage event in addition
     /// to the built-in metrics collector and flight recorder.
     pub observer: Option<Arc<dyn PipelineObserver>>,
@@ -96,20 +90,12 @@ pub struct ServiceConfig {
     /// writers share one fsync per commit round instead of paying one
     /// each.
     pub durability: Option<DurabilityPolicy>,
-    /// Force a final journal fsync when the service shuts down, so ops
-    /// acknowledged non-durable under `Batch`/`SnapshotOnly` policies
-    /// are made durable before the process exits.
-    pub sync_on_shutdown: bool,
     /// Fraction of sessions whose requests are traced end-to-end
     /// (`0.0` = tracing fully off — the default, byte-identical to a
     /// build without tracing; `1.0` = every session). The decision is
     /// seeded-deterministic per session name, so the same submission
     /// samples identically on every run.
     pub sample_rate: f64,
-    /// Seed for the deterministic sampling decision and trace-id
-    /// derivation. Remote clients that mint contexts themselves must
-    /// use the same seed for client and server decisions to agree.
-    pub trace_seed: u64,
     /// Start as a replication follower: reads and status queries are
     /// served, submissions are refused with [`ServiceError::Follower`]
     /// until [`AnalysisService::promote`] flips the node to primary.
@@ -121,21 +107,18 @@ impl Default for ServiceConfig {
         Self {
             workers: 4,
             queue_capacity: 64,
-            retry: RetryPolicy::default(),
             observer: None,
             degrade_after: 3,
             durability: None,
-            sync_on_shutdown: true,
             sample_rate: 0.0,
-            trace_seed: DEFAULT_TRACE_SEED,
             follower: false,
         }
     }
 }
 
-/// The default sampling seed: client and server must agree on one seed
-/// for their deterministic decisions to coincide, so both sides default
-/// to this constant.
+/// The seed of the deterministic sampling decision and trace-id
+/// derivation: client and server must agree on one seed for their
+/// decisions to coincide, so both sides use this constant.
 pub const DEFAULT_TRACE_SEED: u64 = 0xada0_b5e5_7ace_5eed;
 
 struct ServiceInner {
@@ -145,7 +128,6 @@ struct ServiceInner {
     metrics: Arc<MetricsObserver>,
     recorder: Arc<FlightRecorder>,
     extra_observer: Option<Arc<dyn PipelineObserver>>,
-    retry: RetryPolicy,
     shutting_down: AtomicBool,
     /// Sticky read-only flag; set once [`ServiceInner::journal_fault_delta`]
     /// reaches `degrade_after`, cleared only by a restart.
@@ -157,13 +139,9 @@ struct ServiceInner {
     /// (faults are attributed to the process that caused them).
     initial_faults: u64,
     degrade_after: u64,
-    /// Run one final group fsync when the service stops.
-    sync_on_shutdown: bool,
     /// End-to-end tracing sample rate (0 = off, the byte-identity
     /// baseline).
     sample_rate: f64,
-    /// Seed for deterministic sampling and trace-id derivation.
-    trace_seed: u64,
     /// Open ingestion streams by name (`stream_open` registers,
     /// `stop` closes).
     streams: Mutex<HashMap<String, Arc<StreamHandle>>>,
@@ -227,15 +205,12 @@ impl AnalysisService {
             metrics: Arc::new(MetricsObserver::new()),
             recorder,
             extra_observer: config.observer,
-            retry: config.retry,
             shutting_down: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             follower: AtomicBool::new(config.follower),
             initial_faults,
             degrade_after: u64::from(config.degrade_after.max(1)),
-            sync_on_shutdown: config.sync_on_shutdown,
             sample_rate: config.sample_rate,
-            trace_seed: config.trace_seed,
             streams: Mutex::new(HashMap::new()),
             stream_metrics: Arc::new(StreamMetrics::new()),
         });
@@ -279,7 +254,7 @@ impl AnalysisService {
             // In-process submissions mint here; remote ones arrive with
             // the client's context already attached.
             spec.trace = TraceContext::mint(
-                self.inner.trace_seed,
+                DEFAULT_TRACE_SEED,
                 &spec.config.session,
                 self.inner.sample_rate,
             );
@@ -602,9 +577,8 @@ impl AnalysisService {
         if self.inner.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        // The wake channel is FIFO, so these land after every queued
-        // job's token: workers drain the backlog before stopping.
-        self.inner.queue.send_shutdown(self.workers.len());
+        // Workers drain the backlog before they stop.
+        self.inner.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -623,12 +597,10 @@ impl AnalysisService {
         for stream in streams {
             stream.close();
         }
-        if self.inner.sync_on_shutdown {
-            // Batch/SnapshotOnly acks may still be fsync-uncovered; one
-            // final group fsync closes the window (best-effort — the
-            // fault counter records a failure).
-            let _ = self.inner.kdb.sync();
-        }
+        // Batch/SnapshotOnly acks may still be fsync-uncovered; one
+        // final group fsync closes the window (best-effort — the fault
+        // counter records a failure).
+        let _ = self.inner.kdb.sync();
         if self.inner.sample_rate > 0.0 {
             // Unhook the group committer so a longer-lived K-DB handle
             // does not keep reporting into this service's recorder.
@@ -709,21 +681,14 @@ fn maybe_force_slow_trace(inner: &ServiceInner, session: &str, elapsed: Duration
     inner.metrics.trace_forced();
     inner.recorder.set_trace(
         session,
-        TraceContext::forced(inner.trace_seed, session),
+        TraceContext::forced(DEFAULT_TRACE_SEED, session),
         true,
     );
 }
 
 fn worker_loop(inner: &ServiceInner) {
-    loop {
-        match inner.queue.recv() {
-            Token::Shutdown => break,
-            Token::Job => {
-                if let Some((id, spec, queued_at)) = inner.queue.pop() {
-                    run_job(inner, id, spec, queued_at);
-                }
-            }
-        }
+    while let Some((id, spec, queued_at)) = inner.queue.pop() {
+        run_job(inner, id, spec, queued_at);
     }
 }
 
@@ -859,7 +824,7 @@ fn run_job(inner: &ServiceInner, id: SessionId, spec: JobSpec, queued_at: Instan
                 if attempt < spec.max_retries {
                     attempt += 1;
                     inner.metrics.job_retried();
-                    let backoff = inner.retry.backoff(id, attempt);
+                    let backoff = RETRY.backoff(id, attempt);
                     inner.recorder.retry(&session);
                     std::thread::sleep(backoff);
                 } else {
@@ -950,16 +915,15 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_capped_and_grows() {
-        let policy = RetryPolicy::default();
-        let a1 = policy.backoff(SessionId(1), 1);
-        let a1_again = policy.backoff(SessionId(1), 1);
+        let a1 = RETRY.backoff(SessionId(1), 1);
+        let a1_again = RETRY.backoff(SessionId(1), 1);
         assert_eq!(a1, a1_again);
         // Different sessions de-synchronize.
-        assert_ne!(a1, policy.backoff(SessionId(2), 1));
+        assert_ne!(a1, RETRY.backoff(SessionId(2), 1));
         // Monotone-ish growth until the cap, never past cap + base jitter.
-        let late = policy.backoff(SessionId(1), 12);
-        assert!(late <= policy.cap + policy.base);
-        assert!(policy.backoff(SessionId(1), 5) >= policy.base);
+        let late = RETRY.backoff(SessionId(1), 12);
+        assert!(late <= RETRY.cap + RETRY.base);
+        assert!(RETRY.backoff(SessionId(1), 5) >= RETRY.base);
     }
 
     #[test]

@@ -9,15 +9,13 @@
 //! all-zero table degenerates to the null value ROR = 1 with a very
 //! wide interval).
 
-use serde::{Deserialize, Serialize};
-
 use crate::table::ContingencyTable;
 
 /// The 1.96 z-score of the two-sided 95% interval.
 const Z_95: f64 = 1.96;
 
 /// A reporting-odds-ratio estimate with its 95% CI.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RorEstimate {
     /// The point estimate (after correction, when applied).
     pub ror: f64,

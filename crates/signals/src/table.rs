@@ -21,10 +21,9 @@
 use ada_dataset::taxonomy::ConditionGroup;
 use ada_dataset::{ExamLog, ExamTypeId};
 use ada_metrics::interest::RuleCounts;
-use serde::{Deserialize, Serialize};
 
 /// One 2×2 contingency table (patient counts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContingencyTable {
     /// Exposed patients with the outcome.
     pub a: u64,
@@ -88,7 +87,7 @@ impl ContingencyTable {
 }
 
 /// One (exposure exam, outcome condition group) pair with its table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExposurePair {
     /// The exposure exam type.
     pub exposure: ExamTypeId,

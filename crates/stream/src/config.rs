@@ -1,7 +1,5 @@
 //! Stream configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Everything that defines a stream's deterministic behaviour.
 ///
 /// Two engines opened with equal configurations and fed the same
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// order (within the lateness bound) or batch boundaries — the config
 /// is therefore part of the stream's identity, and resuming a durable
 /// stream with a *different* config is refused as corruption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
     /// Stream name: tags every `stream_windows` checkpoint and the
     /// service registry entry.

@@ -14,8 +14,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 /// A row-major dense `f64` matrix.
 ///
 /// At paper scale the VSM matrix is 6,380 × 159 ≈ 8 MB of `f64`; a
@@ -31,17 +29,15 @@ use serde::{Deserialize, Serialize};
 /// across a whole K sweep (and every partial-mining subset built from
 /// the same matrix) and computed exactly once. The non-zero view is
 /// memoized the same way. Mutating accessors invalidate both caches.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
     /// Lazily computed `‖row‖²` per row; reset by any mutation.
-    #[serde(skip)]
     norms_sq: OnceLock<Vec<f64>>,
     /// Lazily built CSR copy of the non-zero cells; reset by any
     /// mutation.
-    #[serde(skip)]
     nonzeros: OnceLock<NonZeros>,
 }
 

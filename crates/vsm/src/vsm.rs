@@ -10,8 +10,6 @@
 //! optional feature filter restricting the matrix to a subset of exam
 //! types (the paper grows this subset along decreasing exam frequency).
 
-use serde::{Deserialize, Serialize};
-
 use ada_dataset::{ExamLog, ExamTypeId, PatientId};
 
 use crate::dense::DenseMatrix;
@@ -21,7 +19,7 @@ use crate::dense::DenseMatrix;
 /// The paper implements raw counts; the alternatives are the candidate
 /// transformations ADA-HEALTH's *transformation selection* component
 /// scores against each other (`ada-core::transform`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Weighting {
     /// Raw exam counts (the paper's choice).
     Count,
@@ -59,7 +57,7 @@ impl std::fmt::Display for Weighting {
 
 /// The VSM transformation output: one row per patient, one column per
 /// *selected* exam type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatientVectors {
     /// The patient × feature matrix.
     pub matrix: DenseMatrix,

@@ -2,6 +2,8 @@
 //! where it is tracked. The count is the perf ledger's `<crate>.src_lines`
 //! rule (`crates/bench/src/bin/ledger/probes.rs`): non-blank lines before
 //! a file's `#[cfg(test)]`, over every `.rs` under `crates/<crate>/src`.
+//! The offline dependency stubs are held to a ceiling by the same rule,
+//! counted over every `vendor/*/src`, so they cannot regrow.
 //!
 //! A PR that needs a ceiling raised raises it here, in its own diff,
 //! where a reviewer sees it; a PR that shrinks a crate lowers it.
@@ -10,19 +12,22 @@ use std::path::Path;
 
 /// The twelve tracked crates and the size each may not exceed.
 const CEILINGS: [(&str, u64); 12] = [
-    ("dataset", 1_981),
-    ("vsm", 1_149),
-    ("metrics", 656),
-    ("mining", 3_448),
-    ("kdb", 4_423),
-    ("core", 3_251),
-    ("signals", 781),
+    ("dataset", 1_970),
+    ("vsm", 1_144),
+    ("metrics", 654),
+    ("mining", 3_438),
+    ("kdb", 4_379),
+    ("core", 3_242),
+    ("signals", 777),
     ("obs", 1_374),
-    ("stream", 1_417),
-    ("service", 1_923),
-    ("net", 2_679),
-    ("fleet", 1_771),
+    ("stream", 1_415),
+    ("service", 1_880),
+    ("net", 2_673),
+    ("fleet", 1_768),
 ];
+
+/// The ceiling of the `vendor` row: every offline stub together.
+const VENDOR_CEILING: u64 = 1_289;
 
 fn src_lines(dir: &Path) -> u64 {
     let mut total = 0;
@@ -44,18 +49,26 @@ fn src_lines(dir: &Path) -> u64 {
 
 #[test]
 fn tracked_crates_stay_under_their_ceilings() {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut over = Vec::new();
-    let mut sum = 0;
-    println!("{:<10}{:>10}{:>10}", "crate", "src_lines", "ceiling");
-    for (krate, ceiling) in CEILINGS {
-        let lines = src_lines(&crates.join(krate).join("src"));
-        println!("{krate:<10}{lines:>10}{ceiling:>10}");
-        sum += lines;
+    let mut row = |name: &str, lines: u64, ceiling: u64| {
+        println!("{name:<10}{lines:>10}{ceiling:>10}");
         if lines > ceiling {
-            over.push(format!("{krate}: {lines} > {ceiling}"));
+            over.push(format!("{name}: {lines} > {ceiling}"));
         }
+    };
+    println!("{:<10}{:>10}{:>10}", "crate", "src_lines", "ceiling");
+    let mut sum = 0;
+    for (krate, ceiling) in CEILINGS {
+        let lines = src_lines(&root.join("crates").join(krate).join("src"));
+        row(krate, lines, ceiling);
+        sum += lines;
     }
     println!("{:<10}{sum:>10}", "sum");
+    let vendor = std::fs::read_dir(root.join("vendor"))
+        .unwrap()
+        .map(|stub| src_lines(&stub.unwrap().path().join("src")))
+        .sum();
+    row("vendor", vendor, VENDOR_CEILING);
     assert!(over.is_empty(), "over the line budget: {over:?}");
 }
