@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use crate::document::Document;
+use crate::document::{Document, MAX_DEPTH};
 use crate::error::KdbError;
 use crate::index::Index;
 use crate::journal::Op;
@@ -74,8 +74,9 @@ impl Collection {
     /// [`KdbError::CollectionExists`] for a `CreateCollection` (this
     /// one exists), [`KdbError::IndexExists`] for an indexed path,
     /// [`KdbError::DuplicateDocument`] for an insert under a taken id,
-    /// and [`KdbError::UnknownDocument`] for an update or delete of an
-    /// absent id.
+    /// [`KdbError::UnknownDocument`] for an update or delete of an
+    /// absent id, and [`KdbError::Schema`] for a document nesting deeper
+    /// than [`MAX_DEPTH`], which replay could not decode.
     pub fn check(&self, op: &Op) -> Result<(), KdbError> {
         match op {
             Op::CreateCollection { name } => Err(KdbError::CollectionExists(name.clone())),
@@ -88,6 +89,9 @@ impl Collection {
             Op::Update { id, .. } | Op::Delete { id, .. } if !self.docs.contains_key(id) => {
                 Err(KdbError::UnknownDocument(*id))
             }
+            Op::Insert { doc, .. } | Op::Update { doc, .. } if !doc.nests_within(MAX_DEPTH) => Err(
+                KdbError::Schema(format!("document nests deeper than {MAX_DEPTH} levels")),
+            ),
             _ => Ok(()),
         }
     }

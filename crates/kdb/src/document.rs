@@ -7,8 +7,7 @@
 //! over escaping-based formats so the journal reader never needs to
 //! rescan bytes.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
 use crate::error::KdbError;
 
@@ -101,32 +100,33 @@ impl Value {
             Value::Bool(true) => out.push('T'),
             Value::Bool(false) => out.push('B'),
             Value::I64(v) => {
-                out.push('I');
-                out.push_str(&v.to_string());
+                out.push_str(if *v < 0 { "I-" } else { "I" });
+                push_decimal(out, v.unsigned_abs());
                 out.push(';');
             }
-            Value::F64(v) => {
-                out.push('F');
-                // Rust's shortest-round-trip float formatting; NaN and
-                // infinities parse back via f64::from_str.
-                out.push_str(&v.to_string());
-                out.push(';');
-            }
+            // Rust's shortest-round-trip float formatting; NaN and
+            // infinities parse back via f64::from_str.
+            Value::F64(v) => write!(out, "F{v};").expect("a String takes any write"),
             Value::Str(s) => {
-                out.push('S');
-                out.push_str(&s.len().to_string());
-                out.push(':');
+                push_len(out, 'S', s.len());
                 out.push_str(s);
             }
             Value::Array(items) => {
-                out.push('A');
-                out.push_str(&items.len().to_string());
-                out.push(':');
+                push_len(out, 'A', items.len());
                 for item in items {
                     item.encode_into(out);
                 }
             }
             Value::Doc(doc) => doc.encode_into(out),
+        }
+    }
+
+    /// Whether arrays and documents nest at most `levels` deep in `self`.
+    fn nests_within(&self, levels: usize) -> bool {
+        match self {
+            Value::Array(items) => levels > 0 && items.iter().all(|v| v.nests_within(levels - 1)),
+            Value::Doc(doc) => doc.nests_within(levels),
+            _ => true,
         }
     }
 
@@ -140,12 +140,12 @@ impl Value {
     /// Decodes a canonical encoding, requiring all input be consumed.
     ///
     /// # Errors
-    /// Returns [`KdbError::Decode`] on malformed or trailing input.
+    /// Returns [`KdbError::Decode`] on malformed or trailing input, and
+    /// on arrays and documents nested deeper than [`MAX_DEPTH`].
     pub fn decode(input: &str) -> Result<Value, KdbError> {
-        let bytes = input.as_bytes();
         let mut pos = 0usize;
-        let value = decode_value(bytes, &mut pos)?;
-        if pos != bytes.len() {
+        let value = decode_value(input.as_bytes(), &mut pos, 0)?;
+        if pos != input.len() {
             return Err(KdbError::Decode(pos, "trailing bytes".into()));
         }
         Ok(value)
@@ -156,42 +156,61 @@ impl Value {
     /// streaming readers (the journal).
     ///
     /// # Errors
-    /// Returns [`KdbError::Decode`] on malformed input; `*pos` is left
+    /// Returns [`KdbError::Decode`] on malformed input, and on arrays and
+    /// documents nested deeper than [`MAX_DEPTH`]; `*pos` is left
     /// wherever the error was detected.
     pub fn decode_prefix(input: &[u8], pos: &mut usize) -> Result<Value, KdbError> {
-        decode_value(input, pos)
+        decode_value(input, pos, 0)
     }
 }
 
-fn take_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, KdbError> {
-    let b = *bytes
-        .get(*pos)
-        .ok_or_else(|| KdbError::Decode(*pos, "unexpected end of input".into()))?;
-    *pos += 1;
-    Ok(b)
+/// How deep arrays and documents may nest in a decoded value: far above any writer's (a
+/// session record nests 4 deep, 6 in a wire listing), far below a 2 MB stack's limit.
+/// The store refuses to write a document that nests deeper, so replay never meets one.
+pub const MAX_DEPTH: usize = 64;
+
+/// Appends `n` in decimal, as `write!(out, "{n}")` would. Through
+/// `write!`, encoding a 1.2 MB `PastSessions` answer takes twice as long.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let (mut buf, mut at) = ([0u8; 20], 20);
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+        }
+    }
 }
 
-/// Reads ASCII digits up to (and consuming) the `stop` byte.
-fn take_number(bytes: &[u8], pos: &mut usize, stop: u8) -> Result<usize, KdbError> {
+/// Appends a `<tag><len>:` prefix.
+fn push_len(out: &mut String, tag: char, len: usize) {
+    out.push(tag);
+    push_decimal(out, len as u64);
+    out.push(':');
+}
+
+/// Reads the `what` before `stop` with `str::parse`, and consumes `stop`.
+fn take_token<T: std::str::FromStr>(
+    bytes: &[u8],
+    pos: &mut usize,
+    stop: u8,
+    what: &str,
+) -> Result<T, KdbError> {
     let start = *pos;
-    while *pos < bytes.len() && bytes[*pos] != stop {
-        *pos += 1;
-    }
-    if *pos >= bytes.len() {
-        return Err(KdbError::Decode(start, "unterminated length".into()));
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| KdbError::Decode(start, "non-UTF-8 length".into()))?;
-    let n: usize = text
-        .parse()
-        .map_err(|_| KdbError::Decode(start, format!("bad length {text:?}")))?;
-    *pos += 1; // consume the stop byte
-    Ok(n)
+    let Some(len) = bytes[start..].iter().position(|&b| b == stop) else {
+        return Err(KdbError::Decode(start, format!("unterminated {what}")));
+    };
+    *pos = start + len + 1;
+    let text = std::str::from_utf8(&bytes[start..start + len])
+        .map_err(|_| KdbError::Decode(start, format!("non-UTF-8 {what}")))?;
+    text.parse()
+        .map_err(|_| KdbError::Decode(start, format!("bad {what} {text:?}")))
 }
 
 /// Reads a `<len>:<bytes>` string.
 fn take_lstring(bytes: &[u8], pos: &mut usize) -> Result<String, KdbError> {
-    let len = take_number(bytes, pos, b':')?;
+    let len: usize = take_token(bytes, pos, b':', "length")?;
     let end = pos
         .checked_add(len)
         .filter(|&e| e <= bytes.len())
@@ -203,58 +222,38 @@ fn take_lstring(bytes: &[u8], pos: &mut usize) -> Result<String, KdbError> {
     Ok(s)
 }
 
-fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, KdbError> {
-    let tag = take_byte(bytes, pos)?;
+/// Decodes the value at `*pos`, `depth` arrays and documents deep.
+fn decode_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, KdbError> {
+    let &tag = bytes
+        .get(*pos)
+        .ok_or_else(|| KdbError::Decode(*pos, "unexpected end of input".into()))?;
+    *pos += 1;
     match tag {
+        b'A' | b'O' if depth >= MAX_DEPTH => {
+            Err(KdbError::Decode(*pos - 1, "nesting too deep".into()))
+        }
         b'N' => Ok(Value::Null),
         b'T' => Ok(Value::Bool(true)),
         b'B' => Ok(Value::Bool(false)),
-        b'I' => {
-            let start = *pos;
-            while *pos < bytes.len() && bytes[*pos] != b';' {
-                *pos += 1;
-            }
-            if *pos >= bytes.len() {
-                return Err(KdbError::Decode(start, "unterminated integer".into()));
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos])
-                .map_err(|_| KdbError::Decode(start, "non-UTF-8 integer".into()))?;
-            *pos += 1;
-            text.parse::<i64>()
-                .map(Value::I64)
-                .map_err(|_| KdbError::Decode(start, format!("bad integer {text:?}")))
-        }
-        b'F' => {
-            let start = *pos;
-            while *pos < bytes.len() && bytes[*pos] != b';' {
-                *pos += 1;
-            }
-            if *pos >= bytes.len() {
-                return Err(KdbError::Decode(start, "unterminated float".into()));
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos])
-                .map_err(|_| KdbError::Decode(start, "non-UTF-8 float".into()))?;
-            *pos += 1;
-            text.parse::<f64>()
-                .map(Value::F64)
-                .map_err(|_| KdbError::Decode(start, format!("bad float {text:?}")))
-        }
+        b'I' => take_token(bytes, pos, b';', "integer").map(Value::I64),
+        b'F' => take_token(bytes, pos, b';', "float").map(Value::F64),
         b'S' => Ok(Value::Str(take_lstring(bytes, pos)?)),
         b'A' => {
-            let count = take_number(bytes, pos, b':')?;
+            let count: usize = take_token(bytes, pos, b':', "length")?;
             let mut items = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                items.push(decode_value(bytes, pos)?);
+                items.push(decode_value(bytes, pos, depth + 1)?);
             }
             Ok(Value::Array(items))
         }
         b'O' => {
-            let count = take_number(bytes, pos, b':')?;
-            let mut doc = Document::new();
+            let count: usize = take_token(bytes, pos, b':', "length")?;
+            let mut doc = Document {
+                fields: Vec::with_capacity(count.min(1024)),
+            };
             for _ in 0..count {
                 let key = take_lstring(bytes, pos)?;
-                let value = decode_value(bytes, pos)?;
-                doc.fields.insert(key, value);
+                doc.set(key, decode_value(bytes, pos, depth + 1)?);
             }
             Ok(Value::Doc(doc))
         }
@@ -265,29 +264,19 @@ fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, KdbError> {
     }
 }
 
-impl From<i64> for Value {
-    fn from(v: i64) -> Self {
-        Value::I64(v)
-    }
+macro_rules! value_from {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Self {
+                Value::$variant(v)
+            }
+        }
+    )*};
 }
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::F64(v)
-    }
-}
-impl From<bool> for Value {
-    fn from(v: bool) -> Self {
-        Value::Bool(v)
-    }
-}
+value_from!(i64 => I64, f64 => F64, bool => Bool, String => Str, Document => Doc);
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
         Value::Str(v.to_owned())
-    }
-}
-impl From<String> for Value {
-    fn from(v: String) -> Self {
-        Value::Str(v)
     }
 }
 impl<T: Into<Value>> From<Vec<T>> for Value {
@@ -295,16 +284,12 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
         Value::Array(v.into_iter().map(Into::into).collect())
     }
 }
-impl From<Document> for Value {
-    fn from(v: Document) -> Self {
-        Value::Doc(v)
-    }
-}
 
 /// An ordered string-keyed document.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Document {
-    fields: BTreeMap<String, Value>,
+    /// Sorted by key, each key once.
+    fields: Vec<(String, Value)>,
 }
 
 impl Document {
@@ -319,14 +304,26 @@ impl Document {
         self
     }
 
-    /// Sets a field.
+    /// Where `key` is, or where it would go.
+    fn slot(&self, key: &str) -> Result<usize, usize> {
+        self.fields.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    /// Sets a field; a key past the last one (a decode's keys) appends.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<Value>) {
-        self.fields.insert(key.into(), value.into());
+        let (key, value) = (key.into(), value.into());
+        if self.fields.last().is_none_or(|(last, _)| *last < key) {
+            return self.fields.push((key, value));
+        }
+        match self.slot(&key) {
+            Ok(i) => self.fields[i].1 = value,
+            Err(i) => self.fields.insert(i, (key, value)),
+        }
     }
 
     /// The value at `key`, if present.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.fields.get(key)
+        self.slot(key).ok().map(|i| &self.fields[i].1)
     }
 
     /// The value at a dotted path, e.g. `"patient.age"` descends into
@@ -335,7 +332,7 @@ impl Document {
         let mut current = self;
         let mut parts = path.split('.').peekable();
         while let Some(part) = parts.next() {
-            let value = current.fields.get(part)?;
+            let value = current.get(part)?;
             if parts.peek().is_none() {
                 return Some(value);
             }
@@ -346,7 +343,7 @@ impl Document {
 
     /// Removes and returns a field.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.fields.remove(key)
+        self.slot(key).ok().map(|i| self.fields.remove(i).1)
     }
 
     /// Number of top-level fields.
@@ -367,15 +364,19 @@ impl Document {
     /// Appends the canonical encoding of this document (identical to
     /// that of a [`Value::Doc`] holding it) to `out`.
     pub fn encode_into(&self, out: &mut String) {
-        out.push('O');
-        out.push_str(&self.fields.len().to_string());
-        out.push(':');
+        push_len(out, 'O', self.fields.len());
         for (k, v) in &self.fields {
-            out.push_str(&k.len().to_string());
+            push_decimal(out, k.len() as u64);
             out.push(':');
             out.push_str(k);
             v.encode_into(out);
         }
+    }
+
+    /// Whether arrays and documents, this one counted, nest at most
+    /// `levels` deep (the store writes none a decode would refuse).
+    pub(crate) fn nests_within(&self, levels: usize) -> bool {
+        levels > 0 && self.fields.iter().all(|(_, v)| v.nests_within(levels - 1))
     }
 
     /// The canonical encoding of this document.
@@ -401,14 +402,19 @@ impl Document {
     }
 }
 
+/// Prints what `derive(Debug)` did over a `BTreeMap`: `Document { fields: {"k": …} }`.
+impl fmt::Debug for Document {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields = fmt::from_fn(|f| f.debug_map().entries(self.iter()).finish());
+        f.debug_struct("Document").field("fields", &fields).finish()
+    }
+}
+
 impl fmt::Display for Document {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
         for (i, (k, v)) in self.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{k}: ")?;
+            write!(f, "{}{k}: ", if i > 0 { ", " } else { "" })?;
             match v {
                 Value::Null => write!(f, "null")?,
                 Value::Bool(b) => write!(f, "{b}")?,
@@ -527,6 +533,25 @@ mod tests {
             v = Value::Array(vec![v, Value::Null]);
         }
         assert_eq!(Value::decode(&v.encode()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |levels: usize| format!("{}N", "A1:".repeat(levels));
+        assert!(Value::decode(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            Value::decode(&nested(MAX_DEPTH + 1)),
+            Err(KdbError::Decode(3 * MAX_DEPTH, "nesting too deep".into()))
+        );
+        // 30 KB of nesting used to recurse a 2 MB connection thread's
+        // stack away and abort the process.
+        let hostile = nested(10_000);
+        let decoded = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Value::decode(&hostile).is_err())
+            .unwrap()
+            .join();
+        assert_eq!(decoded.ok(), Some(true));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! are injectable in tests; a [`DurabilityPolicy`] decides when appends
 //! are fsynced.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -239,13 +240,13 @@ impl Op {
     /// # Errors
     /// Returns [`KdbError::Decode`] on malformed input.
     pub fn decode_prefix(bytes: &[u8], pos: &mut usize) -> Result<Op, KdbError> {
+        let wrong = |at: usize, want: &str, found: Value| {
+            KdbError::Decode(at, format!("expected {want}, found {}", found.type_name()))
+        };
         let take_str = |pos: &mut usize| -> Result<String, KdbError> {
             match Value::decode_prefix(bytes, pos)? {
                 Value::Str(s) => Ok(s),
-                other => Err(KdbError::Decode(
-                    *pos,
-                    format!("expected string, found {}", other.type_name()),
-                )),
+                other => Err(wrong(*pos, "string", other)),
             }
         };
         let take_id = |pos: &mut usize| -> Result<DocId, KdbError> {
@@ -257,10 +258,7 @@ impl Op {
         let take_doc = |pos: &mut usize| -> Result<Document, KdbError> {
             match Value::decode_prefix(bytes, pos)? {
                 Value::Doc(d) => Ok(d),
-                other => Err(KdbError::Decode(
-                    *pos,
-                    format!("expected document, found {}", other.type_name()),
-                )),
+                other => Err(wrong(*pos, "document", other)),
             }
         };
         let tag = *bytes
@@ -308,12 +306,8 @@ const RECORD_TAG: u8 = b'R';
 /// `out`: a journal record, or an ADAN1 wire message under tag `F`.
 pub fn encode_frame(tag: u8, payload: &[u8], seq: u64, out: &mut Vec<u8>) {
     out.push(tag);
-    out.extend_from_slice(payload.len().to_string().as_bytes());
-    out.push(b':');
-    out.extend_from_slice(seq.to_string().as_bytes());
-    out.push(b':');
-    out.extend_from_slice(format!("{:08x}", crc32(payload)).as_bytes());
-    out.push(b':');
+    let (len, crc) = (payload.len(), crc32(payload));
+    write!(out, "{len}:{seq}:{crc:08x}:").expect("a Vec takes any write");
     out.extend_from_slice(payload);
 }
 

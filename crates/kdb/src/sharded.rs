@@ -1100,7 +1100,7 @@ impl KdbSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::document::Value;
+    use crate::document::{Value, MAX_DEPTH};
     use crate::storage::{FaultKind, FaultyStorage, MemStorage, Storage};
 
     fn item(kind: &str, score: f64) -> Document {
@@ -1428,6 +1428,38 @@ mod tests {
         );
         assert_eq!(db.read().fingerprint(), fp);
         assert_eq!(db.journal_acked_ops(), acked);
+    }
+
+    #[test]
+    fn documents_too_deep_to_replay_are_refused_before_the_journal() {
+        let nested = |levels: usize| {
+            (1..levels).fold(Document::new(), |inner, _| Document::new().with("d", inner))
+        };
+        let (db, mem) = mem_store(DurabilityPolicy::Always);
+        db.create_collection("items").unwrap();
+        let id = db.insert("items", nested(MAX_DEPTH)).unwrap();
+        let (fp, acked) = (db.read().fingerprint(), db.journal_acked_ops());
+        let too_deep = || {
+            Err::<(), _>(KdbError::Schema(format!(
+                "document nests deeper than {MAX_DEPTH} levels"
+            )))
+        };
+        let deep = nested(MAX_DEPTH + 1);
+        assert_eq!(db.insert("items", deep.clone()).map(|_| ()), too_deep());
+        assert_eq!(db.update("items", id, deep.clone()), too_deep());
+        let replicated = Op::Insert {
+            name: "items".into(),
+            id: id + 1,
+            doc: deep.with("_id", (id + 1) as i64),
+        };
+        assert_eq!(db.apply_replicated(replicated).map(|_| ()), too_deep());
+        assert_eq!(db.read().fingerprint(), fp);
+        assert_eq!(db.journal_acked_ops(), acked);
+        // The journal holds only what replay decodes: the 64-deep insert.
+        drop(db);
+        let options = StoreOptions::with_storage(Arc::new(mem));
+        let reopened = SharedKdb::open_with(Path::new("j"), options).unwrap();
+        assert_eq!(reopened.read().fingerprint(), fp);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Property tests: canonical encoding, query/index agreement, journal
-//! replay equivalence, snapshot isolation and document sharing.
+//! Property tests: canonical encoding (and the codec against the
+//! `to_string`/`parse` codec it replaced), query/index agreement,
+//! journal replay equivalence, snapshot isolation and document sharing.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -404,4 +405,478 @@ proptest! {
         prop_assert_eq!(lazy.collection("sessions").unwrap().len(), seen);
         prop_assert_eq!(shared.read().collection("sessions").unwrap().len(), seen + 1);
     }
+}
+
+/// The `Document` codec as it stood before fields went flat and numbers
+/// were written without temporaries: every number goes through
+/// `to_string` / `str::parse`, and a document's fields through a
+/// `BTreeMap`. The codec proptests below hold the real one to it byte
+/// for byte and error for error.
+mod oracle {
+    use std::collections::BTreeMap;
+
+    use ada_kdb::{KdbError, Value};
+
+    /// A decoded value with nothing of the codec under test in it:
+    /// floats by their bits (so NaN compares), fields in their order.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Old {
+        Null,
+        Bool(bool),
+        I64(i64),
+        F64(u64),
+        Str(String),
+        Array(Vec<Old>),
+        Doc(Vec<(String, Old)>),
+    }
+
+    impl From<&Value> for Old {
+        fn from(value: &Value) -> Self {
+            match value {
+                Value::Null => Old::Null,
+                Value::Bool(b) => Old::Bool(*b),
+                Value::I64(v) => Old::I64(*v),
+                // Every NaN prints as `NaN`, which parses to this one.
+                Value::F64(v) if v.is_nan() => Old::F64(f64::NAN.to_bits()),
+                Value::F64(v) => Old::F64(v.to_bits()),
+                Value::Str(s) => Old::Str(s.clone()),
+                Value::Array(items) => Old::Array(items.iter().map(Old::from).collect()),
+                Value::Doc(doc) => Old::Doc(
+                    doc.iter()
+                        .map(|(k, v)| (k.to_owned(), Old::from(v)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    pub fn encode(value: &Old) -> String {
+        let mut out = String::new();
+        encode_into(value, &mut out);
+        out
+    }
+
+    fn encode_into(value: &Old, out: &mut String) {
+        match value {
+            Old::Null => out.push('N'),
+            Old::Bool(true) => out.push('T'),
+            Old::Bool(false) => out.push('B'),
+            Old::I64(v) => {
+                out.push('I');
+                out.push_str(&v.to_string());
+                out.push(';');
+            }
+            Old::F64(bits) => {
+                out.push('F');
+                out.push_str(&f64::from_bits(*bits).to_string());
+                out.push(';');
+            }
+            Old::Str(s) => {
+                out.push('S');
+                out.push_str(&s.len().to_string());
+                out.push(':');
+                out.push_str(s);
+            }
+            Old::Array(items) => {
+                out.push('A');
+                out.push_str(&items.len().to_string());
+                out.push(':');
+                for item in items {
+                    encode_into(item, out);
+                }
+            }
+            Old::Doc(fields) => {
+                out.push('O');
+                out.push_str(&fields.len().to_string());
+                out.push(':');
+                for (k, v) in fields {
+                    out.push_str(&k.len().to_string());
+                    out.push(':');
+                    out.push_str(k);
+                    encode_into(v, out);
+                }
+            }
+        }
+    }
+
+    /// `Value::decode_prefix` as it was.
+    pub fn decode_prefix(bytes: &[u8], pos: &mut usize) -> Result<Old, KdbError> {
+        decode_value(bytes, pos)
+    }
+
+    fn take_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, KdbError> {
+        let b = *bytes
+            .get(*pos)
+            .ok_or_else(|| KdbError::Decode(*pos, "unexpected end of input".into()))?;
+        *pos += 1;
+        Ok(b)
+    }
+
+    fn take_number(bytes: &[u8], pos: &mut usize, stop: u8) -> Result<usize, KdbError> {
+        let start = *pos;
+        while *pos < bytes.len() && bytes[*pos] != stop {
+            *pos += 1;
+        }
+        if *pos >= bytes.len() {
+            return Err(KdbError::Decode(start, "unterminated length".into()));
+        }
+        let text = std::str::from_utf8(&bytes[start..*pos])
+            .map_err(|_| KdbError::Decode(start, "non-UTF-8 length".into()))?;
+        let n: usize = text
+            .parse()
+            .map_err(|_| KdbError::Decode(start, format!("bad length {text:?}")))?;
+        *pos += 1;
+        Ok(n)
+    }
+
+    fn take_lstring(bytes: &[u8], pos: &mut usize) -> Result<String, KdbError> {
+        let len = take_number(bytes, pos, b':')?;
+        let end = pos
+            .checked_add(len)
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(|| KdbError::Decode(*pos, "string length overruns input".into()))?;
+        let s = std::str::from_utf8(&bytes[*pos..end])
+            .map_err(|_| KdbError::Decode(*pos, "non-UTF-8 string".into()))?
+            .to_owned();
+        *pos = end;
+        Ok(s)
+    }
+
+    fn take_scalar(bytes: &[u8], pos: &mut usize, what: &str) -> Result<String, KdbError> {
+        let start = *pos;
+        while *pos < bytes.len() && bytes[*pos] != b';' {
+            *pos += 1;
+        }
+        if *pos >= bytes.len() {
+            return Err(KdbError::Decode(start, format!("unterminated {what}")));
+        }
+        let text = std::str::from_utf8(&bytes[start..*pos])
+            .map_err(|_| KdbError::Decode(start, format!("non-UTF-8 {what}")))?;
+        *pos += 1;
+        Ok(text.to_owned())
+    }
+
+    fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Old, KdbError> {
+        let tag = take_byte(bytes, pos)?;
+        match tag {
+            b'N' => Ok(Old::Null),
+            b'T' => Ok(Old::Bool(true)),
+            b'B' => Ok(Old::Bool(false)),
+            b'I' => {
+                let start = *pos;
+                let text = take_scalar(bytes, pos, "integer")?;
+                text.parse::<i64>()
+                    .map(Old::I64)
+                    .map_err(|_| KdbError::Decode(start, format!("bad integer {text:?}")))
+            }
+            b'F' => {
+                let start = *pos;
+                let text = take_scalar(bytes, pos, "float")?;
+                text.parse::<f64>()
+                    .map(|v| Old::F64(v.to_bits()))
+                    .map_err(|_| KdbError::Decode(start, format!("bad float {text:?}")))
+            }
+            b'S' => Ok(Old::Str(take_lstring(bytes, pos)?)),
+            b'A' => {
+                let count = take_number(bytes, pos, b':')?;
+                let mut items = Vec::with_capacity(count.min(1024));
+                for _ in 0..count {
+                    items.push(decode_value(bytes, pos)?);
+                }
+                Ok(Old::Array(items))
+            }
+            b'O' => {
+                let count = take_number(bytes, pos, b':')?;
+                let mut fields = BTreeMap::new();
+                for _ in 0..count {
+                    let key = take_lstring(bytes, pos)?;
+                    let value = decode_value(bytes, pos)?;
+                    fields.insert(key, value);
+                }
+                Ok(Old::Doc(fields.into_iter().collect()))
+            }
+            other => Err(KdbError::Decode(
+                *pos - 1,
+                format!("unknown tag {:?}", other as char),
+            )),
+        }
+    }
+}
+
+use oracle::Old;
+
+/// A value as a writer builds it: fields in the order they are set,
+/// repeats included.
+#[derive(Debug, Clone)]
+enum Built {
+    Leaf(Value),
+    Array(Vec<Built>),
+    Doc(Vec<(String, Built)>),
+}
+
+impl Built {
+    /// The value, built through `Document::set`.
+    fn value(&self) -> Value {
+        match self {
+            Built::Leaf(v) => v.clone(),
+            Built::Array(items) => Value::Array(items.iter().map(Built::value).collect()),
+            Built::Doc(fields) => {
+                let mut doc = Document::new();
+                for (k, v) in fields {
+                    doc.set(k.clone(), v.value());
+                }
+                Value::Doc(doc)
+            }
+        }
+    }
+
+    /// The value a `BTreeMap` would have kept: sorted keys, last set wins.
+    fn model(&self) -> Old {
+        match self {
+            Built::Leaf(v) => Old::from(v),
+            Built::Array(items) => Old::Array(items.iter().map(Built::model).collect()),
+            Built::Doc(fields) => Old::Doc(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.model()))
+                    .collect::<std::collections::BTreeMap<_, _>>()
+                    .into_iter()
+                    .collect(),
+            ),
+        }
+    }
+
+    /// An encoding no writer produces: fields in the order they were
+    /// set, repeats included, and each integer or length spelled by
+    /// `number`.
+    fn render(&self, number: &mut dyn FnMut(u64) -> String, out: &mut String) {
+        match self {
+            Built::Leaf(Value::I64(v)) => {
+                let sign = if *v < 0 { "-" } else { "" };
+                out.push_str(&format!("I{sign}{};", number(v.unsigned_abs())));
+            }
+            Built::Leaf(Value::Str(s)) => {
+                out.push_str(&format!("S{}:{s}", number(s.len() as u64)));
+            }
+            Built::Leaf(leaf) => leaf.encode_into(out),
+            Built::Array(items) => {
+                out.push_str(&format!("A{}:", number(items.len() as u64)));
+                for item in items {
+                    item.render(number, out);
+                }
+            }
+            Built::Doc(fields) => {
+                out.push_str(&format!("O{}:", number(fields.len() as u64)));
+                for (k, v) in fields {
+                    out.push_str(&format!("{}:{k}", number(k.len() as u64)));
+                    v.render(number, out);
+                }
+            }
+        }
+    }
+}
+
+/// One spelling of a non-negative number: the canonical digits, or one
+/// that `str::parse` reads differently (or not at all) — a leading `+`
+/// or `0`, zero-padded to 18, 19 or 20 digits, 18/19/20 nines (19 nines
+/// overflow an `i64`, 20 a `u64`), `usize::MAX + 1`, or trailing junk.
+fn spell(n: u64, choice: u8) -> String {
+    match choice {
+        0 => format!("+{n}"),
+        1 => format!("0{n}"),
+        2 => format!("{n:018}"),
+        3 => format!("{n:019}"),
+        4 => format!("{n:020}"),
+        5 => "9".repeat(18),
+        6 => "9".repeat(19),
+        7 => "9".repeat(20),
+        8 => "18446744073709551616".to_owned(),
+        9 => format!("{n}a"),
+        _ => n.to_string(),
+    }
+}
+
+fn codec_leaf() -> impl Strategy<Value = Value> {
+    let special = prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::MIN_POSITIVE / 2.0),
+        Just(-f64::from_bits(1)),
+        Just(f64::MAX),
+    ];
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::I64),
+        prop_oneof![Just(i64::MIN), Just(i64::MAX), Just(-1), Just(0)].prop_map(Value::I64),
+        (-1_000_000i64..1_000_000).prop_map(Value::I64),
+        any::<u64>().prop_map(|bits| Value::F64(f64::from_bits(bits))),
+        special.prop_map(Value::F64),
+        (1u64..1 << 52).prop_map(|bits| Value::F64(f64::from_bits(bits))),
+        "\\PC{0,6}".prop_map(Value::Str),
+        "[ -~:;]{0,8}".prop_map(Value::Str),
+    ]
+}
+
+fn built_strategy() -> impl Strategy<Value = Built> {
+    let key = prop_oneof![3 => "[a-d]{0,2}", 1 => "\\PC{0,3}"].boxed();
+    codec_leaf()
+        .prop_map(Built::Leaf)
+        .prop_recursive(3, 32, 5, move |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..5).prop_map(Built::Array),
+                prop::collection::vec((key.clone(), inner), 0..7).prop_map(Built::Doc),
+            ]
+        })
+}
+
+/// Both decoders' verdicts on `bytes`, whole-input.
+fn both_decode(bytes: &[u8]) -> (Result<Old, KdbError>, Result<Old, KdbError>) {
+    let whole = |pos: usize, value| match pos == bytes.len() {
+        true => Ok(value),
+        false => Err(KdbError::Decode(pos, "trailing bytes".into())),
+    };
+    let mut pos = 0;
+    let new = Value::decode_prefix(bytes, &mut pos).and_then(|v| whole(pos, Old::from(&v)));
+    let mut pos = 0;
+    let old = oracle::decode_prefix(bytes, &mut pos).and_then(|v| whole(pos, v));
+    (new, old)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn codec_matches_the_to_string_oracle(built in built_strategy()) {
+        let value = built.value();
+        let model = built.model();
+        // Fields set in any order, repeats included, end up as a
+        // `BTreeMap` would keep them.
+        prop_assert_eq!(Old::from(&value), model.clone());
+        // Byte-equal to the old encoder, and both decoders agree on it.
+        let encoded = value.encode();
+        prop_assert_eq!(&encoded, &oracle::encode(&model));
+        let (new, old) = both_decode(encoded.as_bytes());
+        prop_assert_eq!(&new, &Ok(model));
+        prop_assert_eq!(new, old);
+        if let Value::Doc(doc) = &value {
+            prop_assert_eq!(doc.encode(), encoded.clone());
+            prop_assert_eq!(Document::decode(&encoded).map(|d| Old::from(&Value::Doc(d))), new);
+        }
+    }
+
+    #[test]
+    fn decoders_agree_on_encodings_no_writer_produces(
+        built in built_strategy(),
+        spellings in prop::collection::vec(0u8..40, 1..24),
+    ) {
+        // Each integer and length takes the next spelling, cycled; a
+        // spelling past those `spell` names is the canonical one.
+        let mut next = spellings.iter().cycle();
+        let mut mutated = String::new();
+        built.render(&mut |n| spell(n, *next.next().unwrap()), &mut mutated);
+        let (new, old) = both_decode(mutated.as_bytes());
+        prop_assert_eq!(new, old, "{:?}", mutated);
+    }
+}
+
+#[test]
+fn decoders_agree_on_malformed_numbers() {
+    // What `spell` never produces: no digits, signs alone, a non-ASCII
+    // digit, float syntax, non-UTF-8 bytes and unterminated tokens.
+    let tokens = ["", "-", "+", "--5", "-0", "٣", "1.5", "1e3", "inf", "NaN"];
+    for token in tokens {
+        for input in [
+            format!("I{token};"),
+            format!("F{token};"),
+            format!("S{token}:abc"),
+            format!("A{token}:NNN"),
+            format!("O1:{token}:aN"),
+        ] {
+            let (new, old) = both_decode(input.as_bytes());
+            assert_eq!(new, old, "{input:?}");
+        }
+    }
+    let raw: [&[u8]; 8] = [
+        b"I1\xff;",
+        b"F\xff;",
+        b"S\xff:",
+        b"A1\xff:N",
+        b"I12",
+        b"F1",
+        b"S3",
+        b"O1:2",
+    ];
+    for input in raw {
+        let (new, old) = both_decode(input);
+        assert_eq!(new, old, "{input:?}");
+    }
+}
+
+#[test]
+fn debug_prints_what_the_btree_map_printed() {
+    let doc = Document::new()
+        .with("z", 1i64)
+        .with(
+            "a",
+            Document::new()
+                .with("s", "é\"x")
+                .with("f", -0.5f64)
+                .with("n", Value::Null),
+        )
+        .with(
+            "l",
+            vec![
+                Value::Bool(true),
+                Value::F64(f64::NAN),
+                Value::Doc(Document::new()),
+            ],
+        );
+    assert_eq!(
+        format!("{doc:?}"),
+        "Document { fields: {\"a\": Doc(Document { fields: {\"f\": F64(-0.5), \"n\": Null, \
+         \"s\": Str(\"é\\\"x\")} }), \"l\": Array([Bool(true), F64(NaN), Doc(Document { fields: \
+         {} })]), \"z\": I64(1)} }"
+    );
+    assert_eq!(
+        format!("{doc:#?}"),
+        r#"Document {
+    fields: {
+        "a": Doc(
+            Document {
+                fields: {
+                    "f": F64(
+                        -0.5,
+                    ),
+                    "n": Null,
+                    "s": Str(
+                        "é\"x",
+                    ),
+                },
+            },
+        ),
+        "l": Array(
+            [
+                Bool(
+                    true,
+                ),
+                F64(
+                    NaN,
+                ),
+                Doc(
+                    Document {
+                        fields: {},
+                    },
+                ),
+            ],
+        ),
+        "z": I64(
+            1,
+        ),
+    },
+}"#
+    );
 }

@@ -23,6 +23,7 @@
 //! `after` (an `_id` cursor) and `limit`; without them the request is
 //! the unpaged one and the answer is everything.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -907,26 +908,17 @@ fn encode_message<'a>(id: u64, kind: &'a str, mut fields: Vec<(&'a str, Field<'a
     fields.push(("id", Field::Int(to_i64(id as usize))));
     fields.push(("kind", Field::Str(kind)));
     fields.sort_unstable_by_key(|(key, _)| *key);
-    let put_len = |out: &mut String, tag: char, len: usize| {
-        out.push(tag);
-        out.push_str(&len.to_string());
-        out.push(':');
-    };
     let mut out = String::new();
-    put_len(&mut out, 'O', fields.len());
+    let infallible = "a String takes any write";
+    write!(out, "O{}:", fields.len()).expect(infallible);
     for (key, field) in fields {
-        out.push_str(&key.len().to_string());
-        out.push(':');
-        out.push_str(key);
+        write!(out, "{}:{key}", key.len()).expect(infallible);
         match field {
             Field::Int(v) => Value::I64(v).encode_into(&mut out),
-            Field::Str(text) => {
-                put_len(&mut out, 'S', text.len());
-                out.push_str(text);
-            }
+            Field::Str(text) => write!(out, "S{}:{text}", text.len()).expect(infallible),
             Field::Doc(doc) => doc.encode_into(&mut out),
             Field::Docs(docs) => {
-                put_len(&mut out, 'A', docs.len());
+                write!(out, "A{}:", docs.len()).expect(infallible);
                 for doc in docs {
                     doc.encode_into(&mut out);
                 }

@@ -12,7 +12,8 @@
 //!   whole and listed completely page by page.
 //! - A spec the server could not run (a degenerate cohort, a stream
 //!   with `k == 0`) is refused typed at decode, before it can panic a
-//!   connection thread or a stream worker.
+//!   connection thread or a stream worker; so is a payload nested too
+//!   deep to decode, before it can overflow a connection thread's stack.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,7 +27,10 @@ use ada_kdb::{
     DurabilityPolicy, FaultKind, FaultyStorage, MemStorage, SharedKdb, StoreOptions, Value,
 };
 use ada_net::proto::{CohortSpec, Request, Response, WireJobSpec};
-use ada_net::{AsyncClient, Client, NetConfig, NetError, NetServer, MAX_FRAME_LEN};
+use ada_net::{
+    frame_bytes, AsyncClient, Client, Decoded, FrameDecoder, NetConfig, NetError, NetServer, MAGIC,
+    MAX_FRAME_LEN,
+};
 use ada_obs::{Metrics, Page};
 use ada_service::{AnalysisService, ServiceConfig, DEFAULT_TRACE_SEED};
 use ada_stream::StreamMiningSpec;
@@ -1207,4 +1211,64 @@ fn stream_open_with_zero_k_is_refused_and_opens_nothing() {
     drop(client);
     let net = server.shutdown();
     assert_eq!(net.protocol_errors, 1);
+}
+
+#[test]
+fn deeply_nested_payload_is_refused_typed_not_a_stack_overflow() {
+    use std::io::{Read, Write};
+
+    let service = Arc::new(AnalysisService::new(
+        ServiceConfig::default(),
+        SharedKdb::in_memory(),
+    ));
+    let server = NetServer::start(Arc::clone(&service), NetConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    // 30,001 bytes under a valid CRC: arrays nested 10,000 deep. Decoded
+    // without a depth bound, this recursed the connection thread's stack
+    // away and aborted the whole server process.
+    let payload = format!("{}N", "A1:".repeat(10_000));
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(DEADLINE)).unwrap();
+    stream.write_all(MAGIC).unwrap();
+    stream
+        .write_all(&frame_bytes(payload.as_bytes(), 0))
+        .unwrap();
+    let mut magic = [0u8; 6];
+    stream.read_exact(&mut magic).unwrap();
+    assert_eq!(magic, MAGIC);
+    let mut decoder = FrameDecoder::new();
+    let mut buf = [0u8; 4096];
+    let answer = loop {
+        if let Decoded::Frame(frame) = decoder.next_frame().unwrap() {
+            break frame;
+        }
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "the server closed without an answer");
+        decoder.push(&buf[..n]);
+    };
+    match Response::decode(&answer).unwrap().1 {
+        Response::Error { code, .. } => assert_eq!(code, "protocol"),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    drop(stream);
+
+    let deadline = std::time::Instant::now() + DEADLINE;
+    while server.metrics().in_flight != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "pool slot never freed"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut client = Client::connect(addr).unwrap();
+    assert!(matches!(
+        client.call(Request::Health).unwrap(),
+        Response::Health { .. }
+    ));
+    drop(client);
+
+    let net = server.shutdown();
+    assert_eq!(net.protocol_errors, 1);
+    assert_eq!(net.in_flight, 0);
 }

@@ -32,22 +32,32 @@ fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Every `.rs` file of the workspace, as `/`-separated paths from the root.
-fn rust_files() -> Vec<String> {
+/// The extensions of the files the docs cite by path: sources, and the
+/// scripts, manifests, notes and artifacts beside them.
+const CITED: [&str; 6] = ["rs", "txt", "json", "md", "toml", "sh"];
+
+/// Every file of the repository with a [`CITED`] extension, as
+/// `/`-separated paths from the root (build outputs and `.git` aside).
+fn cited_files() -> Vec<String> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
         for entry in std::fs::read_dir(dir).unwrap() {
             let path = entry.unwrap().path();
-            if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
+            if path.is_dir()
+                && path
+                    .file_name()
+                    .is_some_and(|n| n != "target" && n != ".git")
+            {
                 walk(&path, out);
-            } else if path.extension().is_some_and(|e| e == "rs") {
+            } else if path
+                .extension()
+                .is_some_and(|e| CITED.iter().any(|c| e == *c))
+            {
                 out.push(path);
             }
         }
     }
     let mut found = Vec::new();
-    for top in ["crates", "examples", "src", "tests"] {
-        walk(&root().join(top), &mut found);
-    }
+    walk(root(), &mut found);
     let relative = |p: &PathBuf| {
         p.strip_prefix(root())
             .unwrap()
@@ -59,15 +69,19 @@ fn rust_files() -> Vec<String> {
 }
 
 /// `crates/net/src/frame.rs`, `net/src/frame.rs` and `frame.rs` all name
-/// the same file: a written path must be the tail of a real one.
+/// the same file: a written path must be the tail of a real one. The
+/// same holds for a cited `ci.sh`, `BENCH_kmeans.json` or `Cargo.toml`.
 #[test]
 fn source_paths_named_in_the_docs_exist() {
-    let files = rust_files();
+    let files = cited_files();
     let mut stale = Vec::new();
     for (doc, text) in docs() {
         for path in tokens(&text, |c| is_ident(c) || "-./".contains(c)) {
             let path = path.trim_start_matches("./");
-            if !path.ends_with(".rs") || path.starts_with('.') {
+            let cited = path
+                .rsplit_once('.')
+                .is_some_and(|(_, ext)| CITED.contains(&ext));
+            if !cited || path.starts_with('.') {
                 continue; // prose, or a glob's `.rs`
             }
             let tail = format!("/{path}");
@@ -76,7 +90,7 @@ fn source_paths_named_in_the_docs_exist() {
             }
         }
     }
-    assert!(stale.is_empty(), "no such source file: {stale:#?}");
+    assert!(stale.is_empty(), "no such file: {stale:#?}");
 }
 
 #[test]
@@ -196,8 +210,8 @@ fn section_references_resolve() {
                 )
             })
             .collect();
-    for file in rust_files() {
-        if file.starts_with("crates/") && file.contains("/src/") {
+    for file in cited_files() {
+        if file.starts_with("crates/") && file.contains("/src/") && file.ends_with(".rs") {
             let text = std::fs::read_to_string(root().join(&file)).unwrap();
             sources.push((file, text));
         }

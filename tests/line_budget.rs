@@ -16,13 +16,13 @@ const CEILINGS: [(&str, u64); 12] = [
     ("vsm", 1_144),
     ("metrics", 654),
     ("mining", 3_438),
-    ("kdb", 4_379),
+    ("kdb", 4_377),
     ("core", 3_242),
     ("signals", 777),
     ("obs", 1_374),
     ("stream", 1_415),
     ("service", 1_880),
-    ("net", 2_673),
+    ("net", 2_665),
     ("fleet", 1_768),
 ];
 
