@@ -19,6 +19,13 @@ echo "== tests (ada-mining, release) =="
 # the tree-equivalence proptests must hold in both.
 cargo test -q --release -p ada-mining
 
+echo "== tests (ada-core, ada-metrics, release) =="
+# The pinned-digit reports (the optimizer's quick report, the partial
+# miners' default reports, the transform probe's default selection) and
+# the silhouette oracle guard exactness: they must hold under release
+# floating-point codegen too, the profile the ledger and services run.
+cargo test -q --release -p ada-core -p ada-metrics
+
 echo "== tests (ada-stream, release) =="
 # The golden stream fingerprints and the zero-skipping hash proptests
 # must hold under release floating-point codegen too, where the window

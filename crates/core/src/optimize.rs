@@ -47,7 +47,7 @@
 
 use ada_metrics::cluster;
 use ada_mining::bayes::GaussianNb;
-use ada_mining::kmeans::{KMeans, KMeansBackend};
+use ada_mining::kmeans::{KMeans, KMeansBackend, KMeansResult};
 use ada_mining::knn::KnnClassifier;
 use ada_mining::tree::{ColumnIndex, TreeConfig};
 use ada_mining::validate;
@@ -225,9 +225,10 @@ impl Optimizer {
 
     /// Evaluates one K value driving the Lloyd kernel with `row_threads`
     /// worker threads (identical output for every value); `index` is
-    /// [`Self::tree_index`] of `matrix`. Kernel and tree counters are
-    /// forwarded to `control`'s observer, if any — instrumentation only,
-    /// never part of the result.
+    /// [`Self::tree_index`] of `matrix`. Returns the K's Table I row and
+    /// its K-means model. Kernel and tree counters are forwarded to
+    /// `control`'s observer, if any — instrumentation only, never part
+    /// of the result.
     fn evaluate_k_with_threads(
         &self,
         matrix: &DenseMatrix,
@@ -235,7 +236,7 @@ impl Optimizer {
         k: usize,
         row_threads: usize,
         control: &RunControl,
-    ) -> KEvaluation {
+    ) -> (KEvaluation, KMeansResult) {
         // The sweep's matrix is fixed for its whole run: every K scans
         // the one cached non-zero view.
         let (result, stats) = KMeans::new(k)
@@ -283,14 +284,15 @@ impl Optimizer {
                 |tx, ty, sx| ada_mining::forest::RandomForest::fit(tx, ty, k, config).predict(sx),
             ),
         };
-        KEvaluation {
+        let evaluation = KEvaluation {
             k,
             sse: result.sse,
             accuracy: cm.accuracy() * 100.0,
             avg_precision: cm.macro_precision() * 100.0,
             avg_recall: cm.macro_recall() * 100.0,
             overall_similarity,
-        }
+        };
+        (evaluation, result)
     }
 
     /// Runs the sweep and auto-selects K.
@@ -300,13 +302,16 @@ impl Optimizer {
     pub fn run(&self, matrix: &DenseMatrix) -> OptimizerReport {
         self.run_with_control(matrix, &RunControl::new())
             .expect("a default RunControl never cancels or expires")
+            .0
     }
 
     /// Runs the sweep under `control`: serial sweeps poll the cancel
     /// flag and deadline before each K evaluation; parallel sweeps poll
     /// before spawning and each worker re-checks the cancel flag before
     /// starting its evaluation (one in-flight evaluation per worker is
-    /// the cancellation granularity).
+    /// the cancellation granularity). Returns the report and the model
+    /// the sweep fitted at the selected K — what knowledge extraction
+    /// clusters with instead of fitting it again.
     ///
     /// # Panics
     /// Panics when `ks` is empty or any K exceeds the row count.
@@ -314,16 +319,16 @@ impl Optimizer {
         &self,
         matrix: &DenseMatrix,
         control: &RunControl,
-    ) -> Result<OptimizerReport, PipelineError> {
+    ) -> Result<(OptimizerReport, KMeansResult), PipelineError> {
         assert!(!self.ks.is_empty(), "no K values to evaluate");
         control.checkpoint(PipelineStage::Optimize)?;
         let index = self.tree_index(matrix, control);
         let index = index.as_ref();
-        let evaluations: Vec<KEvaluation> = if self.parallel && self.ks.len() > 1 {
+        let fits: Vec<(KEvaluation, KMeansResult)> = if self.parallel && self.ks.len() > 1 {
             // Split the budget across the K-level workers; each worker
             // drives the row-parallel kernel with its share.
             let row_threads = (self.resolved_budget() / self.ks.len()).max(1);
-            let mut slots: Vec<Option<KEvaluation>> = vec![None; self.ks.len()];
+            let mut slots: Vec<Option<(KEvaluation, KMeansResult)>> = vec![None; self.ks.len()];
             std::thread::scope(|scope| {
                 let handles: Vec<_> = self
                     .ks
@@ -387,6 +392,8 @@ impl Optimizer {
                 })
                 .collect::<Result<_, _>>()?
         };
+        let (evaluations, mut models): (Vec<KEvaluation>, Vec<KMeansResult>) =
+            fits.into_iter().unzip();
 
         // Two-stage selection mirroring the paper's Section IV-B logic:
         //
@@ -427,11 +434,16 @@ impl Optimizer {
             .expect("window always contains the largest K")
             .k;
 
-        Ok(OptimizerReport {
+        let selected = evaluations
+            .iter()
+            .position(|e| e.k == selected_k)
+            .expect("selected K comes from evaluations");
+        let report = OptimizerReport {
             evaluations,
             selected_k,
             sse_window_start,
-        })
+        };
+        Ok((report, models.swap_remove(selected)))
     }
 }
 

@@ -22,11 +22,12 @@
 //! Every K-means run scans the rung matrix's non-zero view
 //! (`DenseMatrix::sparse_rows` — the matrices are built once per rung,
 //! never mutated, and 77–93 % zeros at paper scale; same models bit for
-//! bit as a dense scan) and is row-serial by default: a sparse Lloyd
-//! pass at paper scale is 0.1–0.3 ms of work, less than opening the
-//! thread scope costs, and a service runs several sessions side by
-//! side. `threads` still buys latency on much larger cohorts (0 = one
-//! per core, byte-identical output for every value).
+//! bit as a dense scan) and is row-serial by default. A sparse Lloyd
+//! pass at paper scale measures 0.9–1.6 ms (6,380 × 159, K 8–16, one
+//! core), but a service runs sessions side by side on every core, so
+//! threads inside one fit would only take cores from its neighbours.
+//! `threads` still buys latency for a lone session or a much larger
+//! cohort (0 = one per core, byte-identical output for every value).
 
 use ada_dataset::ExamLog;
 use ada_metrics::cluster;

@@ -23,7 +23,6 @@ use ada_dataset::ExamLog;
 use ada_kdb::schema::{self, names};
 use ada_kdb::{Document, KdbSnapshot, SharedKdb};
 use ada_metrics::cluster;
-use ada_mining::kmeans::KMeans;
 use ada_mining::patterns::rules::{format_rule, Rule};
 use ada_mining::patterns::{fpgrowth, relative_min_support, rules};
 use ada_vsm::VsmBuilder;
@@ -423,32 +422,26 @@ impl AdaHealth {
         })?;
 
         // 4. Optimization on the selected subset.
-        let (optimizer, pv) = control.stage(&session, PipelineStage::Optimize, || {
-            let selected_types = partial.selected_step().included;
-            let pv = VsmBuilder::new()
-                .weighting(weighting)
-                .top_features(log, selected_types)
-                .build(log);
-            let optimizer = self
-                .config
-                .optimizer
-                .run_with_control(&pv.matrix, control)?;
-            Ok((optimizer, pv))
-        })?;
+        let (optimizer, final_clustering, pv) =
+            control.stage(&session, PipelineStage::Optimize, || {
+                let selected_types = partial.selected_step().included;
+                let pv = VsmBuilder::new()
+                    .weighting(weighting)
+                    .top_features(log, selected_types)
+                    .build(log);
+                let (optimizer, final_clustering) = self
+                    .config
+                    .optimizer
+                    .run_with_control(&pv.matrix, control)?;
+                Ok((optimizer, final_clustering, pv))
+            })?;
         let k = optimizer.selected_k;
 
         // 5. Knowledge extraction: final clustering + pattern mining.
         let (clusters, mined_rules, items) =
             control.stage(&session, PipelineStage::KnowledgeExtraction, || {
-                // 5a. Final clustering at the selected K -> cluster knowledge.
-                // (Over the non-zero view the sweep already built.)
-                let (final_clustering, kernel_stats) = KMeans::new(k)
-                    .seed(self.config.optimizer.seed)
-                    .fit_rows(&pv.matrix.sparse_rows());
-                control.counters(
-                    PipelineStage::KnowledgeExtraction,
-                    &kernel_stats.as_pairs(),
-                );
+                // 5a. Final clustering at the selected K -> cluster knowledge:
+                // the sweep's own fit at that K, not a second one.
                 let mut clusters = Vec::with_capacity(k);
                 let mut items: Vec<KnowledgeItem> = Vec::new();
                 let sizes = final_clustering.cluster_sizes();

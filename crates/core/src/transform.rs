@@ -131,7 +131,10 @@ impl TransformSelector {
                 silhouette: 0.0,
             };
         }
-        let result = KMeans::new(k).seed(self.seed).fit(&matrix);
+        // Over the non-zero view: the dense fit's model, bit for bit.
+        let (result, _) = KMeans::new(k)
+            .seed(self.seed)
+            .fit_rows(&matrix.sparse_rows());
         let overall = cluster::overall_similarity(&matrix, &result.assignments, k);
         // Silhouette is O(n²): cap the evaluation sample further.
         let sil_cap = 400.min(matrix.num_rows());
@@ -151,6 +154,32 @@ impl TransformSelector {
 mod tests {
     use super::*;
     use ada_dataset::synthetic::{generate, SyntheticConfig};
+
+    #[test]
+    fn default_selection_is_pinned() {
+        // Every f64 of the default report on the small cohort, as the
+        // bit patterns the dense probe fit and the pair-by-pair
+        // silhouette printed: how the probe reads rows may change no
+        // digit.
+        let score = |weighting, overall: u64, silhouette: u64| TransformScore {
+            weighting,
+            pca: None,
+            overall_similarity: f64::from_bits(overall),
+            silhouette: f64::from_bits(silhouette),
+        };
+        let log = generate(&SyntheticConfig::small(), 17);
+        assert_eq!(
+            TransformSelector::default().select(&log),
+            TransformReport {
+                ranked: vec![
+                    score(Weighting::Count, 0x3fdf676458c6be83, 0x3fc3b59dd3dff433),
+                    score(Weighting::LogCount, 0x3fde4007e16c01e0, 0x3fba033f58de8013),
+                    score(Weighting::Binary, 0x3fdd4ab9b71de607, 0x3fb5b6177e6d3580),
+                    score(Weighting::TfIdf, 0x3fd9cae6fac627e2, 0x3fc5d195534716aa),
+                ],
+            }
+        );
+    }
 
     #[test]
     fn ranks_all_candidates() {

@@ -21,7 +21,10 @@
 //! Anything else — first contact, a post-compaction epoch mismatch, a
 //! prefix that does not verify — gets a full `Snapshot`, which the
 //! follower installs **wholesale** (its previous state is discarded, so
-//! a compacted image with a restarted sequence space is safe).
+//! a compacted image with a restarted sequence space is safe). Neither
+//! may exceed the ADAN1 frame cap, so both are cut at journal frame
+//! boundaries: the `Snapshot` carries the longest prefix that fits, and
+//! the rest follows as `CatchUp`s, each starting where the last ended.
 //!
 //! Duplicate frames across the snapshot/tap boundary are verified and
 //! skipped by the follower's [`ReplStream`](crate::stream::ReplStream);
@@ -42,7 +45,7 @@ use std::time::Duration;
 
 use ada_kdb::journal::{decode_record, V2_MAGIC};
 use ada_kdb::SharedKdb;
-use ada_net::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC};
+use ada_net::frame::{frame_bytes, Decoded, FrameDecoder, MAGIC, MAX_FRAME_LEN};
 use ada_obs::ReplMetrics;
 use parking_lot::Mutex;
 
@@ -206,6 +209,27 @@ fn suffix_at(image: &[u8], have_ops: u64) -> Option<usize> {
     Some(pos)
 }
 
+/// Room in one ADAN1 frame for journal frames: the cap minus a
+/// `Snapshot`/`CatchUp` header (a tag, a `u64` and a colon: 22 bytes)
+/// and a snapshot's journal magic.
+const CHUNK_BUDGET: usize = MAX_FRAME_LEN - 32;
+
+/// The end of the longest run of whole journal frames at `image[start..]`
+/// (the first one numbered `seq`) within [`CHUNK_BUDGET`], and how many
+/// frames it holds. A frame over the budget is a run of its own (which
+/// the follower's decoder refuses); bytes that do not decode as frames
+/// go with the run that reaches them.
+fn frame_run(image: &[u8], start: usize, seq: u64) -> (usize, u64) {
+    let (mut end, mut ops) = (start, 0);
+    while let Ok((_, len)) = decode_record(&image[end..], seq + ops) {
+        if ops > 0 && end + len - start > CHUNK_BUDGET {
+            return (end, ops);
+        }
+        (end, ops) = (end + len, ops + 1);
+    }
+    (image.len(), ops)
+}
+
 /// Ships to one connected follower until error, stop, or disconnect.
 fn serve_follower(
     stream: &mut TcpStream,
@@ -282,28 +306,38 @@ fn serve_follower(
                         let suffix = (epoch == lineage && have_ops > 0)
                             .then(|| suffix_at(&image, have_ops))
                             .flatten();
-                        match suffix {
-                            Some(pos) => {
-                                send(
-                                    stream,
-                                    &mut write_seq,
-                                    &ReplMsg::CatchUp {
-                                        from: have_ops,
-                                        bytes: image[pos..].to_vec(),
-                                    },
-                                )?;
-                            }
+                        // Either way in messages under the frame cap:
+                        // whole journal frames, the rest as catch-ups.
+                        let (mut pos, mut from) = match suffix {
+                            Some(pos) => (pos, have_ops),
                             None => {
                                 source.metrics().snapshot_shipped(image.len());
+                                let magic = V2_MAGIC.len().min(image.len());
+                                let (end, ops) = frame_run(&image, magic, 0);
                                 send(
                                     stream,
                                     &mut write_seq,
                                     &ReplMsg::Snapshot {
                                         epoch: lineage,
-                                        image,
+                                        image: image[..end].to_vec(),
                                     },
                                 )?;
+                                (end, ops)
                             }
+                        };
+                        // A suffix is answered even when it is empty.
+                        let mut answered = suffix.is_none();
+                        while pos < image.len() || !answered {
+                            let (end, ops) = frame_run(&image, pos, from);
+                            send(
+                                stream,
+                                &mut write_seq,
+                                &ReplMsg::CatchUp {
+                                    from,
+                                    bytes: image[pos..end].to_vec(),
+                                },
+                            )?;
+                            (pos, from, answered) = (end, from + ops, true);
                         }
                         // Then the current durable watermark so a
                         // quiescent primary's follower can still fsync

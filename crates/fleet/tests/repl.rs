@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use ada_fleet::{FleetNode, ReplFollower, ReplListener, ReplSource};
 use ada_kdb::{Document, MemStorage, SharedKdb, StoreOptions, Value};
+use ada_net::MAX_FRAME_LEN;
 use ada_obs::ReplMetrics;
 
 fn mem_kdb(path: &str) -> SharedKdb {
@@ -31,7 +32,12 @@ fn patient(id: i64, exams: i64) -> Document {
 
 /// Polls `cond` every 5ms for up to 5s.
 fn wait_for(what: &str, cond: impl Fn() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(5);
+    wait_within(5, what, cond);
+}
+
+/// Polls `cond` every 5ms for up to `secs` seconds.
+fn wait_within(secs: u64, what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(secs);
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(5));
@@ -229,6 +235,103 @@ fn source_overflow_recovers_via_suffix_catchup_without_reimaging() {
     assert_eq!(
         snap.snapshots, 1,
         "same-lineage overflow recovery must use the frame suffix, not a re-image"
+    );
+}
+
+/// A 1 MiB document: each is a journal frame far below the 16 MiB
+/// ADAN1 frame cap, eighteen of them a journal above it.
+fn bulky(id: i64) -> Document {
+    Document::new()
+        .with("patient", id)
+        .with("notes", Value::Str("n".repeat(1 << 20)))
+}
+
+/// Waits until `follower` acks everything `primary` journaled (or
+/// halts), then checks the two are byte-identical.
+fn assert_converges(primary: &SharedKdb, follower: &ReplFollower) {
+    let want = primary.journal_acked_ops();
+    wait_within(60, "follower to ack the whole journal", || {
+        follower.acked() >= want || follower.halted().is_some()
+    });
+    assert!(follower.halted().is_none(), "{:?}", follower.halted());
+    let engine = follower.engine();
+    assert_eq!(primary.read().fingerprint(), engine.lock().fingerprint());
+    assert!(
+        primary.journal_image().unwrap() == engine.lock().kdb().journal_image().unwrap(),
+        "replicated journal must be byte-identical"
+    );
+}
+
+#[test]
+fn a_journal_over_the_frame_cap_bootstraps_in_chunks() {
+    let primary = mem_kdb("fleet_big_boot_p.journal");
+    primary.create_collection("notes").unwrap();
+    for i in 0..18i64 {
+        primary.insert("notes", bulky(i)).unwrap();
+    }
+    primary.sync().unwrap();
+    assert!(primary.journal_image().unwrap().len() > MAX_FRAME_LEN);
+
+    let listener = ReplListener::start(
+        primary.clone(),
+        ReplSource::new(Arc::new(ReplMetrics::new())),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let follower = ReplFollower::start(
+        listener.local_addr(),
+        mem_kdb("fleet_big_boot_f.journal"),
+        Arc::new(ReplMetrics::new()),
+    );
+    assert_converges(&primary, &follower);
+}
+
+#[test]
+fn a_missed_suffix_over_the_frame_cap_catches_up_in_chunks() {
+    let primary = mem_kdb("fleet_big_suffix_p.journal");
+    primary.create_collection("notes").unwrap();
+    for i in 0..5i64 {
+        primary.insert("notes", patient(i, 1)).unwrap();
+    }
+    primary.sync().unwrap();
+    let metrics = Arc::new(ReplMetrics::new());
+    let source = ReplSource::with_capacity(Arc::clone(&metrics), 4);
+    let listener =
+        ReplListener::start(primary.clone(), Arc::clone(&source), "127.0.0.1:0").unwrap();
+    let follower = ReplFollower::start(
+        listener.local_addr(),
+        mem_kdb("fleet_big_suffix_f.journal"),
+        Arc::new(ReplMetrics::new()),
+    );
+    let want = primary.journal_acked_ops();
+    wait_for("follower to bootstrap", || follower.acked() >= want);
+
+    // Holding the replica stalls the follower at its next message, so
+    // the burst overflows the queue (a forced Reset) and the bulky
+    // writes behind it reach the follower only through its re-Hello:
+    // one missed suffix above the frame cap.
+    let engine = follower.engine();
+    let held = engine.lock();
+    let mut next = 100i64;
+    while !source.overflowed() {
+        for _ in 0..16 {
+            primary.insert("notes", patient(next, 2)).unwrap();
+            next += 1;
+        }
+    }
+    let before = primary.journal_image().unwrap().len();
+    for i in 0..18i64 {
+        primary.insert("notes", bulky(i)).unwrap();
+    }
+    primary.sync().unwrap();
+    assert!(primary.journal_image().unwrap().len() - before > MAX_FRAME_LEN);
+    drop(held);
+
+    assert_converges(&primary, &follower);
+    assert_eq!(
+        metrics.snapshot().snapshots,
+        1,
+        "the suffix must ship as catch-ups, not a re-image"
     );
 }
 

@@ -18,7 +18,7 @@
 //! Silhouette and Davies–Bouldin are included as the extra indices the
 //! optimizer's extended scoring can draw on.
 
-use ada_vsm::dense::{cosine, distance_sq, DenseMatrix};
+use ada_vsm::dense::{cosine, distance_sq, DenseMatrix, SparseCells};
 
 /// Per-cluster centroids (component-wise means) of the assigned rows.
 ///
@@ -148,58 +148,69 @@ pub fn overall_similarity_pairwise(matrix: &DenseMatrix, assignments: &[usize], 
     total
 }
 
-#[allow(clippy::needless_range_loop)] // i indexes assignments and rows in lockstep
 /// Mean silhouette coefficient over all points (Euclidean distances).
 ///
 /// Points in singleton clusters get silhouette 0 by convention. Returns
 /// 0.0 when there are fewer than 2 points or fewer than 2 non-empty
-/// clusters.
+/// clusters. Each pair's distance is computed once, over the rows'
+/// non-zero cells, and added to both points' per-cluster sums; taking
+/// pairs `(i, j > i)` row by row sums every mean in member order.
 pub fn silhouette(matrix: &DenseMatrix, assignments: &[usize], k: usize) -> f64 {
+    assert_eq!(assignments.len(), matrix.num_rows(), "assignment length");
     let n = matrix.num_rows();
-    if n < 2 {
+    let mut sizes = vec![0usize; k];
+    for &c in assignments {
+        sizes[c] += 1;
+    }
+    if n < 2 || sizes.iter().filter(|&&size| size > 0).count() < 2 {
         return 0.0;
     }
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (i, &c) in assignments.iter().enumerate() {
-        members[c].push(i);
-    }
-    if members.iter().filter(|m| !m.is_empty()).count() < 2 {
-        return 0.0;
+    let rows = matrix.sparse_rows();
+    // `sums[i * k + c]`: point i's summed distance to cluster c's members.
+    let mut sums = vec![0.0; n * k];
+    for (i, &own) in assignments.iter().enumerate() {
+        for (j, &other) in assignments.iter().enumerate().skip(i + 1) {
+            let distance = sparse_distance_sq(rows.row(i), rows.row(j)).sqrt();
+            sums[i * k + other] += distance;
+            sums[j * k + own] += distance;
+        }
     }
     let mut total = 0.0;
-    for i in 0..n {
-        let own = assignments[i];
-        if members[own].len() <= 1 {
+    for (sums, &own) in sums.chunks_exact(k).zip(assignments) {
+        if sizes[own] <= 1 {
             continue; // silhouette 0 for singletons
         }
         // a(i): mean distance to own cluster (excluding self).
-        let a = members[own]
-            .iter()
-            .filter(|&&j| j != i)
-            .map(|&j| distance_sq(matrix.row(i), matrix.row(j)).sqrt())
-            .sum::<f64>()
-            / (members[own].len() - 1) as f64;
+        let a = sums[own] / (sizes[own] - 1) as f64;
         // b(i): min over other clusters of mean distance.
-        let mut b = f64::INFINITY;
-        for (c, cluster) in members.iter().enumerate() {
-            if c == own || cluster.is_empty() {
-                continue;
-            }
-            let mean = cluster
-                .iter()
-                .map(|&j| distance_sq(matrix.row(i), matrix.row(j)).sqrt())
-                .sum::<f64>()
-                / cluster.len() as f64;
-            if mean < b {
-                b = mean;
-            }
-        }
+        let b = (0..k)
+            .filter(|&c| c != own && sizes[c] > 0)
+            .map(|c| sums[c] / sizes[c] as f64)
+            .fold(f64::INFINITY, f64::min);
         let denom = a.max(b);
         if denom > 0.0 {
             total += (b - a) / denom;
         }
     }
     total / n as f64
+}
+
+/// `‖a − b‖²` of two rows' non-zero cells, bit-equal to the dense fold
+/// (DESIGN §18.3): the terms it skips are exactly `+0.0`.
+fn sparse_distance_sq(a: SparseCells<'_>, b: SparseCells<'_>) -> f64 {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    let mut sum = 0.0;
+    loop {
+        // `next()` yields the cell `peek()` just saw.
+        let d = match (a.peek().copied(), b.peek().copied()) {
+            (None, None) => return sum,
+            (Some((x, _)), Some((y, _))) if x == y => a.next().unwrap().1 - b.next().unwrap().1,
+            (Some((x, _)), Some((y, _))) if x > y => -b.next().unwrap().1,
+            (Some(_), _) => a.next().unwrap().1,
+            (None, Some(_)) => -b.next().unwrap().1,
+        };
+        sum += d * d;
+    }
 }
 
 /// Davies–Bouldin index (lower is better): mean over clusters of the

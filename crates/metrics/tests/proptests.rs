@@ -3,6 +3,7 @@
 use ada_metrics::cluster;
 use ada_metrics::interest::RuleCounts;
 use ada_metrics::ConfusionMatrix;
+use ada_vsm::dense::distance_sq;
 use ada_vsm::DenseMatrix;
 use proptest::prelude::*;
 
@@ -19,7 +20,115 @@ fn matrix_and_assignments() -> impl Strategy<Value = (DenseMatrix, Vec<usize>, u
         .prop_map(|(rows, assignments, k)| (DenseMatrix::from_rows(&rows), assignments, k))
 }
 
+/// `cluster::silhouette` as it was before it computed each pair's
+/// distance once: the oracle the pair-once version must equal to the
+/// bit.
+fn silhouette_reference(matrix: &DenseMatrix, assignments: &[usize], k: usize) -> f64 {
+    let n = matrix.num_rows();
+    if n < 2 {
+        return 0.0;
+    }
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); k];
+    for (i, &c) in assignments.iter().enumerate() {
+        members[c].push(i);
+    }
+    if members.iter().filter(|m| !m.is_empty()).count() < 2 {
+        return 0.0;
+    }
+    let mut total = 0.0;
+    for (i, &own) in assignments.iter().enumerate() {
+        if members[own].len() <= 1 {
+            continue;
+        }
+        let a = members[own]
+            .iter()
+            .filter(|&&j| j != i)
+            .map(|&j| distance_sq(matrix.row(i), matrix.row(j)).sqrt())
+            .sum::<f64>()
+            / (members[own].len() - 1) as f64;
+        let mut b = f64::INFINITY;
+        for (c, cluster) in members.iter().enumerate() {
+            if c == own || cluster.is_empty() {
+                continue;
+            }
+            let mean = cluster
+                .iter()
+                .map(|&j| distance_sq(matrix.row(i), matrix.row(j)).sqrt())
+                .sum::<f64>()
+                / cluster.len() as f64;
+            if mean < b {
+                b = mean;
+            }
+        }
+        let denom = a.max(b);
+        if denom > 0.0 {
+            total += (b - a) / denom;
+        }
+    }
+    total / n as f64
+}
+
+/// Mostly-zero rows (all-zero ones among them), exact duplicates, and
+/// more clusters than a few rows can fill, so singletons and empty
+/// clusters are common.
+fn sparse_matrix_and_assignments() -> impl Strategy<Value = (DenseMatrix, Vec<usize>, usize)> {
+    (2usize..40, 1usize..7, 1usize..7, 0usize..8)
+        .prop_flat_map(|(n, d, k, copies)| {
+            let cell =
+                (-12i32..12).prop_map(|v| if v.abs() > 5 { 0.0 } else { f64::from(v) / 3.0 });
+            (
+                prop::collection::vec(prop::collection::vec(cell, d), n),
+                prop::collection::vec(0usize..k, n + copies),
+                Just((n, k, copies)),
+            )
+        })
+        .prop_map(|(mut rows, assignments, (n, k, copies))| {
+            for i in 0..copies {
+                rows.push(rows[i * 3 % n].clone());
+            }
+            (DenseMatrix::from_rows(&rows), assignments, k)
+        })
+}
+
+#[test]
+fn silhouette_equals_the_reference_on_zero_singleton_and_duplicate_rows() {
+    let m = DenseMatrix::from_rows(&[
+        vec![0.0, 0.0, 0.0],
+        vec![1.0, 0.0, -2.0],
+        vec![0.0, 0.0, 0.0],
+        vec![1.0, 0.0, -2.0],
+        vec![0.0, 3.5, 0.0],
+        vec![-0.0, 0.25, 1.0],
+        vec![1.0, 0.0, -2.0],
+    ]);
+    // Cluster 2 is a singleton, cluster 3 empty, rows 0/2 and 1/3/6
+    // duplicates split across clusters.
+    for a in [
+        [0, 0, 1, 1, 2, 0, 1],
+        [0, 1, 0, 1, 2, 1, 0],
+        [1, 1, 1, 1, 2, 0, 0],
+    ] {
+        let got = cluster::silhouette(&m, &a, 4);
+        assert_eq!(
+            got.to_bits(),
+            silhouette_reference(&m, &a, 4).to_bits(),
+            "{a:?}"
+        );
+    }
+    assert_eq!(
+        cluster::silhouette(&DenseMatrix::zeros(5, 0), &[0, 1, 0, 1, 1], 2),
+        0.0
+    );
+}
+
 proptest! {
+    #[test]
+    fn silhouette_equals_the_reference((m, a, k) in sparse_matrix_and_assignments()) {
+        let got = cluster::silhouette(&m, &a, k);
+        let want = silhouette_reference(&m, &a, k);
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
+    }
+
     #[test]
     fn overall_similarity_fast_equals_pairwise((m, a, k) in matrix_and_assignments()) {
         let fast = cluster::overall_similarity(&m, &a, k);

@@ -8,26 +8,35 @@
 //! depth-limited CART with gini or entropy impurity, midpoint thresholds
 //! and deterministic tie-breaking.
 //!
-//! # Growing over a presorted column index
+//! # Growing over a column index
 //!
 //! The exhaustive split search needs each node's rows in value order
 //! per feature. Sorting them at every node costs
-//! O(nodes · d · n log n); instead a [`ColumnIndex`] sorts every column
+//! O(nodes · d · n log n); instead a [`ColumnIndex`] orders every column
 //! **once per matrix** and a [`TreeFitter`] grows trees over row subsets
-//! of it: the training set is a stable filter of each sorted list, a
-//! split is a stable partition of it, so a node's rows stay in value
-//! order with no further sorting. Only the non-zero entries are listed —
-//! a node's zeros are one block between its negative and positive
-//! entries, whose class counts are the node's counts minus the listed
-//! ones — so a split search costs O(non-zeros in the node), which on the
-//! 85 %-sparse VSM is what makes the Table-I sweep (80 fits of the same
-//! matrix, only the labels change) cheap.
+//! of it (the Table-I sweep fits 80 trees of one matrix; only the labels
+//! change). Only non-zero values are indexed — a node's zeros are one
+//! block between its negative and positive values, whose class counts
+//! are the node's counts minus the indexed ones. A column is indexed one
+//! of two ways, fixed at build from its number of distinct non-zero
+//! values:
 //!
-//! The search is exact, not approximate: candidates are visited in the
-//! same (feature, value) order as a per-node sort would visit them, with
-//! the same integer class counts on each side, hence the same gains,
-//! thresholds and tie-breaks. The tests compare whole trees against the
-//! per-node-sort reference implementation kept under `#[cfg(test)]`.
+//! * **few values** (at most `MAX_BINS`; a count VSM has a handful per
+//!   exam): one bin per distinct value. A node keeps one class-count
+//!   histogram per bin, a split search walks the bins in value order,
+//!   and after a split only the smaller child's histogram is counted
+//!   from its rows — the larger one's is the parent's minus it;
+//! * **many values** (a row-normalised VSM, where every value differs):
+//!   the non-zero row ids presorted by value. The training set is a
+//!   stable filter of each sorted list, a split a stable partition of
+//!   it, so a node's rows stay in value order with no further sorting.
+//!
+//! Both searches are exact, not approximate: candidates are visited in
+//! the same (feature, value) order as a per-node sort would visit them,
+//! with the same integer class counts on each side, hence the same
+//! gains, thresholds and tie-breaks. The tests compare whole trees
+//! against the per-node-sort reference implementation kept under
+//! `#[cfg(test)]`.
 
 use ada_vsm::dense::DenseMatrix;
 
@@ -207,30 +216,56 @@ impl DecisionTree {
     }
 }
 
-/// The presorted column index of one matrix: everything the split
-/// search needs, built once and shared by reference by every tree grown
-/// on (row subsets of) that matrix.
+/// Columns with at most this many distinct non-zero values are split
+/// on exact per-value histograms, the others on presorted row lists.
+///
+/// A histogram search costs O(bins · classes) per feature and node,
+/// however few of the node's rows are non-zero, and a split touches
+/// every bin; a presorted one costs O(non-zeros in the node). Measured
+/// on paper-scale matrices quantised to a given number of values per
+/// column (DESIGN §17.4), histograms win below about 25 values a column
+/// and lose above about 35, and columns past 16 slow a mixed index down.
+/// A count VSM has at most 8 values a column, a row-normalised one
+/// hundreds.
+const MAX_BINS: usize = 16;
+
+/// The column index of one matrix: everything the split search needs,
+/// built once and shared by reference by every tree grown on (row
+/// subsets of) that matrix.
 ///
 /// Layout, for an `n × d` matrix: the values column-major (`n·d` f64, so
 /// a feature's lookups stay inside one `n`-long column instead of
-/// striding the row-major matrix), and per feature the row ids of its
-/// **non-zero** entries in ascending value order, ties by row id
-/// (`u32` each) — at most `n·d·12` bytes.
+/// striding the row-major matrix); for a many-valued feature, the row
+/// ids of its **non-zero** entries in ascending value order, ties by
+/// row id; for a few-valued feature, its distinct non-zero values in
+/// ascending order (one bin each), and for every row the bins its
+/// non-zero few-valued cells fall in (`u32` each) — at most `n·d·12`
+/// bytes.
 #[derive(Debug)]
 pub struct ColumnIndex {
     num_rows: usize,
     num_cols: usize,
     /// `values[f * num_rows + r]` is the matrix entry `(r, f)`.
     values: Vec<f64>,
-    /// Feature `f`'s sorted non-zero rows are
-    /// `sorted[starts[f]..starts[f + 1]]`.
+    /// Many-valued feature `f`'s sorted non-zero rows are
+    /// `sorted[starts[f]..starts[f + 1]]` (empty for a few-valued one).
     starts: Vec<usize>,
     sorted: Vec<u32>,
+    /// Few-valued feature `f`'s bins are `bin_starts[f]..bin_starts[f + 1]`
+    /// (empty for a many-valued one), bin `b` holding the value
+    /// `bin_values[b]`; ascending within a feature.
+    bin_starts: Vec<usize>,
+    bin_values: Vec<f64>,
+    /// Row `r`'s bins are `row_bins[row_starts[r]..row_starts[r + 1]]`,
+    /// in feature order.
+    row_starts: Vec<usize>,
+    row_bins: Vec<u32>,
 }
 
 impl ColumnIndex {
-    /// Transposes `matrix` and sorts each column's non-zero entries:
-    /// O(n·d + nnz log n), the only sort any fit on this matrix pays.
+    /// Transposes `matrix`, sorts each column's non-zero entries and
+    /// bins the few-valued columns: O(n·d + nnz log n), the only sort
+    /// any fit on this matrix pays.
     ///
     /// # Panics
     /// Panics, naming the row and column, when a value is NaN or
@@ -251,22 +286,64 @@ impl ColumnIndex {
         }
         let mut starts = Vec::with_capacity(d + 1);
         let mut sorted = Vec::new();
+        let mut bin_starts = Vec::with_capacity(d + 1);
+        let mut bin_values = Vec::new();
+        // (row, bin) of every binned cell, feature by feature.
+        let mut cells: Vec<(u32, u32)> = Vec::new();
         for f in 0..d {
             let col = &values[f * n..(f + 1) * n];
             let start = sorted.len();
             starts.push(start);
+            bin_starts.push(bin_values.len());
             sorted.extend(row_ids.clone().filter(|&r| col[r as usize] != 0.0));
             // Stable, so ties stay in row order; all values are finite
             // and non-zero, where `total_cmp` is the numeric order.
             sorted[start..].sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            let run = &sorted[start..];
+            let distinct = 1 + run
+                .windows(2)
+                .filter(|w| col[w[0] as usize] != col[w[1] as usize])
+                .count();
+            if run.is_empty() || distinct > MAX_BINS {
+                continue;
+            }
+            for &r in run {
+                let v = col[r as usize];
+                if bin_values.last() != Some(&v) || bin_values.len() == bin_starts[f] {
+                    bin_values.push(v);
+                }
+                let bin = u32::try_from(bin_values.len() - 1).expect("bin ids fit u32");
+                cells.push((r, bin));
+            }
+            sorted.truncate(start);
         }
         starts.push(sorted.len());
+        bin_starts.push(bin_values.len());
+        // Counting sort by row: stable, so each row's bins keep feature
+        // order.
+        let mut row_starts = vec![0usize; n + 1];
+        for &(r, _) in &cells {
+            row_starts[r as usize + 1] += 1;
+        }
+        for r in 0..n {
+            row_starts[r + 1] += row_starts[r];
+        }
+        let mut cursor = row_starts.clone();
+        let mut row_bins = vec![0u32; cells.len()];
+        for &(r, bin) in &cells {
+            row_bins[cursor[r as usize]] = bin;
+            cursor[r as usize] += 1;
+        }
         Self {
             num_rows: n,
             num_cols: d,
             values,
             starts,
             sorted,
+            bin_starts,
+            bin_values,
+            row_starts,
+            row_bins,
         }
     }
 
@@ -286,6 +363,15 @@ impl ColumnIndex {
 
     fn sorted_nonzeros(&self, feature: usize) -> &[u32] {
         &self.sorted[self.starts[feature]..self.starts[feature + 1]]
+    }
+
+    /// The bins of `feature` (empty unless it is few-valued).
+    fn bins(&self, feature: usize) -> std::ops::Range<usize> {
+        self.bin_starts[feature]..self.bin_starts[feature + 1]
+    }
+
+    fn row_bins(&self, row: usize) -> &[u32] {
+        &self.row_bins[self.row_starts[row]..self.row_starts[row + 1]]
     }
 }
 
@@ -325,21 +411,30 @@ const HI: usize = 2;
 /// buffers from fit to fit, so the folds of a cross-validation allocate
 /// them once and each fit only its tree.
 ///
-/// During a fit every node owns one contiguous range of `rows` and, per
-/// feature, one contiguous range of `entries` (its non-zero rows in
-/// value order). Splitting a node stably partitions each of its ranges
-/// in place, which hands both children their ranges already sorted.
+/// During a fit every node owns one contiguous range of `rows`, per
+/// many-valued feature one contiguous range of `entries` (its non-zero
+/// rows in value order), and one slot of `hist`. Splitting a node stably
+/// partitions each of its ranges in place, which hands both children
+/// their ranges already sorted, and fills the children's slots.
 pub(crate) struct TreeFitter<'a> {
     index: &'a ColumnIndex,
     /// The fit's rows.
     rows: Vec<u32>,
-    /// Per feature, the fit's rows among the index's sorted non-zeros.
+    /// Per many-valued feature, the fit's rows among the index's sorted
+    /// non-zeros.
     entries: Vec<u32>,
     /// `bounds[(depth * 3 + LO|MID|HI) * d + f]`: feature `f`'s range in
     /// `entries` for the node being grown at `depth`. A level outlives
     /// the subtrees below it, so the right child can be cut from it
     /// after the left subtree is done.
     bounds: Vec<usize>,
+    /// Per depth, a left and a right slot of `bins × stride` counts: for
+    /// every bin of the index, the node's rows in it, then their class
+    /// counts. A child's slot is filled when its parent splits and
+    /// outlives the child's subtree, like `bounds`.
+    hist: Vec<usize>,
+    /// `1 + num_classes` of the current fit.
+    stride: usize,
     /// Side of the pending split, by row id (only the node's rows are
     /// meaningful).
     goes_left: Vec<bool>,
@@ -360,6 +455,8 @@ impl<'a> TreeFitter<'a> {
             rows: Vec::with_capacity(n),
             entries: Vec::with_capacity(index.sorted.len()),
             bounds: Vec::new(),
+            hist: Vec::new(),
+            stride: 1,
             goes_left: vec![false; n],
             scratch: Vec::with_capacity(n),
             node_counts: Vec::new(),
@@ -414,6 +511,18 @@ impl<'a> TreeFitter<'a> {
             self.entries.extend(kept);
             self.bounds[HI * d + f] = self.entries.len();
         }
+        self.stride = 1 + num_classes;
+        let slot = self.slot_len();
+        if self.hist.len() < 2 * slot {
+            self.hist.resize(2 * slot, 0);
+        }
+        count_bins(
+            &mut self.hist[..slot],
+            index,
+            &self.rows,
+            labels,
+            self.stride,
+        );
         for counts in [
             &mut self.node_counts,
             &mut self.zero_counts,
@@ -425,7 +534,7 @@ impl<'a> TreeFitter<'a> {
         }
 
         let mut nodes = Vec::new();
-        self.grow(&mut nodes, labels, config, 0..self.rows.len(), 0);
+        self.grow(&mut nodes, labels, config, 0..self.rows.len(), 0, 0);
         self.stats.cv_tree_fits += 1;
         DecisionTree {
             nodes,
@@ -434,8 +543,14 @@ impl<'a> TreeFitter<'a> {
         }
     }
 
+    /// Counts in one `hist` slot.
+    fn slot_len(&self) -> usize {
+        self.index.bin_values.len() * self.stride
+    }
+
     /// Grows the subtree over `self.rows[rows]` (whose per-feature
-    /// ranges are level `depth` of `bounds`), returning its node id.
+    /// ranges are level `depth` of `bounds`, and whose histograms start
+    /// at `hist_at`), returning its node id.
     fn grow(
         &mut self,
         nodes: &mut Vec<Node>,
@@ -443,6 +558,7 @@ impl<'a> TreeFitter<'a> {
         config: &TreeConfig,
         rows: std::ops::Range<usize>,
         depth: usize,
+        hist_at: usize,
     ) -> usize {
         self.stats.cv_nodes += 1;
         let n = rows.len();
@@ -458,11 +574,12 @@ impl<'a> TreeFitter<'a> {
             nodes.len() - 1
         };
 
-        if depth >= config.max_depth || n < 2 * config.min_samples_leaf || impurity == 0.0 {
+        if !searches(config, depth, n) || impurity == 0.0 {
             return make_leaf(nodes);
         }
 
-        let Some((feature, threshold, gain)) = self.best_split(labels, n, depth, impurity, config)
+        let Some((feature, threshold, gain)) =
+            self.best_split(labels, n, depth, hist_at, impurity, config)
         else {
             return make_leaf(nodes);
         };
@@ -499,24 +616,30 @@ impl<'a> TreeFitter<'a> {
                 self.bounds[here + LO * d + f],
                 self.bounds[here + HI * d + f],
             );
-            self.bounds[here + MID * d + f] = lo
-                + partition_by_side(
+            self.bounds[here + MID * d + f] = if lo == hi {
+                lo // binned, or no non-zero in the node
+            } else {
+                lo + partition_by_side(
                     &mut self.entries[lo..hi],
                     &self.goes_left,
                     &mut self.scratch,
-                );
+                )
+            };
         }
         let level = |slot: usize| here + slot * d..here + (slot + 1) * d;
         let split_row = rows.start + left_n;
+        let (left_rows, right_rows) = (rows.start..split_row, split_row..rows.end);
+        let (left_at, right_at) =
+            self.split_hist(labels, config, depth, hist_at, &left_rows, &right_rows);
 
         // Children are built first and the split pushed after them, so
         // the root is always the last node.
         self.bounds.copy_within(level(LO), below + LO * d);
         self.bounds.copy_within(level(MID), below + HI * d);
-        let left = self.grow(nodes, labels, config, rows.start..split_row, depth + 1);
+        let left = self.grow(nodes, labels, config, left_rows, depth + 1, left_at);
         self.bounds.copy_within(level(MID), below + LO * d);
         self.bounds.copy_within(level(HI), below + HI * d);
-        let right = self.grow(nodes, labels, config, split_row..rows.end, depth + 1);
+        let right = self.grow(nodes, labels, config, right_rows, depth + 1, right_at);
         nodes.push(Node::Split {
             feature,
             threshold,
@@ -526,21 +649,79 @@ impl<'a> TreeFitter<'a> {
         nodes.len() - 1
     }
 
+    /// Fills the histogram slots of the two children of the node at
+    /// `depth` (histograms at `parent_at`, rows already partitioned)
+    /// that will search for a split, and returns the slots' offsets:
+    /// the smaller child is counted from its rows, the larger one is the
+    /// parent minus the smaller.
+    fn split_hist(
+        &mut self,
+        labels: &[usize],
+        config: &TreeConfig,
+        depth: usize,
+        parent_at: usize,
+        left: &std::ops::Range<usize>,
+        right: &std::ops::Range<usize>,
+    ) -> (usize, usize) {
+        let slot = self.slot_len();
+        let below = (depth + 1) * 2 * slot;
+        let (left_at, right_at) = (below, below + slot);
+        let left_is_small = left.len() <= right.len();
+        let (small, large) = if left_is_small {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        let large_searches = searches(config, depth + 1, large.len());
+        if slot == 0 || !(large_searches || searches(config, depth + 1, small.len())) {
+            return (left_at, right_at);
+        }
+        if self.hist.len() < below + 2 * slot {
+            self.hist.resize(below + 2 * slot, 0);
+        }
+        let (parent, children) = self.hist.split_at_mut(below);
+        let parent = &parent[parent_at..parent_at + slot];
+        let (left_hist, right_hist) = children[..2 * slot].split_at_mut(slot);
+        let (small_hist, large_hist) = if left_is_small {
+            (left_hist, right_hist)
+        } else {
+            (right_hist, left_hist)
+        };
+        count_bins(
+            small_hist,
+            self.index,
+            &self.rows[small.clone()],
+            labels,
+            self.stride,
+        );
+        if large_searches {
+            for ((l, &p), &s) in large_hist.iter_mut().zip(parent).zip(&*small_hist) {
+                *l = p - s;
+            }
+        }
+        (left_at, right_at)
+    }
+
     /// Exhaustive best split of the `n`-row node at `depth` (class
-    /// counts in `self.node_counts`): per feature, walk the node's
-    /// non-zero entries in value order, taking its zeros as one block
-    /// between the negative and the positive entries, and evaluate each
-    /// boundary between distinct values from class-count prefixes.
+    /// counts in `self.node_counts`, histograms at `hist_at`): per
+    /// feature, walk the node's non-zero values in ascending order,
+    /// taking its zeros as one block between the negative and the
+    /// positive values, and evaluate each boundary between distinct
+    /// values from class-count prefixes.
     fn best_split(
         &mut self,
         labels: &[usize],
         n: usize,
         depth: usize,
+        hist_at: usize,
         parent_impurity: f64,
         config: &TreeConfig,
     ) -> Option<(usize, f64, f64)> {
-        let d = self.index.num_cols;
+        let index = self.index;
+        let d = index.num_cols;
         let here = depth * 3 * d;
+        let stride = self.stride;
+        let hist = &self.hist[hist_at..hist_at + self.slot_len()];
         let mut search = SplitSearch {
             labels,
             config,
@@ -553,6 +734,45 @@ impl<'a> TreeFitter<'a> {
             best: None,
         };
         for feature in 0..d {
+            let bins = index.bins(feature);
+            if !bins.is_empty() {
+                // Few-valued: each bin is a block of equal values.
+                let cells = &hist[bins.start * stride..bins.end * stride];
+                let listed: usize = cells.iter().step_by(stride).sum();
+                if listed == 0 {
+                    continue; // all zeros in this node: nothing to split on
+                }
+                self.stats.cv_entries_scanned += listed as u64;
+                search.start_feature(feature, &self.node_counts);
+                let num_zeros = n - listed;
+                self.zero_counts.copy_from_slice(&self.node_counts);
+                for bin in cells.chunks_exact(stride) {
+                    for (zero, &c) in self.zero_counts.iter_mut().zip(&bin[1..]) {
+                        *zero -= c;
+                    }
+                }
+                let first_positive =
+                    bins.start + index.bin_values[bins.clone()].partition_point(|&v| v < 0.0);
+                let mut previous = None;
+                let mut take = |search: &mut SplitSearch, v: f64, counts: &[usize], size: usize| {
+                    if size > 0 {
+                        if let Some(p) = previous {
+                            search.candidate(p, v);
+                        }
+                        search.take_block(counts, size);
+                        previous = Some(v);
+                    }
+                };
+                let bin = |b: usize| &hist[b * stride..(b + 1) * stride];
+                for b in bins.start..first_positive {
+                    take(&mut search, index.bin_values[b], &bin(b)[1..], bin(b)[0]);
+                }
+                take(&mut search, 0.0, &self.zero_counts, num_zeros);
+                for b in first_positive..bins.end {
+                    take(&mut search, index.bin_values[b], &bin(b)[1..], bin(b)[0]);
+                }
+                continue;
+            }
             let (lo, hi) = (
                 self.bounds[here + LO * d + feature],
                 self.bounds[here + HI * d + feature],
@@ -562,7 +782,7 @@ impl<'a> TreeFitter<'a> {
                 continue; // all zeros in this node: nothing to split on
             }
             self.stats.cv_entries_scanned += entries.len() as u64;
-            let col = self.index.column(feature);
+            let col = index.column(feature);
             search.start_feature(feature, &self.node_counts);
             let num_zeros = n - entries.len();
             if num_zeros == 0 {
@@ -583,6 +803,31 @@ impl<'a> TreeFitter<'a> {
             search.take_run(positive, col, None);
         }
         search.best
+    }
+}
+
+/// Whether a node of `n` rows at `depth` may split at all (it may still
+/// turn out pure or find no split worth its gain).
+fn searches(config: &TreeConfig, depth: usize, n: usize) -> bool {
+    depth < config.max_depth && n >= 2 * config.min_samples_leaf
+}
+
+/// Sets `hist` (one slot) to the bin histograms of `rows`.
+fn count_bins(
+    hist: &mut [usize],
+    index: &ColumnIndex,
+    rows: &[u32],
+    labels: &[usize],
+    stride: usize,
+) {
+    hist.fill(0);
+    for &r in rows {
+        let class = 1 + labels[r as usize];
+        for &b in index.row_bins(r as usize) {
+            let at = b as usize * stride;
+            hist[at] += 1;
+            hist[at + class] += 1;
+        }
     }
 }
 
@@ -1044,21 +1289,50 @@ mod tests {
     }
 
     #[test]
-    fn column_index_lists_nonzeros_in_value_order() {
-        let m = DenseMatrix::from_rows(&[
-            vec![2.0, 0.0],
-            vec![0.0, 0.0],
-            vec![-1.0, 0.0],
-            vec![2.0, -0.0],
-            vec![0.5, 3.0],
-        ]);
-        let index = ColumnIndex::build(&m);
-        assert_eq!((index.num_rows(), index.num_cols()), (5, 2));
-        // Ascending by value, ties (rows 0 and 3) in row order, zeros
-        // of either sign left out.
-        assert_eq!(index.sorted_nonzeros(0), [2, 4, 0, 3]);
-        assert_eq!(index.sorted_nonzeros(1), [4]);
-        assert_eq!(index.column(0), [2.0, 0.0, -1.0, 2.0, 0.5]);
+    fn column_index_bins_few_valued_columns_and_sorts_the_rest() {
+        // Column 0 has three distinct non-zero values, column 1 one more
+        // than `MAX_BINS` (row r holds n − r), column 2 exactly
+        // `MAX_BINS` (row r holds −max(r, 2)).
+        let n = MAX_BINS + 2;
+        let mut rows = vec![vec![0.0; 3]; n];
+        for (r, v) in [2.0, 0.0, -1.0, 2.0, 0.5].into_iter().enumerate() {
+            rows[r][0] = v;
+        }
+        rows[5][0] = -0.0;
+        for (r, row) in rows.iter_mut().enumerate() {
+            row[1] = (n - r) as f64;
+            row[2] = -(r.max(2) as f64);
+        }
+        rows[0][1] = 0.0;
+        let index = ColumnIndex::build(&DenseMatrix::from_rows(&rows));
+        assert_eq!((index.num_rows(), index.num_cols()), (n, 3));
+        // One bin per distinct value, ascending; zeros of either sign
+        // left out; nothing presorted.
+        let bins = index.bins(0);
+        assert_eq!(index.bin_values[bins.clone()], [-1.0, 0.5, 2.0]);
+        assert!(index.sorted_nonzeros(0).is_empty());
+        let bin = |v: f64| {
+            bins.start
+                + index.bin_values[bins.clone()]
+                    .iter()
+                    .position(|&b| b == v)
+                    .unwrap()
+        };
+        // Exactly `MAX_BINS` values: still binned.
+        assert_eq!(index.bins(2).len(), MAX_BINS);
+        assert!(index.sorted_nonzeros(2).is_empty());
+        let last_bin = index.bins(2).end - 1; // the largest value, −2
+        assert_eq!(index.row_bins(0), [bin(2.0) as u32, last_bin as u32]);
+        assert_eq!(index.row_bins(1), [last_bin as u32]);
+        assert_eq!(index.row_bins(3), [bin(2.0) as u32, last_bin as u32 - 1]);
+        assert_eq!(index.row_bins(5), [last_bin as u32 - 3]);
+        // One value more: row ids ascending by value, no bins.
+        assert!(index.bins(1).is_empty());
+        assert_eq!(
+            index.sorted_nonzeros(1),
+            (1..n as u32).rev().collect::<Vec<_>>()
+        );
+        assert_eq!(index.column(0)[..5], [2.0, 0.0, -1.0, 2.0, 0.5]);
     }
 
     #[test]
@@ -1108,6 +1382,48 @@ mod tests {
             })
         }
 
+        /// One column of `n` cells, every third to sixth one zero, of
+        /// one kind: few-valued, exactly `MAX_BINS` or `MAX_BINS + 1`
+        /// distinct non-zero values (half of them negative, each on
+        /// several rows), or continuous.
+        fn mixed_column(n: usize) -> impl Strategy<Value = Vec<f64>> {
+            (
+                0usize..4,
+                0usize..n,
+                3usize..7,
+                prop::collection::vec(cell(), n),
+                prop::collection::vec(-8.0f64..8.0, n),
+            )
+                .prop_map(move |(kind, shift, zero_every, few, continuous)| {
+                    let levels = MAX_BINS + kind - 1;
+                    (0..n)
+                        .map(|r| match kind {
+                            0 => few[r],
+                            _ if r % zero_every == 0 => 0.0,
+                            3 => continuous[r],
+                            _ => ((r + shift) % levels) as f64 - (levels / 2) as f64 + 0.5,
+                        })
+                        .collect()
+                })
+        }
+
+        /// Wide enough for every threshold level to appear on several
+        /// rows; both column kinds side by side.
+        fn mixed_dataset() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<usize>)> {
+            (1usize..6, 4 * MAX_BINS..6 * MAX_BINS).prop_flat_map(|(d, n)| {
+                (
+                    prop::collection::vec(mixed_column(n), d),
+                    prop::collection::vec(0usize..4, n),
+                )
+                    .prop_map(move |(columns, labels)| {
+                        let rows = (0..n)
+                            .map(|r| columns.iter().map(|c| c[r]).collect())
+                            .collect();
+                        (rows, labels)
+                    })
+            })
+        }
+
         fn config() -> impl Strategy<Value = TreeConfig> {
             (
                 prop_oneof![0usize..7, Just(usize::MAX)],
@@ -1132,7 +1448,7 @@ mod tests {
 
             #[test]
             fn indexed_fit_equals_per_node_sort_reference(
-                (rows, labels) in dataset(),
+                (rows, labels) in prop_oneof![dataset(), mixed_dataset()],
                 cfg in config(),
             ) {
                 let m = DenseMatrix::from_rows(&rows);
