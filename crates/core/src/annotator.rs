@@ -6,24 +6,20 @@
 //! physician opinions, due to their diverse background and
 //! specialization". No physician is available to a reproduction, so this
 //! module provides the documented substitution (see DESIGN.md): a
-//! deterministic labelling policy over item statistics, with a
-//! configurable specialty bias and label noise — consistent enough to
-//! learn from, noisy enough to be realistic.
+//! deterministic labelling policy over item statistics, with
+//! configurable label noise — consistent enough to learn from, noisy
+//! enough to be realistic.
 
-use ada_dataset::taxonomy::ConditionGroup;
 use ada_kdb::schema::Interestingness;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A seeded, biased, noisy annotator standing in for the domain expert.
+/// A seeded, noisy annotator standing in for the domain expert.
 #[derive(Debug)]
 pub struct SimulatedPhysician {
     rng: StdRng,
     /// Probability that a label is replaced by a uniformly random one.
     noise: f64,
-    /// The physician's specialty: items touching this condition group
-    /// get one interest level of boost.
-    specialty: Option<ConditionGroup>,
 }
 
 impl SimulatedPhysician {
@@ -31,18 +27,17 @@ impl SimulatedPhysician {
     ///
     /// # Panics
     /// Panics when `noise` is outside [0, 1].
-    pub fn new(seed: u64, noise: f64, specialty: Option<ConditionGroup>) -> Self {
+    pub fn new(seed: u64, noise: f64) -> Self {
         assert!((0.0..=1.0).contains(&noise), "noise must be in [0, 1]");
         Self {
             rng: StdRng::seed_from_u64(seed),
             noise,
-            specialty,
         }
     }
 
-    /// A noiseless, unbiased annotator (useful in tests).
+    /// A noiseless annotator.
     pub fn strict(seed: u64) -> Self {
-        Self::new(seed, 0.0, None)
+        Self::new(seed, 0.0)
     }
 
     /// Labels a *pattern* knowledge item from its rule statistics.
@@ -50,14 +45,8 @@ impl SimulatedPhysician {
     /// Policy: strong, non-obvious co-prescriptions are interesting —
     /// lift ≥ 1.5 and confidence ≥ 0.6 with support ≥ 2% is `High`;
     /// moderate lift or confidence is `Medium`; near-independent or
-    /// ubiquitous rules are `Low`. A specialty match upgrades one level.
-    pub fn label_pattern(
-        &mut self,
-        support: f64,
-        confidence: f64,
-        lift: f64,
-        touches: &[ConditionGroup],
-    ) -> Interestingness {
+    /// ubiquitous rules are `Low`.
+    pub fn label_pattern(&mut self, support: f64, confidence: f64, lift: f64) -> Interestingness {
         let base = if lift >= 1.5 && confidence >= 0.6 && support >= 0.02 {
             Interestingness::High
         } else if lift >= 1.2 && confidence >= 0.4 && support >= 0.01 {
@@ -65,7 +54,7 @@ impl SimulatedPhysician {
         } else {
             Interestingness::Low
         };
-        self.finalize(self.specialty_boost(base, touches))
+        self.finalize(base)
     }
 
     /// Labels a *cluster* knowledge item from its shape statistics.
@@ -73,12 +62,7 @@ impl SimulatedPhysician {
     /// Policy: cohesive clusters of clinically-actionable size (2%–60%
     /// of the cohort) are interesting; slivers and catch-all blobs are
     /// not.
-    pub fn label_cluster(
-        &mut self,
-        size_fraction: f64,
-        cohesion: f64,
-        touches: &[ConditionGroup],
-    ) -> Interestingness {
+    pub fn label_cluster(&mut self, size_fraction: f64, cohesion: f64) -> Interestingness {
         let good_size = (0.02..=0.60).contains(&size_fraction);
         let base = if good_size && cohesion >= 0.5 {
             Interestingness::High
@@ -87,7 +71,7 @@ impl SimulatedPhysician {
         } else {
             Interestingness::Low
         };
-        self.finalize(self.specialty_boost(base, touches))
+        self.finalize(base)
     }
 
     /// Labels a *safety-signal* knowledge item from its
@@ -98,14 +82,8 @@ impl SimulatedPhysician {
     /// Policy: a signal whose CI excludes the null from above and whose
     /// shrunken estimate survives is interesting; a positive but
     /// fragile association is `Medium`; CI-crossing-1 or shrunk-to-null
-    /// findings are `Low`. A specialty match upgrades one level.
-    pub fn label_signal(
-        &mut self,
-        support: f64,
-        ror_low: f64,
-        shrunk: f64,
-        touches: &[ConditionGroup],
-    ) -> Interestingness {
+    /// findings are `Low`.
+    pub fn label_signal(&mut self, support: f64, ror_low: f64, shrunk: f64) -> Interestingness {
         let base = if ror_low >= 1.5 && shrunk >= 1.5 && support >= 0.01 {
             Interestingness::High
         } else if ror_low >= 1.0 && shrunk >= 1.2 {
@@ -113,21 +91,7 @@ impl SimulatedPhysician {
         } else {
             Interestingness::Low
         };
-        self.finalize(self.specialty_boost(base, touches))
-    }
-
-    fn specialty_boost(
-        &self,
-        base: Interestingness,
-        touches: &[ConditionGroup],
-    ) -> Interestingness {
-        match self.specialty {
-            Some(s) if touches.contains(&s) => match base {
-                Interestingness::Low => Interestingness::Medium,
-                _ => Interestingness::High,
-            },
-            _ => base,
-        }
+        self.finalize(base)
     }
 
     fn finalize(&mut self, label: Interestingness) -> Interestingness {
@@ -150,16 +114,10 @@ mod tests {
     #[test]
     fn strict_pattern_policy() {
         let mut doc = SimulatedPhysician::strict(1);
+        assert_eq!(doc.label_pattern(0.10, 0.9, 2.5), Interestingness::High);
+        assert_eq!(doc.label_pattern(0.05, 0.5, 1.3), Interestingness::Medium);
         assert_eq!(
-            doc.label_pattern(0.10, 0.9, 2.5, &[]),
-            Interestingness::High
-        );
-        assert_eq!(
-            doc.label_pattern(0.05, 0.5, 1.3, &[]),
-            Interestingness::Medium
-        );
-        assert_eq!(
-            doc.label_pattern(0.30, 0.9, 1.0, &[]),
+            doc.label_pattern(0.30, 0.9, 1.0),
             Interestingness::Low,
             "independent rule is uninteresting however confident"
         );
@@ -168,51 +126,26 @@ mod tests {
     #[test]
     fn strict_cluster_policy() {
         let mut doc = SimulatedPhysician::strict(2);
-        assert_eq!(doc.label_cluster(0.10, 0.7, &[]), Interestingness::High);
-        assert_eq!(doc.label_cluster(0.10, 0.35, &[]), Interestingness::Medium);
+        assert_eq!(doc.label_cluster(0.10, 0.7), Interestingness::High);
+        assert_eq!(doc.label_cluster(0.10, 0.35), Interestingness::Medium);
         assert_eq!(
-            doc.label_cluster(0.005, 0.9, &[]),
+            doc.label_cluster(0.005, 0.9),
             Interestingness::Low,
             "sliver clusters are not actionable"
         );
         assert_eq!(
-            doc.label_cluster(0.9, 0.9, &[]),
+            doc.label_cluster(0.9, 0.9),
             Interestingness::Low,
             "catch-all clusters are not actionable"
         );
     }
 
     #[test]
-    fn specialty_bias_upgrades() {
-        let mut cardio = SimulatedPhysician::new(3, 0.0, Some(ConditionGroup::Cardiovascular));
-        let touching = [ConditionGroup::Cardiovascular];
-        assert_eq!(
-            cardio.label_pattern(0.30, 0.9, 1.0, &touching),
-            Interestingness::Medium,
-            "specialty lifts Low to Medium"
-        );
-        assert_eq!(
-            cardio.label_pattern(0.05, 0.5, 1.3, &touching),
-            Interestingness::High,
-            "specialty lifts Medium to High"
-        );
-        // No effect on unrelated items.
-        assert_eq!(
-            cardio.label_pattern(0.30, 0.9, 1.0, &[ConditionGroup::Renal]),
-            Interestingness::Low
-        );
-    }
-
-    #[test]
     fn noise_flips_some_labels_deterministically() {
-        let mut a = SimulatedPhysician::new(7, 0.5, None);
-        let mut b = SimulatedPhysician::new(7, 0.5, None);
-        let labels_a: Vec<_> = (0..50)
-            .map(|_| a.label_pattern(0.10, 0.9, 2.5, &[]))
-            .collect();
-        let labels_b: Vec<_> = (0..50)
-            .map(|_| b.label_pattern(0.10, 0.9, 2.5, &[]))
-            .collect();
+        let mut a = SimulatedPhysician::new(7, 0.5);
+        let mut b = SimulatedPhysician::new(7, 0.5);
+        let labels_a: Vec<_> = (0..50).map(|_| a.label_pattern(0.10, 0.9, 2.5)).collect();
+        let labels_b: Vec<_> = (0..50).map(|_| b.label_pattern(0.10, 0.9, 2.5)).collect();
         assert_eq!(labels_a, labels_b, "same seed, same labels");
         assert!(
             labels_a.iter().any(|&l| l != Interestingness::High),
@@ -231,6 +164,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "noise")]
     fn rejects_bad_noise() {
-        let _ = SimulatedPhysician::new(0, 1.5, None);
+        let _ = SimulatedPhysician::new(0, 1.5);
     }
 }

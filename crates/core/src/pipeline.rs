@@ -37,6 +37,13 @@ use crate::partial::{HorizontalPartialMiner, PartialMiningReport};
 use crate::rank::{KnowledgeItem, KnowledgeRanker};
 use crate::transform::{TransformReport, TransformSelector};
 
+/// Maximum number of pattern knowledge items a session keeps.
+const MAX_PATTERN_ITEMS: usize = 50;
+
+/// Probability that the simulated physician's label is replaced by a
+/// uniformly random one.
+const ANNOTATOR_NOISE: f64 = 0.1;
+
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
 pub struct AdaHealthConfig {
@@ -52,12 +59,6 @@ pub struct AdaHealthConfig {
     pub min_support: f64,
     /// Minimum confidence for association rules.
     pub min_confidence: f64,
-    /// Maximum number of pattern knowledge items kept.
-    pub max_pattern_items: usize,
-    /// Simulated-physician noise level.
-    pub annotator_noise: f64,
-    /// Simulated-physician specialty bias.
-    pub annotator_specialty: Option<ConditionGroup>,
     /// How many top-ranked items receive feedback per session.
     pub feedback_budget: usize,
     /// Master seed.
@@ -74,9 +75,6 @@ impl AdaHealthConfig {
             optimizer: Optimizer::paper(),
             min_support: 0.05,
             min_confidence: 0.6,
-            max_pattern_items: 50,
-            annotator_noise: 0.1,
-            annotator_specialty: None,
             feedback_budget: 20,
             seed: 0,
         }
@@ -315,19 +313,6 @@ impl AdaHealth {
         self.kdb.read()
     }
 
-    /// A clone of the shared K-DB handle (for concurrent readers or
-    /// further engines over the same store).
-    pub fn shared_kdb(&self) -> SharedKdb {
-        self.kdb.clone()
-    }
-
-    /// Feeds past session history into the end-goal interest model
-    /// ("the model is trained by previous user interactions").
-    pub fn absorb_history(&mut self, examples: impl IntoIterator<Item = SessionExample>) {
-        self.goal_history.extend(examples);
-        self.goal_model = GoalInterestModel::train(&self.goal_history);
-    }
-
     /// Whether the end-goal interest model is trained.
     pub fn goal_model_active(&self) -> bool {
         self.goal_model.is_some()
@@ -518,7 +503,7 @@ impl AdaHealth {
                 let frequent = fpgrowth::mine(&transactions, min_support);
                 let mut mined_rules =
                     rules::generate(&frequent, transactions.len(), self.config.min_confidence);
-                mined_rules.truncate(self.config.max_pattern_items);
+                mined_rules.truncate(MAX_PATTERN_ITEMS);
                 for rule in &mined_rules {
                     let description = format_rule(rule, |i| {
                         log.catalog()
@@ -604,11 +589,7 @@ impl AdaHealth {
         let (ranked_items, feedback_recorded) =
             control.stage(&session, PipelineStage::Navigation, || {
                 let ranker = &mut self.ranker;
-                let mut physician = SimulatedPhysician::new(
-                    self.config.seed,
-                    self.config.annotator_noise,
-                    self.config.annotator_specialty,
-                );
+                let mut physician = SimulatedPhysician::new(self.config.seed, ANNOTATOR_NOISE);
                 // Item ids are per-collection document ids, so a cluster
                 // and a pattern may share an id — iterate the ranked
                 // references themselves rather than looking items up by id.
@@ -617,13 +598,12 @@ impl AdaHealth {
                 for &item in initial_order.iter().take(self.config.feedback_budget) {
                     let label = match item.kind {
                         crate::rank::ItemKind::Cluster => {
-                            physician.label_cluster(item.features[5], item.features[6], &[])
+                            physician.label_cluster(item.features[5], item.features[6])
                         }
                         crate::rank::ItemKind::Pattern => physician.label_pattern(
                             item.features[2],
                             item.features[3],
                             item.features[4] / (1.0 - item.features[4]).max(1e-9),
-                            &[],
                         ),
                         // Signal items are produced by the ada-signals
                         // workload, never by pipeline sessions; keep the
@@ -632,7 +612,6 @@ impl AdaHealth {
                             item.features[2],
                             item.features[8] / (1.0 - item.features[8]).max(1e-9),
                             item.features[9] / (1.0 - item.features[9]).max(1e-9),
-                            &[],
                         ),
                     };
                     let coll = match item.kind {
@@ -724,6 +703,37 @@ mod tests {
         // Every knowledge item is ranked.
         let total_items = report.clusters.len() + report.rules.len();
         assert_eq!(report.ranked_items.len(), total_items);
+    }
+
+    #[test]
+    fn a_session_persists_at_most_max_pattern_items_patterns() {
+        let log = generate(&tiny_cfg(), 31);
+        // Floors low enough that more rules clear them than a session
+        // keeps.
+        let config = AdaHealthConfig {
+            min_support: 0.01,
+            min_confidence: 0.2,
+            ..AdaHealthConfig::quick("capped")
+        };
+        let transactions: Vec<Vec<u32>> = log
+            .visits()
+            .iter()
+            .map(|v| v.exams.iter().map(|e| e.0).collect())
+            .collect();
+        let min_support = relative_min_support(transactions.len(), config.min_support);
+        let frequent = fpgrowth::mine(&transactions, min_support);
+        let mined = rules::generate(&frequent, transactions.len(), config.min_confidence).len();
+        assert!(mined > MAX_PATTERN_ITEMS, "{mined} rules mined");
+
+        let mut engine = AdaHealth::new(config);
+        let report = engine.run(&log);
+        assert_eq!(report.rules.len(), MAX_PATTERN_ITEMS);
+        let persisted = engine
+            .kdb()
+            .find(names::PATTERN_KNOWLEDGE, &Filter::eq("kind", "pattern"))
+            .unwrap()
+            .len();
+        assert_eq!(persisted, MAX_PATTERN_ITEMS);
     }
 
     #[test]

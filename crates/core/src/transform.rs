@@ -13,16 +13,13 @@
 use ada_dataset::ExamLog;
 use ada_metrics::cluster;
 use ada_mining::kmeans::KMeans;
-use ada_vsm::{Pca, VsmBuilder, Weighting};
+use ada_vsm::{VsmBuilder, Weighting};
 
 /// The score card of one candidate transformation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransformScore {
     /// The candidate weighting.
     pub weighting: Weighting,
-    /// `Some(k)` when the representation was further reduced to `k`
-    /// principal components before probing.
-    pub pca: Option<usize>,
     /// Overall similarity of the probe clustering (primary criterion).
     pub overall_similarity: f64,
     /// Silhouette of the probe clustering (tie-breaker).
@@ -63,10 +60,6 @@ pub struct TransformSelector {
     /// Maximum number of patients in the probe sample (head sample —
     /// deterministic; patient order carries no information in the VSM).
     pub sample_limit: usize,
-    /// PCA component counts to additionally probe per weighting (the
-    /// "different representation spaces" of the architecture); empty by
-    /// default.
-    pub pca_variants: Vec<usize>,
     /// Seed for the probe clustering.
     pub seed: u64,
 }
@@ -77,56 +70,40 @@ impl Default for TransformSelector {
             candidates: Weighting::ALL.to_vec(),
             probe_k: 5,
             sample_limit: 1_000,
-            pca_variants: Vec::new(),
             seed: 0,
         }
     }
 }
 
 impl TransformSelector {
-    /// Scores every candidate (each weighting, plus each weighting ×
-    /// PCA variant when configured) and returns them ranked (best first,
-    /// ties broken by candidate order for determinism).
+    /// Scores every candidate weighting and returns them ranked (best
+    /// first, ties broken by candidate order for determinism).
     pub fn select(&self, log: &ExamLog) -> TransformReport {
-        let mut ranked: Vec<TransformScore> = Vec::new();
-        for &weighting in &self.candidates {
-            ranked.push(self.score_candidate(log, weighting, None));
-            for &components in &self.pca_variants {
-                ranked.push(self.score_candidate(log, weighting, Some(components)));
-            }
-        }
+        let mut ranked: Vec<TransformScore> = self
+            .candidates
+            .iter()
+            .map(|&weighting| self.score_candidate(log, weighting))
+            .collect();
         ranked.sort_by(|a, b| b.score().partial_cmp(&a.score()).expect("finite scores"));
         TransformReport { ranked }
     }
 
-    fn score_candidate(
-        &self,
-        log: &ExamLog,
-        weighting: Weighting,
-        pca: Option<usize>,
-    ) -> TransformScore {
+    fn score_candidate(&self, log: &ExamLog, weighting: Weighting) -> TransformScore {
         let pv = VsmBuilder::new()
             .weighting(weighting)
             .normalize(true) // score in a comparable, scale-free space
             .build(log);
         let n = pv.matrix.num_rows();
-        let mut matrix = if n > self.sample_limit {
+        let matrix = if n > self.sample_limit {
             let idx: Vec<usize> = (0..self.sample_limit).collect();
             pv.matrix.select_rows(&idx)
         } else {
             pv.matrix
         };
-        if let Some(components) = pca {
-            if matrix.num_rows() >= 2 && components >= 1 {
-                let model = Pca::fit(&matrix, components);
-                matrix = model.transform(&matrix);
-            }
-        }
         let k = self.probe_k.min(matrix.num_rows().max(1));
         if matrix.num_rows() < 2 || k < 2 || matrix.num_cols() == 0 {
             return TransformScore {
                 weighting,
-                pca,
                 overall_similarity: 0.0,
                 silhouette: 0.0,
             };
@@ -143,7 +120,6 @@ impl TransformSelector {
         let silhouette = cluster::silhouette(&sil_matrix, sil_assign, k);
         TransformScore {
             weighting,
-            pca,
             overall_similarity: overall,
             silhouette,
         }
@@ -163,7 +139,6 @@ mod tests {
         // digit.
         let score = |weighting, overall: u64, silhouette: u64| TransformScore {
             weighting,
-            pca: None,
             overall_similarity: f64::from_bits(overall),
             silhouette: f64::from_bits(silhouette),
         };
@@ -186,7 +161,6 @@ mod tests {
         let log = generate(&SyntheticConfig::small(), 3);
         let report = TransformSelector::default().select(&log);
         assert_eq!(report.ranked.len(), Weighting::ALL.len());
-        assert!(report.ranked.iter().all(|s| s.pca.is_none()));
         for w in report.ranked.windows(2) {
             assert!(w[0].score() >= w[1].score());
         }
@@ -222,25 +196,6 @@ mod tests {
         .select(&log);
         assert_eq!(report.best(), Weighting::Count);
         assert!(report.ranked.iter().all(|s| s.score() == 0.0));
-    }
-
-    #[test]
-    fn pca_variants_are_scored_alongside_raw() {
-        let log = generate(&SyntheticConfig::small(), 8);
-        let selector = TransformSelector {
-            candidates: vec![Weighting::Count],
-            pca_variants: vec![8],
-            ..Default::default()
-        };
-        let report = selector.select(&log);
-        assert_eq!(report.ranked.len(), 2);
-        assert!(report.ranked.iter().any(|s| s.pca == Some(8)));
-        assert!(report.ranked.iter().any(|s| s.pca.is_none()));
-        for s in &report.ranked {
-            assert!((0.0..=1.0 + 1e-9).contains(&s.overall_similarity), "{s:?}");
-        }
-        // Determinism with PCA variants.
-        assert_eq!(report, selector.select(&log));
     }
 
     #[test]

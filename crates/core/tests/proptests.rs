@@ -75,13 +75,13 @@ proptest! {
         confidence in 0.0f64..1.0,
         lift in 0.0f64..10.0,
     ) {
-        let mut a = SimulatedPhysician::new(seed, noise, None);
-        let mut b = SimulatedPhysician::new(seed, noise, None);
-        let la = a.label_pattern(support, confidence, lift, &[]);
-        let lb = b.label_pattern(support, confidence, lift, &[]);
+        let mut a = SimulatedPhysician::new(seed, noise);
+        let mut b = SimulatedPhysician::new(seed, noise);
+        let la = a.label_pattern(support, confidence, lift);
+        let lb = b.label_pattern(support, confidence, lift);
         prop_assert_eq!(la, lb);
         // Cluster labels are total too.
-        let _ = a.label_cluster(support, confidence, &[]);
+        let _ = a.label_cluster(support, confidence);
     }
 
     #[test]

@@ -5,12 +5,10 @@
 //! the type of the argument the caller passes, never by a setting:
 //!
 //! * `&DenseMatrix` — every cell of every row. What
-//!   [`KMeans::fit`](super::KMeans::fit) instantiates; the right choice
-//!   for matrices that are mutated between fits (the streaming VSM) or
-//!   genuinely dense (PCA projections), and the oracle the sparse rows
-//!   are tested against.
+//!   [`KMeans::fit`](super::KMeans::fit) instantiates, and the oracle
+//!   the sparse rows are tested against.
 //! * [`SparseRows`] — the matrix's cached non-zero view. What the batch
-//!   pipeline passes: its matrices are built once, never mutated, and
+//!   pipeline and the stream's window closes pass: their matrices are
 //!   77–93 % zeros.
 //!
 //! # Why the two are bit-identical

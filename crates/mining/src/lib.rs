@@ -25,9 +25,8 @@
 //! checks FP-growth against; [`bayes`], [`knn`] and [`forest`] are
 //! EXPERIMENTS.md's classifier ablations (`table1 -- bayes|knn|forest`);
 //! [`sequences`] serves the treatment-compliance end-goal
-//! (`examples/compliance_audit.rs`); [`patterns::condense`] belongs to
-//! the pattern-mining workload ROADMAP.md parks. An algorithm with no
-//! such caller lives in git history, not here.
+//! (`examples/compliance_audit.rs`). An algorithm with no such caller
+//! lives in git history, not here.
 //!
 //! All algorithms are deterministic given their seeds.
 

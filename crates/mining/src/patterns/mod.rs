@@ -10,7 +10,6 @@
 //! ([`taxonomy_mine`]).
 
 pub mod apriori;
-pub mod condense;
 pub mod fpgrowth;
 pub mod rules;
 pub mod taxonomy_mine;

@@ -227,28 +227,6 @@ proptest! {
             prop_assert!(f.support >= min_support);
         }
     }
-
-    #[test]
-    fn closed_and_maximal_are_consistent(ts in transactions(), min_support in 1usize..5) {
-        use ada_mining::patterns::condense::{closed_itemsets, maximal_itemsets};
-        use ada_mining::patterns::is_subset;
-        let frequent = fpgrowth::mine(&ts, min_support);
-        let closed = closed_itemsets(&frequent);
-        let maximal = maximal_itemsets(&frequent);
-        // Every maximal itemset is closed.
-        for m in &maximal {
-            prop_assert!(closed.contains(m));
-        }
-        // Support recovery: every frequent itemset's support equals the
-        // max support of its closed supersets.
-        for f in &frequent {
-            let recovered = closed.iter()
-                .filter(|c| is_subset(&f.items, &c.items))
-                .map(|c| c.support)
-                .max();
-            prop_assert_eq!(recovered, Some(f.support));
-        }
-    }
 }
 
 /// A seeded matrix for the sparse ≡ dense properties: `zero_pct` % of

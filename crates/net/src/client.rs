@@ -241,6 +241,10 @@ fn connection_fatal(response: Response) -> NetError {
 /// session record, frames of ≈ 2 MB against the 16 MiB cap.
 const LIST_PAGE: usize = 512;
 
+/// How long a client waits for the handshake, and a [`Client`] for one
+/// call's response.
+const CALL_DEADLINE: Duration = Duration::from_secs(30);
+
 /// Pages a listing to completion: `request` builds the message for one
 /// page, `call` performs it; the cursor is the last record's `_id`, and
 /// a page shorter than its limit is the last one.
@@ -296,7 +300,6 @@ pub struct Client {
     decoder: FrameDecoder,
     next_id: u64,
     write_seq: u64,
-    timeout: Duration,
     sampling: Option<(f64, u64)>,
     retry: Option<BusyRetry>,
     metrics: Arc<ClientMetrics>,
@@ -308,19 +311,8 @@ impl Client {
     /// # Errors
     /// Connection failure, or a peer that does not speak the protocol.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
-        Self::connect_with_timeout(addr, Duration::from_secs(30))
-    }
-
-    /// [`Client::connect`] with an explicit per-call deadline.
-    ///
-    /// # Errors
-    /// Connection failure, or a peer that does not speak the protocol.
-    pub fn connect_with_timeout(
-        addr: impl ToSocketAddrs,
-        timeout: Duration,
-    ) -> Result<Self, NetError> {
         let mut stream = TcpStream::connect(addr)?;
-        handshake(&mut stream, timeout)?;
+        handshake(&mut stream, CALL_DEADLINE)?;
         // Short read timeout so call() can poll its own deadline.
         stream.set_read_timeout(Some(Duration::from_millis(50)))?;
         Ok(Self {
@@ -328,7 +320,6 @@ impl Client {
             decoder: FrameDecoder::new(),
             next_id: 1,
             write_seq: 0,
-            timeout,
             sampling: None,
             retry: Some(BusyRetry::default()),
             metrics: Arc::new(ClientMetrics::default()),
@@ -403,7 +394,7 @@ impl Client {
         let frame = frame_bytes(&request.encode(id), self.write_seq);
         self.write_seq += 1;
         self.stream.write_all(&frame)?;
-        let deadline = started + self.timeout;
+        let deadline = started + CALL_DEADLINE;
         let mut buf = [0u8; 16 * 1024];
         loop {
             loop {
@@ -528,7 +519,7 @@ impl AsyncClient {
     /// Connection failure, or a peer that does not speak the protocol.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         let mut stream = TcpStream::connect(addr)?;
-        handshake(&mut stream, Duration::from_secs(30))?;
+        handshake(&mut stream, CALL_DEADLINE)?;
         let mailbox = Arc::new(Mailbox {
             state: Mutex::new(MailboxState {
                 ready: HashMap::new(),

@@ -44,6 +44,11 @@ impl NetMetrics {
         self.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 
+    /// Connections accepted and not yet closed: the pool's occupancy.
+    pub(crate) fn open_connections(&self) -> usize {
+        usize::try_from(self.in_flight.load(Ordering::Acquire)).unwrap_or(0)
+    }
+
     pub(crate) fn protocol_error(&self) {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }

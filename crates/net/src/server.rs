@@ -28,7 +28,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -73,7 +73,6 @@ struct ServerShared {
     metrics: NetMetrics,
     config: NetConfig,
     shutting_down: AtomicBool,
-    live_connections: AtomicUsize,
 }
 
 /// The TCP server. Dropping it (or calling [`NetServer::shutdown`])
@@ -99,7 +98,6 @@ impl NetServer {
             metrics: NetMetrics::new(),
             config,
             shutting_down: AtomicBool::new(false),
-            live_connections: AtomicUsize::new(0),
         });
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
@@ -188,7 +186,7 @@ fn accept_loop(
         if shared.shutting_down.load(Ordering::Acquire) {
             return;
         }
-        if shared.live_connections.load(Ordering::Acquire) >= shared.config.max_connections {
+        if shared.metrics.open_connections() >= shared.config.max_connections {
             // Detached short-lived thread: the rejection handshake must
             // not block the acceptor (it lingers briefly so the peer
             // can read the notification before the socket dies).
@@ -198,16 +196,10 @@ fn accept_loop(
                 .spawn(move || reject_connection(&reject_shared, stream));
             continue;
         }
-        shared.live_connections.fetch_add(1, Ordering::AcqRel);
-        shared.metrics.connection_accepted();
-        let conn_shared = Arc::clone(shared);
+        let slot = ConnectionSlot::acquire(shared);
         let handle = std::thread::Builder::new()
             .name("ada-net-conn".to_owned())
-            .spawn(move || {
-                serve_connection(&conn_shared, stream);
-                conn_shared.live_connections.fetch_sub(1, Ordering::AcqRel);
-                conn_shared.metrics.connection_closed();
-            })
+            .spawn(move || serve_connection(&slot.0, stream))
             .expect("spawn connection");
         let mut conns = connections.lock().expect("connections lock");
         // Opportunistically reap finished threads so a long-lived server
@@ -221,6 +213,23 @@ fn accept_loop(
             }
         }
         conns.push(handle);
+    }
+}
+
+/// One pool slot, held from [`ConnectionSlot::acquire`] to drop, which
+/// runs on unwind too: a panicking connection thread cannot leak it.
+struct ConnectionSlot(Arc<ServerShared>);
+
+impl ConnectionSlot {
+    fn acquire(shared: &Arc<ServerShared>) -> Self {
+        shared.metrics.connection_accepted();
+        Self(Arc::clone(shared))
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.metrics.connection_closed();
     }
 }
 
@@ -510,8 +519,7 @@ fn serve_request(
                 .health()
                 .with(
                     "net_connections",
-                    i64::try_from(shared.live_connections.load(Ordering::Acquire))
-                        .unwrap_or(i64::MAX),
+                    i64::try_from(shared.metrics.open_connections()).unwrap_or(i64::MAX),
                 )
                 .with(
                     "net_accepting",
@@ -662,4 +670,39 @@ fn report_summary(report: &ada_core::SessionReport) -> Document {
             "feedback_recorded",
             i64::try_from(report.feedback_recorded).unwrap_or(i64::MAX),
         )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ada_kdb::SharedKdb;
+    use ada_service::ServiceConfig;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn a_panicking_connection_releases_its_slot() {
+        let service = AnalysisService::new(
+            ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            },
+            SharedKdb::in_memory(),
+        );
+        let shared = Arc::new(ServerShared {
+            service: Arc::new(service),
+            metrics: NetMetrics::new(),
+            config: NetConfig::default(),
+            shutting_down: AtomicBool::new(false),
+        });
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = ConnectionSlot::acquire(&shared);
+            assert_eq!(shared.metrics.open_connections(), 1);
+            panic!("connection handler failed");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(shared.metrics.open_connections(), 0);
+        let metrics = shared.metrics.snapshot();
+        assert_eq!(metrics.accepts, 1);
+        assert_eq!(metrics.in_flight, 0);
+    }
 }

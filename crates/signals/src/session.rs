@@ -36,16 +36,18 @@ use crate::ror::{self, RorEstimate};
 use crate::shrink::{self, ShrinkageFit};
 use crate::table::{CohortIndex, ContingencyTable, ExposurePair};
 
+/// Minimum exposed patients for an exam to qualify as an exposure.
+const MIN_EXPOSED: u64 = 5;
+
+/// Signals kept per session: the top ones by combined score.
+const MAX_SIGNALS: usize = 40;
+
 /// Configuration of one safety-signal mining session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignalConfig {
     /// Outcome condition groups to test every exposure against, in
     /// evaluation order.
     pub outcomes: Vec<ConditionGroup>,
-    /// Minimum exposed patients for an exam to qualify as an exposure.
-    pub min_exposed: usize,
-    /// Keep only the top-N signals by combined score.
-    pub max_signals: usize,
     /// Simulated-physician feedback budget (top-ranked signals that
     /// receive a label).
     pub feedback_budget: usize,
@@ -69,8 +71,6 @@ impl Default for SignalConfig {
                 ConditionGroup::Neurological,
                 ConditionGroup::Podiatric,
             ],
-            min_exposed: 5,
-            max_signals: 40,
             feedback_budget: 6,
             threads: 1,
             seed: 42,
@@ -132,7 +132,7 @@ impl SafetySignal {
 /// The raw mining result, before persistence and feedback.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SignalMiningReport {
-    /// Ranked signals, best first, truncated to `max_signals`.
+    /// Ranked signals, best first, truncated to `MAX_SIGNALS`.
     pub signals: Vec<SafetySignal>,
     /// 2×2 tables built (before truncation).
     pub tables_built: u64,
@@ -183,7 +183,7 @@ pub fn mine_signals(
         .catalog()
         .iter()
         .map(|e| e.id)
-        .filter(|e| index.exposed_counts[e.index()] >= config.min_exposed as u64)
+        .filter(|e| index.exposed_counts[e.index()] >= MIN_EXPOSED)
         .collect();
 
     let threads = config.threads.max(1);
@@ -266,7 +266,7 @@ pub fn mine_signals(
                 (x.outcome.index(), x.exposure_id).cmp(&(y.outcome.index(), y.exposure_id))
             })
         });
-        signals.truncate(config.max_signals);
+        signals.truncate(MAX_SIGNALS);
         (signals, zero)
     });
 
@@ -341,18 +341,13 @@ pub fn run_session(
             })
             .collect();
         let mut ranker = KnowledgeRanker::new();
-        let mut physician = SimulatedPhysician::new(config.seed, 0.0, None);
+        let mut physician = SimulatedPhysician::strict(config.seed);
         let initial_order = ranker.rank(&items);
         let mut feedback_recorded = 0usize;
         for &item in initial_order.iter().take(config.feedback_budget) {
             let ordinal = item.id as usize;
             let signal = &mined.signals[ordinal];
-            let label = physician.label_signal(
-                signal.support,
-                signal.ror.ci_low,
-                signal.shrunk,
-                &[signal.outcome],
-            );
+            let label = physician.label_signal(signal.support, signal.ror.ci_low, signal.shrunk);
             schema::insert_feedback(
                 kdb,
                 session,

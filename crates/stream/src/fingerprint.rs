@@ -56,11 +56,6 @@ impl Fnv64 {
         self.write(&v.to_le_bytes());
     }
 
-    /// Mixes one `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Mixes one `f64`'s exact bit pattern.
     pub fn write_f64(&mut self, v: f64) {
         self.write_u64(v.to_bits());

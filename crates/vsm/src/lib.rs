@@ -24,10 +24,8 @@
 
 pub mod dense;
 pub mod kdtree;
-pub mod reduce;
 pub mod vsm;
 
 pub use dense::{DenseMatrix, SparseCells, SparseRows};
 pub use kdtree::KdTree;
-pub use reduce::{Pca, Standardizer};
 pub use vsm::{PatientVectors, VsmBuilder, Weighting};

@@ -1,7 +1,7 @@
-//! The docs name source files, cargo targets and module paths; a PR that
-//! deletes or moves one must fix the sentence that names it. Every such
-//! name in README.md, DESIGN.md, EXPERIMENTS.md, `ci.sh` and the verify
-//! skill has to resolve against the tree.
+//! The docs name source files, cargo targets, module paths and tests; a
+//! PR that deletes or moves one must fix the sentence that names it.
+//! Every such name in README.md, DESIGN.md, EXPERIMENTS.md, `ci.sh` and
+//! the verify skill has to resolve against the tree.
 
 use std::path::{Path, PathBuf};
 
@@ -175,6 +175,57 @@ fn module_paths_named_in_the_docs_resolve() {
         }
     }
     assert!(stale.is_empty(), "no such module path: {stale:#?}");
+}
+
+/// `tests/experiment_shapes.rs::table1_shape_holds_at_reduced_scale`,
+/// `ada-core::optimize::tests::quick_report_is_pinned`: a cited test must
+/// be a `fn` of the file it names, given as a path (any tail of a real
+/// one) or as a crate's module and its `tests`.
+#[test]
+fn test_names_cited_in_the_docs_exist() {
+    let files = cited_files();
+    let mut stale = Vec::new();
+    for (doc, text) in docs() {
+        for written in tokens(&text, |c| is_ident(c) || "-./:".contains(c)) {
+            let (suffixes, rest) = if let Some((path, rest)) = written.split_once(".rs::") {
+                (vec![format!("{path}.rs")], rest)
+            } else if let Some((module, rest)) = written.split_once("::tests::") {
+                let mut segments = module.split("::");
+                let krate = segments.next().unwrap_or_default();
+                let Some(krate) = krate.strip_prefix("ada-").or(krate.strip_prefix("ada_")) else {
+                    continue; // not a module of this workspace
+                };
+                let module = segments.collect::<Vec<_>>().join("/");
+                let dir = format!("crates/{krate}/src/");
+                (
+                    vec![format!("{dir}{module}.rs"), format!("{dir}{module}/mod.rs")],
+                    rest,
+                )
+            } else {
+                continue;
+            };
+            let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+            if name.is_empty() {
+                continue; // a placeholder: `<file>.rs::<test>`
+            }
+            let defined = files
+                .iter()
+                .filter(|f| {
+                    suffixes
+                        .iter()
+                        .any(|s| *f == s || f.ends_with(&format!("/{s}")))
+                })
+                .any(|f| {
+                    let source = std::fs::read_to_string(root().join(f)).unwrap();
+                    let words: Vec<&str> = tokens(&source, is_ident).collect();
+                    words.windows(2).any(|w| w == ["fn", name.as_str()])
+                });
+            if !defined {
+                stale.push(format!("{doc}: {written}"));
+            }
+        }
+    }
+    assert!(stale.is_empty(), "no such test: {stale:#?}");
 }
 
 /// `§10`, `§13.2`: every section README, DESIGN, EXPERIMENTS, ROADMAP or

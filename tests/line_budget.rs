@@ -10,20 +10,23 @@
 
 use std::path::Path;
 
-/// The twelve tracked crates and the size each may not exceed.
-const CEILINGS: [(&str, u64); 12] = [
+/// The thirteen tracked crates and the size each may not exceed.
+/// `bench` is counted without `src/bin/ledger`: the ledger is the
+/// benchmark itself and changes only with `BENCHMARK.json`.
+const CEILINGS: [(&str, u64); 13] = [
     ("dataset", 1_970),
-    ("vsm", 1_144),
+    ("vsm", 920),
     ("metrics", 664),
-    ("mining", 3_676),
+    ("mining", 3_631),
     ("kdb", 4_377),
-    ("core", 3_251),
-    ("signals", 777),
+    ("core", 3_171),
+    ("signals", 770),
     ("obs", 1_374),
-    ("stream", 1_415),
+    ("stream", 1_411),
     ("service", 1_880),
     ("net", 2_665),
     ("fleet", 1_800),
+    ("bench", 4_078),
 ];
 
 /// The ceiling of the `vendor` row: every offline stub together.
@@ -60,7 +63,11 @@ fn tracked_crates_stay_under_their_ceilings() {
     println!("{:<10}{:>10}{:>10}", "crate", "src_lines", "ceiling");
     let mut sum = 0;
     for (krate, ceiling) in CEILINGS {
-        let lines = src_lines(&root.join("crates").join(krate).join("src"));
+        let src = root.join("crates").join(krate).join("src");
+        let mut lines = src_lines(&src);
+        if krate == "bench" {
+            lines -= src_lines(&src.join("bin").join("ledger"));
+        }
         row(krate, lines, ceiling);
         sum += lines;
     }
