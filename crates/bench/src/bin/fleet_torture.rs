@@ -11,7 +11,7 @@
 //!
 //! 1. **Kills** — the link dies after any message (and, separately,
 //!    mid-frame at seeded byte cuts, and mid-group-commit: the primary
-//!    runs `Batch` durability so frames ship before their `Durable`
+//!    fsyncs after every 8th op, so frames ship before their `Durable`
 //!    watermark). The orphaned follower is promoted on the spot and
 //!    must be exactly its applied prefix.
 //! 2. **Partitions** — the link dies, then heals with a re-bootstrap
@@ -44,8 +44,9 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+use ada_bench::{patient_doc, Rng};
 use ada_fleet::{ReplError, ReplMsg, ReplSource, ReplicaEngine, StreamFault};
 use ada_kdb::journal::{replay_bytes, DurabilityPolicy, JournalTap, Op, RecoveryMode};
 use ada_kdb::{Document, MemStorage, SharedKdb, StoreOptions};
@@ -59,23 +60,6 @@ fn fail(seed: u64, msg: &str) -> ! {
     exit(1);
 }
 
-/// SplitMix64 — the only randomness in the harness, fully seed-driven.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
 fn mem_kdb(name: &str, durability: DurabilityPolicy) -> SharedKdb {
     SharedKdb::open_with(
         Path::new(name),
@@ -87,14 +71,13 @@ fn mem_kdb(name: &str, durability: DurabilityPolicy) -> SharedKdb {
     })
 }
 
-/// A synthetic patient record shaped like the paper's cohort rows.
-fn patient_doc(rng: &mut Rng, i: usize) -> Document {
-    Document::new()
-        .with("patient", i as i64)
-        .with("age", (18 + rng.below(80)) as i64)
-        .with("gender", if rng.below(2) == 0 { "F" } else { "M" })
-        .with("diagnosis", format!("D{:03}", rng.below(140)))
-        .with("cost", (rng.below(500_000) as f64) / 100.0)
+/// Fsyncs the primary once 8 journal ops await it, as group commit
+/// would: the frames ship ahead of their covering `Durable` watermark.
+fn sync_every_8th(seed: u64, db: &SharedKdb) {
+    if db.journal_acked_ops() - db.journal_durable_ops() >= 8 {
+        db.sync()
+            .unwrap_or_else(|e| fail(seed, &format!("primary fsync failed: {e}")));
+    }
 }
 
 /// Runs the seeded workload against the primary: patient inserts
@@ -102,7 +85,8 @@ fn patient_doc(rng: &mut Rng, i: usize) -> Document {
 fn run_workload(seed: u64, patients: usize, db: &SharedKdb) {
     let mut rng = Rng(seed);
     let step = |r: Result<(), ada_kdb::KdbError>| {
-        r.unwrap_or_else(|e| fail(seed, &format!("primary workload step failed: {e}")))
+        r.unwrap_or_else(|e| fail(seed, &format!("primary workload step failed: {e}")));
+        sync_every_8th(seed, db);
     };
     step(db.create_collection("patients"));
     step(db.create_index("patients", "diagnosis"));
@@ -112,6 +96,7 @@ fn run_workload(seed: u64, patients: usize, db: &SharedKdb) {
         let id = db
             .insert("patients", patient_doc(&mut rng, i))
             .unwrap_or_else(|e| fail(seed, &format!("primary insert failed: {e}")));
+        sync_every_8th(seed, db);
         live.push(id);
         match rng.below(10) {
             0..=1 => {
@@ -546,16 +531,10 @@ fn main() {
     let patients = if quick { 24 } else { 6_380 };
     let t0 = Instant::now();
 
-    // The primary runs group commit (`Batch`) so frames ship before
-    // their covering `Durable` watermark — kills between the two are
-    // exactly the mid-group-commit crashes the gate is for.
-    let primary = mem_kdb(
-        "primary",
-        DurabilityPolicy::Batch {
-            max_ops: 8,
-            max_delay: Duration::from_secs(3_600),
-        },
-    );
+    // The primary syncs every 8th op (`sync_every_8th`) so frames ship
+    // before their covering `Durable` watermark — kills between the two
+    // are exactly the mid-group-commit crashes the gate is for.
+    let primary = mem_kdb("primary", DurabilityPolicy::SnapshotOnly);
     let source = ReplSource::new(Arc::new(ReplMetrics::new()));
     primary.set_journal_tap(Some(Arc::clone(&source) as Arc<dyn JournalTap>));
     run_workload(seed, patients, &primary);
@@ -576,14 +555,20 @@ fn main() {
     let total = ops.len();
 
     // `frames_before[k]` = frames among the first `k` messages = the
-    // sequence number the `k`th message's frame would carry.
+    // sequence number the `k`th message's frame would carry;
+    // `covered_before[k]` = the highest `Durable` watermark among them.
     let mut frames_before = vec![0usize];
+    let mut covered_before = vec![0u64];
     let mut frame_idxs = Vec::new();
     for (i, msg) in msgs.iter().enumerate() {
         if matches!(msg, ReplMsg::Frame { .. }) {
             frame_idxs.push(i);
         }
         frames_before.push(frames_before[i] + usize::from(matches!(msg, ReplMsg::Frame { .. })));
+        covered_before.push(match msg {
+            ReplMsg::Durable { seq } => *seq,
+            _ => covered_before[i],
+        });
     }
     if *frames_before.last().unwrap() != total {
         fail(
@@ -653,9 +638,17 @@ fn main() {
     for &(upto, cut) in &kills {
         check_kill(seed, &msgs, &frames_before, &ops, &mut memo, upto, cut);
     }
+    // The kills that land between a shipped frame and its `Durable`.
+    let mid_commit = kills
+        .iter()
+        .filter(|&&(upto, _)| frames_before[upto] as u64 > covered_before[upto])
+        .count();
+    if mid_commit == 0 {
+        fail(seed, "no kill point fell between a frame and its Durable");
+    }
     println!(
-        "kills: {} points (message boundaries + mid-frame cuts), every promoted \
-         follower an exact acked prefix",
+        "kills: {} points (message boundaries + mid-frame cuts, {mid_commit} between a \
+         frame and its Durable), every promoted follower an exact acked prefix",
         kills.len()
     );
 
@@ -812,6 +805,7 @@ fn main() {
         primary
             .insert("patients", patient_doc(&mut rng6, patients + i))
             .unwrap_or_else(|e| fail(seed, &format!("post-compaction insert failed: {e}")));
+        sync_every_8th(seed, &primary);
     }
     primary
         .sync()

@@ -17,9 +17,11 @@
 //!    crash and fault-free reopen, the state must be the acknowledged
 //!    prefix and no fsync-acknowledged op may be missing. Snapshot
 //!    compaction gets the same treatment at every tick it consumes.
-//! 3. **Bit flips** — single-bit read-side corruption at sampled byte
-//!    offsets: strict replay must fail loudly (never panic, never
-//!    silently accept), and salvage replay must recover a clean prefix.
+//! 3. **Bit flips** — single-bit corruption at sampled byte offsets,
+//!    the format magic included: strict replay must fail loudly (never
+//!    panic, never silently accept), a strict open must fail with it
+//!    and leave the journal's bytes untouched, and salvage replay must
+//!    recover a clean prefix.
 //! 4. **Multi-producer group commit** — N writer threads interleave
 //!    frames through the sharded [`SharedKdb`] group committer, one
 //!    collection each, under every write-side fault kind. The invariant
@@ -38,6 +40,7 @@ use std::process::exit;
 use std::sync::Arc;
 use std::time::Instant;
 
+use ada_bench::{patient_doc, Rng};
 use ada_kdb::journal::{replay_bytes, DurabilityPolicy, Op, RecoveryMode};
 use ada_kdb::{
     fingerprint_ops, Document, FaultKind, FaultyStorage, Kdb, KdbError, MemStorage, SharedKdb,
@@ -46,27 +49,18 @@ use ada_kdb::{
 
 const DEFAULT_SEED: u64 = 0xADA4;
 
+/// The write-side fault kinds every fault schedule fires.
+const FAULT_KINDS: [FaultKind; 4] = [
+    FaultKind::ShortWrite,
+    FaultKind::NoSpace,
+    FaultKind::IoError,
+    FaultKind::SyncFail,
+];
+
 fn fail(seed: u64, msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     eprintln!("replay with: cargo run -p ada-bench --release --bin kdb_torture -- --seed {seed}");
     exit(1);
-}
-
-/// SplitMix64 — the only randomness in the harness, fully seed-driven.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
 }
 
 /// One step of the seeded workload, pre-planned so every torture rerun
@@ -100,16 +94,6 @@ impl Step {
             Err(_) => Ok(false),
         }
     }
-}
-
-/// A synthetic patient record shaped like the paper's cohort rows.
-fn patient_doc(rng: &mut Rng, i: usize) -> Document {
-    Document::new()
-        .with("patient", i as i64)
-        .with("age", (18 + rng.below(80)) as i64)
-        .with("gender", if rng.below(2) == 0 { "F" } else { "M" })
-        .with("diagnosis", format!("D{:03}", rng.below(140)))
-        .with("cost", (rng.below(500_000) as f64) / 100.0)
 }
 
 /// Plans the seeded workload: `patients` inserts interleaved with
@@ -227,11 +211,7 @@ fn check_fault_point(seed: u64, steps: &[Step], golden: &Golden, tick: u64, kind
     let mem = Arc::new(MemStorage::new());
     let (storage, handle) = FaultyStorage::wrap(Arc::clone(&mem) as Arc<dyn Storage>);
     handle.fail_at(tick, kind);
-    let options = StoreOptions {
-        storage,
-        durability: DurabilityPolicy::Always,
-        recovery: RecoveryMode::Strict,
-    };
+    let options = StoreOptions::with_storage(storage).durability(DurabilityPolicy::Always);
     let mut acked = 0usize;
     let mut durable = 0u64;
     if let Ok(mut db) = Kdb::open_with(Path::new("journal"), options) {
@@ -275,11 +255,7 @@ fn check_fault_point(seed: u64, steps: &[Step], golden: &Golden, tick: u64, kind
 fn count_ticks(seed: u64, steps: &[Step]) -> (u64, u64) {
     let mem = Arc::new(MemStorage::new());
     let (storage, handle) = FaultyStorage::wrap(mem as Arc<dyn Storage>);
-    let options = StoreOptions {
-        storage,
-        durability: DurabilityPolicy::Always,
-        recovery: RecoveryMode::Strict,
-    };
+    let options = StoreOptions::with_storage(storage).durability(DurabilityPolicy::Always);
     let mut db = Kdb::open_with(Path::new("journal"), options)
         .unwrap_or_else(|e| fail(seed, &format!("tick-count open failed: {e}")));
     for step in steps {
@@ -299,11 +275,7 @@ fn check_snapshot_fault(seed: u64, steps: &[Step], golden: &Golden, tick: u64, k
     let coord = format!("snapshot fault {} at tick {tick}", kind.name());
     let mem = Arc::new(MemStorage::new());
     let (storage, handle) = FaultyStorage::wrap(Arc::clone(&mem) as Arc<dyn Storage>);
-    let options = StoreOptions {
-        storage,
-        durability: DurabilityPolicy::SnapshotOnly,
-        recovery: RecoveryMode::Strict,
-    };
+    let options = StoreOptions::with_storage(storage).durability(DurabilityPolicy::SnapshotOnly);
     let mut db = Kdb::open_with(Path::new("journal"), options)
         .unwrap_or_else(|e| fail(seed, &format!("{coord}: open failed: {e}")));
     for step in steps {
@@ -321,21 +293,30 @@ fn check_snapshot_fault(seed: u64, steps: &[Step], golden: &Golden, tick: u64, k
     }
 }
 
-/// Bit-flip attack: strict replay must reject (or cleanly truncate) the
-/// flipped image without panicking; salvage replay must recover a
-/// prefix of the golden op sequence.
+/// Bit-flip attack, the magic included: strict replay must reject the
+/// flipped image or replay it unaltered, without panicking, and a
+/// strict open must agree and leave the journal's bytes as they were;
+/// salvage replay must recover a prefix of the golden op sequence.
 fn check_bit_flip(seed: u64, golden: &Golden, golden_ops: &[Op], byte: usize, bit: u8) {
     let mut image = golden.image.clone();
     image[byte] ^= 1 << bit;
-    if byte < ada_kdb::journal::V2_MAGIC.len() {
-        // A flip inside the format magic downgrades the file to the
-        // unframed v1 reading, which has no checksums by construction —
-        // the only guarantee there is that neither mode panics.
-        let _ = replay_bytes(&image, RecoveryMode::Strict);
-        let _ = replay_bytes(&image, RecoveryMode::Salvage);
-        return;
+    let strict = replay_bytes(&image, RecoveryMode::Strict);
+    let mem = MemStorage::new();
+    mem.install(Path::new("journal"), image.clone());
+    let opened = open_mem(&mem, DurabilityPolicy::SnapshotOnly);
+    if opened.is_ok() != strict.is_ok() {
+        fail(
+            seed,
+            &format!("bit flip at byte {byte} bit {bit}: open and replay disagree"),
+        );
     }
-    match replay_bytes(&image, RecoveryMode::Strict) {
+    if mem.bytes(Path::new("journal")).as_ref() != Some(&image) {
+        fail(
+            seed,
+            &format!("bit flip at byte {byte} bit {bit}: a strict open changed the journal"),
+        );
+    }
+    match strict {
         Ok(replayed) => {
             // A flip the framing cannot see must not change any op.
             if replayed.ops != golden_ops {
@@ -387,18 +368,6 @@ impl Step {
             Err(e @ KdbError::Io(_)) => Err(e),
             Err(_) => Ok((false, false)),
         }
-    }
-}
-
-/// Which collection an op touches — projects the recovered journal
-/// state onto a single writer in the multi-producer phase.
-fn op_collection(op: &Op) -> &str {
-    match op {
-        Op::CreateCollection { name }
-        | Op::CreateIndex { name, .. }
-        | Op::Insert { name, .. }
-        | Op::Update { name, .. }
-        | Op::Delete { name, .. } => name,
     }
 }
 
@@ -506,7 +475,7 @@ fn check_writer_prefixes(
         let coll = format!("w{w}");
         let ops: Vec<Op> = state
             .iter()
-            .filter(|op| op_collection(op) == coll)
+            .filter(|op| op.collection() == coll)
             .cloned()
             .collect();
         let fp = fingerprint_ops(&ops);
@@ -543,11 +512,7 @@ fn check_mp_fault_point(
     let mem = Arc::new(MemStorage::new());
     let (storage, handle) = FaultyStorage::wrap(Arc::clone(&mem) as Arc<dyn Storage>);
     handle.fail_at(tick, kind);
-    let options = StoreOptions {
-        storage,
-        durability: DurabilityPolicy::Always,
-        recovery: RecoveryMode::Strict,
-    };
+    let options = StoreOptions::with_storage(storage).durability(DurabilityPolicy::Always);
     let mut results = vec![(0, 0); plans.len()];
     if let Ok(db) = SharedKdb::open_with(Path::new("journal"), options) {
         results = run_writers(&db, plans);
@@ -628,12 +593,7 @@ fn main() {
     let (ticks, snapshot_ticks) = count_ticks(seed, &steps);
     let tick_step = if quick { 1 } else { (ticks / 120).max(1) };
     let mut fault_points = 0usize;
-    for kind in [
-        FaultKind::ShortWrite,
-        FaultKind::NoSpace,
-        FaultKind::IoError,
-        FaultKind::SyncFail,
-    ] {
+    for kind in FAULT_KINDS {
         for tick in (0..ticks).step_by(tick_step as usize) {
             check_fault_point(seed, &steps, &golden, tick, kind);
             fault_points += 1;
@@ -687,11 +647,7 @@ fn main() {
     for round in 0..2u32 {
         let mem = Arc::new(MemStorage::new());
         let (storage, handle) = FaultyStorage::wrap(Arc::clone(&mem) as Arc<dyn Storage>);
-        let options = StoreOptions {
-            storage,
-            durability: DurabilityPolicy::Always,
-            recovery: RecoveryMode::Strict,
-        };
+        let options = StoreOptions::with_storage(storage).durability(DurabilityPolicy::Always);
         let db = SharedKdb::open_with(Path::new("journal"), options)
             .unwrap_or_else(|e| fail(seed, &format!("multi-producer clean open failed: {e}")));
         let results = run_writers(&db, &plans);
@@ -718,12 +674,7 @@ fn main() {
     // never fires, which still exercises the clean path.
     let mp_step = if quick { 1 } else { (mp_ticks / 40).max(1) };
     let mut mp_points = 0usize;
-    for kind in [
-        FaultKind::ShortWrite,
-        FaultKind::NoSpace,
-        FaultKind::IoError,
-        FaultKind::SyncFail,
-    ] {
+    for kind in FAULT_KINDS {
         for tick in (0..mp_ticks).step_by(mp_step as usize) {
             check_mp_fault_point(seed, &plans, &ladders, tick, kind);
             mp_points += 1;

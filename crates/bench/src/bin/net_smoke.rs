@@ -13,9 +13,10 @@
 //! 3. **Clean drain** — graceful shutdown leaves zero protocol errors,
 //!    zero live connections, and accept/request counters that match
 //!    what the fleet actually did.
-//! 4. **Reads do not grow with history** — a second node is queried at
-//!    40 and again at 400 completed sessions, a writer submitting
-//!    throughout: the minimum of 20 calls of a read may grow at most 2×
+//! 4. **Reads do not grow with history** — two more nodes, preloaded to
+//!    40 and to 400 completed sessions, are queried in alternating
+//!    rounds, a writer submitting to each throughout: the minimum of 20
+//!    calls of a read may grow at most 2×
 //!    as fast as its answer — 2× at 400 what it cost at 40 for `Status`,
 //!    `Results`, `Health` and `StreamQuery` (sealed stream), whose
 //!    answers are of fixed size; 2× the growth of their bytes for
@@ -102,57 +103,72 @@ fn scaling_reads(session: u64) -> [Request; 6] {
     ]
 }
 
-/// `(minimum wall time in microseconds, answer bytes)` of each scaling
-/// read over 20 calls, while a writer connection submits sessions
-/// starting at `writer_base`, one every 25 ms (every read finds the
-/// store changed, and the box's two cores are not saturated, so a
-/// minimum measures the read and not the scheduler). The calls come as
-/// five rounds of four per kind: a kind's samples then span the writer's
-/// phases instead of one scheduling burst, and three of each four follow
-/// a call of the same kind (warm).
-fn time_reads(addr: SocketAddr, session: u64, writer_base: usize) -> Vec<(f64, usize)> {
+/// `(minimum wall time in microseconds, bytes of that call's answer)`
+/// of each scaling read over 20 calls on each node of `addrs` (the
+/// writers grow the listings as the calls go on), while one writer
+/// connection per node submits sessions, one every 25 ms (every read
+/// finds the store changed, and the box's two cores are not saturated,
+/// so a minimum measures the read and not the scheduler). The reader
+/// alternates five rounds between the nodes, four calls per kind and
+/// node in each, so both nodes' minima come from the same minutes of
+/// the box's life: a kind's samples span the writers' phases instead of
+/// one scheduling burst, and three of each four follow a call of the
+/// same kind (warm).
+fn time_reads(addrs: [SocketAddr; 2], session: u64) -> [Vec<(f64, usize)>; 2] {
     let stop = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let client = AsyncClient::connect(addr)
-                .unwrap_or_else(|e| fail(&format!("scaling writer failed to connect: {e}")));
-            let mut next = writer_base;
-            while !stop.load(Ordering::Acquire) {
-                complete_sessions(&client, next..next + 1);
-                next += 1;
-                std::thread::sleep(Duration::from_millis(25));
-            }
+    let writers: Vec<_> = addrs
+        .iter()
+        .zip([20_000, 30_000])
+        .map(|(&addr, writer_base)| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let client = AsyncClient::connect(addr)
+                    .unwrap_or_else(|e| fail(&format!("scaling writer failed to connect: {e}")));
+                let mut next = writer_base;
+                while !stop.load(Ordering::Acquire) {
+                    complete_sessions(&client, next..next + 1);
+                    next += 1;
+                    std::thread::sleep(Duration::from_millis(25));
+                }
+            })
         })
-    };
-    let mut client = Client::connect(addr)
-        .unwrap_or_else(|e| fail(&format!("scaling reader failed to connect: {e}")));
+        .collect();
+    let mut clients = addrs.map(|addr| {
+        Client::connect(addr)
+            .unwrap_or_else(|e| fail(&format!("scaling reader failed to connect: {e}")))
+    });
     let reads = scaling_reads(session);
-    let mut best = vec![(f64::INFINITY, 0); reads.len()];
+    let mut best = [(); 2].map(|()| vec![(f64::INFINITY, 0); reads.len()]);
     for _ in 0..5 {
-        for (request, slot) in reads.iter().zip(&mut best) {
-            for _ in 0..4 {
-                let started = Instant::now();
-                let answer = match client.call(request.clone()) {
-                    Ok(Response::Error { code, message }) => {
-                        fail(&format!("{} answered {code}: {message}", request.kind()))
+        for (client, best) in clients.iter_mut().zip(&mut best) {
+            for (request, slot) in reads.iter().zip(best.iter_mut()) {
+                for _ in 0..4 {
+                    let started = Instant::now();
+                    let answer = match client.call(request.clone()) {
+                        Ok(Response::Error { code, message }) => {
+                            fail(&format!("{} answered {code}: {message}", request.kind()))
+                        }
+                        Ok(answer) => answer,
+                        Err(e) => fail(&format!("{} failed: {e}", request.kind())),
+                    };
+                    let micros = started.elapsed().as_secs_f64() * 1e6;
+                    if micros < slot.0 {
+                        *slot = (micros, answer.encode(0).len());
                     }
-                    Ok(answer) => answer,
-                    Err(e) => fail(&format!("{} failed: {e}", request.kind())),
-                };
-                let micros = started.elapsed().as_secs_f64() * 1e6;
-                *slot = (micros.min(slot.0), answer.encode(0).len());
+                }
             }
         }
     }
     stop.store(true, Ordering::Release);
-    writer.join().expect("scaling writer panicked");
+    for writer in writers {
+        writer.join().expect("scaling writer panicked");
+    }
     best
 }
 
-/// Check 4: what a read costs must follow what it returns, not how many
-/// sessions the node has served.
-fn read_scaling() {
+/// A node of the scaling phase: a sealed stream for `StreamQuery`, then
+/// `sessions` completed sessions.
+fn scaling_node(sessions: usize) -> NetServer {
     let service = Arc::new(AnalysisService::new(
         ServiceConfig {
             workers: 2,
@@ -160,13 +176,10 @@ fn read_scaling() {
         },
         SharedKdb::in_memory(),
     ));
-    let server = NetServer::start(Arc::clone(&service), NetConfig::default())
+    let server = NetServer::start(service, NetConfig::default())
         .unwrap_or_else(|e| fail(&format!("scaling server failed to bind: {e}")));
-    let addr = server.local_addr();
-    let loader = AsyncClient::connect(addr)
+    let loader = AsyncClient::connect(server.local_addr())
         .unwrap_or_else(|e| fail(&format!("scaling loader failed to connect: {e}")));
-
-    // A sealed stream for `StreamQuery`.
     let feed: Vec<ExamRecord> =
         StreamOrder::new(&generate(&SyntheticConfig::small(), 7), 7, 4).collect();
     let open = Request::StreamOpen {
@@ -188,12 +201,16 @@ fn read_scaling() {
             other => fail(&format!("scaling stream set-up got {other:?}")),
         }
     }
+    complete_sessions(&loader, 10_000..10_000 + sessions);
+    server
+}
 
+/// Check 4: what a read costs must follow what it returns, not how many
+/// sessions the node has served.
+fn read_scaling() {
+    let nodes = [40, 400].map(scaling_node);
     // Session ids count from 0: id 5 is one of the first forty.
-    complete_sessions(&loader, 10_000..10_040);
-    let at_40 = time_reads(addr, 5, 20_000);
-    complete_sessions(&loader, 10_040..10_400);
-    let at_400 = time_reads(addr, 5, 30_000);
+    let [at_40, at_400] = time_reads(nodes.each_ref().map(NetServer::local_addr), 5);
 
     // A read may grow 2x as fast as its answer: 2x for an answer of
     // fixed size, 2x the growth of its bytes for one that lists the
@@ -222,9 +239,10 @@ fn read_scaling() {
     if !slow.is_empty() {
         fail(&format!("reads grow with history: {}", slow.join(", ")));
     }
-    drop(loader);
-    if server.shutdown().protocol_errors != 0 {
-        fail("protocol errors in the read-scaling phase");
+    for server in nodes {
+        if server.shutdown().protocol_errors != 0 {
+            fail("protocol errors in the read-scaling phase");
+        }
     }
 }
 

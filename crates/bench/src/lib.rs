@@ -21,6 +21,7 @@
 
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_dataset::ExamLog;
+use ada_kdb::Document;
 
 /// The paper-scale cohort used by the reproduction binaries (seeded).
 pub fn paper_log() -> ExamLog {
@@ -38,4 +39,33 @@ pub fn bench_log() -> ExamLog {
         },
         42,
     )
+}
+
+/// SplitMix64 — the torture harnesses' only randomness, fully seed-driven.
+pub struct Rng(pub u64);
+
+impl Rng {
+    /// The next 64 bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A draw below `n` (0 when `n` is 0).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n.max(1)
+    }
+}
+
+/// A synthetic patient record shaped like the paper's cohort rows.
+pub fn patient_doc(rng: &mut Rng, i: usize) -> Document {
+    Document::new()
+        .with("patient", i as i64)
+        .with("age", (18 + rng.below(80)) as i64)
+        .with("gender", if rng.below(2) == 0 { "F" } else { "M" })
+        .with("diagnosis", format!("D{:03}", rng.below(140)))
+        .with("cost", (rng.below(500_000) as f64) / 100.0)
 }

@@ -1,52 +1,39 @@
 //! Append-only journal persistence with crash recovery.
 //!
 //! Every mutation of a persistent [`crate::Kdb`] is appended as one
-//! operation record. Two on-disk formats coexist:
-//!
-//! * **v1** (legacy, unframed): the raw self-delimiting op encoding,
-//!   back to back. The only detectable failure is a torn final record.
-//! * **v2** (framed): the file starts with [`V2_MAGIC`] and each record
-//!   is a frame `R<len>:<seq>:<crc32-hex>:<payload>` — a payload byte
-//!   length, a monotonic record sequence number (= record index), and a
-//!   CRC32 of the payload. Replay distinguishes a *torn tail* (the
-//!   bytes simply end mid-frame — truncated away, as a crash mid-write
-//!   would leave) from *mid-file corruption* (a complete frame whose
-//!   CRC, sequence, or payload is wrong — reported with byte offset and
-//!   record index, or salvaged under [`RecoveryMode::Salvage`]).
+//! operation record. The file starts with [`V2_MAGIC`] and each record
+//! is a frame `R<len>:<seq>:<crc32-hex>:<payload>` — a payload byte
+//! length, a monotonic record sequence number (= record index), and a
+//! CRC32 of the payload. Replay distinguishes a *torn tail* (the bytes
+//! simply end mid-frame — truncated away, as a crash mid-write would
+//! leave) from *mid-file corruption* (a complete frame whose CRC,
+//! sequence, or payload is wrong — reported with byte offset and record
+//! index, or salvaged under [`RecoveryMode::Salvage`]). A file that
+//! does not start with the magic is not a journal and is corrupt at
+//! offset 0; only an empty file or a proper prefix of the magic (a
+//! crash while the journal was being created) opens as an empty one.
 //!
 //! The frame codec ([`encode_frame`], [`decode_frame`]) is shared: the
 //! ADAN1 wire (`ada_net::frame`) is the same code under tag `F`, capped.
 //!
-//! v1 journals stay readable and are upgraded to v2 by the next
-//! snapshot compaction ([`Journal::rewrite`] always writes v2). All I/O
-//! flows through the [`crate::storage::Storage`] traits so disk faults
-//! are injectable in tests; a [`DurabilityPolicy`] decides when appends
-//! are fsynced.
+//! All I/O flows through the [`crate::storage::Storage`] traits so disk
+//! faults are injectable in tests. A [`Journal`] only appends, flushes
+//! and, when told to, fsyncs: the store that owns it decides when, by
+//! its [`DurabilityPolicy`].
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::collection::DocId;
 use crate::document::{Document, Value};
 use crate::error::KdbError;
 use crate::storage::{FileStorage, Storage, StorageFile};
 
-/// Magic bytes opening a v2 framed journal. `A` is not a valid v1 op
-/// tag, so the formats cannot be confused.
+/// Magic bytes opening a journal file.
 pub const V2_MAGIC: &[u8] = b"ADAJ2\n";
 
-/// The on-disk format of a journal file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalVersion {
-    /// Unframed op stream (legacy).
-    V1,
-    /// Framed records with length, sequence number and CRC32.
-    V2,
-}
-
-/// How replay reacts to mid-file corruption of a v2 journal.
+/// How replay reacts to mid-file corruption of a journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryMode {
     /// Fail the open with [`KdbError::Corrupt`] (byte offset + record
@@ -58,23 +45,17 @@ pub enum RecoveryMode {
     Salvage,
 }
 
-/// When appended ops are fsynced.
+/// When a store fsyncs its journal. The store decides; the journal
+/// only appends and syncs when told to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityPolicy {
-    /// Fsync after every append: each acknowledged op survives power
-    /// loss, at one fsync per mutation.
+    /// Every acknowledged op survives power loss: a [`crate::Kdb`]
+    /// fsyncs after each append, a [`crate::SharedKdb`] group-commits
+    /// (one fsync covers every op appended before it).
     Always,
-    /// Group commit: fsync when `max_ops` appends have accumulated or
-    /// `max_delay` has elapsed since the last sync, whichever first.
-    Batch {
-        /// Appends between fsyncs.
-        max_ops: usize,
-        /// Wall-clock bound between fsyncs.
-        max_delay: Duration,
-    },
     /// Never fsync on append (the OS flushes opportunistically); only
-    /// snapshot compaction and explicit [`Journal::sync`] calls are
-    /// durable. This is the legacy behavior and the default.
+    /// snapshot compaction and explicit `sync` calls are durable. The
+    /// default.
     #[default]
     SnapshotOnly,
 }
@@ -299,7 +280,7 @@ impl Op {
 // The CRC frame codec: `<tag><len>:<seq>:<crc32-hex>:<payload>`.
 // ---------------------------------------------------------------------
 
-/// The tag byte opening a v2 journal record frame.
+/// The tag byte opening a journal record frame.
 const RECORD_TAG: u8 = b'R';
 
 /// Appends the frame for `payload` under `tag` (sequence `seq`) to
@@ -424,7 +405,7 @@ pub fn decode_frame(
     Ok(pos..end)
 }
 
-/// Decodes the v2 record frame at the front of `frame` — the checks of
+/// Decodes the record frame at the front of `frame` — the checks of
 /// [`decode_frame`], then the payload as exactly one [`Op`] — and
 /// returns the op with the frame's byte length. Journal replay and
 /// journal replication (`ada-fleet`, which receives the framed bytes a
@@ -445,7 +426,7 @@ pub fn decode_record(frame: &[u8], expect_seq: u64) -> Result<(Op, usize), Frame
     Ok((op, payload_at.end))
 }
 
-/// A mid-file corruption localized by v2 replay.
+/// A mid-file corruption localized by replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptionReport {
     /// Byte offset of the corrupt record's frame start.
@@ -466,80 +447,65 @@ pub struct Replay {
     pub valid_len: u64,
     /// Whether anything past `valid_len` must be truncated away.
     pub truncated: bool,
-    /// The format the file was found in.
-    pub version: JournalVersion,
     /// Mid-file corruption salvaged under [`RecoveryMode::Salvage`]
     /// (`None` on clean or merely torn journals).
     pub corruption: Option<CorruptionReport>,
 }
 
-/// Decodes journal `bytes` (either format), tolerating a torn final
-/// record; see [`RecoveryMode`] for corruption handling.
+/// Decodes journal `bytes`, tolerating a torn final record; see
+/// [`RecoveryMode`] for corruption handling. Bytes that do not start
+/// with [`V2_MAGIC`] are corrupt at offset 0, unless they are empty or
+/// a proper prefix of it (a crash while the journal was being created),
+/// which replay as an empty journal with nothing valid to keep.
 ///
 /// # Errors
-/// Returns [`KdbError::Corrupt`] under [`RecoveryMode::Strict`] when a
-/// v2 journal is corrupt mid-file.
+/// Returns [`KdbError::Corrupt`] under [`RecoveryMode::Strict`] when
+/// the journal is corrupt.
 pub fn replay_bytes(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
-    if bytes.starts_with(V2_MAGIC) {
-        return replay_v2(bytes, mode);
-    }
-    // v1: unframed op stream; any decode failure is treated as a torn
-    // tail (v1 cannot localize corruption — that is why v2 exists).
-    let mut replay = Replay {
-        ops: Vec::new(),
-        valid_len: 0,
-        truncated: false,
-        version: JournalVersion::V1,
-        corruption: None,
-    };
-    let mut pos = 0usize;
-    while pos < bytes.len() && !replay.truncated {
-        match Op::decode_prefix(bytes, &mut pos) {
-            Ok(op) => {
-                replay.ops.push(op);
-                replay.valid_len = pos as u64;
-            }
-            Err(_) => replay.truncated = true,
-        }
-    }
-    Ok(replay)
-}
-
-fn replay_v2(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
     let mut replay = Replay {
         ops: Vec::new(),
         valid_len: V2_MAGIC.len() as u64,
         truncated: false,
-        version: JournalVersion::V2,
         corruption: None,
     };
-    while (replay.valid_len as usize) < bytes.len() {
-        let record = replay.ops.len();
-        match decode_record(&bytes[replay.valid_len as usize..], record as u64) {
+    let mut fail = None;
+    if !bytes.starts_with(V2_MAGIC) {
+        replay.valid_len = 0;
+        replay.truncated = !bytes.is_empty();
+        if V2_MAGIC.starts_with(bytes) {
+            return Ok(replay);
+        }
+        fail = Some("not a journal: the file does not start with the magic".to_owned());
+    }
+    while fail.is_none() && (replay.valid_len as usize) < bytes.len() {
+        match decode_record(&bytes[replay.valid_len as usize..], replay.ops.len() as u64) {
             Ok((op, len)) => {
                 replay.ops.push(op);
                 replay.valid_len += len as u64;
             }
-            Err(fail) => {
+            Err(frame) => {
                 replay.truncated = true;
-                if let Some((_, reason)) = fail.violation() {
-                    let offset = replay.valid_len;
-                    if mode == RecoveryMode::Strict {
-                        return Err(KdbError::Corrupt {
-                            offset,
-                            record,
-                            reason,
-                        });
-                    }
-                    replay.corruption = Some(CorruptionReport {
-                        offset,
-                        record,
-                        reason,
-                    });
+                match frame.violation() {
+                    Some((_, reason)) => fail = Some(reason),
+                    None => break,
                 }
-                break;
             }
         }
+    }
+    if let Some(reason) = fail {
+        let report = CorruptionReport {
+            offset: replay.valid_len,
+            record: replay.ops.len(),
+            reason,
+        };
+        if mode == RecoveryMode::Strict {
+            return Err(KdbError::Corrupt {
+                offset: report.offset,
+                record: report.record,
+                reason: report.reason,
+            });
+        }
+        replay.corruption = Some(report);
     }
     Ok(replay)
 }
@@ -551,7 +517,7 @@ fn replay_v2(bytes: &[u8], mode: RecoveryMode) -> Result<Replay, KdbError> {
 /// thread: implementations must only enqueue (copy bytes, bump
 /// atomics) and never block or call back into the store.
 pub trait JournalTap: Send + Sync + std::fmt::Debug {
-    /// A v2 frame was written and flushed (not necessarily fsynced):
+    /// A frame was written and flushed (not necessarily fsynced):
     /// `seq` is its sequence number, `frame` the exact on-disk bytes.
     fn frame_appended(&self, seq: u64, frame: &[u8]);
 
@@ -590,25 +556,18 @@ pub fn replay_with(
     replay_bytes(&storage.read(path)?, mode)
 }
 
-/// An open journal writer.
+/// An open journal writer: appends frames, and fsyncs when its owner
+/// asks (see [`DurabilityPolicy`]).
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
     storage: Arc<dyn Storage>,
     file: Box<dyn StorageFile>,
-    version: JournalVersion,
     next_seq: u64,
-    durability: DurabilityPolicy,
     /// Ops appended (acknowledged) since open.
     appended: u64,
     /// Ops known fsynced since open.
     synced: u64,
-    /// Appends since the last successful fsync.
-    pending: usize,
-    last_sync: Instant,
-    /// Swallowed fsync failures (the append itself was acknowledged
-    /// non-durable; see [`Journal::append`]).
-    sync_faults: u64,
     /// Set after a failed write: the file may hold a torn frame, so
     /// appending more would bury valid records behind garbage. All
     /// further appends fail fast until the journal is reopened (which
@@ -620,26 +579,12 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating if needed) the journal for appending on the real
-    /// filesystem with the default durability policy. When a torn tail
-    /// was detected the file is first truncated to its valid prefix and
-    /// fsynced.
-    ///
-    /// # Errors
-    /// Returns [`KdbError::Io`] on filesystem failures.
-    pub fn open(path: &Path, valid_len: Option<u64>) -> Result<Self, KdbError> {
-        Self::open_with(
-            Arc::new(FileStorage),
-            path,
-            valid_len,
-            DurabilityPolicy::default(),
-        )
-    }
-
-    /// [`Journal::open`] through an arbitrary backend and durability
-    /// policy. New (or empty) journals are created v2; existing files
-    /// keep their format so a v1 journal is never rewritten in place —
-    /// the upgrade happens at the next [`Journal::rewrite`].
+    /// Opens (creating if needed) the journal for appending, continuing
+    /// the caller's replay of it: `valid_len` is the replayed valid
+    /// prefix (`None` for a file that does not exist yet) and
+    /// `next_seq` the number of ops replayed. The file is not read
+    /// again. A torn tail past `valid_len` is truncated and the
+    /// truncation fsynced; a journal with no valid magic is (re)stamped.
     ///
     /// # Errors
     /// Returns [`KdbError::Io`] on storage failures.
@@ -647,73 +592,34 @@ impl Journal {
         storage: Arc<dyn Storage>,
         path: &Path,
         valid_len: Option<u64>,
-        durability: DurabilityPolicy,
+        next_seq: u64,
     ) -> Result<Self, KdbError> {
-        // Determine the format and next sequence number from the valid
-        // prefix (salvage-mode scan: the prefix below `valid_len` is
-        // already known clean, so this cannot error).
-        let (version, next_seq) = if storage.exists(path) {
-            let mut bytes = storage.read(path)?;
-            if let Some(len) = valid_len {
-                bytes.truncate(usize::try_from(len).unwrap_or(usize::MAX));
-            }
-            if bytes.is_empty() {
-                (JournalVersion::V2, 0)
-            } else {
-                let replayed = replay_bytes(&bytes, RecoveryMode::Salvage)?;
-                (replayed.version, replayed.ops.len() as u64)
-            }
-        } else {
-            (JournalVersion::V2, 0)
-        };
         let mut file = storage.open_append(path, valid_len)?;
         if valid_len.is_some() {
             // A torn tail was truncated away: make the truncation
             // itself durable before acknowledging new appends.
             file.sync()?;
         }
-        let mut journal = Self {
+        if valid_len.unwrap_or(0) == 0 {
+            // New file, or one a crash left without a whole magic.
+            file.append(V2_MAGIC)?;
+            file.flush()?;
+        }
+        Ok(Self {
             path: path.to_path_buf(),
             storage,
             file,
-            version,
             next_seq,
-            durability,
             appended: 0,
             synced: 0,
-            pending: 0,
-            last_sync: Instant::now(),
-            sync_faults: 0,
             poisoned: None,
             tap: None,
-        };
-        if journal.version == JournalVersion::V2 && journal.next_seq == 0 {
-            // New or emptied file: stamp the magic (idempotent — a
-            // truncate-to-zero recovery lands here too).
-            journal.file.append(V2_MAGIC)?;
-            journal.file.flush()?;
-        }
-        Ok(journal)
+        })
     }
 
     /// The journal file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// The on-disk format this journal is appending in.
-    pub fn version(&self) -> JournalVersion {
-        self.version
-    }
-
-    /// The active durability policy.
-    pub fn durability(&self) -> DurabilityPolicy {
-        self.durability
-    }
-
-    /// Replaces the durability policy for subsequent appends.
-    pub fn set_durability(&mut self, durability: DurabilityPolicy) {
-        self.durability = durability;
     }
 
     /// Ops appended (acknowledged) since this journal was opened.
@@ -726,19 +632,12 @@ impl Journal {
         self.synced
     }
 
-    /// Fsync failures swallowed by [`Journal::append`] so far.
-    pub fn sync_faults(&self) -> u64 {
-        self.sync_faults
-    }
-
     /// Why this journal refuses appends, if a failed write poisoned it.
     pub fn poisoned(&self) -> Option<&str> {
         self.poisoned.as_deref()
     }
 
     /// Installs (or removes) the [`JournalTap`] observing this journal.
-    /// Only v2 appends are tapped — a legacy v1 file has no frames to
-    /// ship; it gains them at its next [`Journal::rewrite`].
     pub fn set_tap(&mut self, tap: Option<Arc<dyn JournalTap>>) {
         self.tap = tap;
     }
@@ -753,66 +652,33 @@ impl Journal {
         self.storage.read(&self.path)
     }
 
-    /// Appends one op, flushes it to the OS, and fsyncs according to
-    /// the durability policy. Returns whether the op is known durable.
-    ///
-    /// A failed *write* leaves the journal without the record (any torn
-    /// prefix is truncated at the next open) and returns the error. A
-    /// failed *fsync* after a successful write does **not** error — the
-    /// record exists, only its durability is unacknowledged — it is
-    /// counted in [`Journal::sync_faults`] and the op reported
-    /// non-durable, so the caller's in-memory state never diverges from
-    /// the journal.
+    /// Appends one op as one frame and flushes it to the OS; whether
+    /// and when it is fsynced is the caller's decision ([`Journal::sync`]).
+    /// A failed write leaves the journal without the record (any torn
+    /// prefix is truncated at the next open) and poisons it.
     ///
     /// # Errors
     /// Returns [`KdbError::Io`] on write failures.
-    pub fn append(&mut self, op: &Op) -> Result<bool, KdbError> {
+    pub fn append(&mut self, op: &Op) -> Result<(), KdbError> {
         if let Some(reason) = &self.poisoned {
             return Err(KdbError::Io(format!("journal poisoned: {reason}")));
         }
         let mut payload = String::new();
         op.encode_into(&mut payload);
-        let mut framed = None;
-        let wrote = match self.version {
-            JournalVersion::V1 => self.file.append(payload.as_bytes()),
-            JournalVersion::V2 => {
-                let mut frame = Vec::with_capacity(payload.len() + 40);
-                encode_frame(RECORD_TAG, payload.as_bytes(), self.next_seq, &mut frame);
-                let res = self.file.append(&frame);
-                framed = Some(frame);
-                res
-            }
-        }
-        .and_then(|()| self.file.flush());
-        if let Err(e) = wrote {
+        let mut frame = Vec::with_capacity(payload.len() + 40);
+        encode_frame(RECORD_TAG, payload.as_bytes(), self.next_seq, &mut frame);
+        if let Err(e) = self.file.append(&frame).and_then(|()| self.file.flush()) {
             // The record may be partially on disk; refuse further
             // appends so replay-valid frames never follow a torn one.
             self.poisoned = Some(e.to_string());
             return Err(e);
         }
-        if let (Some(tap), Some(frame)) = (&self.tap, &framed) {
-            tap.frame_appended(self.next_seq, frame);
+        if let Some(tap) = &self.tap {
+            tap.frame_appended(self.next_seq, &frame);
         }
         self.next_seq += 1;
         self.appended += 1;
-        self.pending += 1;
-        let want_sync = match self.durability {
-            DurabilityPolicy::Always => true,
-            DurabilityPolicy::Batch { max_ops, max_delay } => {
-                self.pending >= max_ops.max(1) || self.last_sync.elapsed() >= max_delay
-            }
-            DurabilityPolicy::SnapshotOnly => false,
-        };
-        if want_sync {
-            match self.sync() {
-                Ok(()) => return Ok(true),
-                Err(_) => {
-                    self.sync_faults += 1;
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(false)
+        Ok(())
     }
 
     /// Forces an fsync, acknowledging every appended op as durable.
@@ -821,9 +687,7 @@ impl Journal {
     /// Returns [`KdbError::Io`] when the flush or fsync fails.
     pub fn sync(&mut self) -> Result<(), KdbError> {
         self.file.sync()?;
-        self.pending = 0;
         self.synced = self.appended;
-        self.last_sync = Instant::now();
         if let Some(tap) = &self.tap {
             // Everything appended is now durable: the absolute durable
             // watermark is the next sequence number to be assigned.
@@ -833,10 +697,9 @@ impl Journal {
     }
 
     /// Atomically replaces the journal contents with the given op
-    /// sequence (snapshot compaction): writes a v2 temp file, fsyncs
-    /// it, renames over the original, and fsyncs the parent directory
-    /// so the rename itself survives a crash. A v1 journal is upgraded
-    /// to v2 here.
+    /// sequence (snapshot compaction): writes a temp file, fsyncs it,
+    /// renames over the original, and fsyncs the parent directory so
+    /// the rename itself survives a crash.
     ///
     /// # Errors
     /// Returns [`KdbError::Io`] on storage failures. A failed rewrite
@@ -887,10 +750,7 @@ impl Journal {
         self.storage.rename(&tmp, &self.path)?;
         self.storage.sync_dir(&self.path)?;
         self.file = self.storage.open_append(&self.path, None)?;
-        self.version = JournalVersion::V2;
         self.next_seq = ops.len() as u64;
-        self.pending = 0;
-        self.last_sync = Instant::now();
         // A compaction replaces the file wholesale, so any torn tail
         // that poisoned the old image is gone.
         self.poisoned = None;
@@ -930,15 +790,6 @@ mod tests {
                 id: 1,
             },
         ]
-    }
-
-    /// A v1-format journal image for compatibility tests.
-    fn v1_image(ops: &[Op]) -> Vec<u8> {
-        let mut buf = String::new();
-        for op in ops {
-            op.encode_into(&mut buf);
-        }
-        buf.into_bytes()
     }
 
     #[test]
@@ -1110,70 +961,54 @@ mod tests {
         }
     }
 
+    /// A fresh journal `j` over `mem` holding `ops`.
+    fn written(mem: &MemStorage, ops: &[Op]) -> Journal {
+        let mut j = Journal::open_with(Arc::new(mem.clone()), Path::new("j"), None, 0).unwrap();
+        for op in ops {
+            j.append(op).unwrap();
+        }
+        j
+    }
+
     #[test]
     fn journal_append_and_replay() {
-        let path = std::env::temp_dir().join(format!("ada_kdb_j1_{}", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        {
-            let mut j = Journal::open(&path, None).unwrap();
-            assert_eq!(j.version(), JournalVersion::V2);
-            for op in ops_sample() {
-                j.append(&op).unwrap();
-            }
-        }
-        let replayed = replay(&path).unwrap();
+        let mem = MemStorage::new();
+        written(&mem, &ops_sample());
+        let replayed = replay_with(&mem, Path::new("j"), RecoveryMode::Strict).unwrap();
         assert_eq!(replayed.ops, ops_sample());
-        assert_eq!(replayed.version, JournalVersion::V2);
         assert!(!replayed.truncated);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn torn_tail_is_detected_and_valid_prefix_kept() {
-        let path = std::env::temp_dir().join(format!("ada_kdb_j2_{}", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        {
-            let mut j = Journal::open(&path, None).unwrap();
-            for op in ops_sample() {
-                j.append(&op).unwrap();
-            }
-        }
+        let mem = MemStorage::new();
+        let path = Path::new("j");
+        written(&mem, &ops_sample());
         // Simulate a crash mid-write: chop off the last 3 bytes.
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        let replayed = replay(&path).unwrap();
+        let full = mem.bytes(path).unwrap();
+        mem.install(path, full[..full.len() - 3].to_vec());
+        let replayed = replay_with(&mem, path, RecoveryMode::Strict).unwrap();
         assert!(replayed.truncated);
         assert!(replayed.corruption.is_none(), "torn, not corrupt");
         assert_eq!(replayed.ops, ops_sample()[..4].to_vec());
         assert!(replayed.valid_len < full.len() as u64 - 3);
-        // Re-opening with the valid length truncates; further appends
+        // Re-opening at the valid length truncates; further appends
         // produce a clean journal again.
         {
-            let mut j = Journal::open(&path, Some(replayed.valid_len)).unwrap();
+            let valid = Some(replayed.valid_len);
+            let mut j = Journal::open_with(Arc::new(mem.clone()), path, valid, 4).unwrap();
             j.append(&ops_sample()[4]).unwrap();
         }
-        let again = replay(&path).unwrap();
+        let again = replay_with(&mem, path, RecoveryMode::Strict).unwrap();
         assert!(!again.truncated);
         assert_eq!(again.ops, ops_sample());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mid_file_corruption_is_localized_not_truncated() {
         let mem = MemStorage::new();
         let path = Path::new("j");
-        {
-            let mut j = Journal::open_with(
-                Arc::new(mem.clone()),
-                path,
-                None,
-                DurabilityPolicy::default(),
-            )
-            .unwrap();
-            for op in ops_sample() {
-                j.append(&op).unwrap();
-            }
-        }
+        written(&mem, &ops_sample());
         let mut bytes = mem.bytes(path).unwrap();
         // Find the second frame and flip a payload byte inside it.
         let clean = replay_bytes(&bytes, RecoveryMode::Strict).unwrap();
@@ -1206,53 +1041,47 @@ mod tests {
     }
 
     #[test]
-    fn v1_journals_replay_and_append_in_v1() {
-        let mem = MemStorage::new();
-        let path = Path::new("legacy");
-        mem.install(path, v1_image(&ops_sample()[..3]));
-        let replayed = replay_with(&mem, path, RecoveryMode::Strict).unwrap();
-        assert_eq!(replayed.version, JournalVersion::V1);
-        assert_eq!(replayed.ops, ops_sample()[..3].to_vec());
-        // Appends continue unframed so the file stays single-format.
-        {
-            let mut j = Journal::open_with(
-                Arc::new(mem.clone()),
-                path,
-                None,
-                DurabilityPolicy::default(),
-            )
-            .unwrap();
-            assert_eq!(j.version(), JournalVersion::V1);
-            j.append(&ops_sample()[3]).unwrap();
+    fn bytes_without_the_magic_are_corrupt_at_offset_zero() {
+        // A frame stream that lost its magic, and two files that never
+        // had one.
+        let mut payload = String::new();
+        ops_sample()[0].encode_into(&mut payload);
+        let mut framed = Vec::new();
+        encode_frame(RECORD_TAG, payload.as_bytes(), 0, &mut framed);
+        for bytes in [&framed[..], b"not a journal", b"ADAJ1\n"] {
+            let err = replay_bytes(bytes, RecoveryMode::Strict).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    KdbError::Corrupt {
+                        offset: 0,
+                        record: 0,
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+            let salvage = replay_bytes(bytes, RecoveryMode::Salvage).unwrap();
+            assert_eq!(
+                salvage.corruption.map(|c| (c.offset, c.record)),
+                Some((0, 0))
+            );
+            assert_eq!((salvage.ops.len(), salvage.valid_len), (0, 0));
         }
-        let again = replay_with(&mem, path, RecoveryMode::Strict).unwrap();
-        assert_eq!(again.version, JournalVersion::V1);
-        assert_eq!(again.ops, ops_sample()[..4].to_vec());
-        // Rewrite upgrades to v2.
-        {
-            let mut j = Journal::open_with(
-                Arc::new(mem.clone()),
-                path,
-                None,
-                DurabilityPolicy::default(),
-            )
-            .unwrap();
-            j.rewrite(&ops_sample()).unwrap();
-            assert_eq!(j.version(), JournalVersion::V2);
+        for cut in 0..V2_MAGIC.len() {
+            let replayed = replay_bytes(&V2_MAGIC[..cut], RecoveryMode::Strict).unwrap();
+            assert_eq!(
+                (replayed.ops.len(), replayed.valid_len),
+                (0, 0),
+                "cut {cut}"
+            );
         }
-        let upgraded = replay_with(&mem, path, RecoveryMode::Strict).unwrap();
-        assert_eq!(upgraded.version, JournalVersion::V2);
-        assert_eq!(upgraded.ops, ops_sample());
     }
 
     #[test]
     fn rewrite_compacts_atomically() {
-        let path = std::env::temp_dir().join(format!("ada_kdb_j3_{}", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let mut j = Journal::open(&path, None).unwrap();
-        for op in ops_sample() {
-            j.append(&op).unwrap();
-        }
+        let mem = MemStorage::new();
+        let mut j = written(&mem, &ops_sample());
         let compacted = vec![Op::CreateCollection {
             name: "items".into(),
         }];
@@ -1260,58 +1089,9 @@ mod tests {
         // Appends after rewrite land after the compacted content.
         j.append(&ops_sample()[2]).unwrap();
         drop(j);
-        let replayed = replay(&path).unwrap();
+        let replayed = replay_with(&mem, Path::new("j"), RecoveryMode::Strict).unwrap();
         assert_eq!(replayed.ops.len(), 2);
         assert_eq!(replayed.ops[0], compacted[0]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn durability_policies_ack_when_promised() {
-        let mem = Arc::new(MemStorage::new());
-        let path = Path::new("d");
-        let mut j = Journal::open_with(
-            Arc::clone(&mem) as Arc<dyn Storage>,
-            path,
-            None,
-            DurabilityPolicy::Always,
-        )
-        .unwrap();
-        assert!(j.append(&ops_sample()[0]).unwrap(), "Always syncs per op");
-        assert_eq!(j.durable_ops(), 1);
-
-        j.set_durability(DurabilityPolicy::Batch {
-            max_ops: 3,
-            max_delay: Duration::from_secs(3600),
-        });
-        assert!(!j.append(&ops_sample()[1]).unwrap());
-        assert!(!j.append(&ops_sample()[2]).unwrap());
-        assert!(j.append(&ops_sample()[3]).unwrap(), "third op hits max_ops");
-        assert_eq!(j.durable_ops(), 4);
-
-        j.set_durability(DurabilityPolicy::SnapshotOnly);
-        assert!(!j.append(&ops_sample()[4]).unwrap());
-        assert_eq!(j.acked_ops(), 5);
-        assert_eq!(j.durable_ops(), 4);
-        j.sync().unwrap();
-        assert_eq!(j.durable_ops(), 5);
-    }
-
-    #[test]
-    fn swallowed_fsync_failures_are_counted_not_fatal() {
-        use crate::storage::{FaultKind, FaultyStorage};
-        let (storage, handle) = FaultyStorage::wrap(Arc::new(MemStorage::new()));
-        let mut j =
-            Journal::open_with(storage, Path::new("s"), None, DurabilityPolicy::Always).unwrap();
-        handle.fail_persistently(FaultKind::SyncFail);
-        let synced = j.append(&ops_sample()[0]).unwrap();
-        assert!(!synced, "append acknowledged but not durable");
-        assert_eq!(j.sync_faults(), 1);
-        assert_eq!(j.acked_ops(), 1);
-        assert_eq!(j.durable_ops(), 0);
-        handle.clear();
-        assert!(j.append(&ops_sample()[1]).unwrap());
-        assert_eq!(j.durable_ops(), 2);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod error;
 pub use collection::{Collection, DocId};
 pub use document::{Document, Value};
 pub use error::KdbError;
-pub use journal::{CorruptionReport, DurabilityPolicy, JournalTap, JournalVersion, RecoveryMode};
+pub use journal::{CorruptionReport, DurabilityPolicy, JournalTap, RecoveryMode};
 pub use query::Filter;
 pub use sharded::{CommitObserver, CommitRole, GroupCommitSnapshot, KdbSnapshot, SharedKdb};
 pub use storage::{FaultHandle, FaultKind, FaultyStorage, FileStorage, MemStorage, Storage};

@@ -319,37 +319,29 @@ struct CommitState {
     durable: u64,
     /// A leader currently holds the fsync baton.
     syncing: bool,
-    /// When the last fsync round finished (Batch `max_delay` clock).
-    last_sync: Instant,
     /// Ops covered by the previous round — evidence of concurrent
     /// appenders, used to size the leader's accumulation window.
     last_batch: u64,
 }
 
-/// Outcome of journaling one op, settled after the shard lock drops.
-enum Ticket {
-    /// In-memory store: nothing to wait for.
-    None,
-    /// Durability already decided (Batch / SnapshotOnly policies).
-    Done(bool),
-    /// Wait for a group-commit round covering this acked-op count.
-    Wait(u64),
-}
+/// Outcome of journaling one op, settled after the shard lock drops:
+/// nothing to wait for (in-memory, or `SnapshotOnly`), or wait for a
+/// group-commit round covering this acked-op count.
+type Ticket = Option<u64>;
 
 #[derive(Debug)]
 struct SharedInner {
     /// Shard registry: write-locked only to create a collection.
     shards: RwLock<BTreeMap<String, Arc<Shard>>>,
-    /// The single journal appender. Its own policy is pinned to
-    /// `SnapshotOnly` so `append` never fsyncs inline — the facade's
-    /// `policy` decides durability via the group committer.
+    /// The single journal appender. `append` never fsyncs: `policy`
+    /// decides durability via the group committer.
     journal: Option<parking_lot::Mutex<Journal>>,
-    /// Facade-level durability policy.
+    /// When commits wait for an fsync round.
     policy: parking_lot::Mutex<DurabilityPolicy>,
     commit: Mutex<CommitState>,
     commit_cv: Condvar,
-    /// Failed appends, whose ops were never applied (seeded with any
-    /// carried over from the decomposed [`Kdb`]).
+    /// Failed appends, whose ops were never applied (seeded with the
+    /// faults of the decomposed [`Kdb`]).
     log_failures: AtomicU64,
     /// Fsync failures observed by the group committer.
     sync_failures: AtomicU64,
@@ -383,16 +375,13 @@ impl SharedKdb {
     /// per-collection shards. The store's durability policy becomes the
     /// facade's group-commit policy.
     pub fn new(kdb: Kdb) -> Self {
-        let (collections, mut journal, log_failures, salvaged) = kdb.into_parts();
-        let policy = journal
-            .as_ref()
-            .map(Journal::durability)
-            .unwrap_or_default();
-        if let Some(j) = &mut journal {
-            // The facade owns durability; inline fsyncs would serialize
-            // every appender behind the journal mutex.
-            j.set_durability(DurabilityPolicy::SnapshotOnly);
-        }
+        let Kdb {
+            collections,
+            journal,
+            durability,
+            journal_faults,
+            salvaged,
+        } = kdb;
         let shards = collections
             .into_iter()
             .map(|(name, coll)| (name, Arc::new(Shard::new(coll))))
@@ -401,16 +390,15 @@ impl SharedKdb {
             inner: Arc::new(SharedInner {
                 shards: RwLock::new(shards),
                 journal: journal.map(parking_lot::Mutex::new),
-                policy: parking_lot::Mutex::new(policy),
+                policy: parking_lot::Mutex::new(durability),
                 commit: Mutex::new(CommitState {
                     attempted: 0,
                     durable: 0,
                     syncing: false,
-                    last_sync: Instant::now(),
                     last_batch: 1,
                 }),
                 commit_cv: Condvar::new(),
-                log_failures: AtomicU64::new(log_failures),
+                log_failures: AtomicU64::new(journal_faults),
                 sync_failures: AtomicU64::new(0),
                 stats: GroupCommitStats::default(),
                 salvaged,
@@ -445,40 +433,21 @@ impl SharedKdb {
     }
 
     /// Appends one op under the journal mutex (buffered write + flush
-    /// only — no fsync) and decides how durability will be settled.
+    /// only — no fsync) and says whether durability is to be waited for.
     /// Called with the target shard write-locked, so per-collection
     /// journal order equals apply order. A failure means the op is not
     /// persisted, and the caller must not apply it.
     fn log(&self, op: &Op) -> Result<Ticket, KdbError> {
         let Some(journal_mx) = &self.inner.journal else {
-            return Ok(Ticket::None);
+            return Ok(None);
         };
         let mut journal = journal_mx.lock();
         if let Err(e) = journal.append(op) {
             self.inner.log_failures.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
-        let seq = journal.acked_ops();
-        let policy = *self.inner.policy.lock();
-        match policy {
-            DurabilityPolicy::SnapshotOnly => Ok(Ticket::Done(false)),
-            DurabilityPolicy::Always => Ok(Ticket::Wait(seq)),
-            DurabilityPolicy::Batch { max_ops, max_delay } => {
-                let pending = seq.saturating_sub(journal.durable_ops());
-                let overdue = {
-                    let state = lock(&self.inner.commit);
-                    state.last_sync.elapsed() >= max_delay
-                };
-                if pending >= max_ops.max(1) as u64 || overdue {
-                    // The appender that fills the batch performs the
-                    // sync inline (same ack shape as `Journal::append`
-                    // under `Batch`: the triggering op reports durable).
-                    Ok(Ticket::Done(self.sync_round(&mut journal).result.is_ok()))
-                } else {
-                    Ok(Ticket::Done(false))
-                }
-            }
-        }
+        let wait = *self.inner.policy.lock() == DurabilityPolicy::Always;
+        Ok(wait.then(|| journal.acked_ops()))
     }
 
     /// One fsync round over the locked journal: syncs, records stats,
@@ -500,7 +469,6 @@ impl SharedKdb {
         self.inner.stats.record(batch, elapsed, result.is_ok());
         state.attempted = state.attempted.max(end);
         state.durable = state.durable.max(durable_now);
-        state.last_sync = Instant::now();
         state.last_batch = batch;
         drop(state);
         self.inner.commit_cv.notify_all();
@@ -618,11 +586,7 @@ impl SharedKdb {
     }
 
     fn settle(&self, ticket: Ticket) -> bool {
-        match ticket {
-            Ticket::None => false,
-            Ticket::Done(durable) => durable,
-            Ticket::Wait(seq) => self.wait_durable(seq),
-        }
+        ticket.is_some_and(|seq| self.wait_durable(seq))
     }
 
     /// The one per-shard write path: under the shard's write lock,
@@ -727,9 +691,8 @@ impl SharedKdb {
 
     /// [`SharedKdb::insert`] with a commit receipt: the second element
     /// reports whether the op is already covered by a successful fsync
-    /// (`false` under `Batch`/`SnapshotOnly` acked-non-durable acks or
-    /// after a failed group fsync). The journaled document carries its
-    /// `_id`.
+    /// (`false` under `SnapshotOnly`, or after a failed group fsync).
+    /// The journaled document carries its `_id`.
     ///
     /// # Errors
     /// Returns [`KdbError::UnknownCollection`] or a journal I/O error.
@@ -896,8 +859,7 @@ impl SharedKdb {
         // 3. … then swap the shard registry and restart the commit
         //    watermarks at the installed (all-durable) op count.
         let shards = replica
-            .into_parts()
-            .0
+            .collections
             .into_iter()
             .map(|(name, coll)| (name, Arc::new(Shard::new(coll))))
             .collect();
@@ -905,7 +867,6 @@ impl SharedKdb {
         let mut state = lock(&self.inner.commit);
         state.attempted = ops.len() as u64;
         state.durable = ops.len() as u64;
-        state.last_sync = Instant::now();
         drop(state);
         self.inner.commit_cv.notify_all();
         Ok(())
@@ -966,7 +927,6 @@ impl SharedKdb {
         let mut state = lock(&self.inner.commit);
         state.attempted = state.attempted.max(end);
         state.durable = state.durable.max(end);
-        state.last_sync = Instant::now();
         drop(state);
         self.inner.commit_cv.notify_all();
         Ok(())
@@ -1486,22 +1446,6 @@ mod tests {
         let snap = db.read();
         let doc = snap.collection("counters").unwrap().get(id).unwrap();
         assert_eq!(doc.get("n").and_then(Value::as_i64), Some(400));
-    }
-
-    #[test]
-    fn batch_policy_syncs_on_the_filling_op() {
-        let (db, _mem) = mem_store(DurabilityPolicy::Batch {
-            max_ops: 3,
-            max_delay: Duration::from_secs(3600),
-        });
-        db.create_collection("items").unwrap(); // op 1
-        let (_, d2) = db.insert_committed("items", item("a", 1.0)).unwrap(); // op 2
-        assert!(!d2);
-        let (_, d3) = db.insert_committed("items", item("b", 2.0)).unwrap(); // op 3 fills
-        assert!(d3, "the op filling the batch acks durable");
-        assert_eq!(db.journal_durable_ops(), 3);
-        let stats = db.group_commit_stats();
-        assert!(stats.commits >= 1);
     }
 
     #[test]

@@ -11,15 +11,15 @@ use crate::journal::{replay_bytes, CorruptionReport, DurabilityPolicy, Journal, 
 use crate::query::Filter;
 use crate::storage::{FileStorage, Storage};
 
-/// How a [`Kdb`] opens its journal: which storage backend, what
-/// durability policy for appends, and how to react to corruption.
+/// How a [`Kdb`] opens its journal: which storage backend, when the
+/// store fsyncs, and how to react to corruption.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
     /// Storage backend (real filesystem by default; swap in
     /// [`crate::storage::MemStorage`] or [`crate::storage::FaultyStorage`]
     /// in tests).
     pub storage: Arc<dyn Storage>,
-    /// When appended ops are fsynced.
+    /// When the store fsyncs appended ops.
     pub durability: DurabilityPolicy,
     /// Strict (fail loudly) or salvage (recover prefix + quarantine)
     /// on mid-file corruption.
@@ -78,12 +78,16 @@ impl StoreOptions {
 /// ```
 #[derive(Debug)]
 pub struct Kdb {
-    collections: BTreeMap<String, Collection>,
-    journal: Option<Journal>,
-    /// Journal appends that failed (their ops were never applied).
-    log_failures: u64,
+    pub(crate) collections: BTreeMap<String, Collection>,
+    pub(crate) journal: Option<Journal>,
+    /// When [`Kdb::commit`] fsyncs; [`crate::SharedKdb::new`] takes it
+    /// over as its group-commit policy.
+    pub(crate) durability: DurabilityPolicy,
+    /// Journal appends that failed (their ops were never applied) plus
+    /// fsyncs that failed after their append landed.
+    pub(crate) journal_faults: u64,
     /// Corruption salvaged at open (quarantined remainder), if any.
-    salvaged: Option<CorruptionReport>,
+    pub(crate) salvaged: Option<CorruptionReport>,
 }
 
 impl Kdb {
@@ -92,7 +96,8 @@ impl Kdb {
         Self {
             collections: BTreeMap::new(),
             journal: None,
-            log_failures: 0,
+            durability: DurabilityPolicy::default(),
+            journal_faults: 0,
             salvaged: None,
         }
     }
@@ -103,7 +108,8 @@ impl Kdb {
     ///
     /// # Errors
     /// Returns [`KdbError::Io`] on filesystem failures,
-    /// [`KdbError::Corrupt`] on mid-file corruption of a v2 journal, or
+    /// [`KdbError::Corrupt`] on a corrupt journal or a file that is not
+    /// one (the file is left untouched), or
     /// [`KdbError::Journal`] when a *replayed* operation is inconsistent
     /// (e.g. an insert into a collection that was never created).
     pub fn open(path: &Path) -> Result<Self, KdbError> {
@@ -112,9 +118,9 @@ impl Kdb {
 
     /// [`Kdb::open`] with explicit storage backend, durability policy
     /// and recovery mode. Under [`RecoveryMode::Salvage`] a corrupt
-    /// journal's valid prefix is recovered, the unreadable remainder is
-    /// copied to `<path>.quarantine`, and the report is available via
-    /// [`Kdb::salvaged`].
+    /// journal's valid prefix is recovered, the unreadable remainder (all
+    /// of a file that is not a journal) is copied to `<path>.quarantine`,
+    /// and the report is available via [`Kdb::salvaged`].
     ///
     /// # Errors
     /// As [`Kdb::open`]; strict mode surfaces [`KdbError::Corrupt`].
@@ -125,9 +131,11 @@ impl Kdb {
             recovery,
         } = options;
         let mut store = Self::in_memory();
+        let mut next_seq = 0;
         let valid_len = if storage.exists(path) {
             let bytes = storage.read(path)?;
             let replayed = replay_bytes(&bytes, recovery)?;
+            next_seq = replayed.ops.len() as u64;
             for (line, op) in replayed.ops.into_iter().enumerate() {
                 store
                     .commit(op)
@@ -146,7 +154,8 @@ impl Kdb {
         } else {
             None
         };
-        store.journal = Some(Journal::open_with(storage, path, valid_len, durability)?);
+        store.journal = Some(Journal::open_with(storage, path, valid_len, next_seq)?);
+        store.durability = durability;
         Ok(store)
     }
 
@@ -160,6 +169,9 @@ impl Kdb {
     /// the journal, then applies it. A refused op or a failed append
     /// (counted towards [`Kdb::journal_fault_count`]) returns before any
     /// collection is touched, so memory never runs ahead of the journal.
+    /// Under [`DurabilityPolicy::Always`] the append is fsynced; a failed
+    /// fsync is counted as a fault, not returned — the op is in the
+    /// journal, only not known durable, so memory still agrees with it.
     pub(crate) fn commit(&mut self, op: Op) -> Result<(), KdbError> {
         match (self.collections.get(op.collection()), &op) {
             (Some(coll), _) => coll.check(&op)?,
@@ -169,7 +181,10 @@ impl Kdb {
         if let Some(journal) = &mut self.journal {
             journal
                 .append(&op)
-                .inspect_err(|_| self.log_failures += 1)?;
+                .inspect_err(|_| self.journal_faults += 1)?;
+            if self.durability == DurabilityPolicy::Always && journal.sync().is_err() {
+                self.journal_faults += 1;
+            }
         }
         match op {
             Op::CreateCollection { name } => {
@@ -314,28 +329,8 @@ impl Kdb {
         fingerprint_ops(&self.state_ops())
     }
 
-    /// Decomposes the store into its raw parts for the sharded facade
-    /// ([`crate::SharedKdb`]): collections, journal, accumulated append
-    /// failures and any salvage report.
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        BTreeMap<String, Collection>,
-        Option<Journal>,
-        u64,
-        Option<CorruptionReport>,
-    ) {
-        (
-            self.collections,
-            self.journal,
-            self.log_failures,
-            self.salvaged,
-        )
-    }
-
     /// Compacts the journal to the minimal op sequence reconstructing
-    /// the current state (upgrading v1 journals to v2). No-op for
-    /// in-memory stores.
+    /// the current state. No-op for in-memory stores.
     ///
     /// # Errors
     /// Returns journal I/O errors.
@@ -359,19 +354,11 @@ impl Kdb {
         }
     }
 
-    /// Replaces the journal durability policy. No-op for in-memory
-    /// stores.
-    pub fn set_durability(&mut self, durability: DurabilityPolicy) {
-        if let Some(journal) = &mut self.journal {
-            journal.set_durability(durability);
-        }
-    }
-
     /// Journal faults observed since open: failed appends (their ops
     /// were refused) plus fsync failures swallowed as non-durable acks.
     /// The service watches this to decide when to degrade.
     pub fn journal_fault_count(&self) -> u64 {
-        self.log_failures + self.journal.as_ref().map_or(0, Journal::sync_faults)
+        self.journal_faults
     }
 
     /// Ops acknowledged by the journal since open (0 when in-memory).
@@ -591,5 +578,61 @@ mod tests {
         let db = Kdb::open(&path).unwrap();
         assert_eq!(db.collection("items").unwrap().len(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    fn mem_kdb(storage: Arc<dyn Storage>, durability: DurabilityPolicy) -> Kdb {
+        let options = StoreOptions::with_storage(storage).durability(durability);
+        Kdb::open_with(Path::new("j"), options).unwrap()
+    }
+
+    #[test]
+    fn durability_policies_ack_when_promised() {
+        let mem = Arc::new(crate::storage::MemStorage::new());
+        let mut db = mem_kdb(mem.clone(), DurabilityPolicy::Always);
+        db.create_collection("items").unwrap();
+        db.insert("items", item("a", 1.0)).unwrap();
+        assert_eq!(db.journal_acked_ops(), 2);
+        assert_eq!(db.journal_durable_ops(), 2, "Always syncs per op");
+        drop(db);
+
+        let mut db = mem_kdb(mem, DurabilityPolicy::SnapshotOnly);
+        db.insert("items", item("b", 2.0)).unwrap();
+        db.insert("items", item("c", 3.0)).unwrap();
+        assert_eq!(db.journal_acked_ops(), 2);
+        assert_eq!(
+            db.journal_durable_ops(),
+            0,
+            "SnapshotOnly never syncs on append"
+        );
+        db.sync().unwrap();
+        assert_eq!(db.journal_durable_ops(), 2);
+    }
+
+    #[test]
+    fn swallowed_fsync_failures_are_counted_not_fatal() {
+        use crate::storage::{FaultKind, FaultyStorage, MemStorage};
+        let (storage, handle) = FaultyStorage::wrap(Arc::new(MemStorage::new()));
+        let mut db = mem_kdb(storage, DurabilityPolicy::Always);
+        db.create_collection("items").unwrap();
+        handle.fail_persistently(FaultKind::SyncFail);
+        db.insert("items", item("a", 1.0))
+            .expect("append acknowledged though not durable");
+        assert_eq!(db.journal_fault_count(), 1);
+        assert_eq!(db.journal_acked_ops(), 2);
+        assert_eq!(db.journal_durable_ops(), 1);
+        assert_eq!(db.collection("items").unwrap().len(), 1);
+        handle.clear();
+        db.insert("items", item("b", 2.0)).unwrap();
+        assert_eq!(db.journal_durable_ops(), 3, "the next fsync re-covers it");
+        assert_eq!(db.journal_fault_count(), 1, "counted once");
+    }
+
+    #[test]
+    fn reopening_an_empty_journal_keeps_one_magic() {
+        let mem = crate::storage::MemStorage::new();
+        for _ in 0..3 {
+            mem_kdb(Arc::new(mem.clone()), DurabilityPolicy::Always);
+            assert_eq!(mem.bytes(Path::new("j")).unwrap(), crate::journal::V2_MAGIC);
+        }
     }
 }

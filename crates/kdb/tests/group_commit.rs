@@ -1,27 +1,23 @@
-//! `DurabilityPolicy::Batch` acked-non-durable semantics through the
-//! sharded group committer: when an fsync fault lands mid-stream,
-//! exactly the ops of the failed batch are counted non-durable, the
-//! acked prefix is preserved, and a later successful round (which
-//! fsyncs the whole file) re-covers them.
+//! `DurabilityPolicy::Always` accounting through the sharded group
+//! committer under fsync faults: the ops of a failed round stay acked
+//! but non-durable, the round counts as one fault, the acked prefix is
+//! preserved, and a later successful round (which fsyncs the whole
+//! file) re-covers them.
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use ada_kdb::{
     Document, DurabilityPolicy, FaultKind, FaultyStorage, Kdb, MemStorage, SharedKdb, Storage,
     StoreOptions,
 };
 
-fn faulty_batch_store(max_ops: usize) -> (SharedKdb, MemStorage, ada_kdb::FaultHandle) {
+fn faulty_store() -> (SharedKdb, MemStorage, ada_kdb::FaultHandle) {
     let mem = MemStorage::new();
     let (storage, handle) = FaultyStorage::wrap(Arc::new(mem.clone()) as Arc<dyn Storage>);
     let db = SharedKdb::open_with(
         Path::new("j"),
-        StoreOptions::with_storage(storage).durability(DurabilityPolicy::Batch {
-            max_ops,
-            max_delay: Duration::from_secs(3600),
-        }),
+        StoreOptions::with_storage(storage).durability(DurabilityPolicy::Always),
     )
     .unwrap();
     (db, mem, handle)
@@ -31,85 +27,74 @@ fn doc(tag: i64) -> Document {
     Document::new().with("tag", tag)
 }
 
-/// Serial shape first, so the per-batch accounting is deterministic:
-/// batch 1 syncs clean, batch 2's fsync fails (exactly its 4 ops stay
-/// non-durable), batch 3 syncs clean and re-covers everything.
+/// Serial shape first, so the per-round accounting is deterministic:
+/// one writer's every op is its own round. Rounds before the fault sync
+/// clean, the faulted round leaves exactly its op non-durable and
+/// counts once, and the next clean round re-covers it.
 #[test]
 fn fsync_fault_mid_batch_leaves_exactly_that_batch_non_durable() {
-    let (db, mem, handle) = faulty_batch_store(4);
+    let (db, mem, handle) = faulty_store();
 
-    // Batch 1: create (op 1) + three inserts; op 4 fills the batch and
-    // syncs inline — that op acks durable, the earlier ones do not.
     db.create_collection("items").unwrap();
-    let (_, d2) = db.insert_committed("items", doc(2)).unwrap();
-    let (_, d3) = db.insert_committed("items", doc(3)).unwrap();
-    let (_, d4) = db.insert_committed("items", doc(4)).unwrap();
-    assert!(!d2 && !d3, "mid-batch ops are acked non-durable");
-    assert!(d4, "the filling op carries the successful fsync");
+    for tag in 2..=4 {
+        let (_, durable) = db.insert_committed("items", doc(tag)).unwrap();
+        assert!(durable, "a clean round acks durable");
+    }
     assert_eq!(db.journal_acked_ops(), 4);
     assert_eq!(db.journal_durable_ops(), 4);
     assert_eq!(db.journal_fault_count(), 0);
 
-    // Batch 2: the fsync fails. All four ops stay acked (the writes
-    // landed), none is durable, and the round counts as ONE fault.
-    handle.fail_persistently(FaultKind::SyncFail);
-    let mut receipts = Vec::new();
-    for tag in 5..=8 {
-        let (_, durable) = db.insert_committed("items", doc(tag)).unwrap();
-        receipts.push(durable);
-    }
-    assert_eq!(receipts, [false, false, false, false]);
-    assert_eq!(db.journal_acked_ops(), 8, "acked prefix preserved");
+    // The next op's append takes one storage tick and its round's fsync
+    // the one after: fail that fsync. The write landed, so the op stays
+    // acked, is not durable, and the round counts as ONE fault.
+    handle.fail_at(handle.ticks() + 1, FaultKind::SyncFail);
+    let (_, d5) = db.insert_committed("items", doc(5)).unwrap();
+    assert!(!d5, "the failed round's op is acked non-durable");
+    assert_eq!(db.journal_acked_ops(), 5, "acked prefix preserved");
     assert_eq!(
         db.journal_durable_ops(),
         4,
-        "exactly the failed batch's ops are non-durable"
+        "exactly the failed round's op is non-durable"
     );
     assert_eq!(db.journal_fault_count(), 1, "one fault per failed round");
-    let stats = db.group_commit_stats();
-    assert_eq!(stats.failures, 1);
+    assert_eq!(db.group_commit_stats().failures, 1);
 
-    // Fault cleared. The failed batch's ops still count as pending
-    // (durability owed), so the very next append re-triggers the sync —
-    // and that fsync covers the whole file, re-covering batch 2.
-    handle.clear();
-    let (_, d9) = db.insert_committed("items", doc(9)).unwrap();
-    assert!(d9, "first append after the failed round retries the fsync");
-    assert_eq!(db.journal_durable_ops(), 9, "fsync re-covers batch 2");
-    for tag in 10..=12 {
-        let (_, durable) = db.insert_committed("items", doc(tag)).unwrap();
-        assert!(!durable, "mid-batch ops are acked non-durable");
-    }
-    assert_eq!(db.journal_acked_ops(), 12);
+    // The next round fsyncs the whole file, re-covering op 5.
+    let (_, d6) = db.insert_committed("items", doc(6)).unwrap();
+    assert!(d6);
+    assert_eq!(
+        db.journal_durable_ops(),
+        6,
+        "fsync re-covers the failed round"
+    );
     assert_eq!(db.journal_fault_count(), 1, "no new faults");
-    db.sync().unwrap();
-    assert_eq!(db.journal_durable_ops(), 12);
 
-    // Replay: every acked op is in the image (the acked-prefix is the
+    // Replay: every acked op is in the image (the acked prefix is the
     // whole journal — appends landed even when their fsync failed).
     let expected = db.read().fingerprint();
     drop(db);
     let reopened =
         Kdb::open_with(Path::new("j"), StoreOptions::with_storage(Arc::new(mem))).unwrap();
     assert_eq!(reopened.fingerprint(), expected);
-    assert_eq!(reopened.collection("items").unwrap().len(), 11);
+    assert_eq!(reopened.collection("items").unwrap().len(), 5);
 }
 
 /// Concurrent appenders racing through the group committer while fsync
 /// faults fire at scattered ticks: acks never lie (an op reported
-/// durable is within the durable watermark), the acked prefix survives
-/// replay, and a final clean sync converges durable == acked.
+/// durable is within the durable watermark), every failed round counts
+/// once, the acked prefix survives replay, and a final clean sync
+/// converges durable == acked.
 #[test]
 fn concurrent_batch_appenders_survive_scattered_fsync_faults() {
     const WRITERS: usize = 4;
     const OPS: usize = 25;
-    let (db, mem, handle) = faulty_batch_store(3);
+    let (db, mem, handle) = faulty_store();
     for w in 0..WRITERS {
         db.create_collection(&format!("w{w}")).unwrap();
     }
     // Scatter one-shot fsync faults across the run. Ticks count every
-    // storage op, so some land on appends' flushes-free path and some
-    // on group fsyncs — only the latter produce failed rounds.
+    // storage op, so some land on appends (where a sync fault does
+    // nothing) and some on group fsyncs — only the latter fail rounds.
     for tick in [30, 55, 80, 110, 140] {
         handle.fail_at(tick, FaultKind::SyncFail);
     }
@@ -148,26 +133,4 @@ fn concurrent_batch_appenders_survive_scattered_fsync_faults() {
     for w in 0..WRITERS {
         assert_eq!(reopened.collection(&format!("w{w}")).unwrap().len(), OPS);
     }
-}
-
-/// The `max_delay` arm of the batch policy: once the window expires,
-/// the next append (even a lone one) triggers the inline sync.
-#[test]
-fn batch_max_delay_triggers_sync_on_next_append() {
-    let mem = MemStorage::new();
-    let db = SharedKdb::open_with(
-        Path::new("j"),
-        StoreOptions::with_storage(Arc::new(mem)).durability(DurabilityPolicy::Batch {
-            max_ops: 1_000_000,
-            max_delay: Duration::from_millis(10),
-        }),
-    )
-    .unwrap();
-    db.create_collection("items").unwrap();
-    let (_, d1) = db.insert_committed("items", doc(1)).unwrap();
-    assert!(!d1, "window not yet expired");
-    std::thread::sleep(Duration::from_millis(20));
-    let (_, d2) = db.insert_committed("items", doc(2)).unwrap();
-    assert!(d2, "append after the window expiry carries the sync");
-    assert_eq!(db.journal_durable_ops(), db.journal_acked_ops());
 }

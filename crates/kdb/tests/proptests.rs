@@ -5,9 +5,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ada_kdb::journal::{
-    replay, replay_bytes, DurabilityPolicy, Journal, JournalVersion, Op, RecoveryMode, V2_MAGIC,
-};
+use ada_kdb::journal::{replay, replay_bytes, Journal, Op, RecoveryMode, V2_MAGIC};
 use ada_kdb::{
     Collection, Document, Filter, Kdb, KdbError, KdbSnapshot, MemStorage, SharedKdb, StoreOptions,
     Value,
@@ -183,12 +181,8 @@ proptest! {
 
     #[test]
     fn journal_rewrite_is_equivalent(docs in prop::collection::vec(document_strategy(), 1..8)) {
-        let path = std::env::temp_dir().join(format!(
-            "ada_kdb_rw_{}_{}.journal",
-            std::process::id(),
-            docs.len()
-        ));
-        std::fs::remove_file(&path).ok();
+        let mem = MemStorage::new();
+        let path = Path::new("rw.journal");
         let ops: Vec<Op> = std::iter::once(Op::CreateCollection { name: "c".into() })
             .chain(docs.iter().enumerate().map(|(i, d)| Op::Insert {
                 name: "c".into(),
@@ -196,14 +190,13 @@ proptest! {
                 doc: d.clone(),
             }))
             .collect();
-        {
-            let mut j = Journal::open(&path, None).unwrap();
-            j.rewrite(&ops).unwrap();
-        }
-        let replayed = replay(&path).unwrap();
+        Journal::open_with(Arc::new(mem.clone()), path, None, 0)
+            .unwrap()
+            .rewrite(&ops)
+            .unwrap();
+        let replayed = replay_bytes(&mem.bytes(path).unwrap(), RecoveryMode::Strict).unwrap();
         prop_assert!(!replayed.truncated);
         prop_assert_eq!(replayed.ops, ops);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -222,8 +215,7 @@ proptest! {
             }))
             .collect();
         {
-            let mut j =
-                Journal::open_with(mem.clone(), path, None, DurabilityPolicy::Always).unwrap();
+            let mut j = Journal::open_with(mem.clone(), path, None, 0).unwrap();
             for op in &golden {
                 j.append(op).unwrap();
             }
@@ -233,35 +225,27 @@ proptest! {
         let mut mutated = clean.clone();
         mutated[pos] = new_byte;
 
-        let strict = replay_bytes(&mutated, RecoveryMode::Strict);
-        if pos >= V2_MAGIC.len() {
-            // Inside the framed region a mutation must be rejected loudly
-            // or leave a clean prefix of the golden ops — never silently
-            // altered records.
-            match strict {
-                Err(KdbError::Corrupt { offset, .. }) => {
-                    prop_assert!(offset <= mutated.len() as u64);
-                }
-                Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
-                Ok(r) => {
-                    prop_assert!(r.ops.len() <= golden.len());
-                    prop_assert_eq!(
-                        &r.ops[..],
-                        &golden[..r.ops.len()],
-                        "mutation at byte {} silently altered ops",
-                        pos
-                    );
-                }
+        // Anywhere, the magic included, a mutation must be rejected
+        // loudly or leave a clean prefix of the golden ops — never
+        // silently altered records.
+        match replay_bytes(&mutated, RecoveryMode::Strict) {
+            Err(KdbError::Corrupt { offset, .. }) => {
+                prop_assert!(offset <= mutated.len() as u64);
             }
-            let salvage = replay_bytes(&mutated, RecoveryMode::Salvage).unwrap();
-            prop_assert!(salvage.ops.len() <= golden.len());
-            prop_assert_eq!(&salvage.ops[..], &golden[..salvage.ops.len()]);
-        } else {
-            // Mutating the magic may downgrade the file to v1 parsing,
-            // which has no checksums by design; no-panic is the contract.
-            let _ = strict;
-            let _ = replay_bytes(&mutated, RecoveryMode::Salvage);
+            Err(e) => prop_assert!(false, "unexpected error kind: {e}"),
+            Ok(r) => {
+                prop_assert!(r.ops.len() <= golden.len());
+                prop_assert_eq!(
+                    &r.ops[..],
+                    &golden[..r.ops.len()],
+                    "mutation at byte {} silently altered ops",
+                    pos
+                );
+            }
         }
+        let salvage = replay_bytes(&mutated, RecoveryMode::Salvage).unwrap();
+        prop_assert!(salvage.ops.len() <= golden.len());
+        prop_assert_eq!(&salvage.ops[..], &golden[..salvage.ops.len()]);
     }
 
     #[test]
@@ -272,7 +256,7 @@ proptest! {
         let mut pos = 0;
         let _ = Value::decode_prefix(&bytes, &mut pos);
         prop_assert!(pos <= bytes.len());
-        // Both as a bare op stream (v1 parse) and behind a v2 magic.
+        // Both as they are (refused: no magic) and behind the magic.
         let _ = replay_bytes(&bytes, RecoveryMode::Strict);
         let _ = replay_bytes(&bytes, RecoveryMode::Salvage);
         let mut framed = V2_MAGIC.to_vec();
@@ -282,38 +266,17 @@ proptest! {
     }
 
     #[test]
-    fn v1_journal_opens_and_upgrades_to_v2(
-        docs in prop::collection::vec(document_strategy(), 1..6),
+    fn bytes_without_the_magic_are_refused_and_never_erased(
+        bytes in prop::collection::vec(any::<u8>(), 1..256),
     ) {
-        let mem = Arc::new(MemStorage::new());
-        let path = Path::new("legacy.journal");
-        let ops: Vec<Op> = std::iter::once(Op::CreateCollection { name: "c".into() })
-            .chain(docs.iter().enumerate().map(|(i, d)| Op::Insert {
-                name: "c".into(),
-                id: i as u64 + 1,
-                doc: d.clone(),
-            }))
-            .collect();
-        let mut v1 = String::new();
-        for op in &ops {
-            op.encode_into(&mut v1);
-        }
-        mem.install(path, v1.into_bytes());
-
-        let parsed = replay_bytes(&mem.bytes(path).unwrap(), RecoveryMode::Strict).unwrap();
-        prop_assert_eq!(parsed.version, JournalVersion::V1);
-        prop_assert_eq!(&parsed.ops[..], &ops[..]);
-
-        let mut db =
-            Kdb::open_with(path, StoreOptions::with_storage(mem.clone())).unwrap();
-        let before = db.fingerprint();
-        db.snapshot().unwrap();
-        let upgraded = replay_bytes(&mem.bytes(path).unwrap(), RecoveryMode::Strict).unwrap();
-        prop_assert_eq!(upgraded.version, JournalVersion::V2);
-        prop_assert!(!upgraded.truncated);
-
-        let reopened = Kdb::open_with(path, StoreOptions::with_storage(mem)).unwrap();
-        prop_assert_eq!(reopened.fingerprint(), before);
+        prop_assume!(!V2_MAGIC.starts_with(&bytes) && !bytes.starts_with(V2_MAGIC));
+        let mem = MemStorage::new();
+        let path = Path::new("foreign");
+        mem.install(path, bytes.clone());
+        let strict = Kdb::open_with(path, StoreOptions::with_storage(Arc::new(mem.clone())));
+        let refused = matches!(strict, Err(KdbError::Corrupt { offset: 0, record: 0, .. }));
+        prop_assert!(refused, "{:?}", strict.map(|_| ()));
+        prop_assert_eq!(mem.bytes(path).unwrap(), bytes);
     }
 
     // Random interleavings of writes and snapshots on the sharded

@@ -597,7 +597,7 @@ impl AnalysisService {
         for stream in streams {
             stream.close();
         }
-        // Batch/SnapshotOnly acks may still be fsync-uncovered; one
+        // SnapshotOnly acks may still be fsync-uncovered; one
         // final group fsync closes the window (best-effort — the fault
         // counter records a failure).
         let _ = self.inner.kdb.sync();
