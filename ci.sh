@@ -45,7 +45,8 @@ echo "== observability smoke gate =="
 # Then the trace gate: one remote sampled session must persist a trace
 # linking queue-wait, every pipeline stage, and >= 1 group-commit fsync
 # round under valid parent indexes, and full-session sampling overhead
-# at rate 1 must also stay within 5% of rate 0 (paired minima).
+# at rate 1 must also stay within 5% of rate 0 (both overheads: the
+# median of 15 interleaved A/B pair ratios).
 cargo run -q -p ada-bench --release --bin obs_smoke
 
 echo "== safety-signal smoke gate (quick) =="

@@ -498,6 +498,28 @@ fn check_writer_prefixes(
     }
 }
 
+/// The storage ticks of every writer's plan issued one after another
+/// through the sharded facade under `DurabilityPolicy::Always`: each op
+/// waits for its own fsync round, the most rounds any interleaving of
+/// the same plans can take. Depends on the seed alone.
+fn mp_tick_bound(seed: u64, plans: &[Vec<Step>]) -> u64 {
+    let mem = Arc::new(MemStorage::new());
+    let (storage, handle) = FaultyStorage::wrap(mem as Arc<dyn Storage>);
+    let options = StoreOptions::with_storage(storage).durability(DurabilityPolicy::Always);
+    let db = SharedKdb::open_with(Path::new("journal"), options)
+        .unwrap_or_else(|e| fail(seed, &format!("multi-producer tick-count open failed: {e}")));
+    for step in plans.iter().flatten() {
+        match step.issue_shared(&db) {
+            Ok((true, _)) => {}
+            other => fail(
+                seed,
+                &format!("multi-producer tick-count step failed: {other:?}"),
+            ),
+        }
+    }
+    handle.ticks()
+}
+
 /// Multi-producer fault attack: all writers race through the group
 /// committer with one fault armed at one storage tick, then crash,
 /// clear, reopen fault-free, and check every writer's prefix.
@@ -639,11 +661,14 @@ fn main() {
         .collect();
     let ladders: Vec<Vec<u64>> = plans.iter().map(|p| writer_ladder(seed, p)).collect();
 
+    // The schedule spans a tick count fixed by the seed, so a replayed
+    // seed attacks the same ticks.
+    let mp_ticks = mp_tick_bound(seed, &plans);
+
     // Interleaving invariance first: two clean runs schedule frames in
     // different global orders; both must land every writer at its full
     // prefix and the same final store fingerprint.
     let mut clean_fp = None;
-    let mut mp_ticks = 0u64;
     for round in 0..2u32 {
         let mem = Arc::new(MemStorage::new());
         let (storage, handle) = FaultyStorage::wrap(Arc::clone(&mem) as Arc<dyn Storage>);
@@ -665,13 +690,22 @@ fn main() {
         if *clean_fp.get_or_insert(fp) != fp {
             fail(seed, "multi-producer final state depends on interleaving");
         }
-        mp_ticks = mp_ticks.max(handle.ticks());
+        if handle.ticks() > mp_ticks {
+            fail(
+                seed,
+                &format!(
+                    "multi-producer clean round {round} took {} ticks, past the \
+                     seed's bound of {mp_ticks}",
+                    handle.ticks()
+                ),
+            );
+        }
     }
 
-    // Then the fault schedule against the concurrent run. Tick counts
-    // vary with interleaving (group fsync rounds are scheduling-
-    // dependent); a fault armed past the run's actual tick count simply
-    // never fires, which still exercises the clean path.
+    // Then the fault schedule against the concurrent run. A run's tick
+    // count varies with interleaving (group fsync rounds are scheduling-
+    // dependent); a fault armed past it simply never fires, which still
+    // exercises the clean path.
     let mp_step = if quick { 1 } else { (mp_ticks / 40).max(1) };
     let mut mp_points = 0usize;
     for kind in FAULT_KINDS {

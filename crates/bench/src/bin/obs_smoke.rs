@@ -11,13 +11,15 @@
 //! 3. **Overhead** — on the quick K-means cohort, the instrumented
 //!    kernel path (`fit_with_stats` + counter emission into a live
 //!    recorder, wrapped in a span) must stay within 5% of the plain
-//!    `fit` wall time and assign every row byte-identically.
+//!    `fit` wall time (median of interleaved pair ratios) and assign
+//!    every row byte-identically.
 //! 4. **End-to-end trace** — one remote sampled session over the ADAN1
 //!    wire must persist exactly one trace whose span tree links queue
 //!    wait, every pipeline stage, and at least one group-commit fsync
 //!    round under valid parent indexes.
 //! 5. **Sampling overhead** — full service sessions at `sample_rate`
-//!    1.0 must stay within 5% of rate-0 sessions (paired minima).
+//!    1.0 must stay within 5% of rate-0 sessions (median of interleaved
+//!    pair ratios).
 //!
 //! Run: `cargo run -p ada-bench --release --bin obs_smoke`
 
@@ -36,8 +38,8 @@ use ada_obs::{document_to_json, past_sessions, FlightRecorder, Page};
 use ada_service::{AnalysisService, ServiceConfig, SessionState, DEFAULT_TRACE_SEED};
 use ada_vsm::VsmBuilder;
 
-/// Wall-clock repetitions per timed variant; the minimum is compared.
-const REPS: usize = 7;
+/// Interleaved A/B pairs per overhead estimate.
+const PAIRS: usize = 15;
 
 /// Overhead budget for the instrumented kernel path (ISSUE 3 gate).
 const MAX_OVERHEAD: f64 = 0.05;
@@ -47,32 +49,47 @@ fn fail(msg: &str) -> ! {
     exit(1);
 }
 
-/// Paired timing: alternates the two variants within every repetition
-/// so scheduler and clock drift hit both sides equally, then compares
-/// the per-variant minima. Returns `(ms_a, ms_b, value_a, value_b)`.
-fn paired_best_of<T>(
-    reps: usize,
+/// The median of `values` (upper median for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Interleaved short A/B pairs: each pair times one run of each variant
+/// back to back — A first in even pairs, B first in odd ones — and the
+/// overhead of B is the median of the per-pair ratios `B / A − 1`. Both
+/// halves of a pair see the same machine, so a slow stretch of the box
+/// cancels within the pair, and a burst of noise spoils the pairs it
+/// lands in, not the estimate (a comparison of per-variant minima hangs
+/// on the two luckiest runs). Returns `(median ms A, median ms B,
+/// overhead, value A, value B)`, the values from the last pair.
+fn paired_overhead<T>(
+    pairs: usize,
     mut run_a: impl FnMut() -> T,
     mut run_b: impl FnMut() -> T,
-) -> (f64, f64, T, T) {
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    let mut out_a = None;
-    let mut out_b = None;
-    for _ in 0..reps.max(1) {
+) -> (f64, f64, f64, T, T) {
+    let timed = |run: &mut dyn FnMut() -> T| {
         let t = Instant::now();
-        out_a = Some(run_a());
-        best_a = best_a.min(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        out_b = Some(run_b());
-        best_b = best_b.min(t.elapsed().as_secs_f64() * 1e3);
+        let out = run();
+        (t.elapsed().as_secs_f64() * 1e3, out)
+    };
+    let (mut ms_a, mut ms_b, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let mut last = None;
+    for pair in 0..pairs.max(1) {
+        let ((a, out_a), (b, out_b)) = if pair % 2 == 0 {
+            let a = timed(&mut run_a);
+            (a, timed(&mut run_b))
+        } else {
+            let b = timed(&mut run_b);
+            (timed(&mut run_a), b)
+        };
+        ms_a.push(a);
+        ms_b.push(b);
+        ratios.push(b / a - 1.0);
+        last = Some((out_a, out_b));
     }
-    (
-        best_a,
-        best_b,
-        out_a.expect("at least one rep"),
-        out_b.expect("at least one rep"),
-    )
+    let (out_a, out_b) = last.expect("at least one pair");
+    (median(ms_a), median(ms_b), median(ratios), out_a, out_b)
 }
 
 fn main() {
@@ -137,28 +154,26 @@ fn main() {
     let observed = RunControl::new()
         .with_session("obs-overhead")
         .with_observer(live.clone());
-    let mut base_total = 0.0;
-    let mut obs_total = 0.0;
-    for k in [8, 16] {
-        let kmeans = KMeans::new(k).seed(7).prune(true).threads(1);
-        let (base_ms, obs_ms, plain, traced) = paired_best_of(
-            REPS,
-            || kmeans.fit(&matrix),
-            || {
+    // One pair fits both k values on each path.
+    let fits = [8, 16].map(|k| (k, KMeans::new(k).seed(7).prune(true).threads(1)));
+    let (base_total, obs_total, overhead, plain, traced) = paired_overhead(
+        PAIRS,
+        || fits.each_ref().map(|(_, kmeans)| kmeans.fit(&matrix)),
+        || {
+            fits.each_ref().map(|(k, kmeans)| {
                 observed.span(PipelineStage::Optimize, &format!("smoke:k={k}"), || {
                     let (result, stats) = kmeans.fit_with_stats(&matrix);
                     observed.counters(PipelineStage::Optimize, &stats.as_pairs());
                     result
                 })
-            },
-        );
+            })
+        },
+    );
+    for (((k, _), plain), traced) in fits.iter().zip(&plain).zip(&traced) {
         if plain.assignments != traced.assignments {
             fail(&format!("k = {k}: tracing changed cluster assignments"));
         }
-        base_total += base_ms;
-        obs_total += obs_ms;
     }
-    let overhead = (obs_total - base_total) / base_total;
     println!(
         "tracing overhead: plain {base_total:.1} ms, recorded {obs_total:.1} ms \
          ({:+.2}%)",
@@ -277,7 +292,7 @@ fn main() {
     drop(service);
 
     // 5. Sampling overhead: full service sessions at rate 1 vs rate 0,
-    // paired minima, the same 5% budget the kernel path gets.
+    // interleaved pairs, the same 5% budget the kernel path gets.
     let make = |rate: f64| {
         AnalysisService::new(
             ServiceConfig {
@@ -310,8 +325,8 @@ fn main() {
         }
     };
     let (mut base_rep, mut traced_rep) = (0u32, 0u32);
-    let (base_ms, traced_ms, (), ()) = paired_best_of(
-        REPS,
+    let (base_ms, traced_ms, sampling_overhead, (), ()) = paired_overhead(
+        PAIRS,
         || {
             base_rep += 1;
             run_session(&base_service, format!("base-{base_rep}"));
@@ -323,7 +338,6 @@ fn main() {
     );
     base_service.shutdown();
     traced_service.shutdown();
-    let sampling_overhead = (traced_ms - base_ms) / base_ms;
     println!(
         "sampling overhead: rate 0 {base_ms:.1} ms, rate 1 {traced_ms:.1} ms \
          ({:+.2}%)",

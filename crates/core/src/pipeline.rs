@@ -61,7 +61,12 @@ pub struct AdaHealthConfig {
     pub min_confidence: f64,
     /// How many top-ranked items receive feedback per session.
     pub feedback_budget: usize,
-    /// Master seed.
+    /// Seed of the simulated physician's feedback in knowledge
+    /// navigation, and nothing else: the transform probe, partial mining
+    /// and the K sweep run on their own seed fields
+    /// (`transform.seed`, `partial.seed`, `optimizer.seed`, all 0 in
+    /// the presets), so two sessions that differ only here mine
+    /// identically.
     pub seed: u64,
 }
 

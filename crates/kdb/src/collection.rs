@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use crate::document::{Document, MAX_DEPTH};
+use crate::document::{Document, Stored, MAX_DEPTH};
 use crate::error::KdbError;
 use crate::index::Index;
 use crate::journal::Op;
@@ -17,11 +17,12 @@ pub type DocId = u64;
 ///
 /// Documents are stored behind `Arc` and never mutated in place
 /// (an update swaps the `Arc`), so a clone of the collection — a snapshot
-/// image — shares every document with the original.
+/// image — shares every document, and its cached encoding
+/// ([`Stored`]), with the original.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Collection {
     name: String,
-    docs: BTreeMap<DocId, Arc<Document>>,
+    docs: BTreeMap<DocId, Arc<Stored>>,
     next_id: DocId,
     indexes: BTreeMap<String, Index>,
 }
@@ -128,7 +129,7 @@ impl Collection {
     /// unindexing) whatever the id held.
     fn put(&mut self, id: DocId, mut doc: Document) {
         doc.set("_id", id as i64);
-        let doc = Arc::new(doc);
+        let doc = Arc::new(Stored::new(doc));
         let old = self.docs.insert(id, Arc::clone(&doc));
         for index in self.indexes.values_mut() {
             if let Some(old) = &old {
@@ -140,14 +141,21 @@ impl Collection {
 
     /// The document with the given id.
     pub fn get(&self, id: DocId) -> Option<&Document> {
-        self.docs.get(&id).map(Arc::as_ref)
+        self.docs.get(&id).map(|d| &d.doc)
     }
 
     /// The shared allocation of the document with the given id: equal
     /// pointers across two images mean the document was not rewritten
     /// between them.
-    pub fn get_shared(&self, id: DocId) -> Option<&Arc<Document>> {
+    pub fn get_shared(&self, id: DocId) -> Option<&Arc<Stored>> {
         self.docs.get(&id)
+    }
+
+    /// How many documents have their canonical encoding cached: only
+    /// listings fill [`Stored`]'s slot, so this stays 0 for a
+    /// collection nobody has listed, however it was written or replayed.
+    pub fn encoded_count(&self) -> usize {
+        self.docs.values().filter(|d| d.is_encoded()).count()
     }
 
     /// True when a dotted path is indexed.
@@ -190,13 +198,14 @@ impl Collection {
 
     /// Iterates over all (id, document) pairs in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = (DocId, &Document)> {
-        self.docs.iter().map(|(&id, d)| (id, d.as_ref()))
+        self.docs.iter().map(|(&id, d)| (id, &d.doc))
     }
 
     /// Iterates over the (id, document) pairs with id greater than
     /// `after`, in ascending id order — a range scan, so a paged listing
-    /// pays for the page and not for the records before it.
-    pub fn iter_after(&self, after: DocId) -> impl Iterator<Item = (DocId, &Document)> {
+    /// pays for the page and not for the records before it. Yields the
+    /// stored entries, so a listing can serve their cached encodings.
+    pub fn iter_after(&self, after: DocId) -> impl Iterator<Item = (DocId, &Stored)> {
         self.docs
             .range((Bound::Excluded(after), Bound::Unbounded))
             .map(|(&id, d)| (id, d.as_ref()))

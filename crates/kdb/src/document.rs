@@ -8,6 +8,8 @@
 //! rescan bytes.
 
 use std::fmt::{self, Write};
+use std::ops::Deref;
+use std::sync::OnceLock;
 
 use crate::error::KdbError;
 
@@ -426,6 +428,61 @@ impl fmt::Display for Document {
             }
         }
         write!(f, "}}")
+    }
+}
+
+/// A document as a collection stores it: immutable behind its `Arc`
+/// (an update swaps the `Arc`), with a slot for its canonical encoding.
+/// The first listing that serves the document fills the slot, and every
+/// later listing — from any snapshot image sharing the `Arc` — splices
+/// the cached text instead of encoding again. Nothing else fills it:
+/// inserts, journal replay and replication apply leave it empty, so a
+/// document nobody lists costs one empty slot. Dereferences to, and
+/// compares as, its [`Document`].
+pub struct Stored {
+    pub(crate) doc: Document,
+    canonical: OnceLock<Box<str>>,
+}
+
+impl Stored {
+    /// `doc`, with its encoding slot empty.
+    pub fn new(doc: Document) -> Self {
+        Self {
+            doc,
+            canonical: OnceLock::new(),
+        }
+    }
+
+    /// The canonical encoding ([`Document::encode`]), computed on the
+    /// first call and cached for the document's lifetime.
+    pub fn canonical(&self) -> &str {
+        self.canonical
+            .get_or_init(|| self.doc.encode().into_boxed_str())
+    }
+
+    /// Whether [`Stored::canonical`] has filled the slot.
+    pub fn is_encoded(&self) -> bool {
+        self.canonical.get().is_some()
+    }
+}
+
+impl Deref for Stored {
+    type Target = Document;
+
+    fn deref(&self) -> &Document {
+        &self.doc
+    }
+}
+
+impl PartialEq for Stored {
+    fn eq(&self, other: &Self) -> bool {
+        self.doc == other.doc
+    }
+}
+
+impl fmt::Debug for Stored {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.doc.fmt(f)
     }
 }
 

@@ -53,7 +53,7 @@ pub mod store;
 mod error;
 
 pub use collection::{Collection, DocId};
-pub use document::{Document, Value};
+pub use document::{Document, Stored, Value};
 pub use error::KdbError;
 pub use journal::{CorruptionReport, DurabilityPolicy, JournalTap, RecoveryMode};
 pub use query::Filter;

@@ -20,10 +20,11 @@
 //!   nothing: a [`KdbSnapshot`] images a collection the first time it is
 //!   asked for it, so a reader pays only for the collections it touches.
 //!   An image clones the shard's id map and indexes; its documents are
-//!   the shard's own `Arc<Document>`s — writers never mutate one in
-//!   place (`update` swaps the `Arc`) — so it shares every document with
-//!   the live shard and the image before it, and the last holder frees
-//!   it (plain reference counting). Each shard caches its latest image
+//!   the shard's own `Arc<Stored>`s — writers never mutate one in
+//!   place (`update` swaps the `Arc`) — so it shares every document,
+//!   and the encoding a listing cached in it, with the live shard and
+//!   the image before it, and the last holder frees it (plain
+//!   reference counting). Each shard caches its latest image
 //!   under a write-epoch counter: unchanged, the cached `Arc` is served
 //!   without touching the shard lock; changed, the shard is re-imaged
 //!   under a read lock held only for the `Arc`-bump clone. Queries never

@@ -119,8 +119,9 @@ impl Kdb {
     /// [`Kdb::open`] with explicit storage backend, durability policy
     /// and recovery mode. Under [`RecoveryMode::Salvage`] a corrupt
     /// journal's valid prefix is recovered, the unreadable remainder (all
-    /// of a file that is not a journal) is copied to `<path>.quarantine`,
-    /// and the report is available via [`Kdb::salvaged`].
+    /// of a file that is not a journal) is copied to the first free
+    /// [`quarantine_path`] — an earlier salvage's quarantine is never
+    /// overwritten — and the report is available via [`Kdb::salvaged`].
     ///
     /// # Errors
     /// As [`Kdb::open`]; strict mode surfaces [`KdbError::Corrupt`].
@@ -143,8 +144,12 @@ impl Kdb {
             }
             if let Some(report) = replayed.corruption {
                 // Salvage: preserve the unreadable remainder next to the
-                // journal before it is truncated away, for forensics.
-                let quarantine = quarantine_path(path);
+                // journal before it is truncated away, for forensics, in
+                // a file no earlier salvage wrote.
+                let quarantine = (0..)
+                    .map(|n| quarantine_path(path, n))
+                    .find(|candidate| !storage.exists(candidate))
+                    .expect("some quarantine number is free");
                 let mut file = storage.create(&quarantine)?;
                 file.append(&bytes[usize::try_from(replayed.valid_len).unwrap_or(0)..])?;
                 file.sync()?;
@@ -160,7 +165,8 @@ impl Kdb {
     }
 
     /// The corruption report when this store was opened in salvage mode
-    /// over a corrupt journal (the remainder sits in `<path>.quarantine`).
+    /// over a corrupt journal (the remainder sits in the first
+    /// [`quarantine_path`] that was free).
     pub fn salvaged(&self) -> Option<&CorruptionReport> {
         self.salvaged.as_ref()
     }
@@ -410,9 +416,14 @@ pub(crate) fn collection_state_ops(coll: &Collection, ops: &mut Vec<Op>) {
 }
 
 /// Where salvage mode preserves the unreadable remainder of a corrupt
-/// journal.
-pub fn quarantine_path(journal: &Path) -> PathBuf {
-    journal.with_extension("quarantine")
+/// journal: `<journal>.quarantine` for the first salvage (`n` = 0),
+/// `<journal>.quarantine.<n>` for the later ones, each salvage taking
+/// the first that does not exist.
+pub fn quarantine_path(journal: &Path, n: u32) -> PathBuf {
+    match n {
+        0 => journal.with_extension("quarantine"),
+        n => journal.with_extension(format!("quarantine.{n}")),
+    }
 }
 
 /// A 64-bit FNV-1a digest over a canonical op sequence — the shared

@@ -54,7 +54,7 @@ fn salvage(bytes: &[u8], offset: u64, record: usize) {
     let at = offset as usize;
     let prefix = if at == 0 { V2_MAGIC } else { &bytes[..at] };
     assert_eq!(db.read().fingerprint(), fingerprint_of(prefix));
-    assert_eq!(mem.bytes(&quarantine_path(path)).unwrap(), &bytes[at..]);
+    assert_eq!(mem.bytes(&quarantine_path(path, 0)).unwrap(), &bytes[at..]);
     let report = db.salvaged().cloned().map(|r| (r.offset, r.record));
     assert_eq!(report, Some((offset, record)));
     let fp = db.read().fingerprint();
@@ -125,7 +125,7 @@ fn a_flipped_magic_bit_is_refused_never_erased() {
                     .map(|r: &CorruptionReport| (r.offset, r.record)),
                 Some((0, 0))
             );
-            assert_eq!(mem.bytes(&quarantine_path(path)).unwrap(), bytes);
+            assert_eq!(mem.bytes(&quarantine_path(path, 0)).unwrap(), bytes);
         }
     }
 }
@@ -147,5 +147,43 @@ fn a_prefix_of_the_magic_opens_as_an_empty_journal() {
         drop(db);
         let reopened = Kdb::open_with(path, options(&mem, RecoveryMode::Strict)).unwrap();
         assert!(reopened.collection("patients").is_some(), "cut {cut}");
+    }
+}
+
+#[test]
+fn a_second_salvage_keeps_the_first_quarantine() {
+    let mem = MemStorage::new();
+    let path = Path::new(PATH);
+    let (clean, ends) = journal();
+    let mut remainders = Vec::new();
+    let mut bytes = clean;
+    let mut last_start = ends[ends.len() - 2];
+    for round in 0..3u32 {
+        // Corrupt the last frame, salvage, then write on past it.
+        bytes[last_start + 4] ^= 0x40;
+        remainders.push(bytes[last_start..].to_vec());
+        mem.install(path, bytes.clone());
+        let mut db = Kdb::open_with(path, options(&mem, RecoveryMode::Salvage)).unwrap();
+        assert_eq!(
+            db.salvaged().map(|r| r.offset),
+            Some(last_start as u64),
+            "round {round}"
+        );
+        for (n, remainder) in remainders.iter().enumerate() {
+            let n = u32::try_from(n).unwrap();
+            assert_eq!(
+                mem.bytes(&quarantine_path(path, n)).as_ref(),
+                Some(remainder),
+                "round {round}: quarantine {n}"
+            );
+        }
+        assert_eq!(mem.bytes(&quarantine_path(path, round + 1)), None);
+        for i in 0..3i64 {
+            last_start = mem.len(path).unwrap();
+            db.insert("patients", Document::new().with("patient", 100 + i))
+                .unwrap();
+        }
+        drop(db);
+        bytes = mem.bytes(path).unwrap();
     }
 }

@@ -17,7 +17,10 @@
 //! borrowed payloads (the bytes are those of the built document — see
 //! the golden tests), [`Response::encode_past_sessions`] /
 //! [`Response::encode_traces`] encode listings straight out of a store
-//! image, and decoding moves each payload out of the parsed message.
+//! image — splicing each record's cached canonical text
+//! ([`ada_kdb::Stored`]), so a record is encoded once however often it
+//! is listed — and decoding moves each payload out of the parsed
+//! message.
 //!
 //! Listings page: `past_sessions` / `trace_query` requests may carry
 //! `after` (an `_id` cursor) and `limit`; without them the request is
@@ -30,7 +33,7 @@ use std::time::Duration;
 use ada_core::AdaHealthConfig;
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_dataset::{ConditionGroup, Date, ExamRecord, ExamTypeId, PatientId};
-use ada_kdb::{Document, Value};
+use ada_kdb::{Document, Stored, Value};
 use ada_obs::{Page, TraceContext};
 use ada_service::{JobSpec, Priority, Workload};
 use ada_signals::SignalConfig;
@@ -674,7 +677,7 @@ impl Response {
     /// Encodes the response (echoing logical id `id`) into frame
     /// payload bytes.
     pub fn encode(&self, id: u64) -> Vec<u8> {
-        use Field::{Doc, Int, Str};
+        use Field::{Doc, Docs, Int, Str};
         let count = |v: u64| Int(to_i64(v as usize));
         let fields: Vec<(&str, Field<'_>)> = match self {
             Response::Submitted { session } | Response::Cancelled { session } => {
@@ -698,12 +701,8 @@ impl Response {
                 ("state", Str(state)),
                 ("summary", Doc(summary)),
             ],
-            Response::PastSessions { sessions } => {
-                return Self::encode_past_sessions(id, &sessions.iter().collect::<Vec<_>>())
-            }
-            Response::Traces { traces } => {
-                return Self::encode_traces(id, &traces.iter().collect::<Vec<_>>())
-            }
+            Response::PastSessions { sessions } => vec![("sessions", Docs(sessions))],
+            Response::Traces { traces } => vec![("traces", Docs(traces))],
             Response::Health { doc } | Response::StreamState { doc } => vec![("doc", Doc(doc))],
             Response::Metrics { doc, prometheus } => {
                 vec![("doc", Doc(doc)), ("prometheus", Str(prometheus))]
@@ -729,18 +728,19 @@ impl Response {
         encode_message(id, self.kind(), fields)
     }
 
-    /// The encoding of [`Response::PastSessions`] over borrowed records.
-    pub fn encode_past_sessions(id: u64, sessions: &[&Document]) -> Vec<u8> {
+    /// The encoding of [`Response::PastSessions`] over borrowed stored
+    /// records, each spliced from its cached canonical text.
+    pub fn encode_past_sessions(id: u64, sessions: &[&Stored]) -> Vec<u8> {
         encode_message(
             id,
             "past_sessions",
-            vec![("sessions", Field::Docs(sessions))],
+            vec![("sessions", Field::Stored(sessions))],
         )
     }
 
-    /// The encoding of [`Response::Traces`] over borrowed records.
-    pub fn encode_traces(id: u64, traces: &[&Document]) -> Vec<u8> {
-        encode_message(id, "traces", vec![("traces", Field::Docs(traces))])
+    /// The encoding of [`Response::Traces`] over borrowed stored records.
+    pub fn encode_traces(id: u64, traces: &[&Stored]) -> Vec<u8> {
+        encode_message(id, "traces", vec![("traces", Field::Stored(traces))])
     }
 
     /// Decodes a frame payload into `(id, response)`.
@@ -897,7 +897,10 @@ enum Field<'a> {
     Int(i64),
     Str(&'a str),
     Doc(&'a Document),
-    Docs(&'a [&'a Document]),
+    Docs(&'a [Document]),
+    /// Stored records: their cached canonical text is spliced, which is
+    /// byte for byte what `Docs` would encode.
+    Stored(&'a [&'a Stored]),
 }
 
 /// Streams the canonical encoding of the message document
@@ -921,6 +924,13 @@ fn encode_message<'a>(id: u64, kind: &'a str, mut fields: Vec<(&'a str, Field<'a
                 write!(out, "A{}:", docs.len()).expect(infallible);
                 for doc in docs {
                     doc.encode_into(&mut out);
+                }
+            }
+            Field::Stored(docs) => {
+                write!(out, "A{}:", docs.len()).expect(infallible);
+                out.reserve(docs.iter().map(|doc| doc.canonical().len()).sum());
+                for doc in docs {
+                    out.push_str(doc.canonical());
                 }
             }
         }
@@ -1247,14 +1257,20 @@ mod tests {
         for (response, golden) in cases {
             let bytes = response.encode(42);
             assert_eq!(String::from_utf8(bytes.clone()).unwrap(), golden);
-            // And the borrowed entry points are the same encoder.
+            // And the borrowed entry points splice the same bytes.
+            let stored = |docs: &[Document]| -> Vec<Stored> {
+                docs.iter().cloned().map(Stored::new).collect()
+            };
             match &response {
                 Response::PastSessions { sessions } => assert_eq!(
-                    Response::encode_past_sessions(42, &sessions.iter().collect::<Vec<_>>()),
+                    Response::encode_past_sessions(
+                        42,
+                        &stored(sessions).iter().collect::<Vec<_>>()
+                    ),
                     bytes
                 ),
                 Response::Traces { traces } => assert_eq!(
-                    Response::encode_traces(42, &traces.iter().collect::<Vec<_>>()),
+                    Response::encode_traces(42, &stored(traces).iter().collect::<Vec<_>>()),
                     bytes
                 ),
                 _ => {}

@@ -862,7 +862,7 @@ fn sampling_rate_zero_vs_one_differs_only_in_trace_records() {
     let records = |kdb: &SharedKdb| -> Vec<ada_kdb::Document> {
         ada_obs::past_sessions(&kdb.read(), Page::ALL)
             .into_iter()
-            .cloned()
+            .map(|doc| ada_kdb::Document::clone(doc))
             .collect()
     };
     let (plain, sampled) = (records(&zero), records(&one));

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use ada_core::control::{PipelineObserver, PipelineStage};
 use ada_kdb::schema;
-use ada_kdb::{DocId, Document, KdbError, KdbSnapshot, SharedKdb, Value};
+use ada_kdb::{DocId, Document, KdbError, KdbSnapshot, SharedKdb, Stored, Value};
 use parking_lot::Mutex;
 
 use crate::context::TraceContext;
@@ -253,20 +253,17 @@ impl Page {
 }
 
 /// The session records persisted in `db`, in insertion (`_id`) order,
-/// borrowed from `db`. This is how a restarted service answers queries
-/// about past runs.
-pub fn past_sessions(db: &KdbSnapshot, page: Page) -> Vec<&Document> {
+/// borrowed from `db` as the stored entries whose cached encoding the
+/// wire encoder splices. This is how a restarted service answers
+/// queries about past runs.
+pub fn past_sessions(db: &KdbSnapshot, page: Page) -> Vec<&Stored> {
     listing(db, schema::names::SESSIONS, page, |_| true)
 }
 
 /// The sampled session records in `db` (those carrying a `trace_id`),
 /// in insertion (`_id`) order, optionally filtered to one session.
 /// Backs the `TraceQuery` wire message.
-pub fn past_traces<'a>(
-    db: &'a KdbSnapshot,
-    session: Option<&str>,
-    page: Page,
-) -> Vec<&'a Document> {
+pub fn past_traces<'a>(db: &'a KdbSnapshot, session: Option<&str>, page: Page) -> Vec<&'a Stored> {
     listing(db, schema::names::SESSIONS, page, |doc| {
         doc.get("trace_id").is_some()
             && session
@@ -281,7 +278,7 @@ fn listing<'a>(
     collection: &str,
     page: Page,
     keep: impl Fn(&Document) -> bool,
-) -> Vec<&'a Document> {
+) -> Vec<&'a Stored> {
     let Some(coll) = db.collection(collection) else {
         return Vec::new();
     };

@@ -394,7 +394,7 @@ impl AnalysisService {
     pub fn past_sessions(&self) -> Vec<Document> {
         past_sessions(&self.inner.kdb.read(), Page::ALL)
             .into_iter()
-            .cloned()
+            .map(|doc| Document::clone(doc))
             .collect()
     }
 
@@ -404,7 +404,7 @@ impl AnalysisService {
     pub fn past_traces(&self, session: Option<&str>) -> Vec<Document> {
         past_traces(&self.inner.kdb.read(), session, Page::ALL)
             .into_iter()
-            .cloned()
+            .map(|doc| Document::clone(doc))
             .collect()
     }
 

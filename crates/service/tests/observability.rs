@@ -194,7 +194,7 @@ fn session_records_survive_crash_and_journal_replay() {
     let reopened = SharedKdb::new(Kdb::open(&path).unwrap()).read();
     let after: Vec<Document> = ada_obs::past_sessions(&reopened, ada_obs::Page::ALL)
         .into_iter()
-        .cloned()
+        .map(|doc| Document::clone(doc))
         .collect();
     assert_eq!(after.len(), 3);
 

@@ -18,15 +18,15 @@ const CEILINGS: [(&str, u64); 13] = [
     ("vsm", 920),
     ("metrics", 664),
     ("mining", 3_631),
-    ("kdb", 4_193),
-    ("core", 3_171),
+    ("kdb", 4_262),
+    ("core", 3_176),
     ("signals", 770),
-    ("obs", 1_374),
+    ("obs", 1_371),
     ("stream", 1_411),
     ("service", 1_880),
-    ("net", 2_665),
+    ("net", 2_675),
     ("fleet", 1_800),
-    ("bench", 4_075),
+    ("bench", 4_120),
 ];
 
 /// The ceiling of the `vendor` row: every offline stub together.
