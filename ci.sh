@@ -53,7 +53,8 @@ echo "== safety-signal smoke gate (quick) =="
 # Ranked safety signals on the bench cohort: non-empty descending
 # ranking with bracketing CIs, serial == 8-way parallel == observed,
 # the pinned ada_signals_* exposition families live after a service
-# session, and tracing overhead within 5%.
+# session, and tracing overhead within 5% (the median of 15 interleaved
+# A/B pair ratios).
 cargo run -q -p ada-bench --release --bin signals_smoke -- --quick
 
 echo "== network front-end smoke gate (quick) =="
@@ -74,8 +75,9 @@ echo "== streaming ingestion smoke gate (quick) =="
 # cohort; a mid-feed crash resumed from durable stream_windows
 # checkpoints must land on identical fingerprints; steady-state
 # streaming overhead vs the batch VsmBuilder path must stay within
-# budget; and a service-fed stream must surface all six pinned
-# ada_stream_* exposition families with live counts.
+# budget (the median of 15 interleaved A/B pair ratios); and a
+# service-fed stream must surface all six pinned ada_stream_*
+# exposition families with live counts.
 cargo run -q -p ada-bench --release --bin stream_smoke -- --quick
 
 echo "== crash torture gate (quick, incl. multi-producer) =="

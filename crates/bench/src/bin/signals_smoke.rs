@@ -13,23 +13,23 @@
 //!    must surface the four pinned `ada_signals_*` Prometheus counter
 //!    families with non-zero table/emission counts.
 //! 4. **Overhead** — mining with a live flight recorder attached must
-//!    stay within 5% of the unobserved wall time.
+//!    stay within 5% of the unobserved wall time (median of interleaved
+//!    pair ratios).
 //!
 //! Run: `cargo run -p ada-bench --release --bin signals_smoke [-- --quick]`
 
 use std::process::exit;
 use std::sync::Arc;
-use std::time::Instant;
 
-use ada_bench::{bench_log, paper_log};
+use ada_bench::{bench_log, paired_overhead, paper_log};
 use ada_core::RunControl;
 use ada_kdb::SharedKdb;
 use ada_obs::FlightRecorder;
 use ada_service::{AnalysisService, JobSpec, ServiceConfig, SessionState, Workload};
 use ada_signals::{mine_signals, SignalConfig};
 
-/// Wall-clock repetitions per timed variant; the minimum is compared.
-const REPS: usize = 7;
+/// Interleaved A/B pairs per overhead estimate.
+const PAIRS: usize = 15;
 
 /// Overhead budget for the observed mining path.
 const MAX_OVERHEAD: f64 = 0.05;
@@ -37,34 +37,6 @@ const MAX_OVERHEAD: f64 = 0.05;
 fn fail(msg: &str) -> ! {
     eprintln!("FAIL: {msg}");
     exit(1);
-}
-
-/// Paired timing: alternates the two variants within every repetition
-/// so scheduler and clock drift hit both sides equally, then compares
-/// the per-variant minima. Returns `(ms_a, ms_b, value_a, value_b)`.
-fn paired_best_of<T>(
-    reps: usize,
-    mut run_a: impl FnMut() -> T,
-    mut run_b: impl FnMut() -> T,
-) -> (f64, f64, T, T) {
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    let mut out_a = None;
-    let mut out_b = None;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        out_a = Some(run_a());
-        best_a = best_a.min(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        out_b = Some(run_b());
-        best_b = best_b.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (
-        best_a,
-        best_b,
-        out_a.expect("at least one rep"),
-        out_b.expect("at least one rep"),
-    )
 }
 
 fn main() {
@@ -179,15 +151,14 @@ fn main() {
     let timed_control = RunControl::new()
         .with_session("signals-overhead")
         .with_observer(live);
-    let (base_ms, obs_ms, plain, traced) = paired_best_of(
-        REPS,
+    let (base_ms, obs_ms, overhead, plain, traced) = paired_overhead(
+        PAIRS,
         || mine_signals(&log, &config, &RunControl::new()).expect("plain mining"),
         || mine_signals(&log, &config, &timed_control).expect("observed mining"),
     );
     if plain != traced {
         fail("timed observed run diverged from the plain run");
     }
-    let overhead = (obs_ms - base_ms) / base_ms;
     println!(
         "tracing overhead: plain {base_ms:.1} ms, recorded {obs_ms:.1} ms ({:+.2}%)",
         overhead * 100.0

@@ -13,7 +13,8 @@
 //! 3. **Overhead** — the steady-state streaming path (fold-only windows
 //!    plus one cold fit) vs the batch path (`VsmBuilder` plus the same
 //!    cold fit): within 5% at paper scale (relaxed to 25% in `--quick`,
-//!    where fixed costs dominate the reduced cohort).
+//!    where fixed costs dominate the reduced cohort), as the median of
+//!    interleaved pair ratios.
 //! 4. **Exposition** — a stream opened and fed through the analysis
 //!    service must surface the six pinned `ada_stream_*` Prometheus
 //!    families with live counts, and a `Workload::StreamMining` session
@@ -23,9 +24,8 @@
 
 use std::process::exit;
 use std::sync::Arc;
-use std::time::Instant;
 
-use ada_bench::{bench_log, paper_log};
+use ada_bench::{bench_log, paired_overhead, paper_log};
 use ada_dataset::{ExamRecord, StreamOrder};
 use ada_kdb::{SharedKdb, Value};
 use ada_mining::KMeans;
@@ -34,8 +34,8 @@ use ada_service::{AnalysisService, JobSpec, ServiceConfig, ServiceError, Session
 use ada_stream::{StreamConfig, StreamEngine, StreamMiningSpec};
 use ada_vsm::VsmBuilder;
 
-/// Wall-clock repetitions per timed variant; the minimum is compared.
-const REPS: usize = 5;
+/// Interleaved A/B pairs per overhead estimate.
+const PAIRS: usize = 15;
 
 /// Ingestion batch size for the streamed variants.
 const CHUNK: usize = 512;
@@ -55,23 +55,6 @@ fn config(mine_on_close: bool) -> StreamConfig {
         .refit_iters(100)
         .min_rows(16)
         .mine_on_close(mine_on_close)
-}
-
-/// Paired timing: alternates the two variants within every repetition
-/// so scheduler and clock drift hit both sides equally, then compares
-/// the per-variant minima. Returns `(ms_a, ms_b)`.
-fn paired_best_of(reps: usize, mut run_a: impl FnMut(), mut run_b: impl FnMut()) -> (f64, f64) {
-    let mut best_a = f64::INFINITY;
-    let mut best_b = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        run_a();
-        best_a = best_a.min(t.elapsed().as_secs_f64() * 1e3);
-        let t = Instant::now();
-        run_b();
-        best_b = best_b.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (best_a, best_b)
 }
 
 fn open(store: &SharedKdb) -> (StreamEngine, u64) {
@@ -177,8 +160,8 @@ fn main() {
     // 3. Steady-state overhead: fold-only streaming plus one cold fit
     // vs the batch VsmBuilder plus the same cold fit.
     let max_overhead = if quick { 0.25 } else { 0.05 };
-    let (batch_ms, stream_ms) = paired_best_of(
-        REPS,
+    let (batch_ms, stream_ms, overhead, (), ()) = paired_overhead(
+        PAIRS,
         || {
             let vectors = VsmBuilder::new().build(&log);
             let fit = KMeans::new(4).seed(42).max_iters(100).fit(&vectors.matrix);
@@ -192,7 +175,6 @@ fn main() {
             }
         },
     );
-    let overhead = (stream_ms - batch_ms) / batch_ms;
     println!(
         "overhead: batch {batch_ms:.1} ms, stream {stream_ms:.1} ms ({:+.2}%)",
         overhead * 100.0

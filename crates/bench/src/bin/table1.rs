@@ -15,13 +15,11 @@
 //! Run: `cargo run -p ada-bench --release --bin table1`
 //!
 //! Ablation flags (append after `--`):
-//! `bayes` / `knn` / `forest` — swap the robustness classifier;
-//! `filtering` — swap the K-means backend.
+//! `bayes` / `knn` / `forest` — swap the robustness classifier.
 
 use ada_bench::paper_log;
 use ada_core::optimize::{Optimizer, RobustnessClassifier};
 use ada_core::partial::HorizontalPartialMiner;
-use ada_mining::kmeans::KMeansBackend;
 use ada_vsm::VsmBuilder;
 
 /// Table I of the paper: (K, SSE, accuracy, avg precision, avg recall).
@@ -84,10 +82,6 @@ fn main() {
         optimizer.classifier =
             RobustnessClassifier::RandomForest(ada_mining::forest::ForestConfig::default());
         println!("(ablation: random-forest robustness classifier)");
-    }
-    if args.iter().any(|a| a == "filtering") {
-        optimizer.backend = KMeansBackend::Filtering;
-        println!("(ablation: kd-tree filtering K-means backend)");
     }
     let report = optimizer.run(&pv.matrix);
 

@@ -13,11 +13,14 @@
 //! * `pipeline_e2e` — Figure 1: runs every architecture box in order and
 //!   prints the component trace.
 //!
-//! Criterion benches: `kmeans` (Lloyd vs filtering),
-//! `patterns` (Apriori vs FP-growth), `kdb` (insert/query/index/replay),
-//! `vsm` (build + weighting variants), `partial` (subset-mining speedup).
+//! Criterion benches: `patterns` (Apriori vs FP-growth), `kdb`
+//! (insert/query/index/replay), `vsm` (build + weighting variants),
+//! `partial` (subset-mining speedup), `classifiers` (the four
+//! robustness classifiers).
 
 #![warn(missing_docs)]
+
+use std::time::Instant;
 
 use ada_dataset::synthetic::{generate, SyntheticConfig};
 use ada_dataset::ExamLog;
@@ -68,4 +71,47 @@ pub fn patient_doc(rng: &mut Rng, i: usize) -> Document {
         .with("gender", if rng.below(2) == 0 { "F" } else { "M" })
         .with("diagnosis", format!("D{:03}", rng.below(140)))
         .with("cost", (rng.below(500_000) as f64) / 100.0)
+}
+
+/// The median of `values` (upper median for an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// Interleaved short A/B pairs: each pair times one run of each variant
+/// back to back — A first in even pairs, B first in odd ones — and the
+/// overhead of B is the median of the per-pair ratios `B / A − 1`. Both
+/// halves of a pair see the same machine, so a slow stretch of the box
+/// cancels within the pair, and a burst of noise spoils the pairs it
+/// lands in, not the estimate (a comparison of per-variant minima hangs
+/// on the two luckiest runs). Returns `(median ms A, median ms B,
+/// overhead, value A, value B)`, the values from the last pair.
+pub fn paired_overhead<T>(
+    pairs: usize,
+    mut run_a: impl FnMut() -> T,
+    mut run_b: impl FnMut() -> T,
+) -> (f64, f64, f64, T, T) {
+    let timed = |run: &mut dyn FnMut() -> T| {
+        let t = Instant::now();
+        let out = run();
+        (t.elapsed().as_secs_f64() * 1e3, out)
+    };
+    let (mut ms_a, mut ms_b, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let mut last = None;
+    for pair in 0..pairs.max(1) {
+        let ((a, out_a), (b, out_b)) = if pair % 2 == 0 {
+            let a = timed(&mut run_a);
+            (a, timed(&mut run_b))
+        } else {
+            let b = timed(&mut run_b);
+            (timed(&mut run_a), b)
+        };
+        ms_a.push(a);
+        ms_b.push(b);
+        ratios.push(b / a - 1.0);
+        last = Some((out_a, out_b));
+    }
+    let (out_a, out_b) = last.expect("at least one pair");
+    (median(ms_a), median(ms_b), median(ratios), out_a, out_b)
 }

@@ -47,7 +47,7 @@
 
 use ada_metrics::cluster;
 use ada_mining::bayes::GaussianNb;
-use ada_mining::kmeans::{KMeans, KMeansBackend, KMeansResult};
+use ada_mining::kmeans::{KMeans, KMeansResult};
 use ada_mining::knn::KnnClassifier;
 use ada_mining::tree::{ColumnIndex, TreeConfig};
 use ada_mining::validate;
@@ -153,8 +153,6 @@ pub struct Optimizer {
     pub folds: usize,
     /// Seed for clustering and fold assignment.
     pub seed: u64,
-    /// K-means backend.
-    pub backend: KMeansBackend,
     /// Robustness classifier.
     pub classifier: RobustnessClassifier,
     /// SSE elbow tolerance: the smallest K whose forward per-unit
@@ -180,7 +178,6 @@ impl Optimizer {
             ks: vec![6, 7, 8, 9, 10, 12, 15, 20],
             folds: 10,
             seed: 0,
-            backend: KMeansBackend::Lloyd,
             classifier: RobustnessClassifier::DecisionTree(TreeConfig {
                 max_depth: 8,
                 min_samples_leaf: 5,
@@ -241,7 +238,6 @@ impl Optimizer {
         // the one cached non-zero view.
         let (result, stats) = KMeans::new(k)
             .seed(self.seed)
-            .backend(self.backend)
             .threads(row_threads)
             .fit_rows(&matrix.sparse_rows());
         control.counters(PipelineStage::Optimize, &stats.as_pairs());
@@ -694,19 +690,5 @@ mod tests {
         assert!(table.contains("AVG Precision"));
         assert!(table.contains("<= selected"));
         assert_eq!(table.lines().count(), 3);
-    }
-
-    #[test]
-    fn filtering_backend_matches_lloyd_metrics() {
-        let m = small_matrix();
-        let lloyd = Optimizer::quick(vec![6]).run(&m);
-        let mut cfg = Optimizer::quick(vec![6]);
-        cfg.backend = KMeansBackend::Filtering;
-        let filtering = cfg.run(&m);
-        // Same trajectory -> same assignments -> identical metrics (SSE
-        // within float tolerance).
-        let (a, b) = (&lloyd.evaluations[0], &filtering.evaluations[0]);
-        assert!((a.sse - b.sse).abs() < 1e-6 * (1.0 + a.sse));
-        assert_eq!(a.accuracy, b.accuracy);
     }
 }

@@ -420,10 +420,10 @@ pub(crate) fn collection_state_ops(coll: &Collection, ops: &mut Vec<Op>) {
 /// `<journal>.quarantine.<n>` for the later ones, each salvage taking
 /// the first that does not exist.
 pub fn quarantine_path(journal: &Path, n: u32) -> PathBuf {
-    match n {
-        0 => journal.with_extension("quarantine"),
-        n => journal.with_extension(format!("quarantine.{n}")),
-    }
+    let mut name = journal.as_os_str().to_owned();
+    name.push(".quarantine");
+    name.push(if n > 0 { format!(".{n}") } else { "".into() });
+    PathBuf::from(name)
 }
 
 /// A 64-bit FNV-1a digest over a canonical op sequence — the shared

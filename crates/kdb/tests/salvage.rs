@@ -187,3 +187,27 @@ fn a_second_salvage_keeps_the_first_quarantine() {
         bytes = mem.bytes(path).unwrap();
     }
 }
+
+#[test]
+fn journals_differing_only_in_extension_keep_separate_quarantines() {
+    let mem = MemStorage::new();
+    let (clean, ends) = journal();
+    let last_start = ends[ends.len() - 2];
+    for name in ["a.journal", "a.log"] {
+        let mut bytes = clean.clone();
+        bytes[last_start + 4] ^= 0x40;
+        mem.install(Path::new(name), bytes);
+        let db = Kdb::open_with(Path::new(name), options(&mem, RecoveryMode::Salvage)).unwrap();
+        assert_eq!(db.salvaged().map(|r| r.offset), Some(last_start as u64));
+    }
+    let mut remainder = clean[last_start..].to_vec();
+    remainder[4] ^= 0x40;
+    for name in ["a.journal.quarantine", "a.log.quarantine"] {
+        assert_eq!(
+            mem.bytes(Path::new(name)).as_ref(),
+            Some(&remainder),
+            "{name}"
+        );
+    }
+    assert_eq!(mem.bytes(Path::new("a.quarantine")), None);
+}

@@ -325,9 +325,9 @@ fn assign_step<R: RowStore>(
 }
 
 /// Chunk-ordered serial accumulation of member sums and counts — the
-/// same reduction tree the parallel assign pass uses, so backends that
-/// accumulate outside the kernel (filtering) produce bit-identical
-/// centroids.
+/// same reduction tree the parallel assign pass uses, so
+/// [`lloyd::run_reference`](super::lloyd::run_reference), which
+/// accumulates outside the kernel, produces bit-identical centroids.
 pub(crate) fn accumulate<R: RowStore>(
     rows: &R,
     assignments: &[usize],

@@ -10,7 +10,7 @@
 use ada_vsm::dense::{distance_sq, DenseMatrix};
 
 use super::kernel::{self, KernelOpts, KernelStats};
-use super::{update_centroids, KMeansResult, RowStore};
+use super::{KMeansResult, RowStore};
 
 /// Assigns every row to its nearest centroid (ties to the lowest centroid
 /// index) and returns the resulting SSE.
@@ -48,6 +48,25 @@ pub(crate) fn run<R: RowStore>(
     opts: KernelOpts,
 ) -> (KMeansResult, KernelStats) {
     kernel::run(rows, centroids, max_iters, tol, opts)
+}
+
+/// Post-assignment centroid update of [`run_reference`]: recomputes each
+/// centroid as the mean of its members and repairs empty clusters by
+/// stealing the point farthest from its own centroid.
+///
+/// Accumulation runs through the kernel's chunk-ordered reduction, so
+/// the reference loop produces the same centroids as the kernel from
+/// identical assignments.
+///
+/// Returns the total squared movement of centroids (the convergence
+/// monitor).
+fn update_centroids(
+    matrix: &DenseMatrix,
+    assignments: &mut [usize],
+    centroids: &mut DenseMatrix,
+) -> f64 {
+    let (mut sums, mut counts) = kernel::accumulate(matrix, assignments, centroids.num_rows());
+    kernel::finalize_update(matrix, assignments, centroids, &mut sums, &mut counts).movement
 }
 
 /// The seed full-scan Lloyd loop, kept as the plain reference

@@ -1,25 +1,11 @@
-//! K-means clustering: configuration, shared driver, and backends.
+//! K-means clustering: configuration and driver.
 //!
 //! The paper's clustering component is "a center-based algorithm such as
-//! K-Means", with Kanungo et al.'s filtering algorithm as its cited
-//! implementation. The [`KMeans`] driver exposes both backends behind
-//! one configuration:
-//!
-//! * [`lloyd`] — the classic full-scan Lloyd iteration;
-//! * [`filtering`] — the kd-tree filtering algorithm, which assigns
-//!   whole tree cells to a single candidate centroid whenever every
-//!   other candidate is provably farther from the cell.
-//!
-//! Both backends perform identical centroid updates, so given the same
-//! initial centroids they walk the same trajectory (a property the test
-//! suite checks); the filtering backend just touches far fewer points
-//! per iteration on clustered data.
-//!
-//! The Lloyd backend executes on the shared [`kernel`]: dot-product
-//! distances over the matrix's cached row norms, Hamerly bound pruning
-//! ([`KMeans::prune`]), and a chunk-ordered parallel reduction
-//! ([`KMeans::threads`]) whose output is byte-identical to the serial
-//! path for every thread count.
+//! K-Means". [`KMeans`] runs the classic Lloyd iteration ([`lloyd`]) on
+//! the shared [`kernel`]: dot-product distances over the matrix's cached
+//! row norms, Hamerly bound pruning ([`KMeans::prune`]), and a
+//! chunk-ordered parallel reduction ([`KMeans::threads`]) whose output
+//! is byte-identical to the serial path for every thread count.
 //!
 //! Kernel and seeding are generic over how a row is stored
 //! ([`RowStore`]): [`KMeans::fit`] and friends take a `&DenseMatrix` and
@@ -28,7 +14,6 @@
 //! [`sparse_rows`](DenseMatrix::sparse_rows) view, which touches only
 //! non-zero cells and returns the same model bit for bit.
 
-pub mod filtering;
 pub mod init;
 pub(crate) mod kernel;
 pub mod lloyd;
@@ -39,15 +24,6 @@ use ada_vsm::dense::DenseMatrix;
 pub use init::KMeansInit;
 pub use kernel::KernelStats;
 pub use rows::RowStore;
-
-/// Which K-means backend executes the iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KMeansBackend {
-    /// Classic Lloyd: every iteration scans every point.
-    Lloyd,
-    /// Kanungo et al.'s kd-tree filtering algorithm (paper reference \[3\]).
-    Filtering,
-}
 
 /// K-means configuration.
 ///
@@ -75,22 +51,20 @@ pub struct KMeans {
     pub init: KMeansInit,
     /// RNG seed for the initialization.
     pub seed: u64,
-    /// Iteration backend.
-    pub backend: KMeansBackend,
     /// Row-level worker threads of the Lloyd kernel (0 = one per
     /// available core). Every value produces byte-identical output —
     /// the kernel reduces per-chunk partial sums in a fixed chunk
     /// order — so this is purely a latency knob.
     pub threads: usize,
-    /// Hamerly bound pruning (Lloyd kernel only). Exact: pruned runs
-    /// return the same assignments, centroids, SSE, and iteration
-    /// count as unpruned ones, with far fewer distance evaluations.
+    /// Hamerly bound pruning. Exact: pruned runs return the same
+    /// assignments, centroids, SSE, and iteration count as unpruned
+    /// ones, with far fewer distance evaluations.
     pub prune: bool,
 }
 
 impl KMeans {
-    /// A sensible default configuration: k-means++ init, Lloyd backend,
-    /// 100 iterations, tolerance 1e-6, serial with bound pruning on.
+    /// A sensible default configuration: k-means++ init, 100 iterations,
+    /// tolerance 1e-6, serial with bound pruning on.
     pub fn new(k: usize) -> Self {
         Self {
             k,
@@ -98,7 +72,6 @@ impl KMeans {
             tol: 1e-6,
             init: KMeansInit::KMeansPlusPlus,
             seed: 0,
-            backend: KMeansBackend::Lloyd,
             threads: 1,
             prune: true,
         }
@@ -107,12 +80,6 @@ impl KMeans {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the backend.
-    pub fn backend(mut self, backend: KMeansBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -140,8 +107,8 @@ impl KMeans {
         self
     }
 
-    /// Runs the configured backend on the rows of `matrix`, reading
-    /// every cell (the dense instantiation of [`KMeans::fit_rows`]).
+    /// Runs Lloyd on the rows of `matrix`, reading every cell (the
+    /// dense instantiation of [`KMeans::fit_rows`]).
     ///
     /// # Panics
     /// Panics when `k == 0`, the matrix is empty, or `k` exceeds the
@@ -155,10 +122,9 @@ impl KMeans {
         self.fit_rows(matrix)
     }
 
-    /// Runs the configured backend over any row storage and reports the
-    /// kernel's instrumentation counters (distance evaluations, bound
-    /// skips) alongside the model. The filtering backend reports zeroed
-    /// counters — its pruning works on tree cells, not per-point bounds.
+    /// Runs Lloyd over any row storage and reports the kernel's
+    /// instrumentation counters (distance evaluations, bound skips)
+    /// alongside the model.
     ///
     /// Pass `&matrix.sparse_rows()` for a matrix that is mostly zeros
     /// and not mutated between fits; model and counters equal the dense
@@ -197,13 +163,7 @@ impl KMeans {
             threads: self.threads,
             prune: self.prune,
         };
-        match self.backend {
-            KMeansBackend::Lloyd => lloyd::run(rows, centroids, self.max_iters, self.tol, opts),
-            KMeansBackend::Filtering => (
-                filtering::run(rows, centroids, self.max_iters, self.tol, self.threads),
-                KernelStats::default(),
-            ),
-        }
+        lloyd::run(rows, centroids, self.max_iters, self.tol, opts)
     }
 }
 
@@ -288,25 +248,6 @@ pub fn pad_centroids(prev: &DenseMatrix, dim: usize) -> DenseMatrix {
     out
 }
 
-/// Shared post-assignment centroid update: recomputes each centroid as
-/// the mean of its members and repairs empty clusters by stealing the
-/// point farthest from its own centroid.
-///
-/// Accumulation runs through the kernel's chunk-ordered reduction, so
-/// every backend — serial or parallel — produces bit-identical
-/// centroids from identical assignments.
-///
-/// Returns the total squared movement of centroids (the convergence
-/// monitor both backends use).
-pub(crate) fn update_centroids<R: RowStore>(
-    rows: &R,
-    assignments: &mut [usize],
-    centroids: &mut DenseMatrix,
-) -> f64 {
-    let (mut sums, mut counts) = kernel::accumulate(rows, assignments, centroids.num_rows());
-    kernel::finalize_update(rows.dense(), assignments, centroids, &mut sums, &mut counts).movement
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     use ada_vsm::dense::DenseMatrix;
@@ -368,20 +309,6 @@ mod tests {
         let a = KMeans::new(3).seed(9).fit(&m);
         let b = KMeans::new(3).seed(9).fit(&m);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn backends_agree_from_same_start() {
-        let m = gaussian_blobs(5, 40, 4, 7);
-        let start = init::initial_centroids(&m, 5, KMeansInit::KMeansPlusPlus, 11);
-        let lloyd = KMeans::new(5).fit_rows_from(&m, start.clone()).0;
-        let filtering = KMeans::new(5)
-            .backend(KMeansBackend::Filtering)
-            .fit_rows_from(&m, start)
-            .0;
-        assert_eq!(lloyd.assignments, filtering.assignments);
-        assert!((lloyd.sse - filtering.sse).abs() < 1e-6 * (1.0 + lloyd.sse));
-        assert_eq!(lloyd.iterations, filtering.iterations);
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub trait RowStore: Sync {
 
     /// The dense matrix behind the rows — shape, cached row norms, and
     /// the cells read off the hot path (per-point SSE, empty-cluster
-    /// repair, the filtering backend's kd-tree, Forgy's row copies).
+    /// repair, Forgy's row copies).
     fn dense(&self) -> &DenseMatrix;
 
     /// Row `r`.

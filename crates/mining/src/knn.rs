@@ -1,4 +1,4 @@
-//! k-nearest-neighbour classifier over a kd-tree.
+//! k-nearest-neighbour classifier over a brute-force scan.
 //!
 //! Third robustness-classifier option for the optimizer ablation: unlike
 //! the decision tree and naive Bayes it is non-parametric and directly
@@ -6,19 +6,18 @@
 //! upper-bounds what any classifier can recover from the cluster labels.
 
 use ada_vsm::dense::{distance_sq, DenseMatrix};
-use ada_vsm::kdtree::{KdTree, NodeId};
 
-/// A fitted k-NN classifier (stores the training set in a kd-tree).
+/// A fitted k-NN classifier (stores the training set and scans it).
 #[derive(Debug, Clone)]
 pub struct KnnClassifier {
-    tree: KdTree,
+    matrix: DenseMatrix,
     labels: Vec<usize>,
     num_classes: usize,
     k: usize,
 }
 
 impl KnnClassifier {
-    /// Fits (i.e. indexes) the training data.
+    /// Fits (i.e. stores) the training data.
     ///
     /// # Panics
     /// Panics on empty data, shape mismatch, `k == 0`, or labels
@@ -32,7 +31,7 @@ impl KnnClassifier {
             "label out of range"
         );
         Self {
-            tree: KdTree::build(matrix),
+            matrix: matrix.clone(),
             labels: labels.to_vec(),
             num_classes,
             k: k.min(labels.len()),
@@ -64,48 +63,21 @@ impl KnnClassifier {
     }
 
     /// The k nearest training points as `(index, squared distance)`,
-    /// nearest first.
+    /// nearest first, ordered by `(distance, index)`.
     fn k_nearest(&self, query: &[f64]) -> Vec<(usize, f64)> {
-        // Bounded best-list maintained through a branch-and-bound walk.
+        // Bounded best-list over one scan of the training rows.
         let mut best: Vec<(usize, f64)> = Vec::with_capacity(self.k + 1);
-        self.walk(self.tree.root(), query, &mut best);
+        for p in 0..self.matrix.num_rows() {
+            let d = distance_sq(query, self.matrix.row(p));
+            if best.len() == self.k && d >= best[self.k - 1].1 {
+                // Rows arrive in index order, so a tie loses too.
+                continue;
+            }
+            let pos = best.partition_point(|&(_, bd)| bd <= d);
+            best.insert(pos, (p, d));
+            best.truncate(self.k);
+        }
         best
-    }
-
-    fn walk(&self, node: NodeId, query: &[f64], best: &mut Vec<(usize, f64)>) {
-        let bound = if best.len() == self.k {
-            best.last().expect("non-empty").1
-        } else {
-            f64::INFINITY
-        };
-        if self.tree.bbox_distance_sq(node, query) > bound {
-            return;
-        }
-        match self.tree.children(node) {
-            None => {
-                for &p in self.tree.points_in(node) {
-                    let d = distance_sq(query, self.tree.point(p));
-                    let pos = best
-                        .binary_search_by(|&(bi, bd)| {
-                            bd.partial_cmp(&d)
-                                .expect("finite distances")
-                                .then(bi.cmp(&p))
-                        })
-                        .unwrap_or_else(|e| e);
-                    best.insert(pos, (p, d));
-                    if best.len() > self.k {
-                        best.pop();
-                    }
-                }
-            }
-            Some((l, r)) => {
-                let dl = self.tree.bbox_distance_sq(l, query);
-                let dr = self.tree.bbox_distance_sq(r, query);
-                let (first, second) = if dl <= dr { (l, r) } else { (r, l) };
-                self.walk(first, query, best);
-                self.walk(second, query, best);
-            }
-        }
     }
 }
 
@@ -139,32 +111,6 @@ mod tests {
         let (m, labels) = blobs();
         let knn = KnnClassifier::fit(&m, &labels, 3, 1);
         assert_eq!(knn.predict(&m), labels);
-    }
-
-    #[test]
-    fn matches_brute_force_neighbours() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(9);
-        let rows: Vec<Vec<f64>> = (0..120)
-            .map(|_| (0..4).map(|_| rng.gen_range(-5.0..5.0)).collect())
-            .collect();
-        let labels: Vec<usize> = (0..120).map(|i| i % 4).collect();
-        let m = DenseMatrix::from_rows(&rows);
-        let knn = KnnClassifier::fit(&m, &labels, 4, 7);
-        for _ in 0..20 {
-            let q: Vec<f64> = (0..4).map(|_| rng.gen_range(-6.0..6.0)).collect();
-            let found = knn.k_nearest(&q);
-            assert_eq!(found.len(), 7);
-            let mut brute: Vec<(usize, f64)> =
-                (0..120).map(|i| (i, distance_sq(&q, m.row(i)))).collect();
-            brute.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)));
-            let found_d: Vec<f64> = found.iter().map(|&(_, d)| d).collect();
-            let brute_d: Vec<f64> = brute[..7].iter().map(|&(_, d)| d).collect();
-            for (a, b) in found_d.iter().zip(&brute_d) {
-                assert!((a - b).abs() < 1e-9, "{found_d:?} vs {brute_d:?}");
-            }
-        }
     }
 
     #[test]

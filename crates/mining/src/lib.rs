@@ -5,9 +5,10 @@
 //! The paper's preliminary implementation leans on two exploratory
 //! algorithm families plus a classifier:
 //!
-//! * **Clustering** — K-means; its reference \[3\] is Kanungo et al.'s
-//!   kd-tree *filtering* algorithm, implemented in [`kmeans::filtering`]
-//!   next to the classic Lloyd iteration ([`kmeans::lloyd`]).
+//! * **Clustering** — K-means, run as the classic Lloyd iteration
+//!   ([`kmeans::lloyd`]). Its reference \[3\] is Kanungo et al.'s kd-tree
+//!   *filtering* algorithm; the reproduction measured it 5–41× slower
+//!   than Lloyd here and retired it (EXPERIMENTS.md).
 //! * **Frequent-pattern discovery** — its reference \[2\] (MeTA) mines
 //!   medical treatments at multiple abstraction levels; [`patterns`]
 //!   implements Apriori, FP-growth, association-rule generation and a
@@ -20,7 +21,6 @@
 //! [`KMeans::fit_rows`] and [`KMeans::fit_rows_from`] over a matrix's
 //! non-zero view are the fits the batch pipeline and `ada-stream`'s
 //! window closes run. Beyond the three families above:
-//! [`kmeans::filtering`] is a [`KMeansBackend`] the Table-I bin reports;
 //! [`patterns::apriori`] is the reference `tests/miner_agreement.rs`
 //! checks FP-growth against; [`bayes`], [`knn`] and [`forest`] are
 //! EXPERIMENTS.md's classifier ablations (`table1 -- bayes|knn|forest`);
@@ -42,6 +42,6 @@ pub mod sequences;
 pub mod tree;
 pub mod validate;
 
-pub use kmeans::{pad_centroids, KMeans, KMeansBackend, KMeansInit, KMeansResult};
+pub use kmeans::{pad_centroids, KMeans, KMeansInit, KMeansResult};
 pub use patterns::{FrequentItemset, Itemset, Transaction};
 pub use tree::DecisionTree;

@@ -1,6 +1,6 @@
 //! Property tests: miner equivalences and validation invariants.
 
-use ada_mining::kmeans::{init, KMeans, KMeansBackend, KMeansInit};
+use ada_mining::kmeans::{init, KMeans, KMeansInit};
 use ada_mining::patterns::{apriori, fpgrowth, rules, Transaction};
 use ada_mining::validate::stratified_folds;
 use ada_vsm::DenseMatrix;
@@ -60,27 +60,6 @@ proptest! {
                 .count();
             prop_assert_eq!(count_ab, r.counts.count_ab);
         }
-    }
-
-    #[test]
-    fn filtering_equals_lloyd(
-        rows in prop::collection::vec(
-            prop::collection::vec((-50i32..50).prop_map(|v| f64::from(v) / 5.0), 3),
-            4..50,
-        ),
-        k in 1usize..4,
-        seed in 0u64..100,
-    ) {
-        prop_assume!(k <= rows.len());
-        let m = DenseMatrix::from_rows(&rows);
-        let start = init::initial_centroids(&m, k, KMeansInit::Forgy, seed);
-        let lloyd = KMeans::new(k).fit_rows_from(&m, start.clone()).0;
-        let filtering = KMeans::new(k)
-            .backend(KMeansBackend::Filtering)
-            .fit_rows_from(&m, start)
-            .0;
-        prop_assert_eq!(&lloyd.assignments, &filtering.assignments);
-        prop_assert!((lloyd.sse - filtering.sse).abs() < 1e-6 * (1.0 + lloyd.sse));
     }
 
     #[test]
@@ -324,27 +303,24 @@ proptest! {
         let (m, k) = case;
         let rows = m.sparse_rows();
         let warm = init::initial_centroids(&m, k, KMeansInit::Forgy, seed ^ 1);
-        // Lloyd under every prune × threads combination; filtering once
-        // per thread count (it has no bounds to prune with).
-        let lloyd = [true, false].map(|prune| (KMeansBackend::Lloyd, prune));
-        for (backend, prune) in lloyd.into_iter().chain([(KMeansBackend::Filtering, true)]) {
+        // Lloyd under every prune × threads combination.
+        for prune in [true, false] {
             for threads in [1usize, 2, 7] {
                 let config = KMeans::new(k)
                     .seed(seed)
                     .init(INITS[init_idx])
-                    .backend(backend)
                     .prune(prune)
                     .threads(threads);
                 // Whole results and whole counters, then the bits `==`
                 // would let through (±0.0 centroid cells).
                 let (dense, sparse) = (config.fit_with_stats(&m), config.fit_rows(&rows));
-                prop_assert_eq!(&dense, &sparse, "cold {:?} prune {} threads {}", backend, prune, threads);
+                prop_assert_eq!(&dense, &sparse, "cold prune {} threads {}", prune, threads);
                 prop_assert_eq!(dense.0.fingerprint(), sparse.0.fingerprint());
                 let (dense, sparse) = (
                     config.fit_rows_from(&m, warm.clone()),
                     config.fit_rows_from(&rows, warm.clone()),
                 );
-                prop_assert_eq!(&dense, &sparse, "warm {:?} prune {} threads {}", backend, prune, threads);
+                prop_assert_eq!(&dense, &sparse, "warm prune {} threads {}", prune, threads);
                 prop_assert_eq!(dense.0.fingerprint(), sparse.0.fingerprint());
             }
         }

@@ -5,9 +5,9 @@
 //! year over 159 exam types, so the paper-scale matrix is 93 % zeros
 //! (85 % at the 40 % feature rung, 77 % at the 20 % rung). The dense
 //! buffer stays the storage of record — it is what gets mutated in
-//! place by the streaming builder, sliced by `select_rows`, indexed by
-//! the kd-tree and read by per-point SSE — while loops whose cost is
-//! `rows × k × cols` (the K-means assignment scan, centroid
+//! place by the streaming builder, sliced by `select_rows`, scanned by
+//! the k-NN classifier and read by per-point SSE — while loops whose
+//! cost is `rows × k × cols` (the K-means assignment scan, centroid
 //! accumulation, k-means++ seeding, overall similarity) walk
 //! [`DenseMatrix::sparse_rows`], a CSR copy of the non-zero cells built
 //! once per matrix and cached like the row norms.
@@ -403,9 +403,8 @@ impl DenseMatrix {
     /// Per-row squared L2 norms, computed once per matrix and cached.
     ///
     /// This is the precomputation behind the K-means kernel's
-    /// dot-product distance form: every backend and every K of a sweep
-    /// evaluating distances against the same matrix shares one norm
-    /// vector. The cache is invalidated by every mutating accessor.
+    /// dot-product distance form: every K of a sweep evaluating
+    /// distances against the same matrix shares one norm vector. The cache is invalidated by every mutating accessor.
     pub fn row_norms_sq(&self) -> &[f64] {
         self.norms_sq
             .get_or_init(|| self.rows_iter().map(|row| dot(row, row)).collect())

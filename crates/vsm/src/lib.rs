@@ -13,19 +13,13 @@
 //!   would otherwise multiply through its 93 % zeros;
 //! * [`vsm::VsmBuilder`] — the ExamLog → patient×exam matrix
 //!   transformation under selectable weightings (count, binary, TF-IDF,
-//!   log-count) and feature filters (the horizontal partial-mining knob);
-//! * [`kdtree::KdTree`] — a bounding-box kd-tree with per-node aggregate
-//!   statistics (count, vector sum, squared-norm sum), exactly the
-//!   structure Kanungo et al.'s *filtering* K-means (the paper's
-//!   reference \[3\]) traverses.
+//!   log-count) and feature filters (the horizontal partial-mining knob).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dense;
-pub mod kdtree;
 pub mod vsm;
 
 pub use dense::{DenseMatrix, SparseCells, SparseRows};
-pub use kdtree::KdTree;
 pub use vsm::{PatientVectors, VsmBuilder, Weighting};

@@ -82,16 +82,36 @@ fn ablation_naive_bayes_also_degrades_with_k() {
 }
 
 #[test]
-fn ablation_filtering_backend_reproduces_table_shape() {
-    use ada_health::mining::kmeans::KMeansBackend;
+fn knn_ablation_metrics_are_pinned() {
+    // Exact bits of the 5-NN robustness metrics on tie-prone data: in
+    // this matrix 50 of the 400 rows have an exact distance tie between
+    // their 5th and 6th nearest neighbours. The bits were recorded when
+    // neighbours came from a kd-tree walk; the brute-force scan must keep
+    // its `(distance, index)` order to reproduce them.
+    use ada_health::engine::optimize::RobustnessClassifier;
     let log = generate(&SyntheticConfig::small(), 42);
-    let pv = VsmBuilder::new().top_features(&log, 24).build(&log);
+    let pv = VsmBuilder::new()
+        .top_features(&log, 24)
+        .normalize(true)
+        .build(&log);
     let mut opt = Optimizer::quick(vec![6, 12]);
-    opt.backend = KMeansBackend::Filtering;
+    opt.classifier = RobustnessClassifier::Knn(5);
     let report = opt.run(&pv.matrix);
-    let lloyd = Optimizer::quick(vec![6, 12]).run(&pv.matrix);
-    for (a, b) in report.evaluations.iter().zip(&lloyd.evaluations) {
-        assert!((a.sse - b.sse).abs() < 1e-6 * (1.0 + b.sse));
-        assert_eq!(a.accuracy, b.accuracy);
-    }
+    // K, then SSE, accuracy, avg precision and avg recall as `f64::to_bits`.
+    #[rustfmt::skip]
+    let pinned = [
+        (6, [0x40668cfdd438bff0, 0x4056700000000000, 0x4056d6027099a9c2, 0x40549b419582d1fc]),
+        (12, [0x405e9428de083d48, 0x4055400000000000, 0x4056064aed9a4260, 0x405534f070cdee8b]),
+    ];
+    let got: Vec<(usize, [u64; 4])> = report
+        .evaluations
+        .iter()
+        .map(|e| {
+            (
+                e.k,
+                [e.sse, e.accuracy, e.avg_precision, e.avg_recall].map(f64::to_bits),
+            )
+        })
+        .collect();
+    assert_eq!(got, pinned);
 }
