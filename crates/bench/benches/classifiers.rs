@@ -65,7 +65,7 @@ fn bench_fit_predict(c: &mut Criterion) {
     });
     group.bench_function("knn-5", |b| {
         b.iter(|| {
-            let model = KnnClassifier::fit(&matrix, &labels, k, 5);
+            let model = KnnClassifier::fit(matrix.clone(), &labels, k, 5);
             black_box(model.predict(&matrix))
         })
     });

@@ -287,6 +287,23 @@ fn main() {
     let _ = writeln!(json, "  \"rows\": {},", matrix.num_rows());
     let _ = writeln!(json, "  \"cols\": {},", matrix.num_cols());
     let _ = writeln!(json, "  \"zero_share\": {zero_share:.4},");
+    // The box the artifact was taken on: its processor model as Linux
+    // reports it (the timings mean nothing without it).
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                Some(
+                    line.strip_prefix("model name")?
+                        .split_once(':')?
+                        .1
+                        .trim()
+                        .to_string(),
+                )
+            })
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let _ = writeln!(json, "  \"cpu\": {cpu:?},");
     let _ = writeln!(json, "  \"threads_available\": {threads_available},");
     let _ = writeln!(json, "  \"timing_reps\": {REPS},");
     let _ = writeln!(json, "  \"per_k\": [");

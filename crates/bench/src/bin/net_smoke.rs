@@ -227,12 +227,15 @@ fn read_scaling() {
     {
         let allowed = 2.0 * (*large_bytes as f64 / *small_bytes as f64).max(1.0);
         let growth = large / small;
+        // The line prints the bound the check applies, slack included.
+        let limit = allowed * small + WAKE_SLACK_US;
         println!(
             "read scaling: {:<13} {small:>8.1} us / {small_bytes:>7} B at 40 -> \
-             {large:>8.1} us / {large_bytes:>7} B at 400 ({growth:.2}x, allowed {allowed:.1}x)",
+             {large:>8.1} us / {large_bytes:>7} B at 400 ({growth:.2}x; limit {limit:.1} us \
+             = {allowed:.1}x + {WAKE_SLACK_US:.0} us)",
             request.kind()
         );
-        if *large > allowed * small + WAKE_SLACK_US {
+        if *large > limit {
             slow.push(format!("{} grew {growth:.2}x", request.kind()));
         }
     }

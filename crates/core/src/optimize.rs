@@ -261,7 +261,7 @@ impl Optimizer {
                 k,
                 self.folds,
                 self.seed,
-                |tx, ty, sx| GaussianNb::fit(tx, ty, k).predict(sx),
+                |tx, ty, sx| GaussianNb::fit(&tx, ty, k).predict(sx),
             ),
             RobustnessClassifier::Knn(neighbours) => validate::cross_validate(
                 matrix,
@@ -277,7 +277,7 @@ impl Optimizer {
                 k,
                 self.folds,
                 self.seed,
-                |tx, ty, sx| ada_mining::forest::RandomForest::fit(tx, ty, k, config).predict(sx),
+                |tx, ty, sx| ada_mining::forest::RandomForest::fit(&tx, ty, k, config).predict(sx),
             ),
         };
         let evaluation = KEvaluation {

@@ -13,7 +13,7 @@
 use ada_dataset::ExamLog;
 use ada_metrics::cluster;
 use ada_mining::kmeans::KMeans;
-use ada_vsm::{VsmBuilder, Weighting};
+use ada_vsm::{inverse_document_frequencies, DenseMatrix, VsmBuilder, Weighting};
 
 /// The score card of one candidate transformation.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,28 +78,35 @@ impl Default for TransformSelector {
 impl TransformSelector {
     /// Scores every candidate weighting and returns them ranked (best
     /// first, ties broken by candidate order for determinism).
+    ///
+    /// The log is counted once; each candidate re-weights and
+    /// normalizes only the probed rows, TF-IDF against the document
+    /// frequencies of every patient (the cells a full build per
+    /// candidate would have kept, bit for bit).
     pub fn select(&self, log: &ExamLog) -> TransformReport {
+        let mut probe = VsmBuilder::new().build(log).matrix;
+        let idf = inverse_document_frequencies(&probe);
+        if probe.num_rows() > self.sample_limit {
+            probe = probe.select_rows(&(0..self.sample_limit).collect::<Vec<_>>());
+        }
         let mut ranked: Vec<TransformScore> = self
             .candidates
             .iter()
-            .map(|&weighting| self.score_candidate(log, weighting))
+            .map(|&weighting| self.score_candidate(&probe, &idf, weighting))
             .collect();
         ranked.sort_by(|a, b| b.score().partial_cmp(&a.score()).expect("finite scores"));
         TransformReport { ranked }
     }
 
-    fn score_candidate(&self, log: &ExamLog, weighting: Weighting) -> TransformScore {
-        let pv = VsmBuilder::new()
-            .weighting(weighting)
-            .normalize(true) // score in a comparable, scale-free space
-            .build(log);
-        let n = pv.matrix.num_rows();
-        let matrix = if n > self.sample_limit {
-            let idx: Vec<usize> = (0..self.sample_limit).collect();
-            pv.matrix.select_rows(&idx)
-        } else {
-            pv.matrix
-        };
+    fn score_candidate(
+        &self,
+        probe: &DenseMatrix,
+        idf: &[f64],
+        weighting: Weighting,
+    ) -> TransformScore {
+        let mut matrix = probe.clone();
+        weighting.apply(&mut matrix, idf);
+        matrix.normalize_rows(); // score in a comparable, scale-free space
         let k = self.probe_k.min(matrix.num_rows().max(1));
         if matrix.num_rows() < 2 || k < 2 || matrix.num_cols() == 0 {
             return TransformScore {

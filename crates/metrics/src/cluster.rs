@@ -84,7 +84,11 @@ pub fn sse(matrix: &DenseMatrix, assignments: &[usize], centroids: &DenseMatrix)
 /// ([`DenseMatrix::sparse_rows`]): a zero cell adds exactly `+0.0` to
 /// the row norm and `±0.0` to the unit sum, so skipping it changes no
 /// bit of the result — and a partial-mining session scores 27
-/// partitions against one 93 %-zero matrix.
+/// partitions against one 93 %-zero matrix. The unit cells themselves
+/// come from the view's cache ([`SparseRows::unit_row`]), so the 27
+/// scores divide each cell by its row's norm once between them.
+///
+/// [`SparseRows::unit_row`]: ada_vsm::SparseRows::unit_row
 pub fn overall_similarity(matrix: &DenseMatrix, assignments: &[usize], k: usize) -> f64 {
     assert_eq!(assignments.len(), matrix.num_rows(), "assignment length");
     let n = matrix.num_rows();
@@ -97,13 +101,9 @@ pub fn overall_similarity(matrix: &DenseMatrix, assignments: &[usize], k: usize)
     for (i, &c) in assignments.iter().enumerate() {
         assert!(c < k, "assignment {c} out of range for k = {k}");
         counts[c] += 1;
-        let row = rows.row(i);
-        let norm = row.vals().iter().fold(0.0, |sum, v| sum + v * v).sqrt();
-        if norm > 0.0 {
-            let acc = unit_sums.row_mut(c);
-            for (d, v) in row.iter() {
-                acc[d] += v / norm;
-            }
+        let acc = unit_sums.row_mut(c);
+        for (d, v) in rows.unit_row(i).iter() {
+            acc[d] += v;
         }
     }
     let mut total = 0.0;

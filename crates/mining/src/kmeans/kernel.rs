@@ -1,9 +1,6 @@
 //! The shared K-means hot path: a deterministic, multi-core Lloyd
-//! kernel with Hamerly-style bound pruning.
-//!
-//! Three independent accelerations compose here, all of them exact —
-//! the kernel's output (assignments, centroids, SSE, iteration count)
-//! is byte-identical whichever combination is enabled:
+//! kernel with Hamerly-style bound pruning, where an iteration costs
+//! what moved in it.
 //!
 //! 1. **Dot-product distances.** `d²(x, c) = ‖x‖² − 2·x·c + ‖c‖²`,
 //!    with `‖x‖²` served from [`DenseMatrix::row_norms_sq`]'s
@@ -17,17 +14,35 @@
 //!    `l −= max_c δ_c`); while `u ≤ max(l, s(a))` holds — where
 //!    `s(c) = ½·min_{c'≠c} d(c, c')` is the centroid separation radius,
 //!    recomputed each iteration for O(k²·d) — the point's assignment
-//!    provably cannot change and the k-way scan is skipped. A failed
-//!    test first *tightens* `u` with one exact distance and retests
-//!    before falling back to the full scan. Empty-cluster repair
+//!    cannot change and the k-way scan is skipped. Empty-cluster repair
 //!    invalidates the moved points' bounds.
-//! 3. **Chunked parallel reduction.** Rows are processed in fixed
-//!    chunks of [`CHUNK_ROWS`]; each chunk emits private partial sums
-//!    (centroid accumulators, counts, SSE) that are reduced **in chunk
-//!    order** on the coordinating thread. Floating-point reduction
-//!    order is therefore a function of the row count alone — never of
-//!    the thread count or of scheduling — which is what makes the
-//!    serial and parallel kernels byte-identical.
+//! 3. **A staged assign pass.** Each chunk of rows runs the pass in
+//!    three stages over a shrinking list of rows: the bound test, from
+//!    the bounds alone; one exact distance to the assigned centroid and
+//!    a retest, for the rows the test failed; the full k-way scan, for
+//!    the rows that still fail, picking best and second-best by selects
+//!    rather than branches. Over a sparse row the scan reads the
+//!    iteration's centroids transposed, `[block][column][4]`
+//!    ([`ScanCentroids`]), so a non-zero's products with four centroids
+//!    are one contiguous load; every lane still sums in non-zero order,
+//!    so each dot product keeps its bits.
+//! 4. **Partial sums kept across iterations.** Rows are processed in
+//!    fixed chunks of [`CHUNK_ROWS`]. Each `(chunk, centroid)` pair
+//!    keeps its members' sums and count from one iteration to the next;
+//!    an iteration sums again only the pairs a row moved into or out
+//!    of (by the scan or by a repair) and folds again, in chunk order
+//!    from `+0.0`, only the centroids with such a pair ([`Partials`]).
+//!    Where today's pairs equal last iteration's, so do their bits.
+//!
+//! The floating-point reduction tree is a function of the row count
+//! alone — never of the thread count, of scheduling, or of which pairs
+//! were summed again — so serial and parallel fits, and kept and
+//! from-scratch sums, are byte-identical. Pruning is exact in exact
+//! arithmetic; the scan compares dot-form distances, whose rounding
+//! error grows with `‖x‖²`, so where centroids sit closer together
+//! than that error (stacked on duplicate rows) a skip can keep an
+//! assignment that a scan would flip on rounding noise, and pruned and
+//! unpruned fits of such data can differ.
 //!
 //! The fixed chunk association means the kernel's centroids can differ
 //! from a straight left-to-right fold in the last ulp; the retained
@@ -50,7 +65,7 @@
 
 use ada_vsm::dense::{distance_sq, dot, DenseMatrix};
 
-use super::rows::{KernelRow, RowStore};
+use super::rows::{KernelRow, RowStore, ScanCentroids};
 use super::KMeansResult;
 
 /// Fixed row-chunk size of the deterministic reduction. Chunk
@@ -165,167 +180,290 @@ where
     out
 }
 
+/// What every chunk of one assign pass reads: the rows, their cached
+/// norms, and the iteration's centroids with their norms and separation
+/// radii (`O(k · cols + k² · cols)`, once per iteration).
+struct Pass<'a, R> {
+    rows: &'a R,
+    xnorms: &'a [f64],
+    centroids: ScanCentroids<'a>,
+    cnorms: Vec<f64>,
+    seps: Vec<f64>,
+    prune: bool,
+}
+
+impl<'a, R: RowStore> Pass<'a, R> {
+    fn new(rows: &'a R, xnorms: &'a [f64], centroids: &'a DenseMatrix, prune: bool) -> Self {
+        let k = centroids.num_rows();
+        Self {
+            rows,
+            xnorms,
+            centroids: ScanCentroids::new(centroids),
+            cnorms: centroids.rows_iter().map(|c| dot(c, c)).collect(),
+            seps: if prune {
+                separations(centroids)
+            } else {
+                vec![0.0; k]
+            },
+            prune,
+        }
+    }
+
+    /// The Hamerly test of a row with bounds `u`, `l`, assigned to `a`:
+    /// whether it must go on to the next stage. The assignment cannot
+    /// change while `u` stays under the second-closest lower bound `l`
+    /// (`<=`: its equality case is the last scan's own tie, already
+    /// broken to the lowest index) or *strictly* under the assigned
+    /// centroid's separation radius (`<`: equality there is an exact
+    /// midpoint tie that a rescan may break to a lower-indexed
+    /// centroid). Counts a skip into `stats`, and separately a skip the
+    /// separation radius alone carried.
+    #[inline]
+    fn fails_bounds(&self, u: f64, l: f64, a: usize, stats: &mut KernelStats) -> bool {
+        let s = self.seps[a];
+        let skip = u <= l || u < s;
+        stats.bound_skips += u64::from(skip);
+        stats.sep_test_hits += u64::from(u > l && u < s);
+        !skip
+    }
+}
+
+/// Keeps, in order, those of the first `n` row offsets in `open` for
+/// which `fails` holds and returns how many: a store and an add per
+/// row, no branch.
+fn compact(open: &mut [usize], n: usize, mut fails: impl FnMut(usize) -> bool) -> usize {
+    let mut kept = 0;
+    for p in 0..n {
+        let i = open[p];
+        open[kept] = i;
+        kept += usize::from(fails(i));
+    }
+    kept
+}
+
+/// Every fixed chunk's member sums and counts per centroid, kept across
+/// iterations. A `(chunk, centroid)` pair's sums are a fold from `+0.0`
+/// over its members in row order — a function of the pair's membership
+/// alone — so a pair whose membership did not change keeps its bits,
+/// and only the pairs an assign pass (or an empty-cluster repair) moved
+/// a row into or out of are summed again. A centroid's total is the
+/// fold of its pairs in chunk order from `+0.0`, redone only for a
+/// centroid with a re-summed pair: the same reduction tree, and the
+/// same bits, as summing every chunk afresh each iteration.
+struct Partials {
+    dim: usize,
+    chunks: Vec<ChunkSums>,
+    /// `[centroid][column]`: what the centroid update reads, and what an
+    /// empty-cluster repair edits in place (the pairs it moved are
+    /// marked dirty, so the edited totals are folded again).
+    totals: Vec<f64>,
+    /// `[centroid]`.
+    total_counts: Vec<usize>,
+    /// Pairs summed so far.
+    refreshed: u64,
+}
+
+/// One chunk's pairs of [`Partials`], indexed by centroid.
+struct ChunkSums {
+    /// `[centroid][column]`.
+    sums: Vec<f64>,
+    counts: Vec<usize>,
+    /// The pair's membership changed since it was last summed.
+    dirty: Vec<bool>,
+}
+
+impl Partials {
+    /// Every pair starts dirty: the first pass sums them all.
+    fn new(chunks: usize, k: usize, dim: usize) -> Self {
+        let chunk = || ChunkSums {
+            sums: vec![0.0; k * dim],
+            counts: vec![0; k],
+            dirty: vec![true; k],
+        };
+        Self {
+            dim,
+            chunks: (0..chunks).map(|_| chunk()).collect(),
+            totals: vec![0.0; k * dim],
+            total_counts: vec![0; k],
+            refreshed: 0,
+        }
+    }
+
+    /// Row `r` moved from centroid `from` to `to` outside an assign pass
+    /// (empty-cluster repair).
+    fn moved(&mut self, r: usize, from: usize, to: usize) {
+        let chunk = &mut self.chunks[r / CHUNK_ROWS];
+        chunk.dirty[from] = true;
+        chunk.dirty[to] = true;
+    }
+
+    /// Folds the totals of every centroid with a dirty pair, in chunk
+    /// order, and clears the flags.
+    fn fold(&mut self) {
+        let dim = self.dim;
+        for (c, count) in self.total_counts.iter_mut().enumerate() {
+            if !self.chunks.iter().any(|chunk| chunk.dirty[c]) {
+                continue;
+            }
+            let total = &mut self.totals[c * dim..(c + 1) * dim];
+            total.fill(0.0);
+            *count = 0;
+            for chunk in &mut self.chunks {
+                for (t, p) in total.iter_mut().zip(&chunk.sums[c * dim..(c + 1) * dim]) {
+                    *t += p;
+                }
+                *count += chunk.counts[c];
+                chunk.dirty[c] = false;
+            }
+        }
+    }
+}
+
+impl ChunkSums {
+    /// Sums the dirty pairs again from the chunk's rows (`start..` with
+    /// `assign`), in row order from `+0.0`; returns how many pairs.
+    fn refresh<R: RowStore>(&mut self, rows: &R, start: usize, assign: &[usize]) -> u64 {
+        let dim = self.sums.len() / self.counts.len();
+        let mut refreshed = 0;
+        for (c, _) in self.dirty.iter().enumerate().filter(|(_, &d)| d) {
+            self.sums[c * dim..(c + 1) * dim].fill(0.0);
+            self.counts[c] = 0;
+            refreshed += 1;
+        }
+        if refreshed > 0 {
+            for (i, &a) in assign.iter().enumerate() {
+                if self.dirty[a] {
+                    self.counts[a] += 1;
+                    rows.row(start + i)
+                        .add_to(&mut self.sums[a * dim..(a + 1) * dim]);
+                }
+            }
+        }
+        refreshed
+    }
+}
+
 /// Mutable per-chunk view of the assignment and bound state.
 struct AssignChunk<'a> {
     start: usize,
     assign: &'a mut [usize],
     upper: &'a mut [f64],
     lower: &'a mut [f64],
+    /// The chunk's partial sums; `None` on the settle pass, which
+    /// updates no centroid.
+    partial: Option<&'a mut ChunkSums>,
 }
 
-/// Per-chunk partial results of one assign pass.
-struct AssignPartial {
-    sums: Vec<f64>,
-    counts: Vec<usize>,
-    distance_evals: u64,
-    bound_skips: u64,
-    sep_test_hits: u64,
-    rows_scanned: u64,
+/// One chunk of an assign pass, in three stages over a shrinking list
+/// of row offsets (compacted without a branch): the bound test from the
+/// bounds alone; for the rows it failed, one exact distance to the
+/// assigned centroid and a retest; for the rows that still fail, the
+/// full k-way scan. Then the pairs the scan moved rows between are
+/// summed again. Returns the chunk's counters and re-summed pairs.
+fn assign_chunk<R: RowStore>(pass: &Pass<'_, R>, chunk: AssignChunk<'_>) -> (KernelStats, u64) {
+    let AssignChunk {
+        start,
+        assign,
+        upper,
+        lower,
+        mut partial,
+    } = chunk;
+    let mut stats = KernelStats::default();
+    let mut open: [usize; CHUNK_ROWS] = std::array::from_fn(|i| i);
+    let mut n = assign.len();
+    if pass.prune {
+        n = compact(&mut open, n, |i| {
+            pass.fails_bounds(upper[i], lower[i], assign[i], &mut stats)
+        });
+        // Tighten the upper bound with one exact distance to the
+        // assigned centroid, then retest.
+        stats.distance_evals += n as u64;
+        n = compact(&mut open, n, |i| {
+            let (r, a) = (start + i, assign[i]);
+            let dot = pass.rows.row(r).dot8(pass.centroids.rows().row(a));
+            upper[i] = (pass.xnorms[r] - 2.0 * dot + pass.cnorms[a])
+                .max(0.0)
+                .sqrt();
+            pass.fails_bounds(upper[i], lower[i], a, &mut stats)
+        });
+    }
+    let k = pass.cnorms.len();
+    for &i in &open[..n] {
+        let r = start + i;
+        let xnorm = pass.xnorms[r];
+        // Best and second-best by selects, not branches (ties resolve
+        // to the lowest centroid index).
+        let (mut best, mut best_d2, mut second_d2) = (0usize, f64::INFINITY, f64::INFINITY);
+        pass.rows.row(r).for_each_dot(&pass.centroids, |c, dot| {
+            let d2 = xnorm - 2.0 * dot + pass.cnorms[c];
+            let better = c == 0 || d2 < best_d2;
+            second_d2 = if better {
+                best_d2
+            } else if d2 < second_d2 {
+                d2
+            } else {
+                second_d2
+            };
+            best_d2 = if better { d2 } else { best_d2 };
+            best = if better { c } else { best };
+        });
+        if let Some(partial) = partial.as_mut() {
+            let moved = assign[i] != best;
+            partial.dirty[assign[i]] |= moved;
+            partial.dirty[best] |= moved;
+        }
+        assign[i] = best;
+        upper[i] = best_d2.max(0.0).sqrt();
+        lower[i] = second_d2.max(0.0).sqrt();
+    }
+    stats.distance_evals += (n * k) as u64;
+    stats.rows_scanned += n as u64;
+    let refreshed = partial.map_or(0, |p| p.refresh(pass.rows, start, assign));
+    (stats, refreshed)
 }
 
-/// One assignment pass over all rows, optionally fused with the
-/// centroid accumulation (per-chunk partial sums reduced in chunk
-/// order). Returns `(sums, counts)` — empty when `accumulate` is off.
-#[allow(clippy::too_many_arguments)]
+/// One assign pass over all rows, chunk by chunk on `threads` workers.
+/// With `partials`, the pass also brings the per-chunk partial sums and
+/// the per-centroid totals up to date with the new assignments.
 fn assign_step<R: RowStore>(
-    rows: &R,
-    xnorms: &[f64],
-    centroids: &DenseMatrix,
-    cnorms: &[f64],
-    seps: &[f64],
+    pass: &Pass<'_, R>,
     assignments: &mut [usize],
     upper: &mut [f64],
     lower: &mut [f64],
-    opts: &KernelOpts,
+    mut partials: Option<&mut Partials>,
     threads: usize,
-    accumulate: bool,
     stats: &mut KernelStats,
-) -> (Vec<f64>, Vec<usize>) {
-    let k = centroids.num_rows();
-    let dim = centroids.num_cols();
-
-    let mut tasks = Vec::with_capacity(assignments.len().div_ceil(CHUNK_ROWS));
-    let mut start = 0;
-    let mut a_it = assignments.chunks_mut(CHUNK_ROWS);
-    let mut u_it = upper.chunks_mut(CHUNK_ROWS);
-    let mut l_it = lower.chunks_mut(CHUNK_ROWS);
-    while let (Some(assign), Some(up), Some(lo)) = (a_it.next(), u_it.next(), l_it.next()) {
-        let len = assign.len();
-        tasks.push(AssignChunk {
-            start,
-            assign,
-            upper: up,
-            lower: lo,
-        });
-        start += len;
-    }
-
+) {
+    let tasks: Vec<AssignChunk> = {
+        let mut cache = partials.as_deref_mut().map(|p| p.chunks.iter_mut());
+        assignments
+            .chunks_mut(CHUNK_ROWS)
+            .zip(upper.chunks_mut(CHUNK_ROWS))
+            .zip(lower.chunks_mut(CHUNK_ROWS))
+            .enumerate()
+            .map(|(c, ((assign, upper), lower))| AssignChunk {
+                start: c * CHUNK_ROWS,
+                assign,
+                upper,
+                lower,
+                partial: cache.as_mut().and_then(Iterator::next),
+            })
+            .collect()
+    };
     stats.chunks += tasks.len() as u64;
-    let prune = opts.prune;
-    let partials = run_chunks(threads, tasks, |chunk: AssignChunk| {
-        let mut partial = AssignPartial {
-            sums: vec![0.0; if accumulate { k * dim } else { 0 }],
-            counts: vec![0usize; if accumulate { k } else { 0 }],
-            distance_evals: 0,
-            bound_skips: 0,
-            sep_test_hits: 0,
-            rows_scanned: 0,
-        };
-        for i in 0..chunk.assign.len() {
-            let r = chunk.start + i;
-            let row = rows.row(r);
-            // Hamerly test: the assignment cannot change while the
-            // upper bound stays under the second-closest lower bound
-            // (`<=`: its equality case is the last scan's own tie,
-            // already broken to the lowest index) or *strictly* under
-            // the assigned centroid's separation radius (`<`: equality
-            // there is an exact midpoint tie that a rescan may break to
-            // a lower-indexed centroid).
-            let low = chunk.lower[i];
-            let passes = move |u: f64, a: usize| u <= low || (prune && u < seps[a]);
-            // Pure accounting: a skip where the lower-bound disjunct
-            // failed was carried by the separation radius alone.
-            let sep_carried = move |u: f64, a: usize| u > low && u < seps[a];
-            let skip = prune && passes(chunk.upper[i], chunk.assign[i]);
-            if skip {
-                partial.bound_skips += 1;
-                if sep_carried(chunk.upper[i], chunk.assign[i]) {
-                    partial.sep_test_hits += 1;
-                }
-            } else {
-                let mut scan = true;
-                if prune {
-                    // Tighten the upper bound with one exact distance
-                    // to the assigned centroid, then retest.
-                    let a = chunk.assign[i];
-                    let d = (xnorms[r] - 2.0 * row.dot8(centroids.row(a)) + cnorms[a])
-                        .max(0.0)
-                        .sqrt();
-                    partial.distance_evals += 1;
-                    chunk.upper[i] = d;
-                    if passes(d, a) {
-                        partial.bound_skips += 1;
-                        if sep_carried(d, a) {
-                            partial.sep_test_hits += 1;
-                        }
-                        scan = false;
-                    }
-                }
-                if scan {
-                    // Full k-way scan tracking best and second-best
-                    // (ties resolve to the lowest centroid index).
-                    let mut best = 0usize;
-                    let mut best_d2 = f64::INFINITY;
-                    let mut second_d2 = f64::INFINITY;
-                    let xnorm = xnorms[r];
-                    row.for_each_dot(centroids, |c, dot| {
-                        let d2 = xnorm - 2.0 * dot + cnorms[c];
-                        if c == 0 || d2 < best_d2 {
-                            second_d2 = best_d2;
-                            best_d2 = d2;
-                            best = c;
-                        } else if d2 < second_d2 {
-                            second_d2 = d2;
-                        }
-                    });
-                    partial.distance_evals += k as u64;
-                    partial.rows_scanned += 1;
-                    chunk.assign[i] = best;
-                    chunk.upper[i] = best_d2.max(0.0).sqrt();
-                    chunk.lower[i] = second_d2.max(0.0).sqrt();
-                }
-            }
-            if accumulate {
-                let a = chunk.assign[i];
-                partial.counts[a] += 1;
-                row.add_to(&mut partial.sums[a * dim..(a + 1) * dim]);
-            }
-        }
-        partial
-    });
-
-    // Deterministic reduction: strictly in chunk order.
-    let mut sums = vec![0.0; if accumulate { k * dim } else { 0 }];
-    let mut counts = vec![0usize; if accumulate { k } else { 0 }];
-    for partial in partials {
-        stats.distance_evals += partial.distance_evals;
-        stats.bound_skips += partial.bound_skips;
-        stats.sep_test_hits += partial.sep_test_hits;
-        stats.rows_scanned += partial.rows_scanned;
-        if accumulate {
-            for (s, p) in sums.iter_mut().zip(&partial.sums) {
-                *s += p;
-            }
-            for (c, p) in counts.iter_mut().zip(&partial.counts) {
-                *c += p;
-            }
-        }
+    let mut refreshed = 0;
+    for (chunk_stats, pairs) in run_chunks(threads, tasks, |chunk| assign_chunk(pass, chunk)) {
+        stats.merge(&chunk_stats);
+        refreshed += pairs;
     }
-    (sums, counts)
+    if let Some(partials) = partials {
+        partials.refreshed += refreshed;
+        partials.fold();
+    }
 }
 
-/// Chunk-ordered serial accumulation of member sums and counts — the
-/// same reduction tree the parallel assign pass uses, so
+/// Chunk-ordered serial accumulation of member sums and counts, summed
+/// afresh — the reduction tree the kernel's kept partial sums fold, so
 /// [`lloyd::run_reference`](super::lloyd::run_reference), which
 /// accumulates outside the kernel, produces bit-identical centroids.
 pub(crate) fn accumulate<R: RowStore>(
@@ -361,8 +499,9 @@ pub(crate) struct UpdateOutcome {
     pub movement: f64,
     /// Per-centroid movement distance `‖Δc‖` (bound inflation).
     pub deltas: Vec<f64>,
-    /// Rows reassigned by empty-cluster repair (their bounds are stale).
-    pub repaired: Vec<usize>,
+    /// Rows reassigned by empty-cluster repair, each with the cluster
+    /// it left (their bounds and partial sums are stale).
+    pub repaired: Vec<(usize, usize)>,
 }
 
 /// Finalizes a centroid update from accumulated member sums: repairs
@@ -405,7 +544,7 @@ pub(crate) fn finalize_update(
                     sums[empty * dim + d] += row[d];
                 }
                 assignments[i] = empty;
-                repaired.push(i);
+                repaired.push((i, old));
                 break;
             }
         }
@@ -511,20 +650,33 @@ pub(crate) fn sse_pass(
 /// final centroids before the SSE pass.
 pub(crate) fn run<R: RowStore>(
     rows: &R,
-    mut centroids: DenseMatrix,
+    centroids: DenseMatrix,
     max_iters: usize,
     tol: f64,
     opts: KernelOpts,
 ) -> (KMeansResult, KernelStats) {
+    let (result, stats, _) = run_counted(rows, centroids, max_iters, tol, opts);
+    (result, stats)
+}
+
+/// [`run`] plus the number of `(chunk, centroid)` pairs it summed.
+fn run_counted<R: RowStore>(
+    rows: &R,
+    mut centroids: DenseMatrix,
+    max_iters: usize,
+    tol: f64,
+    opts: KernelOpts,
+) -> (KMeansResult, KernelStats, u64) {
     let matrix = rows.dense();
     let n = matrix.num_rows();
-    let k = centroids.num_rows();
+    let (k, dim) = (centroids.num_rows(), centroids.num_cols());
     let threads = effective_threads(opts.threads, n);
     let xnorms = matrix.row_norms_sq();
 
     let mut assignments = vec![0usize; n];
     let mut upper = vec![f64::INFINITY; n];
     let mut lower = vec![f64::NEG_INFINITY; n];
+    let mut partials = Partials::new(n.div_ceil(CHUNK_ROWS), k, dim);
     let mut stats = KernelStats::default();
     let mut iterations = 0;
     let mut converged = false;
@@ -535,38 +687,26 @@ pub(crate) fn run<R: RowStore>(
         if let Some(outcome) = pending.take() {
             propagate_bounds(&outcome, &assignments, &mut upper, &mut lower);
         }
-        let cnorms: Vec<f64> = (0..k)
-            .map(|c| dot(centroids.row(c), centroids.row(c)))
-            .collect();
-        let seps = if opts.prune {
-            separations(&centroids)
-        } else {
-            vec![0.0; k]
-        };
-        let (mut sums, mut counts) = assign_step(
-            rows,
-            xnorms,
-            &centroids,
-            &cnorms,
-            &seps,
+        assign_step(
+            &Pass::new(rows, xnorms, &centroids, opts.prune),
             &mut assignments,
             &mut upper,
             &mut lower,
-            &opts,
+            Some(&mut partials),
             threads,
-            true,
             &mut stats,
         );
         let outcome = finalize_update(
             matrix,
             &mut assignments,
             &mut centroids,
-            &mut sums,
-            &mut counts,
+            &mut partials.totals,
+            &mut partials.total_counts,
         );
-        for &r in &outcome.repaired {
+        for &(r, from) in &outcome.repaired {
             upper[r] = f64::INFINITY;
             lower[r] = f64::NEG_INFINITY;
+            partials.moved(r, from, assignments[r]);
         }
         iterations += 1;
         let movement = outcome.movement;
@@ -585,26 +725,13 @@ pub(crate) fn run<R: RowStore>(
         if let Some(outcome) = pending.take() {
             propagate_bounds(&outcome, &assignments, &mut upper, &mut lower);
         }
-        let cnorms: Vec<f64> = (0..k)
-            .map(|c| dot(centroids.row(c), centroids.row(c)))
-            .collect();
-        let seps = if opts.prune {
-            separations(&centroids)
-        } else {
-            vec![0.0; k]
-        };
         assign_step(
-            rows,
-            xnorms,
-            &centroids,
-            &cnorms,
-            &seps,
+            &Pass::new(rows, xnorms, &centroids, opts.prune),
             &mut assignments,
             &mut upper,
             &mut lower,
-            &opts,
+            None,
             threads,
-            false,
             &mut stats,
         );
     }
@@ -619,6 +746,7 @@ pub(crate) fn run<R: RowStore>(
             converged,
         },
         stats,
+        partials.refreshed,
     )
 }
 
@@ -694,6 +822,193 @@ mod tests {
         let mut reference = vec![0usize; m.num_rows()];
         crate::kmeans::lloyd::assign(&m, &start, &mut reference);
         assert_eq!(result.assignments, reference);
+    }
+
+    /// The kernel's Lloyd loop with nothing kept between iterations:
+    /// the same assign passes (bounds, prune mode, one thread), but every
+    /// centroid update sums every chunk afresh ([`accumulate`]).
+    fn from_scratch<R: RowStore>(
+        rows: &R,
+        mut centroids: DenseMatrix,
+        max_iters: usize,
+        tol: f64,
+        prune: bool,
+    ) -> KMeansResult {
+        let matrix = rows.dense();
+        let n = matrix.num_rows();
+        let xnorms = matrix.row_norms_sq();
+        let (mut assignments, mut upper, mut lower) = (
+            vec![0; n],
+            vec![f64::INFINITY; n],
+            vec![f64::NEG_INFINITY; n],
+        );
+        let mut pending: Option<UpdateOutcome> = None;
+        let assign = |centroids: &DenseMatrix,
+                      assignments: &mut [usize],
+                      upper: &mut [f64],
+                      lower: &mut [f64],
+                      pending: Option<UpdateOutcome>| {
+            if let Some(outcome) = pending {
+                propagate_bounds(&outcome, assignments, upper, lower);
+            }
+            let pass = Pass::new(rows, xnorms, centroids, prune);
+            let mut stats = KernelStats::default();
+            assign_step(&pass, assignments, upper, lower, None, 1, &mut stats);
+        };
+        let (mut iterations, mut converged, mut zero_movement) = (0, false, false);
+        while iterations < max_iters {
+            assign(
+                &centroids,
+                &mut assignments,
+                &mut upper,
+                &mut lower,
+                pending.take(),
+            );
+            let (mut sums, mut counts) = accumulate(rows, &assignments, centroids.num_rows());
+            let outcome = finalize_update(
+                matrix,
+                &mut assignments,
+                &mut centroids,
+                &mut sums,
+                &mut counts,
+            );
+            for &(r, _) in &outcome.repaired {
+                upper[r] = f64::INFINITY;
+                lower[r] = f64::NEG_INFINITY;
+            }
+            iterations += 1;
+            let movement = outcome.movement;
+            pending = Some(outcome);
+            if movement <= tol {
+                converged = true;
+                zero_movement = movement == 0.0;
+                break;
+            }
+        }
+        if !(converged && zero_movement) {
+            assign(
+                &centroids,
+                &mut assignments,
+                &mut upper,
+                &mut lower,
+                pending.take(),
+            );
+        }
+        let sse = sse_pass(matrix, &centroids, &assignments, 1);
+        KMeansResult {
+            assignments,
+            centroids,
+            sse,
+            iterations,
+            converged,
+        }
+    }
+
+    /// `n` rows drawn from `distinct` profiles (mostly zeros, so the
+    /// sparse view has something to skip; the rest full mantissas, so a
+    /// changed summation shows in the bits): duplicates everywhere, and
+    /// with K near `distinct` the starts stack centroids on one profile
+    /// and empty clusters need repair.
+    fn profiles(n: usize, dim: usize, distinct: usize, seed: u64) -> DenseMatrix {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pool: Vec<Vec<f64>> = (0..distinct)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| match rng.gen_range(0..3) {
+                        0 => (rng.gen::<f64>() - 0.4) * 10f64.powi(rng.gen_range(-2..3)),
+                        _ => 0.0,
+                    })
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| pool[rng.gen_range(0..distinct)].clone())
+            .collect();
+        DenseMatrix::from_rows(&rows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn kept_partial_sums_equal_a_from_scratch_fit(
+            n in proptest::prop_oneof![1usize..40, 257usize..700],
+            dim in 1usize..20,
+            distinct in 1usize..12,
+            k_pick in 0usize..1000,
+            seed in 0u64..1000,
+            init_idx in 0usize..3,
+            max_iters in proptest::prop_oneof![1usize..4, 100usize..101],
+        ) {
+            let m = profiles(n, dim, distinct, seed);
+            let k = 1 + k_pick % n.min(distinct + 2);
+            let method = [KMeansInit::Forgy, KMeansInit::KMeansPlusPlus, KMeansInit::RandomPartition][init_idx];
+            let start = init::initial_centroids(&m, k, method, seed);
+            let rows = m.sparse_rows();
+            for prune in [true, false] {
+                let expected = from_scratch(&m, start.clone(), max_iters, 1e-6, prune);
+                for threads in [1, 2, 7] {
+                    for (storage, result) in [
+                        ("dense", run(&m, start.clone(), max_iters, 1e-6, opts(threads, prune)).0),
+                        ("sparse", run(&rows, start.clone(), max_iters, 1e-6, opts(threads, prune)).0),
+                    ] {
+                        proptest::prop_assert_eq!(
+                            result.fingerprint(),
+                            expected.fingerprint(),
+                            "{} rows, prune {}, threads {}",
+                            storage,
+                            prune,
+                            threads
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_converging_fit_sums_only_the_pairs_that_moved() {
+        // Six blobs of 200 rows: five chunks, a Forgy start, no empty
+        // cluster. `run_counted(t)` returns the pairs summed by t
+        // iterations and, settled, the assignments of iteration t + 1.
+        let m = gaussian_blobs(6, 200, 3, 46);
+        let (k, chunks) = (6, m.num_rows().div_ceil(CHUNK_ROWS));
+        let start = init::initial_centroids(&m, k, KMeansInit::Forgy, 5);
+        let fit = |t| run_counted(&m, start.clone(), t, 0.0, opts(1, true));
+        let (converged, _, total) = fit(100);
+        assert!(converged.converged && converged.iterations > 3);
+        let moved_pairs = |a: &[usize], b: &[usize]| {
+            let mut moved = vec![false; chunks * k];
+            for (r, (&x, &y)) in a.iter().zip(b).enumerate() {
+                if x != y {
+                    moved[r / CHUNK_ROWS * k + x] = true;
+                    moved[r / CHUNK_ROWS * k + y] = true;
+                }
+            }
+            moved.iter().filter(|&&m| m).count() as u64
+        };
+        assert_eq!(
+            fit(1).2,
+            (chunks * k) as u64,
+            "the first pass sums every pair"
+        );
+        for t in 1..converged.iterations {
+            let (before, _, summed) = fit(t - 1);
+            let (after, _, summed_next) = fit(t);
+            let (_, _, summed_after) = fit(t + 1);
+            assert!(summed_next >= summed);
+            assert_eq!(
+                summed_after - summed_next,
+                moved_pairs(&before.assignments, &after.assignments),
+                "iteration {}",
+                t + 1
+            );
+        }
+        let (_, _, before_last) = fit(converged.iterations - 1);
+        assert_eq!(total, before_last, "the converged pass sums nothing");
+        assert!(total < (converged.iterations * chunks * k) as u64);
     }
 
     #[test]

@@ -56,9 +56,11 @@ pub struct KMeans {
     /// the kernel reduces per-chunk partial sums in a fixed chunk
     /// order — so this is purely a latency knob.
     pub threads: usize,
-    /// Hamerly bound pruning. Exact: pruned runs return the same
-    /// assignments, centroids, SSE, and iteration count as unpruned
-    /// ones, with far fewer distance evaluations.
+    /// Hamerly bound pruning: far fewer distance evaluations, and the
+    /// same assignments, centroids, SSE, and iteration count as an
+    /// unpruned run — except where centroids sit closer together than
+    /// the dot-form distances' rounding error, as when they stack on
+    /// duplicate rows (see the kernel's module docs).
     pub prune: bool,
 }
 

@@ -81,7 +81,7 @@ pub trait KernelRow: Copy {
     /// The assignment scan: calls `visit(c, self · centroids.row(c))`
     /// for every centroid in index order, each product summed in
     /// [`dot8`]'s association.
-    fn for_each_dot(self, centroids: &DenseMatrix, visit: impl FnMut(usize, f64));
+    fn for_each_dot(self, centroids: &ScanCentroids, visit: impl FnMut(usize, f64));
 
     /// `acc[c] += self[c]` for every column.
     fn add_to(self, acc: &mut [f64]);
@@ -94,8 +94,8 @@ impl KernelRow for &[f64] {
     }
 
     #[inline]
-    fn for_each_dot(self, centroids: &DenseMatrix, mut visit: impl FnMut(usize, f64)) {
-        for (c, centroid) in centroids.rows_iter().enumerate() {
+    fn for_each_dot(self, centroids: &ScanCentroids, mut visit: impl FnMut(usize, f64)) {
+        for (c, centroid) in centroids.rows.rows_iter().enumerate() {
             visit(c, dot8(self, centroid));
         }
     }
@@ -110,6 +110,38 @@ impl KernelRow for &[f64] {
 
 /// Centroids scanned together per walk of a sparse row's non-zeros.
 const SCAN_BLOCK: usize = 4;
+
+/// One iteration's centroids in the two layouts the scan reads: the
+/// row-major matrix (the dense scan and the Hamerly tighten distance)
+/// and a transposed copy, `[block][column][SCAN_BLOCK]`, for the sparse
+/// scan — a non-zero's products with a block's centroids are one
+/// contiguous load instead of [`SCAN_BLOCK`] loads a row apart. The
+/// last block is zero-padded; its padding is never visited.
+pub struct ScanCentroids<'a> {
+    rows: &'a DenseMatrix,
+    blocks: Vec<f64>,
+}
+
+impl<'a> ScanCentroids<'a> {
+    /// Lays out `rows` for one assign pass (`O(k · cols)`, once per
+    /// iteration).
+    pub fn new(rows: &'a DenseMatrix) -> Self {
+        let (k, dim) = (rows.num_rows(), rows.num_cols());
+        let mut blocks = vec![0.0; k.div_ceil(SCAN_BLOCK) * SCAN_BLOCK * dim];
+        for (c, centroid) in rows.rows_iter().enumerate() {
+            let block = &mut blocks[c / SCAN_BLOCK * SCAN_BLOCK * dim..];
+            for (d, &v) in centroid.iter().enumerate() {
+                block[d * SCAN_BLOCK + c % SCAN_BLOCK] = v;
+            }
+        }
+        Self { rows, blocks }
+    }
+
+    /// The row-major centroids.
+    pub fn rows(&self) -> &'a DenseMatrix {
+        self.rows
+    }
+}
 
 impl KernelRow for SparseCells<'_> {
     #[inline]
@@ -127,24 +159,22 @@ impl KernelRow for SparseCells<'_> {
     /// the same products meet the same lanes in the same order as in
     /// one [`dot8`](KernelRow::dot8) per centroid.
     #[inline]
-    fn for_each_dot(self, centroids: &DenseMatrix, mut visit: impl FnMut(usize, f64)) {
-        let dim = centroids.num_cols();
-        let mut first = 0;
-        for block in centroids.as_flat().chunks_exact(SCAN_BLOCK * dim.max(1)) {
+    fn for_each_dot(self, centroids: &ScanCentroids, mut visit: impl FnMut(usize, f64)) {
+        let (k, dim) = (centroids.rows.num_rows(), centroids.rows.num_cols());
+        for first in (0..k).step_by(SCAN_BLOCK) {
+            let block = &centroids.blocks[first * dim..][..SCAN_BLOCK * dim];
             let mut lanes = [[0.0f64; SCAN_BLOCK]; 8];
             for (c, v) in self.iter() {
-                let lane = &mut lanes[c % 8];
-                for (j, sum) in lane.iter_mut().enumerate() {
-                    *sum += v * block[j * dim + c];
+                let cells: &[f64; SCAN_BLOCK] = block[c * SCAN_BLOCK..][..SCAN_BLOCK]
+                    .try_into()
+                    .expect("a block column holds SCAN_BLOCK cells");
+                for (sum, cell) in lanes[c % 8].iter_mut().zip(cells) {
+                    *sum += v * cell;
                 }
             }
-            for j in 0..SCAN_BLOCK {
+            for j in 0..SCAN_BLOCK.min(k - first) {
                 visit(first + j, combine(lanes.map(|lane| lane[j])));
             }
-            first += SCAN_BLOCK;
-        }
-        for c in first..centroids.num_rows() {
-            visit(c, self.dot8(centroids.row(c)));
         }
     }
 
@@ -293,8 +323,9 @@ mod tests {
         for r in 0..n {
             let (dense, sparse) = (RowStore::row(m, r), RowStore::row(&view, r));
             let (mut dots_d, mut dots_s) = (Vec::new(), Vec::new());
-            dense.for_each_dot(centroids, |c, dot| dots_d.push((c, dot.to_bits())));
-            sparse.for_each_dot(centroids, |c, dot| dots_s.push((c, dot.to_bits())));
+            let scan = ScanCentroids::new(centroids);
+            dense.for_each_dot(&scan, |c, dot| dots_d.push((c, dot.to_bits())));
+            sparse.for_each_dot(&scan, |c, dot| dots_s.push((c, dot.to_bits())));
             assert_eq!(dots_d, dots_s, "for_each_dot, row {r}");
             assert_eq!(dots_d.len(), centroids.num_rows());
             for (c, &(visited, dot)) in dots_d.iter().enumerate() {
@@ -322,7 +353,7 @@ mod tests {
 
     #[test]
     fn sparse_row_operations_match_dense_bit_for_bit() {
-        // Seven centroids: one full scan block, then three stragglers.
+        // Seven centroids: one full scan block, then a padded one.
         let centroids = DenseMatrix::from_rows(
             &(0..7)
                 .map(|c| (0..19).map(|d| 0.3 * c as f64 - 0.07 * d as f64).collect())

@@ -17,12 +17,13 @@ pub struct KnnClassifier {
 }
 
 impl KnnClassifier {
-    /// Fits (i.e. stores) the training data.
+    /// Fits (i.e. stores) the training data, taking the matrix over
+    /// rather than copying it.
     ///
     /// # Panics
     /// Panics on empty data, shape mismatch, `k == 0`, or labels
     /// ≥ `num_classes`.
-    pub fn fit(matrix: &DenseMatrix, labels: &[usize], num_classes: usize, k: usize) -> Self {
+    pub fn fit(matrix: DenseMatrix, labels: &[usize], num_classes: usize, k: usize) -> Self {
         assert_eq!(matrix.num_rows(), labels.len(), "label count mismatch");
         assert!(!labels.is_empty(), "cannot fit on empty data");
         assert!(k >= 1, "k must be positive");
@@ -31,7 +32,7 @@ impl KnnClassifier {
             "label out of range"
         );
         Self {
-            matrix: matrix.clone(),
+            matrix,
             labels: labels.to_vec(),
             num_classes,
             k: k.min(labels.len()),
@@ -101,7 +102,7 @@ mod tests {
     #[test]
     fn classifies_separated_blobs() {
         let (m, labels) = blobs();
-        let knn = KnnClassifier::fit(&m, &labels, 3, 5);
+        let knn = KnnClassifier::fit(m.clone(), &labels, 3, 5);
         assert_eq!(knn.predict(&m), labels);
         assert_eq!(knn.predict_row(&[9.9, 10.1]), 1);
     }
@@ -109,7 +110,7 @@ mod tests {
     #[test]
     fn k_one_memorizes_training_data() {
         let (m, labels) = blobs();
-        let knn = KnnClassifier::fit(&m, &labels, 3, 1);
+        let knn = KnnClassifier::fit(m.clone(), &labels, 3, 1);
         assert_eq!(knn.predict(&m), labels);
     }
 
@@ -117,14 +118,14 @@ mod tests {
     fn majority_vote_with_ties_prefers_lower_class() {
         // Two classes at equal distance; k = 2 -> tie -> class 0.
         let m = DenseMatrix::from_rows(&[vec![-1.0], vec![1.0]]);
-        let knn = KnnClassifier::fit(&m, &[1, 0], 2, 2);
+        let knn = KnnClassifier::fit(m, &[1, 0], 2, 2);
         assert_eq!(knn.predict_row(&[0.0]), 0);
     }
 
     #[test]
     fn k_larger_than_dataset_is_clamped() {
         let m = DenseMatrix::from_rows(&[vec![0.0], vec![1.0]]);
-        let knn = KnnClassifier::fit(&m, &[0, 1], 2, 99);
+        let knn = KnnClassifier::fit(m, &[0, 1], 2, 99);
         let _ = knn.predict_row(&[0.4]); // must not panic
     }
 
@@ -132,6 +133,6 @@ mod tests {
     #[should_panic(expected = "label out of range")]
     fn rejects_bad_labels() {
         let m = DenseMatrix::from_rows(&[vec![0.0]]);
-        let _ = KnnClassifier::fit(&m, &[3], 2, 1);
+        let _ = KnnClassifier::fit(m, &[3], 2, 1);
     }
 }

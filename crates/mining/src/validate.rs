@@ -53,7 +53,8 @@ pub fn stratified_folds(labels: &[usize], num_folds: usize, seed: u64) -> Vec<Ve
 /// per-fold confusion matrices.
 ///
 /// `train_and_predict(train_x, train_y, test_x)` must return one
-/// predicted label per test row.
+/// predicted label per test row. It owns the fold's training rows, so a
+/// classifier that stores them (k-NN) takes them over without a copy.
 ///
 /// # Panics
 /// Panics when the classifier returns the wrong number of predictions,
@@ -67,7 +68,7 @@ pub fn cross_validate<F>(
     mut train_and_predict: F,
 ) -> ConfusionMatrix
 where
-    F: FnMut(&DenseMatrix, &[usize], &DenseMatrix) -> Vec<usize>,
+    F: FnMut(DenseMatrix, &[usize], &DenseMatrix) -> Vec<usize>,
 {
     assert_eq!(matrix.num_rows(), labels.len(), "label count mismatch");
     let folds = stratified_folds(labels, num_folds, seed);
@@ -90,7 +91,7 @@ where
         let train_x = matrix.select_rows(&train_idx);
         let train_y: Vec<usize> = train_idx.iter().map(|&i| labels[i]).collect();
         let test_x = matrix.select_rows(fold);
-        let predictions = train_and_predict(&train_x, &train_y, &test_x);
+        let predictions = train_and_predict(train_x, &train_y, &test_x);
         assert_eq!(
             predictions.len(),
             fold.len(),
@@ -234,7 +235,7 @@ mod tests {
         let index = ColumnIndex::build(&m);
         for folds in [1, 4, 10] {
             let generic = cross_validate(&m, &labels, 3, folds, 6, |tx, ty, sx| {
-                DecisionTree::fit(tx, ty, 3, &config).predict(sx)
+                DecisionTree::fit(&tx, ty, 3, &config).predict(sx)
             });
             let (indexed, stats) =
                 cross_validate_tree_indexed(&index, &labels, 3, &config, folds, 6);

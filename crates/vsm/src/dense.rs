@@ -50,6 +50,9 @@ struct NonZeros {
     /// The same cells column-major (CSC), built on first use — only
     /// k-means++ seeding sweeps columns.
     by_col: OnceLock<Compressed>,
+    /// `by_row`'s values divided by their row's norm, built on first
+    /// use — what every similarity score of the matrix sums.
+    unit: OnceLock<Vec<f64>>,
 }
 
 /// One compressed axis: slot `s` owns `starts[s]..starts[s + 1]` of
@@ -166,6 +169,33 @@ impl<'a> SparseRows<'a> {
             .by_col
             .get_or_init(|| Compressed::columns_of(&self.nonzeros.by_row, self.matrix.cols))
             .slot(c)
+    }
+
+    /// The non-zero cells of row `r` divided by the row's L2 norm (a
+    /// left fold of `v · v` over the row's cells, then `sqrt`); `+0.0`
+    /// cells for a row whose norm is not positive. Computed for every
+    /// row on the first call and cached with the view, so the cosine
+    /// scores of many partitions of one matrix divide once.
+    ///
+    /// # Panics
+    /// Panics when `r` is out of range.
+    #[inline]
+    pub fn unit_row(&self, r: usize) -> SparseCells<'a> {
+        let by_row = &self.nonzeros.by_row;
+        let unit = self.nonzeros.unit.get_or_init(|| {
+            let mut unit = Vec::with_capacity(by_row.vals.len());
+            for r in 0..self.matrix.rows {
+                let vals = by_row.slot(r).vals;
+                let norm = vals.iter().fold(0.0, |sum, v| sum + v * v).sqrt();
+                unit.extend(vals.iter().map(|v| if norm > 0.0 { v / norm } else { 0.0 }));
+            }
+            unit
+        });
+        let span = by_row.starts[r]..by_row.starts[r + 1];
+        SparseCells {
+            ids: &by_row.ids[span.clone()],
+            vals: &unit[span],
+        }
     }
 
     /// Total number of non-zero cells.
@@ -432,6 +462,7 @@ impl DenseMatrix {
             nonzeros: self.nonzeros.get_or_init(|| NonZeros {
                 by_row: Compressed::rows_of(self),
                 by_col: OnceLock::new(),
+                unit: OnceLock::new(),
             }),
         }
     }
@@ -681,6 +712,28 @@ mod tests {
         }
         m.set(2, 4, 9.0); // a grown cell shows up too
         assert_eq!(view_pairs(&m), rebuilt(&m));
+    }
+
+    #[test]
+    fn unit_rows_divide_by_the_row_norm_and_follow_mutation() {
+        // Row 2's norm underflows to zero: its cell is kept, as `+0.0`.
+        let mut m = DenseMatrix::from_rows(&[
+            vec![3.0, 0.0, -4.0],
+            vec![0.0, 0.0, 0.0],
+            vec![1e-200, 0.0, 0.0],
+        ]);
+        let units = |m: &DenseMatrix| -> Vec<Vec<(usize, f64)>> {
+            let view = m.sparse_rows();
+            (0..m.num_rows())
+                .map(|r| view.unit_row(r).iter().collect())
+                .collect()
+        };
+        assert_eq!(
+            units(&m),
+            vec![vec![(0, 0.6), (2, -0.8)], vec![], vec![(0, 0.0)]]
+        );
+        m.row_mut(1)[1] = 2.0;
+        assert_eq!(units(&m)[1], vec![(1, 1.0)]);
     }
 
     #[test]

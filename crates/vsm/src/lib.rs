@@ -22,4 +22,4 @@ pub mod dense;
 pub mod vsm;
 
 pub use dense::{DenseMatrix, SparseCells, SparseRows};
-pub use vsm::{PatientVectors, VsmBuilder, Weighting};
+pub use vsm::{inverse_document_frequencies, PatientVectors, VsmBuilder, Weighting};

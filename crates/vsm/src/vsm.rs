@@ -41,6 +41,59 @@ impl Weighting {
         Weighting::LogCount,
         Weighting::TfIdf,
     ];
+
+    /// Re-weights a raw count matrix in place, cell by cell. TF-IDF
+    /// multiplies column `c` by `idf[c]` (see
+    /// [`inverse_document_frequencies`]), which may come from more rows
+    /// than `counts` holds — a sample re-weighted against its whole
+    /// cohort; the other weightings ignore `idf`.
+    ///
+    /// # Panics
+    /// Panics for TF-IDF when `idf` does not have one entry per column.
+    pub fn apply(self, counts: &mut DenseMatrix, idf: &[f64]) {
+        match self {
+            Weighting::Count => {}
+            Weighting::Binary => {
+                for p in 0..counts.num_rows() {
+                    for v in counts.row_mut(p) {
+                        *v = if *v > 0.0 { 1.0 } else { 0.0 };
+                    }
+                }
+            }
+            Weighting::LogCount => {
+                for p in 0..counts.num_rows() {
+                    for v in counts.row_mut(p) {
+                        *v = (1.0 + *v).ln();
+                    }
+                }
+            }
+            Weighting::TfIdf => {
+                assert_eq!(idf.len(), counts.num_cols(), "one idf per column");
+                for p in 0..counts.num_rows() {
+                    for (v, w) in counts.row_mut(p).iter_mut().zip(idf) {
+                        *v *= w;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// TF-IDF's column weights from a raw count matrix of `n` patients:
+/// `ln(n / (1 + patients_with_exam))`, floored at zero.
+pub fn inverse_document_frequencies(counts: &DenseMatrix) -> Vec<f64> {
+    let n = counts.num_rows();
+    let mut df = vec![0usize; counts.num_cols()];
+    for row in counts.rows_iter() {
+        for (d, v) in df.iter_mut().zip(row) {
+            if *v > 0.0 {
+                *d += 1;
+            }
+        }
+    }
+    df.iter()
+        .map(|&d| (n as f64 / (1.0 + d as f64)).ln().max(0.0))
+        .collect()
 }
 
 impl std::fmt::Display for Weighting {
@@ -161,45 +214,11 @@ impl VsmBuilder {
             }
         }
 
-        match self.weighting {
-            Weighting::Count => {}
-            Weighting::Binary => {
-                for p in 0..n {
-                    for v in matrix.row_mut(p) {
-                        *v = if *v > 0.0 { 1.0 } else { 0.0 };
-                    }
-                }
-            }
-            Weighting::LogCount => {
-                for p in 0..n {
-                    for v in matrix.row_mut(p) {
-                        *v = (1.0 + *v).ln();
-                    }
-                }
-            }
-            Weighting::TfIdf => {
-                // Document frequency per column.
-                let cols = features.len();
-                let mut df = vec![0usize; cols];
-                for p in 0..n {
-                    for (c, v) in matrix.row(p).iter().enumerate() {
-                        if *v > 0.0 {
-                            df[c] += 1;
-                        }
-                    }
-                }
-                let idf: Vec<f64> = df
-                    .iter()
-                    .map(|&d| (n as f64 / (1.0 + d as f64)).ln().max(0.0))
-                    .collect();
-                for p in 0..n {
-                    let row = matrix.row_mut(p);
-                    for (c, v) in row.iter_mut().enumerate() {
-                        *v *= idf[c];
-                    }
-                }
-            }
-        }
+        let idf = match self.weighting {
+            Weighting::TfIdf => inverse_document_frequencies(&matrix),
+            _ => Vec::new(),
+        };
+        self.weighting.apply(&mut matrix, &idf);
 
         if self.normalize {
             matrix.normalize_rows();
