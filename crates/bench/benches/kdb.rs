@@ -4,12 +4,16 @@
 //! embedded substitute must sustain the pipeline's access pattern —
 //! bursts of knowledge-item inserts, filtered reads during ranking, and
 //! journal replay on reopen. This bench tracks all three plus the
-//! index-vs-scan ablation.
+//! index-vs-scan ablation, and the read a client pays most for: a
+//! 500-record `PastSessions` answer, decoded and checksummed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ada_kdb::{Document, Filter, Kdb, Value};
+use ada_kdb::journal::crc32;
+use ada_kdb::{Document, Filter, Kdb, SharedKdb, Value};
+use ada_net::{CohortSpec, Response, WireJobSpec};
+use ada_service::{AnalysisService, ServiceConfig};
 
 fn item(i: usize) -> Document {
     Document::new()
@@ -112,5 +116,36 @@ fn bench_journal(c: &mut Criterion) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-criterion_group!(benches, bench_insert, bench_query, bench_journal);
+/// A 500-record `PastSessions` answer (two quick sessions' terminal
+/// records, cycled), as its payload crosses the wire: the client
+/// checksums it once and decodes it into documents.
+fn bench_listing(c: &mut Criterion) {
+    let service = AnalysisService::new(ServiceConfig::default(), SharedKdb::in_memory());
+    for i in 0..2 {
+        let spec = WireJobSpec::quick(format!("listing-{i}"), CohortSpec::small(i));
+        let id = service.submit(spec.materialize()).unwrap();
+        service.wait(id).unwrap();
+    }
+    let records = service.past_sessions();
+    service.shutdown();
+    let sessions = records.iter().cycle().take(500).cloned().collect();
+    let payload = Response::PastSessions { sessions }.encode(1);
+    println!("kdb-listing: 500 records, {} bytes", payload.len());
+
+    let mut group = c.benchmark_group("kdb-listing");
+    group.sample_size(50);
+    group.bench_function("decode-500", |b| {
+        b.iter(|| black_box(Response::decode(&payload).unwrap()))
+    });
+    group.bench_function("crc32-500", |b| b.iter(|| black_box(crc32(&payload))));
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_insert,
+    bench_query,
+    bench_journal,
+    bench_listing
+);
 criterion_main!(benches);

@@ -146,7 +146,7 @@ impl Value {
     /// on arrays and documents nested deeper than [`MAX_DEPTH`].
     pub fn decode(input: &str) -> Result<Value, KdbError> {
         let mut pos = 0usize;
-        let value = decode_value(input.as_bytes(), &mut pos, 0)?;
+        let value = Input::text(input).value(&mut pos)?;
         if pos != input.len() {
             return Err(KdbError::Decode(pos, "trailing bytes".into()));
         }
@@ -155,14 +155,15 @@ impl Value {
 
     /// Decodes one value starting at byte offset `*pos`, advancing `*pos`
     /// past it. The encoding is self-delimiting, so this supports
-    /// streaming readers (the journal).
+    /// streaming readers. `input` is checked for UTF-8 once per call, so
+    /// hand it one bounded payload (a frame's), not a whole stream.
     ///
     /// # Errors
     /// Returns [`KdbError::Decode`] on malformed input, and on arrays and
     /// documents nested deeper than [`MAX_DEPTH`]; `*pos` is left
     /// wherever the error was detected.
     pub fn decode_prefix(input: &[u8], pos: &mut usize) -> Result<Value, KdbError> {
-        decode_value(input, pos, 0)
+        Input::new(input).value(pos)
     }
 }
 
@@ -192,77 +193,159 @@ fn push_len(out: &mut String, tag: char, len: usize) {
     out.push(':');
 }
 
-/// Reads the `what` before `stop` with `str::parse`, and consumes `stop`.
-fn take_token<T: std::str::FromStr>(
-    bytes: &[u8],
-    pos: &mut usize,
-    stop: u8,
-    what: &str,
-) -> Result<T, KdbError> {
-    let start = *pos;
-    let Some(len) = bytes[start..].iter().position(|&b| b == stop) else {
-        return Err(KdbError::Decode(start, format!("unterminated {what}")));
-    };
-    *pos = start + len + 1;
-    let text = std::str::from_utf8(&bytes[start..start + len])
-        .map_err(|_| KdbError::Decode(start, format!("non-UTF-8 {what}")))?;
-    text.parse()
-        .map_err(|_| KdbError::Decode(start, format!("bad {what} {text:?}")))
+/// Digits a number may have for the one-pass reader: 18 cannot
+/// overflow an `i64` or a 64-bit `usize`. Longer ones go to `str::parse`.
+const FAST_DIGITS: usize = 18;
+
+/// One bounded input to decode. Its UTF-8 is checked once, up front:
+/// when all of it is valid, every string is a borrowed sub-slice of
+/// `text` (a sub-slice of valid UTF-8 is valid exactly when both ends
+/// are char boundaries, which `str::get` checks). When it is not, each
+/// string is checked on its own, so errors keep their offset and text.
+#[derive(Clone, Copy)]
+pub(crate) struct Input<'a> {
+    bytes: &'a [u8],
+    text: Option<&'a str>,
 }
 
-/// Reads a `<len>:<bytes>` string.
-fn take_lstring(bytes: &[u8], pos: &mut usize) -> Result<String, KdbError> {
-    let len: usize = take_token(bytes, pos, b':', "length")?;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| KdbError::Decode(*pos, "string length overruns input".into()))?;
-    let s = std::str::from_utf8(&bytes[*pos..end])
-        .map_err(|_| KdbError::Decode(*pos, "non-UTF-8 string".into()))?
-        .to_owned();
-    *pos = end;
-    Ok(s)
-}
+impl<'a> Input<'a> {
+    /// `bytes`, checked for UTF-8 once.
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            text: std::str::from_utf8(bytes).ok(),
+        }
+    }
 
-/// Decodes the value at `*pos`, `depth` arrays and documents deep.
-fn decode_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, KdbError> {
-    let &tag = bytes
-        .get(*pos)
-        .ok_or_else(|| KdbError::Decode(*pos, "unexpected end of input".into()))?;
-    *pos += 1;
-    match tag {
-        b'A' | b'O' if depth >= MAX_DEPTH => {
-            Err(KdbError::Decode(*pos - 1, "nesting too deep".into()))
+    fn text(text: &'a str) -> Self {
+        Self {
+            bytes: text.as_bytes(),
+            text: Some(text),
         }
-        b'N' => Ok(Value::Null),
-        b'T' => Ok(Value::Bool(true)),
-        b'B' => Ok(Value::Bool(false)),
-        b'I' => take_token(bytes, pos, b';', "integer").map(Value::I64),
-        b'F' => take_token(bytes, pos, b';', "float").map(Value::F64),
-        b'S' => Ok(Value::Str(take_lstring(bytes, pos)?)),
-        b'A' => {
-            let count: usize = take_token(bytes, pos, b':', "length")?;
-            let mut items = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                items.push(decode_value(bytes, pos, depth + 1)?);
+    }
+
+    /// `bytes[start..end]` as text, if it is UTF-8.
+    fn str(self, start: usize, end: usize) -> Option<&'a str> {
+        match self.text {
+            Some(text) => text.get(start..end),
+            None => std::str::from_utf8(&self.bytes[start..end]).ok(),
+        }
+    }
+
+    /// Reads the `what` before `stop` with `str::parse`, and consumes `stop`.
+    fn token<T: std::str::FromStr>(
+        self,
+        pos: &mut usize,
+        stop: u8,
+        what: &str,
+    ) -> Result<T, KdbError> {
+        let start = *pos;
+        let Some(len) = self.bytes[start..].iter().position(|&b| b == stop) else {
+            return Err(KdbError::Decode(start, format!("unterminated {what}")));
+        };
+        *pos = start + len + 1;
+        let text = self
+            .str(start, start + len)
+            .ok_or_else(|| KdbError::Decode(start, format!("non-UTF-8 {what}")))?;
+        text.parse()
+            .map_err(|_| KdbError::Decode(start, format!("bad {what} {text:?}")))
+    }
+
+    /// Reads 1..=[`FAST_DIGITS`] plain digits and `stop` in one pass,
+    /// optionally after a `-`; `None` (nothing consumed) for anything
+    /// else, which [`Input::token`] then reads as it always did.
+    fn digits(self, pos: &mut usize, stop: u8, signed: bool) -> Option<i64> {
+        let negative = signed && self.bytes.get(*pos) == Some(&b'-');
+        let start = *pos + usize::from(negative);
+        let mut n = 0i64;
+        for (i, &b) in self.bytes.get(start..)?.iter().enumerate() {
+            match b {
+                b'0'..=b'9' if i < FAST_DIGITS => n = n * 10 + i64::from(b - b'0'),
+                _ if b == stop && i > 0 => {
+                    *pos = start + i + 1;
+                    return Some(if negative { -n } else { n });
+                }
+                _ => return None,
             }
-            Ok(Value::Array(items))
         }
-        b'O' => {
-            let count: usize = take_token(bytes, pos, b':', "length")?;
-            let mut doc = Document {
-                fields: Vec::with_capacity(count.min(1024)),
-            };
-            for _ in 0..count {
-                let key = take_lstring(bytes, pos)?;
-                doc.set(key, decode_value(bytes, pos, depth + 1)?);
+        None
+    }
+
+    /// Reads a `<len>:` prefix.
+    fn len(self, pos: &mut usize) -> Result<usize, KdbError> {
+        let mut at = *pos;
+        match self.digits(&mut at, b':', false).map(usize::try_from) {
+            Some(Ok(n)) => {
+                *pos = at;
+                Ok(n)
             }
-            Ok(Value::Doc(doc))
+            _ => self.token(pos, b':', "length"),
         }
-        other => Err(KdbError::Decode(
-            *pos - 1,
-            format!("unknown tag {:?}", other as char),
-        )),
+    }
+
+    /// Reads a `<len>:<bytes>` string.
+    fn lstring(self, pos: &mut usize) -> Result<&'a str, KdbError> {
+        let len = self.len(pos)?;
+        let end = pos
+            .checked_add(len)
+            .filter(|&e| e <= self.bytes.len())
+            .ok_or_else(|| KdbError::Decode(*pos, "string length overruns input".into()))?;
+        let s = self
+            .str(*pos, end)
+            .ok_or_else(|| KdbError::Decode(*pos, "non-UTF-8 string".into()))?;
+        *pos = end;
+        Ok(s)
+    }
+
+    /// Decodes the value at `*pos`.
+    pub(crate) fn value(self, pos: &mut usize) -> Result<Value, KdbError> {
+        self.value_at(pos, 0)
+    }
+
+    /// Decodes the value at `*pos`, `depth` arrays and documents deep.
+    fn value_at(self, pos: &mut usize, depth: usize) -> Result<Value, KdbError> {
+        let &tag = self
+            .bytes
+            .get(*pos)
+            .ok_or_else(|| KdbError::Decode(*pos, "unexpected end of input".into()))?;
+        *pos += 1;
+        match tag {
+            b'A' | b'O' if depth >= MAX_DEPTH => {
+                Err(KdbError::Decode(*pos - 1, "nesting too deep".into()))
+            }
+            b'N' => Ok(Value::Null),
+            b'T' => Ok(Value::Bool(true)),
+            b'B' => Ok(Value::Bool(false)),
+            b'I' => match self.digits(pos, b';', true) {
+                Some(n) => Ok(Value::I64(n)),
+                None => self.token(pos, b';', "integer").map(Value::I64),
+            },
+            b'F' => self.token(pos, b';', "float").map(Value::F64),
+            b'S' => Ok(Value::Str(self.lstring(pos)?.to_owned())),
+            b'A' => {
+                let count = self.len(pos)?;
+                let mut items = Vec::with_capacity(count.min(1024));
+                for _ in 0..count {
+                    items.push(self.value_at(pos, depth + 1)?);
+                }
+                Ok(Value::Array(items))
+            }
+            b'O' => {
+                let count = self.len(pos)?;
+                let mut doc = Document {
+                    fields: Vec::with_capacity(count.min(1024)),
+                };
+                for _ in 0..count {
+                    let key = Key::new(self.lstring(pos)?);
+                    doc.set_key(key, self.value_at(pos, depth + 1)?);
+                }
+                Ok(Value::Doc(doc))
+            }
+            other => Err(KdbError::Decode(
+                *pos - 1,
+                format!("unknown tag {:?}", other as char),
+            )),
+        }
     }
 }
 
@@ -287,11 +370,59 @@ impl<T: Into<Value>> From<Vec<T>> for Value {
     }
 }
 
+/// Key bytes a [`Key`] holds in place: with its length byte and tag,
+/// a key is as large as a `String`.
+const INLINE_KEY: usize = 22;
+
+/// A field name. Names of at most [`INLINE_KEY`] bytes — every name the
+/// system writes — live in place, so decoding one allocates nothing;
+/// longer ones go to the heap. Keys compare as bytes, the order of `str`.
+#[derive(Clone)]
+enum Key {
+    Inline(u8, [u8; INLINE_KEY]),
+    Heap(Box<str>),
+}
+
+impl Key {
+    fn new(key: &str) -> Self {
+        let mut bytes = [0u8; INLINE_KEY];
+        match bytes.get_mut(..key.len()) {
+            Some(head) => {
+                head.copy_from_slice(key.as_bytes());
+                Key::Inline(key.len() as u8, bytes)
+            }
+            None => Key::Heap(key.into()),
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Key::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Key::Heap(key) => key.as_bytes(),
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match self {
+            Key::Inline(..) => std::str::from_utf8(self.as_bytes()).expect("a key holds a str"),
+            Key::Heap(key) => key,
+        }
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() == std::mem::size_of::<String>());
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
 /// An ordered string-keyed document.
 #[derive(Clone, PartialEq, Default)]
 pub struct Document {
     /// Sorted by key, each key once.
-    fields: Vec<(String, Value)>,
+    fields: Vec<(Key, Value)>,
 }
 
 impl Document {
@@ -301,23 +432,28 @@ impl Document {
     }
 
     /// Sets a field (builder style).
-    pub fn with(mut self, key: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn with(mut self, key: impl AsRef<str>, value: impl Into<Value>) -> Self {
         self.set(key, value);
         self
     }
 
     /// Where `key` is, or where it would go.
-    fn slot(&self, key: &str) -> Result<usize, usize> {
-        self.fields.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    fn slot(&self, key: &[u8]) -> Result<usize, usize> {
+        self.fields.binary_search_by(|(k, _)| k.as_bytes().cmp(key))
+    }
+
+    /// Sets a field.
+    pub fn set(&mut self, key: impl AsRef<str>, value: impl Into<Value>) {
+        self.set_key(Key::new(key.as_ref()), value.into());
     }
 
     /// Sets a field; a key past the last one (a decode's keys) appends.
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<Value>) {
-        let (key, value) = (key.into(), value.into());
-        if self.fields.last().is_none_or(|(last, _)| *last < key) {
+    fn set_key(&mut self, key: Key, value: Value) {
+        let last = self.fields.last();
+        if last.is_none_or(|(last, _)| last.as_bytes() < key.as_bytes()) {
             return self.fields.push((key, value));
         }
-        match self.slot(&key) {
+        match self.slot(key.as_bytes()) {
             Ok(i) => self.fields[i].1 = value,
             Err(i) => self.fields.insert(i, (key, value)),
         }
@@ -325,7 +461,7 @@ impl Document {
 
     /// The value at `key`, if present.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.slot(key).ok().map(|i| &self.fields[i].1)
+        self.slot(key.as_bytes()).ok().map(|i| &self.fields[i].1)
     }
 
     /// The value at a dotted path, e.g. `"patient.age"` descends into
@@ -345,7 +481,9 @@ impl Document {
 
     /// Removes and returns a field.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.slot(key).ok().map(|i| self.fields.remove(i).1)
+        self.slot(key.as_bytes())
+            .ok()
+            .map(|i| self.fields.remove(i).1)
     }
 
     /// Number of top-level fields.
@@ -368,6 +506,7 @@ impl Document {
     pub fn encode_into(&self, out: &mut String) {
         push_len(out, 'O', self.fields.len());
         for (k, v) in &self.fields {
+            let k = k.as_str();
             push_decimal(out, k.len() as u64);
             out.push(':');
             out.push_str(k);
@@ -609,6 +748,307 @@ mod tests {
             .unwrap()
             .join();
         assert_eq!(decoded.ok(), Some(true));
+    }
+
+    /// The decoder this one replaced, kept as the oracle: every number
+    /// through `str::parse`, every string (keys too) checked for UTF-8
+    /// and copied on its own.
+    mod retired {
+        use super::super::{Document, Value, MAX_DEPTH};
+        use crate::error::KdbError;
+
+        fn take_token<T: std::str::FromStr>(
+            bytes: &[u8],
+            pos: &mut usize,
+            stop: u8,
+            what: &str,
+        ) -> Result<T, KdbError> {
+            let start = *pos;
+            let Some(len) = bytes[start..].iter().position(|&b| b == stop) else {
+                return Err(KdbError::Decode(start, format!("unterminated {what}")));
+            };
+            *pos = start + len + 1;
+            let text = std::str::from_utf8(&bytes[start..start + len])
+                .map_err(|_| KdbError::Decode(start, format!("non-UTF-8 {what}")))?;
+            text.parse()
+                .map_err(|_| KdbError::Decode(start, format!("bad {what} {text:?}")))
+        }
+
+        fn take_lstring(bytes: &[u8], pos: &mut usize) -> Result<String, KdbError> {
+            let len: usize = take_token(bytes, pos, b':', "length")?;
+            let end = pos
+                .checked_add(len)
+                .filter(|&e| e <= bytes.len())
+                .ok_or_else(|| KdbError::Decode(*pos, "string length overruns input".into()))?;
+            let s = std::str::from_utf8(&bytes[*pos..end])
+                .map_err(|_| KdbError::Decode(*pos, "non-UTF-8 string".into()))?
+                .to_owned();
+            *pos = end;
+            Ok(s)
+        }
+
+        pub fn decode_value(
+            bytes: &[u8],
+            pos: &mut usize,
+            depth: usize,
+        ) -> Result<Value, KdbError> {
+            let &tag = bytes
+                .get(*pos)
+                .ok_or_else(|| KdbError::Decode(*pos, "unexpected end of input".into()))?;
+            *pos += 1;
+            match tag {
+                b'A' | b'O' if depth >= MAX_DEPTH => {
+                    Err(KdbError::Decode(*pos - 1, "nesting too deep".into()))
+                }
+                b'N' => Ok(Value::Null),
+                b'T' => Ok(Value::Bool(true)),
+                b'B' => Ok(Value::Bool(false)),
+                b'I' => take_token(bytes, pos, b';', "integer").map(Value::I64),
+                b'F' => take_token(bytes, pos, b';', "float").map(Value::F64),
+                b'S' => Ok(Value::Str(take_lstring(bytes, pos)?)),
+                b'A' => {
+                    let count: usize = take_token(bytes, pos, b':', "length")?;
+                    let mut items = Vec::with_capacity(count.min(1024));
+                    for _ in 0..count {
+                        items.push(decode_value(bytes, pos, depth + 1)?);
+                    }
+                    Ok(Value::Array(items))
+                }
+                b'O' => {
+                    let count: usize = take_token(bytes, pos, b':', "length")?;
+                    let mut doc = Document::new();
+                    for _ in 0..count {
+                        let key = take_lstring(bytes, pos)?;
+                        doc.set(key, decode_value(bytes, pos, depth + 1)?);
+                    }
+                    Ok(Value::Doc(doc))
+                }
+                other => Err(KdbError::Decode(
+                    *pos - 1,
+                    format!("unknown tag {:?}", other as char),
+                )),
+            }
+        }
+    }
+
+    /// Structural equality with floats compared by their bits (NaN included).
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+            (Value::Array(x), Value::Array(y)) => {
+                x.len() == y.len() && x.iter().zip(y).all(|(x, y)| same(x, y))
+            }
+            (Value::Doc(x), Value::Doc(y)) => {
+                x.len() == y.len()
+                    && x.iter()
+                        .zip(y.iter())
+                        .all(|((kx, x), (ky, y))| kx == ky && same(x, y))
+            }
+            _ => a == b,
+        }
+    }
+
+    /// A seeded source of encodings: well-formed ones (keys in any order,
+    /// repeated, longer than a key holds in place; multibyte text; the
+    /// extreme integers and floats; nesting to past [`MAX_DEPTH`]) and
+    /// malformed ones made from them.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.below(items.len())]
+        }
+
+        fn text(&mut self, max_chars: usize) -> String {
+            const CHARS: [&str; 10] = ["a", "z", "_", ":", ";", "5", "é", "→", "𝄞", "S3:"];
+            (0..self.below(max_chars + 1))
+                .map(|_| *self.pick(&CHARS))
+                .collect()
+        }
+
+        fn lstring(&mut self, out: &mut Vec<u8>, max_chars: usize) {
+            let s = self.text(max_chars);
+            out.extend_from_slice(format!("{}:{s}", s.len()).as_bytes());
+        }
+
+        fn value(&mut self, out: &mut Vec<u8>, depth: usize) {
+            const INTS: [i64; 6] = [i64::MIN, i64::MAX, 0, -1, 42, -9_000_000_000_000_000_000];
+            const FLOATS: [f64; 7] = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                -0.0,
+                0.1,
+                1e300,
+                -5e-324,
+            ];
+            let nest = depth < 4 || self.below(8) == 0;
+            match self.below(if nest { 9 } else { 6 }) {
+                0 => out.push(*self.pick(b"NTB")),
+                1 => {
+                    let n = if self.below(2) == 0 {
+                        *self.pick(&INTS)
+                    } else {
+                        self.next() as i64 >> self.below(64)
+                    };
+                    out.extend_from_slice(format!("I{n};").as_bytes());
+                }
+                2 => {
+                    let x = *self.pick(&FLOATS) * (self.below(1000) as f64);
+                    out.extend_from_slice(format!("F{x};").as_bytes());
+                }
+                3 | 4 => {
+                    out.push(b'S');
+                    self.lstring(out, 12);
+                }
+                5 if depth < MAX_DEPTH + 2 && self.below(8) == 0 => {
+                    // A chain down to the depth limit, or one past it.
+                    let levels = MAX_DEPTH + 1 - self.below(3) - depth;
+                    for _ in 0..levels {
+                        out.extend_from_slice(b"A1:");
+                    }
+                    out.push(b'N');
+                }
+                5 | 6 => {
+                    let count = self.below(4);
+                    out.extend_from_slice(format!("A{count}:").as_bytes());
+                    for _ in 0..count {
+                        self.value(out, depth + 1);
+                    }
+                }
+                _ => {
+                    let count = self.below(5);
+                    out.extend_from_slice(format!("O{count}:").as_bytes());
+                    for _ in 0..count {
+                        // Up to 96 bytes: some keys outgrow the in-place store.
+                        let max_chars = if self.below(3) == 0 { 24 } else { 4 };
+                        self.lstring(out, max_chars);
+                        self.value(out, depth + 1);
+                    }
+                }
+            }
+        }
+
+        /// One malformation of `bytes`.
+        fn damage(&mut self, bytes: &mut Vec<u8>) {
+            const SPLICES: [&[u8]; 12] = [
+                b"+5",
+                b"-0",
+                b"-",
+                b"99999999999999999999",
+                b"0000000000000000000007",
+                b"\xFF",
+                b"\xC3",
+                b"\x80",
+                b"\xE2\x86",
+                "é".as_bytes(),
+                b":",
+                b";",
+            ];
+            const BYTES: &[u8] = b"0123456789:;-+NTBIFSAOX\xFF\x80\xC3\xE2";
+            let at = self.below(bytes.len() + 1);
+            match self.below(4) {
+                0 => bytes.truncate(at),
+                1 => {
+                    let b = *self.pick(BYTES);
+                    if let Some(slot) = bytes.get_mut(at) {
+                        *slot = b;
+                    }
+                }
+                2 => {
+                    let splice = *self.pick(&SPLICES);
+                    bytes.splice(at..at, splice.iter().copied());
+                }
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// `Value::decode`, `Value::decode_prefix` and `Document::decode`
+    /// against the retired decoder on `bytes`: the same value, or the
+    /// same error at the same offset, and the same end position.
+    fn agree(bytes: &[u8]) -> Result<(), String> {
+        let (mut ours_at, mut oracle_at) = (0, 0);
+        let ours = Value::decode_prefix(bytes, &mut ours_at);
+        let oracle = retired::decode_value(bytes, &mut oracle_at, 0);
+        let same_outcome = match (&ours, &oracle) {
+            (Ok(a), Ok(b)) => same(a, b),
+            (a, b) => a == b,
+        };
+        if !same_outcome || ours_at != oracle_at {
+            return Err(format!(
+                "decode_prefix of {:?}: {ours:?} at {ours_at}, oracle {oracle:?} at {oracle_at}",
+                String::from_utf8_lossy(bytes)
+            ));
+        }
+        if let Ok(text) = std::str::from_utf8(bytes) {
+            let whole = oracle.and_then(|v| match oracle_at == bytes.len() {
+                true => Ok(v),
+                false => Err(KdbError::Decode(oracle_at, "trailing bytes".into())),
+            });
+            let whole_doc = whole.clone().and_then(|v| match v {
+                Value::Doc(d) => Ok(Value::Doc(d)),
+                other => Err(KdbError::Decode(
+                    0,
+                    format!("expected document, found {}", other.type_name()),
+                )),
+            });
+            for (what, ours, oracle) in [
+                ("Value::decode", Value::decode(text), whole),
+                (
+                    "Document::decode",
+                    Document::decode(text).map(Value::Doc),
+                    whole_doc,
+                ),
+            ] {
+                let agreed = match (&ours, &oracle) {
+                    (Ok(a), Ok(b)) => same(a, b),
+                    (a, b) => a == b,
+                };
+                if !agreed {
+                    return Err(format!("{what} of {text:?}: {ours:?}, oracle {oracle:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decoder_agrees_with_the_retired_decoder(seed in proptest::prelude::any::<u64>()) {
+            let mut gen = Gen(seed);
+            let mut bytes = Vec::new();
+            gen.value(&mut bytes, 0);
+            if let Err(e) = agree(&bytes) {
+                proptest::prop_assert!(false, "well-formed: {}", e);
+            }
+            for _ in 0..16 {
+                let mut bad = bytes.clone();
+                for _ in 0..1 + gen.below(3) {
+                    gen.damage(&mut bad);
+                }
+                if let Err(e) = agree(&bad) {
+                    proptest::prop_assert!(false, "malformed: {}", e);
+                }
+            }
+        }
     }
 
     #[test]

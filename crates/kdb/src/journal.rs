@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::collection::DocId;
-use crate::document::{Document, Value};
+use crate::document::{Document, Input, Value};
 use crate::error::KdbError;
 use crate::storage::{FileStorage, Storage, StorageFile};
 
@@ -64,11 +64,14 @@ pub enum DurabilityPolicy {
 // CRC32 (IEEE 802.3, the zlib/PNG polynomial).
 // ---------------------------------------------------------------------
 
-/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// Bytes the sliced CRC loop takes per step.
+const CRC_SLICE: usize = 16;
+
+/// Slicing-by-16 tables: `CRC_TABLES[0]` is the classic byte table, and
 /// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
-/// so eight table lookups advance the register over eight input bytes.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+/// so sixteen table lookups advance the register over sixteen input bytes.
+const fn crc_tables() -> [[u32; 256]; CRC_SLICE] {
+    let mut tables = [[0u32; 256]; CRC_SLICE];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -85,7 +88,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut t = 1;
-    while t < 8 {
+    while t < CRC_SLICE {
         let mut i = 0;
         while i < 256 {
             let prev = tables[t - 1][i];
@@ -97,7 +100,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+static CRC_TABLES: [[u32; 256]; CRC_SLICE] = crc_tables();
 
 /// One byte through the classic table loop (the slicing loop's tail,
 /// and the reference the tests compare it against).
@@ -105,22 +108,23 @@ fn crc32_step(c: u32, b: u8) -> u32 {
     CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
 }
 
-/// CRC32 (IEEE) of `bytes` — the v2 frame checksum, eight bytes per
-/// step (slicing-by-8; same polynomial and value as the bytewise loop).
+/// CRC32 (IEEE) of `bytes` — the v2 frame checksum, sixteen bytes per
+/// step (slicing-by-16; same polynomial and value as the bytewise loop).
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut chunks = bytes.chunks_exact(CRC_SLICE);
     for chunk in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][chunk[4] as usize]
-            ^ t[2][chunk[5] as usize]
-            ^ t[1][chunk[6] as usize]
-            ^ t[0][chunk[7] as usize];
+        let w = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        // Byte j of the step goes through the table for the 15 - j
+        // bytes that follow it.
+        c = t[15][(w & 0xFF) as usize]
+            ^ t[14][((w >> 8) & 0xFF) as usize]
+            ^ t[13][((w >> 16) & 0xFF) as usize]
+            ^ t[12][(w >> 24) as usize];
+        for (j, &b) in chunk.iter().enumerate().skip(4) {
+            c ^= t[CRC_SLICE - 1 - j][b as usize];
+        }
     }
     for &b in chunks.remainder() {
         c = crc32_step(c, b);
@@ -216,28 +220,31 @@ impl Op {
         }
     }
 
-    /// Decodes one op starting at `*pos`, advancing past it.
+    /// Decodes one op starting at `*pos`, advancing past it. Like
+    /// [`Value::decode_prefix`], it checks `bytes` for UTF-8 once per
+    /// call: hand it one record's payload.
     ///
     /// # Errors
     /// Returns [`KdbError::Decode`] on malformed input.
     pub fn decode_prefix(bytes: &[u8], pos: &mut usize) -> Result<Op, KdbError> {
+        let input = Input::new(bytes);
         let wrong = |at: usize, want: &str, found: Value| {
             KdbError::Decode(at, format!("expected {want}, found {}", found.type_name()))
         };
         let take_str = |pos: &mut usize| -> Result<String, KdbError> {
-            match Value::decode_prefix(bytes, pos)? {
+            match input.value(pos)? {
                 Value::Str(s) => Ok(s),
                 other => Err(wrong(*pos, "string", other)),
             }
         };
         let take_id = |pos: &mut usize| -> Result<DocId, KdbError> {
-            match Value::decode_prefix(bytes, pos)? {
+            match input.value(pos)? {
                 Value::I64(v) if v >= 0 => Ok(v as DocId),
                 other => Err(KdbError::Decode(*pos, format!("bad id {other:?}"))),
             }
         };
         let take_doc = |pos: &mut usize| -> Result<Document, KdbError> {
-            match Value::decode_prefix(bytes, pos)? {
+            match input.value(pos)? {
                 Value::Doc(d) => Ok(d),
                 other => Err(wrong(*pos, "document", other)),
             }
@@ -806,11 +813,11 @@ mod tests {
     #[test]
     fn sliced_crc32_equals_bytewise_for_every_short_length() {
         // Every length 0..=64 covers every chunk count × tail length
-        // around the 8-byte step, at every start alignment of the slice.
+        // around the 16-byte step, at every start alignment of the slice.
         let pool: Vec<u8> = (0..80u32)
             .map(|i| (i.wrapping_mul(167) >> 1) as u8)
             .collect();
-        for start in 0..8 {
+        for start in 0..CRC_SLICE {
             for len in 0..=64 {
                 let bytes = &pool[start..start + len];
                 assert_eq!(
@@ -822,12 +829,26 @@ mod tests {
         }
     }
 
+    #[test]
+    fn sliced_crc32_equals_bytewise_on_a_mebibyte() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+    }
+
     proptest::proptest! {
         #[test]
         fn sliced_crc32_equals_bytewise_on_long_inputs_at_every_alignment(
             bytes in proptest::collection::vec(proptest::any::<u8>(), 64..4096),
         ) {
-            for start in 0..8 {
+            for start in 0..CRC_SLICE {
                 proptest::prop_assert_eq!(
                     crc32(&bytes[start..]),
                     crc32_bytewise(&bytes[start..])

@@ -528,10 +528,10 @@ fn serve_request(
             Response::Health { doc }
         }
         Request::MetricsSnapshot => {
-            let mut doc = service.snapshot();
-            doc.set("net", Value::Doc(shared.metrics.snapshot().to_document()));
-            let mut prometheus = service.snapshot_prometheus();
-            prometheus.push_str(&shared.metrics.snapshot().to_prometheus());
+            let (mut doc, mut prometheus) = service.snapshot_views();
+            let net = shared.metrics.snapshot();
+            doc.set("net", Value::Doc(net.to_document()));
+            prometheus.push_str(&net.to_prometheus());
             Response::Metrics { doc, prometheus }
         }
         Request::StreamOpen { stream, spec } => {

@@ -1084,6 +1084,89 @@ fn prometheus_exposition_keeps_stable_names_and_adds_net_series() {
     drop(service);
 }
 
+/// The samples of a Prometheus exposition, by `name{labels}`.
+fn samples(exposition: &str) -> std::collections::HashMap<&str, &str> {
+    exposition
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| line.rsplit_once(' '))
+        .collect()
+}
+
+#[test]
+fn one_metrics_answer_describes_one_instant() {
+    let service = Arc::new(AnalysisService::new(
+        ServiceConfig::default(),
+        SharedKdb::in_memory(),
+    ));
+    let server = NetServer::start(Arc::clone(&service), NetConfig::default()).unwrap();
+    let addr = server.local_addr();
+    // The writer's sessions move the job and journal counters, and its
+    // status polls the net counters, while the reader asks.
+    let writer = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        for i in 0..3 {
+            let session = match client.call(Request::Submit(quick_spec(40 + i))).unwrap() {
+                Response::Submitted { session } => session,
+                other => panic!("expected Submitted, got {other:?}"),
+            };
+            while !matches!(
+                client.call(Request::Status { session }).unwrap(),
+                Response::State { ref state, .. } if state == "completed"
+            ) {}
+        }
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let mut answers = 0;
+    while answers < 20 || !writer.is_finished() {
+        let Response::Metrics { doc, prometheus } = client.call(Request::MetricsSnapshot).unwrap()
+        else {
+            panic!("expected Metrics");
+        };
+        let exposed = samples(&prometheus);
+        let requests = doc
+            .get_path("net.requests")
+            .and_then(Value::as_doc)
+            .unwrap();
+        let mut pairs: Vec<(String, String)> = requests
+            .iter()
+            .map(|(kind, _)| {
+                let path = format!("net.requests.{kind}");
+                (path, format!("ada_net_requests_total{{kind=\"{kind}\"}}"))
+            })
+            .collect();
+        for outcome in ["submitted", "completed", "failed", "cancelled", "retried"] {
+            let series = format!("ada_jobs_total{{outcome=\"{outcome}\"}}");
+            pairs.push((format!("metrics.jobs.{outcome}"), series));
+        }
+        for (path, series) in [
+            ("metrics.kdb.acked_ops", "ada_kdb_journal_acked_ops_total"),
+            (
+                "metrics.kdb.durable_ops",
+                "ada_kdb_journal_durable_ops_total",
+            ),
+            ("metrics.kdb.group_commits", "ada_kdb_group_commits_total"),
+            ("net.bytes_in", "ada_net_bytes_total{dir=\"in\"}"),
+            ("net.bytes_out", "ada_net_bytes_total{dir=\"out\"}"),
+        ] {
+            pairs.push((path.into(), series.into()));
+        }
+        for (path, series) in &pairs {
+            let in_doc = doc.get_path(path).and_then(Value::as_i64).unwrap();
+            assert_eq!(
+                exposed.get(series.as_str()),
+                Some(&in_doc.to_string().as_str()),
+                "answer {answers}: {path} is {in_doc}, {series} differs"
+            );
+        }
+        answers += 1;
+    }
+    writer.join().unwrap();
+    assert!(service.metrics().completed >= 3);
+    drop(client);
+    server.shutdown();
+}
+
 #[test]
 fn degenerate_cohorts_are_refused_typed_and_free_their_pool_slots() {
     let service = Arc::new(AnalysisService::new(

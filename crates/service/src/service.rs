@@ -354,10 +354,14 @@ impl AnalysisService {
     /// count on this service's watch, lost terminal-session records,
     /// and whether new work is accepted.
     pub fn health(&self) -> Document {
+        self.health_of(&self.inner.metrics.snapshot())
+    }
+
+    /// [`AnalysisService::health`], its failure count read off `metrics`.
+    fn health_of(&self, metrics: &ServiceMetrics) -> Document {
         let degraded = self.is_degraded();
         let follower = self.is_follower();
         let faults = self.inner.journal_fault_delta();
-        let metrics = self.inner.metrics.snapshot();
         let status = if degraded {
             "degraded"
         } else if follower {
@@ -412,6 +416,19 @@ impl AnalysisService {
     /// (histogram quantiles included), every known session and its
     /// state, and the count of persisted past sessions.
     pub fn snapshot(&self) -> Document {
+        self.snapshot_of(&self.metrics())
+    }
+
+    /// [`AnalysisService::snapshot`] and [`AnalysisService::snapshot_prometheus`]
+    /// rendered from one taken snapshot, so both describe the same instant.
+    pub fn snapshot_views(&self) -> (Document, String) {
+        let metrics = self.metrics();
+        let prometheus = self.prometheus_of(&metrics);
+        (self.snapshot_of(&metrics), prometheus)
+    }
+
+    /// The snapshot document over `metrics`.
+    fn snapshot_of(&self, metrics: &ServiceMetrics) -> Document {
         let sessions = self
             .inner
             .registry
@@ -433,8 +450,8 @@ impl AnalysisService {
             .collection(schema::names::SESSIONS)
             .map_or(0, ada_kdb::Collection::len);
         Document::new()
-            .with("health", Value::Doc(self.health()))
-            .with("metrics", Value::Doc(self.metrics().to_document()))
+            .with("health", Value::Doc(self.health_of(metrics)))
+            .with("metrics", Value::Doc(metrics.to_document()))
             .with("sessions", Value::Array(sessions))
             .with("past_sessions", i64::try_from(past).unwrap_or(i64::MAX))
             .with("events_dropped", 0i64)
@@ -448,7 +465,12 @@ impl AnalysisService {
     /// The metrics snapshot rendered as Prometheus text exposition,
     /// including the pinned `ada_stream_*` families.
     pub fn snapshot_prometheus(&self) -> String {
-        let mut out = self.metrics().to_prometheus();
+        self.prometheus_of(&self.metrics())
+    }
+
+    /// The exposition of `metrics`, then of the stream metrics.
+    fn prometheus_of(&self, metrics: &ServiceMetrics) -> String {
+        let mut out = metrics.to_prometheus();
         out.push_str(&self.inner.stream_metrics.snapshot().to_prometheus());
         out
     }

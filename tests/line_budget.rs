@@ -18,12 +18,12 @@ const CEILINGS: [(&str, u64); 13] = [
     ("vsm", 719),
     ("metrics", 664),
     ("mining", 3_557),
-    ("kdb", 4_262),
+    ("kdb", 4_391),
     ("core", 3_179),
     ("signals", 770),
     ("obs", 1_371),
     ("stream", 1_411),
-    ("service", 1_880),
+    ("service", 1_898),
     ("net", 2_675),
     ("fleet", 1_800),
     ("bench", 4_091),
